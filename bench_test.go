@@ -386,9 +386,10 @@ func BenchmarkSamplingPhase(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimal16Lines measures the exact planner at its enumeration
-// ceiling: 16 offloadable lines = 65536 candidate placements, scanned
-// serially and sharded across a pool with the lowest-mask tie-break.
+// BenchmarkOptimal16Lines times the brute-force oracle at its
+// enumeration ceiling: 16 offloadable lines = 65536 candidate placements
+// scanned serially — the cost the runtime's branch-and-bound planner
+// (BenchmarkBnB24Lines, BenchmarkBnB32Lines) avoids.
 func BenchmarkOptimal16Lines(b *testing.B) {
 	spec, _ := workloads.ByName("tpch-6")
 	wb, err := experiments.Prepare(spec, benchParams())
@@ -405,19 +406,10 @@ func BenchmarkOptimal16Lines(b *testing.B) {
 			DIn: float64(1+i) * 1e5, DOut: float64(16-i) * 1e4,
 		}
 	}
-	for _, bc := range []struct {
-		name string
-		pool *par.Pool
-	}{{"j1", nil}, {"jN", par.New(0)}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res := plan.OptimalPool(estimates, plan.Constraints{}, wb.Machine, bc.pool)
-				if res.Planner != plan.PlannerOptimal {
-					b.Fatalf("planner %q", res.Planner)
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan.Optimal(estimates, plan.Constraints{}, wb.Machine)
 	}
 }
 

@@ -265,7 +265,7 @@ func runExplain(args []string) int {
 	asJSON := fs.Bool("json", false, "emit the explain record as indented JSON")
 	runIt := fs.Bool("run", false, "also execute the workload under windowed observation and cross-link drift columns")
 	window := fs.Float64("obswindow", 0, "observation window for -run in simulated seconds (0 = 1/16 of the projected runtime)")
-	planner := fs.String("planner", "", "planning algorithm: auto, optimal, bnb, algorithm1, algorithm1-literal (DESIGN.md §16); empty = auto")
+	planner := fs.String("planner", "", "planning algorithm: "+core.PlannerChoices+" (DESIGN.md §16); empty = bnb, the exact planner")
 	cacheStats := fs.Bool("cachestats", false, "route the analysis through a plan cache and append its hit/miss footer")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: activego explain -workload NAME [-scalediv N] [-seed S] [-json] [-planner P] [-cachestats] [-run [-obswindow W]]")

@@ -18,23 +18,23 @@ import (
 	"os"
 	runpprof "runtime/pprof"
 
+	"activego/internal/core"
 	"activego/internal/metrics"
 	"activego/internal/par"
-	"activego/internal/plan"
 	"activego/internal/trace"
 )
 
 // Flags is the parsed shared observability surface of one command.
 type Flags struct {
-	Trace        string // -trace: Chrome trace-event JSON path
-	TraceSummary bool   // -tracesummary: per-component summary on stdout
-	CPUProfile   string // -pprof: CPU profile path
-	MemProfile   string // -memprofile: heap profile path, written on Finish
-	Metrics      string // -metrics: registry snapshot JSON path ("-" = stdout)
-	HTTPMon      string // -httpmon: live monitoring listen address (RegisterMonitor)
-	Jobs         int    // -j: worker count for deterministic fan-outs
+	Trace        string  // -trace: Chrome trace-event JSON path
+	TraceSummary bool    // -tracesummary: per-component summary on stdout
+	CPUProfile   string  // -pprof: CPU profile path
+	MemProfile   string  // -memprofile: heap profile path, written on Finish
+	Metrics      string  // -metrics: registry snapshot JSON path ("-" = stdout)
+	HTTPMon      string  // -httpmon: live monitoring listen address (RegisterMonitor)
+	Jobs         int     // -j: worker count for deterministic fan-outs
 	ObsWindow    float64 // -obswindow: sim-time observation window (DESIGN.md §15); 0 = off
-	Planner      string  // -planner: planning algorithm (DESIGN.md §16); "" = auto
+	Planner      string  // -planner: planning algorithm (DESIGN.md §16); "" = bnb
 
 	rec     *trace.Recorder
 	reg     *metrics.Registry
@@ -50,18 +50,18 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.CPUProfile, "pprof", "", "write a CPU profile of this process to the file (inspect with go tool pprof)")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile of this process to the file on exit")
 	fs.StringVar(&f.Metrics, "metrics", "", "write the metrics registry snapshot as JSON to this file (- for stdout)")
-	fs.IntVar(&f.Jobs, "j", 1, "workers for deterministic fan-outs (sampling scales, Optimal shards, experiment sweeps); 1 = serial, 0 = GOMAXPROCS; output is bit-identical at any value")
+	fs.IntVar(&f.Jobs, "j", 1, "workers for deterministic fan-outs (sampling scales, experiment sweeps); 1 = serial, 0 = GOMAXPROCS; output is bit-identical at any value")
 	fs.Float64Var(&f.ObsWindow, "obswindow", 0, "bin observed costs into simulated-time windows of this many seconds and fold them into the metrics snapshot as obs.win.* series (DESIGN.md §15); 0 = off")
-	fs.StringVar(&f.Planner, "planner", "", "planning algorithm: auto (exact enumeration, then branch-and-bound past "+fmt.Sprint(plan.MaxOptimalLines)+" free lines), optimal, bnb, algorithm1, algorithm1-literal (DESIGN.md §16); empty = auto")
+	fs.StringVar(&f.Planner, "planner", "", "planning algorithm: "+core.PlannerChoices+" (DESIGN.md §16); empty = bnb, the exact planner")
 	return f
 }
 
 // Pool returns the par.Pool the -j flag asked for: nil when -j 1 (the
 // default), which every fan-out treats as the inline serial path with
 // zero extra goroutines. Each simulated run stays single-goroutine on
-// its own kernel regardless; -j only fans out independent runs and
-// analysis shards, and results are assembled in input order so output
-// is bit-identical at any -j.
+// its own kernel regardless; -j only fans out independent runs, and
+// results are assembled in input order so output is bit-identical at
+// any -j.
 func (f *Flags) Pool() *par.Pool {
 	if f.Jobs == 1 {
 		return nil

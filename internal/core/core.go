@@ -6,8 +6,8 @@
 //  1. parses the program,
 //  2. executes the sampling phase on four scaled-down inputs and fits
 //     complexity curves per line (§III-A, internal/profile + internal/fit),
-//  3. prices every line on host and CSD with Equation 1's terms and runs
-//     Algorithm 1 to pick the offload set (§III-B, internal/plan),
+//  3. prices every line on host and CSD with Equation 1's terms and
+//     picks the offload set that minimizes them (§III-B, internal/plan),
 //  4. "generates code": selects the native backend, fixes the partition,
 //     and pays the compilation overhead (§III-C, internal/codegen),
 //  5. executes on the simulated platform with per-line status updates,
@@ -99,8 +99,10 @@ type Outcome struct {
 	Drift *obs.DriftReport
 }
 
-// PlannerChoices is the -planner flag's vocabulary (DESIGN.md §16).
-const PlannerChoices = "auto | optimal | bnb | algorithm1 | algorithm1-literal"
+// PlannerChoices is the -planner flag's vocabulary (DESIGN.md §16): the
+// exact branch-and-bound planner (the default) and the paper's
+// Algorithm 1 with its literal-pseudocode ablation.
+const PlannerChoices = "bnb | algorithm1 | algorithm1-literal"
 
 // Runtime is an ActivePy instance bound to one platform.
 type Runtime struct {
@@ -116,15 +118,13 @@ type Runtime struct {
 	// nothing — runs stay bit-identical either way, because metrics only
 	// observe real time, never simulated decisions.
 	Metrics *metrics.Registry
-	// Pool, when set, fans the sampling runs and the Optimal placement
-	// enumeration out across workers (the -j flag). Nil runs serially;
-	// either way the pipeline's output is bit-identical — par's helpers
-	// merge by input position and break ties toward the serial winner.
+	// Pool, when set, fans the sampling runs out across workers (the -j
+	// flag). Nil runs serially; either way the pipeline's output is
+	// bit-identical — par.Map merges by input position.
 	Pool *par.Pool
 	// Planner selects the planning algorithm (one of PlannerChoices; ""
-	// means auto). Auto runs the exact ladder of DESIGN.md §16: Optimal's
-	// enumeration up to plan.MaxOptimalLines free lines, branch-and-bound
-	// beyond, Algorithm 1 only on a node-budget blowout.
+	// means bnb): the exact branch-and-bound search of DESIGN.md §16,
+	// which degrades to Algorithm 1 only on a node-budget blowout.
 	Planner string
 	// PlanBudget overrides the branch-and-bound node budget
 	// (0 = plan.DefaultBnBNodeBudget).
@@ -238,12 +238,10 @@ func (rt *Runtime) analyzeAll(src string, reg *inputs.Registry) (*analyzed, erro
 	planRes.Provenance = plan.BuildProvenance(planRes, cons, pruned, rt.Machine)
 	stop()
 	if planRes.Planner == plan.PlannerAlgorithm1 && !greedyRequested(rt.Planner) {
-		// A genuine fallback: an exact planner was asked for but the
-		// search degraded to the greedy walk — under auto that means
-		// branch-and-bound blew its node budget (the static AV008 vet
-		// note warns when a program's dependence structure makes this
-		// possible); under -planner=optimal it means more than
-		// plan.MaxOptimalLines free lines.
+		// A genuine fallback: the exact planner was asked for but
+		// branch-and-bound blew its node budget and degraded to the
+		// greedy walk (the static AV008 vet note warns when a program's
+		// dependence structure makes this possible).
 		rt.Metrics.Counter(metrics.MetricPlanOptimalFallback).Add(1)
 	}
 	if stats.Nodes > 0 {
@@ -273,11 +271,7 @@ func (rt *Runtime) runPlanner(estimates []plan.LineEstimate, cons plan.Constrain
 		budget = plan.DefaultBnBNodeBudget
 	}
 	switch rt.Planner {
-	case "", plan.PlannerAuto:
-		return plan.AutoPool(estimates, cons, rt.Machine, rt.Pool, budget, &stats), stats, nil
-	case plan.PlannerOptimal:
-		return plan.OptimalPool(estimates, cons, rt.Machine, rt.Pool), stats, nil
-	case plan.PlannerBnB:
+	case "", plan.PlannerBnB:
 		return plan.BnBBudget(estimates, cons, rt.Machine, budget, &stats), stats, nil
 	case plan.PlannerAlgorithm1:
 		return plan.Algorithm1(estimates, cons, rt.Machine), stats, nil
@@ -316,9 +310,9 @@ func (rt *Runtime) planCacheKey(src string, reg *inputs.Registry, scales []float
 // adviseEstimates runs the dynamic-input analysis passes over the
 // sampled estimates: the AV009 cross-check of fitted execution counts
 // against the proved static bounds, and the AV011 never-win proof —
-// whose lines it also pins into hostOnly (in place), shrinking the
-// Optimal enumeration. Pinning a never-win line provably preserves the
-// argmin (see plan.NeverWin), so this only makes planning cheaper. The
+// whose lines it also pins into hostOnly (in place), so the planner
+// never considers offloading them. Pinning a never-win line provably
+// preserves the plan (see plan.NeverWin). The
 // full pruned list is returned alongside the advisories so provenance
 // can record margins even for lines legality had already pinned.
 func adviseEstimates(static *analysis.Report, report *profile.Report, estimates []plan.LineEstimate, m plan.Machine, hostOnly map[int]string) ([]analysis.Diagnostic, []plan.PrunedLine) {

@@ -20,14 +20,13 @@ func wideScan(n int) string {
 	return sb.String()
 }
 
-// TestOptimalFallbackCounter pins the demoted fallback record: past
-// plan.MaxOptimalLines the auto ladder hands the program to
-// branch-and-bound — still exact, so plan.optimal.fallback stays zero
-// and the plan.bnb.* statistics appear. Only a genuine node-budget
+// TestOptimalFallbackCounter pins the fallback record: branch-and-bound
+// plans an 18-line coupled scan exactly, so plan.optimal.fallback stays
+// zero and the plan.bnb.* statistics appear. Only a genuine node-budget
 // blowout (forced here with PlanBudget=1) degrades to Algorithm 1 and
 // bumps the counter.
 func TestOptimalFallbackCounter(t *testing.T) {
-	src := wideScan(plan.MaxOptimalLines + 1)
+	src := wideScan(17)
 
 	reg := scanRegistry(1 << 14)
 	rt := newRuntime()
@@ -38,7 +37,7 @@ func TestOptimalFallbackCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	if planRes.Planner != plan.PlannerBnB {
-		t.Errorf("planner = %q, want %q (exact past the enumeration limit)", planRes.Planner, plan.PlannerBnB)
+		t.Errorf("planner = %q, want %q", planRes.Planner, plan.PlannerBnB)
 	}
 	if got := rt.Metrics.Counter(metrics.MetricPlanOptimalFallback).Value(); got != 0 {
 		t.Errorf("%s = %g on an exactly-planned branch-and-bound run, want 0", metrics.MetricPlanOptimalFallback, got)
@@ -100,15 +99,23 @@ func TestPlannerRequestedGreedy(t *testing.T) {
 }
 
 // TestPlannerUnknown pins the error for a planner outside the
-// vocabulary.
+// vocabulary — including the retired enumeration choices — and that it
+// lists the three remaining ones.
 func TestPlannerUnknown(t *testing.T) {
-	rt := newRuntime()
-	rt.Planner = "simulated-annealing"
-	reg := scanRegistry(1 << 14)
-	rt.PreloadInputs(reg)
-	if _, _, _, err := rt.Analyze(scanProgram, reg); err == nil {
-		t.Fatal("no error for an unknown planner")
-	} else if !strings.Contains(err.Error(), "unknown planner") {
-		t.Fatalf("error = %v, want mention of the unknown planner", err)
+	for _, name := range []string{"simulated-annealing", "auto", "optimal"} {
+		rt := newRuntime()
+		rt.Planner = name
+		reg := scanRegistry(1 << 14)
+		rt.PreloadInputs(reg)
+		_, _, _, err := rt.Analyze(scanProgram, reg)
+		if err == nil {
+			t.Fatalf("no error for planner %q", name)
+		}
+		if !strings.Contains(err.Error(), "unknown planner") {
+			t.Errorf("planner %q: error = %v, want mention of the unknown planner", name, err)
+		}
+		if want := "(choices: bnb | algorithm1 | algorithm1-literal)"; !strings.Contains(err.Error(), want) {
+			t.Errorf("planner %q: error = %v, want it to list %s", name, err, want)
+		}
 	}
 }

@@ -32,8 +32,8 @@ func canonSnap(s metrics.Snapshot) metrics.Snapshot {
 func TestParallelInvariance(t *testing.T) {
 	pool := par.New(8)
 
-	// Single pipeline: Prepare (parallel sampling + sharded Optimal) and
-	// the execution it feeds.
+	// Single pipeline: Prepare (parallel sampling + planning) and the
+	// execution it feeds.
 	spec, ok := workloads.ByName("tpch-6")
 	if !ok {
 		t.Fatal("unknown workload tpch-6")

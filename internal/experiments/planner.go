@@ -115,8 +115,8 @@ type PlannerPoint struct {
 	THost        float64 // all-host walk cost
 	TCSD         float64 // branch-and-bound plan's walk cost
 	GreedyTCSD   float64 // Algorithm 1's plan, walked for contrast
-	// OptimalMatch is set at points inside the old enumeration limit,
-	// where brute force is feasible: the branch-and-bound cost equals
+	// OptimalMatch is set at points of up to plan.MaxOptimalLines lines,
+	// where the brute-force oracle runs: the branch-and-bound cost equals
 	// the enumerated optimum.
 	OptimalMatch bool
 }

@@ -2,14 +2,13 @@
 // worker pool plus fan-out helpers whose output is byte-identical to the
 // serial path regardless of goroutine scheduling.
 //
-// Determinism is the contract, parallelism is the optimization. Every
-// helper collects results indexed by input position, breaks ties toward
-// the lowest index, and reports the lowest-indexed error — so a caller
-// can swap a serial loop for par.Map without its output, its error, or
-// anything downstream of either changing by a single byte. The simulation
-// kernel itself stays single-goroutine per run (that is what makes runs
-// reproducible); par only fans out *independent* runs: sampling scales,
-// placement-enumeration shards, experiment configs.
+// Determinism is the contract, parallelism is the optimization. Map
+// collects results indexed by input position and reports the
+// lowest-indexed error — so a caller can swap a serial loop for par.Map
+// without its output, its error, or anything downstream of either
+// changing by a single byte. The simulation kernel itself stays
+// single-goroutine per run (that is what makes runs reproducible); par
+// only fans out *independent* runs: sampling scales and experiment specs.
 //
 // A nil *Pool is valid and means "inline, zero goroutines" — the same
 // nil-is-inert convention as trace.Recorder and metrics.Registry. The -j
@@ -23,7 +22,7 @@ import (
 )
 
 // Pool is a bounded degree of parallelism. It holds no goroutines of its
-// own; each Map/ArgMin call spawns at most Workers() goroutines for its
+// own; each Map call spawns at most Workers() goroutines for its
 // duration and joins them before returning, so a Pool can be shared, and
 // nested fan-outs (experiments over workloads, each sampling over scales)
 // cannot deadlock — they merely oversubscribe the scheduler a little.
@@ -124,58 +123,4 @@ func Map[T any](p *Pool, n int, fn func(i int) (T, error)) ([]T, error) {
 		}
 	}
 	return out, nil
-}
-
-// ArgMin evaluates fn(0..n-1) and returns the index holding the minimal
-// value, preferring the lowest index on exact ties — the same winner a
-// serial ascending scan with a strict < comparison keeps. The index space
-// is split into contiguous shards, each scanned serially, and the shard
-// winners are merged in ascending shard order, so the (index, value) pair
-// is identical to the serial scan's bit for bit. n must be positive.
-func ArgMin(p *Pool, n int, fn func(i int) float64) (int, float64) {
-	if n <= 0 {
-		panic("par: ArgMin over empty index space")
-	}
-	w := p.Workers()
-	if w > n {
-		w = n
-	}
-	scan := func(lo, hi int) (int, float64) {
-		bestI, bestV := lo, fn(lo)
-		for i := lo + 1; i < hi; i++ {
-			if v := fn(i); v < bestV {
-				bestI, bestV = i, v
-			}
-		}
-		return bestI, bestV
-	}
-	if w <= 1 {
-		return scan(0, n)
-	}
-	type best struct {
-		i int
-		v float64
-	}
-	shards := make([]best, w)
-	var wg sync.WaitGroup
-	for s := 0; s < w; s++ {
-		lo := s * n / w
-		hi := (s + 1) * n / w
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			i, v := scan(lo, hi)
-			shards[s] = best{i: i, v: v}
-		}(s, lo, hi)
-	}
-	wg.Wait()
-	win := shards[0]
-	for _, b := range shards[1:] {
-		// Strict <: on a tie the earlier shard (lower indices) keeps the
-		// win, matching the serial scan exactly.
-		if b.v < win.v {
-			win = b
-		}
-	}
-	return win.i, win.v
 }

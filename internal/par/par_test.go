@@ -136,39 +136,3 @@ func TestMapNoGoroutineLeaks(t *testing.T) {
 	}
 	t.Errorf("goroutines leaked: baseline %d, now %d", baseline, runtime.NumGoroutine())
 }
-
-// TestArgMinMatchesSerial fuzzes ArgMin against the serial ascending
-// scan, with heavy duplicate values so the lowest-index tie-break is
-// actually exercised.
-func TestArgMinMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for round := 0; round < 300; round++ {
-		n := 1 + rng.Intn(500)
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = float64(rng.Intn(8)) // few distinct values => many ties
-		}
-		wantI, wantV := 0, vals[0]
-		for i := 1; i < n; i++ {
-			if vals[i] < wantV {
-				wantI, wantV = i, vals[i]
-			}
-		}
-		for _, workers := range []int{1, 2, 7, 16} {
-			gotI, gotV := ArgMin(New(workers), n, func(i int) float64 { return vals[i] })
-			if gotI != wantI || gotV != wantV {
-				t.Fatalf("round %d workers=%d: ArgMin = (%d, %g), serial scan = (%d, %g)",
-					round, workers, gotI, gotV, wantI, wantV)
-			}
-		}
-	}
-}
-
-func TestArgMinEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("ArgMin over n=0 did not panic")
-		}
-	}()
-	ArgMin(nil, 0, func(int) float64 { return 0 })
-}

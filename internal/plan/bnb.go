@@ -1,8 +1,7 @@
-// Branch-and-bound exact planning past Optimal's enumeration limit
-// (DESIGN.md §16). Optimal brute-forces 2^n placements and silently
-// degrades to the greedy Algorithm 1 beyond MaxOptimalLines; BnB keeps
-// the argmin exact far past that cliff by searching the same space as a
-// depth-first tree over per-line host/CSD decisions:
+// Branch-and-bound: the runtime's exact planner (DESIGN.md §16). It
+// returns the argmin of EvaluatePlacement over every placement of the
+// free lines — the space Optimal brute-forces in 2^n walks — by
+// searching it as a depth-first tree over per-line host/CSD decisions:
 //
 //   - the program decomposes into variable-sharing components (the
 //     dynamic mirror of the analysis layer's data-dependence DAG:
@@ -21,13 +20,18 @@
 //     win;
 //   - the incumbent is seeded from the all-host walk, Algorithm 1's
 //     placement, and a unit-greedy placement, so pruning bites from the
-//     first node.
+//     first node;
+//   - exact ties resolve as in Optimal, to the lowest mask: of two
+//     equally cheap plans, the one that runs the last line where they
+//     differ on the host. The incumbent yields to an equally cheap plan
+//     only if its mask is lower, and a subtree whose bound meets the
+//     incumbent stays open while it could still hold one.
 //
 // A node budget caps the search; on blowout BnB abandons exactness and
 // returns Algorithm 1's plan (Result.Planner records it, core bumps
-// plan.optimal.fallback). Within budget the result is provably the
-// argmin of EvaluatePlacement — the property test pins it against the
-// brute-force Optimal on every ≤MaxOptimalLines program.
+// plan.optimal.fallback). Within budget the plan is the one Optimal
+// returns, partition and totals alike — the property and tie tests pin
+// the two against each other on every ≤MaxOptimalLines program.
 package plan
 
 import (
@@ -73,14 +77,10 @@ type BnBStats struct {
 	Fallback bool
 }
 
-// BnB is BnBBudget under the default node budget.
-func BnB(estimates []LineEstimate, cons Constraints, m Machine) *Result {
-	return BnBBudget(estimates, cons, m, 0, nil)
-}
-
-// BnBBudget runs the branch-and-bound planner under an explicit node
-// budget (0 = DefaultBnBNodeBudget), filling stats if non-nil. On
-// budget blowout it returns Algorithm1's plan with stats.Fallback set.
+// BnBBudget is the runtime's exact planner: the branch-and-bound search
+// under an explicit node budget (0 = DefaultBnBNodeBudget), filling
+// stats if non-nil. On budget blowout it returns Algorithm1's plan with
+// stats.Fallback set.
 func BnBBudget(estimates []LineEstimate, cons Constraints, m Machine, budget int, stats *BnBStats) *Result {
 	if budget <= 0 {
 		budget = DefaultBnBNodeBudget
@@ -271,6 +271,20 @@ func (s *bnbSearch) walkAssign(assign []bool) float64 {
 	return cost
 }
 
+// unitFloor is the cheapest unit cost of the component member at
+// position k: HostTotal if it is forced to the host, else the cheaper of
+// its host and device units.
+func (s *bnbSearch) unitFloor(k int) float64 {
+	e := &s.est[s.comp[k]]
+	unit := e.HostTotal()
+	if !s.forcedHost(k) {
+		if dev := e.DevTotal() + e.QueueOverhead(s.m); dev < unit {
+			unit = dev
+		}
+	}
+	return unit
+}
+
 // forcedHost reports whether the component member at position k may
 // only run on the host: pinned by constraints, or proved never-win.
 func (s *bnbSearch) forcedHost(k int) bool {
@@ -293,14 +307,7 @@ func (s *bnbSearch) solveComponent(comp []int) ([]bool, bool) {
 	// crossing only adds. suffix[n] = 0.
 	s.suffix = make([]float64, n+1)
 	for k := n - 1; k >= 0; k-- {
-		e := &s.est[comp[k]]
-		unit := e.HostTotal()
-		if !s.forcedHost(k) {
-			if dev := e.DevTotal() + e.QueueOverhead(s.m); dev < unit {
-				unit = dev
-			}
-		}
-		s.suffix[k] = s.suffix[k+1] + unit
+		s.suffix[k] = s.suffix[k+1] + s.unitFloor(k)
 	}
 	for k := 0; k < n; k++ {
 		idx := comp[k]
@@ -312,16 +319,16 @@ func (s *bnbSearch) solveComponent(comp []int) ([]bool, bool) {
 		}
 	}
 
-	// Seed the incumbent: all-host first (so the no-offload tie keeps
-	// the all-host plan, matching Optimal's lowest-mask tie-break), then
-	// Algorithm 1's placement restricted to the component, then the
-	// unit-greedy placement. DFS must then strictly beat the seed.
+	// Seed the incumbent: all-host first, then Algorithm 1's placement
+	// restricted to the component, then the unit-greedy placement. Seeds
+	// and DFS leaves alike replace the incumbent only when cheaper, or
+	// equally cheap with a lower mask.
 	s.best = make([]bool, n)
 	s.cur = make([]bool, n)
 	allHost := make([]bool, n)
 	s.incumbent = s.walkAssign(allHost)
 	seed := func(assign []bool) {
-		if c := s.walkAssign(assign); c < s.incumbent {
+		if c := s.walkAssign(assign); c < s.incumbent || (c == s.incumbent && maskLess(assign, s.best)) {
 			s.incumbent = c
 			copy(s.best, assign)
 		}
@@ -365,15 +372,16 @@ func (s *bnbSearch) consHostOnly() map[int]string {
 // accumulated over members 0..k-1. Returns false on budget blowout.
 func (s *bnbSearch) dfs(k int, cost float64) bool {
 	if k == len(s.comp) {
-		if cost < s.incumbent {
+		if cost < s.incumbent || (cost == s.incumbent && maskLess(s.cur, s.best)) {
 			s.incumbent = cost
 			copy(s.best, s.cur)
 		}
 		return true
 	}
 	// Admissible bound: no completion of this prefix can beat the
-	// incumbent, and improvement is strict, so ≥ prunes.
-	if cost+s.suffix[k] >= s.incumbent {
+	// incumbent. One that might tie it survives only while it could
+	// still win the tie-break.
+	if cost+s.suffix[k] >= s.incumbent && !s.tieReachable(k, cost) {
 		s.stats.BoundCuts++
 		return true
 	}
@@ -409,31 +417,54 @@ func (s *bnbSearch) dfs(k int, cost float64) bool {
 	return true
 }
 
-// PlannerAuto selects Optimal up to MaxOptimalLines free lines and
-// branch-and-bound beyond — the runtime's default ladder. The labels
-// below are the -planner flag's vocabulary; Result.Planner always
-// records the algorithm that actually ran.
-const PlannerAuto = "auto"
-
-// Auto is AutoPool without a worker pool.
-func Auto(estimates []LineEstimate, cons Constraints, m Machine) *Result {
-	return AutoPool(estimates, cons, m, nil, 0, nil)
+// AutoPool is BnBBudget; pool is ignored.
+//
+// Deprecated: call BnBBudget. AutoPool remains only because
+// perfbench/pipeline.go still calls it.
+func AutoPool(estimates []LineEstimate, cons Constraints, m Machine, _ *par.Pool, budget int, stats *BnBStats) *Result {
+	return BnBBudget(estimates, cons, m, budget, stats)
 }
 
-// AutoPool is the runtime's planner ladder: the brute-force Optimal
-// enumeration while it is affordable (≤ MaxOptimalLines free lines —
-// bit-identical to the historical behavior, lowest-mask ties included),
-// branch-and-bound beyond it, and Algorithm 1 only if the node budget
-// blows (stats.Fallback reports it; core bumps plan.optimal.fallback).
-func AutoPool(estimates []LineEstimate, cons Constraints, m Machine, pool *par.Pool, budget int, stats *BnBStats) *Result {
-	free := 0
-	for i := range estimates {
-		if _, p := cons.Pinned(estimates[i].Line); !p {
-			free++
+// maskLess reports whether assignment a is a lower mask than b, reading
+// position i as bit i as Optimal does: the last position where they
+// differ runs on the host in a.
+func maskLess(a, b []bool) bool {
+	for k := len(a) - 1; k >= 0; k-- {
+		if a[k] != b[k] {
+			return !a[k]
 		}
 	}
-	if free <= MaxOptimalLines {
-		return OptimalPool(estimates, cons, m, pool)
+	return false
+}
+
+// tieReachable reports whether some completion of the decided prefix
+// cur[:k], whose walk so far costs cost, could tie the incumbent with a
+// lower mask: by running on the host an undecided line the incumbent
+// offloads, or because the prefix is already the lower one.
+func (s *bnbSearch) tieReachable(k int, cost float64) bool {
+	if maskLess(s.cur[:k], s.best[:k]) && s.tieBound(k, cost, -1) <= s.incumbent {
+		return true
 	}
-	return BnBBudget(estimates, cons, m, budget, stats)
+	for p := len(s.comp) - 1; p >= k; p-- {
+		if s.best[p] && s.tieBound(k, cost, p) <= s.incumbent {
+			return true
+		}
+	}
+	return false
+}
+
+// tieBound is a lower bound on the walk cost of every completion of the
+// prefix that runs position hostAt on the host (hostAt < k: none). It
+// adds each undecided line's cheapest unit in the walk's own order, and
+// rounded addition is monotone, so unlike cost+suffix[k] — which sums
+// in another order — it can never round above a completion that ties.
+func (s *bnbSearch) tieBound(k int, cost float64, hostAt int) float64 {
+	for j := k; j < len(s.comp); j++ {
+		if j == hostAt {
+			cost += s.est[s.comp[j]].HostTotal()
+		} else {
+			cost += s.unitFloor(j)
+		}
+	}
+	return cost
 }

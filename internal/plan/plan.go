@@ -1,6 +1,8 @@
 // Package plan implements the paper's task-assignment machinery: the
-// Equation 1 net-profit model (§II-A) and Algorithm 1, the greedy
-// per-line CSD code assignment (§III-B).
+// Equation 1 net-profit model (§II-A), the exact branch-and-bound
+// argmin the runtime plans with (BnBBudget, checked against the
+// brute-force Optimal), and Algorithm 1, the greedy per-line CSD code
+// assignment (§III-B).
 //
 // Inputs are the sampling phase's extrapolated per-line predictions;
 // outputs are a codegen.Partition plus the per-line estimates the runtime
@@ -12,7 +14,6 @@ import (
 	"sort"
 
 	"activego/internal/codegen"
-	"activego/internal/par"
 	"activego/internal/platform"
 	"activego/internal/profile"
 )
@@ -165,8 +166,9 @@ type Result struct {
 	THost     float64 // projected all-host execution time
 	TCSD      float64 // projected time under the chosen partition
 	// Planner names the algorithm that actually produced the partition.
-	// Optimal silently falls back to Algorithm1 beyond MaxOptimalLines,
-	// so this is the only record of which argmin the caller really got.
+	// The runtime's exact planner, BnBBudget, returns Algorithm1's plan
+	// when its node budget blows, so this is the only record of whether
+	// the caller really got the exact argmin.
 	Planner string
 	// Provenance is the frozen plan-time decision record (per-line
 	// Equation 1 terms, pin/prune verdicts), attached by core after
@@ -385,38 +387,23 @@ func EvaluatePlacementDetail(estimates []LineEstimate, part codegen.Partition, m
 	return ev
 }
 
-// MaxOptimalLines bounds Optimal's exhaustive enumeration. Beyond it the
-// planner silently degrades to Algorithm1; core emits the
-// plan.optimal.fallback metric and analysis raises an AV008 note so the
-// degradation is visible (a test pins the analysis threshold to this
-// constant).
+// MaxOptimalLines bounds Optimal's exhaustive enumeration: 2^16
+// placements is the largest space the oracle scans at test speed.
 const MaxOptimalLines = 16
 
-// Optimal evaluates every combination of line assignments under
-// EvaluatePlacement and returns the best. This is the planner the
-// ActivePy runtime uses: at one-line-per-region granularity the
-// combination space is small (the paper's own programmer-directed
-// baseline exhausts the same space on real hardware, §V), so the runtime
-// can afford the exact argmin of Equation 1 over its sampled estimates
-// instead of a greedy walk. Algorithm1 and Algorithm1Literal remain
-// available for the planner ablation. Falls back to Algorithm1 beyond
-// MaxOptimalLines offloadable lines — Result.Planner records which
-// algorithm actually ran.
+// Optimal is the brute-force reference for the runtime's planner
+// (BnBBudget): it evaluates every placement of the unpinned lines under
+// EvaluatePlacement in ascending mask order (bit i puts the i-th free
+// line on the CSD) and keeps a placement only if it is strictly cheaper,
+// so exact ties resolve to the lowest mask and the all-host plan
+// survives unless an offload strictly beats it. The plan tests and the
+// planner study compare BnBBudget against it; the runtime never calls it.
 //
 // Lines pinned by cons are excluded from the enumeration, so no
-// candidate partition ever places them on the CSD.
+// candidate partition ever places them on the CSD. Optimal panics past
+// MaxOptimalLines free lines: an oracle must never answer with a
+// different algorithm.
 func Optimal(estimates []LineEstimate, cons Constraints, m Machine) *Result {
-	return OptimalPool(estimates, cons, m, nil)
-}
-
-// OptimalPool is Optimal with the placement enumeration sharded across
-// pool's workers (nil = serial scan). Each worker scans a contiguous mask
-// range with the serial strict-< comparison and the shard winners merge
-// in ascending shard order, so ties resolve to the lowest mask — the
-// argmin is the serial scan's bit for bit (par.ArgMin carries that
-// contract; TestOptimalPoolMatchesSerial pins it here).
-func OptimalPool(estimates []LineEstimate, cons Constraints, m Machine, pool *par.Pool) *Result {
-	// Only unpinned lines participate in the enumeration.
 	var free []int // indices into estimates
 	for i := range estimates {
 		if _, pinned := cons.Pinned(estimates[i].Line); !pinned {
@@ -425,7 +412,7 @@ func OptimalPool(estimates []LineEstimate, cons Constraints, m Machine, pool *pa
 	}
 	n := len(free)
 	if n > MaxOptimalLines {
-		return Algorithm1(estimates, cons, m)
+		panic(fmt.Sprintf("plan: Optimal over %d free lines, past MaxOptimalLines (%d)", n, MaxOptimalLines))
 	}
 	buildPart := func(mask int) codegen.Partition {
 		part := codegen.NewPartition()
@@ -436,16 +423,12 @@ func OptimalPool(estimates []LineEstimate, cons Constraints, m Machine, pool *pa
 		}
 		return part
 	}
-	// Mask 0 is the empty partition, so ArgMin's index space covers the
-	// all-host baseline too; the lowest-index tie-break keeps mask 0 (and
-	// with it THost == TCSD) when no offload strictly wins, exactly as the
-	// serial scan's strict < did.
-	bestMask, bestT := par.ArgMin(pool, 1<<n, func(mask int) float64 {
-		return EvaluatePlacement(estimates, buildPart(mask), m)
-	})
-	tHost := bestT
-	if bestMask != 0 {
-		tHost = EvaluatePlacement(estimates, codegen.NewPartition(), m)
+	tHost := EvaluatePlacement(estimates, buildPart(0), m)
+	bestMask, bestT := 0, tHost
+	for mask := 1; mask < 1<<n; mask++ {
+		if t := EvaluatePlacement(estimates, buildPart(mask), m); t < bestT {
+			bestMask, bestT = mask, t
+		}
 	}
 	return &Result{Partition: buildPart(bestMask), Estimates: estimates, THost: tHost, TCSD: bestT, Planner: PlannerOptimal}
 }

@@ -155,8 +155,9 @@ func TestConstraintsMaskPinnedLines(t *testing.T) {
 	cons := Constraints{HostOnly: map[int]string{1: `host-only builtin "print"`}}
 	// Without constraints the scan pipeline offloads lines 1-2; pinning
 	// line 1 must keep it off the CSD in every planner.
+	bnb := func(es []LineEstimate, cons Constraints, m Machine) *Result { return BnBBudget(es, cons, m, 0, nil) }
 	for name, run := range map[string]func([]LineEstimate, Constraints, Machine) *Result{
-		"optimal": Optimal, "algorithm1": Algorithm1, "algorithm1-literal": Algorithm1Literal,
+		"bnb": bnb, "optimal": Optimal, "algorithm1": Algorithm1, "algorithm1-literal": Algorithm1Literal,
 	} {
 		res := run(scanPipeline(), cons, m)
 		if res.Partition.OnCSD(1) {
@@ -193,18 +194,24 @@ func TestPlannerLabels(t *testing.T) {
 	}
 }
 
-func TestOptimalFallbackRecordsActualPlanner(t *testing.T) {
+// TestOptimalPanicsPastLimit pins the oracle's refusal: past
+// MaxOptimalLines free lines Optimal must panic rather than answer with
+// another algorithm's plan. Pinned lines do not count toward the limit.
+func TestOptimalPanicsPastLimit(t *testing.T) {
 	m := testMachine()
-	// Beyond MaxOptimalLines offloadable lines, Optimal silently runs
-	// Algorithm1 — Result.Planner must say so.
 	var ests []LineEstimate
 	for i := 1; i <= MaxOptimalLines+1; i++ {
 		ests = append(ests, est(i, 0.001, 0, 0, 64, 64, "", ""))
 	}
-	res := Optimal(ests, Constraints{}, m)
-	if res.Planner != PlannerAlgorithm1 {
-		t.Errorf("fallback Planner = %q, want %q", res.Planner, PlannerAlgorithm1)
+	if res := Optimal(ests, Constraints{HostOnly: map[int]string{1: "pin"}}, m); res.Planner != PlannerOptimal {
+		t.Errorf("Optimal at the limit: planner %q, want %q", res.Planner, PlannerOptimal)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Errorf("Optimal over %d free lines did not panic", MaxOptimalLines+1)
+		}
+	}()
+	Optimal(ests, Constraints{}, m)
 }
 
 func TestDescribeNamesPlanner(t *testing.T) {

@@ -32,7 +32,7 @@ type LineProvenance struct {
 	// legality or an AV011 never-win proof); PinReason says why.
 	Pinned    bool   `json:"pinned,omitempty"`
 	PinReason string `json:"pin_reason,omitempty"`
-	// Pruned marks a line the AV011 proof removed from the enumeration;
+	// Pruned marks a line the AV011 proof removed from the search;
 	// PruneMargin is the seconds by which its cheapest offload still
 	// loses.
 	Pruned      bool    `json:"pruned,omitempty"`
@@ -42,10 +42,10 @@ type LineProvenance struct {
 // Provenance is the whole plan's frozen decision record.
 type Provenance struct {
 	// Planner names the algorithm that actually produced the partition
-	// (Optimal's silent Algorithm1 fallback included).
-	Planner string  `json:"planner"`
-	THost   float64 `json:"t_host"`
-	TCSD    float64 `json:"t_csd"`
+	// (BnBBudget's Algorithm1 budget fallback included).
+	Planner string           `json:"planner"`
+	THost   float64          `json:"t_host"`
+	TCSD    float64          `json:"t_csd"`
 	Lines   []LineProvenance `json:"lines"`
 }
 

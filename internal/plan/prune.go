@@ -1,8 +1,8 @@
 // Offload pruning: lines whose offload provably cannot win under
-// Equation 1, removed from the Optimal enumeration before it runs. This
-// is the planner-side half of the AV011 advisory — the analysis layer
-// reports the finding, this file proves it. The same margin machinery
-// orders and prunes the branch-and-bound search (bnb.go).
+// Equation 1, pinned to the host before planning. This is the
+// planner-side half of the AV011 advisory — the analysis layer reports
+// the finding, this file proves it. The same margin machinery orders
+// and prunes the branch-and-bound search (bnb.go).
 package plan
 
 import (
@@ -10,8 +10,9 @@ import (
 	"sort"
 )
 
-// PrunedLine is one line Optimal need not enumerate, with the proof
-// margin (seconds by which the cheapest possible offload still loses).
+// PrunedLine is one line the planner need not consider offloading, with
+// the proof margin (seconds by which the cheapest possible offload still
+// loses).
 type PrunedLine struct {
 	Line   int
 	Margin float64
@@ -108,11 +109,13 @@ func neverWinMargins(estimates []LineEstimate, m Machine) []marginProof {
 // NeverWin returns the lines whose assignment to the CSD strictly
 // increases EvaluatePlacement's total under *every* partition of the
 // remaining lines, sorted by line. Pinning them into Constraints
-// preserves the argmin exactly — including the lowest-mask tie-break —
-// because any partition that offloads such a line is strictly beaten by
-// the same partition with the line flipped to the host. The inequality
-// is strict, so ties keep their serial-scan winner and committed plans
-// never change shape except by getting cheaper to find.
+// preserves the plan of BnBBudget and Optimal exactly, including the
+// tie-break they share (of two equally cheap plans, the one that runs
+// the last line where they differ on the host), because any partition
+// that offloads such a line is strictly beaten by the same partition
+// with the line flipped to the host. The inequality is strict, so no
+// tied plan is lost and committed plans never change shape except by
+// getting cheaper to find.
 func NeverWin(estimates []LineEstimate, m Machine) []PrunedLine {
 	margins := neverWinMargins(estimates, m)
 	var out []PrunedLine

@@ -62,17 +62,15 @@ func genEstimates(seed uint64, n int) []LineEstimate {
 
 // TestNeverWinPreservesArgmin is the soundness property the core wiring
 // relies on: pinning every NeverWin line into the constraints must leave
-// Optimal's partition — including the lowest-mask tie-break — and its
-// projected time bit-identical, while shrinking the enumeration.
+// the partition — including the lowest-mask tie-break — and the
+// projected time bit-identical, for the Optimal oracle and the runtime's
+// BnBBudget alike, while shrinking the search.
 func TestNeverWinPreservesArgmin(t *testing.T) {
 	totalPruned := 0
 	for trial := 0; trial < 60; trial++ {
 		seed := uint64(trial)*0x9e3779b9 + 1
 		es := genEstimates(seed, 10)
 		base := Optimal(es, Constraints{}, pruneMachine)
-		if base.Planner != PlannerOptimal {
-			t.Fatalf("trial %d: baseline fell back to %s", trial, base.Planner)
-		}
 		pruned := NeverWin(es, pruneMachine)
 		totalPruned += len(pruned)
 		cons := Constraints{HostOnly: map[int]string{}}
@@ -85,13 +83,17 @@ func TestNeverWinPreservesArgmin(t *testing.T) {
 			}
 			cons.HostOnly[p.Line] = p.Reason
 		}
-		got := Optimal(es, cons, pruneMachine)
-		if fmt.Sprint(got.Partition.Lines()) != fmt.Sprint(base.Partition.Lines()) {
-			t.Errorf("trial %d: partition changed under pruning: %v -> %v",
-				trial, base.Partition.Lines(), got.Partition.Lines())
-		}
-		if got.TCSD != base.TCSD {
-			t.Errorf("trial %d: projected time changed under pruning: %g -> %g", trial, base.TCSD, got.TCSD)
+		for name, got := range map[string]*Result{
+			"optimal": Optimal(es, cons, pruneMachine),
+			"bnb":     BnBBudget(es, cons, pruneMachine, 0, nil),
+		} {
+			if fmt.Sprint(got.Partition.Lines()) != fmt.Sprint(base.Partition.Lines()) {
+				t.Errorf("trial %d: %s partition changed under pruning: %v -> %v",
+					trial, name, base.Partition.Lines(), got.Partition.Lines())
+			}
+			if got.TCSD != base.TCSD {
+				t.Errorf("trial %d: %s projected time changed under pruning: %g -> %g", trial, name, base.TCSD, got.TCSD)
+			}
 		}
 	}
 	if totalPruned == 0 {
