@@ -2,7 +2,9 @@ package chaos
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"activego/internal/codegen"
@@ -14,8 +16,10 @@ import (
 	"activego/internal/lang/value"
 	"activego/internal/nvme"
 	"activego/internal/par"
+	"activego/internal/plan"
 	"activego/internal/platform"
 	"activego/internal/resilience"
+	"activego/internal/trace"
 )
 
 // chaosTrace builds a small three-line program trace: a storage load, a
@@ -175,4 +179,188 @@ func FuzzFaultSchedule(f *testing.F) {
 			t.Fatalf("lost records: %d of %d", got, want)
 		}
 	})
+}
+
+// movesFixture is a loop-heavy program — dozens of dynamic records over
+// a few source lines — with every line offloaded and estimates built
+// straight from the trace (a perfect sampler), so breaker cooldowns,
+// half-open probes and §III-D migrations all have room to land mid-run.
+func movesFixture(t testing.TB) (*interp.Trace, codegen.Partition, map[int]*plan.LineEstimate) {
+	t.Helper()
+	reg := inputs.NewRegistry()
+	reg.Add("v", value.NewVec(make([]float64, 1<<14)), inputs.ModeRows)
+	prog, err := parser.Parse(`v = load("v")
+s = 0.0
+for i in range(12):
+    a = vmul(v, 1.5)
+    b = vexp(a)
+    s = s + vsum(b)
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, _, err := interp.Run(prog, reg.Context(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := plan.MachineFromPlatform(platform.Default())
+	ests := map[int]*plan.LineEstimate{}
+	for i := range tr.Records {
+		rec := &tr.Records[i]
+		e := ests[rec.Line]
+		if e == nil {
+			e = &plan.LineEstimate{Line: rec.Line}
+			ests[rec.Line] = e
+		}
+		e.Execs++
+		ct := rec.Cost.KernelWork / (float64(m.HostCores) * m.HostRate)
+		e.CTHost += ct
+		e.CTDev += m.C * ct
+		e.SDev += float64(rec.Cost.StorageBytes) / m.FlashBW
+		e.SHost += float64(rec.Cost.StorageBytes) / m.D2HBW
+	}
+	return tr, codegen.NewPartition(1, 2, 3, 4, 5, 6), ests
+}
+
+// checkMoves reads the run's host<->device moves off the exec lane in
+// record order. Host-ward moves (migrate, breaker-open) and device-ward
+// ones (breaker-probe) must alternate, starting host-ward; after a
+// migrate nothing moves again and no line runs on the CSD. Together
+// these say a move is billed at most once.
+func checkMoves(rec *trace.Recorder) (moves map[string]int, err error) {
+	moves = map[string]int{}
+	hostward, migrated := false, false
+	var migratedAt float64
+	for _, in := range rec.Instants() {
+		if in.Component != "exec" || (in.Name != "migrate" && in.Name != "breaker-open" && in.Name != "breaker-probe") {
+			continue
+		}
+		if migrated {
+			return nil, fmt.Errorf("%s at %g after migrate at %g", in.Name, in.At, migratedAt)
+		}
+		toHost := in.Name != "breaker-probe"
+		if toHost == hostward {
+			return nil, fmt.Errorf("%s at %g repeats the previous move's direction", in.Name, in.At)
+		}
+		hostward = toHost
+		if in.Name == "migrate" {
+			migrated, migratedAt = true, in.At
+		}
+		moves[in.Name]++
+	}
+	if migrated {
+		for _, sp := range rec.Spans() {
+			if sp.Component == "exec" && strings.HasSuffix(sp.Name, "@csd") && sp.Start > migratedAt {
+				return nil, fmt.Errorf("%s ran on the CSD at %g after migrate at %g", sp.Name, sp.Start, migratedAt)
+			}
+		}
+	}
+	return moves, nil
+}
+
+// Every host<->device move goes through one actuator, so under any
+// interleaving of availability sags, faults and the §III-D monitor the
+// moves alternate direction, a migration is billed at most once, and
+// each run still ends completed or typed-clean on a drained platform —
+// under the static per-line and one-shot presets as under the full
+// ladder.
+func TestMovesAlternateAndBillOnce(t *testing.T) {
+	tr, part, ests := movesFixture(t)
+	base := chaosConfig(t, 0, nil)
+	run := func(p *platform.Platform, pol resilience.Policy) (*exec.Result, error) {
+		return exec.Run(p, tr, exec.Options{
+			Backend: codegen.Native, Partition: part, Estimates: ests,
+			Migration: exec.DefaultMigration(), UseCallQueue: true,
+			OverheadScale: base.OverheadScale, Resilience: &pol,
+		})
+	}
+	clean, err := run(platform.Default(), base.Policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := ScheduleParams{MaxRate: 1.0, Horizon: 2 * clean.Duration}
+	// The chaos ladder's cooldown is sized for its own three-line trace;
+	// here it shrinks to a fraction of the clean run, so half-open probes
+	// land while partition lines remain.
+	ladder := base.Policy
+	ladder.Breaker.Cooldown = clean.Duration / 4
+	postures := []struct {
+		name string
+		pol  resilience.Policy
+	}{
+		{"PerLine", resilience.PerLine()},
+		{"OneShot", resilience.OneShot()},
+		{"ladder", ladder},
+	}
+
+	const schedules = 200
+	seen := map[string]int{}
+	for i := 0; i < schedules; i++ {
+		seed := fault.Mix64(base.Seed ^ uint64(i)*0xD1342543DE82EF95)
+		rules := Schedule(seed, i, params)
+		for _, ps := range postures {
+			fail := func(format string, args ...any) {
+				t.Errorf("schedule %d (seed %#x) %s: %s", i, seed, ps.name, fmt.Sprintf(format, args...))
+			}
+			p := platform.Default()
+			rec := trace.New()
+			p.SetRecorder(rec)
+			// 0-3 seeded availability sags, independent of the rules.
+			s := &stream{state: fault.Mix64(seed ^ 0x5A65)}
+			for k := int(s.uniform() * 4); k > 0; k-- {
+				at := s.uniform() * params.Horizon
+				p.Dev.ScheduleStress(at, 0.05+0.75*s.uniform(), (0.1+s.uniform())*params.Horizon/4)
+			}
+			plan, err := fault.NewPlanChecked(seed, rules...)
+			if err != nil {
+				t.Fatalf("schedule %d: %v", i, err)
+			}
+			p.InstallFaults(plan, base.Retry)
+			pol := ps.pol
+			pol.Backoff.Seed = seed
+			res, rerr := run(p, pol)
+
+			moves, err := checkMoves(rec)
+			if err != nil {
+				fail("%v", err)
+				continue
+			}
+			if ps.name == "PerLine" && moves["breaker-open"] != 0 {
+				fail("%d breaker opens", moves["breaker-open"])
+			}
+			if ps.name == "OneShot" && (moves["breaker-open"] > 1 || moves["breaker-probe"] != 0) {
+				fail("%d opens and %d probes, want at most 1 and 0", moves["breaker-open"], moves["breaker-probe"])
+			}
+			if err := p.Drained(); err != nil {
+				fail("platform not drained: %v", err)
+			}
+			var shed *resilience.ShedError
+			switch {
+			case rerr == nil:
+				if got := res.RecordsOnCSD + res.RecordsOnHost; got != len(tr.Records) {
+					fail("%d of %d records accounted for", got, len(tr.Records))
+				}
+				want := int(res.BreakerOpens + res.BreakerProbes)
+				if res.Migrated {
+					want++
+				}
+				if got := moves["migrate"] + moves["breaker-open"] + moves["breaker-probe"]; got != want {
+					fail("%d move instants, Result counts %d", got, want)
+				}
+			case errors.As(rerr, &shed):
+				seen["shed"]++
+			default:
+				fail("untyped failure: %v", rerr)
+			}
+			for name, n := range moves {
+				seen[name] += n
+			}
+		}
+	}
+	for _, what := range []string{"migrate", "breaker-open", "breaker-probe", "shed"} {
+		if seen[what] == 0 {
+			t.Errorf("the sweep never saw a %s: the property holds vacuously", what)
+		}
+	}
+	t.Logf("%d schedules x %d postures: %v", schedules, len(postures), seen)
 }

@@ -217,10 +217,10 @@ func Run(cfg Config, pkgs []*Package) []Diagnostic {
 // PassInfo is one catalogue row — the source of truth for DESIGN.md
 // §13's tier-1 table, pinned by a docs test.
 type PassInfo struct {
-	Code    string
-	Name    string
-	Doc     string
-	Scope   string // which packages the pass applies to
+	Code  string
+	Name  string
+	Doc   string
+	Scope string // which packages the pass applies to
 }
 
 // Catalogue returns the pass catalogue in documentation order.

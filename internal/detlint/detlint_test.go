@@ -185,8 +185,8 @@ func TestDeterministicScope(t *testing.T) {
 		"activego/internal/detlint/testdata/dl":        false,
 		"activego/internal/detlint/testdata/dl001/sim": true,
 		"activego/internal/simulator":                  false,
-		"plan":                      true,
-		"activego/internal/metrics": false,
+		"plan":                                         true,
+		"activego/internal/metrics":                    false,
 	} {
 		if got := cfg.Deterministic(path); got != want {
 			t.Errorf("Deterministic(%q) = %v, want %v", path, got, want)

@@ -128,11 +128,11 @@ func (c Config) Validate() error {
 
 // TenantResult is one tenant's accounting for a run.
 type TenantResult struct {
-	Name     string
-	Offered  int // requests the arrival process generated
-	Admitted int // dispatched into service
-	Queued   int // waited in the admission queue before dispatch
-	Shed     int // refused with *resilience.AdmitError
+	Name      string
+	Offered   int // requests the arrival process generated
+	Admitted  int // dispatched into service
+	Queued    int // waited in the admission queue before dispatch
+	Shed      int // refused with *resilience.AdmitError
 	Completed int
 	Failed    int // typed clean failures (*resilience.ShedError)
 
@@ -149,10 +149,10 @@ type TenantResult struct {
 // Result is a serving run's summary.
 type Result struct {
 	// Makespan is last completion minus run start, in simulated seconds.
-	Makespan float64
-	Offered  int
-	Admitted int
-	Shed     int
+	Makespan  float64
+	Offered   int
+	Admitted  int
+	Shed      int
 	Completed int
 	Failed    int
 	// Fairness is Jain's index over per-tenant goodput shares

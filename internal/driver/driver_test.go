@@ -301,8 +301,8 @@ func TestConfigValidation(t *testing.T) {
 	bad := []driver.Config{
 		{Duration: -1},
 		{Duration: math.NaN()},
-		{Duration: 1, Tenants: []driver.TenantConfig{{Name: "x"}}},                     // nil mix
-		{Tenants: []driver.TenantConfig{{Name: "x", Mix: testMix(t)}}},                 // zero horizon
+		{Duration: 1, Tenants: []driver.TenantConfig{{Name: "x"}}},     // nil mix
+		{Tenants: []driver.TenantConfig{{Name: "x", Mix: testMix(t)}}}, // zero horizon
 		{Duration: 1, Tenants: []driver.TenantConfig{{Mix: testMix(t), Arrival: driver.Arrival{Process: "weird", QPS: 1}}}},
 		{Duration: 1, Tenants: []driver.TenantConfig{{Mix: testMix(t), Arrival: driver.Arrival{Process: driver.Poisson}}}}, // no QPS
 	}

@@ -58,44 +58,19 @@ func (u Unit) String() string {
 // MigrationPolicy configures the §III-D monitor.
 type MigrationPolicy struct {
 	Enabled bool
-	// IPCFraction triggers re-estimation when the device's observed
-	// execution rate falls below this fraction of nominal.
-	IPCFraction float64
-	// DecreaseFactor triggers re-estimation when the observed rate drops
-	// below this fraction of the previously observed rate.
-	DecreaseFactor float64
 }
+
+// The monitor re-estimates the remaining offloaded work when the
+// device's observed execution rate falls below ipcFraction of nominal,
+// or below decreaseFactor of the previously observed rate.
+const (
+	ipcFraction    = 0.85
+	decreaseFactor = 0.95
+)
 
 // DefaultMigration returns the policy used by the full ActivePy runtime.
 func DefaultMigration() MigrationPolicy {
-	return MigrationPolicy{Enabled: true, IPCFraction: 0.85, DecreaseFactor: 0.95}
-}
-
-// RecoveryPolicy configures failure-driven graceful degradation. When a
-// CSD line fails — a call completion with a non-OK NVMe status (timeout
-// after exhausted command retries, media error, reset abort) or a
-// device-side flash failure — the executor first re-posts the line, then
-// fails over to host re-execution. Disabled, any non-OK status surfaces
-// as a run error (no failure is ever silently treated as success).
-type RecoveryPolicy struct {
-	Enabled bool
-	// LineRetries is how many times a failed line is re-run on its
-	// current unit before failing over (each re-post is billed in full:
-	// queue crossing, storage, compute).
-	LineRetries int
-	// FailoverRemaining moves the rest of the partition to the host when
-	// a CSD line fails over — the failure-triggered analogue of §III-D
-	// migration, billing code regeneration up front and lazy data pulls
-	// as remaining host lines first touch device-resident variables. Off,
-	// only the failed line re-runs on the host and later lines go back to
-	// the CSD.
-	FailoverRemaining bool
-}
-
-// DefaultRecovery returns the recovery policy of the full runtime: one
-// line-level retry, then host failover of the remaining partition.
-func DefaultRecovery() RecoveryPolicy {
-	return RecoveryPolicy{Enabled: true, LineRetries: 1, FailoverRemaining: true}
+	return MigrationPolicy{Enabled: true}
 }
 
 // Options configures one execution.
@@ -109,9 +84,6 @@ type Options struct {
 	// SamplingOverhead is the one-time sampling-phase latency charged
 	// before execution (the paper reports ~0.1 s total with codegen).
 	SamplingOverhead float64
-	// RegenOverhead is the code-regeneration latency paid at migration;
-	// zero means codegen.RegenOverhead.
-	RegenOverhead float64
 	// OverheadScale multiplies every one-time overhead (sampling, compile,
 	// regeneration); zero means 1. Experiment harnesses that run datasets
 	// at 1/N of Table I's sizes pass 1/N here, preserving the paper's
@@ -127,19 +99,16 @@ type Options struct {
 	// a long-lived platform must not re-pay the cold pipeline cost the
 	// scenario already paid at registration.
 	Warm bool
-	// Recovery configures failure-driven degradation; the zero value
-	// turns any line failure into a run error.
-	Recovery RecoveryPolicy
-	// Resilience, when set, supersedes Recovery with the full degradation
-	// ladder of DESIGN.md §12: per-line deadlines enforced by the NVMe
-	// completion timers, budgeted line re-posts under seeded exponential
-	// backoff, a circuit breaker that suspends offload after consecutive
-	// CSD/NVMe faults and re-admits it through a half-open probe, and a
-	// typed *resilience.ShedError when the host rung fails too. Every
-	// breaker redirection is billed through the §III-D migration
-	// machinery (code regeneration up front, lazy data pulls as host
-	// lines touch device-resident variables). Nil leaves the one-shot
-	// Recovery path in charge and costs nothing.
+	// Resilience arms the degradation ladder of DESIGN.md §12: per-line
+	// deadlines enforced by the NVMe completion timers, budgeted line
+	// re-posts under seeded exponential backoff, a circuit breaker that
+	// suspends offload after consecutive CSD/NVMe faults and re-admits it
+	// through a half-open probe, and a typed *resilience.ShedError when
+	// the host rung fails too. Every breaker move is billed like a §III-D
+	// migration (code regeneration up front, lazy data pulls as lines
+	// touch variables resident on the other side). The resilience
+	// package's presets cover the static per-line and one-shot failover
+	// postures too. Nil turns any line failure into a run error.
 	Resilience *resilience.Policy
 	// Analysis, when set, gates execution on static verification: Run
 	// refuses a partition that offloads a host-only line or a program
@@ -166,13 +135,10 @@ func (o Options) overheadScale() float64 {
 	return 1
 }
 
-// regenOverhead resolves the effective migration regeneration latency.
+// regenOverhead is the code-regeneration latency every host<->device
+// move pays.
 func (o Options) regenOverhead() float64 {
-	base := o.RegenOverhead
-	if base <= 0 {
-		base = codegen.RegenOverhead
-	}
-	return base * o.overheadScale()
+	return codegen.RegenOverhead * o.overheadScale()
 }
 
 // Progress is a point on the offloaded task's completion timeline.
@@ -186,7 +152,7 @@ type Result struct {
 	Start, End    sim.Time
 	Duration      float64
 	Migrated      bool     // §III-D monitor decided to migrate
-	MigratedAt    sim.Time // instant of monitor migration or host failover
+	MigratedAt    sim.Time // instant of monitor migration
 	RecordsOnCSD  int
 	RecordsOnHost int
 	D2HBytes      float64 // external-link bytes moved during the run
@@ -194,10 +160,9 @@ type Result struct {
 	CSDProgress   []Progress
 
 	// Failure-path accounting (all zero on a fault-free run).
-	FailedCalls      uint64 // offloaded line invocations that returned a non-OK status
-	Retries          uint64 // NVMe command re-issues plus exec-level line re-posts
-	Timeouts         uint64 // NVMe completion-timer expiries observed during the run
-	FailoverMigrated bool   // a CSD failure moved the remaining partition to the host
+	FailedCalls uint64 // offloaded line invocations that returned a non-OK status
+	Retries     uint64 // NVMe command re-issues plus exec-level line re-posts
+	Timeouts    uint64 // NVMe completion-timer expiries observed during the run
 
 	// Resilience-ladder accounting (all zero unless Options.Resilience).
 	BreakerOpens   uint64 // breaker transitions to open (offload suspended)
@@ -263,7 +228,7 @@ func (h *Handle) Result() (*Result, error) {
 		if e.idx < len(e.trace.Records) {
 			return nil, fmt.Errorf(
 				"exec: simulation drained before the program finished: stuck at record %d/%d (source line %d); "+
-					"a lost command with no completion timer strands the run — arm an nvme.RetryPolicy or Options.Recovery",
+					"a lost command with no completion timer strands the run — arm nvme.RetryPolicy completion timers or a resilience.Policy.LineDeadline",
 				e.idx, len(e.trace.Records), e.trace.Records[e.idx].Line)
 		}
 		return nil, fmt.Errorf("exec: simulation drained before the program finished (deadlock in the event chain)")
@@ -397,9 +362,6 @@ func (e *executor) foldMetrics() {
 	if e.res.Migrated {
 		m.Counter(metrics.MetricExecMigrations).Add(1)
 	}
-	if e.res.FailoverMigrated {
-		m.Counter(metrics.MetricExecFailovers).Add(1)
-	}
 	if e.opts.Resilience != nil {
 		m.Counter(metrics.MetricExecBreakerOpens).Add(float64(e.res.BreakerOpens))
 		m.Counter(metrics.MetricExecBreakerCloses).Add(float64(e.res.BreakerCloses))
@@ -427,12 +389,8 @@ func (e *executor) step() {
 				e.res.DegradedLines++
 			case probe:
 				// Half-open: re-admitting offload is the reverse of the
-				// open redirection and pays the same §III-D bill — the
-				// device-side code is regenerated before the probe runs.
-				e.res.BreakerProbes++
-				e.instant("breaker-probe", rec.Line)
-				e.sampleBreakerState()
-				e.p.Sim.After(e.opts.regenOverhead(), func() { e.dispatch(rec, UnitCSD) })
+				// open move and pays the same §III-D bill.
+				e.relocate(moveBreakerProbe, rec.Line, func() { e.dispatch(rec, UnitCSD) })
 				return
 			}
 		}
@@ -511,74 +469,30 @@ func (e *executor) dispatch(rec *interp.LineRecord, unit Unit) {
 	})
 }
 
-// failLine handles a failed line per Options.Recovery: re-post it on its
-// unit, fail over to the host, or surface the error. Failures are never
-// silently treated as success — with recovery off, a non-OK completion
-// aborts the run.
+// failLine walks a failed line down the degradation ladder of
+// DESIGN.md §12. With no policy armed the run aborts with the cause —
+// a failure is never silently treated as success. Otherwise a CSD
+// failure first feeds the circuit breaker; when it trips, the remaining
+// retries are skipped and the line — and, through the step gate, every
+// following partition line — moves to the host until a half-open probe
+// re-admits offload. Rung one: re-post on the current unit after a
+// seeded backoff delay, LineRetries times. Rung two: retries exhausted
+// on the CSD without tripping the breaker, the single line falls back
+// to the host (later lines return to the CSD) with no regeneration
+// billed. Rung three: the host rung's budget is spent too — the run
+// ends with a typed *resilience.ShedError, never a silent wrong answer.
 func (e *executor) failLine(rec *interp.LineRecord, unit Unit, cause error) {
 	if unit == UnitCSD {
 		e.res.FailedCalls++
 	}
-	if pol := e.opts.Resilience; pol != nil {
-		e.failLineResilient(rec, unit, cause, pol)
-		return
-	}
-	rp := e.opts.Recovery
-	if !rp.Enabled {
+	pol := e.opts.Resilience
+	if pol == nil {
 		e.abort(cause)
 		return
 	}
-	if e.lineAttempts < rp.LineRetries {
-		e.lineAttempts++
-		e.lineRetries++
-		if r := e.p.Sim.Recorder(); r != nil {
-			r.Instant("exec", "fault", "line-retry", e.p.Sim.Now(), trace.Arg{Key: "line", Value: rec.Line})
-		}
-		e.opts.Obs.Retry(rec.Line, e.p.Sim.Now())
-		e.dispatch(rec, unit)
-		return
-	}
-	if unit == UnitHost {
-		// Already on the unit of last resort.
-		e.abort(cause)
-		return
-	}
-	// Retries exhausted on the CSD: fail over to host re-execution of
-	// this line. Data stays put; host lines pull device-resident
-	// variables lazily, exactly as after a §III-D migration.
-	e.lineAttempts = 0
-	if rp.FailoverRemaining && !e.migrated {
-		e.migrated = true
-		e.res.FailoverMigrated = true
-		e.res.MigratedAt = e.p.Sim.Now()
-		if r := e.p.Sim.Recorder(); r != nil {
-			r.Instant("exec", "fault", "failover", e.p.Sim.Now(), trace.Arg{Key: "line", Value: rec.Line})
-		}
-		e.p.Sim.After(e.opts.regenOverhead(), func() { e.dispatch(rec, UnitHost) })
-		return
-	}
-	e.dispatch(rec, UnitHost)
-}
-
-// failLineResilient walks the failed line down the degradation ladder of
-// DESIGN.md §12. Rung one: re-post on the current unit after a seeded
-// backoff delay, LineRetries times. A CSD failure also feeds the circuit
-// breaker; when it trips, the remaining retries are skipped and the line
-// — and, through the step gate, every following partition line — runs on
-// the host until the cooldown probe re-admits offload, with the
-// redirection billed like a §III-D migration. Rung two: retries
-// exhausted on the CSD without tripping the breaker, the single line
-// falls back to the host (later lines return to the CSD). Rung three:
-// the host rung's budget is spent too — the run ends with a typed
-// *resilience.ShedError, never a silent wrong answer.
-func (e *executor) failLineResilient(rec *interp.LineRecord, unit Unit, cause error, pol *resilience.Policy) {
-	now := e.p.Sim.Now()
-	if unit == UnitCSD && e.breaker != nil && e.breaker.OnFailure(now) {
-		e.res.BreakerOpens++
-		e.instant("breaker-open", rec.Line)
-		e.sampleBreakerState()
+	if unit == UnitCSD && e.breaker.OnFailure(e.p.Sim.Now()) {
 		e.lineAttempts = 0
-		e.p.Sim.After(e.opts.regenOverhead(), func() { e.dispatch(rec, UnitHost) })
+		e.relocate(moveBreakerOpen, rec.Line, func() { e.dispatch(rec, UnitHost) })
 		return
 	}
 	if e.lineAttempts < pol.LineRetries {
@@ -625,9 +539,8 @@ func (e *executor) afterRecord(rec *interp.LineRecord, unit Unit) {
 		e.p.Sim.Now()-e.lineStart, e.p.Topo.D2H.TotalBytes()-e.lineD2H0)
 	if unit == UnitCSD {
 		if e.breaker != nil && e.breaker.OnSuccess(e.p.Sim.Now()) {
-			// The half-open probe succeeded: offload is re-admitted.
-			// Recovery is bidirectional — unlike the one-shot failover
-			// path, the run returns to the CSD once the device is healthy.
+			// The half-open probe succeeded: offload is re-admitted and
+			// the run returns to the CSD now that the device is healthy.
 			e.res.BreakerCloses++
 			e.instant("breaker-close", rec.Line)
 			e.sampleBreakerState()

@@ -16,15 +16,15 @@ func (e *executor) monitor() bool {
 	// boundary — no cost/benefit analysis, the device is needed.
 	if e.p.Dev.PreemptRequested() {
 		e.p.Dev.ClearPreempt()
-		e.migrate(0)
+		e.migrate()
 		return true
 	}
 	observed := effectiveRate(e.p)
 	nominal := e.p.Dev.CSE.Rate()
 	prev := e.lastObserved
 	e.lastObserved = observed
-	dropping := observed < e.opts.Migration.DecreaseFactor*prev
-	belowEstimate := observed < e.opts.Migration.IPCFraction*nominal
+	dropping := observed < decreaseFactor*prev
+	belowEstimate := observed < ipcFraction*nominal
 	if !dropping && !belowEstimate {
 		return false
 	}
@@ -66,22 +66,50 @@ func (e *executor) monitor() bool {
 	if remDev <= migrateCost {
 		return false
 	}
-	e.migrate(lazyBytes)
+	e.migrate()
 	return true
 }
 
-// migrate executes the §III-D migration: break at the line boundary we
-// are already on, regenerate host machine code for the remaining lines,
-// and resume on the host. Data stays where it is in the shared address
-// space — the paper's migrated task pays for "accessing live data in CSD
-// from the host", which here happens lazily: each remaining host line
-// that consumes a device-resident variable pulls it over the link when it
-// first touches it (pullRemoteReads), so only data actually needed moves.
-func (e *executor) migrate(liveBytes float64) {
-	_ = liveBytes // the cost model's conservative bound; actual moves are lazy
-	e.migrated = true
-	e.res.Migrated = true
-	e.res.MigratedAt = e.p.Sim.Now()
-	e.p.Sim.Recorder().Instant("exec", "exec", "migrate", e.p.Sim.Now())
-	e.p.Sim.After(e.opts.regenOverhead(), func() { e.advance() })
+// migrate hands the rest of the run to the host at the boundary after
+// the line that just completed on the CSD.
+func (e *executor) migrate() {
+	e.relocate(moveMigrate, e.trace.Records[e.idx].Line, e.advance)
+}
+
+// A move is one host<->device transition of the offload path.
+type move int
+
+const (
+	moveMigrate      move = iota // §III-D monitor: the rest of the run leaves the device
+	moveBreakerOpen              // breaker opened: partition lines run on the host until a probe
+	moveBreakerProbe             // half-open breaker: offload re-admitted for one probe line
+)
+
+// relocate is the executor's single actuator for a host<->device move:
+// the only code that records one and the only code that bills code
+// regeneration. Every move pays the §III-D bill: machine code is
+// regenerated for the unit the run moves to, and then resumes the run
+// there once that is done. Data stays where it is in the shared address space — the paper's
+// migrated task pays for "accessing live data in CSD from the host",
+// which here happens lazily: each later line that consumes a variable
+// resident on the other side pulls it over the link when it first
+// touches it (pullRemoteReads), so only data actually needed moves.
+func (e *executor) relocate(m move, line int, then func()) {
+	now := e.p.Sim.Now()
+	switch m {
+	case moveMigrate:
+		e.migrated = true
+		e.res.Migrated = true
+		e.res.MigratedAt = now
+		e.p.Sim.Recorder().Instant("exec", "exec", "migrate", now)
+	case moveBreakerOpen:
+		e.res.BreakerOpens++
+		e.instant("breaker-open", line)
+		e.sampleBreakerState()
+	case moveBreakerProbe:
+		e.res.BreakerProbes++
+		e.instant("breaker-probe", line)
+		e.sampleBreakerState()
+	}
+	e.p.Sim.After(e.opts.regenOverhead(), then)
 }

@@ -51,8 +51,7 @@ func monitorFixture(t *testing.T, reads1, reads2 []interp.VarUse) *executor {
 			Partition:     codegen.NewPartition(1, 2, 3),
 			Estimates:     ests,
 			Migration:     DefaultMigration(),
-			RegenOverhead: 1e-9,
-			OverheadScale: 1,
+			OverheadScale: 1e-9 / codegen.RegenOverhead,
 		},
 		idx: 0,
 		varHome: map[string]varState{

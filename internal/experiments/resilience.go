@@ -21,14 +21,14 @@ import (
 // this sweep makes availability *oscillate* — fault bursts arrive, pass,
 // and return — and compares three failure-handling postures:
 //
-//   - static: per-line recovery only. A failed line retries, falls back
-//     to the host once, and the very next line returns to the sick
-//     device — the run re-pays the fault detection cost every line for
-//     as long as a burst lasts.
-//   - oneshot: PR-1's failover (exec.DefaultRecovery) — the first CSD
-//     line failure moves the whole remaining partition to the host,
-//     forever. Robust, but the run forfeits the device's healthy
-//     periods after the first burst.
+//   - static: per-line recovery only (resilience.PerLine). A failed
+//     line retries, falls back to the host once, and the very next line
+//     returns to the sick device — the run re-pays the fault detection
+//     cost every line for as long as a burst lasts.
+//   - oneshot: one-shot failover (resilience.OneShot) — the first CSD
+//     line whose re-post fails too moves the whole remaining partition
+//     to the host, forever. Robust, but the run forfeits the device's
+//     healthy periods after the first burst.
 //   - breaker: the full resilience ladder — the circuit breaker opens
 //     after consecutive faults, the run degrades to the host only while
 //     the burst lasts, and a half-open probe re-admits offload when the
@@ -299,15 +299,16 @@ func Resilience(params workloads.Params, opts ...Option) (*ResilienceResult, *re
 		}
 		bursts := burstsFor(clean.Duration, retry.Timeout)
 		pol = resiliencePolicy(seed, retry, bursts.dur)
+		perLine, oneShot := resilience.PerLine(), resilience.OneShot()
 
 		out := perSpec{}
 		for _, rate := range ResilienceRates {
 			row := ResilienceRow{Workload: name, Rate: rate}
 			static, serr := wb.runResilienceArm(seed, bursts, rate, retry, exec.Options{
-				Recovery: exec.RecoveryPolicy{Enabled: true, LineRetries: 1},
+				Resilience: &perLine,
 			}, nil)
 			oneshot, oerr := wb.runResilienceArm(seed, bursts, rate, retry, exec.Options{
-				Recovery: exec.DefaultRecovery(),
+				Resilience: &oneShot,
 			}, nil)
 			var rec *trace.Recorder
 			if name == ResilienceTraceWorkload && rate == maxRate {
@@ -335,7 +336,7 @@ func Resilience(params workloads.Params, opts ...Option) (*ResilienceResult, *re
 				row.DeadlineMisses = breaker.DeadlineMisses
 				row.Retries = breaker.Retries
 				row.Timeouts = breaker.Timeouts
-				row.OneshotFailedOver = oneshot.FailoverMigrated
+				row.OneshotFailedOver = oneshot.BreakerOpens > 0
 			}
 			out.rows = append(out.rows, row)
 		}

@@ -33,6 +33,9 @@ func TestResilienceShape(t *testing.T) {
 		if ctrl.BreakerOpens != 0 || ctrl.DegradedLines != 0 || ctrl.Timeouts != 0 || ctrl.DeadlineMisses != 0 {
 			t.Errorf("%s: control counted ladder activity: %+v", name, ctrl)
 		}
+		if ctrl.OneshotFailedOver {
+			t.Errorf("%s: one-shot arm failed over in the control", name)
+		}
 		for _, rate := range ResilienceRates[1:] {
 			row, ok := res.RowAt(name, rate)
 			if !ok {
@@ -41,6 +44,15 @@ func TestResilienceShape(t *testing.T) {
 			if !row.Completed {
 				t.Errorf("%s@%.2f: an arm did not complete", name, rate)
 				continue
+			}
+			if rate == ResilienceRates[len(ResilienceRates)-1] && !row.OneshotFailedOver {
+				t.Errorf("%s@%.2f: one-shot arm never failed over", name, rate)
+			}
+			// Without a failover, the static and one-shot presets run the
+			// same ladder and must take the same time.
+			if !row.OneshotFailedOver && row.OneshotDur != row.StaticDur {
+				t.Errorf("%s@%.2f: one-shot arm never failed over yet took %.9fs vs static %.9fs",
+					name, rate, row.OneshotDur, row.StaticDur)
 			}
 			if row.BreakerOpens == 0 || row.BreakerCloses == 0 {
 				t.Errorf("%s@%.2f: breaker never cycled (opens %d closes %d)",

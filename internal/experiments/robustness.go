@@ -10,6 +10,7 @@ import (
 	"activego/internal/nvme"
 	"activego/internal/platform"
 	"activego/internal/report"
+	"activego/internal/resilience"
 	"activego/internal/workloads"
 )
 
@@ -109,13 +110,14 @@ func (wb *Workbench) adaptiveRetry() nvme.RetryPolicy {
 }
 
 // RunRobust executes the ActivePy configuration with the fault plan
-// installed and the full recovery stack armed: NVMe command retry under
-// the adaptive policy, line re-posting, host failover. Migration is off
-// so the failure-driven path, not the contention monitor, owns every
-// recovery decision.
+// installed and the recovery stack armed: NVMe command retry under the
+// adaptive policy, line re-posting, and one-shot host failover
+// (resilience.OneShot). Migration is off so the failure-driven path,
+// not the contention monitor, owns every recovery decision.
 func (wb *Workbench) RunRobust(plan *fault.Plan) (*exec.Result, error) {
 	p := platform.Default()
 	p.InstallFaults(plan, wb.adaptiveRetry())
+	pol := resilience.OneShot()
 	res, err := exec.Run(p, wb.Trace, exec.Options{
 		Backend:          codegen.Native,
 		Partition:        wb.Plan.Partition,
@@ -123,7 +125,7 @@ func (wb *Workbench) RunRobust(plan *fault.Plan) (*exec.Result, error) {
 		SamplingOverhead: core.SamplingOverhead,
 		OverheadScale:    wb.Params.OverheadScale(),
 		UseCallQueue:     true,
-		Recovery:         exec.DefaultRecovery(),
+		Resilience:       &pol,
 		Metrics:          wb.Metrics,
 	})
 	p.FoldMetrics(wb.Metrics)
@@ -159,7 +161,7 @@ func Robustness(params workloads.Params, opts ...Option) (*RobustnessResult, *re
 				row.FailedCalls = r.FailedCalls
 				row.Retries = r.Retries
 				row.Timeouts = r.Timeouts
-				row.FailedOver = r.FailoverMigrated
+				row.FailedOver = r.BreakerOpens > 0
 				if rate == 0 {
 					clean = r.Duration
 				}

@@ -240,8 +240,8 @@ func TestValidateAcceptsDisjointWindows(t *testing.T) {
 // in the tree.
 func TestMix64Pinned(t *testing.T) {
 	for in, want := range map[uint64]uint64{
-		0: 0xE220A8397B1DCDAF,
-		1: 0x910A2DEC89025CC1,
+		0:          0xE220A8397B1DCDAF,
+		1:          0x910A2DEC89025CC1,
 		0xDEADBEEF: 0x4ADFB90F68C9EB9B,
 	} {
 		if got := Mix64(in); got != want {

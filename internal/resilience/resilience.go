@@ -3,8 +3,8 @@
 // exponential backoff and jitter, per-call deadlines, and a circuit
 // breaker that makes degradation bidirectional — offload is suspended
 // after consecutive faults and re-admitted by a half-open probe once the
-// device recovers, instead of failing over once and staying on the host
-// forever.
+// device recovers. The presets Default, PerLine and OneShot are the
+// three postures the runtime and its studies arm.
 //
 // Everything here is policy and bookkeeping: the types never schedule
 // simulation events or consult a clock of their own. The executor feeds
@@ -193,10 +193,10 @@ func (b *Breaker) OnFailure(now sim.Time) (opened bool) {
 	return false
 }
 
-// Policy is the full degradation ladder the executor arms in place of
-// the one-shot RecoveryPolicy: offload with deadline-bounded calls and
-// budgeted backoff re-posts, per-line host fallback, breaker-gated
-// host-only cooldowns, and finally a typed shed error.
+// Policy is the degradation ladder the executor arms: offload with
+// deadline-bounded calls and budgeted backoff re-posts, per-line host
+// fallback, breaker-gated host-only cooldowns, and finally a typed shed
+// error.
 type Policy struct {
 	// LineDeadline bounds each offloaded call in simulated seconds,
 	// enforced by the NVMe queue pair's completion timers (the call is
@@ -226,6 +226,21 @@ func Default(seed uint64) Policy {
 		Backoff:     Backoff{Base: 1e-3, Factor: 2, Cap: 50e-3, Jitter: 0.25, Seed: seed},
 		Breaker:     BreakerPolicy{Threshold: 3, Cooldown: 100e-3},
 	}
+}
+
+// PerLine returns the static per-line posture: one immediate re-post per
+// rung, then the failed line alone falls back to the host. The breaker
+// never opens, so the next line goes back to the device however sick it
+// is.
+func PerLine() Policy {
+	return Policy{LineRetries: 1, Breaker: BreakerPolicy{Threshold: math.MaxInt}}
+}
+
+// OneShot returns the one-shot failover posture: one immediate re-post,
+// and a line whose re-post fails on the CSD too opens a breaker that
+// never probes, so the rest of the partition runs on the host for good.
+func OneShot() Policy {
+	return Policy{LineRetries: 1, Breaker: BreakerPolicy{Threshold: 2, Cooldown: math.MaxFloat64}}
 }
 
 // Validate rejects unusable policies: negative budgets or non-finite

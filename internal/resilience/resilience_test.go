@@ -164,8 +164,10 @@ func TestBreakerStateStrings(t *testing.T) {
 }
 
 func TestPolicyValidate(t *testing.T) {
-	if err := Default(1).Validate(); err != nil {
-		t.Fatalf("default policy invalid: %v", err)
+	for name, p := range map[string]Policy{"Default": Default(1), "PerLine": PerLine(), "OneShot": OneShot()} {
+		if err := p.Validate(); err != nil {
+			t.Fatalf("%s policy invalid: %v", name, err)
+		}
 	}
 	bad := []Policy{
 		{LineDeadline: -1},
@@ -179,6 +181,28 @@ func TestPolicyValidate(t *testing.T) {
 		if p.Validate() == nil {
 			t.Errorf("policy %d accepted: %+v", i, p)
 		}
+	}
+}
+
+// The presets' breakers encode their postures: PerLine's never opens,
+// however many consecutive failures arrive; OneShot's opens on the
+// second and never admits a probe afterwards.
+func TestPresetBreakers(t *testing.T) {
+	per := NewBreaker(PerLine().Breaker)
+	for i := 0; i < 1000; i++ {
+		if per.OnFailure(float64(i)) {
+			t.Fatalf("PerLine breaker opened after %d failures", i+1)
+		}
+	}
+	one := NewBreaker(OneShot().Breaker)
+	if one.OnFailure(0) {
+		t.Fatal("OneShot breaker opened on the first failure")
+	}
+	if !one.OnFailure(1) {
+		t.Fatal("OneShot breaker stayed closed on the second consecutive failure")
+	}
+	if admit, probe := one.Allow(1e300); admit || probe {
+		t.Errorf("OneShot breaker admitted offload after opening (admit %v probe %v)", admit, probe)
 	}
 }
 
