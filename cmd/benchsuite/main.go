@@ -142,7 +142,7 @@ func main() {
 			if res.Chaos != nil {
 				fmt.Fprintln(out, res.Chaos.Summary())
 			}
-			metrics.ObserveRecording(sub, res.Rec)
+			res.Rec.Fold(sub)
 			return res.Bench(params), nil
 		},
 		"serving": func(mopts []experiments.Option, sub *metrics.Registry, out io.Writer) (*bench.Manifest, error) {
@@ -159,7 +159,7 @@ func main() {
 			fmt.Fprint(out, tbl.String())
 			fmt.Fprintf(out, "capacity: %.1f req/s (mix-weighted solo service %.4fs)\n",
 				res.CapacityQPS, res.MeanService)
-			metrics.ObserveRecording(sub, res.Rec)
+			res.Rec.Fold(sub)
 			return res.Bench(params), nil
 		},
 		"planner": func(mopts []experiments.Option, _ *metrics.Registry, out io.Writer) (*bench.Manifest, error) {
@@ -209,7 +209,7 @@ func main() {
 			if obs.TraceSummary {
 				fmt.Fprintf(out, "\n%s", u.Rec.Summary())
 			}
-			metrics.ObserveRecording(sub, u.Rec)
+			u.Rec.Fold(sub)
 			return u.Bench(params), nil
 		},
 	}

@@ -25,7 +25,6 @@ import (
 
 	"activego/internal/detlint"
 	"activego/internal/metrics"
-	"activego/internal/trace"
 )
 
 func main() {
@@ -38,13 +37,10 @@ func main() {
 	}
 
 	cfg := detlint.DefaultConfig()
-	// The catalogue predicates are injected here rather than imported by
+	// The catalogue predicate is injected here rather than imported by
 	// internal/detlint, so the linter has no dependency edge back into
 	// the framework it lints.
-	cfg.CataloguedName = map[string]func(string) bool{
-		"metrics": metrics.Catalogued,
-		"trace":   trace.Catalogued,
-	}
+	cfg.CataloguedName = metrics.Catalogued
 
 	wd, err := os.Getwd()
 	if err != nil {

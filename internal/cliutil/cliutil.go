@@ -105,7 +105,7 @@ func (f *Flags) WantMetrics() bool { return f.Metrics != "" || f.HTTPMon != "" }
 
 // Recorder returns the command's trace recorder, created on first call.
 // It is non-nil when tracing was requested, and also when metrics were:
-// the registry's trace bridge folds the recorder's series in, and
+// Finish folds the recording into the registry (Recorder.Fold), and
 // attaching a recorder never perturbs the simulation (the zero-overhead
 // contract), so -metrics implies recording. Nil otherwise.
 func (f *Flags) Recorder() *trace.Recorder {
@@ -172,7 +172,7 @@ func (f *Flags) Finish(out io.Writer) error {
 		fmt.Fprintf(out, "\n%s", f.rec.Summary())
 	}
 	if f.reg != nil {
-		metrics.ObserveRecording(f.reg, f.rec)
+		f.rec.Fold(f.reg)
 		if f.Metrics == "-" {
 			return f.reg.Snapshot().WriteJSON(out)
 		}

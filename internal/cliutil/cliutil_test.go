@@ -61,7 +61,7 @@ func TestFlagNamesStayStable(t *testing.T) {
 func TestMetricsImpliesRecorder(t *testing.T) {
 	f := parse(t, "-metrics", "-")
 	if f.Recorder() == nil {
-		t.Error("-metrics should create a recorder for the trace bridge")
+		t.Error("-metrics should create a recorder for the recording fold")
 	}
 	if f.Registry() == nil {
 		t.Error("-metrics should create a registry")

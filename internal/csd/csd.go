@@ -15,6 +15,7 @@ import (
 	"activego/internal/fault"
 	"activego/internal/flash"
 	"activego/internal/interconnect"
+	"activego/internal/metrics"
 	"activego/internal/nvme"
 	"activego/internal/sim"
 	"activego/internal/storage"
@@ -260,7 +261,7 @@ func (d *Device) ScheduleStress(t sim.Time, frac float64, duration float64) {
 // (§III-C-b). The content travels in the completion stream.
 func (d *Device) SendStatus(done func(start, end sim.Time)) {
 	d.statusMsgs++
-	d.Sim.Recorder().Sample(trace.CtrCSDStatusMsgs, "messages", "csd", d.Sim.Now(), float64(d.statusMsgs))
+	d.Sim.Recorder().Sample(metrics.SeriesCSDStatusMsgs, d.Sim.Now(), float64(d.statusMsgs))
 	d.Topo.D2H.Transfer(float64(d.Cfg.StatusBytes), done)
 }
 

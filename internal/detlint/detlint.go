@@ -20,7 +20,7 @@
 //     (DL001, DL005);
 //   - every package that renders output, manifests, or traces must not
 //     do so from an unordered map iteration (DL002);
-//   - metric and trace counter names must exist in the live catalogues
+//   - metric and series names must exist in the live catalogue
 //     (DL003), so a typo cannot mint an undocumented series;
 //   - the nil-is-inert observability types must actually be inert when
 //     nil (DL004).
@@ -113,11 +113,10 @@ type Config struct {
 	// OrderedSinks names types (as "pkgsegment.Type") whose method calls
 	// count as ordered output for DL002's map-range rule.
 	OrderedSinks []string
-	// CataloguedName reports whether a metric or trace counter name is
-	// catalogued; nil disables DL003's cross-check. The two catalogue
-	// domains are keyed by the emitting package segment ("metrics" or
-	// "trace").
-	CataloguedName map[string]func(name string) bool
+	// CataloguedName reports whether a metric or series name is in the
+	// one catalogue (metrics.Catalogued); nil disables DL003's
+	// cross-check.
+	CataloguedName func(name string) bool
 }
 
 // DefaultConfig scopes the passes to this repository's layering.

@@ -14,7 +14,6 @@ import (
 
 	"activego/internal/detlint"
 	"activego/internal/metrics"
-	"activego/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -35,13 +34,10 @@ var fixturePatterns = []string{
 }
 
 // realConfig mirrors cmd/detlint's production configuration: the live
-// catalogue predicates injected into DefaultConfig.
+// catalogue predicate injected into DefaultConfig.
 func realConfig() detlint.Config {
 	cfg := detlint.DefaultConfig()
-	cfg.CataloguedName = map[string]func(string) bool{
-		"metrics": metrics.Catalogued,
-		"trace":   trace.Catalogued,
-	}
+	cfg.CataloguedName = metrics.Catalogued
 	return cfg
 }
 

@@ -155,28 +155,28 @@ var DL002 = &Analyzer{
 	},
 }
 
-// ---- DL003: counter/metric names must be catalogued ----
+// ---- DL003: metric/series names must be catalogued ----
 
-// cataloguedCalls maps "pkgsegment.Type.Method" of the name-accepting
-// emission APIs to the catalogue domain that must contain the name.
-var cataloguedCalls = map[string]string{
-	"metrics.Registry.Counter":   "metrics",
-	"metrics.Registry.Gauge":     "metrics",
-	"metrics.Registry.Histogram": "metrics",
-	"metrics.Registry.Phase":     "metrics",
-	"trace.Recorder.Sample":      "trace",
+// cataloguedCalls lists, as "pkgsegment.Type.Method", the
+// name-accepting emission APIs whose name must be catalogued.
+var cataloguedCalls = map[string]bool{
+	"metrics.Registry.Counter":   true,
+	"metrics.Registry.Gauge":     true,
+	"metrics.Registry.Histogram": true,
+	"metrics.Registry.Phase":     true,
+	"trace.Recorder.Sample":      true,
 }
 
-// DL003 cross-checks every constant metric/counter name string against
-// the live catalogues (metrics.Catalogue()/trace.Catalogue() via the
-// injected predicates), so a typo cannot mint a series that DESIGN.md's
-// tables — themselves pinned to the catalogues — do not know about.
-// Non-constant names (derived series like the sim's per-resource
-// counters) are out of scope for a static check.
+// DL003 cross-checks every constant metric/series name string against
+// the live catalogue (metrics.Catalogue() via the injected predicate),
+// so a typo cannot mint a name that DESIGN.md's tables — themselves
+// pinned to the catalogue — do not know about. Non-constant names
+// (derived series like the sim's per-resource counters) are out of
+// scope for a static check.
 var DL003 = &Analyzer{
 	Code: "DL003",
 	Name: "catalogued-names",
-	Doc:  "every constant metric/trace counter name must be in the corresponding catalogue",
+	Doc:  "every constant metric/series name must be in the catalogue",
 	Run: func(p *Pass) {
 		if p.Cfg.CataloguedName == nil {
 			return
@@ -192,12 +192,7 @@ var DL003 = &Analyzer{
 				if f == nil {
 					return true
 				}
-				domain, tracked := cataloguedCalls[methodKey(f)]
-				if !tracked || len(call.Args) == 0 {
-					return true
-				}
-				inCatalogue, ok := p.Cfg.CataloguedName[domain]
-				if !ok {
+				if !cataloguedCalls[methodKey(f)] || len(call.Args) == 0 {
 					return true
 				}
 				tv, ok := info.Types[call.Args[0]]
@@ -205,9 +200,9 @@ var DL003 = &Analyzer{
 					return true // dynamic name: not statically checkable
 				}
 				name := constant.StringVal(tv.Value)
-				if !inCatalogue(name) {
-					p.Reportf(call.Args[0].Pos(), "%s name %q is not in the %s catalogue; add it to %s.Catalogue() (and DESIGN.md's table) or fix the typo",
-						methodKey(f), name, domain, domain)
+				if !p.Cfg.CataloguedName(name) {
+					p.Reportf(call.Args[0].Pos(), "%s name %q is not in the catalogue; add it to metrics.Catalogue() (and DESIGN.md's table) or fix the typo",
+						methodKey(f), name)
 				}
 				return true
 			})

@@ -12,10 +12,7 @@ import (
 
 	"activego/internal/analysis"
 	"activego/internal/detlint"
-	"activego/internal/driver"
 	"activego/internal/metrics"
-	"activego/internal/obs"
-	"activego/internal/trace"
 )
 
 // Tests run with the package directory as cwd; the repo root is two up.
@@ -127,27 +124,29 @@ func TestReadmePackageMapComplete(t *testing.T) {
 	}
 }
 
-// ctrRow matches one data row of the DESIGN.md §9 counter table:
+// ctrRow matches one data row of the DESIGN.md §9 series table:
 // | `name` | unit | component | sampling point |
 var ctrRow = regexp.MustCompile("^\\|\\s*`([a-z0-9_]+(?:\\.[a-z0-9_]+)+)`\\s*\\|\\s*([^|]+?)\\s*\\|\\s*([^|]+?)\\s*\\|")
 
-// TestCounterCatalogueMatchesDesignDoc pins DESIGN.md §9's counter table
-// to trace.Catalogue(), both directions: every catalogued counter is
-// documented with the right unit and component, and every documented
-// counter exists in code.
-func TestCounterCatalogueMatchesDesignDoc(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
-	if err != nil {
-		t.Fatal(err)
+// catalogueRows returns the rows of metrics.Catalogue() whose kind is
+// series (series true) or a registry instrument (series false), by name.
+func catalogueRows(series bool) map[string]metrics.MetricInfo {
+	rows := map[string]metrics.MetricInfo{}
+	for _, m := range metrics.Catalogue() {
+		if (m.Kind == metrics.KindSeries) == series {
+			rows[m.Name] = m
+		}
 	}
-	_, sect, found := strings.Cut(string(data), "\n## 9.")
-	if !found {
-		t.Fatal("DESIGN.md has no §9")
-	}
-	if i := strings.Index(sect, "\n## "); i >= 0 {
-		sect = sect[:i]
-	}
+	return rows
+}
 
+// TestCounterCatalogueMatchesDesignDoc pins DESIGN.md §9's series table
+// to the series rows of metrics.Catalogue(), both directions: every
+// catalogued series is documented with the right unit, its documented
+// component is its name's first segment (the lane trace.Recorder.Sample
+// files it under), and every documented series exists in code.
+func TestCounterCatalogueMatchesDesignDoc(t *testing.T) {
+	sect := designSection(t, "9")
 	type row struct{ unit, component string }
 	documented := map[string]row{}
 	for _, line := range strings.Split(sect, "\n") {
@@ -156,26 +155,26 @@ func TestCounterCatalogueMatchesDesignDoc(t *testing.T) {
 		}
 	}
 
-	cat := trace.Catalogue()
+	cat := catalogueRows(true)
 	if len(documented) != len(cat) {
-		t.Errorf("DESIGN.md §9 documents %d counters, trace.Catalogue() has %d", len(documented), len(cat))
+		t.Errorf("DESIGN.md §9 documents %d series, metrics.Catalogue() has %d", len(documented), len(cat))
 	}
-	for _, c := range cat {
-		doc, ok := documented[c.Name]
+	for name, c := range cat {
+		doc, ok := documented[name]
 		if !ok {
-			t.Errorf("counter %q is in trace.Catalogue() but not in DESIGN.md §9", c.Name)
+			t.Errorf("series %q is in metrics.Catalogue() but not in DESIGN.md §9", name)
 			continue
 		}
 		if doc.unit != c.Unit {
-			t.Errorf("counter %q: DESIGN.md unit %q, code unit %q", c.Name, doc.unit, c.Unit)
+			t.Errorf("series %q: DESIGN.md unit %q, code unit %q", name, doc.unit, c.Unit)
 		}
-		if doc.component != c.Component {
-			t.Errorf("counter %q: DESIGN.md component %q, code component %q", c.Name, doc.component, c.Component)
+		if lane, _, _ := strings.Cut(name, "."); doc.component != lane {
+			t.Errorf("series %q: DESIGN.md component %q, but its lane is %q", name, doc.component, lane)
 		}
 	}
 	for name := range documented {
-		if !trace.Catalogued(name) {
-			t.Errorf("counter %q is documented in DESIGN.md §9 but missing from trace.Catalogue()", name)
+		if _, ok := cat[name]; !ok {
+			t.Errorf("series %q is documented in DESIGN.md §9 but is not a series of metrics.Catalogue()", name)
 		}
 	}
 }
@@ -266,32 +265,37 @@ func TestLintCodesDocumentedInDesignDoc(t *testing.T) {
 // name inside DESIGN.md §14 prose: `driver.<dotted.path>`.
 var driverName = regexp.MustCompile("`(driver\\.[a-z0-9_.]+)`")
 
+// prefixed returns the names of metrics.Catalogue() that start with
+// prefix, series and instruments alike.
+func prefixed(prefix string) map[string]bool {
+	known := map[string]bool{}
+	for _, m := range metrics.Catalogue() {
+		if strings.HasPrefix(m.Name, prefix) {
+			known[m.Name] = true
+		}
+	}
+	return known
+}
+
 // TestServingSectionMatchesDriverCatalogues pins DESIGN.md §14's prose
-// to the driver's slice of the §9/§10 catalogues, both directions:
-// every driver metric and counter the code registers is named in §14,
-// and every `driver.*` name §14 mentions exists in code — the table
+// to the driver.* rows of metrics.Catalogue(), both directions: every
+// driver metric and series the code registers is named in §14, and
+// every `driver.*` name §14 mentions exists in code — the table
 // enforcement of §9/§10 extended to the serving layer's own section.
 func TestServingSectionMatchesDriverCatalogues(t *testing.T) {
 	sect := designSection(t, "14")
-	known := map[string]bool{}
-	for _, m := range driver.CataloguedMetrics() {
-		known[m.Name] = true
-		if !strings.Contains(sect, "`"+m.Name+"`") {
-			t.Errorf("driver metric %q is catalogued but not named in DESIGN.md §14", m.Name)
-		}
-	}
-	for _, c := range driver.CataloguedCounters() {
-		known[c.Name] = true
-		if !strings.Contains(sect, "`"+c.Name+"`") {
-			t.Errorf("driver counter %q is catalogued but not named in DESIGN.md §14", c.Name)
+	known := prefixed("driver.")
+	for name := range known {
+		if !strings.Contains(sect, "`"+name+"`") {
+			t.Errorf("driver name %q is catalogued but not named in DESIGN.md §14", name)
 		}
 	}
 	if len(known) == 0 {
-		t.Fatal("driver catalogues are empty; wiring broken?")
+		t.Fatal("no driver.* rows in the catalogue; wiring broken?")
 	}
 	for _, m := range driverName.FindAllStringSubmatch(sect, -1) {
 		if !known[m[1]] {
-			t.Errorf("DESIGN.md §14 names %q, which is in neither driver catalogue", m[1])
+			t.Errorf("DESIGN.md §14 names %q, which is not a driver.* row of the catalogue", m[1])
 		}
 	}
 }
@@ -301,18 +305,17 @@ func TestServingSectionMatchesDriverCatalogues(t *testing.T) {
 // templates like obs.win.<window>... don't match.
 var obsName = regexp.MustCompile("`(obs\\.[a-z0-9_.]*[a-z0-9_])`")
 
-// TestObsSectionMatchesCatalogue pins DESIGN.md §15's prose to the obs
-// slice of the §10 catalogue, both directions: every obs metric the
-// code registers is named in §15, and every `obs.*` name §15 mentions
-// is either a catalogued metric or a valid obs.win scheme instance —
-// the §14 enforcement extended to the observability layer.
+// TestObsSectionMatchesCatalogue pins DESIGN.md §15's prose to the
+// obs.* rows of the §10 catalogue, both directions: every obs metric
+// the code registers is named in §15, and every `obs.*` name §15
+// mentions is either a catalogued metric or a valid obs.win scheme
+// instance — the §14 enforcement extended to the observability layer.
 func TestObsSectionMatchesCatalogue(t *testing.T) {
 	sect := designSection(t, "15")
-	known := map[string]bool{}
-	for _, m := range obs.CataloguedMetrics() {
-		known[m.Name] = true
-		if !strings.Contains(sect, "`"+m.Name+"`") {
-			t.Errorf("obs metric %q is catalogued but not named in DESIGN.md §15", m.Name)
+	known := prefixed("obs.")
+	for name := range known {
+		if !strings.Contains(sect, "`"+name+"`") {
+			t.Errorf("obs metric %q is catalogued but not named in DESIGN.md §15", name)
 		}
 	}
 	if len(known) == 0 {
@@ -336,24 +339,13 @@ func TestObsSectionMatchesCatalogue(t *testing.T) {
 var metricRow = regexp.MustCompile("^\\|\\s*`([a-z0-9_]+(?:\\.[a-z0-9_]+)+)`\\s*\\|\\s*([^|]+?)\\s*\\|\\s*([^|]+?)\\s*\\|\\s*([^|]+?)\\s*\\|")
 
 // TestMetricCatalogueMatchesDesignDoc pins DESIGN.md §10's metric table
-// to metrics.Catalogue(), both directions — the §9 enforcement pattern
-// extended to the metrics layer. The scheme-generated families (trace
-// min/mean/max gauges, span histograms) are prose in the doc and
-// structural in code, so only individually-named metrics appear in the
-// table.
+// to the instrument (non-series) rows of metrics.Catalogue(), both
+// directions — the §9 enforcement pattern extended to the metrics
+// layer. The scheme-generated families (series min/mean/max gauges,
+// span histograms, obs.win windows) are prose in the doc and structural
+// in code, so only individually-named metrics appear in the table.
 func TestMetricCatalogueMatchesDesignDoc(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, sect, found := strings.Cut(string(data), "\n## 10.")
-	if !found {
-		t.Fatal("DESIGN.md has no §10")
-	}
-	if i := strings.Index(sect, "\n## "); i >= 0 {
-		sect = sect[:i]
-	}
-
+	sect := designSection(t, "10")
 	type row struct{ kind, unit, source string }
 	documented := map[string]row{}
 	for _, line := range strings.Split(sect, "\n") {
@@ -362,11 +354,14 @@ func TestMetricCatalogueMatchesDesignDoc(t *testing.T) {
 		}
 	}
 
-	cat := metrics.Catalogue()
+	cat := catalogueRows(false)
 	if len(documented) != len(cat) {
 		t.Errorf("DESIGN.md §10 documents %d metrics, metrics.Catalogue() has %d", len(documented), len(cat))
 	}
-	for _, m := range cat {
+	for _, m := range metrics.Catalogue() {
+		if m.Kind == metrics.KindSeries {
+			continue
+		}
 		doc, ok := documented[m.Name]
 		if !ok {
 			t.Errorf("metric %q is in metrics.Catalogue() but not in DESIGN.md §10", m.Name)
@@ -383,8 +378,8 @@ func TestMetricCatalogueMatchesDesignDoc(t *testing.T) {
 		}
 	}
 	for name := range documented {
-		if !metrics.Catalogued(name) {
-			t.Errorf("metric %q is documented in DESIGN.md §10 but missing from metrics.Catalogue()", name)
+		if _, ok := cat[name]; !ok {
+			t.Errorf("metric %q is documented in DESIGN.md §10 but is not an instrument of metrics.Catalogue()", name)
 		}
 	}
 }

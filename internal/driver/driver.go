@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"activego/internal/exec"
 	"activego/internal/fault"
@@ -29,7 +30,6 @@ import (
 	"activego/internal/platform"
 	"activego/internal/resilience"
 	"activego/internal/sim"
-	"activego/internal/trace"
 )
 
 // TenantConfig describes one tenant: a named request stream with its
@@ -136,8 +136,9 @@ type TenantResult struct {
 	Completed int
 	Failed    int // typed clean failures (*resilience.ShedError)
 
-	// Latency quantiles over completed requests, arrival to completion,
-	// in simulated seconds (log2-histogram upper bounds; exact max).
+	// Latency statistics over completed requests, arrival to
+	// completion, in simulated seconds; the quantiles are exact nearest
+	// rank (metrics.Quantile).
 	P50, P95, P99, Mean, Max float64
 	// Throughput is completed requests per simulated second of makespan.
 	Throughput float64
@@ -186,11 +187,16 @@ type tenantState struct {
 	reg   *metrics.Registry // per-tenant sub-registry, always non-nil
 	win   *obs.Windows      // per-window latency series; nil when ObsWindow is off
 	rng   *stream
-	seq   int // next tenant-local request number
+	seq   int          // next tenant-local request number
+	done  []completion // completed requests in completion order
 
 	offered, admitted, queued, shed, completed, failed int
 	firstShed                                          *resilience.AdmitError
 }
+
+// completion is one completed request: its completion time from the
+// run start and its arrival-to-completion latency.
+type completion struct{ at, latency float64 }
 
 // request is one arrival moving through admission and service.
 type request struct {
@@ -373,11 +379,10 @@ func (e *engine) finish(req *request, rerr error) {
 	} else {
 		ts.completed++
 		ts.reg.Counter(metrics.MetricDriverCompleted).Add(1)
-		ts.reg.Histogram(metrics.MetricDriverLatency).Observe(now - req.arrived)
 		ts.reg.Histogram(metrics.MetricDriverService).Observe(now - req.dispatched)
-		// Window indices count from the run start, so tenant series line
-		// up no matter how warm the platform's clock was at entry.
-		ts.win.Observe(fmt.Sprintf("t%d.latency.seconds", ts.index), now-e.start, now-req.arrived)
+		// Completion times count from the run start, so tenant windows
+		// line up no matter how warm the platform's clock was at entry.
+		ts.done = append(ts.done, completion{at: now - e.start, latency: now - req.arrived})
 	}
 	if req.closedLoop {
 		e.reissueAfterThink(ts, now)
@@ -401,22 +406,30 @@ func (e *engine) reissueAfterThink(ts *tenantState, now sim.Time) {
 }
 
 func (e *engine) sampleInFlight(now sim.Time) {
-	e.p.Sim.Recorder().Sample(trace.CtrDriverInFlight, "requests", "driver",
-		now, float64(e.inflight))
+	e.p.Sim.Recorder().Sample(metrics.SeriesDriverInFlight, now, float64(e.inflight))
 }
 
 func (e *engine) sampleQueue(now sim.Time) {
-	e.p.Sim.Recorder().Sample(trace.CtrDriverQueueDepth, "requests", "driver",
-		now, float64(len(e.queue)))
+	e.p.Sim.Recorder().Sample(metrics.SeriesDriverQueueDepth, now, float64(len(e.queue)))
 }
 
 // results folds the tenant states into the run summary and merges the
-// sub-registries into cfg.Metrics in tenant order.
+// sub-registries into cfg.Metrics in tenant order. Each tenant's
+// completions, in completion order, fill its latency histogram and its
+// latency window, and give its exact quantiles.
 func (e *engine) results() *Result {
 	r := &Result{Makespan: e.p.Sim.Now() - e.start}
 	shares := make([]float64, 0, len(e.tenants))
 	for _, ts := range e.tenants {
 		h := ts.reg.Histogram(metrics.MetricDriverLatency)
+		series := fmt.Sprintf("t%d.latency.seconds", ts.index)
+		sorted := make([]float64, len(ts.done))
+		for i, c := range ts.done {
+			h.Observe(c.latency)
+			ts.win.Observe(series, c.at, c.latency)
+			sorted[i] = c.latency
+		}
+		sort.Float64s(sorted)
 		tr := TenantResult{
 			Name:      ts.name,
 			Offered:   ts.offered,
@@ -426,10 +439,10 @@ func (e *engine) results() *Result {
 			Completed: ts.completed,
 			Failed:    ts.failed,
 			FirstShed: ts.firstShed,
-			P50:       h.Quantile(0.50),
-			P95:       h.Quantile(0.95),
-			P99:       h.Quantile(0.99),
-			Max:       h.Quantile(1),
+			P50:       metrics.Quantile(sorted, 0.50),
+			P95:       metrics.Quantile(sorted, 0.95),
+			P99:       metrics.Quantile(sorted, 0.99),
+			Max:       metrics.Quantile(sorted, 1),
 		}
 		if n := h.Count(); n > 0 {
 			tr.Mean = h.Sum() / float64(n)

@@ -2,6 +2,7 @@ package driver_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -185,6 +186,47 @@ func TestServingDeterminism(t *testing.T) {
 		a.FirstShed, b.FirstShed = nil, nil
 		if a != b {
 			t.Fatalf("tenant %d diverges:\n%+v\n%+v", i, a, b)
+		}
+	}
+}
+
+// TestTenantTailsMatchWindowGauges pins the driver's one quantile rule:
+// with a single observation window spanning the whole run, every
+// tenant's reported P50/P95/P99 equal the exact nearest-rank gauges
+// that window folds (obs.win.0000.t<i>.latency.seconds.*), which is
+// what consumers reading either surface rely on.
+func TestTenantTailsMatchWindowGauges(t *testing.T) {
+	const duration = 0.5
+	reg := metrics.New()
+	res, err := driver.Run(platform.Default(), driver.Config{
+		Seed:     11,
+		Duration: duration,
+		Tenants: []driver.TenantConfig{
+			{Name: "steady", Mix: testMix(t), Arrival: driver.Arrival{Process: driver.Poisson, QPS: 60}},
+			{Name: "spiky", Mix: testMix(t), Arrival: driver.Arrival{Process: driver.Bursty, QPS: 60, BurstFactor: 4}},
+			{Name: "even", Mix: testMix(t), Arrival: driver.Arrival{Process: driver.Uniform, QPS: 40}},
+		},
+		Metrics:   reg,
+		ObsWindow: 1e6 * duration,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tr := range res.Tenants {
+		if tr.Completed < 10 {
+			t.Fatalf("tenant %s completed %d requests; too few for distinct tails", tr.Name, tr.Completed)
+		}
+		base := fmt.Sprintf("%s%04d.t%d.latency.seconds.", metrics.ObsWindowPrefix, 0, i)
+		if got := reg.Gauge(base + "count").Value(); got != float64(tr.Completed) {
+			t.Errorf("tenant %s: window holds %v latencies, %d completed", tr.Name, got, tr.Completed)
+		}
+		for _, q := range []struct {
+			stat string
+			got  float64
+		}{{"p50", tr.P50}, {"p95", tr.P95}, {"p99", tr.P99}} {
+			if want := reg.Gauge(base + q.stat).Value(); q.got != want {
+				t.Errorf("tenant %s: %s %v, window gauge %v", tr.Name, q.stat, q.got, want)
+			}
 		}
 	}
 }

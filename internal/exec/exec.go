@@ -417,7 +417,7 @@ func (e *executor) sampleBreakerState() {
 	case resilience.BreakerHalfOpen:
 		v = 0.5
 	}
-	e.p.Sim.Recorder().Sample(trace.CtrExecBreakerState, "state", "exec", e.p.Sim.Now(), v)
+	e.p.Sim.Recorder().Sample(metrics.SeriesExecBreakerState, e.p.Sim.Now(), v)
 }
 
 // dispatch runs the current record on unit, routing CSD lines through the
@@ -555,7 +555,7 @@ func (e *executor) afterRecord(rec *interp.LineRecord, unit Unit) {
 			Time: e.p.Sim.Now(),
 			Frac: frac,
 		})
-		e.p.Sim.Recorder().Sample(trace.CtrExecProgress, "fraction", "exec", e.p.Sim.Now(), frac)
+		e.p.Sim.Recorder().Sample(metrics.SeriesExecProgress, e.p.Sim.Now(), frac)
 		if e.monitor() {
 			// The monitor migrated; it owns the continuation.
 			return

@@ -172,7 +172,7 @@ func TestBreakerCycleDeterministicAndObserved(t *testing.T) {
 	}
 	var states *trace.Series
 	for _, s := range rec.Counters() {
-		if s.Name == trace.CtrExecBreakerState {
+		if s.Name == metrics.SeriesExecBreakerState {
 			states = s
 		}
 	}

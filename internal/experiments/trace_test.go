@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"activego/internal/metrics"
 	"activego/internal/platform"
 	"activego/internal/trace"
 	"activego/internal/workloads"
@@ -97,8 +98,8 @@ func TestUtilizationCoverage(t *testing.T) {
 	}
 	for _, rec := range []*trace.Recorder{u.Rec, u.StressRec} {
 		for _, s := range rec.Counters() {
-			if !trace.Catalogued(s.Name) {
-				t.Errorf("recorded series %q missing from the trace catalogue", s.Name)
+			if m, ok := metrics.Lookup(s.Name); !ok || m.Kind != metrics.KindSeries {
+				t.Errorf("recorded series %q is not a catalogued series", s.Name)
 			}
 		}
 	}

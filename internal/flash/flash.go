@@ -23,6 +23,7 @@ import (
 	"math"
 
 	"activego/internal/fault"
+	"activego/internal/metrics"
 	"activego/internal/sim"
 	"activego/internal/trace"
 )
@@ -231,7 +232,7 @@ func (a *Array) sampleBusy(t sim.Time) {
 			busy++
 		}
 	}
-	rec.Sample(trace.CtrFlashBusyChannels, "channels", "flash", t, float64(busy))
+	rec.Sample(metrics.SeriesFlashBusyChannels, t, float64(busy))
 }
 
 func (a *Array) op(name string, bytes int64, rate float64, firstLat float64, done func(start, end sim.Time)) {

@@ -1,15 +1,59 @@
 package metrics
 
-import (
-	"strings"
+import "strings"
 
-	"activego/internal/trace"
+// Canonical sampled-series names: every time series the instrumented
+// stack records on a trace.Recorder. A series' component lane is the
+// first dot-separated segment of its name. DESIGN.md §9's table is
+// generated from the series rows of Catalogue below — a docs test
+// enforces that the two never drift.
+const (
+	// SeriesNVMeSQDepth is the number of device-owned commands in the
+	// NVMe hardware submission queue (<= queue depth).
+	SeriesNVMeSQDepth = "nvme.sq.depth"
+	// SeriesNVMeSoftQueue is the host software queue behind a full SQ.
+	SeriesNVMeSoftQueue = "nvme.sq.software"
+	// SeriesNVMeCQInFlight is the number of completion entries crossing
+	// back over the link (handed to the wire, not yet landed).
+	SeriesNVMeCQInFlight = "nvme.cq.inflight"
+	// SeriesFlashBusyChannels is the number of flash channels whose
+	// wire-free horizon lies in the future.
+	SeriesFlashBusyChannels = "flash.busy_channels"
+	// SeriesCSEBusyCores is the number of busy CSE cores.
+	SeriesCSEBusyCores = "cse.busy_cores"
+	// SeriesCSEQueue is the number of jobs queued for a CSE core.
+	SeriesCSEQueue = "cse.queue_depth"
+	// SeriesHostBusyCores is the number of busy host CPU cores.
+	SeriesHostBusyCores = "hostcpu.busy_cores"
+	// SeriesHostQueue is the number of jobs queued for a host core.
+	SeriesHostQueue = "hostcpu.queue_depth"
+	// SeriesD2HInFlight is the bytes handed to the external host<->CSD
+	// link and not yet landed.
+	SeriesD2HInFlight = "d2h.bytes_inflight"
+	// SeriesHostMemInFlight is the same quantity for the host DRAM bus.
+	SeriesHostMemInFlight = "hostmem.bytes_inflight"
+	// SeriesDevMemInFlight is the same quantity for the device DRAM bus.
+	SeriesDevMemInFlight = "devmem.bytes_inflight"
+	// SeriesCSDStatusMsgs is the cumulative count of §III-C-b status
+	// update messages the device has emitted.
+	SeriesCSDStatusMsgs = "csd.status_msgs"
+	// SeriesExecProgress is the fraction of CSD-assigned work completed.
+	SeriesExecProgress = "exec.csd_progress"
+	// SeriesExecBreakerState is the offload circuit breaker's position,
+	// sampled at each transition: 0 closed, 0.5 half-open, 1 open.
+	SeriesExecBreakerState = "exec.breaker_state"
+	// SeriesDriverInFlight is the number of serving-driver requests in
+	// service (admitted, not yet completed).
+	SeriesDriverInFlight = "driver.inflight"
+	// SeriesDriverQueueDepth is the number of serving-driver requests
+	// waiting in the admission queue.
+	SeriesDriverQueueDepth = "driver.queue_depth"
 )
 
 // Canonical metric names emitted by the instrumented framework (beyond
-// the phase timers in phase.go and the trace-derived families in
-// bridge.go). DESIGN.md §10's table is generated from Catalogue below —
-// a docs test enforces that the two never drift.
+// the phase timers in phase.go). DESIGN.md §10's table is generated
+// from the non-series rows of Catalogue below — a docs test enforces
+// that the two never drift.
 const (
 	// MetricExecRuns counts completed executor runs folded into the
 	// registry.
@@ -148,29 +192,67 @@ const (
 	MetricNVMeCompleted = "machine.nvme.completed"
 )
 
-// Kinds of instrument a metric can be.
+// Kinds of instrument a metric can be. The first three are registry
+// instruments; a series is sampled on a trace.Recorder and reaches the
+// registry only through Recorder.Fold.
 const (
 	KindCounter   = "counter"
 	KindGauge     = "gauge"
 	KindHistogram = "histogram"
+	KindSeries    = "series"
 )
 
 // MetricInfo describes one catalogued metric.
 type MetricInfo struct {
 	Name string
-	Kind string // counter | gauge | histogram
+	Kind string // counter | gauge | histogram | series
 	Unit string
-	// Source says where in the framework the metric is recorded.
+	// Source says where in the framework the metric is recorded; for a
+	// series, the model event its samples are taken at.
 	Source string
 }
 
-// Catalogue returns the full metric catalogue — the source of truth for
-// DESIGN.md §10's table and for the docs test that pins docs to code.
-// The trace-derived families (three gauges per catalogued trace counter
-// and one span.<component>.seconds histogram per component lane) are
-// generated by scheme and checked by Catalogued, not listed row by row.
+// Suffixes of the gauges Recorder.Fold derives from each catalogued
+// series (time-weighted statistics under the series' step semantics).
+const (
+	TraceMin  = ".min"
+	TraceMean = ".mean"
+	TraceMax  = ".max"
+)
+
+// SpanPrefix and SpanSuffix frame the per-component span-latency
+// histograms Recorder.Fold emits: span.<component>.seconds, with one
+// observation per recorded span.
+const (
+	SpanPrefix = "span."
+	SpanSuffix = ".seconds"
+)
+
+// Catalogue returns the full catalogue of observed names — the source
+// of truth for DESIGN.md §9's series table and §10's metric table, and
+// for the docs tests that pin docs to code. The scheme-generated
+// families (three gauges per series, one span.<component>.seconds
+// histogram per component lane, the obs.win.* windows) are checked by
+// Catalogued, not listed row by row.
 func Catalogue() []MetricInfo {
 	return []MetricInfo{
+		{SeriesNVMeSQDepth, KindSeries, "commands", "queue pair issue/settle"},
+		{SeriesNVMeSoftQueue, KindSeries, "commands", "software-queue push/pop"},
+		{SeriesNVMeCQInFlight, KindSeries, "completions", "CQE handed to / landed from the link"},
+		{SeriesFlashBusyChannels, KindSeries, "channels", "array op issue and completion"},
+		{SeriesCSEBusyCores, KindSeries, "cores", "job start/finish on the CSE resource"},
+		{SeriesCSEQueue, KindSeries, "jobs", "job enqueue/dequeue on the CSE resource"},
+		{SeriesHostBusyCores, KindSeries, "cores", "job start/finish on the host CPU"},
+		{SeriesHostQueue, KindSeries, "jobs", "job enqueue/dequeue on the host CPU"},
+		{SeriesD2HInFlight, KindSeries, "bytes", "link transfer issue and landing"},
+		{SeriesHostMemInFlight, KindSeries, "bytes", "link transfer issue and landing"},
+		{SeriesDevMemInFlight, KindSeries, "bytes", "link transfer issue and landing"},
+		{SeriesCSDStatusMsgs, KindSeries, "messages", "Device.SendStatus"},
+		{SeriesExecProgress, KindSeries, "fraction", "after each completed CSD line"},
+		{SeriesExecBreakerState, KindSeries, "state", "breaker open/probe/close transitions"},
+		{SeriesDriverInFlight, KindSeries, "requests", "request dispatch and completion"},
+		{SeriesDriverQueueDepth, KindSeries, "requests", "admission-queue push/pop"},
+
 		{PhaseParse, KindHistogram, "seconds", "wall clock of mini-language parsing"},
 		{PhaseAnalyze, KindHistogram, "seconds", "wall clock of static analysis"},
 		{PhaseSample, KindHistogram, "seconds", "wall clock of the §III-A sampling runs"},
@@ -232,6 +314,20 @@ func Catalogue() []MetricInfo {
 	}
 }
 
+// Lookup returns the catalogue row named name.
+func Lookup(name string) (MetricInfo, bool) {
+	m, ok := byName[name]
+	return m, ok
+}
+
+var byName = func() map[string]MetricInfo {
+	m := make(map[string]MetricInfo)
+	for _, info := range Catalogue() {
+		m[info.Name] = info
+	}
+	return m
+}()
+
 // ObsWindowPrefix opens the windowed time-series family (internal/obs,
 // DESIGN.md §15): obs.win.<window>.<series>.<stat>, where <window> is a
 // zero-padded decimal window index (so the name-sorted snapshot reads in
@@ -242,18 +338,16 @@ func Catalogue() []MetricInfo {
 const ObsWindowPrefix = "obs.win."
 
 // Catalogued reports whether name is a catalogued metric: either an
-// exact entry of Catalogue, one of the three trace-counter gauges
-// (<catalogued trace counter>.min/.mean/.max), a component span
-// histogram (span.<component>.seconds), or a windowed time-series entry
+// exact entry of Catalogue, one of the three series gauges
+// (<catalogued series>.min/.mean/.max), a component span histogram
+// (span.<component>.seconds), or a windowed time-series entry
 // (obs.win.<window>.<series>.<stat>).
 func Catalogued(name string) bool {
-	for _, m := range Catalogue() {
-		if m.Name == name {
-			return true
-		}
+	if _, ok := byName[name]; ok {
+		return true
 	}
 	for _, suffix := range []string{TraceMin, TraceMean, TraceMax} {
-		if base, ok := strings.CutSuffix(name, suffix); ok && trace.Catalogued(base) {
+		if base, ok := strings.CutSuffix(name, suffix); ok && byName[base].Kind == KindSeries {
 			return true
 		}
 	}

@@ -1,13 +1,16 @@
 // Package metrics is a typed registry of counters, gauges, and
-// log-bucketed histograms — the quantitative layer on top of the trace
-// substrate. Where internal/trace answers "what happened when in one
-// run", this package answers "how much, how fast, and did it change":
-// the framework self-instruments its own wall-clock phases (sampling,
-// curve fitting, planning, execution), the executor folds per-line
-// simulated latencies and run counters in, and a bridge condenses a
-// trace recording's counter series and span latencies into registry
-// entries. Snapshots serialize deterministically (names sorted) so they
-// can ride in benchmark manifests (internal/bench) and be diffed by CI.
+// log-bucketed histograms, the catalogue of every observed name, and
+// the one tail statistic (Quantile, exact nearest rank). It is a leaf:
+// it imports no other package of this module, and the layers that
+// observe a run fold into it. Where internal/trace answers "what
+// happened when in one run", this package answers "how much, how fast,
+// and did it change": the framework self-instruments its own
+// wall-clock phases (sampling, curve fitting, planning, execution), the
+// executor folds per-line simulated latencies and run counters in, and
+// trace.Recorder.Fold condenses a recording's series and span latencies
+// into registry entries. Snapshots serialize deterministically (names
+// sorted) so they can ride in benchmark manifests (internal/bench) and
+// be diffed by CI.
 //
 // The registry inherits the trace layer's zero-overhead contract: a nil
 // *Registry is valid everywhere, every method on it (and on the nil
@@ -152,8 +155,9 @@ func (g *Gauge) Value() float64 {
 // Histogram is a log-bucketed distribution: bucket i counts observations
 // in (2^(i-1), 2^i]. Powers of two cover the full float64 range, so one
 // layout serves nanosecond wall-clock phases and multi-second simulated
-// latencies alike (~60 buckets/decade-of-2, never more than a 2x
-// relative error on a quantile estimate).
+// latencies alike. Count, sum, and the extremes are exact; the buckets
+// are a shape for snapshots, not a quantile source — tails come from
+// Quantile over the raw values.
 type Histogram struct {
 	mu      sync.Mutex
 	count   uint64
@@ -221,45 +225,22 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) from the buckets: the
-// upper bound of the bucket holding the q-th observation. Exact min and
-// max are tracked out-of-band, so Quantile(0) and Quantile(1) are exact.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
+// Quantile returns the exact q-quantile (0 <= q <= 1) of sorted, an
+// ascending slice, by the nearest-rank rule: the smallest value with at
+// least q of the observations at or below it. Quantile(sorted, 0) is
+// the minimum and Quantile(sorted, 1) the maximum; an empty slice
+// yields 0. Every tail this module reports comes from here.
+func Quantile(sorted []float64, q float64) float64 {
+	n := len(sorted)
+	switch {
+	case n == 0:
 		return 0
+	case q <= 0:
+		return sorted[0]
+	case q >= 1:
+		return sorted[n-1]
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.min
-	}
-	if q >= 1 {
-		return h.max
-	}
-	rank := uint64(math.Ceil(q * float64(h.count)))
-	exps := make([]int, 0, len(h.buckets))
-	for e := range h.buckets {
-		exps = append(exps, e)
-	}
-	sort.Ints(exps)
-	var seen uint64
-	for _, e := range exps {
-		seen += h.buckets[e]
-		if seen >= rank {
-			ub := upperBound(e)
-			if ub > h.max {
-				ub = h.max
-			}
-			if ub < h.min {
-				ub = h.min
-			}
-			return ub
-		}
-	}
-	return h.max
+	return sorted[int(math.Ceil(float64(n)*q))-1] // rank ceil(n·q) is in [1, n]
 }
 
 // Bucket is one populated histogram bucket in a snapshot.

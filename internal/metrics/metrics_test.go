@@ -5,10 +5,9 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
-
-	"activego/internal/trace"
 )
 
 // TestNilRegistryIsInert: every method on a nil registry and on the nil
@@ -23,8 +22,6 @@ func TestNilRegistryIsInert(t *testing.T) {
 	r.Gauge("g").Set(2)
 	r.Histogram("h").Observe(3)
 	r.Phase("phase.parse.seconds")()
-	ObserveRecording(r, trace.New())
-	ObserveRecording(New(), nil)
 	if v := r.Counter("c").Value(); v != 0 {
 		t.Errorf("nil counter value %v", v)
 	}
@@ -33,9 +30,6 @@ func TestNilRegistryIsInert(t *testing.T) {
 	}
 	if n := r.Histogram("h").Count(); n != 0 {
 		t.Errorf("nil histogram count %v", n)
-	}
-	if q := r.Histogram("h").Quantile(0.5); q != 0 {
-		t.Errorf("nil histogram quantile %v", q)
 	}
 	s := r.Snapshot()
 	if len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
@@ -81,11 +75,16 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestHistogramStatsAndQuantiles feeds 1..100 to a histogram and to
+// Quantile: the histogram's count, sum, and extremes are exact, and so
+// is every quantile, with no bucket rounding.
 func TestHistogramStatsAndQuantiles(t *testing.T) {
 	r := New()
 	h := r.Histogram("lat")
-	for i := 1; i <= 100; i++ {
+	var vals []float64
+	for i := 100; i >= 1; i-- {
 		h.Observe(float64(i))
+		vals = append(vals, float64(i))
 	}
 	if h.Count() != 100 {
 		t.Errorf("count %d", h.Count())
@@ -93,16 +92,16 @@ func TestHistogramStatsAndQuantiles(t *testing.T) {
 	if h.Sum() != 5050 {
 		t.Errorf("sum %v", h.Sum())
 	}
-	if q := h.Quantile(0); q != 1 {
-		t.Errorf("q0 %v, want exact min 1", q)
+	if s := r.Snapshot().Histograms[0]; s.Min != 1 || s.Max != 100 {
+		t.Errorf("extremes %v..%v, want exact 1..100", s.Min, s.Max)
 	}
-	if q := h.Quantile(1); q != 100 {
-		t.Errorf("q1 %v, want exact max 100", q)
-	}
-	// The median of 1..100 is ~50; the log-2 estimate may overshoot by at
-	// most its bucket width (one power of two).
-	if q := h.Quantile(0.5); q < 50 || q > 128 {
-		t.Errorf("q50 %v outside [50,128]", q)
+	sort.Float64s(vals)
+	for _, c := range []struct{ q, want float64 }{
+		{0, 1}, {0.5, 50}, {0.95, 95}, {0.99, 99}, {1, 100},
+	} {
+		if got := Quantile(vals, c.q); got != c.want {
+			t.Errorf("Quantile(1..100, %v) = %v, want %v", c.q, got, c.want)
+		}
 	}
 }
 
@@ -183,63 +182,56 @@ func TestConcurrentUse(t *testing.T) {
 	}
 }
 
-// TestObserveRecording folds a hand-built recording and checks the three
-// derived gauges and the span latency histogram.
-func TestObserveRecording(t *testing.T) {
-	rec := trace.New()
-	rec.Span("cse", "sim", "job", 0, 1)
-	rec.Span("cse", "sim", "job", 1, 3)
-	rec.Sample(trace.CtrCSEBusyCores, "cores", "cse", 0, 1)
-	rec.Sample(trace.CtrCSEBusyCores, "cores", "cse", 2, 3)
-
-	r := New()
-	ObserveRecording(r, rec)
-
-	if v := r.Gauge(trace.CtrCSEBusyCores + TraceMax).Value(); v != 3 {
-		t.Errorf("max gauge %v, want 3", v)
-	}
-	if v := r.Gauge(trace.CtrCSEBusyCores + TraceMin).Value(); v != 1 {
-		t.Errorf("min gauge %v, want 1", v)
-	}
-	// Step semantics over window [0,3]: value 1 for 2s, 3 for 1s.
-	if v := r.Gauge(trace.CtrCSEBusyCores + TraceMean).Value(); math.Abs(v-5.0/3) > 1e-12 {
-		t.Errorf("mean gauge %v, want 5/3", v)
-	}
-	h := r.Histogram(SpanPrefix + "cse" + SpanSuffix)
-	if h.Count() != 2 || h.Sum() != 3 {
-		t.Errorf("span histogram count=%d sum=%v, want 2/3", h.Count(), h.Sum())
-	}
-}
-
-// TestCatalogued pins the namespace: static entries, trace-derived
-// gauges, and span histograms are catalogued; junk is not.
+// TestCatalogued pins the namespace: every row is complete, unique,
+// and found by Lookup; series-derived gauges and span histograms are
+// catalogued; junk, and the derived suffixes on non-series names, are
+// not.
 func TestCatalogued(t *testing.T) {
+	seen := map[string]bool{}
+	series := 0
 	for _, m := range Catalogue() {
+		if m.Name == "" || m.Unit == "" || m.Source == "" {
+			t.Errorf("incomplete catalogue entry %+v", m)
+		}
+		if seen[m.Name] {
+			t.Errorf("duplicate catalogue entry %q", m.Name)
+		}
+		seen[m.Name] = true
 		if !Catalogued(m.Name) {
 			t.Errorf("catalogue entry %q not Catalogued", m.Name)
 		}
+		if got, ok := Lookup(m.Name); !ok || got != m {
+			t.Errorf("Lookup(%q) = %+v, %v", m.Name, got, ok)
+		}
 		switch m.Kind {
 		case KindCounter, KindGauge, KindHistogram:
+		case KindSeries:
+			series++
+			for _, suf := range []string{TraceMin, TraceMean, TraceMax} {
+				if !Catalogued(m.Name + suf) {
+					t.Errorf("series gauge %q not Catalogued", m.Name+suf)
+				}
+			}
 		default:
 			t.Errorf("%q: unknown kind %q", m.Name, m.Kind)
 		}
 	}
-	for _, c := range trace.Catalogue() {
-		for _, suf := range []string{TraceMin, TraceMean, TraceMax} {
-			if !Catalogued(c.Name + suf) {
-				t.Errorf("trace-derived gauge %q not Catalogued", c.Name+suf)
-			}
-		}
+	if series != 16 {
+		t.Errorf("%d series rows, want 16", series)
 	}
 	for _, name := range []string{"span.cse.seconds", "span.exec.seconds", "span.d2h.seconds"} {
 		if !Catalogued(name) {
 			t.Errorf("span histogram %q not Catalogued", name)
 		}
 	}
-	for _, name := range []string{"bogus", "span..seconds", "span.a.b.seconds", "nvme.sq.depth", "nvme.sq.depth.median"} {
+	for _, name := range []string{"bogus", "span..seconds", "span.a.b.seconds", "nvme.sq.depth.median",
+		MetricExecRuns + TraceMax} {
 		if Catalogued(name) {
 			t.Errorf("%q should not be Catalogued", name)
 		}
+	}
+	if _, ok := Lookup("no.such.series"); ok {
+		t.Error("Lookup must reject unknown names")
 	}
 }
 

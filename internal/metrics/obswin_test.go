@@ -6,48 +6,42 @@ import (
 	"testing"
 )
 
-// TestHistogramQuantileEdges pins the estimator's boundary behavior:
-// the empty histogram, a distribution collapsed into one bucket, and
-// observations landing exactly on a power-of-two bucket edge.
-func TestHistogramQuantileEdges(t *testing.T) {
-	empty := New().Histogram("e")
+// TestHistogramBucketEdge pins the snapshot's bucket edge: a value
+// exactly on a power of two (2^2 = 4) belongs to the bucket it closes —
+// (2, 4] is inclusive above — so its le field is 4, not 8.
+func TestHistogramBucketEdge(t *testing.T) {
+	r := New()
+	r.Histogram("b").Observe(4)
+	r.Histogram("b").Observe(4)
+	got := r.Snapshot().Histograms[0].Buckets
+	if len(got) != 1 || got[0].UpperBound != 4 || got[0].Count != 2 {
+		t.Errorf("buckets %+v, want one (2, 4] bucket holding 2", got)
+	}
+}
+
+// TestQuantileNearestRank pins Quantile's boundary behavior: an empty
+// slice, a single repeated value, and the rank arithmetic where q*n
+// lands exactly on an integer.
+func TestQuantileNearestRank(t *testing.T) {
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := empty.Quantile(q); got != 0 {
-			t.Errorf("empty histogram q%v = %v, want 0", q, got)
+		if got := Quantile(nil, q); got != 0 {
+			t.Errorf("empty q%v = %v, want 0", q, got)
 		}
 	}
-
-	// All mass in one bucket: min/max clamping makes every quantile the
-	// single observed value, not the bucket's upper bound.
-	single := New().Histogram("s")
-	for i := 0; i < 10; i++ {
-		single.Observe(3)
-	}
+	three := []float64{3, 3, 3, 3, 3, 3, 3, 3, 3, 3}
 	for _, q := range []float64{0, 0.25, 0.5, 0.95, 1} {
-		if got := single.Quantile(q); got != 3 {
-			t.Errorf("single-bucket q%v = %v, want 3", q, got)
+		if got := Quantile(three, q); got != 3 {
+			t.Errorf("constant q%v = %v, want 3", q, got)
 		}
 	}
-
-	// A value exactly on a bucket edge (2^2 = 4) belongs to that bucket
-	// — (2, 4] is inclusive above — so its quantile comes back exact.
-	edge := New().Histogram("b")
-	edge.Observe(4)
-	edge.Observe(4)
-	if got := edge.Quantile(0.5); got != 4 {
-		t.Errorf("boundary q50 = %v, want 4", got)
+	// 2 is rank 1 of two values: q = 0.5 puts the rank exactly at 1 and
+	// stays on it; 0.51 crosses into rank 2.
+	two := []float64{2, 4}
+	if got := Quantile(two, 0.5); got != 2 {
+		t.Errorf("two-value q50 = %v, want 2 (rank 1)", got)
 	}
-	// Rank arithmetic at the q boundary between two buckets: 2 is the
-	// first observation (rank 1), so q at exactly count boundary 0.5
-	// stays in the low bucket and 0.51 crosses into the next.
-	two := New().Histogram("t")
-	two.Observe(2)
-	two.Observe(4)
-	if got := two.Quantile(0.5); got != 2 {
-		t.Errorf("two-bucket q50 = %v, want 2 (rank 1)", got)
-	}
-	if got := two.Quantile(0.51); got != 4 {
-		t.Errorf("two-bucket q51 = %v, want 4 (rank 2)", got)
+	if got := Quantile(two, 0.51); got != 4 {
+		t.Errorf("two-value q51 = %v, want 4 (rank 2)", got)
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"fmt"
 
 	"activego/internal/fault"
+	"activego/internal/metrics"
 	"activego/internal/sim"
 	"activego/internal/trace"
 )
@@ -251,7 +252,7 @@ func (q *QueuePair) SubmitDeadline(cmd Command, deadline sim.Time, done func(Com
 func (q *QueuePair) enqueue(p pending) {
 	if q.inFlight >= q.depth {
 		q.soft = append(q.soft, p)
-		q.sim.Recorder().Sample(trace.CtrNVMeSoftQueue, "commands", "nvme", q.sim.Now(), float64(len(q.soft)))
+		q.sim.Recorder().Sample(metrics.SeriesNVMeSoftQueue, q.sim.Now(), float64(len(q.soft)))
 		return
 	}
 	q.issue(p)
@@ -269,7 +270,7 @@ func (q *QueuePair) issue(p pending) {
 		return
 	}
 	q.inFlight++
-	q.sim.Recorder().Sample(trace.CtrNVMeSQDepth, "commands", "nvme", q.sim.Now(), float64(q.inFlight))
+	q.sim.Recorder().Sample(metrics.SeriesNVMeSQDepth, q.sim.Now(), float64(q.inFlight))
 	is := &issued{p: p}
 	q.live = append(q.live, is)
 	timeout := q.retry.Timeout
@@ -306,10 +307,10 @@ func (q *QueuePair) issue(p pending) {
 			}
 			// CQE crossing back to the host.
 			q.cqInFlight++
-			q.sim.Recorder().Sample(trace.CtrNVMeCQInFlight, "completions", "nvme", q.sim.Now(), float64(q.cqInFlight))
+			q.sim.Recorder().Sample(metrics.SeriesNVMeCQInFlight, q.sim.Now(), float64(q.cqInFlight))
 			q.link.Transfer(CQESize, func(_, landed sim.Time) {
 				q.cqInFlight--
-				q.sim.Recorder().Sample(trace.CtrNVMeCQInFlight, "completions", "nvme", landed, float64(q.cqInFlight))
+				q.sim.Recorder().Sample(metrics.SeriesNVMeCQInFlight, landed, float64(q.cqInFlight))
 				if is.settled {
 					return // host timed out while the CQE was on the wire
 				}
@@ -343,14 +344,14 @@ func (q *QueuePair) settle(is *issued) {
 		}
 	}
 	q.inFlight--
-	q.sim.Recorder().Sample(trace.CtrNVMeSQDepth, "commands", "nvme", q.sim.Now(), float64(q.inFlight))
+	q.sim.Recorder().Sample(metrics.SeriesNVMeSQDepth, q.sim.Now(), float64(q.inFlight))
 	// Pull software-queued commands in; issue can decline one whose
 	// deadline already passed without taking the slot, so keep pulling
 	// until the slot is filled or the queue empties.
 	for q.inFlight < q.depth && len(q.soft) > 0 {
 		next := q.soft[0]
 		q.soft = q.soft[1:]
-		q.sim.Recorder().Sample(trace.CtrNVMeSoftQueue, "commands", "nvme", q.sim.Now(), float64(len(q.soft)))
+		q.sim.Recorder().Sample(metrics.SeriesNVMeSoftQueue, q.sim.Now(), float64(len(q.soft)))
 		q.issue(next)
 	}
 }

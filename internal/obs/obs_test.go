@@ -349,28 +349,3 @@ func TestExplainTableAndJSON(t *testing.T) {
 		t.Errorf("empty explain table: %q", s)
 	}
 }
-
-func TestCataloguedMetricsAllObs(t *testing.T) {
-	rows := CataloguedMetrics()
-	if len(rows) == 0 {
-		t.Fatal("no obs rows in the catalogue")
-	}
-	seen := map[string]bool{}
-	for _, m := range rows {
-		if !strings.HasPrefix(m.Name, "obs.") {
-			t.Errorf("non-obs row %q", m.Name)
-		}
-		seen[m.Name] = true
-	}
-	for _, want := range []string{
-		metrics.MetricObsWindows,
-		metrics.MetricObsDriftChecks,
-		metrics.MetricObsDriftDiverged,
-		metrics.MetricObsDriftStaleLines,
-		metrics.MetricObsDriftMaxRatio,
-	} {
-		if !seen[want] {
-			t.Errorf("catalogue missing %q", want)
-		}
-	}
-}

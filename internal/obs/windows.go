@@ -153,30 +153,11 @@ func statOf(c windowCell) WindowStat {
 	}
 	if s.Count > 0 {
 		s.Mean = s.Sum / float64(s.Count)
-		s.P50 = quantile(sorted, 0.50)
-		s.P95 = quantile(sorted, 0.95)
-		s.P99 = quantile(sorted, 0.99)
+		s.P50 = metrics.Quantile(sorted, 0.50)
+		s.P95 = metrics.Quantile(sorted, 0.95)
+		s.P99 = metrics.Quantile(sorted, 0.99)
 	}
 	return s
-}
-
-// quantile returns the exact q-quantile of a sorted, non-empty slice
-// (nearest-rank method, matching metrics.Histogram's rank convention).
-func quantile(sorted []float64, q float64) float64 {
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(float64(len(sorted)) * q)
-	if float64(rank) < float64(len(sorted))*q {
-		rank++
-	}
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
 }
 
 // Fold bills every kept window of every series into the registry as

@@ -67,13 +67,13 @@ func (l *Link) Transfer(bytes float64, done func(start, end Time)) {
 	tracked := l.sim.rec != nil
 	if tracked {
 		l.bytesInflight += bytes
-		l.sim.rec.Sample(l.ctrInflight, "bytes", l.name, now, l.bytesInflight)
+		l.sim.rec.Sample(l.ctrInflight, now, l.bytesInflight)
 	}
 	l.sim.At(end, func() {
 		if tracked {
 			l.bytesInflight -= bytes
 			if rec := l.sim.rec; rec != nil {
-				rec.Sample(l.ctrInflight, "bytes", l.name, end, l.bytesInflight)
+				rec.Sample(l.ctrInflight, end, l.bytesInflight)
 				rec.Span(l.name, "link", "xfer", start, end, trace.Arg{Key: "bytes", Value: bytes})
 			}
 		}

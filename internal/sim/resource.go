@@ -128,7 +128,7 @@ func (r *Resource) Submit(work float64, done func(start, end Time)) {
 		r.startJob(j)
 	} else {
 		r.queue.PushBack(j)
-		r.sim.rec.Sample(r.ctrQueue, "jobs", r.name, r.sim.Now(), float64(r.queue.Len()))
+		r.sim.rec.Sample(r.ctrQueue, r.sim.Now(), float64(r.queue.Len()))
 	}
 }
 
@@ -173,7 +173,7 @@ func (r *Resource) startJob(j *job) {
 	j.updatedAt = j.start
 	r.inFly[j] = struct{}{}
 	r.bookCompletion(j)
-	r.sim.rec.Sample(r.ctrBusy, "cores", r.name, j.start, float64(r.busy))
+	r.sim.rec.Sample(r.ctrBusy, j.start, float64(r.busy))
 }
 
 func (r *Resource) bookCompletion(j *job) {
@@ -189,12 +189,12 @@ func (r *Resource) finishJob(j *job) {
 	r.busy--
 	if rec := r.sim.rec; rec != nil {
 		rec.Span(r.name, "compute", "job", j.start, now)
-		rec.Sample(r.ctrBusy, "cores", r.name, now, float64(r.busy))
+		rec.Sample(r.ctrBusy, now, float64(r.busy))
 	}
 	if front := r.queue.Front(); front != nil {
 		r.queue.Remove(front)
 		r.startJob(front.Value.(*job))
-		r.sim.rec.Sample(r.ctrQueue, "jobs", r.name, now, float64(r.queue.Len()))
+		r.sim.rec.Sample(r.ctrQueue, now, float64(r.queue.Len()))
 	}
 	if j.done != nil {
 		j.done(j.start, now)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"activego/internal/metrics"
 	"activego/internal/trace"
 )
 
@@ -13,8 +14,8 @@ func Example() {
 	rec := trace.New()
 	rec.Span("cse", "compute", "job", 0.000, 0.002)
 	rec.Span("nvme", "nvme", "read", 0.0005, 0.0015, trace.Arg{Key: "status", Value: 0})
-	rec.Sample(trace.CtrCSEBusyCores, "cores", "cse", 0.000, 1)
-	rec.Sample(trace.CtrCSEBusyCores, "cores", "cse", 0.002, 0)
+	rec.Sample(metrics.SeriesCSEBusyCores, 0.000, 1)
+	rec.Sample(metrics.SeriesCSEBusyCores, 0.002, 0)
 
 	fmt.Printf("components: %v\n", rec.Components())
 	min, max, _ := rec.Window()

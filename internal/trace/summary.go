@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"activego/internal/metrics"
 	"activego/internal/report"
 )
 
@@ -107,8 +108,9 @@ type OccupancyWindow struct {
 // simulated time and reports, per slice, each component's busy fraction
 // (span overlap with the slice, overlap-merged, divided by the slice
 // width). Components follow first-seen order, matching Components().
-// The windowing is computed locally on the recorder's own spans —
-// metrics already imports trace, so trace cannot reuse internal/obs.
+// It integrates busy intervals across slice boundaries, which
+// obs.Windows cannot: obs bins point observations by their timestamp,
+// so a span straddling two slices would land whole in one of them.
 func (r *Recorder) OccupancyWindows(bins int) []OccupancyWindow {
 	if r == nil || bins <= 0 {
 		return nil
@@ -223,7 +225,6 @@ func (r *Recorder) SpanStats() []SpanStat {
 // SeriesStat summarizes one counter series over the recording window.
 type SeriesStat struct {
 	Name      string
-	Unit      string
 	Component string
 	Samples   int
 	Min       float64
@@ -242,7 +243,7 @@ func (r *Recorder) SeriesStats() []SeriesStat {
 	_, windowEnd, _ := r.Window()
 	var out []SeriesStat
 	for _, s := range r.series {
-		st := SeriesStat{Name: s.Name, Unit: s.Unit, Component: s.Component, Samples: len(s.Samples)}
+		st := SeriesStat{Name: s.Name, Component: s.Component, Samples: len(s.Samples)}
 		if len(s.Samples) > 0 {
 			st.Min = s.Samples[0].Value
 			st.Max = s.Samples[0].Value
@@ -272,6 +273,26 @@ func (r *Recorder) SeriesStats() []SeriesStat {
 		out = append(out, st)
 	}
 	return out
+}
+
+// Fold condenses the recording into reg: every series becomes three
+// gauges (<name>.min/.mean/.max, time-weighted over the recording
+// window) and every span lands in its component's
+// span.<component>.seconds latency histogram. A nil recorder or nil
+// registry is a no-op. The recording is read-only; folding never
+// mutates it.
+func (r *Recorder) Fold(reg *metrics.Registry) {
+	if r == nil || reg == nil {
+		return
+	}
+	for _, st := range r.SeriesStats() {
+		reg.Gauge(st.Name + metrics.TraceMin).Set(st.Min)
+		reg.Gauge(st.Name + metrics.TraceMean).Set(st.Mean)
+		reg.Gauge(st.Name + metrics.TraceMax).Set(st.Max)
+	}
+	for _, sp := range r.spans {
+		reg.Histogram(metrics.SpanPrefix + sp.Component + metrics.SpanSuffix).Observe(sp.End - sp.Start)
+	}
 }
 
 // UtilizationTable renders ComponentStats as a report table.
@@ -313,7 +334,8 @@ func (r *Recorder) Summary() string {
 	sb.WriteByte('\n')
 	ctrs := report.NewTable("Counter series", "counter", "unit", "component", "samples", "min", "mean", "max")
 	for _, st := range r.SeriesStats() {
-		ctrs.AddRowf(st.Name, st.Unit, st.Component, st.Samples,
+		info, _ := metrics.Lookup(st.Name)
+		ctrs.AddRowf(st.Name, info.Unit, st.Component, st.Samples,
 			fmt.Sprintf("%.3g", st.Min), fmt.Sprintf("%.3g", st.Mean), fmt.Sprintf("%.3g", st.Max))
 	}
 	ctrs.Render(&sb)

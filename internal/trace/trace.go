@@ -15,10 +15,15 @@
 // without one. Because the simulator itself is deterministic, the same
 // seed always produces a byte-identical trace.
 //
+// Series names come from internal/metrics' catalogue, which owns every
+// observed name; Recorder.Fold condenses a recording into a
+// metrics.Registry.
+//
 // Times are simulated seconds (sim.Time is an alias of float64; this
-// package uses float64 directly so the substrate below it stays
-// import-free).
+// package uses float64 directly so it need not import the simulator).
 package trace
+
+import "strings"
 
 // Arg is one key/value annotation attached to a span or instant event.
 // Values should be small scalars (numbers, strings, bools): they are
@@ -54,11 +59,11 @@ type Sample struct {
 	Value float64
 }
 
-// Series is one sampled counter: a named, unit-carrying sequence of
-// samples owned by a component.
+// Series is one sampled counter: a named sequence of samples owned by
+// the component lane its name starts with. Its unit is the catalogue's
+// (metrics.Lookup).
 type Series struct {
 	Name      string
-	Unit      string
 	Component string
 	Samples   []Sample
 }
@@ -122,17 +127,19 @@ func (r *Recorder) Instant(component, category, name string, at float64, args ..
 }
 
 // Sample appends one point to the named counter series, registering the
-// series (with its unit and owning component) on first use. Consecutive
-// samples with an unchanged value are coalesced — counters hold their
-// value between samples, so the dropped point carries no information.
-func (r *Recorder) Sample(name, unit, component string, at, value float64) {
+// series on first use under the component lane that is its name's first
+// dot-separated segment. Consecutive samples with an unchanged value are
+// coalesced — counters hold their value between samples, so the dropped
+// point carries no information.
+func (r *Recorder) Sample(name string, at, value float64) {
 	if r == nil {
 		return
 	}
 	s := r.index[name]
 	if s == nil {
+		component, _, _ := strings.Cut(name, ".")
 		r.component(component)
-		s = &Series{Name: name, Unit: unit, Component: component}
+		s = &Series{Name: name, Component: component}
 		r.index[name] = s
 		r.series = append(r.series, s)
 	}

@@ -3,8 +3,11 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
+
+	"activego/internal/metrics"
 )
 
 // fill records a small fixed timeline: two overlapping CSE spans, one
@@ -14,17 +17,17 @@ func fill(r *Recorder) {
 	r.Span("cse", "compute", "job", 1.0, 3.0)
 	r.Span("nvme", "nvme", "read", 0.5, 1.5, Arg{Key: "status", Value: 0})
 	r.Instant("exec", "exec", "migrate", 2.5)
-	r.Sample(CtrCSEBusyCores, "cores", "cse", 0.0, 1)
-	r.Sample(CtrCSEBusyCores, "cores", "cse", 1.0, 2)
-	r.Sample(CtrCSEBusyCores, "cores", "cse", 1.5, 2) // coalesced
-	r.Sample(CtrCSEBusyCores, "cores", "cse", 3.0, 0)
+	r.Sample(metrics.SeriesCSEBusyCores, 0.0, 1)
+	r.Sample(metrics.SeriesCSEBusyCores, 1.0, 2)
+	r.Sample(metrics.SeriesCSEBusyCores, 1.5, 2) // coalesced
+	r.Sample(metrics.SeriesCSEBusyCores, 3.0, 0)
 }
 
 func TestNilRecorderIsInert(t *testing.T) {
 	var r *Recorder
 	r.Span("a", "b", "c", 0, 1)
 	r.Instant("a", "b", "c", 0)
-	r.Sample("x", "u", "a", 0, 1)
+	r.Sample("x", 0, 1)
 	if r.Enabled() {
 		t.Error("nil recorder must report disabled")
 	}
@@ -58,6 +61,9 @@ func TestSampleCoalescing(t *testing.T) {
 	}
 	if got := len(ctrs[0].Samples); got != 3 {
 		t.Errorf("consecutive equal values must coalesce: %d samples, want 3", got)
+	}
+	if got := ctrs[0].Component; got != "cse" {
+		t.Errorf("series lane %q, want its name's first segment \"cse\"", got)
 	}
 }
 
@@ -206,7 +212,7 @@ func TestSummaryRendersAllSections(t *testing.T) {
 		"Occupancy over time",
 		"Span latency by class",
 		"Counter series",
-		CtrCSEBusyCores,
+		metrics.SeriesCSEBusyCores,
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary missing %q:\n%s", want, s)
@@ -217,21 +223,40 @@ func TestSummaryRendersAllSections(t *testing.T) {
 	}
 }
 
-func TestCatalogue(t *testing.T) {
-	seen := map[string]bool{}
-	for _, c := range Catalogue() {
-		if c.Name == "" || c.Unit == "" || c.Component == "" || c.Sampling == "" {
-			t.Errorf("incomplete catalogue entry %+v", c)
-		}
-		if seen[c.Name] {
-			t.Errorf("duplicate catalogue entry %q", c.Name)
-		}
-		seen[c.Name] = true
-		if !Catalogued(c.Name) {
-			t.Errorf("Catalogued(%q) = false", c.Name)
+// TestRecorderFold folds a hand-built recording and checks the three
+// derived gauges and the span latency histogram.
+func TestRecorderFold(t *testing.T) {
+	rec := New()
+	rec.Span("cse", "sim", "job", 0, 1)
+	rec.Span("cse", "sim", "job", 1, 3)
+	rec.Sample(metrics.SeriesCSEBusyCores, 0, 1)
+	rec.Sample(metrics.SeriesCSEBusyCores, 2, 3)
+
+	r := metrics.New()
+	rec.Fold(r)
+
+	if v := r.Gauge(metrics.SeriesCSEBusyCores + metrics.TraceMax).Value(); v != 3 {
+		t.Errorf("max gauge %v, want 3", v)
+	}
+	if v := r.Gauge(metrics.SeriesCSEBusyCores + metrics.TraceMin).Value(); v != 1 {
+		t.Errorf("min gauge %v, want 1", v)
+	}
+	// Step semantics over window [0,3]: value 1 for 2s, 3 for 1s.
+	if v := r.Gauge(metrics.SeriesCSEBusyCores + metrics.TraceMean).Value(); math.Abs(v-5.0/3) > 1e-12 {
+		t.Errorf("mean gauge %v, want 5/3", v)
+	}
+	h := r.Histogram(metrics.SpanPrefix + "cse" + metrics.SpanSuffix)
+	if h.Count() != 2 || h.Sum() != 3 {
+		t.Errorf("span histogram count=%d sum=%v, want 2/3", h.Count(), h.Sum())
+	}
+	for _, g := range r.Snapshot().Gauges {
+		if !metrics.Catalogued(g.Name) {
+			t.Errorf("folded gauge %q is not catalogued", g.Name)
 		}
 	}
-	if Catalogued("no.such.counter") {
-		t.Error("Catalogued must reject unknown names")
-	}
+
+	// Either side nil is a no-op.
+	var nilRec *Recorder
+	nilRec.Fold(r)
+	rec.Fold(nil)
 }
