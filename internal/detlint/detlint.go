@@ -18,8 +18,9 @@
 //     parallel layer, fault/chaos/resilience, and the experiment
 //     harnesses) must not read wall clocks or unseeded randomness
 //     (DL001, DL005);
-//   - every package that renders output, manifests, or traces must not
-//     do so from an unordered map iteration (DL002);
+//   - every package that renders output, manifests, or traces, or books
+//     simulator events, must not do so from an unordered map iteration
+//     (DL002);
 //   - metric and series names must exist in the live catalogue
 //     (DL003), so a typo cannot mint an undocumented series;
 //   - the nil-is-inert observability types must actually be inert when
@@ -127,6 +128,9 @@ func DefaultConfig() Config {
 		OrderedSinks: []string{
 			"report.Table", "trace.Recorder",
 			"metrics.Registry", "metrics.Counter", "metrics.Gauge", "metrics.Histogram",
+			// The event calendar is an ordered sink too: events booked at
+			// equal times fire in booking order.
+			"sim.Sim", "sim.Event", "sim.Resource", "sim.Link",
 		},
 		// CataloguedName is installed by cmd/detlint and the tests; it is
 		// injected rather than imported here so the linter package itself

@@ -103,12 +103,15 @@ func fmtOutputFunc(f *types.Func) bool {
 // DL002 forbids driving ordered sinks from a `range` over a map: the
 // iteration order is deliberately randomized by the runtime, so any
 // output, manifest row, trace event, or metric observation emitted per
-// iteration lands in a different order each run. The fix is always the
-// same — collect the keys, sort, range the slice.
+// iteration lands in a different order each run. The simulator's event
+// calendar is such a sink as well: events booked (or cancelled and
+// rebooked) per iteration tie-break in booking order, so equal-time
+// completions would fire in map order. The fix is always the same —
+// collect the keys, sort, range the slice (or keep the set in a slice).
 var DL002 = &Analyzer{
 	Code: "DL002",
 	Name: "map-range-output",
-	Doc:  "no writes to output/manifest/trace sinks from a range over a map",
+	Doc:  "no writes to output/manifest/trace sinks or sim event bookings from a range over a map",
 	Run: func(p *Pass) {
 		info := p.Pkg.Info
 		sinks := map[string]bool{}

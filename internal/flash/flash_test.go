@@ -2,6 +2,7 @@ package flash
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -252,5 +253,266 @@ func TestFTLMappingUnique(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// eagerFTL is the FTL as it was before per-block state became lazy, kept
+// verbatim as the reference for TestLazyFTLMatchesEager: it sizes
+// validCount and owner for every block up front and seeds a free list
+// with all of them.
+type eagerFTL struct {
+	sim   *sim.Sim
+	array *Array
+
+	pagesPerBlk int
+	totalBlocks int64
+
+	// map[logicalPage]physicalPage, physical = block*pagesPerBlk + slot
+	l2p map[int64]int64
+	// validCount[block] = live pages in that block; -1 marks erased/free
+	validCount []int
+	owner      [][]int64 // owner[block][slot] = logical page or -1
+	freeBlocks []int64
+	openBlock  int64
+	openSlot   int
+
+	gcLowWater int
+	gcRuns     uint64
+	gcMoved    uint64
+}
+
+// newEagerFTL builds an FTL spanning the array's full geometry.
+func newEagerFTL(s *sim.Sim, a *Array) *eagerFTL {
+	g := a.Geometry()
+	f := &eagerFTL{
+		sim:         s,
+		array:       a,
+		pagesPerBlk: g.PagesPerBlk,
+		totalBlocks: g.Blocks,
+		l2p:         make(map[int64]int64),
+		validCount:  make([]int, g.Blocks),
+		owner:       make([][]int64, g.Blocks),
+		gcLowWater:  4,
+	}
+	for b := int64(0); b < g.Blocks; b++ {
+		f.validCount[b] = -1
+		f.freeBlocks = append(f.freeBlocks, b)
+	}
+	f.openNext()
+	return f
+}
+
+func (f *eagerFTL) openNext() {
+	if len(f.freeBlocks) == 0 {
+		panic("flash: FTL out of free blocks (GC failed to reclaim)")
+	}
+	f.openBlock = f.freeBlocks[0]
+	f.freeBlocks = f.freeBlocks[1:]
+	f.validCount[f.openBlock] = 0
+	f.owner[f.openBlock] = make([]int64, f.pagesPerBlk)
+	for i := range f.owner[f.openBlock] {
+		f.owner[f.openBlock][i] = -1
+	}
+	f.openSlot = 0
+}
+
+// WritePage maps logical page lp to a fresh physical page, invalidating
+// any previous mapping, and returns the physical page id. Timing is the
+// caller's concern (the storage layer bills Program time); WritePage only
+// maintains the mapping and may trigger GC bookkeeping.
+func (f *eagerFTL) WritePage(lp int64) int64 {
+	if old, ok := f.l2p[lp]; ok {
+		blk := old / int64(f.pagesPerBlk)
+		slot := old % int64(f.pagesPerBlk)
+		f.owner[blk][slot] = -1
+		f.validCount[blk]--
+	}
+	if f.openSlot == f.pagesPerBlk {
+		f.openNext()
+	}
+	pp := f.openBlock*int64(f.pagesPerBlk) + int64(f.openSlot)
+	f.owner[f.openBlock][f.openSlot] = lp
+	f.validCount[f.openBlock]++
+	f.openSlot++
+	f.l2p[lp] = pp
+	if len(f.freeBlocks) < f.gcLowWater {
+		f.collect()
+	}
+	return pp
+}
+
+// Lookup returns the physical page for logical page lp.
+func (f *eagerFTL) Lookup(lp int64) (int64, bool) {
+	pp, ok := f.l2p[lp]
+	return pp, ok
+}
+
+// Trim drops the mapping for logical page lp.
+func (f *eagerFTL) Trim(lp int64) {
+	pp, ok := f.l2p[lp]
+	if !ok {
+		return
+	}
+	blk := pp / int64(f.pagesPerBlk)
+	slot := pp % int64(f.pagesPerBlk)
+	f.owner[blk][slot] = -1
+	f.validCount[blk]--
+	delete(f.l2p, lp)
+}
+
+// collect performs one greedy GC pass: relocate the min-valid block's live
+// pages and erase it. Channel time for the copy-back and erase is billed
+// on the array, so a GC burst visibly slows concurrent reads.
+func (f *eagerFTL) collect() {
+	victim := int64(-1)
+	best := f.pagesPerBlk + 1
+	for b := int64(0); b < f.totalBlocks; b++ {
+		if b == f.openBlock || f.validCount[b] < 0 {
+			continue
+		}
+		if f.validCount[b] < best {
+			best = f.validCount[b]
+			victim = b
+		}
+	}
+	if victim < 0 {
+		return
+	}
+	f.gcRuns++
+	moved := 0
+	for slot := 0; slot < f.pagesPerBlk; slot++ {
+		lp := f.owner[victim][slot]
+		if lp < 0 {
+			continue
+		}
+		// Relocate: read + program one page of channel time.
+		pageBytes := f.array.Geometry().PageSize
+		f.array.Read(pageBytes, nil)
+		f.array.Program(pageBytes, nil)
+		f.owner[victim][slot] = -1
+		f.validCount[victim]--
+		if f.openSlot == f.pagesPerBlk {
+			f.openNext()
+		}
+		pp := f.openBlock*int64(f.pagesPerBlk) + int64(f.openSlot)
+		f.owner[f.openBlock][f.openSlot] = lp
+		f.validCount[f.openBlock]++
+		f.openSlot++
+		f.l2p[lp] = pp
+		moved++
+	}
+	f.gcMoved += uint64(moved)
+	f.array.Erase(nil)
+	f.validCount[victim] = -1
+	f.owner[victim] = nil
+	f.freeBlocks = append(f.freeBlocks, victim)
+}
+
+// Stats returns GC activity counters.
+func (f *eagerFTL) Stats() (gcRuns, pagesMoved uint64, freeBlocks int) {
+	return f.gcRuns, f.gcMoved, len(f.freeBlocks)
+}
+
+// MappedPages returns the number of live logical pages.
+func (f *eagerFTL) MappedPages() int { return len(f.l2p) }
+
+// String summarizes the FTL state.
+func (f *eagerFTL) String() string {
+	return fmt.Sprintf("ftl{mapped=%d free=%d gc=%d}", len(f.l2p), len(f.freeBlocks), f.gcRuns)
+}
+
+// ftlOutcome captures everything an FTL exposes, so the lazy FTL and the
+// eager reference can be compared after each step.
+type ftlOutcome struct {
+	gcRuns, moved uint64
+	free, mapped  int
+	str           string
+}
+
+func outcomeOf(f interface {
+	Stats() (uint64, uint64, int)
+	MappedPages() int
+	String() string
+}) ftlOutcome {
+	gc, moved, free := f.Stats()
+	return ftlOutcome{gc, moved, free, f.MappedPages(), f.String()}
+}
+
+// TestLazyFTLMatchesEager is the lazy FTL's equivalence property: on
+// small geometries, seeded write/trim sequences long enough to use up
+// the fresh blocks and cycle erased ones through GC many times must give
+// the same physical page from every write, the same mapping for every
+// logical page, and the same counters and channel time as the eager
+// reference.
+func TestLazyFTLMatchesEager(t *testing.T) {
+	for _, shape := range []struct {
+		blocks int64
+		pages  int
+	}{{8, 2}, {8, 4}, {12, 8}, {32, 8}} {
+		g := DefaultGeometry()
+		g.Blocks, g.PagesPerBlk = shape.blocks, shape.pages
+		// Live data stays under a third of capacity so GC always finds
+		// a victim with free slots.
+		logical := int(shape.blocks) * shape.pages / 3
+		for seed := int64(1); seed <= 10; seed++ {
+			name := fmt.Sprintf("blocks=%d/pages=%d/seed=%d", shape.blocks, shape.pages, seed)
+			rng := rand.New(rand.NewSource(seed))
+			ls, es := sim.New(), sim.New()
+			la, ea := NewArray(ls, g), NewArray(es, g)
+			lazy, eager := NewFTL(ls, la), newEagerFTL(es, ea)
+			ops := 40 * int(shape.blocks) * shape.pages
+			for i := 0; i < ops; i++ {
+				lp := int64(rng.Intn(logical))
+				if rng.Intn(6) == 0 {
+					lazy.Trim(lp)
+					eager.Trim(lp)
+				} else if lpp, epp := lazy.WritePage(lp), eager.WritePage(lp); lpp != epp {
+					t.Fatalf("%s op %d: WritePage(%d) = %d, eager reference %d", name, i, lp, lpp, epp)
+				}
+				if lo, eo := outcomeOf(lazy), outcomeOf(eager); lo != eo {
+					t.Fatalf("%s op %d: state %+v, eager reference %+v", name, i, lo, eo)
+				}
+			}
+			for lp := int64(0); lp < int64(logical); lp++ {
+				lpp, lok := lazy.Lookup(lp)
+				epp, eok := eager.Lookup(lp)
+				if lpp != epp || lok != eok {
+					t.Fatalf("%s: Lookup(%d) = %d,%t, eager reference %d,%t", name, lp, lpp, lok, epp, eok)
+				}
+			}
+			ls.Run()
+			es.Run()
+			lr, lp, le, lrb, lpb := la.Stats()
+			er, ep, ee, erb, epb := ea.Stats()
+			if lr != er || lp != ep || le != ee || lrb != erb || lpb != epb || ls.Now() != es.Now() {
+				t.Fatalf("%s: array stats %d/%d/%d/%v/%v at t=%v, eager reference %d/%d/%d/%v/%v at t=%v",
+					name, lr, lp, le, lrb, lpb, ls.Now(), er, ep, ee, erb, epb, es.Now())
+			}
+			if gc, _, _ := lazy.Stats(); gc < 3*uint64(shape.blocks) {
+				t.Fatalf("%s: only %d GC runs; the sequence must cycle every block through GC several times", name, gc)
+			}
+		}
+	}
+}
+
+// TestLazyFTLOutOfBlocksPanics pins the out-of-free-blocks panic: with
+// more live logical pages than the array holds, the lazy FTL panics at
+// the same write, with the same message, as the eager reference.
+func TestLazyFTLOutOfBlocksPanics(t *testing.T) {
+	g := smallGeometry()
+	writeUntilPanic := func(write func(int64) int64) (at int64, msg any) {
+		defer func() { msg = recover() }()
+		for at = 0; ; at++ {
+			write(at)
+		}
+	}
+	ls, es := sim.New(), sim.New()
+	lazyAt, lazyMsg := writeUntilPanic(NewFTL(ls, NewArray(ls, g)).WritePage)
+	eagerAt, eagerMsg := writeUntilPanic(newEagerFTL(es, NewArray(es, g)).WritePage)
+	if lazyAt != eagerAt || lazyMsg != eagerMsg {
+		t.Errorf("lazy FTL panicked at write %d with %v; eager reference at %d with %v", lazyAt, lazyMsg, eagerAt, eagerMsg)
+	}
+	if lazyMsg == nil {
+		t.Error("overfilling the array did not panic")
 	}
 }

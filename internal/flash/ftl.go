@@ -25,10 +25,14 @@ type FTL struct {
 
 	// map[logicalPage]physicalPage, physical = block*pagesPerBlk + slot
 	l2p map[int64]int64
-	// validCount[block] = live pages in that block; -1 marks erased/free
+	// Per-block state exists only for blocks opened so far: blocks open
+	// in index order from the fresh cursor, so block b has state iff
+	// b < fresh. validCount[block] = live pages in that block; -1 marks
+	// an erased block.
 	validCount []int
 	owner      [][]int64 // owner[block][slot] = logical page or -1
-	freeBlocks []int64
+	fresh      int64     // next never-opened block
+	erased     []int64   // erased blocks, FIFO, reopened once fresh ones run out
 	openBlock  int64
 	openSlot   int
 
@@ -37,7 +41,9 @@ type FTL struct {
 	gcMoved    uint64
 }
 
-// NewFTL builds an FTL spanning the array's full geometry.
+// NewFTL builds an FTL spanning the array's full geometry. Per-block
+// state is built lazily as blocks open, so construction costs the same
+// for a 2 TiB array as for a tiny one.
 func NewFTL(s *sim.Sim, a *Array) *FTL {
 	g := a.Geometry()
 	f := &FTL{
@@ -46,25 +52,34 @@ func NewFTL(s *sim.Sim, a *Array) *FTL {
 		pagesPerBlk: g.PagesPerBlk,
 		totalBlocks: g.Blocks,
 		l2p:         make(map[int64]int64),
-		validCount:  make([]int, g.Blocks),
-		owner:       make([][]int64, g.Blocks),
 		gcLowWater:  4,
-	}
-	for b := int64(0); b < g.Blocks; b++ {
-		f.validCount[b] = -1
-		f.freeBlocks = append(f.freeBlocks, b)
 	}
 	f.openNext()
 	return f
 }
 
+// freeCount is the number of blocks that can still be opened: the
+// never-opened ones above the cursor plus the erased ones.
+func (f *FTL) freeCount() int {
+	return int(f.totalBlocks-f.fresh) + len(f.erased)
+}
+
+// openNext opens the next free block: fresh blocks first, in index
+// order, then erased blocks in the order they were erased.
 func (f *FTL) openNext() {
-	if len(f.freeBlocks) == 0 {
+	switch {
+	case f.fresh < f.totalBlocks:
+		f.openBlock = f.fresh
+		f.fresh++
+		f.validCount = append(f.validCount, 0)
+		f.owner = append(f.owner, nil)
+	case len(f.erased) > 0:
+		f.openBlock = f.erased[0]
+		f.erased = f.erased[1:]
+		f.validCount[f.openBlock] = 0
+	default:
 		panic("flash: FTL out of free blocks (GC failed to reclaim)")
 	}
-	f.openBlock = f.freeBlocks[0]
-	f.freeBlocks = f.freeBlocks[1:]
-	f.validCount[f.openBlock] = 0
 	f.owner[f.openBlock] = make([]int64, f.pagesPerBlk)
 	for i := range f.owner[f.openBlock] {
 		f.owner[f.openBlock][i] = -1
@@ -91,7 +106,7 @@ func (f *FTL) WritePage(lp int64) int64 {
 	f.validCount[f.openBlock]++
 	f.openSlot++
 	f.l2p[lp] = pp
-	if len(f.freeBlocks) < f.gcLowWater {
+	if f.freeCount() < f.gcLowWater {
 		f.collect()
 	}
 	return pp
@@ -122,13 +137,13 @@ func (f *FTL) Trim(lp int64) {
 func (f *FTL) collect() {
 	victim := int64(-1)
 	best := f.pagesPerBlk + 1
-	for b := int64(0); b < f.totalBlocks; b++ {
-		if b == f.openBlock || f.validCount[b] < 0 {
+	for b, valid := range f.validCount {
+		if int64(b) == f.openBlock || valid < 0 {
 			continue
 		}
-		if f.validCount[b] < best {
-			best = f.validCount[b]
-			victim = b
+		if valid < best {
+			best = valid
+			victim = int64(b)
 		}
 	}
 	if victim < 0 {
@@ -161,12 +176,12 @@ func (f *FTL) collect() {
 	f.array.Erase(nil)
 	f.validCount[victim] = -1
 	f.owner[victim] = nil
-	f.freeBlocks = append(f.freeBlocks, victim)
+	f.erased = append(f.erased, victim)
 }
 
 // Stats returns GC activity counters.
 func (f *FTL) Stats() (gcRuns, pagesMoved uint64, freeBlocks int) {
-	return f.gcRuns, f.gcMoved, len(f.freeBlocks)
+	return f.gcRuns, f.gcMoved, f.freeCount()
 }
 
 // MappedPages returns the number of live logical pages.
@@ -174,5 +189,5 @@ func (f *FTL) MappedPages() int { return len(f.l2p) }
 
 // String summarizes the FTL state.
 func (f *FTL) String() string {
-	return fmt.Sprintf("ftl{mapped=%d free=%d gc=%d}", len(f.l2p), len(f.freeBlocks), f.gcRuns)
+	return fmt.Sprintf("ftl{mapped=%d free=%d gc=%d}", len(f.l2p), f.freeCount(), f.gcRuns)
 }

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"runtime"
 	"testing"
 
 	"activego/internal/nvme"
@@ -56,5 +57,33 @@ func TestPlatformsAreIndependent(t *testing.T) {
 	a.Dev.SetAvailability(0.5)
 	if b.Dev.CSE.Availability() != 1 {
 		t.Error("platforms share state")
+	}
+}
+
+// TestDefaultPlatformAllocation bounds what one default platform costs
+// to build. The 2 TiB flash array's FTL keeps state only for blocks it
+// has opened, so construction must not scale with the array's 512Ki
+// blocks.
+func TestDefaultPlatformAllocation(t *testing.T) {
+	const runs, limit = 10, 64 << 10
+	Default() // settle one-time package state
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		Default()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= limit {
+		t.Errorf("platform.Default() allocates %d B, want < %d B", per, limit)
+	}
+}
+
+// BenchmarkPlatformDefault measures building one default platform:
+// simulator, interconnect, host, CSD with its flash array and FTL, and
+// the shared address space.
+func BenchmarkPlatformDefault(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Default()
 	}
 }

@@ -25,6 +25,38 @@ type Link struct {
 	totalBytes     float64
 	totalTransfers uint64
 	busyIntegral   float64
+
+	free []*transfer // recycled transfer records; see transfer
+}
+
+// transfer is one message in flight. Records are pooled on their Link
+// the way jobs are on a Resource: a landed transfer returns to the pool
+// before its done callback runs, and fire, its landing callback, is bound
+// once when the record is first allocated.
+type transfer struct {
+	link       *Link
+	bytes      float64
+	start, end Time
+	tracked    bool
+	done       func(start, end Time)
+	fire       func()
+}
+
+func (x *transfer) land() {
+	l := x.link
+	if x.tracked {
+		l.bytesInflight -= x.bytes
+		if rec := l.sim.rec; rec != nil {
+			rec.Sample(l.ctrInflight, x.end, l.bytesInflight)
+			rec.Span(l.name, "link", "xfer", x.start, x.end, trace.Arg{Key: "bytes", Value: x.bytes})
+		}
+	}
+	done, start, end := x.done, x.start, x.end
+	x.done = nil
+	l.free = append(l.free, x)
+	if done != nil {
+		done(start, end)
+	}
 }
 
 // NewLink creates a link with the given bandwidth (bytes/second) and
@@ -69,18 +101,16 @@ func (l *Link) Transfer(bytes float64, done func(start, end Time)) {
 		l.bytesInflight += bytes
 		l.sim.rec.Sample(l.ctrInflight, now, l.bytesInflight)
 	}
-	l.sim.At(end, func() {
-		if tracked {
-			l.bytesInflight -= bytes
-			if rec := l.sim.rec; rec != nil {
-				rec.Sample(l.ctrInflight, end, l.bytesInflight)
-				rec.Span(l.name, "link", "xfer", start, end, trace.Arg{Key: "bytes", Value: bytes})
-			}
-		}
-		if done != nil {
-			done(start, end)
-		}
-	})
+	var x *transfer
+	if n := len(l.free); n > 0 {
+		x = l.free[n-1]
+		l.free = l.free[:n-1]
+	} else {
+		x = &transfer{link: l}
+		x.fire = x.land
+	}
+	x.bytes, x.start, x.end, x.tracked, x.done = bytes, start, end, tracked, done
+	l.sim.At(end, x.fire)
 }
 
 // TransferTime returns the unloaded duration of moving `bytes`, without

@@ -1,8 +1,8 @@
 package sim
 
 import (
-	"container/list"
 	"fmt"
+	"slices"
 )
 
 // Resource models a compute unit: a bank of identical servers (cores) that
@@ -27,9 +27,13 @@ type Resource struct {
 	ctrBusy  string
 	ctrQueue string
 
-	busy    int
-	queue   *list.List // of *job, FIFO
-	inFly   map[*job]struct{}
+	busy  int
+	queue jobQueue // jobs waiting for a server, FIFO
+	// inFly holds the jobs being served in start order, so rescheduling
+	// rebooks tied completions — and CompletedWork sums progress — in
+	// the same order every run.
+	inFly   []*job
+	free    []*job  // recycled job records; see job
 	donated float64 // total work completed, for perf counters
 
 	// stats
@@ -39,6 +43,12 @@ type Resource struct {
 	lastStatAt   Time
 }
 
+// job is one submitted unit of work. Records are pooled on their
+// Resource: a finished job returns to the pool before its done callback
+// runs, so done receives the service interval by value and a Submit from
+// inside done may reuse the record at once. fire is the record's
+// completion callback, bound once when the record is first allocated, so
+// booking a completion allocates nothing.
 type job struct {
 	work      float64 // remaining work units
 	updatedAt Time    // when `work` was last current
@@ -46,6 +56,34 @@ type job struct {
 	start     Time
 	event     *Event
 	res       *Resource
+	fire      func()
+}
+
+func (j *job) finish() { j.res.finishJob(j) }
+
+// jobQueue is a growable ring of waiting jobs.
+type jobQueue struct {
+	buf        []*job
+	head, size int
+}
+
+func (q *jobQueue) push(j *job) {
+	if q.size == len(q.buf) {
+		buf := make([]*job, max(4, 2*len(q.buf)))
+		n := copy(buf, q.buf[q.head:])
+		copy(buf[n:], q.buf[:q.head])
+		q.buf, q.head = buf, 0
+	}
+	q.buf[(q.head+q.size)%len(q.buf)] = j
+	q.size++
+}
+
+func (q *jobQueue) pop() *job {
+	j := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) % len(q.buf)
+	q.size--
+	return j
 }
 
 // NewResource creates a resource with the given core count and per-core
@@ -62,8 +100,6 @@ func NewResource(s *Sim, name string, cores int, ratePerCore float64) *Resource 
 		availability: 1,
 		ctrBusy:      name + ".busy_cores",
 		ctrQueue:     name + ".queue_depth",
-		queue:        list.New(),
-		inFly:        make(map[*job]struct{}),
 	}
 }
 
@@ -100,7 +136,7 @@ func (r *Resource) SetAvailability(frac float64) {
 	old := r.effectiveRate()
 	r.availability = frac
 	now := r.sim.Now()
-	for j := range r.inFly {
+	for _, j := range r.inFly {
 		elapsed := now - j.updatedAt
 		credit := elapsed * old
 		if credit > j.work {
@@ -121,14 +157,22 @@ func (r *Resource) Submit(work float64, done func(start, end Time)) {
 	if work < 0 {
 		panic(fmt.Sprintf("sim: resource %q negative work %v", r.name, work))
 	}
-	j := &job{work: work, done: done, res: r}
+	var j *job
+	if n := len(r.free); n > 0 {
+		j = r.free[n-1]
+		r.free = r.free[:n-1]
+	} else {
+		j = &job{res: r}
+		j.fire = j.finish
+	}
+	j.work, j.done = work, done
 	r.totalJobs++
 	r.totalWork += work
 	if r.busy < r.cores {
 		r.startJob(j)
 	} else {
-		r.queue.PushBack(j)
-		r.sim.rec.Sample(r.ctrQueue, r.sim.Now(), float64(r.queue.Len()))
+		r.queue.push(j)
+		r.sim.rec.Sample(r.ctrQueue, r.sim.Now(), float64(r.queue.size))
 	}
 }
 
@@ -148,14 +192,14 @@ func (r *Resource) Utilization() float64 {
 func (r *Resource) CompletedWork() float64 {
 	total := r.donated
 	now := r.sim.Now()
-	for j := range r.inFly {
+	for _, j := range r.inFly {
 		total += (now - j.updatedAt) * r.effectiveRate()
 	}
 	return total
 }
 
 // QueueLen returns the number of jobs waiting for a server.
-func (r *Resource) QueueLen() int { return r.queue.Len() }
+func (r *Resource) QueueLen() int { return r.queue.size }
 
 // InFlight returns the number of jobs currently being served.
 func (r *Resource) InFlight() int { return r.busy }
@@ -171,32 +215,35 @@ func (r *Resource) startJob(j *job) {
 	r.busy++
 	j.start = r.sim.Now()
 	j.updatedAt = j.start
-	r.inFly[j] = struct{}{}
+	r.inFly = append(r.inFly, j)
 	r.bookCompletion(j)
 	r.sim.rec.Sample(r.ctrBusy, j.start, float64(r.busy))
 }
 
 func (r *Resource) bookCompletion(j *job) {
 	dur := j.work / r.effectiveRate()
-	j.event = r.sim.After(dur, func() { r.finishJob(j) })
+	j.event = r.sim.After(dur, j.fire)
 }
 
 func (r *Resource) finishJob(j *job) {
 	r.accountBusy()
 	now := r.sim.Now()
 	r.donated += (now - j.updatedAt) * r.effectiveRate()
-	delete(r.inFly, j)
+	i := slices.Index(r.inFly, j)
+	r.inFly = slices.Delete(r.inFly, i, i+1)
 	r.busy--
 	if rec := r.sim.rec; rec != nil {
 		rec.Span(r.name, "compute", "job", j.start, now)
 		rec.Sample(r.ctrBusy, now, float64(r.busy))
 	}
-	if front := r.queue.Front(); front != nil {
-		r.queue.Remove(front)
-		r.startJob(front.Value.(*job))
-		r.sim.rec.Sample(r.ctrQueue, now, float64(r.queue.Len()))
+	if r.queue.size > 0 {
+		r.startJob(r.queue.pop())
+		r.sim.rec.Sample(r.ctrQueue, now, float64(r.queue.size))
 	}
-	if j.done != nil {
-		j.done(j.start, now)
+	done, start := j.done, j.start
+	j.done, j.event = nil, nil
+	r.free = append(r.free, j)
+	if done != nil {
+		done(start, now)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -244,6 +245,35 @@ func TestResourceWorkConservation(t *testing.T) {
 	}
 }
 
+// TestResourceTieOrder pins completion order under ties: three equal jobs
+// run side by side on a 4-core resource, availability halves at t=3, and
+// all three finish at the same instant. Tied completions must fire in
+// submit order, and CompletedWork read mid-run must not depend on how the
+// in-flight set is iterated — every repetition is bit-identical.
+func TestResourceTieOrder(t *testing.T) {
+	var firstWork float64
+	for rep := 0; rep < 300; rep++ {
+		s := New()
+		r := NewResource(s, "r", 4, 1)
+		var order []byte
+		for _, name := range []byte("abc") {
+			r.Submit(10, func(_, _ Time) { order = append(order, name) })
+		}
+		s.At(3, func() { r.SetAvailability(0.5) })
+		var work float64
+		s.At(5, func() { work = r.CompletedWork() })
+		s.Run()
+		if string(order) != "abc" {
+			t.Fatalf("repetition %d: tied jobs completed in order %q, want submit order \"abc\"", rep, order)
+		}
+		if rep == 0 {
+			firstWork = work
+		} else if math.Float64bits(work) != math.Float64bits(firstWork) {
+			t.Fatalf("repetition %d: CompletedWork %v, repetition 0 read %v", rep, work, firstWork)
+		}
+	}
+}
+
 func TestResourceUtilization(t *testing.T) {
 	s := New()
 	r := NewResource(s, "r", 2, 100)
@@ -334,18 +364,71 @@ func TestEventRecycling(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocFree pins the headline: once the free list is
-// primed, schedule+fire allocates nothing.
+// TestSteadyStateAllocFree pins the headline: once the free lists are
+// primed, schedule+fire allocates nothing, and neither does a resource
+// job or a link transfer from submission to its done callback. Every case
+// passes a prebuilt callback, so what is measured is the substrate's own
+// bookkeeping: pooled job and transfer records, the queue ring, and the
+// completion callbacks bound once per record.
 func TestSteadyStateAllocFree(t *testing.T) {
+	done := func(_, _ Time) {}
+	for _, tc := range []struct {
+		name string
+		op   func(s *Sim) func()
+	}{
+		{"schedule+fire", func(s *Sim) func() {
+			fn := func() {}
+			return func() { s.After(1, fn); s.Run() }
+		}},
+		{"Resource.Submit idle", func(s *Sim) func() {
+			r := NewResource(s, "r", 1, 1)
+			return func() { r.Submit(1, done); s.Run() }
+		}},
+		{"Resource.Submit queued", func(s *Sim) func() {
+			r := NewResource(s, "r", 1, 1)
+			return func() { r.Submit(1, done); r.Submit(1, done); s.Run() }
+		}},
+		{"Resource.Submit across SetAvailability", func(s *Sim) func() {
+			r := NewResource(s, "r", 2, 1)
+			half := func() { r.SetAvailability(0.5) }
+			return func() {
+				r.Submit(2, done)
+				r.Submit(2, done)
+				s.After(1, half)
+				s.Run()
+				r.SetAvailability(1)
+			}
+		}},
+		{"Link.Transfer", func(s *Sim) func() {
+			l := NewLink(s, "l", 1000, 1e-3)
+			return func() { l.Transfer(100, done); l.Transfer(100, done); s.Run() }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			op := tc.op(New())
+			op() // prime the free lists and the queue ring
+			if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+				t.Errorf("steady state allocates %.1f objects/op, want 0", allocs)
+			}
+		})
+	}
+}
+
+// BenchmarkResourceSubmitFinish measures a resource job from Submit to
+// its done callback: a batch of 64 jobs on a 4-core resource, so most
+// wait in the queue. allocs/op is the headline metric, and it should be
+// zero in steady state.
+func BenchmarkResourceSubmitFinish(b *testing.B) {
+	const batch = 64
 	s := New()
-	fn := func() {}
-	s.After(1, fn) // prime the free list
-	s.Run()
-	allocs := testing.AllocsPerRun(100, func() {
-		s.After(1, fn)
+	r := NewResource(s, "r", 4, 1)
+	done := func(_, _ Time) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < batch; j++ {
+			r.Submit(1, done)
+		}
 		s.Run()
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state schedule+fire allocates %.1f objects/op, want 0", allocs)
 	}
 }
