@@ -69,6 +69,7 @@ type Device struct {
 	preemptRequested bool
 	calls            uint64
 	statusMsgs       uint64
+	freeCalls        []*opCall // finished call records; see opCall
 
 	faults     *fault.Plan
 	resetUntil sim.Time
@@ -134,16 +135,7 @@ func (d *Device) dispatch(cmd nvme.Command, submitted sim.Time, complete func(nv
 			return
 		}
 		d.calls++
-		run := func() {
-			start := d.Sim.Now()
-			call(d, func(status uint16, value any) {
-				if rec := d.Sim.Recorder(); rec != nil {
-					rec.Span("csd", "csd", "call", start, d.Sim.Now(),
-						trace.Arg{Key: "status", Value: status})
-				}
-				complete(nvme.Completion{Status: status, Value: value, Started: start})
-			})
-		}
+		oc := d.acquireCall(call, complete)
 		// Injected CSE stall: firmware hogs the engine before the call
 		// starts (the command stays in flight, so a host completion timer
 		// can fire against it).
@@ -152,10 +144,10 @@ func (d *Device) dispatch(cmd nvme.Command, submitted sim.Time, complete func(nv
 			if rec := d.Sim.Recorder(); rec != nil {
 				rec.Instant("csd", "fault", "cse-stall", d.Sim.Now(), trace.Arg{Key: "duration", Value: dur})
 			}
-			d.Sim.AfterNamed(dur, "cse-stall", run)
+			d.Sim.AfterNamed(dur, "cse-stall", oc.run)
 			return
 		}
-		run()
+		oc.begin()
 	case nvme.OpPreempt:
 		d.preempt()
 		complete(nvme.Completion{})
@@ -164,6 +156,55 @@ func (d *Device) dispatch(cmd nvme.Command, submitted sim.Time, complete func(nv
 	default:
 		complete(nvme.Completion{Status: nvme.StatusInvalidOpcode, Value: fmt.Sprintf("csd: unknown opcode %v", cmd.Opcode)})
 	}
+}
+
+// opCall is one OpCall command running on the device. Records are pooled
+// on their Device: a finished call returns to the pool before its
+// completion is delivered, so complete receives values, never the record.
+// run and finish, the record's start and end continuations, are bound
+// once when the record is first allocated.
+type opCall struct {
+	d        *Device
+	call     Call
+	complete func(nvme.Completion)
+	start    sim.Time
+	run      func()
+	finish   func(status uint16, value any)
+}
+
+func (d *Device) acquireCall(call Call, complete func(nvme.Completion)) *opCall {
+	var oc *opCall
+	if n := len(d.freeCalls); n > 0 {
+		oc = d.freeCalls[n-1]
+		d.freeCalls[n-1] = nil
+		d.freeCalls = d.freeCalls[:n-1]
+	} else {
+		oc = &opCall{d: d}
+		oc.run = oc.begin
+		oc.finish = oc.end
+	}
+	oc.call, oc.complete = call, complete
+	return oc
+}
+
+func (oc *opCall) begin() {
+	oc.start = oc.d.Sim.Now()
+	oc.call(oc.d, oc.finish)
+}
+
+func (oc *opCall) end(status uint16, value any) {
+	d := oc.d
+	if oc.complete == nil {
+		panic("csd: call completed twice")
+	}
+	if rec := d.Sim.Recorder(); rec != nil {
+		rec.Span("csd", "csd", "call", oc.start, d.Sim.Now(),
+			trace.Arg{Key: "status", Value: status})
+	}
+	complete, start := oc.complete, oc.start
+	oc.call, oc.complete = nil, nil
+	d.freeCalls = append(d.freeCalls, oc)
+	complete(nvme.Completion{Status: status, Value: value, Started: start})
 }
 
 // preempt is the single §III-D case-1 demand path: it latches the request

@@ -221,3 +221,36 @@ func TestSendStatusBillsLink(t *testing.T) {
 		t.Errorf("status count %d", msgs)
 	}
 }
+
+// TestCallSteadyStateAllocFree pins the pooled call records: once the
+// pools are primed, an OpCall through Device.QP — SQE, the call's CSE
+// job, the completion back to the host — allocates nothing, with or
+// without a CSE stall in front of the call. The Call and done are built
+// once, so what is measured is the device's and queue pair's own
+// bookkeeping.
+func TestCallSteadyStateAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		stall float64
+	}{{"direct", 0}, {"after a CSE stall", 1e-4}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, d := newDevice()
+			if tc.stall > 0 {
+				d.InstallFaults(fault.NewPlan(1, fault.Rule{Point: fault.CSEStall, Rate: 1, Duration: tc.stall}))
+			}
+			var finish func(uint16, any)
+			computed := func(_, _ sim.Time) { finish(0, nil) }
+			call := csd.Call(func(dev *csd.Device, done func(uint16, any)) {
+				finish = done
+				dev.CSE.Submit(1e5, computed)
+			})
+			cmd := nvme.Command{Opcode: nvme.OpCall, Payload: call}
+			done := func(nvme.Completion) {}
+			op := func() { d.QP.Submit(cmd, done); s.Run() }
+			op() // prime the pools
+			if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+				t.Errorf("steady state allocates %.1f objects/op, want 0", allocs)
+			}
+		})
+	}
+}

@@ -14,10 +14,11 @@
 //
 // Rules are scoped by package role rather than annotation:
 //
-//   - "deterministic" packages (the simulation kernel, planners, the
-//     parallel layer, fault/chaos/resilience, and the experiment
-//     harnesses) must not read wall clocks or unseeded randomness
-//     (DL001, DL005);
+//   - "deterministic" packages (the simulation kernel, the device and
+//     host models built on it, the executor, planners, the parallel
+//     layer, fault/chaos/resilience, the serving driver, obs, and the
+//     experiment harnesses) must not read wall clocks or unseeded
+//     randomness (DL001, DL005);
 //   - every package that renders output, manifests, or traces, or books
 //     simulator events, must not do so from an unordered map iteration
 //     (DL002);
@@ -123,8 +124,12 @@ type Config struct {
 // DefaultConfig scopes the passes to this repository's layering.
 func DefaultConfig() Config {
 	return Config{
-		DeterministicPkgs: []string{"sim", "plan", "par", "fault", "chaos", "resilience", "experiments", "driver", "obs"},
-		NilInert:          []string{"trace.Recorder", "par.Pool", "metrics.Registry", "obs.Windows", "obs.Collector", "obs.DriftReport"},
+		DeterministicPkgs: []string{
+			"sim", "plan", "par", "fault", "chaos", "resilience", "experiments", "driver", "obs",
+			// The device and host models and the executor that drives them.
+			"nvme", "csd", "exec", "flash", "host", "storage", "interconnect", "platform",
+		},
+		NilInert: []string{"trace.Recorder", "par.Pool", "metrics.Registry", "obs.Windows", "obs.Collector", "obs.DriftReport"},
 		OrderedSinks: []string{
 			"report.Table", "trace.Recorder",
 			"metrics.Registry", "metrics.Counter", "metrics.Gauge", "metrics.Histogram",

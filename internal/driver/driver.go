@@ -190,6 +190,14 @@ type tenantState struct {
 	seq   int          // next tenant-local request number
 	done  []completion // completed requests in completion order
 
+	// Open-loop traffic, pre-generated in stream order: arrival offsets
+	// from the run start and the scenario each arrival picked. next is
+	// the arrival booked on the calendar, and fire, bound once, admits it.
+	arrivals []float64
+	picks    []*Scenario
+	next     int
+	fire     func()
+
 	offered, admitted, queued, shed, completed, failed int
 	firstShed                                          *resilience.AdmitError
 }
@@ -262,12 +270,14 @@ func Run(p *platform.Platform, cfg Config) (*Result, error) {
 	return e.results(), nil
 }
 
-// scheduleTenant puts the tenant's whole arrival process on the
-// calendar. Open-loop streams pre-generate their times and scenario
-// picks, so the tenant's stream is consumed in a fixed order no matter
-// how service interleaves; closed-loop workers draw per issue, which is
-// equally deterministic because the single-threaded calendar fires
-// completions in a fixed order.
+// scheduleTenant starts the tenant's arrival process on the calendar.
+// Open-loop streams pre-generate their times and scenario picks, so the
+// tenant's stream is consumed in a fixed order no matter how service
+// interleaves, but only the next arrival is booked: the calendar holds
+// the in-flight work plus one event per tenant, not the whole horizon.
+// Closed-loop workers draw per issue, which is equally deterministic
+// because the single-threaded calendar fires completions in a fixed
+// order.
 func (e *engine) scheduleTenant(ts *tenantState) {
 	a := ts.cfg.Arrival
 	if a.Process == Closed {
@@ -284,11 +294,31 @@ func (e *engine) scheduleTenant(ts *tenantState) {
 		}
 		return
 	}
-	for _, off := range a.times(ts.rng, e.cfg.Duration) {
-		sc := ts.cfg.Mix.Pick(ts.rng.uniform())
-		at := e.start + off
-		e.p.Sim.AtNamed(at, "driver.arrival", func() { e.arrive(ts, sc, false) })
+	ts.arrivals = a.times(ts.rng, e.cfg.Duration)
+	ts.picks = make([]*Scenario, len(ts.arrivals))
+	for i := range ts.picks {
+		ts.picks[i] = ts.cfg.Mix.Pick(ts.rng.uniform())
 	}
+	if len(ts.arrivals) > 0 {
+		ts.fire = func() { e.fireArrival(ts) }
+		e.bookArrival(ts)
+	}
+}
+
+func (e *engine) bookArrival(ts *tenantState) {
+	e.p.Sim.AtNamed(e.start+ts.arrivals[ts.next], "driver.arrival", ts.fire)
+}
+
+// fireArrival admits the tenant's booked arrival. It books the next one
+// first, so that arrival still precedes everything this one schedules for
+// the same instant, as when the whole stream was booked up front.
+func (e *engine) fireArrival(ts *tenantState) {
+	sc := ts.picks[ts.next]
+	ts.next++
+	if ts.next < len(ts.arrivals) {
+		e.bookArrival(ts)
+	}
+	e.arrive(ts, sc, false)
 }
 
 // issue is a closed-loop worker generating its next request.

@@ -13,11 +13,12 @@ import (
 	"activego/internal/nvme"
 	"activego/internal/platform"
 	"activego/internal/resilience"
+	"activego/internal/sim"
 	"activego/internal/workloads"
 )
 
 // testMix is a two-scenario weighted mix over cheap synthetic programs.
-func testMix(t *testing.T) *driver.Mix {
+func testMix(t testing.TB) *driver.Mix {
 	t.Helper()
 	m, err := driver.NewMix(
 		driver.MixEntry{Scenario: driver.Synthetic("small", 4, 5e5, 1<<18), Weight: 3},
@@ -397,4 +398,51 @@ func TestArrivalProcesses(t *testing.T) {
 			}
 		}
 	})
+}
+
+// openLoopConfig is three Poisson tenants offering about requests
+// requests in total, at a fifth of the synthetic mix's capacity.
+func openLoopConfig(t testing.TB, requests int) driver.Config {
+	const qps = 800.0 // per tenant
+	cfg := driver.Config{Seed: 42, Duration: float64(requests) / (3 * qps)}
+	for _, name := range []string{"a", "b", "c"} {
+		cfg.Tenants = append(cfg.Tenants, driver.TenantConfig{
+			Name: name, Mix: testMix(t), Arrival: driver.Arrival{Process: driver.Poisson, QPS: qps},
+		})
+	}
+	return cfg
+}
+
+// TestOpenLoopCalendarDepth pins the calendar's depth during an
+// open-loop run: the driver books one arrival per tenant at a time, so
+// the calendar holds the in-flight work plus one event per tenant, not
+// the ~7,200 arrivals of the whole horizon.
+func TestOpenLoopCalendarDepth(t *testing.T) {
+	p := platform.Default()
+	peak := 0
+	p.Sim.SetTracer(func(sim.Time, string) { peak = max(peak, p.Sim.Pending()) })
+	res, err := driver.Run(p, openLoopConfig(t, 7200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Offered < 7000 {
+		t.Fatalf("offered %d requests, want about 7,200", res.Offered)
+	}
+	if peak >= 64 {
+		t.Errorf("calendar peaked at %d pending events, want fewer than 64", peak)
+	}
+}
+
+// BenchmarkServeOpenLoop measures one open-loop serving run of about 360
+// requests from three Poisson tenants on a fresh platform: the driver,
+// exec replay, the device models and the event kernel together.
+func BenchmarkServeOpenLoop(b *testing.B) {
+	cfg := openLoopConfig(b, 360)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := driver.Run(platform.Default(), cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -190,6 +190,7 @@ type executor struct {
 	err      error
 
 	totalCSDWork float64 // kernel+glue work across CSD-assigned records
+	csdRecords   int     // CSD-assigned records: the most progress points a run appends
 	doneCSDWork  float64
 	lastObserved float64
 
@@ -204,6 +205,9 @@ type executor struct {
 	nvmeRetries0  uint64
 	done          bool
 	notify        func(*Result, error) // invoked exactly once; nil after it fires
+
+	callDone func(nvme.Completion) // onCallDone, bound once
+	runs     []*lineRun            // finished line runs; see lineRun
 }
 
 // Handle is an in-flight execution started by Launch. Its accessors are
@@ -273,9 +277,11 @@ func Launch(p *platform.Platform, trace *interp.Trace, opts Options, done func(*
 		}
 		e.breaker = resilience.NewBreaker(pol.Breaker)
 	}
+	e.callDone = e.onCallDone
 	for i := range trace.Records {
 		if opts.Partition.OnCSD(trace.Records[i].Line) {
 			e.totalCSDWork += recordWork(&trace.Records[i])
+			e.csdRecords++
 		}
 	}
 	e.d2hBytes0 = p.Topo.D2H.TotalBytes()
@@ -435,38 +441,37 @@ func (e *executor) dispatch(rec *interp.LineRecord, unit Unit) {
 		if pol := e.opts.Resilience; pol != nil && pol.LineDeadline > 0 {
 			deadline = e.p.Sim.Now() + pol.LineDeadline
 		}
+		// The payload names its own record: the queue pair may run it
+		// again on a re-issue, and a run may start after the host gave
+		// up on this attempt.
 		e.p.Host.CallDeadline(e.p.Dev, csd.Call(func(_ *csd.Device, done func(uint16, any)) {
 			// The CSE has picked the call up: everything since dispatch was
 			// queue traversal. Observation only — a nil collector no-ops.
 			e.opts.Obs.Queue(rec.Line, e.p.Sim.Now(), e.p.Sim.Now()-e.lineStart)
-			e.runRecord(rec, UnitCSD, func(err error) {
-				if err != nil {
-					done(nvme.StatusMediaError, err.Error())
-					return
-				}
-				done(0, nil)
-			})
-		}), deadline, func(c nvme.Completion) {
-			if c.Status != nvme.StatusOK {
-				if c.Status == nvme.StatusDeadline {
-					e.res.DeadlineMisses++
-				}
-				e.failLine(rec, UnitCSD, fmt.Errorf(
-					"exec: record %d (line %d): CSD call failed with NVMe status %#x (%v)",
-					e.idx, rec.Line, c.Status, c.Value))
-				return
-			}
-			e.afterRecord(rec, UnitCSD)
-		})
+			e.runRecord(rec, UnitCSD, done)
+		}), deadline, e.callDone)
 		return
 	}
-	e.runRecord(rec, unit, func(err error) {
-		if err != nil {
-			e.failLine(rec, unit, fmt.Errorf("exec: record %d (line %d) on %s: %w", e.idx, rec.Line, unit, err))
-			return
+	e.runRecord(rec, unit, nil)
+}
+
+// onCallDone is the host side of an offloaded line's call: its completion
+// from the queue pair, or the failure the queue pair synthesized. It is
+// bound once per request as callDone. The executor has one call
+// outstanding at a time and stays on its record until the call settles,
+// so the call is always the current record's.
+func (e *executor) onCallDone(c nvme.Completion) {
+	rec := &e.trace.Records[e.idx]
+	if c.Status != nvme.StatusOK {
+		if c.Status == nvme.StatusDeadline {
+			e.res.DeadlineMisses++
 		}
-		e.afterRecord(rec, unit)
-	})
+		e.failLine(rec, UnitCSD, fmt.Errorf(
+			"exec: record %d (line %d): CSD call failed with NVMe status %#x (%v)",
+			e.idx, rec.Line, c.Status, c.Value))
+		return
+	}
+	e.afterRecord(rec, UnitCSD)
 }
 
 // failLine walks a failed line down the degradation ladder of
@@ -550,6 +555,9 @@ func (e *executor) afterRecord(rec *interp.LineRecord, unit Unit) {
 		frac := 1.0
 		if e.totalCSDWork > 0 {
 			frac = e.doneCSDWork / e.totalCSDWork
+		}
+		if e.res.CSDProgress == nil {
+			e.res.CSDProgress = make([]Progress, 0, e.csdRecords)
 		}
 		e.res.CSDProgress = append(e.res.CSDProgress, Progress{
 			Time: e.p.Sim.Now(),

@@ -296,3 +296,51 @@ func TestPreemptIgnoredWithoutMigration(t *testing.T) {
 		t.Error("static configuration must not migrate")
 	}
 }
+
+// loopTrace fabricates n dynamic records alternating between two lines
+// that hand one variable back and forth, with kernel, glue and copy work.
+// It has no storage reads: flash.Array's read callbacks allocate, and
+// they are not the executor's.
+func loopTrace(n int) *interp.Trace {
+	tr := &interp.Trace{}
+	for i := 0; i < n; i++ {
+		tr.Records = append(tr.Records, interp.LineRecord{
+			Line:   1 + i%2,
+			Cost:   value.Cost{KernelWork: 1e6, GlueWork: 1e4, CopyBytes: 4096},
+			Reads:  []interp.VarUse{{Name: "x", Bytes: 4096}},
+			Writes: []interp.VarUse{{Name: "x", Bytes: 4096}},
+		})
+	}
+	return tr
+}
+
+// TestReplayAllocationsPerRecord pins the executor's allocation
+// discipline: a replayed record allocates nothing on the direct path and
+// only its call payload on the call-queue path. Line 1 runs on the CSD
+// and line 2 on the host, so every record also pulls the variable across
+// the link. Per-run costs (the platform, the executor, its pools) cancel
+// in the difference between traces of n and 2n records.
+func TestReplayAllocationsPerRecord(t *testing.T) {
+	const n = 200
+	for _, tc := range []struct {
+		name      string
+		callQueue bool
+		want      float64 // allocations per offloaded record
+	}{{"direct", false, 0}, {"call queue", true, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs := func(records int) float64 {
+				tr := loopTrace(records)
+				opts := Options{Backend: codegen.Native, Partition: codegen.NewPartition(1), UseCallQueue: tc.callQueue}
+				return testing.AllocsPerRun(5, func() {
+					if _, err := Run(platform.Default(), tr, opts); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			offloaded := float64(n / 2)
+			if per := (allocs(2*n) - allocs(n)) / offloaded; per > tc.want {
+				t.Errorf("%.2f allocations per offloaded record, want at most %v", per, tc.want)
+			}
+		})
+	}
+}

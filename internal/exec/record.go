@@ -1,58 +1,91 @@
 package exec
 
 import (
+	"fmt"
+
 	"activego/internal/lang/interp"
+	"activego/internal/nvme"
 	"activego/internal/sim"
 )
 
-// runRecord bills one dynamic line on the given unit and calls done when
-// its last event completes (with the storage error, if the line's data
-// access failed). The phases run strictly in sequence, the way a single
-// program thread experiences them: pull remote operands, read storage,
-// compute, then (on the CSD) emit the status update.
-func (e *executor) runRecord(rec *interp.LineRecord, unit Unit, done func(err error)) {
-	e.pullRemoteReads(rec, unit, func() {
-		e.readStorage(rec, unit, func(err error) {
-			if err != nil {
-				// The line's data never materialized; computing on it
-				// would be garbage-in. Fail the line at this phase.
-				done(err)
-				return
+// lineRun is one run of one dynamic line on one unit: the fan-in state
+// its phases share, and its phase continuations, bound once when the
+// record is first allocated. Runs are pooled on their executor, and a
+// finished run returns to the pool before its continuation runs.
+//
+// A device run can outlive the attempt that posted it: the host gives up
+// at a deadline or a timeout, or the queue pair re-issues the command
+// while the first issue still runs. Such a run keeps its own lineRun,
+// and its record is the one the call payload named, never the
+// executor's current one.
+type lineRun struct {
+	e    *executor
+	rec  *interp.LineRecord
+	unit Unit
+	// device is the csd.Call completion of a call-queue run; nil on the
+	// direct path, where the run's end feeds the executor itself.
+	device    func(status uint16, value any)
+	remaining int   // kernel shards, or host read stages, still running
+	readErr   error // the host array read's error, held for the link stream
+
+	pulled, streamed, shardDone, glueDone, copied func(start, end sim.Time)
+	read, hostRead                                func(start, end sim.Time, err error)
+}
+
+// runRecord bills one dynamic line on the given unit. The phases run
+// strictly in sequence, the way a single program thread experiences
+// them: pull remote operands, read storage, compute, then (on the CSD)
+// emit the status update. A call-queue run reports to device, the
+// csd.Call completion; a direct run (device nil) hands the line back to
+// the executor, or walks the failure ladder if its data access failed.
+func (e *executor) runRecord(rec *interp.LineRecord, unit Unit, device func(uint16, any)) {
+	var r *lineRun
+	if n := len(e.runs); n > 0 {
+		r = e.runs[n-1]
+		e.runs[n-1] = nil
+		e.runs = e.runs[:n-1]
+	} else {
+		r = &lineRun{e: e}
+		r.pulled = func(_, _ sim.Time) { r.readStorage() }
+		r.streamed = func(_, _ sim.Time) { r.stageDone(nil) }
+		r.hostRead = func(_, _ sim.Time, err error) { r.stageDone(err) }
+		r.read = func(_, _ sim.Time, err error) { r.afterRead(err) }
+		r.shardDone = func(_, _ sim.Time) {
+			r.remaining--
+			if r.remaining == 0 {
+				r.glue()
 			}
-			e.compute(rec, unit, func() {
-				if unit == UnitCSD {
-					// Status updates are fire-and-forget (§III-C-b): the
-					// line does not stall on the report landing.
-					e.p.Dev.SendStatus(nil)
-				}
-				done(nil)
-			})
-		})
-	})
+		}
+		r.glueDone = func(_, _ sim.Time) { r.copy() }
+		r.copied = func(_, _ sim.Time) { r.computed() }
+	}
+	r.rec, r.unit, r.device = rec, unit, device
+	r.pullRemoteReads()
 }
 
 // pullRemoteReads moves any consumed variables that live on the other
 // side of the link. In the shared address space this is a remote access;
 // the executor models it with move semantics so repeated consumers pay
 // once.
-func (e *executor) pullRemoteReads(rec *interp.LineRecord, unit Unit, done func()) {
+func (r *lineRun) pullRemoteReads() {
+	e := r.e
 	var bytes int64
-	for _, r := range rec.Reads {
-		st, ok := e.varHome[r.Name]
+	for _, rd := range r.rec.Reads {
+		st, ok := e.varHome[rd.Name]
 		if !ok {
 			continue
 		}
-		if st.unit != unit {
+		if st.unit != r.unit {
 			bytes += st.bytes
-			st.unit = unit
-			e.varHome[r.Name] = st
+			st.unit = r.unit
+			e.varHome[rd.Name] = st
 		}
 	}
 	if bytes == 0 {
-		done()
+		r.readStorage()
 		return
 	}
-	e.p.Topo.D2H.Transfer(float64(bytes), func(_, _ sim.Time) { done() })
+	e.p.Topo.D2H.Transfer(float64(bytes), r.pulled)
 }
 
 // readStorage bills the line's data-access volume: the flash array always
@@ -61,74 +94,111 @@ func (e *executor) pullRemoteReads(rec *interp.LineRecord, unit Unit, done func(
 // link stream proceed in a pipeline (NVMe reads stream pages as they are
 // sensed), so the host path costs the *slower* of the two stages, not
 // their sum; both queues are still occupied for contention purposes.
-func (e *executor) readStorage(rec *interp.LineRecord, unit Unit, done func(err error)) {
-	bytes := rec.Cost.StorageBytes
+func (r *lineRun) readStorage() {
+	e := r.e
+	bytes := r.rec.Cost.StorageBytes
 	if bytes == 0 {
-		done(nil)
+		r.compute()
 		return
 	}
-	if unit == UnitHost {
-		remaining := 2
-		var readErr error
-		dec := func(err error) {
-			if err != nil {
-				readErr = err
-			}
-			remaining--
-			if remaining == 0 {
-				done(readErr)
-			}
-		}
-		e.p.Dev.Array.ReadChecked(bytes, func(_, _ sim.Time, err error) { dec(err) })
-		e.p.Topo.D2H.Transfer(float64(bytes), func(_, _ sim.Time) { dec(nil) })
+	if r.unit == UnitHost {
+		r.remaining, r.readErr = 2, nil
+		e.p.Dev.Array.ReadChecked(bytes, r.hostRead)
+		e.p.Topo.D2H.Transfer(float64(bytes), r.streamed)
 		return
 	}
-	e.p.Dev.Array.ReadChecked(bytes, func(_, _ sim.Time, err error) { done(err) })
+	e.p.Dev.Array.ReadChecked(bytes, r.read)
+}
+
+// stageDone counts down the host path's array read and link stream.
+func (r *lineRun) stageDone(err error) {
+	if err != nil {
+		r.readErr = err
+	}
+	r.remaining--
+	if r.remaining == 0 {
+		r.afterRead(r.readErr)
+	}
+}
+
+func (r *lineRun) afterRead(err error) {
+	if err != nil {
+		// The line's data never materialized; computing on it would be
+		// garbage-in. Fail the line at this phase.
+		r.end(err)
+		return
+	}
+	r.compute()
+}
+
+// units returns the compute resource and memory bus of the run's unit.
+func (r *lineRun) units() (*sim.Resource, *sim.Link) {
+	if r.unit == UnitCSD {
+		return r.e.p.Dev.CSE, r.e.p.Topo.DevMem
+	}
+	return r.e.p.Host.CPU, r.e.p.Topo.HostMem
 }
 
 // compute bills kernel work (data-parallel across the unit's cores),
 // surviving glue (serial), and wrapper copies (memory bus), in sequence.
-func (e *executor) compute(rec *interp.LineRecord, unit Unit, done func()) {
-	res := e.p.Host.CPU
-	mem := e.p.Topo.HostMem
-	if unit == UnitCSD {
-		res = e.p.Dev.CSE
-		mem = e.p.Topo.DevMem
-	}
-	b := e.opts.Backend
-
-	kernelDone := func() {
-		glue := b.GlueFactor * rec.Cost.GlueWork
-		glueDone := func() {
-			if !b.CopyElim && rec.Cost.CopyBytes > 0 {
-				mem.Transfer(float64(rec.Cost.CopyBytes), func(_, _ sim.Time) { done() })
-				return
-			}
-			done()
-		}
-		if glue <= 0 {
-			glueDone()
-			return
-		}
-		res.Submit(glue, func(_, _ sim.Time) { glueDone() })
-	}
-
-	work := rec.Cost.KernelWork
+func (r *lineRun) compute() {
+	work := r.rec.Cost.KernelWork
 	if work <= 0 {
-		kernelDone()
+		r.glue()
 		return
 	}
 	// Data-parallel: split across the unit's cores, complete when the
 	// slowest shard finishes.
+	res, _ := r.units()
 	cores := res.Cores()
-	remaining := cores
+	r.remaining = cores
 	shard := work / float64(cores)
 	for i := 0; i < cores; i++ {
-		res.Submit(shard, func(_, _ sim.Time) {
-			remaining--
-			if remaining == 0 {
-				kernelDone()
-			}
-		})
+		res.Submit(shard, r.shardDone)
+	}
+}
+
+func (r *lineRun) glue() {
+	glue := r.e.opts.Backend.GlueFactor * r.rec.Cost.GlueWork
+	if glue <= 0 {
+		r.copy()
+		return
+	}
+	res, _ := r.units()
+	res.Submit(glue, r.glueDone)
+}
+
+func (r *lineRun) copy() {
+	if b := r.e.opts.Backend; !b.CopyElim && r.rec.Cost.CopyBytes > 0 {
+		_, mem := r.units()
+		mem.Transfer(float64(r.rec.Cost.CopyBytes), r.copied)
+		return
+	}
+	r.computed()
+}
+
+func (r *lineRun) computed() {
+	if r.unit == UnitCSD {
+		// Status updates are fire-and-forget (§III-C-b): the line does
+		// not stall on the report landing.
+		r.e.p.Dev.SendStatus(nil)
+	}
+	r.end(nil)
+}
+
+// end returns the run to the pool and reports its outcome.
+func (r *lineRun) end(err error) {
+	e, rec, unit, device := r.e, r.rec, r.unit, r.device
+	r.rec, r.device, r.readErr = nil, nil, nil
+	e.runs = append(e.runs, r)
+	switch {
+	case device != nil && err != nil:
+		device(nvme.StatusMediaError, err.Error())
+	case device != nil:
+		device(0, nil)
+	case err != nil:
+		e.failLine(rec, unit, fmt.Errorf("exec: record %d (line %d) on %s: %w", e.idx, rec.Line, unit, err))
+	default:
+		e.afterRecord(rec, unit)
 	}
 }

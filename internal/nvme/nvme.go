@@ -151,6 +151,7 @@ type QueuePair struct {
 	soft       []pending // host-side software queue when SQ is full
 	live       []*issued // device-owned commands, issue order
 	cqInFlight int       // completion entries crossing back over the link
+	free       []*issued // released command records; see issued
 
 	submitted uint64
 	completed uint64
@@ -170,15 +171,43 @@ type pending struct {
 	attempt  int // issue attempts already consumed
 }
 
-// issued is one command the hardware queue currently owns. settled flips
-// exactly once — on normal completion, timer expiry, or abort — and every
-// later signal for the command (a late CQE, a stale timer) is discarded
-// against it.
+// issued is one issue of a command, owned by two sides. The host owns it
+// until it settles the command: settled flips exactly once, on the CQE
+// landing, a timer expiry or an abort, and every later signal for the
+// command (a late completion, a stale timer) is discarded against it.
+// The device side owns it from the SQE crossing until the SQE lands after
+// a settle, the command is lost, the completion is dropped, a late
+// completion is discarded, or the CQE lands.
+//
+// Records are pooled on their QueuePair and go back to the pool only when
+// both sides have let go, so no device signal ever lands on a reused
+// record. Each record binds its timer, SQE-landed, device-done and
+// CQE-landed continuations once, when it is first allocated, so issuing a
+// command allocates nothing in steady state.
 type issued struct {
+	q       *QueuePair
 	p       pending
 	timer   *sim.Event
+	gen     uint64     // issues this record has carried; see AbortAll
+	arrive  sim.Time   // when the SQE landed on the device
+	c       Completion // the device's completion while its CQE crosses back
 	settled bool
+	stage   stage
+
+	expired              func()
+	sqeLanded, cqeLanded func(start, end sim.Time)
+	complete             func(Completion)
 }
+
+// stage is where the device side of an issued command is.
+type stage uint8
+
+const (
+	stageSQE    stage = iota // the SQE is crossing to the device
+	stageDevice              // the handler owns the command
+	stageCQE                 // the CQE is crossing back to the host
+	stageDone                // the device side let go
+)
 
 // NewQueuePair creates a queue pair of the given depth over link, served
 // by handler on the device side.
@@ -271,7 +300,7 @@ func (q *QueuePair) issue(p pending) {
 	}
 	q.inFlight++
 	q.sim.Recorder().Sample(metrics.SeriesNVMeSQDepth, q.sim.Now(), float64(q.inFlight))
-	is := &issued{p: p}
+	is := q.acquire(p)
 	q.live = append(q.live, is)
 	timeout := q.retry.Timeout
 	if p.deadline > 0 {
@@ -280,62 +309,128 @@ func (q *QueuePair) issue(p pending) {
 		}
 	}
 	if timeout > 0 {
-		is.timer = q.sim.AfterNamed(timeout, "nvme-timeout", func() { q.expire(is) })
+		is.timer = q.sim.AfterNamed(timeout, "nvme-timeout", is.expired)
 	}
 	// SQE + doorbell crossing to the device.
-	q.link.Transfer(SQESize, func(_, arrive sim.Time) {
-		if is.settled {
-			return // host aborted while the SQE was on the wire
-		}
-		if q.faults.Decide(fault.NVMeCommandLoss, q.sim.Now()) {
-			// The command vanishes before the device parses it; only the
-			// completion timer (if armed) recovers the slot.
-			q.lost++
-			return
-		}
-		q.handler(p.cmd, p.when, func(c Completion) {
-			if is.settled {
-				return // late completion of an aborted command: discarded
-			}
-			if c.Status == StatusOK && q.faults.Decide(fault.NVMeCompletionDrop, q.sim.Now()) {
-				q.dropped++
-				return
-			}
-			c.Submitted = p.when
-			if c.Started == 0 {
-				c.Started = arrive
-			}
-			// CQE crossing back to the host.
-			q.cqInFlight++
-			q.sim.Recorder().Sample(metrics.SeriesNVMeCQInFlight, q.sim.Now(), float64(q.cqInFlight))
-			q.link.Transfer(CQESize, func(_, landed sim.Time) {
-				q.cqInFlight--
-				q.sim.Recorder().Sample(metrics.SeriesNVMeCQInFlight, landed, float64(q.cqInFlight))
-				if is.settled {
-					return // host timed out while the CQE was on the wire
-				}
-				q.settle(is)
-				if rec := q.sim.Recorder(); rec != nil {
-					rec.Span("nvme", "nvme", p.cmd.Opcode.String(), p.when, landed,
-						trace.Arg{Key: "status", Value: c.Status},
-						trace.Arg{Key: "attempt", Value: p.attempt + 1})
-				}
-				c.Completed = landed
-				q.completed++
-				if p.done != nil {
-					p.done(c)
-				}
-			})
-		})
-	})
+	q.link.Transfer(SQESize, is.sqeLanded)
+}
+
+// acquire takes a command record from the pool, or allocates one and
+// binds its continuations.
+func (q *QueuePair) acquire(p pending) *issued {
+	var is *issued
+	if n := len(q.free); n > 0 {
+		is = q.free[n-1]
+		q.free[n-1] = nil
+		q.free = q.free[:n-1]
+	} else {
+		is = &issued{q: q}
+		is.expired = is.onTimer
+		is.sqeLanded = is.onSQE
+		is.complete = is.onComplete
+		is.cqeLanded = is.onCQE
+	}
+	is.p, is.settled, is.stage = p, false, stageSQE
+	is.gen++
+	return is
+}
+
+// letGo records that the device side is done with is.
+func (q *QueuePair) letGo(is *issued) {
+	is.stage = stageDone
+	q.release(is)
+}
+
+// release returns is to the pool once the host has settled it and the
+// device side has let go of it. The record drops its command and
+// callbacks, so the pool pins nothing a caller handed in.
+func (q *QueuePair) release(is *issued) {
+	if !is.settled || is.stage != stageDone {
+		return
+	}
+	is.p, is.c = pending{}, Completion{}
+	q.free = append(q.free, is)
+}
+
+func (is *issued) onTimer() { is.q.expire(is) }
+
+func (is *issued) onSQE(_, arrive sim.Time) {
+	q := is.q
+	if is.settled {
+		q.letGo(is)
+		return // host aborted while the SQE was on the wire
+	}
+	if q.faults.Decide(fault.NVMeCommandLoss, q.sim.Now()) {
+		// The command vanishes before the device parses it; only the
+		// completion timer (if armed) recovers the slot.
+		q.lost++
+		q.letGo(is)
+		return
+	}
+	is.arrive = arrive
+	is.stage = stageDevice
+	q.handler(is.p.cmd, is.p.when, is.complete)
+}
+
+func (is *issued) onComplete(c Completion) {
+	q := is.q
+	if is.stage != stageDevice {
+		panic("nvme: handler completed a command twice")
+	}
+	if is.settled {
+		q.letGo(is)
+		return // late completion of an aborted command: discarded
+	}
+	if c.Status == StatusOK && q.faults.Decide(fault.NVMeCompletionDrop, q.sim.Now()) {
+		q.dropped++
+		q.letGo(is)
+		return
+	}
+	c.Submitted = is.p.when
+	if c.Started == 0 {
+		c.Started = is.arrive
+	}
+	// CQE crossing back to the host.
+	q.cqInFlight++
+	q.sim.Recorder().Sample(metrics.SeriesNVMeCQInFlight, q.sim.Now(), float64(q.cqInFlight))
+	is.c = c
+	is.stage = stageCQE
+	q.link.Transfer(CQESize, is.cqeLanded)
+}
+
+func (is *issued) onCQE(_, landed sim.Time) {
+	q := is.q
+	q.cqInFlight--
+	q.sim.Recorder().Sample(metrics.SeriesNVMeCQInFlight, landed, float64(q.cqInFlight))
+	if is.settled {
+		q.letGo(is)
+		return // host timed out while the CQE was on the wire
+	}
+	// Both sides let go here, so settle releases the record: read what
+	// the submitter needs first.
+	p, c := is.p, is.c
+	is.stage = stageDone
+	q.settle(is)
+	if rec := q.sim.Recorder(); rec != nil {
+		rec.Span("nvme", "nvme", p.cmd.Opcode.String(), p.when, landed,
+			trace.Arg{Key: "status", Value: c.Status},
+			trace.Arg{Key: "attempt", Value: p.attempt + 1})
+	}
+	c.Completed = landed
+	q.completed++
+	if p.done != nil {
+		p.done(c)
+	}
 }
 
 // settle releases is's hardware slot exactly once: stop its timer, free
-// the queue entry, and pull the next software-queued command in.
+// the queue entry, return the record to the pool if the device side is
+// done with it too, and pull the next software-queued command in.
 func (q *QueuePair) settle(is *issued) {
 	is.settled = true
 	if is.timer != nil {
 		is.timer.Cancel()
+		is.timer = nil
 	}
 	for i, v := range q.live {
 		if v == is {
@@ -343,6 +438,7 @@ func (q *QueuePair) settle(is *issued) {
 			break
 		}
 	}
+	q.release(is)
 	q.inFlight--
 	q.sim.Recorder().Sample(metrics.SeriesNVMeSQDepth, q.sim.Now(), float64(q.inFlight))
 	// Pull software-queued commands in; issue can decline one whose
@@ -381,8 +477,8 @@ func (q *QueuePair) fail(is *issued, status uint16) {
 	if is.settled {
 		return
 	}
+	p := is.p // settle may hand the record to the next command
 	q.settle(is)
-	p := is.p
 	if p.attempt+1 < q.retry.maxAttempts() {
 		backoff := q.retry.Backoff * float64(uint64(1)<<uint(p.attempt))
 		if p.deadline == 0 || q.sim.Now()+backoff < p.deadline {
@@ -409,14 +505,23 @@ func (q *QueuePair) fail(is *issued, status uint16) {
 // AbortAll fails every device-owned command with the given status — the
 // controller-reset path. Each aborted command still walks the retry
 // ladder, so with a RetryPolicy armed the host re-drives it once the
-// device returns.
+// device returns. The walk covers a snapshot of the live commands; one
+// settled before the walk reaches it (by a completion callback the walk
+// ran) is skipped, and so is its record if it was already reused.
 func (q *QueuePair) AbortAll(status uint16) {
-	live := append([]*issued(nil), q.live...)
-	for _, is := range live {
-		if is.settled {
+	type snap struct {
+		is  *issued
+		gen uint64
+	}
+	live := make([]snap, len(q.live))
+	for i, is := range q.live {
+		live[i] = snap{is, is.gen}
+	}
+	for _, l := range live {
+		if l.is.settled || l.is.gen != l.gen {
 			continue
 		}
 		q.aborted++
-		q.fail(is, status)
+		q.fail(l.is, status)
 	}
 }

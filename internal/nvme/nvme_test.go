@@ -1,10 +1,15 @@
 package nvme
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"activego/internal/fault"
+	"activego/internal/metrics"
 	"activego/internal/sim"
+	"activego/internal/trace"
 )
 
 func echoHandler(delay float64, s *sim.Sim) Handler {
@@ -397,5 +402,461 @@ func TestDeadlineExpiresInSoftQueue(t *testing.T) {
 	}
 	if qp.InFlight() != 0 || qp.SoftQueued() != 0 {
 		t.Errorf("queues not drained: %d/%d", qp.InFlight(), qp.SoftQueued())
+	}
+}
+
+// The reference model: the closure-based queue pair as it stood before
+// command records were pooled, kept verbatim apart from the renames. The
+// pooled QueuePair must reproduce it completion for completion.
+
+// refQueuePair is one SQ/CQ pair bound to a link and a device handler.
+type refQueuePair struct {
+	sim     *sim.Sim
+	link    *sim.Link
+	depth   int
+	handler Handler
+	faults  *fault.Plan
+	retry   RetryPolicy
+
+	inFlight   int
+	soft       []refPending // host-side software queue when SQ is full
+	live       []*refIssued // device-owned commands, issue order
+	cqInFlight int          // completion entries crossing back over the link
+
+	submitted uint64
+	completed uint64
+	timeouts  uint64
+	retries   uint64
+	dropped   uint64 // injected completion drops
+	lost      uint64 // injected command losses
+	aborted   uint64 // commands failed by AbortAll (device reset)
+	deadlined uint64 // commands abandoned at their deadline
+}
+
+type refPending struct {
+	cmd      Command
+	when     sim.Time
+	deadline sim.Time // absolute give-up instant; 0 = none
+	done     func(Completion)
+	attempt  int // issue attempts already consumed
+}
+
+// refIssued is one command the hardware queue currently owns. settled flips
+// exactly once — on normal completion, timer expiry, or abort — and every
+// later signal for the command (a late CQE, a stale timer) is discarded
+// against it.
+type refIssued struct {
+	p       refPending
+	timer   *sim.Event
+	settled bool
+}
+
+// newRefQueuePair creates a queue pair of the given depth over link, served
+// by handler on the device side.
+func newRefQueuePair(s *sim.Sim, link *sim.Link, depth int, handler Handler) *refQueuePair {
+	if depth <= 0 {
+		panic("nvme: queue depth must be positive")
+	}
+	if handler == nil {
+		panic("nvme: nil handler")
+	}
+	return &refQueuePair{sim: s, link: link, depth: depth, handler: handler}
+}
+
+// Submit posts cmd; done fires on the host side when the completion entry
+// has crossed back over the link (or, under a RetryPolicy, when the host
+// gives up on the command and synthesizes a failure completion).
+func (q *refQueuePair) Submit(cmd Command, done func(Completion)) {
+	q.SubmitDeadline(cmd, 0, done)
+}
+
+// SubmitDeadline is Submit with an absolute per-command deadline in
+// simulated time. Once the clock reaches deadline the host stops
+// waiting: the in-flight attempt is abandoned exactly like a completion
+// timer expiry (the completion timer is shortened to fire no later than
+// the deadline), no further retries are scheduled, and the submitter
+// sees a synthesized StatusDeadline completion. A zero deadline disables
+// the budget, making SubmitDeadline(cmd, 0, done) identical to Submit.
+// Deadlines work with or without a RetryPolicy — an unsupervised command
+// still gets a timer at its deadline, so a deadlined command can never
+// strand the queue pair.
+func (q *refQueuePair) SubmitDeadline(cmd Command, deadline sim.Time, done func(Completion)) {
+	q.submitted++
+	q.enqueue(refPending{cmd: cmd, when: q.sim.Now(), deadline: deadline, done: done})
+}
+
+func (q *refQueuePair) enqueue(p refPending) {
+	if q.inFlight >= q.depth {
+		q.soft = append(q.soft, p)
+		q.sim.Recorder().Sample(metrics.SeriesNVMeSoftQueue, q.sim.Now(), float64(len(q.soft)))
+		return
+	}
+	q.issue(p)
+}
+
+func (q *refQueuePair) issue(p refPending) {
+	if p.deadline > 0 && q.sim.Now() >= p.deadline {
+		// The deadline passed while the command sat in the software queue
+		// (or between retry attempts): abandon it without consuming a
+		// hardware slot.
+		q.deadlined++
+		if p.done != nil {
+			p.done(Completion{Status: StatusDeadline, Submitted: p.when, Completed: q.sim.Now()})
+		}
+		return
+	}
+	q.inFlight++
+	q.sim.Recorder().Sample(metrics.SeriesNVMeSQDepth, q.sim.Now(), float64(q.inFlight))
+	is := &refIssued{p: p}
+	q.live = append(q.live, is)
+	timeout := q.retry.Timeout
+	if p.deadline > 0 {
+		if remain := p.deadline - q.sim.Now(); timeout <= 0 || remain < timeout {
+			timeout = remain
+		}
+	}
+	if timeout > 0 {
+		is.timer = q.sim.AfterNamed(timeout, "nvme-timeout", func() { q.expire(is) })
+	}
+	// SQE + doorbell crossing to the device.
+	q.link.Transfer(SQESize, func(_, arrive sim.Time) {
+		if is.settled {
+			return // host aborted while the SQE was on the wire
+		}
+		if q.faults.Decide(fault.NVMeCommandLoss, q.sim.Now()) {
+			// The command vanishes before the device parses it; only the
+			// completion timer (if armed) recovers the slot.
+			q.lost++
+			return
+		}
+		q.handler(p.cmd, p.when, func(c Completion) {
+			if is.settled {
+				return // late completion of an aborted command: discarded
+			}
+			if c.Status == StatusOK && q.faults.Decide(fault.NVMeCompletionDrop, q.sim.Now()) {
+				q.dropped++
+				return
+			}
+			c.Submitted = p.when
+			if c.Started == 0 {
+				c.Started = arrive
+			}
+			// CQE crossing back to the host.
+			q.cqInFlight++
+			q.sim.Recorder().Sample(metrics.SeriesNVMeCQInFlight, q.sim.Now(), float64(q.cqInFlight))
+			q.link.Transfer(CQESize, func(_, landed sim.Time) {
+				q.cqInFlight--
+				q.sim.Recorder().Sample(metrics.SeriesNVMeCQInFlight, landed, float64(q.cqInFlight))
+				if is.settled {
+					return // host timed out while the CQE was on the wire
+				}
+				q.settle(is)
+				if rec := q.sim.Recorder(); rec != nil {
+					rec.Span("nvme", "nvme", p.cmd.Opcode.String(), p.when, landed,
+						trace.Arg{Key: "status", Value: c.Status},
+						trace.Arg{Key: "attempt", Value: p.attempt + 1})
+				}
+				c.Completed = landed
+				q.completed++
+				if p.done != nil {
+					p.done(c)
+				}
+			})
+		})
+	})
+}
+
+// settle releases is's hardware slot exactly once: stop its timer, free
+// the queue entry, and pull the next software-queued command in.
+func (q *refQueuePair) settle(is *refIssued) {
+	is.settled = true
+	if is.timer != nil {
+		is.timer.Cancel()
+	}
+	for i, v := range q.live {
+		if v == is {
+			q.live = append(q.live[:i], q.live[i+1:]...)
+			break
+		}
+	}
+	q.inFlight--
+	q.sim.Recorder().Sample(metrics.SeriesNVMeSQDepth, q.sim.Now(), float64(q.inFlight))
+	// Pull software-queued commands in; issue can decline one whose
+	// deadline already passed without taking the slot, so keep pulling
+	// until the slot is filled or the queue empties.
+	for q.inFlight < q.depth && len(q.soft) > 0 {
+		next := q.soft[0]
+		q.soft = q.soft[1:]
+		q.sim.Recorder().Sample(metrics.SeriesNVMeSoftQueue, q.sim.Now(), float64(len(q.soft)))
+		q.issue(next)
+	}
+}
+
+// expire handles a completion-timer expiry: abandon the command and run
+// the retry ladder. A timer that fired at (or past) the command's
+// deadline reports StatusDeadline — the host gave up by policy, not
+// because the device looked dead.
+func (q *refQueuePair) expire(is *refIssued) {
+	if is.settled {
+		return
+	}
+	q.timeouts++
+	q.sim.Recorder().Instant("nvme", "fault", "nvme-timeout", q.sim.Now())
+	status := StatusTimeout
+	if d := is.p.deadline; d > 0 && q.sim.Now() >= d {
+		status = StatusDeadline
+	}
+	q.fail(is, status)
+}
+
+// fail abandons is and either re-issues its command after exponential
+// backoff or, with attempts exhausted (or the deadline leaving no room
+// for another attempt), delivers a synthesized failure completion to the
+// submitter.
+func (q *refQueuePair) fail(is *refIssued, status uint16) {
+	if is.settled {
+		return
+	}
+	q.settle(is)
+	p := is.p
+	if p.attempt+1 < q.retry.maxAttempts() {
+		backoff := q.retry.Backoff * float64(uint64(1)<<uint(p.attempt))
+		if p.deadline == 0 || q.sim.Now()+backoff < p.deadline {
+			p.attempt++
+			q.retries++
+			q.sim.Recorder().Instant("nvme", "fault", "nvme-retry", q.sim.Now())
+			q.sim.AfterNamed(backoff, "nvme-retry", func() { q.enqueue(p) })
+			return
+		}
+		// Retry budget remains, but the next attempt would start past the
+		// deadline: stop here and surface the budget exhaustion.
+		status = StatusDeadline
+	} else if p.deadline > 0 && q.sim.Now() >= p.deadline {
+		status = StatusDeadline
+	}
+	if status == StatusDeadline {
+		q.deadlined++
+	}
+	if p.done != nil {
+		p.done(Completion{Status: status, Submitted: p.when, Completed: q.sim.Now()})
+	}
+}
+
+// AbortAll fails every device-owned command with the given status — the
+// controller-reset path. Each aborted command still walks the retry
+// ladder, so with a RetryPolicy armed the host re-drives it once the
+// device returns.
+func (q *refQueuePair) AbortAll(status uint16) {
+	live := append([]*refIssued(nil), q.live...)
+	for _, is := range live {
+		if is.settled {
+			continue
+		}
+		q.aborted++
+		q.fail(is, status)
+	}
+}
+
+// qpUnderTest is what the differential test drives on both queue pairs.
+type qpUnderTest interface {
+	SubmitDeadline(cmd Command, deadline sim.Time, done func(Completion))
+	AbortAll(status uint16)
+}
+
+// splitmix is the test's seeded draw source.
+type splitmix struct{ state uint64 }
+
+func (r *splitmix) uniform() float64 {
+	r.state += 0x9E3779B97F4A7C15
+	return float64(fault.Mix64(r.state)>>11) / (1 << 53)
+}
+
+// between draws uniformly from [lo, hi).
+func (r *splitmix) between(lo, hi float64) float64 { return lo + (hi-lo)*r.uniform() }
+
+// runSchedule drives one seeded schedule through a fresh queue pair —
+// the pooled one, or the reference — and returns the completion log and
+// the final counters. The schedule mixes submissions with and without
+// deadlines, command loss and completion drops, retry policies with
+// timeouts, resets (AbortAll) at random instants, handlers that complete
+// synchronously, after a delay, or with a media error, completion
+// callbacks that submit a follow-up command, and one that resets the
+// queue pair from inside an abort. For the pooled queue pair, stages
+// counts the stage of every live record each AbortAll walked over.
+func runSchedule(seed uint64, pooled bool, stages map[stage]int) (log []string, final string) {
+	r := &splitmix{state: seed}
+	s := sim.New()
+	link := sim.NewLink(s, "l", 1e9, 20e-6)
+	var retry RetryPolicy
+	if r.uniform() < 0.7 {
+		retry = RetryPolicy{Timeout: r.between(40e-6, 300e-6), MaxAttempts: 1 + int(4*r.uniform()), Backoff: r.between(5e-6, 50e-6)}
+	}
+	plan := fault.NewPlan(seed,
+		fault.Rule{Point: fault.NVMeCommandLoss, Rate: 0.3 * r.uniform()},
+		fault.Rule{Point: fault.NVMeCompletionDrop, Rate: 0.3 * r.uniform()})
+	depth := 1 + int(4*r.uniform())
+
+	// The k-th handler call's behaviour is a function of (seed, k), so
+	// both queue pairs see the same device as long as they call it in
+	// the same order.
+	calls := uint64(0)
+	handler := func(cmd Command, _ sim.Time, complete func(Completion)) {
+		h := &splitmix{state: seed ^ fault.Mix64(calls+1)}
+		calls++
+		c := Completion{Value: cmd.Offset}
+		if h.uniform() < 0.1 {
+			c.Status = StatusMediaError
+		}
+		if h.uniform() < 0.3 {
+			complete(c)
+			return
+		}
+		s.After(h.between(1e-6, 250e-6), func() { complete(c) })
+	}
+
+	const countersFormat = "faults=%d/%d/%d/%d/%d deadlined=%d stats=%d/%d live=%d/%d cq=%d events=%d now=%v"
+	var qp qpUnderTest
+	var probe func()           // runs before each reset
+	var counters func() string // the queue pair's final counters
+	if pooled {
+		q := NewQueuePair(s, link, depth, handler)
+		q.SetFaults(plan)
+		q.SetRetryPolicy(retry)
+		qp = q
+		probe = func() {
+			for _, is := range q.live {
+				stages[is.stage]++
+			}
+		}
+		counters = func() string {
+			timeouts, retries, dropped, lost, aborted := q.FaultStats()
+			sub, comp := q.Stats()
+			return fmt.Sprintf(countersFormat, timeouts, retries, dropped, lost, aborted, q.Deadlined(),
+				sub, comp, q.InFlight(), q.SoftQueued(), q.cqInFlight, s.EventsFired(), s.Now())
+		}
+	} else {
+		q := newRefQueuePair(s, link, depth, handler)
+		q.faults, q.retry = plan, retry
+		qp = q
+		probe = func() {}
+		counters = func() string {
+			return fmt.Sprintf(countersFormat, q.timeouts, q.retries, q.dropped, q.lost, q.aborted, q.deadlined,
+				q.submitted, q.completed, q.inFlight, len(q.soft), q.cqInFlight, s.EventsFired(), s.Now())
+		}
+	}
+
+	abort := func() {
+		probe()
+		qp.AbortAll(StatusAborted)
+	}
+	var submit func(id int64, deadline sim.Time)
+	submit = func(id int64, deadline sim.Time) {
+		follow := r.uniform()
+		qp.SubmitDeadline(Command{Opcode: OpCall, Offset: id}, deadline, func(c Completion) {
+			log = append(log, fmt.Sprintf("%d status=%#x value=%v submitted=%v started=%v completed=%v now=%v",
+				id, c.Status, c.Value, c.Submitted, c.Started, c.Completed, s.Now()))
+			switch {
+			case follow < 0.1:
+				submit(id+1000, 0)
+			case follow < 0.13 && c.Status == StatusAborted:
+				abort()
+			}
+		})
+	}
+	n := 10 + int(30*r.uniform())
+	for i := 0; i < n; i++ {
+		id := int64(i)
+		at := r.between(0, 1e-3)
+		var deadline sim.Time
+		if r.uniform() < 0.3 {
+			deadline = at + r.between(50e-6, 500e-6)
+		}
+		s.At(at, func() { submit(id, deadline) })
+	}
+	for i, resets := 0, int(4*r.uniform()); i < resets; i++ {
+		s.At(r.between(0, 1.2e-3), abort)
+	}
+	s.Run()
+	return log, counters()
+}
+
+// TestPooledQueuePairMatchesReference drives the pooled queue pair and
+// the closure-based reference through the same seeded schedules: both
+// must deliver the same completions in the same order, with the same
+// status, Submitted, Started and Completed, and end with the same
+// counters. The resets must catch live commands in each device stage.
+func TestPooledQueuePairMatchesReference(t *testing.T) {
+	stages := map[stage]int{}
+	for seed := uint64(1); seed <= 400; seed++ {
+		want, wantCounters := runSchedule(seed, false, nil)
+		got, gotCounters := runSchedule(seed, true, stages)
+		if !slices.Equal(got, want) || gotCounters != wantCounters {
+			t.Fatalf("seed %d: pooled queue pair diverged from the reference\ngot  %s\n%s\nwant %s\n%s",
+				seed, gotCounters, strings.Join(got, "\n"), wantCounters, strings.Join(want, "\n"))
+		}
+	}
+	for _, st := range []stage{stageSQE, stageDevice, stageCQE} {
+		if stages[st] == 0 {
+			t.Errorf("no reset caught a live command in stage %d (counts %v)", st, stages)
+		}
+	}
+}
+
+// TestQueuePairSteadyStateAllocFree pins the pooled records: once the
+// pool is primed, a command from Submit to its completion allocates
+// nothing, whether the handler completes at once or after a delay, and
+// with or without a completion timer. The handler and done are built
+// once, so what is measured is the queue pair's own bookkeeping.
+func TestQueuePairSteadyStateAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		delayed bool
+		retry   RetryPolicy
+	}{
+		{"sync handler", false, RetryPolicy{}},
+		{"delayed handler", true, RetryPolicy{}},
+		{"delayed handler with completion timer", true, DefaultRetryPolicy()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New()
+			var complete func(Completion)
+			fire := func() { complete(Completion{}) }
+			qp := NewQueuePair(s, sim.NewLink(s, "l", 1e9, 1e-6), 4, func(_ Command, _ sim.Time, c func(Completion)) {
+				if !tc.delayed {
+					c(Completion{})
+					return
+				}
+				complete = c
+				s.After(1e-5, fire)
+			})
+			qp.SetRetryPolicy(tc.retry)
+			done := func(Completion) {}
+			op := func() { qp.Submit(Command{Opcode: OpCall}, done); s.Run() }
+			op() // prime the pools
+			if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+				t.Errorf("steady state allocates %.1f objects/op, want 0", allocs)
+			}
+		})
+	}
+}
+
+// BenchmarkQueuePairCall measures one command from Submit to its
+// completion through a handler that completes after a delay, with the
+// completion timer armed. allocs/op should be zero.
+func BenchmarkQueuePairCall(b *testing.B) {
+	s := sim.New()
+	var complete func(Completion)
+	fire := func() { complete(Completion{}) }
+	qp := NewQueuePair(s, sim.NewLink(s, "l", 5e9, 1e-6), 64, func(_ Command, _ sim.Time, c func(Completion)) {
+		complete = c
+		s.After(1e-5, fire)
+	})
+	qp.SetRetryPolicy(DefaultRetryPolicy())
+	done := func(Completion) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		qp.Submit(Command{Opcode: OpCall}, done)
+		s.Run()
 	}
 }

@@ -9,7 +9,13 @@ import "fmt"
 // (internal/exec, Options.Obs); a nil *Collector makes every hook a
 // no-op, so the unobserved run is bit-identical.
 type Collector struct {
-	win *Windows
+	win   *Windows
+	names map[seriesKey]string // interned LineSeries names
+}
+
+type seriesKey struct {
+	line int
+	kind string
 }
 
 // NewCollector creates a collector over a fresh window set; like
@@ -19,7 +25,7 @@ func NewCollector(interval float64, keep int) *Collector {
 	if w == nil {
 		return nil
 	}
-	return &Collector{win: w}
+	return &Collector{win: w, names: map[seriesKey]string{}}
 }
 
 // Windows exposes the underlying window set (nil on a nil collector).
@@ -37,6 +43,18 @@ func LineSeries(line int, kind string) string {
 	return fmt.Sprintf("line%d.%s", line, kind)
 }
 
+// series returns LineSeries(line, kind), building each name once: the
+// hooks run on every observed line.
+func (c *Collector) series(line int, kind string) string {
+	k := seriesKey{line, kind}
+	name, ok := c.names[k]
+	if !ok {
+		name = LineSeries(line, kind)
+		c.names[k] = name
+	}
+	return name
+}
+
 // Line records one completed dynamic line execution: seconds of
 // simulated latency on the named unit ("csd" or "host") and the D2H
 // bytes the attempt moved (skipped when zero — most host lines move
@@ -45,10 +63,22 @@ func (c *Collector) Line(line int, unit string, t, seconds, d2hBytes float64) {
 	if c == nil {
 		return
 	}
-	c.win.Observe(LineSeries(line, unit+".seconds"), t, seconds)
+	c.win.Observe(c.series(line, secondsKind(unit)), t, seconds)
 	if d2hBytes > 0 {
-		c.win.Observe(LineSeries(line, "d2h.bytes"), t, d2hBytes)
+		c.win.Observe(c.series(line, "d2h.bytes"), t, d2hBytes)
 	}
+}
+
+// secondsKind is the series kind of a unit's compute seconds, without a
+// concatenation for the two units the executor reports.
+func secondsKind(unit string) string {
+	switch unit {
+	case "csd":
+		return "csd.seconds"
+	case "host":
+		return "host.seconds"
+	}
+	return unit + ".seconds"
 }
 
 // Queue records the call-queue wait an offloaded invocation saw between
@@ -57,7 +87,7 @@ func (c *Collector) Queue(line int, t, wait float64) {
 	if c == nil {
 		return
 	}
-	c.win.Observe(LineSeries(line, "queue.seconds"), t, wait)
+	c.win.Observe(c.series(line, "queue.seconds"), t, wait)
 }
 
 // Retry records one line re-post (fault recovery or resilience ladder).
@@ -65,5 +95,5 @@ func (c *Collector) Retry(line int, t float64) {
 	if c == nil {
 		return
 	}
-	c.win.Observe(LineSeries(line, "retries"), t, 1)
+	c.win.Observe(c.series(line, "retries"), t, 1)
 }

@@ -148,9 +148,11 @@ func TestCollectorSeries(t *testing.T) {
 	c.Line(4, "csd", 0.2, 3e-5, 4096)
 	c.Line(4, "csd", 0.4, 5e-5, 0) // zero D2H must not open a bytes cell
 	c.Line(9, "host", 0.3, 1e-6, 0)
+	c.Line(2, "gpu", 0.3, 1e-6, 0) // a unit outside the executor's two
 	c.Queue(4, 0.2, 2e-6)
 	c.Retry(4, 0.5)
-	want := []string{"line4.csd.seconds", "line4.d2h.bytes", "line4.queue.seconds", "line4.retries", "line9.host.seconds"}
+	c.Retry(4, 0.6) // the interned name must land in the same series
+	want := []string{"line2.gpu.seconds", "line4.csd.seconds", "line4.d2h.bytes", "line4.queue.seconds", "line4.retries", "line9.host.seconds"}
 	if got := c.Windows().Names(); !reflect.DeepEqual(got, want) {
 		t.Errorf("series = %v, want %v", got, want)
 	}
@@ -159,6 +161,9 @@ func TestCollectorSeries(t *testing.T) {
 	}
 	if s := c.Windows().Stats("line4.csd.seconds"); s[0].Count != 2 {
 		t.Errorf("csd seconds count %d, want 2", s[0].Count)
+	}
+	if s := c.Windows().Stats("line4.retries"); s[0].Count != 2 {
+		t.Errorf("retries count %d, want 2", s[0].Count)
 	}
 }
 
