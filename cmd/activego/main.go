@@ -6,7 +6,8 @@
 // Usage:
 //
 //	activego -workload tpch-6 [-scalediv N] [-seed S] [-availability F] [-no-migration]
-//	         [-resilience] [-trace out.json] [-tracesummary] [-metrics out.json]
+//	         [-resilience] [-profile] [-j N] [-planner P] [-obswindow W]
+//	         [-trace out.json] [-tracesummary] [-metrics out.json]
 //	         [-pprof cpu.pb] [-memprofile mem.pb]
 //	activego -workload tpch-6 -serve [-tenants N] [-arrival P] [-qps Q] [-duration D]
 //	activego -list
@@ -52,6 +53,9 @@ func main() {
 	showProfile := flag.Bool("profile", false, "print the sampling-phase curve fits per line")
 	serve := flag.Bool("serve", false, "drive a multi-tenant serving run of the workload (DESIGN.md §14) instead of one pipeline pass")
 	obs := cliutil.Register(flag.CommandLine)
+	obs.RegisterJobs(flag.CommandLine)
+	obs.RegisterPlanner(flag.CommandLine)
+	obs.RegisterObsWindow(flag.CommandLine)
 	srv := cliutil.RegisterServing(flag.CommandLine)
 	flag.Parse()
 
@@ -307,7 +311,6 @@ func runExplain(args []string) int {
 func runVet(args []string) int {
 	fs := flag.NewFlagSet("vet", flag.ExitOnError)
 	werror := fs.Bool("werror", false, "treat warnings as errors")
-	strict := fs.Bool("strict", false, "alias of -werror (kept for existing scripts)")
 	asJSON := fs.Bool("json", false, "emit diagnostics as a JSON array")
 	overWorkloads := fs.Bool("workloads", false, "lint every embedded workload program instead of files")
 	fs.Usage = func() {
@@ -316,7 +319,6 @@ func runVet(args []string) int {
 		fs.PrintDefaults()
 	}
 	_ = fs.Parse(args)
-	warnFatal := *werror || *strict
 
 	type target struct{ name, src string }
 	var targets []target
@@ -374,7 +376,7 @@ func runVet(args []string) int {
 				fmt.Printf("%s [%s]\n", d.Format(tg.name), d.Severity)
 			}
 		}
-		if analysis.HasErrors(diags) || (warnFatal && len(diags) > 0) {
+		if analysis.HasErrors(diags) || (*werror && len(diags) > 0) {
 			status = 1
 		}
 	}

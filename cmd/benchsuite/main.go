@@ -1,16 +1,20 @@
-// Command benchsuite regenerates the paper's evaluation: every table and
-// figure of §IV/§V, printed as text tables with the same rows the paper
-// plots, and optionally serialized as machine-readable benchmark
-// manifests for CI's perf-regression gate.
+// Command benchsuite regenerates the paper's evaluation — every table and
+// figure of §IV/§V — and the studies this reproduction added, printed as
+// text tables with the same rows the paper plots, and optionally
+// serialized as machine-readable benchmark manifests for CI's
+// perf-regression gate.
 //
 // Usage:
 //
-//	benchsuite [-exp all|table1|fig2|fig4|fig5|accuracy|runtimeopt|robustness|resilience|utilization|serving|drift|planner]
-//	           [-scalediv N] [-seed S] [-outdir DIR] [-metrics out.json]
+//	benchsuite [-exp all|NAME] [-scalediv N] [-seed S] [-j N] [-outdir DIR] [-metrics out.json]
+//	           [-chaos N] [-chaos-seed S]
 //	           [-tenants N] [-arrival poisson|bursty|uniform|closed] [-qps Q] [-duration D]
 //	           [-httpmon addr] [-pprof cpu.pb] [-memprofile mem.pb]
 //	           [-trace out.json] [-tracesummary]
 //	benchsuite -compare old.json new.json [-tolerance 0.10]
+//
+// The experiments are experiments.All(), run and printed in its order;
+// -h lists their names.
 //
 // Inputs are synthesized at 1/scalediv of Table I's sizes (default 512,
 // ~10-18 MB per application); the shape of every result — who wins, by
@@ -37,11 +41,17 @@ import (
 	"activego/internal/experiments"
 	"activego/internal/metrics"
 	"activego/internal/par"
+	"activego/internal/trace"
 	"activego/internal/workloads"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, table1, fig2, fig4, fig5, accuracy, runtimeopt, robustness, resilience, utilization, serving, drift, planner")
+	suite := experiments.All()
+	names := make([]string, len(suite))
+	for i, e := range suite {
+		names[i] = e.Name
+	}
+	exp := flag.String("exp", "all", "experiment: all, "+strings.Join(names, ", "))
 	chaosN := flag.Int("chaos", 0, "run N extra randomized chaos fault schedules after the resilience experiment (0 = just the built-in sub-run)")
 	chaosSeed := flag.Uint64("chaos-seed", experiments.ResilienceSeed, "seed for the -chaos schedule sweep")
 	scaleDiv := flag.Int64("scalediv", 512, "divide Table I input sizes by this factor")
@@ -50,12 +60,20 @@ func main() {
 	compare := flag.Bool("compare", false, "compare two manifests: benchsuite -compare old.json new.json; exit 1 on regression")
 	tolerance := flag.Float64("tolerance", bench.DefaultTolerance, "with -compare: allowed fractional worsening per tracked value")
 	obs := cliutil.Register(flag.CommandLine)
+	obs.RegisterJobs(flag.CommandLine)
 	obs.RegisterMonitor(flag.CommandLine)
 	serving := cliutil.RegisterServing(flag.CommandLine)
 	flag.Parse()
 
 	if *compare {
 		os.Exit(runCompare(flag.Args(), *tolerance))
+	}
+	if *exp != "all" {
+		e, ok := experiments.ByName(*exp)
+		if !ok {
+			fail(fmt.Errorf("unknown experiment %q (want one of %v or all)", *exp, names))
+		}
+		suite = []experiments.Experiment{e}
 	}
 	if err := obs.Start(); err != nil {
 		fail(err)
@@ -73,195 +91,58 @@ func main() {
 		}
 	}
 	params := workloads.Params{ScaleDiv: *scaleDiv, Seed: *seed}
-	// A runner prints its tables to out (captured per experiment so -j N
-	// interleaves nothing) and records into sub, its private registry
-	// slice (nil when metrics are off; merged into reg in suite order).
-	runners := map[string]func(mopts []experiments.Option, sub *metrics.Registry, out io.Writer) (*bench.Manifest, error){
-		"table1": func(mopts []experiments.Option, _ *metrics.Registry, out io.Writer) (*bench.Manifest, error) {
-			rows, tbl, err := experiments.Table1(params, mopts...)
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprint(out, tbl.String())
-			return experiments.BenchTable1(rows, params), nil
-		},
-		"fig2": func(mopts []experiments.Option, _ *metrics.Registry, out io.Writer) (*bench.Manifest, error) {
-			res, tbl, err := experiments.Fig2(params, mopts...)
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprint(out, tbl.String())
-			return res.Bench(params), nil
-		},
-		"fig4": func(mopts []experiments.Option, _ *metrics.Registry, out io.Writer) (*bench.Manifest, error) {
-			res, tbl, err := experiments.Fig4(params, mopts...)
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprint(out, tbl.String())
-			return res.Bench(params), nil
-		},
-		"fig5": func(mopts []experiments.Option, _ *metrics.Registry, out io.Writer) (*bench.Manifest, error) {
-			res, tbl, err := experiments.Fig5(params, mopts...)
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprint(out, tbl.String())
-			return res.Bench(params), nil
-		},
-		"accuracy": func(mopts []experiments.Option, _ *metrics.Registry, out io.Writer) (*bench.Manifest, error) {
-			res, tbl, err := experiments.Accuracy(params, mopts...)
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprint(out, tbl.String())
-			return res.Bench(params), nil
-		},
-		"runtimeopt": func(mopts []experiments.Option, _ *metrics.Registry, out io.Writer) (*bench.Manifest, error) {
-			res, tbl, err := experiments.RuntimeOpt(params, mopts...)
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprint(out, tbl.String())
-			return res.Bench(params), nil
-		},
-		"robustness": func(mopts []experiments.Option, _ *metrics.Registry, out io.Writer) (*bench.Manifest, error) {
-			res, tbl, err := experiments.Robustness(params, mopts...)
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprint(out, tbl.String())
-			return res.Bench(params), nil
-		},
-		"resilience": func(mopts []experiments.Option, sub *metrics.Registry, out io.Writer) (*bench.Manifest, error) {
-			res, tbl, err := experiments.Resilience(params, mopts...)
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprint(out, tbl.String())
-			if res.Chaos != nil {
-				fmt.Fprintln(out, res.Chaos.Summary())
-			}
-			res.Rec.Fold(sub)
-			return res.Bench(params), nil
-		},
-		"serving": func(mopts []experiments.Option, sub *metrics.Registry, out io.Writer) (*bench.Manifest, error) {
-			mopts = append(mopts, experiments.WithServing(experiments.ServingOverrides{
-				Tenants:  serving.Tenants,
-				Arrival:  serving.Arrival,
-				QPS:      serving.QPS,
-				Duration: serving.Duration,
-			}))
-			res, tbl, err := experiments.Serving(params, mopts...)
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprint(out, tbl.String())
-			fmt.Fprintf(out, "capacity: %.1f req/s (mix-weighted solo service %.4fs)\n",
-				res.CapacityQPS, res.MeanService)
-			res.Rec.Fold(sub)
-			return res.Bench(params), nil
-		},
-		"planner": func(mopts []experiments.Option, _ *metrics.Registry, out io.Writer) (*bench.Manifest, error) {
-			res, tbl, err := experiments.Planner(params, mopts...)
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprint(out, tbl.String())
-			fmt.Fprintf(out, "cache: %d/%d builds served warm (%.1f%% hit rate, identical=%t)\n",
-				res.Cache.Hits, res.Cache.Builds, 100*res.Cache.HitRate, res.Cache.HitIdentical)
-			return res.Bench(params), nil
-		},
-		"drift": func(mopts []experiments.Option, _ *metrics.Registry, out io.Writer) (*bench.Manifest, error) {
-			res, tbl, err := experiments.Drift(params, mopts...)
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprint(out, tbl.String())
-			fmt.Fprintf(out, "stale: control %v, burst %v of offloaded %v (overlap %d)\n",
-				res.Control.Stale, res.Burst.Stale, res.Offloaded, res.StaleOffloadedOverlap())
-			return res.Bench(params), nil
-		},
-		"utilization": func(mopts []experiments.Option, sub *metrics.Registry, out io.Writer) (*bench.Manifest, error) {
-			u, tbl, err := experiments.Utilization(params, mopts...)
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprint(out, tbl.String())
-			fmt.Fprintln(out)
-			fmt.Fprint(out, u.MigrationTimeline().String())
-			// The trace flags apply to the study's own steady-state
-			// recorder — the run worth a timeline — not a top-level one.
-			if obs.Trace != "" {
-				f, err := os.Create(obs.Trace)
-				if err != nil {
-					return nil, err
-				}
-				err = u.Rec.WriteChrome(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-				if err != nil {
-					return nil, err
-				}
-				fmt.Fprintf(out, "trace: wrote %s (open in Perfetto or chrome://tracing)\n", obs.Trace)
-			}
-			if obs.TraceSummary {
-				fmt.Fprintf(out, "\n%s", u.Rec.Summary())
-			}
-			u.Rec.Fold(sub)
-			return u.Bench(params), nil
-		},
-	}
-	order := []string{"table1", "fig2", "fig4", "fig5", "accuracy", "runtimeopt", "robustness", "resilience", "utilization", "serving", "drift", "planner"}
+	withServing := experiments.WithServing(experiments.ServingOverrides{
+		Tenants:  serving.Tenants,
+		Arrival:  serving.Arrival,
+		QPS:      serving.QPS,
+		Duration: serving.Duration,
+	})
 
-	names := order
-	if *exp != "all" {
-		if _, ok := runners[*exp]; !ok {
-			fail(fmt.Errorf("unknown experiment %q (want one of %v or all)", *exp, order))
-		}
-		names = []string{*exp}
-	}
-
-	// Independent experiments fan out on the -j pool; each runner's
-	// output, sub-registry, and manifest are folded back in suite order,
-	// so stdout, the cumulative metrics snapshots attached to manifests,
-	// and the BENCH_*.json files are bit-identical at any -j.
+	// Independent experiments fan out on the -j pool. Each one prints
+	// into its own Output and records into sub, its private registry
+	// (nil when metrics are off); outputs, sub-registries, and manifests
+	// are folded back in suite order, so stdout, the cumulative metrics
+	// snapshots attached to manifests, and the BENCH_*.json files are
+	// bit-identical at any -j.
 	pool := obs.Pool()
 	type expOut struct {
-		manifest *bench.Manifest
-		output   string
-		sub      *metrics.Registry
+		*experiments.Output
+		sub *metrics.Registry
 	}
-	outs, err := par.Map(pool, len(names), func(i int) (expOut, error) {
-		var buf strings.Builder
-		var sopts []experiments.Option
+	outs, err := par.Map(pool, len(suite), func(i int) (expOut, error) {
 		var sub *metrics.Registry
 		if reg != nil {
 			sub = metrics.New()
-			sopts = append(sopts, experiments.WithMetrics(sub))
 		}
-		if pool != nil {
-			sopts = append(sopts, experiments.WithPool(pool))
-		}
-		m, err := runners[names[i]](sopts, sub, &buf)
+		out, err := suite[i].Run(params, withServing, experiments.WithMetrics(sub), experiments.WithPool(pool))
 		if err != nil {
 			return expOut{}, err
 		}
-		return expOut{manifest: m, output: buf.String(), sub: sub}, nil
+		// The trace flags apply to the utilization study's steady-state
+		// recording — the run worth a timeline — not a top-level one.
+		if suite[i].Name == "utilization" {
+			var buf strings.Builder
+			buf.WriteString(out.Text)
+			if err := exportTrace(&buf, obs, out.Rec); err != nil {
+				return expOut{}, err
+			}
+			out.Text = buf.String()
+		}
+		out.Rec.Fold(sub)
+		return expOut{Output: out, sub: sub}, nil
 	})
 	if err != nil {
 		fail(err)
 	}
 	for i, out := range outs {
-		name := names[i]
-		if len(names) > 1 {
+		name := suite[i].Name
+		if len(suite) > 1 {
 			fmt.Printf("==== %s ====\n", name)
 		}
-		fmt.Print(out.output)
+		fmt.Print(out.Text)
 		reg.Merge(out.sub)
 		if *outDir != "" {
-			m := out.manifest
+			m := out.Manifest
 			if reg != nil {
 				snap := reg.Snapshot()
 				m.Metrics = &snap
@@ -273,12 +154,12 @@ func main() {
 			}
 			fmt.Printf("manifest: wrote %s\n", path)
 		}
-		if len(names) > 1 {
+		if len(suite) > 1 {
 			fmt.Println()
 		}
 	}
 	if *chaosN > 0 {
-		rep, err := experiments.ChaosSweep(params, *chaosSeed, *chaosN, chaosOpts(reg, pool)...)
+		rep, err := experiments.ChaosSweep(params, *chaosSeed, *chaosN, experiments.WithMetrics(reg), experiments.WithPool(pool))
 		if err != nil {
 			fail(err)
 		}
@@ -292,16 +173,27 @@ func main() {
 	}
 }
 
-// chaosOpts forwards the suite's observability to the -chaos sweep.
-func chaosOpts(reg *metrics.Registry, pool *par.Pool) []experiments.Option {
-	var opts []experiments.Option
-	if reg != nil {
-		opts = append(opts, experiments.WithMetrics(reg))
+// exportTrace writes rec as the -trace Chrome JSON file and prints the
+// -tracesummary summary to out; with neither flag it does nothing.
+func exportTrace(out io.Writer, obs *cliutil.Flags, rec *trace.Recorder) error {
+	if obs.Trace != "" {
+		f, err := os.Create(obs.Trace)
+		if err != nil {
+			return err
+		}
+		err = rec.WriteChrome(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "trace: wrote %s (open in Perfetto or chrome://tracing)\n", obs.Trace)
 	}
-	if pool != nil {
-		opts = append(opts, experiments.WithPool(pool))
+	if obs.TraceSummary {
+		fmt.Fprintf(out, "\n%s", rec.Summary())
 	}
-	return opts
+	return nil
 }
 
 // runCompare implements the CI gate: load two manifests, diff them, and

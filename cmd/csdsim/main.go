@@ -13,7 +13,7 @@
 //	csdsim -chaos N [-chaos-seed S]  # N randomized device-level fault schedules
 //	csdsim -serve [-tenants N] [-arrival P] [-qps Q] [-duration D]
 //	csdsim -lint program.apy...      # static-analysis lint, no simulation
-//	csdsim -explain -workload tpch-6 [-json] [-obswindow W]  # plan provenance, as activego explain
+//	csdsim -explain -workload tpch-6 [-json] [-planner P] [-obswindow W]  # plan provenance, as activego explain
 package main
 
 import (
@@ -51,6 +51,8 @@ func main() {
 	scaleDiv := flag.Int64("scalediv", 512, "with -explain: divide Table I input sizes by this factor")
 	seed := flag.Int64("seed", 42, "with -explain: generator seed")
 	obs := cliutil.Register(flag.CommandLine)
+	obs.RegisterPlanner(flag.CommandLine)
+	obs.RegisterObsWindow(flag.CommandLine)
 	srv := cliutil.RegisterServing(flag.CommandLine)
 	flag.Parse()
 

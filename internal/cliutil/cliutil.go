@@ -1,10 +1,12 @@
-// Package cliutil is the one place the commands' shared observability
-// surface is wired: the -trace/-tracesummary pair every binary grew ad
-// hoc, plus the -pprof/-memprofile/-metrics flags and the -httpmon live
-// endpoint this surface added. cmd/activego, cmd/csdsim, and
-// cmd/benchsuite all call Register once and get identical flag names,
-// help text, and output behavior; a new observability flag lands here
-// and appears in all three.
+// Package cliutil is the one place the commands' shared flag surface is
+// wired. Register installs the five output sinks every command honours
+// (-trace, -tracesummary, -pprof, -memprofile, -metrics), so
+// cmd/activego, cmd/csdsim, and cmd/benchsuite get identical flag names,
+// help text, and output behavior for them. The flags only some commands
+// read are opt-in, one call each: RegisterJobs (-j), RegisterPlanner
+// (-planner), RegisterObsWindow (-obswindow), RegisterMonitor (-httpmon),
+// and RegisterServing (-tenants/-arrival/-qps/-duration). A command
+// therefore accepts exactly the flags it reads.
 package cliutil
 
 import (
@@ -32,36 +34,48 @@ type Flags struct {
 	MemProfile   string  // -memprofile: heap profile path, written on Finish
 	Metrics      string  // -metrics: registry snapshot JSON path ("-" = stdout)
 	HTTPMon      string  // -httpmon: live monitoring listen address (RegisterMonitor)
-	Jobs         int     // -j: worker count for deterministic fan-outs
-	ObsWindow    float64 // -obswindow: sim-time observation window (DESIGN.md §15); 0 = off
-	Planner      string  // -planner: planning algorithm (DESIGN.md §16); "" = bnb
+	Jobs         int     // -j: worker count for deterministic fan-outs (RegisterJobs)
+	ObsWindow    float64 // -obswindow: sim-time observation window (RegisterObsWindow); 0 = off
+	Planner      string  // -planner: planning algorithm (RegisterPlanner); "" = bnb
 
 	rec     *trace.Recorder
 	reg     *metrics.Registry
 	cpuFile *os.File
 }
 
-// Register installs the shared flags on fs and returns the handle the
-// main will read after fs.Parse.
+// Register installs the five output sinks on fs and returns the handle
+// the main will read after fs.Parse.
 func Register(fs *flag.FlagSet) *Flags {
-	f := &Flags{}
+	f := &Flags{Jobs: 1}
 	fs.StringVar(&f.Trace, "trace", "", "write a Chrome trace-event JSON timeline of the run to this file (open in Perfetto / chrome://tracing)")
 	fs.BoolVar(&f.TraceSummary, "tracesummary", false, "print a per-component utilization and latency summary of the run")
 	fs.StringVar(&f.CPUProfile, "pprof", "", "write a CPU profile of this process to the file (inspect with go tool pprof)")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile of this process to the file on exit")
 	fs.StringVar(&f.Metrics, "metrics", "", "write the metrics registry snapshot as JSON to this file (- for stdout)")
-	fs.IntVar(&f.Jobs, "j", 1, "workers for deterministic fan-outs (sampling scales, experiment sweeps); 1 = serial, 0 = GOMAXPROCS; output is bit-identical at any value")
-	fs.Float64Var(&f.ObsWindow, "obswindow", 0, "bin observed costs into simulated-time windows of this many seconds and fold them into the metrics snapshot as obs.win.* series (DESIGN.md §15); 0 = off")
-	fs.StringVar(&f.Planner, "planner", "", "planning algorithm: "+core.PlannerChoices+" (DESIGN.md §16); empty = bnb, the exact planner")
 	return f
 }
 
+// RegisterJobs additionally installs -j, read through Pool.
+func (f *Flags) RegisterJobs(fs *flag.FlagSet) {
+	fs.IntVar(&f.Jobs, "j", 1, "workers for deterministic fan-outs (sampling scales, experiment sweeps); 1 = serial, 0 = GOMAXPROCS; output is bit-identical at any value")
+}
+
+// RegisterPlanner additionally installs -planner.
+func (f *Flags) RegisterPlanner(fs *flag.FlagSet) {
+	fs.StringVar(&f.Planner, "planner", "", "planning algorithm: "+core.PlannerChoices+" (DESIGN.md §16); empty = bnb, the exact planner")
+}
+
+// RegisterObsWindow additionally installs -obswindow.
+func (f *Flags) RegisterObsWindow(fs *flag.FlagSet) {
+	fs.Float64Var(&f.ObsWindow, "obswindow", 0, "bin observed costs into simulated-time windows of this many seconds and fold them into the metrics snapshot as obs.win.* series (DESIGN.md §15); 0 = off")
+}
+
 // Pool returns the par.Pool the -j flag asked for: nil when -j 1 (the
-// default), which every fan-out treats as the inline serial path with
-// zero extra goroutines. Each simulated run stays single-goroutine on
-// its own kernel regardless; -j only fans out independent runs, and
-// results are assembled in input order so output is bit-identical at
-// any -j.
+// default, and always without RegisterJobs), which every fan-out treats
+// as the inline serial path with zero extra goroutines. Each simulated
+// run stays single-goroutine on its own kernel regardless; -j only fans
+// out independent runs, and results are assembled in input order so
+// output is bit-identical at any -j.
 func (f *Flags) Pool() *par.Pool {
 	if f.Jobs == 1 {
 		return nil

@@ -8,16 +8,22 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"activego/internal/metrics"
 )
 
+// parse registers the whole surface — the sinks and every opt-in flag —
+// and parses args.
 func parse(t *testing.T, args ...string) *Flags {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f := Register(fs)
+	f.RegisterJobs(fs)
+	f.RegisterPlanner(fs)
+	f.RegisterObsWindow(fs)
 	f.RegisterMonitor(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
@@ -45,16 +51,45 @@ func TestDefaultsAreInert(t *testing.T) {
 	}
 }
 
+// flagNames lists the flags defined on fs, sorted.
+func flagNames(fs *flag.FlagSet) []string {
+	var names []string
+	fs.VisitAll(func(fl *flag.Flag) { names = append(names, fl.Name) })
+	return names
+}
+
 func TestFlagNamesStayStable(t *testing.T) {
 	// The three commands advertise these exact names; renaming one here
-	// silently breaks every documented invocation.
+	// silently breaks every documented invocation. Register defines only
+	// the sinks every command honours, and each opt-in call defines
+	// exactly its own flags, so no command accepts a flag it never reads.
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := Register(fs)
-	f.RegisterMonitor(fs)
-	for _, name := range []string{"trace", "tracesummary", "pprof", "memprofile", "metrics", "httpmon"} {
-		if fs.Lookup(name) == nil {
-			t.Errorf("flag -%s not registered", name)
+	Register(fs)
+	if got, want := flagNames(fs), []string{"memprofile", "metrics", "pprof", "trace", "tracesummary"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Register defines %v, want %v", got, want)
+	}
+	for _, c := range []struct {
+		call     string
+		register func(*Flags, *flag.FlagSet)
+		want     []string
+	}{
+		{"RegisterJobs", (*Flags).RegisterJobs, []string{"j"}},
+		{"RegisterPlanner", (*Flags).RegisterPlanner, []string{"planner"}},
+		{"RegisterObsWindow", (*Flags).RegisterObsWindow, []string{"obswindow"}},
+		{"RegisterMonitor", (*Flags).RegisterMonitor, []string{"httpmon"}},
+		{"RegisterServing", func(_ *Flags, fs *flag.FlagSet) { RegisterServing(fs) }, []string{"arrival", "duration", "qps", "tenants"}},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		c.register(&Flags{}, fs)
+		if got := flagNames(fs); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s defines %v, want %v", c.call, got, c.want)
 		}
+	}
+}
+
+func TestPoolSerialWithoutJobsFlag(t *testing.T) {
+	if p := Register(flag.NewFlagSet("test", flag.ContinueOnError)).Pool(); p != nil {
+		t.Error("Pool() without RegisterJobs should be the serial nil pool")
 	}
 }
 

@@ -7,11 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
 	"activego/internal/analysis"
 	"activego/internal/detlint"
+	"activego/internal/experiments"
 	"activego/internal/metrics"
 )
 
@@ -381,5 +383,38 @@ func TestMetricCatalogueMatchesDesignDoc(t *testing.T) {
 		if _, ok := cat[name]; !ok {
 			t.Errorf("metric %q is documented in DESIGN.md §10 but is not an instrument of metrics.Catalogue()", name)
 		}
+	}
+}
+
+// regenCell matches the "Regenerate with" cell of a DESIGN.md §3 row:
+// `cmd/benchsuite -exp NAME`, `BenchmarkExperiments/NAME`.
+var regenCell = regexp.MustCompile("^\\s*`cmd/benchsuite -exp ([a-z0-9]+)`, `BenchmarkExperiments/([a-z0-9]+)`\\s*$")
+
+// TestExperimentIndexMatchesRegistry pins DESIGN.md §3's per-experiment
+// index to experiments.All(): its rows regenerate exactly the
+// registry's experiments, in suite order, each through the same name on
+// benchsuite -exp and on BenchmarkExperiments.
+func TestExperimentIndexMatchesRegistry(t *testing.T) {
+	sect := designSection(t, "3")
+	var documented []string
+	for _, line := range strings.Split(sect, "\n") {
+		if !strings.HasPrefix(line, "| **") {
+			continue
+		}
+		cells := strings.Split(line, "|")
+		regen := cells[len(cells)-2]
+		m := regenCell.FindStringSubmatch(regen)
+		if m == nil || m[1] != m[2] {
+			t.Errorf("DESIGN.md §3 row %q: regenerate cell %q is not `cmd/benchsuite -exp NAME`, `BenchmarkExperiments/NAME`", cells[1], regen)
+			continue
+		}
+		documented = append(documented, m[1])
+	}
+	var registered []string
+	for _, e := range experiments.All() {
+		registered = append(registered, e.Name)
+	}
+	if !slices.Equal(documented, registered) {
+		t.Errorf("DESIGN.md §3 regenerates %v; experiments.All() is %v", documented, registered)
 	}
 }

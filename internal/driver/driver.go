@@ -4,16 +4,17 @@
 // resulting tail latency per tenant (DESIGN.md §14).
 //
 // A scenario is a fully prepared program (trace, partition, estimates)
-// registered by name; a tenant owns a weighted Mix of scenarios, an
-// arrival process, and a splitmix64 stream derived from the driver
-// seed. Arrivals pass admission control — an in-flight budget backed by
-// a bounded wait queue, with typed *resilience.AdmitError sheds — and
-// admitted requests replay warm through exec.Launch, so every tenant's
-// requests contend for the same host CPU, CSE, flash, and link. All
-// scheduling happens on the platform's single event calendar: a run
-// under a fixed seed is bit-reproducible, and a run with no tenants
-// schedules nothing at all, leaving the machine byte-identical to an
-// idle one (the zero-traffic contract).
+// that Build makes from a workload name; a tenant owns a weighted Mix of
+// scenarios, an arrival process, and a splitmix64 stream derived from
+// the driver seed. Arrivals pass admission control — an in-flight
+// budget backed by a bounded wait queue, with typed
+// *resilience.AdmitError sheds — and admitted requests replay warm
+// through exec.Launch, so every tenant's requests contend for the same
+// host CPU, CSE, flash, and link. All scheduling happens on the
+// platform's single event calendar: a run under a fixed seed is
+// bit-reproducible, and a run with no tenants schedules nothing at all,
+// leaving the machine byte-identical to an idle one (the zero-traffic
+// contract).
 package driver
 
 import (
@@ -365,7 +366,7 @@ func (e *engine) arrive(ts *tenantState, sc *Scenario, closedLoop bool) {
 
 // dispatch launches one admitted request's executor on the shared
 // calendar. The scenario replays warm: its cold pipeline cost was paid
-// at registration, so a request pays only storage, compute, and link.
+// at construction, so a request pays only storage, compute, and link.
 func (e *engine) dispatch(req *request) {
 	now := e.p.Sim.Now()
 	ts := req.t

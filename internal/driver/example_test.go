@@ -5,25 +5,7 @@ import (
 
 	"activego/internal/driver"
 	"activego/internal/platform"
-	"activego/internal/workloads"
 )
-
-// ExampleRegister registers a custom scenario constructor and builds it
-// through the registry, the way a new workload joins the serving mix.
-func ExampleRegister() {
-	driver.Register("example-scan", func(params workloads.Params) (*driver.Scenario, error) {
-		return driver.Synthetic("example-scan", 6, 1e6, 1<<20), nil
-	})
-	sc, err := driver.Build("example-scan", workloads.TestParams())
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Printf("%s: %d lines, %d on CSD\n",
-		sc.Name, len(sc.Trace.Records), len(sc.Partition.Lines()))
-	// Output:
-	// example-scan: 6 lines, 3 on CSD
-}
 
 // ExampleNewMix builds a weighted traffic mix and shows how uniform
 // draws map to scenarios by cumulative weight.

@@ -23,7 +23,7 @@ import (
 
 // DriftSeed keys the arrival streams; one seed makes both arms
 // bit-reproducible.
-const DriftSeed = 29
+const DriftSeed uint64 = 29
 
 // DriftWorkload is the served scenario: TPC-H Q6, the same canonical
 // offload case the utilization study and Figure 5 stress, so the stale
@@ -113,7 +113,6 @@ func driftSolo(sc *driver.Scenario) (float64, error) {
 // order, so -j 1 and -j N outputs are bit-identical.
 func Drift(params workloads.Params, opts ...Option) (*DriftResult, *report.Table, error) {
 	o := buildOptions(opts)
-	seed := o.seedOr(DriftSeed)
 	sc, err := driver.Build(DriftWorkload, params)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: drift: %w", err)
@@ -162,7 +161,7 @@ func Drift(params workloads.Params, opts ...Option) (*DriftResult, *report.Table
 		}
 		col := obs.NewCollector(window, 0)
 		dres, err := driver.Run(p, driver.Config{
-			Seed:     seed,
+			Seed:     DriftSeed,
 			Duration: horizon,
 			Tenants: []driver.TenantConfig{{Name: arms[i].name, Mix: mix,
 				Arrival: driver.Arrival{Process: driver.Poisson, QPS: qps}}},

@@ -2,15 +2,21 @@
 // evaluation (§V): Table I's application catalog, Figure 2's availability
 // sweep of static C ISP, Figure 4's ActivePy-vs-programmer-directed
 // comparison, Figure 5's migration study, the §V prediction-accuracy
-// numbers, and the §V language-runtime optimization ladder.
+// numbers, and the §V language-runtime optimization ladder — plus the
+// studies this reproduction added (robustness, resilience, utilization,
+// serving, drift, planner).
 //
 // Each harness returns structured results plus a report.Table with the
-// same rows the paper's figure plots; cmd/benchsuite prints them and
-// bench_test.go wraps them as testing.B benchmarks. Absolute numbers
-// differ from the paper (its substrate was real silicon; ours is the
-// simulator at 1/ScaleDiv of Table I's input sizes) — the shape is the
-// reproduction target, and EXPERIMENTS.md records paper-vs-measured for
-// every row.
+// same rows the paper's figure plots, and each result converts into a
+// bench.Manifest. All() lists every study once, in suite order, as an
+// Experiment whose Run yields the printed text, the manifest, and the
+// study's recording: cmd/benchsuite and bench_test.go's
+// BenchmarkExperiments iterate it, and the committed
+// benchmarks/BENCH_<name>.json manifests are the record of its results.
+// Absolute numbers differ from the paper (its substrate was real
+// silicon; ours is the simulator at 1/ScaleDiv of Table I's input
+// sizes) — the shape is the reproduction target, and EXPERIMENTS.md
+// records paper-vs-measured for every row.
 package experiments
 
 import (
@@ -36,7 +42,6 @@ type Option func(*options)
 type options struct {
 	metrics *metrics.Registry
 	pool    *par.Pool
-	seed    uint64
 	serving ServingOverrides
 }
 
@@ -57,24 +62,6 @@ func WithMetrics(reg *metrics.Registry) Option {
 // bit-identical to the serial run — TestParallelInvariance pins it.
 func WithPool(p *par.Pool) Option {
 	return func(o *options) { o.pool = p }
-}
-
-// WithSeed overrides the experiment's documented default fault seed
-// (RobustnessSeed / ResilienceSeed). Zero means "use the default"; any
-// other value reseeds every fault plan and backoff schedule in the
-// sweep, which is how callers (flags, sweeps over seeds) control
-// reproducibility from outside the harness.
-func WithSeed(seed uint64) Option {
-	return func(o *options) { o.seed = seed }
-}
-
-// seedOr resolves the harness seed: the caller's WithSeed if set,
-// otherwise the experiment's documented default.
-func (o options) seedOr(def uint64) uint64 {
-	if o.seed != 0 {
-		return o.seed
-	}
-	return def
 }
 
 func buildOptions(opts []Option) options {

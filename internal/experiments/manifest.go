@@ -23,7 +23,7 @@ import (
 // Bench converts the Table I catalog into a manifest: sizes and region
 // counts per application. Regions are tracked — a region-count change
 // means a workload program changed underneath the benchmarks.
-func BenchTable1(rows []Table1Row, params workloads.Params) *bench.Manifest {
+func (rows Table1Rows) Bench(params workloads.Params) *bench.Manifest {
 	m := bench.NewManifest("table1", params.Seed, params.ScaleDiv)
 	for _, r := range rows {
 		w := bench.Workload{Name: r.Name}

@@ -29,7 +29,7 @@ import (
 //     later construction from the cache, bit-identically.
 
 // PlannerSeed keys the cache study's serving run arrivals.
-const PlannerSeed = 31
+const PlannerSeed uint64 = 31
 
 // PlannerPoints are the exactness ladder's viable-line counts: up to
 // the old enumeration cliff (12, 16) and past it (24, 30, 32).
@@ -236,14 +236,13 @@ func Planner(params workloads.Params, opts ...Option) (*PlannerResult, *report.T
 
 	// A small warm serving run over the fully cache-built fleet: the
 	// memoized scenarios must serve exactly like cold ones.
-	seed := o.seedOr(PlannerSeed)
 	solo, err := driftSolo(lastMix.Scenarios()[0])
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: planner: calibrate: %w", err)
 	}
 	qps := 0.5 / solo
 	sres, err := driver.Run(platform.Default(), driver.Config{
-		Seed:     seed,
+		Seed:     PlannerSeed,
 		Duration: 8 / qps,
 		Tenants: []driver.TenantConfig{{Name: "warm", Mix: lastMix,
 			Arrival: driver.Arrival{Process: driver.Poisson, QPS: qps}}},

@@ -54,7 +54,7 @@ var ResilienceRates = []float64{0, 0.5, 0.9}
 
 // ResilienceSeed seeds every fault plan and backoff schedule in the
 // sweep; one seed makes the whole table bit-reproducible.
-const ResilienceSeed = 11
+const ResilienceSeed uint64 = 11
 
 // ResilienceStressAvail is the CSE availability inside a burst: deep
 // enough that an offloaded line under the sag blows far past its line
@@ -270,7 +270,6 @@ func ChaosSweep(params workloads.Params, seed uint64, n int, opts ...Option) (*c
 // same clean duration.
 func Resilience(params workloads.Params, opts ...Option) (*ResilienceResult, *report.Table, error) {
 	o := buildOptions(opts)
-	seed := o.seedOr(ResilienceSeed)
 	maxRate := ResilienceRates[len(ResilienceRates)-1]
 	type perSpec struct {
 		rows  []ResilienceRow
@@ -291,23 +290,23 @@ func Resilience(params workloads.Params, opts ...Option) (*ResilienceResult, *re
 
 		// Armed-but-idle breaker run: the control duration that also
 		// calibrates the burst timeline and the breaker cooldown.
-		pol := resiliencePolicy(seed, retry, 0)
-		clean, err := wb.runResilienceArm(seed, resilienceBursts{}, 0, retry,
+		pol := resiliencePolicy(ResilienceSeed, retry, 0)
+		clean, err := wb.runResilienceArm(ResilienceSeed, resilienceBursts{}, 0, retry,
 			exec.Options{Resilience: &pol}, nil)
 		if err != nil {
 			return perSpec{}, fmt.Errorf("experiments: resilience: %s control: %w", name, err)
 		}
 		bursts := burstsFor(clean.Duration, retry.Timeout)
-		pol = resiliencePolicy(seed, retry, bursts.dur)
+		pol = resiliencePolicy(ResilienceSeed, retry, bursts.dur)
 		perLine, oneShot := resilience.PerLine(), resilience.OneShot()
 
 		out := perSpec{}
 		for _, rate := range ResilienceRates {
 			row := ResilienceRow{Workload: name, Rate: rate}
-			static, serr := wb.runResilienceArm(seed, bursts, rate, retry, exec.Options{
+			static, serr := wb.runResilienceArm(ResilienceSeed, bursts, rate, retry, exec.Options{
 				Resilience: &perLine,
 			}, nil)
-			oneshot, oerr := wb.runResilienceArm(seed, bursts, rate, retry, exec.Options{
+			oneshot, oerr := wb.runResilienceArm(ResilienceSeed, bursts, rate, retry, exec.Options{
 				Resilience: &oneShot,
 			}, nil)
 			var rec *trace.Recorder
@@ -315,7 +314,7 @@ func Resilience(params workloads.Params, opts ...Option) (*ResilienceResult, *re
 				rec = trace.New()
 				out.rec = rec
 			}
-			breaker, berr := wb.runResilienceArm(seed, bursts, rate, retry, exec.Options{
+			breaker, berr := wb.runResilienceArm(ResilienceSeed, bursts, rate, retry, exec.Options{
 				Resilience: &pol,
 			}, rec)
 			if rate == 0 && (serr != nil || oerr != nil || berr != nil) {
@@ -345,7 +344,7 @@ func Resilience(params workloads.Params, opts ...Option) (*ResilienceResult, *re
 		// the same trace and ladder.
 		if name == ResilienceTraceWorkload {
 			rep, err := chaos.Run(chaos.Config{
-				Seed:          seed,
+				Seed:          ResilienceSeed,
 				Schedules:     ResilienceChaosSchedules,
 				Trace:         wb.Trace,
 				Partition:     wb.Plan.Partition,

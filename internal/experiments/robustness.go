@@ -29,7 +29,7 @@ var RobustnessWorkloads = []string{"tpch-1", "tpch-6", "tpch-14"}
 
 // RobustnessSeed seeds every fault plan in the sweep; with the rules
 // fixed, one seed makes the whole table bit-reproducible.
-const RobustnessSeed = 1
+const RobustnessSeed uint64 = 1
 
 // RobustnessRow is one (workload, rate) cell.
 type RobustnessRow struct {
@@ -139,7 +139,6 @@ func (wb *Workbench) RunRobust(plan *fault.Plan) (*exec.Result, error) {
 // check: its durations must equal the clean runs bit-for-bit.
 func Robustness(params workloads.Params, opts ...Option) (*RobustnessResult, *report.Table, error) {
 	o := buildOptions(opts)
-	seed := o.seedOr(RobustnessSeed)
 	perSpec, err := overSpecs(o, len(RobustnessWorkloads), func(i int, sopts []Option) ([]RobustnessRow, error) {
 		name := RobustnessWorkloads[i]
 		spec, ok := workloads.ByName(name)
@@ -154,7 +153,7 @@ func Robustness(params workloads.Params, opts ...Option) (*RobustnessResult, *re
 		var clean float64
 		for _, rate := range RobustnessRates {
 			row := RobustnessRow{Workload: name, Rate: rate}
-			r, err := wb.RunRobust(robustnessPlan(seed, rate))
+			r, err := wb.RunRobust(robustnessPlan(RobustnessSeed, rate))
 			if err == nil {
 				row.Completed = true
 				row.Duration = r.Duration

@@ -24,7 +24,7 @@ import (
 
 // ServingSeed seeds every tenant's arrival and mix stream; one seed
 // makes the whole sweep bit-reproducible.
-const ServingSeed = 17
+const ServingSeed uint64 = 17
 
 // ServingLoads is the offered-load axis, as a fraction of the measured
 // serving capacity: comfortably under, at, and well past saturation.
@@ -214,7 +214,6 @@ func servingCalibrate(specs []ServingTenantSpec, scenarios map[string]*driver.Sc
 // private to its platform).
 func Serving(params workloads.Params, opts ...Option) (*ServingResult, *report.Table, error) {
 	o := buildOptions(opts)
-	seed := o.seedOr(ServingSeed)
 	ov := o.serving
 	specs := servingSpecs(ov)
 
@@ -276,7 +275,7 @@ func Serving(params workloads.Params, opts ...Option) (*ServingResult, *report.T
 			p.SetRecorder(rec)
 		}
 		res, err := driver.Run(p, driver.Config{
-			Seed:        seed,
+			Seed:        ServingSeed,
 			Duration:    horizon,
 			Tenants:     servingTenantConfigs(specs, mixes, totalQPS/float64(len(specs)), horizon, meanService),
 			MaxInFlight: ServingMaxInFlight,

@@ -17,13 +17,16 @@ type Table1Row struct {
 	Description string
 }
 
+// Table1Rows is Table I, one row per application in catalog order.
+type Table1Rows []Table1Row
+
 // Table1 regenerates the paper's Table I: the application catalog with
 // input data sizes and their single-entry-single-exit code regions, plus
 // the scaled sizes this reproduction actually runs.
-func Table1(params workloads.Params, opts ...Option) ([]Table1Row, *report.Table, error) {
+func Table1(params workloads.Params, opts ...Option) (Table1Rows, *report.Table, error) {
 	tbl := report.NewTable("Table I: applications, input sizes, SESE code regions",
 		"name", "paper size", "scaled size", "regions", "description")
-	var rows []Table1Row
+	var rows Table1Rows
 	for _, spec := range workloads.TableI() {
 		inst := spec.Build(params)
 		prog, err := parser.Parse(inst.Source)
