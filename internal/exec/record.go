@@ -25,7 +25,7 @@ type lineRun struct {
 	// device is the csd.Call completion of a call-queue run; nil on the
 	// direct path, where the run's end feeds the executor itself.
 	device    func(status uint16, value any)
-	remaining int   // kernel shards, or host read stages, still running
+	remaining int   // host read stages still running: array read, link stream
 	readErr   error // the host array read's error, held for the link stream
 
 	pulled, streamed, shardDone, glueDone, copied func(start, end sim.Time)
@@ -50,12 +50,7 @@ func (e *executor) runRecord(rec *interp.LineRecord, unit Unit, device func(uint
 		r.streamed = func(_, _ sim.Time) { r.stageDone(nil) }
 		r.hostRead = func(_, _ sim.Time, err error) { r.stageDone(err) }
 		r.read = func(_, _ sim.Time, err error) { r.afterRead(err) }
-		r.shardDone = func(_, _ sim.Time) {
-			r.remaining--
-			if r.remaining == 0 {
-				r.glue()
-			}
-		}
+		r.shardDone = func(_, _ sim.Time) { r.glue() }
 		r.glueDone = func(_, _ sim.Time) { r.copy() }
 		r.copied = func(_, _ sim.Time) { r.computed() }
 	}
@@ -151,11 +146,7 @@ func (r *lineRun) compute() {
 	// slowest shard finishes.
 	res, _ := r.units()
 	cores := res.Cores()
-	r.remaining = cores
-	shard := work / float64(cores)
-	for i := 0; i < cores; i++ {
-		res.Submit(shard, r.shardDone)
-	}
+	res.SubmitN(cores, work/float64(cores), r.shardDone)
 }
 
 func (r *lineRun) glue() {

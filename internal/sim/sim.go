@@ -136,8 +136,9 @@ func New() *Sim {
 // Now returns the current simulated time.
 func (s *Sim) Now() Time { return s.now }
 
-// EventsFired returns the number of events executed so far; useful for
-// tests and for sanity-checking model complexity.
+// EventsFired returns the number of calendar entries fired so far; useful
+// for tests and for sanity-checking model complexity. A Resource fires a
+// group of shards that started together from one entry.
 func (s *Sim) EventsFired() uint64 { return s.fired }
 
 // SetTracer installs fn to receive a trace line per fired event. Pass nil

@@ -399,6 +399,14 @@ func TestSteadyStateAllocFree(t *testing.T) {
 				r.SetAvailability(1)
 			}
 		}},
+		{"Resource.SubmitN idle", func(s *Sim) func() {
+			r := NewResource(s, "r", 8, 1)
+			return func() { r.SubmitN(8, 1, done); s.Run() }
+		}},
+		{"Resource.SubmitN partially busy", func(s *Sim) func() {
+			r := NewResource(s, "r", 8, 1)
+			return func() { r.Submit(2, done); r.SubmitN(8, 1, done); s.Run() }
+		}},
 		{"Link.Transfer", func(s *Sim) func() {
 			l := NewLink(s, "l", 1000, 1e-3)
 			return func() { l.Transfer(100, done); l.Transfer(100, done); s.Run() }
@@ -411,6 +419,40 @@ func TestSteadyStateAllocFree(t *testing.T) {
 				t.Errorf("steady state allocates %.1f objects/op, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestSubmitNBooksOneEvent pins the grouping itself: the shards of one
+// SubmitN that start at the same instant share one calendar entry, so a
+// kernel split across every core of an idle resource books one event,
+// waiting shards book none, and waiting shards that start together when
+// a group finishes share one event again.
+func TestSubmitNBooksOneEvent(t *testing.T) {
+	s := New()
+	r := NewResource(s, "r", 8, 1)
+	calls := 0
+	r.SubmitN(8, 1, func(start, end Time) {
+		calls++
+		if start != 0 || end != 1 {
+			t.Errorf("SubmitN ran [%v,%v], want [0,1]", start, end)
+		}
+	})
+	if got := s.Pending(); got != 1 {
+		t.Errorf("SubmitN(8) on an idle 8-core resource left %d pending events, want 1", got)
+	}
+	r.SubmitN(10, 1, nil)
+	if got := s.Pending(); got != 1 || r.InFlight() != 8 || r.QueueLen() != 10 {
+		t.Errorf("after a queued SubmitN(10): %d pending events, %d in flight, %d queued; want 1, 8, 10",
+			got, r.InFlight(), r.QueueLen())
+	}
+	s.Run()
+	if calls != 1 {
+		t.Errorf("done called %d times, want once", calls)
+	}
+	// Events fire at t=1 (the first kernel), t=2 (the eight shards that
+	// took its cores at t=1) and t=3 (the last two).
+	if got := s.EventsFired(); got != 3 {
+		t.Errorf("fired %d events, want 3", got)
 	}
 }
 
