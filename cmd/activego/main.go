@@ -270,9 +270,8 @@ func runExplain(args []string) int {
 	runIt := fs.Bool("run", false, "also execute the workload under windowed observation and cross-link drift columns")
 	window := fs.Float64("obswindow", 0, "observation window for -run in simulated seconds (0 = 1/16 of the projected runtime)")
 	planner := fs.String("planner", "", "planning algorithm: "+core.PlannerChoices+" (DESIGN.md §16); empty = bnb, the exact planner")
-	cacheStats := fs.Bool("cachestats", false, "route the analysis through a plan cache and append its hit/miss footer")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: activego explain -workload NAME [-scalediv N] [-seed S] [-json] [-planner P] [-cachestats] [-run [-obswindow W]]")
+		fmt.Fprintln(os.Stderr, "usage: activego explain -workload NAME [-scalediv N] [-seed S] [-json] [-planner P] [-run [-obswindow W]]")
 		fs.PrintDefaults()
 	}
 	_ = fs.Parse(args)
@@ -281,14 +280,13 @@ func runExplain(args []string) int {
 		return 2
 	}
 	err := cliutil.Explain(os.Stdout, cliutil.ExplainOptions{
-		Workload:   *workload,
-		ScaleDiv:   *scaleDiv,
-		Seed:       *seed,
-		JSON:       *asJSON,
-		Run:        *runIt,
-		Window:     *window,
-		Planner:    *planner,
-		CacheStats: *cacheStats,
+		Workload: *workload,
+		ScaleDiv: *scaleDiv,
+		Seed:     *seed,
+		JSON:     *asJSON,
+		Run:      *runIt,
+		Window:   *window,
+		Planner:  *planner,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "activego explain:", err)

@@ -12,8 +12,9 @@
 //	       [-pprof cpu.pb] [-memprofile mem.pb]
 //	csdsim -chaos N [-chaos-seed S]  # N randomized device-level fault schedules
 //	csdsim -serve [-tenants N] [-arrival P] [-qps Q] [-duration D]
-//	csdsim -lint program.apy...      # static-analysis lint, no simulation
-//	csdsim -explain -workload tpch-6 [-json] [-planner P] [-obswindow W]  # plan provenance, as activego explain
+//
+// Linting and plan provenance live on the language binary: `activego
+// vet` and `activego explain`.
 package main
 
 import (
@@ -21,7 +22,6 @@ import (
 	"fmt"
 	"os"
 
-	"activego/internal/analysis"
 	"activego/internal/chaos"
 	"activego/internal/cliutil"
 	"activego/internal/csd"
@@ -33,9 +33,6 @@ import (
 )
 
 func main() {
-	lint := flag.Bool("lint", false, "lint mini-language source files instead of simulating (args are .apy paths)")
-	lintJSON := flag.Bool("json", false, "with -lint: emit diagnostics as a JSON array")
-	lintWerror := flag.Bool("werror", false, "with -lint: treat warnings as errors")
 	readMB := flag.Int64("read-mb", 64, "stream this many MB from the device to the host")
 	writeMB := flag.Int64("write-mb", 16, "stream this many MB from the host to the device")
 	calls := flag.Int("calls", 8, "CSD function invocations through the call queue")
@@ -46,33 +43,10 @@ func main() {
 	chaosN := flag.Int("chaos", 0, "run N randomized device-level fault schedules instead of the benchmark")
 	chaosSeed := flag.Uint64("chaos-seed", 1, "seed for the -chaos schedule sweep")
 	serve := flag.Bool("serve", false, "drive a multi-tenant serving run of synthetic device requests (DESIGN.md §14) instead of the benchmark")
-	explain := flag.Bool("explain", false, "render a workload's plan provenance (per-line Eq. 1 terms and placement verdicts) instead of the benchmark")
-	workload := flag.String("workload", "", "with -explain: workload name (see activego -list)")
-	scaleDiv := flag.Int64("scalediv", 512, "with -explain: divide Table I input sizes by this factor")
-	seed := flag.Int64("seed", 42, "with -explain: generator seed")
 	obs := cliutil.Register(flag.CommandLine)
-	obs.RegisterPlanner(flag.CommandLine)
-	obs.RegisterObsWindow(flag.CommandLine)
 	srv := cliutil.RegisterServing(flag.CommandLine)
 	flag.Parse()
 
-	if *lint {
-		os.Exit(runLint(flag.Args(), *lintJSON, *lintWerror))
-	}
-	if *explain {
-		// -obswindow doubles as the "also run and cross-link drift" knob:
-		// a window implies a windowed execution to fill it.
-		err := cliutil.Explain(os.Stdout, cliutil.ExplainOptions{
-			Workload: *workload, ScaleDiv: *scaleDiv, Seed: *seed,
-			JSON: *lintJSON, Run: obs.ObsWindow > 0, Window: obs.ObsWindow,
-			Planner: obs.Planner,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "csdsim -explain:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *chaosN > 0 {
 		os.Exit(runDeviceChaos(*chaosN, *chaosSeed, *retryTimeout))
 	}
@@ -330,48 +304,4 @@ func runDeviceServe(obs *cliutil.Flags, srv *cliutil.ServingFlags,
 		return 1
 	}
 	return 0
-}
-
-// runLint is the -lint mode: same rule catalogue and output shapes as
-// `activego vet` (plain lines, or a JSON array with -json), exposed on
-// the substrate tool so device-side work can be checked without the
-// language binary. Exit 0 clean/warnings (unless -werror), 1 on error
-// diagnostics (or any diagnostic under -werror), 2 on usage/read/parse
-// failures.
-func runLint(paths []string, asJSON, werror bool) int {
-	if len(paths) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: csdsim -lint [-json] [-werror] program.apy...")
-		return 2
-	}
-	status := 0
-	var all []analysis.FileDiagnostic
-	for _, path := range paths {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "csdsim:", err)
-			return 2
-		}
-		diags, err := analysis.LintSource(string(src))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "csdsim: %s: %v\n", path, err)
-			return 2
-		}
-		for _, d := range diags {
-			if asJSON {
-				all = append(all, analysis.FileDiagnostic{File: path, Diag: d})
-			} else {
-				fmt.Printf("%s [%s]\n", d.Format(path), d.Severity)
-			}
-		}
-		if analysis.HasErrors(diags) || (werror && len(diags) > 0) {
-			status = 1
-		}
-	}
-	if asJSON {
-		if err := analysis.WriteJSON(os.Stdout, all); err != nil {
-			fmt.Fprintln(os.Stderr, "csdsim:", err)
-			return 2
-		}
-	}
-	return status
 }

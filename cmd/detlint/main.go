@@ -1,5 +1,5 @@
 // Command detlint runs the framework-tier determinism linter
-// (internal/detlint, passes DL001–DL005) over this repository's Go
+// (internal/detlint, passes DL001–DL006) over this repository's Go
 // packages. It is the static half of the determinism contract: the
 // runtime tests prove bit-identical replays after the fact, detlint
 // rejects the code patterns that break them before anything runs.

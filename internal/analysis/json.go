@@ -1,8 +1,8 @@
 // Machine-readable diagnostic output: the `-json` mode of `activego
-// vet` and `csdsim -lint`. The schema matches cmd/detlint's writer —
-// one flat array of {file, line, col, code, severity, message} objects
-// — so one consumer script handles both linter tiers. Mini-language
-// diagnostics are line-granular; col is always 0 here.
+// vet`. The schema matches cmd/detlint's writer — one flat array of
+// {file, line, col, code, severity, message} objects — so one consumer
+// script handles both linter tiers. Mini-language diagnostics are
+// line-granular; col is always 0 here.
 package analysis
 
 import (

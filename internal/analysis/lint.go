@@ -1,7 +1,6 @@
-// The lint rule catalogue: the diagnostics `activego vet` and `csdsim
-// -lint` surface. Every rule rides on facts the dependence analysis
-// already computed — the linter is a view over the Report, not a second
-// analysis.
+// The lint rule catalogue: the diagnostics `activego vet` surfaces.
+// Every rule rides on facts the dependence analysis already computed —
+// the linter is a view over the Report, not a second analysis.
 package analysis
 
 import (
@@ -266,9 +265,9 @@ func sortDiagnostics(diags []Diagnostic) {
 	})
 }
 
-// LintSource parses and lints src in one step — the entry point the
-// `activego vet` and `csdsim -lint` commands share. A parse failure is
-// returned as the error; diagnostics are the lint findings.
+// LintSource parses and lints src in one step — the entry point of
+// `activego vet`. A parse failure is returned as the error; diagnostics
+// are the lint findings.
 func LintSource(src string) ([]Diagnostic, error) {
 	prog, err := parser.Parse(src)
 	if err != nil {

@@ -62,27 +62,47 @@ func TestFlagNamesStayStable(t *testing.T) {
 	// The three commands advertise these exact names; renaming one here
 	// silently breaks every documented invocation. Register defines only
 	// the sinks every command honours, and each opt-in call defines
-	// exactly its own flags, so no command accepts a flag it never reads.
+	// exactly its own flags and is made by exactly the commands listed,
+	// so no command accepts a flag it never reads.
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	Register(fs)
 	if got, want := flagNames(fs), []string{"memprofile", "metrics", "pprof", "trace", "tracesummary"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Register defines %v, want %v", got, want)
 	}
+	commands := []string{"activego", "benchsuite", "csdsim"}
+	mains := map[string]string{}
+	for _, cmd := range commands {
+		src, err := os.ReadFile(filepath.Join("..", "..", "cmd", cmd, "main.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mains[cmd] = string(src)
+	}
 	for _, c := range []struct {
 		call     string
 		register func(*Flags, *flag.FlagSet)
 		want     []string
+		callers  []string
 	}{
-		{"RegisterJobs", (*Flags).RegisterJobs, []string{"j"}},
-		{"RegisterPlanner", (*Flags).RegisterPlanner, []string{"planner"}},
-		{"RegisterObsWindow", (*Flags).RegisterObsWindow, []string{"obswindow"}},
-		{"RegisterMonitor", (*Flags).RegisterMonitor, []string{"httpmon"}},
-		{"RegisterServing", func(_ *Flags, fs *flag.FlagSet) { RegisterServing(fs) }, []string{"arrival", "duration", "qps", "tenants"}},
+		{"RegisterJobs", (*Flags).RegisterJobs, []string{"j"}, []string{"activego", "benchsuite"}},
+		{"RegisterPlanner", (*Flags).RegisterPlanner, []string{"planner"}, []string{"activego"}},
+		{"RegisterObsWindow", (*Flags).RegisterObsWindow, []string{"obswindow"}, []string{"activego"}},
+		{"RegisterMonitor", (*Flags).RegisterMonitor, []string{"httpmon"}, []string{"benchsuite"}},
+		{"RegisterServing", func(_ *Flags, fs *flag.FlagSet) { RegisterServing(fs) }, []string{"arrival", "duration", "qps", "tenants"}, commands},
 	} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		c.register(&Flags{}, fs)
 		if got := flagNames(fs); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s defines %v, want %v", c.call, got, c.want)
+		}
+		var callers []string
+		for _, cmd := range commands {
+			if strings.Contains(mains[cmd], "."+c.call+"(flag.CommandLine)") {
+				callers = append(callers, cmd)
+			}
+		}
+		if !reflect.DeepEqual(callers, c.callers) {
+			t.Errorf("%s is called by %v, want %v", c.call, callers, c.callers)
 		}
 	}
 }

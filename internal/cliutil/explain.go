@@ -6,7 +6,6 @@ import (
 
 	"activego/internal/core"
 	"activego/internal/obs"
-	"activego/internal/plan"
 	"activego/internal/platform"
 	"activego/internal/profile"
 	"activego/internal/workloads"
@@ -25,18 +24,14 @@ type ExplainOptions struct {
 	Run    bool
 	Window float64
 	// Planner forces the planning algorithm (core.PlannerChoices; ""
-	// = auto). CacheStats additionally routes the analysis through a
-	// plan cache and appends a plan-cache footer — off by default so
-	// the golden default rendering stays byte-identical.
-	Planner    string
-	CacheStats bool
+	// = auto).
+	Planner string
 }
 
 // Explain renders a workload's plan provenance — the per-line Equation 1
 // terms, pin/prune verdicts, and projected-vs-all-host totals the
 // placement was argued from (DESIGN.md §15) — to out, as a table or
-// JSON. Shared by `activego explain` and `csdsim -explain` so both
-// produce byte-identical output for the same options.
+// JSON. `activego explain` renders through it.
 func Explain(out io.Writer, o ExplainOptions) error {
 	spec, ok := workloads.ByName(o.Workload)
 	if !ok {
@@ -47,12 +42,6 @@ func Explain(out io.Writer, o ExplainOptions) error {
 	rt := core.New(platform.Default())
 	rt.SampleScales = profile.ScaledScales
 	rt.Planner = o.Planner
-	var cache *plan.Cache
-	if o.CacheStats {
-		cache = plan.NewCache()
-		rt.PlanCache = cache
-		rt.PlanCacheSalt = fmt.Sprintf("%s|%d|%d", o.Workload, o.ScaleDiv, o.Seed)
-	}
 	rt.PreloadInputs(inst.Registry)
 
 	_, _, planRes, err := rt.Analyze(inst.Source, inst.Registry)
@@ -78,15 +67,6 @@ func Explain(out io.Writer, o ExplainOptions) error {
 	if o.JSON {
 		return ex.WriteJSON(out)
 	}
-	if _, err := fmt.Fprint(out, ex.Table().String()); err != nil {
-		return err
-	}
-	if cache != nil {
-		s := cache.Stats()
-		if _, err := fmt.Fprintf(out, "\nplan cache: %d hits, %d misses, %d invalidations (%.0f%% hit rate)\n",
-			s.Hits, s.Misses, s.Invalidations, 100*s.HitRate()); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err = fmt.Fprint(out, ex.Table().String())
+	return err
 }

@@ -21,7 +21,6 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"activego/internal/analysis"
 	"activego/internal/codegen"
@@ -129,17 +128,6 @@ type Runtime struct {
 	// PlanBudget overrides the branch-and-bound node budget
 	// (0 = plan.DefaultBnBNodeBudget).
 	PlanBudget int
-	// PlanCache, when set, memoizes the sampling + planning half of the
-	// pipeline under a digest of (program, input shape, machine, sampling
-	// scales, planner choice, PlanCacheSalt). A hit is bit-identical to a
-	// cold plan (plan.Cache deep-copies both ways); Run invalidates the
-	// entry when AV012 drift scoring flags the cached model stale.
-	PlanCache *plan.Cache
-	// PlanCacheSalt folds caller context that the runtime cannot see —
-	// e.g. the workload seed behind the registry's contents — into the
-	// cache key. Callers whose registries differ in content but not in
-	// shape must salt the key apart.
-	PlanCacheSalt string
 }
 
 // New builds a runtime on p, measuring the platform's slowdown constant C
@@ -174,24 +162,10 @@ type analyzed struct {
 	report     *profile.Report
 	plan       *plan.Result
 	advisories []analysis.Diagnostic
-	cacheKey   string // plan-cache key; "" when no cache is attached
-}
-
-// cachedAnalysis is the opaque aux payload a plan-cache entry carries
-// alongside the deep-copied plan: the sampling report and the dynamic
-// advisories the cold run produced. The report pointer is shared across
-// hits (callers treat it read-only); the advisory slice is copied on
-// every hit so a caller appending drift findings cannot corrupt it.
-type cachedAnalysis struct {
-	report     *profile.Report
-	advisories []analysis.Diagnostic
 }
 
 // analyzeAll is Analyze plus the static-analysis report: parse, analyze,
-// sample, and plan with illegal lines masked from the planner. With a
-// PlanCache attached, the sampling + planning half is memoized under
-// planCacheKey — a hit skips both phases and returns a bit-identical
-// plan (DESIGN.md §16).
+// sample, and plan with illegal lines masked from the planner.
 func (rt *Runtime) analyzeAll(src string, reg *inputs.Registry) (*analyzed, error) {
 	stop := rt.Metrics.Phase(metrics.PhaseParse)
 	prog, err := parser.Parse(src)
@@ -208,19 +182,6 @@ func (rt *Runtime) analyzeAll(src string, reg *inputs.Registry) (*analyzed, erro
 	scales := rt.SampleScales
 	if scales == nil {
 		scales = profile.Scales
-	}
-	a := &analyzed{prog: prog, static: static}
-	if rt.PlanCache != nil {
-		a.cacheKey = rt.planCacheKey(src, reg, scales)
-		if res, aux, ok := rt.PlanCache.Get(a.cacheKey); ok {
-			ca := aux.(cachedAnalysis)
-			a.plan = res
-			a.report = ca.report
-			a.advisories = append([]analysis.Diagnostic(nil), ca.advisories...)
-			rt.Metrics.Counter(metrics.MetricPlanCacheHit).Add(1)
-			return a, nil
-		}
-		rt.Metrics.Counter(metrics.MetricPlanCacheMiss).Add(1)
 	}
 	report, err := profile.RunScalesPool(prog, reg, scales, rt.Metrics, rt.Pool)
 	if err != nil {
@@ -252,14 +213,7 @@ func (rt *Runtime) analyzeAll(src string, reg *inputs.Registry) (*analyzed, erro
 	if n := prunedCount(advisories); n > 0 {
 		rt.Metrics.Counter(metrics.MetricPlanPrunedLines).Add(float64(n))
 	}
-	a.report, a.plan, a.advisories = report, planRes, advisories
-	if rt.PlanCache != nil {
-		rt.PlanCache.Put(a.cacheKey, planRes, cachedAnalysis{
-			report:     report,
-			advisories: append([]analysis.Diagnostic(nil), advisories...),
-		})
-	}
-	return a, nil
+	return &analyzed{prog: prog, static: static, report: report, plan: planRes, advisories: advisories}, nil
 }
 
 // runPlanner dispatches to the configured planning algorithm. The
@@ -287,24 +241,6 @@ func (rt *Runtime) runPlanner(estimates []plan.LineEstimate, cons plan.Constrain
 // behavior, not a fallback.
 func greedyRequested(planner string) bool {
 	return planner == plan.PlannerAlgorithm1 || planner == plan.PlannerAlgorithm1Literal
-}
-
-// planCacheKey digests everything the cached half of the pipeline
-// depends on: the source text, the planner choice and budget, the
-// machine model, the sampling scales, and the input registry's shape
-// (names, sizes, sampling modes — in insertion order). Registry shape
-// does not capture data content, so callers whose inputs differ beyond
-// shape must disambiguate through PlanCacheSalt (the serving driver
-// salts with workload name, scale divisor, and seed).
-func (rt *Runtime) planCacheKey(src string, reg *inputs.Registry, scales []float64) string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s\x00%s\x00%s\x00%d\x00%+v\x00%v\x00",
-		src, rt.PlanCacheSalt, rt.Planner, rt.PlanBudget, rt.Machine, scales)
-	for _, name := range reg.Names() {
-		e, _ := reg.Get(name)
-		fmt.Fprintf(h, "%s=%d/%v;", name, e.Value.SizeBytes(), e.Mode)
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // adviseEstimates runs the dynamic-input analysis passes over the
@@ -373,14 +309,6 @@ func (rt *Runtime) Run(src string, reg *inputs.Registry, cfg Config) (*Outcome, 
 		return nil, err
 	}
 	out.Advisories = append(a.advisories, out.Drift.Advisories()...)
-	if rt.PlanCache != nil && a.cacheKey != "" && out.Drift != nil && len(out.Drift.StaleLines()) > 0 {
-		// AV012 says the fitted model behind this plan no longer matches
-		// observed behavior — drop the memoized entry so the next build
-		// re-samples and re-plans instead of serving the stale model.
-		if rt.PlanCache.Invalidate(a.cacheKey) {
-			rt.Metrics.Counter(metrics.MetricPlanCacheInvalidations).Add(1)
-		}
-	}
 	return out, nil
 }
 

@@ -1,8 +1,10 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 
+	"activego/internal/analysis"
 	"activego/internal/core"
 	"activego/internal/lang/value"
 )
@@ -61,6 +63,58 @@ func TestObsWindowDoesNotPerturbRun(t *testing.T) {
 	// An in-model run must not raise AV012 — the plan's own costs fit.
 	if stale := observed.Drift.StaleLines(); len(stale) != 0 {
 		t.Errorf("undisturbed run flagged stale lines %v", stale)
+	}
+}
+
+// loopScan executes its reduction line many times, so windowed
+// observation spreads it over enough windows for drift scoring to build
+// a stale streak.
+const loopScan = `total = 0.0
+for blk in range(16):
+    b = load_block("sensors", blk, 16)
+    total = total + vsum(b)
+`
+
+// TestRunFlagsDriftOnSlowedUnit pins Run's AV012 path: when the unit a
+// plan runs on slows after planning, windowed observation must flag the
+// affected lines model-stale and Run must surface them as AV012
+// advisories. loopScan plans all-host, so the host CPU is the unit to
+// slow; migration is off so the plan stays put.
+func TestRunFlagsDriftOnSlowedUnit(t *testing.T) {
+	run := func(hostAvail, window float64) *core.Outcome {
+		t.Helper()
+		reg := scanRegistry(1 << 16)
+		rt := newRuntime()
+		rt.PreloadInputs(reg)
+		rt.Plat.Host.CPU.SetAvailability(hostAvail)
+		cfg := core.DefaultConfig()
+		cfg.Migration = false
+		cfg.OverheadScale = 1e-4
+		cfg.ObsWindow = window
+		out, err := rt.Run(loopScan, reg, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	clean := run(1, 0)
+	if lines := clean.Plan.Partition.Lines(); len(lines) != 0 {
+		t.Fatalf("loopScan offloads %v; the test needs an all-host plan", lines)
+	}
+
+	slowed := run(0.1, clean.Exec.Duration/8)
+	stale := slowed.Drift.StaleLines()
+	if len(stale) == 0 {
+		t.Fatal("a host at 10% availability raised no stale lines")
+	}
+	var av012 []int
+	for _, d := range slowed.Advisories {
+		if d.Code == analysis.CodeDrift {
+			av012 = append(av012, d.Line)
+		}
+	}
+	if !slices.Equal(av012, stale) {
+		t.Errorf("%s advisories on lines %v, want one per stale line %v", analysis.CodeDrift, av012, stale)
 	}
 }
 

@@ -9,7 +9,7 @@
 // implemented on the standard library alone (go/ast + go/types, with
 // export data served by `go list -export`), so the linter builds in a
 // hermetic environment with no module downloads. cmd/detlint is the
-// command-line driver; the pass catalogue (DL001–DL005) is documented in
+// command-line driver; the pass catalogue (DL001–DL006) is documented in
 // DESIGN.md §13, and a docs test pins the table to Catalogue below.
 //
 // Rules are scoped by package role rather than annotation:
@@ -18,7 +18,8 @@
 //     host models built on it, the executor, planners, the parallel
 //     layer, fault/chaos/resilience, the serving driver, obs, and the
 //     experiment harnesses) must not read wall clocks or unseeded
-//     randomness (DL001, DL005);
+//     randomness (DL001, DL005), nor write package-level variables from
+//     function bodies (DL006);
 //   - every package that renders output, manifests, or traces, or books
 //     simulator events, must not do so from an unordered map iteration
 //     (DL002);
@@ -190,7 +191,7 @@ func namedOf(t types.Type) *types.Named {
 // Analyzers returns the full pass suite in catalogue order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		DL001, DL002, DL003, DL004, DL005,
+		DL001, DL002, DL003, DL004, DL005, DL006,
 	}
 }
 
@@ -240,6 +241,7 @@ func Catalogue() []PassInfo {
 		{DL003.Code, DL003.Name, DL003.Doc, "all packages"},
 		{DL004.Code, DL004.Name, DL004.Doc, "nil-is-inert types"},
 		{DL005.Code, DL005.Name, DL005.Doc, scopeDet},
+		{DL006.Code, DL006.Name, DL006.Doc, scopeDet},
 	}
 	return out
 }

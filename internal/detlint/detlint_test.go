@@ -31,6 +31,7 @@ var fixturePatterns = []string{
 	"./internal/detlint/testdata/dl003/emit",
 	"./internal/detlint/testdata/dl004/trace",
 	"./internal/detlint/testdata/dl005/plan",
+	"./internal/detlint/testdata/dl006/driver",
 }
 
 // realConfig mirrors cmd/detlint's production configuration: the live

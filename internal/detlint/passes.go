@@ -359,3 +359,78 @@ var DL005 = &Analyzer{
 		})
 	},
 }
+
+// ---- DL006: no mutable package state in deterministic packages ----
+
+// packageVar resolves a written expression to the package-level
+// variable it stores into, or nil: the variable itself (x, or pkg.X
+// from another package), or a package-level map under an index store
+// (m[k]).
+func packageVar(info *types.Info, lhs ast.Expr) *types.Var {
+	lhs = ast.Unparen(lhs)
+	if ix, ok := lhs.(*ast.IndexExpr); ok {
+		tv, ok := info.Types[ix.X]
+		if !ok {
+			return nil
+		}
+		if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
+			return nil
+		}
+		lhs = ast.Unparen(ix.X)
+	}
+	var id *ast.Ident
+	switch x := lhs.(type) {
+	case *ast.Ident:
+		id = x
+	case *ast.SelectorExpr:
+		id = x.Sel
+	default:
+		return nil
+	}
+	v, ok := info.Uses[id].(*types.Var)
+	if !ok || v.IsField() || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
+		return nil
+	}
+	return v
+}
+
+// DL006 forbids writing package-level variables from function bodies
+// in deterministic packages: an assignment, an op-assignment, ++/--, or
+// a map-index store. Concurrent studies (benchsuite -j N) share every
+// package variable, so one such write lets one study move another's
+// numbers; state belongs in a parameter or a struct the caller owns.
+// init functions are exempt — they run once, before any study starts.
+var DL006 = &Analyzer{
+	Code: "DL006",
+	Name: "package-state-writes",
+	Doc:  "no package-level variable is written inside a function body in deterministic packages (init exempt)",
+	Run: func(p *Pass) {
+		if !p.Cfg.Deterministic(p.Pkg.ImportPath) {
+			return
+		}
+		info := p.Pkg.Info
+		report := func(lhs ast.Expr) {
+			if v := packageVar(info, lhs); v != nil {
+				p.Reportf(lhs.Pos(), "package-level variable %s.%s written inside a function: concurrent studies share it, so pass the state through a parameter or a struct field instead",
+					v.Pkg().Name(), v.Name())
+			}
+		}
+		p.walkFiles(func(file *ast.File) {
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.FuncDecl:
+					return x.Recv != nil || x.Name.Name != "init"
+				case *ast.AssignStmt:
+					if x.Tok != token.DEFINE {
+						for _, lhs := range x.Lhs {
+							report(lhs)
+						}
+					}
+				case *ast.IncDecStmt:
+					report(x.X)
+				}
+				return true
+			})
+		})
+	},
+}

@@ -100,16 +100,45 @@ func TestEveryInternalPackageDocumented(t *testing.T) {
 	}
 }
 
-// TestReadmePackageMapComplete requires every internal package to
-// appear in README.md's package map: each top-level directory under
-// internal/ must be named in a backticked cell (subpackage trees like
-// lang/* may be rolled up under their parent, so `lang/` counts).
+// backticked matches one backticked span: `text`.
+var backticked = regexp.MustCompile("`([^`]+)`")
+
+// TestReadmePackageMapComplete pins README.md's package map to
+// internal/, both directions: every top-level directory under internal/
+// is named in the map's Package column (subpackage trees like lang/*
+// count through their members, so `lang/lexer` covers lang), and every
+// package the column names is an existing directory under internal/, so
+// a deleted package cannot leave a stale row behind.
 func TestReadmePackageMapComplete(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join(root, "README.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	readme := string(data)
+	_, sect, found := strings.Cut(string(data), "\n### Package map\n")
+	if !found {
+		t.Fatal("README.md has no \"### Package map\" section")
+	}
+	if i := strings.Index(sect, "\n## "); i >= 0 {
+		sect = sect[:i]
+	}
+	var mapped []string
+	for _, line := range strings.Split(sect, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 4 || strings.HasPrefix(strings.TrimSpace(cells[2]), "---") {
+			continue
+		}
+		for _, m := range backticked.FindAllStringSubmatch(cells[2], -1) {
+			mapped = append(mapped, m[1])
+		}
+	}
+	if len(mapped) == 0 {
+		t.Fatal("README.md's package map names no packages; table format changed?")
+	}
+	for _, pkg := range mapped {
+		if st, err := os.Stat(filepath.Join(root, "internal", pkg)); err != nil || !st.IsDir() {
+			t.Errorf("README.md's package map names %q, which is not a directory under internal/", pkg)
+		}
+	}
 	entries, err := os.ReadDir(filepath.Join(root, "internal"))
 	if err != nil {
 		t.Fatal(err)
@@ -119,10 +148,11 @@ func TestReadmePackageMapComplete(t *testing.T) {
 			continue
 		}
 		name := e.Name()
-		if strings.Contains(readme, "`"+name+"`") || strings.Contains(readme, "`"+name+"/") {
-			continue
+		if !slices.ContainsFunc(mapped, func(pkg string) bool {
+			return pkg == name || strings.HasPrefix(pkg, name+"/")
+		}) {
+			t.Errorf("internal/%s is not in README.md's package map", name)
 		}
-		t.Errorf("internal/%s is not in README.md's package map", name)
 	}
 }
 

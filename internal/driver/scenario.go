@@ -50,8 +50,6 @@ func Build(name string, params workloads.Params) (*Scenario, error) {
 	inst := spec.Build(params)
 	rt := core.New(platform.Default())
 	rt.SampleScales = profile.ScaledScales
-	rt.PlanCache = planCache
-	rt.PlanCacheSalt = fmt.Sprintf("%s|%d|%d", spec.Name, params.ScaleDiv, params.Seed)
 	rt.PreloadInputs(inst.Registry)
 	prog, _, planRes, err := rt.Analyze(inst.Source, inst.Registry)
 	if err != nil {
@@ -75,33 +73,12 @@ func Build(name string, params workloads.Params) (*Scenario, error) {
 	}, nil
 }
 
-// planCache memoizes the sampling + planning half of scenario
-// construction across Build calls (DESIGN.md §16): a serving loop that
-// rebuilds the same workload at the same params pays the pipeline once
-// and replays the memoized plan thereafter. The key is salted with
-// (name, ScaleDiv, Seed) because registry shape alone cannot see
-// seed-dependent data content. SetPlanCache swaps it for harnesses that
-// need a cold or isolated cache.
-var planCache = plan.NewCache()
-
-// SetPlanCache replaces the driver's shared plan cache and returns the
-// previous one. Pass plan.NewCache() for an isolated cold cache (the
-// planner experiment does, so its gated hit/miss counts cannot depend
-// on what earlier harness runs warmed), or nil to disable memoization.
-func SetPlanCache(c *plan.Cache) *plan.Cache {
-	prev := planCache
-	planCache = c
-	return prev
-}
-
-// PlanCacheStats snapshots the shared cache's counters (zero-valued
-// when memoization is disabled).
-func PlanCacheStats() plan.CacheStats {
-	if planCache == nil {
-		return plan.CacheStats{}
-	}
-	return planCache.Stats()
-}
+// SetPlanCache does nothing: a scenario is built once and replayed, so
+// there is no repeat pipeline run to memoize.
+//
+// Deprecated: drop the call. SetPlanCache remains only because
+// perfbench/serve.go still calls it.
+func SetPlanCache(any) {}
 
 // Synthetic fabricates a scenario without the language pipeline: lines
 // alternating CSD kernel work (odd lines, offloaded) and host glue (even
@@ -179,20 +156,6 @@ func NewMix(entries ...MixEntry) (*Mix, error) {
 	return m, nil
 }
 
-// BuildMix builds every named workload as a scenario and assembles the
-// weighted mix.
-func BuildMix(params workloads.Params, weighted []Weighted) (*Mix, error) {
-	entries := make([]MixEntry, 0, len(weighted))
-	for _, w := range weighted {
-		s, err := Build(w.Name, params)
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, MixEntry{Scenario: s, Weight: w.Weight})
-	}
-	return NewMix(entries...)
-}
-
 // Pick maps a uniform draw u in [0,1) to a scenario by cumulative
 // weight. Out-of-range draws clamp to the ends.
 func (m *Mix) Pick(u float64) *Scenario {
@@ -204,13 +167,4 @@ func (m *Mix) Pick(u float64) *Scenario {
 		target -= e.Weight
 	}
 	return m.entries[len(m.entries)-1].Scenario
-}
-
-// Scenarios lists the mix's scenarios in entry order.
-func (m *Mix) Scenarios() []*Scenario {
-	out := make([]*Scenario, len(m.entries))
-	for i, e := range m.entries {
-		out[i] = e.Scenario
-	}
-	return out
 }

@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"activego/internal/bench"
-	"activego/internal/metrics"
 	"activego/internal/plan"
 	"activego/internal/workloads"
 )
@@ -301,14 +300,11 @@ func (r *DriftResult) Bench(params workloads.Params) *bench.Manifest {
 	return m
 }
 
-// Bench converts the planner study. Exactness, optimal agreement, and
-// the cache's hit/miss split all gate: every quantity is a deterministic
-// function of the fixtures and the seed, so any drift is a real planner
-// or cache behavior change. Node and cut counts gate too (LowerIsBetter)
-// — a search that suddenly expands more nodes is a pruning regression
-// even when it stays exact. The cache rows carry the runtime counter
-// names (metrics catalogue §10) so a manifest diff reads like a metrics
-// diff.
+// Bench converts the planner study. Exactness and optimal agreement
+// gate: every quantity is a deterministic function of the fixtures, so
+// any drift is a real planner behavior change. Node and cut counts gate
+// too (LowerIsBetter) — a search that suddenly expands more nodes is a
+// pruning regression even when it stays exact.
 func (r *PlannerResult) Bench(params workloads.Params) *bench.Manifest {
 	m := bench.NewManifest("planner", params.Seed, params.ScaleDiv)
 	for _, pt := range r.Points {
@@ -326,16 +322,6 @@ func (r *PlannerResult) Bench(params workloads.Params) *bench.Manifest {
 		}
 		m.Workloads = append(m.Workloads, w)
 	}
-	c := bench.Workload{Name: "plan-cache"}
-	c.Add(metrics.MetricPlanCacheHit, float64(r.Cache.Hits), "", bench.HigherIsBetter)
-	c.Add(metrics.MetricPlanCacheMiss, float64(r.Cache.Misses), "", bench.LowerIsBetter)
-	c.Add("hit.rate", r.Cache.HitRate, "", bench.HigherIsBetter)
-	c.Add("hit.identical", boolVal(r.Cache.HitIdentical), "", bench.HigherIsBetter)
-	c.Add("builds", float64(r.Cache.Builds), "", "")
-	c.Add("tenants", float64(r.Cache.Tenants), "", "")
-	c.Add("served.completed", float64(r.Cache.Completed), "", bench.HigherIsBetter)
-	c.Add("served.offered", float64(r.Cache.Offered), "", "")
-	m.Workloads = append(m.Workloads, c)
 	return m
 }
 

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"reflect"
 
-	"activego/internal/driver"
 	"activego/internal/fault"
 	"activego/internal/plan"
 	"activego/internal/platform"
@@ -16,20 +14,12 @@ import (
 // seed's exact planner enumerated all 2^n placements and silently
 // degraded to the greedy Algorithm 1 past 16 offloadable lines — a
 // cliff where plan quality could drop the moment a program grew one
-// line too many. This study measures the replacement on both axes:
-//
-//   - Exactness past the cliff: branch-and-bound plans fixture programs
-//     of 12–32 viable lines, and the manifest tracks that every point
-//     stays exact (no node-budget fallback), what the search cost in
-//     nodes, how much the bound and never-win cuts pruned, and how far
-//     the greedy walk's plan is from the exact optimum.
-//   - Plan memoization in the serving loop: a tenant fleet whose mixes
-//     rebuild the same two workloads pays the sampling + planning
-//     pipeline once per distinct (workload, params) and serves every
-//     later construction from the cache, bit-identically.
-
-// PlannerSeed keys the cache study's serving run arrivals.
-const PlannerSeed uint64 = 31
+// line too many. This study measures the replacement past the cliff:
+// branch-and-bound plans fixture programs of 12–32 viable lines, and
+// the manifest tracks that every point stays exact (no node-budget
+// fallback), what the search cost in nodes, how much the bound and
+// never-win cuts pruned, and how far the greedy walk's plan is from the
+// exact optimum.
 
 // PlannerPoints are the exactness ladder's viable-line counts: up to
 // the old enumeration cliff (12, 16) and past it (24, 30, 32).
@@ -40,16 +30,6 @@ var PlannerPoints = []int{12, 16, 24, 30, 32}
 // chain, far under the 2^22 budget) while still exceeding the seed
 // planner's whole-program limit once two chains are present.
 const plannerChainMax = 16
-
-// PlannerCacheTenants is the fleet size of the memoization study; with
-// PlannerCacheWorkloads workloads per mix it yields tenants×workloads
-// builds of which only the first mix misses: 24 builds, 2 misses —
-// a 91.7% hit rate.
-const PlannerCacheTenants = 12
-
-// PlannerCacheWorkloads are the two scenarios every tenant's mix
-// rebuilds (the serving study's canonical pair).
-var PlannerCacheWorkloads = []string{"tpch-6", "blackscholes"}
 
 // PlannerFixture fabricates a deterministic program of the given viable
 // line count as planner estimates: lines round-robin over
@@ -121,27 +101,11 @@ type PlannerPoint struct {
 	OptimalMatch bool
 }
 
-// PlannerCacheStudy is the memoization half's outcome.
-type PlannerCacheStudy struct {
-	Workloads    []string
-	Tenants      int
-	Builds       int
-	Hits         uint64
-	Misses       uint64
-	HitRate      float64
-	HitIdentical bool // warm scenarios structurally equal the cold ones
-	// Served is the warm fleet's small serving run: every tenant's mix
-	// came out of the cache, and the requests replay normally.
-	Completed int
-	Offered   int
-}
-
 // PlannerResult is the full study.
 type PlannerResult struct {
 	Machine plan.Machine
 	Budget  int
 	Points  []PlannerPoint
-	Cache   PlannerCacheStudy
 }
 
 // plannerPoint runs one exactness measurement.
@@ -169,22 +133,10 @@ func plannerPoint(lines int, m plan.Machine) PlannerPoint {
 	return pt
 }
 
-// scenarioEqual compares the plan-derived halves of two scenarios (the
-// traces are rebuilt per construction and compared implicitly through
-// the estimates the planner derived from them).
-func scenarioEqual(a, b *driver.Scenario) bool {
-	return a.Partition.Equal(b.Partition) &&
-		reflect.DeepEqual(a.Estimates, b.Estimates) &&
-		reflect.DeepEqual(a.Provenance, b.Provenance)
-}
-
 // Planner runs the study: the exactness ladder fanned out on the pool
-// (assembled in input order, so -j 1 and -j N are bit-identical), then
-// the serving-loop memoization study on an injected cold cache — the
-// study's gated hit/miss counts must be a pure function of its own
-// builds, never of what earlier harness runs warmed into the shared
-// driver cache.
-func Planner(params workloads.Params, opts ...Option) (*PlannerResult, *report.Table, error) {
+// and assembled in input order, so -j 1 and -j N are bit-identical. The
+// ladder's fixtures are fixed programs, so params does not enter it.
+func Planner(_ workloads.Params, opts ...Option) (*PlannerResult, *report.Table, error) {
 	o := buildOptions(opts)
 	m := plan.MachineFromPlatform(platform.Default())
 	res := &PlannerResult{Machine: m, Budget: plan.DefaultBnBNodeBudget}
@@ -197,68 +149,8 @@ func Planner(params workloads.Params, opts ...Option) (*PlannerResult, *report.T
 	}
 	res.Points = points
 
-	prev := driver.SetPlanCache(plan.NewCache())
-	defer driver.SetPlanCache(prev)
-	weighted := make([]driver.Weighted, len(PlannerCacheWorkloads))
-	for i, name := range PlannerCacheWorkloads {
-		weighted[i] = driver.Weighted{Name: name, Weight: 1}
-	}
-	var cold []*driver.Scenario
-	identical := true
-	var lastMix *driver.Mix
-	for t := 0; t < PlannerCacheTenants; t++ {
-		mix, err := driver.BuildMix(params, weighted)
-		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: planner: tenant %d: %w", t, err)
-		}
-		scs := mix.Scenarios()
-		if t == 0 {
-			cold = scs
-		} else {
-			for i := range scs {
-				if !scenarioEqual(cold[i], scs[i]) {
-					identical = false
-				}
-			}
-		}
-		lastMix = mix
-	}
-	stats := driver.PlanCacheStats()
-	cache := PlannerCacheStudy{
-		Workloads:    PlannerCacheWorkloads,
-		Tenants:      PlannerCacheTenants,
-		Builds:       PlannerCacheTenants * len(PlannerCacheWorkloads),
-		Hits:         stats.Hits,
-		Misses:       stats.Misses,
-		HitRate:      stats.HitRate(),
-		HitIdentical: identical,
-	}
-
-	// A small warm serving run over the fully cache-built fleet: the
-	// memoized scenarios must serve exactly like cold ones.
-	solo, err := driftSolo(lastMix.Scenarios()[0])
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: planner: calibrate: %w", err)
-	}
-	qps := 0.5 / solo
-	sres, err := driver.Run(platform.Default(), driver.Config{
-		Seed:     PlannerSeed,
-		Duration: 8 / qps,
-		Tenants: []driver.TenantConfig{{Name: "warm", Mix: lastMix,
-			Arrival: driver.Arrival{Process: driver.Poisson, QPS: qps}}},
-		MaxInFlight: 1,
-		MaxQueue:    4,
-		Metrics:     o.metrics,
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: planner: serve: %w", err)
-	}
-	cache.Completed = sres.Completed
-	cache.Offered = sres.Offered
-	res.Cache = cache
-
 	tbl := report.NewTable(
-		fmt.Sprintf("Planner: branch-and-bound exactness ladder (budget %d nodes) + serving-loop plan cache", res.Budget),
+		fmt.Sprintf("Planner: branch-and-bound exactness ladder (budget %d nodes)", res.Budget),
 		"lines", "components", "nodes", "bound cuts", "neverwin cuts", "exact", "T_CSD", "greedy T_CSD", "optimal match")
 	for _, pt := range res.Points {
 		match := "n/a (past enumeration limit)"
@@ -276,14 +168,5 @@ func Planner(params workloads.Params, opts ...Option) (*PlannerResult, *report.T
 			fmt.Sprintf("%.6f", pt.GreedyTCSD),
 			match)
 	}
-	tbl.AddRow("CACHE",
-		fmt.Sprintf("%d tenants", cache.Tenants),
-		fmt.Sprintf("%d builds", cache.Builds),
-		fmt.Sprintf("%d hits", cache.Hits),
-		fmt.Sprintf("%d misses", cache.Misses),
-		fmt.Sprintf("%.1f%%", 100*cache.HitRate),
-		fmt.Sprintf("identical %t", cache.HitIdentical),
-		fmt.Sprintf("served %d/%d", cache.Completed, cache.Offered),
-		"")
 	return res, tbl, nil
 }

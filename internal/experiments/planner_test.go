@@ -83,41 +83,6 @@ func TestPlanner30LinesUnder50ms(t *testing.T) {
 	t.Logf("30-line exact plan: %v per op (%d nodes)", perOp, stats.Nodes)
 }
 
-// TestPlannerCacheStudy pins the memoization half's acceptance
-// criteria: a warm serving fleet must exceed a 90%% plan-cache hit
-// rate and every warm scenario must be structurally identical to the
-// cold build it memoizes.
-func TestPlannerCacheStudy(t *testing.T) {
-	res, tbl, err := Planner(testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl == nil || len(tbl.String()) == 0 {
-		t.Error("empty report table")
-	}
-	c := res.Cache
-	if want := PlannerCacheTenants * len(PlannerCacheWorkloads); c.Builds != want {
-		t.Errorf("builds = %d, want %d", c.Builds, want)
-	}
-	if got := c.Hits + c.Misses; got != uint64(c.Builds) {
-		t.Errorf("hits+misses = %d, want %d lookups (one per build)", got, c.Builds)
-	}
-	if c.HitRate <= 0.9 {
-		t.Errorf("warm hit rate %.3f, acceptance bound is >0.9", c.HitRate)
-	}
-	if !c.HitIdentical {
-		t.Error("warm scenarios are not bit-identical to the cold builds")
-	}
-	if c.Completed == 0 || c.Offered == 0 {
-		t.Errorf("warm serving run did nothing: completed %d / offered %d", c.Completed, c.Offered)
-	}
-	for _, pt := range res.Points {
-		if !pt.Exact {
-			t.Errorf("%d lines: study point not exact", pt.Lines)
-		}
-	}
-}
-
 // TestPlannerParallelInvariance extends the determinism contract to the
 // planner study: results, table, and benchmark-manifest bytes must be
 // identical between -j 1 and -j 8.

@@ -24,7 +24,7 @@ type Experiment struct {
 type Output struct {
 	// Text is what benchsuite prints for the study: its table plus any
 	// footer lines (chaos summary, migration timeline, capacity, stale
-	// set, cache hits).
+	// set).
 	Text     string
 	Manifest *bench.Manifest
 	// Rec is the study's recording, folded into the caller's metrics
@@ -66,11 +66,7 @@ func All() []Experiment {
 				r.Control.Stale, r.Burst.Stale, r.Offloaded, r.StaleOffloadedOverlap())
 			return nil
 		}),
-		study("planner", Planner, func(r *PlannerResult, out io.Writer) *trace.Recorder {
-			fmt.Fprintf(out, "cache: %d/%d builds served warm (%.1f%% hit rate, identical=%t)\n",
-				r.Cache.Hits, r.Cache.Builds, 100*r.Cache.HitRate, r.Cache.HitIdentical)
-			return nil
-		}),
+		study("planner", Planner, nil),
 	}
 }
 

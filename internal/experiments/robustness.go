@@ -97,16 +97,7 @@ func robustnessPlan(seed uint64, rate float64) *fault.Plan {
 // a queue-latency floor. This is the runtime using the knowledge it
 // already has (§III-A estimates) to configure its failure detector.
 func (wb *Workbench) adaptiveRetry() nvme.RetryPolicy {
-	worst := 0.0
-	for _, est := range wb.Plan.ByLine() {
-		if est.Execs <= 0 {
-			continue
-		}
-		if per := est.DevTotal() / est.Execs; per > worst {
-			worst = per
-		}
-	}
-	return nvme.RetryPolicy{Timeout: 4*worst + 10e-3, MaxAttempts: 4, Backoff: 1e-3}
+	return nvme.RetryPolicy{Timeout: 4*wb.worstLine() + 10e-3, MaxAttempts: 4, Backoff: 1e-3}
 }
 
 // RunRobust executes the ActivePy configuration with the fault plan

@@ -168,16 +168,6 @@ const (
 	MetricPlanBnBCuts   = "plan.bnb.cuts"
 	MetricPlanBnBBudget = "plan.bnb.budget"
 
-	// Plan-cache counters (DESIGN.md §16), folded only when a
-	// plan.Cache is attached to the runtime.
-	//
-	// MetricPlanCacheHit / MetricPlanCacheMiss count memoized-plan
-	// lookups; MetricPlanCacheInvalidations counts entries dropped
-	// because AV012 drift scoring flagged the cached model stale.
-	MetricPlanCacheHit           = "plan.cache.hit"
-	MetricPlanCacheMiss          = "plan.cache.miss"
-	MetricPlanCacheInvalidations = "plan.cache.invalidations"
-
 	// Machine-level gauges folded by platform.FoldMetrics.
 	MetricSimEvents     = "machine.sim.events"
 	MetricCSERetired    = "machine.cse.retired_units"
@@ -296,9 +286,6 @@ func Catalogue() []MetricInfo {
 		{MetricPlanBnBNodes, KindCounter, "nodes", "core: branch-and-bound nodes expanded"},
 		{MetricPlanBnBCuts, KindCounter, "subtrees", "core: branch-and-bound subtrees pruned"},
 		{MetricPlanBnBBudget, KindGauge, "nodes", "core: branch-and-bound node budget in force"},
-		{MetricPlanCacheHit, KindCounter, "lookups", "core: plan served from the memoization cache"},
-		{MetricPlanCacheMiss, KindCounter, "lookups", "core: plan-cache lookup missed, cold plan built"},
-		{MetricPlanCacheInvalidations, KindCounter, "entries", "core: cached plan dropped on AV012 drift"},
 
 		{MetricSimEvents, KindGauge, "events", "platform.FoldMetrics: events fired"},
 		{MetricCSERetired, KindGauge, "units", "platform.FoldMetrics: CSE work retired"},

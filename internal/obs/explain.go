@@ -96,8 +96,7 @@ func (e Explain) Table() *report.Table {
 }
 
 // WriteJSON serializes the explain report as indented JSON — the
-// machine-readable twin of Table, consumed by `activego explain -json`
-// and `csdsim -explain -json`.
+// machine-readable twin of Table, consumed by `activego explain -json`.
 func (e Explain) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

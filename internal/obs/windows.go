@@ -3,7 +3,7 @@
 // per-line observed-cost attribution for the executor, drift scoring of
 // observed costs against the fitted curves the planner trusted (the
 // AV012 advisory), and the plan-provenance explain renderer behind
-// `activego explain` and `csdsim -explain` (DESIGN.md §15).
+// `activego explain` (DESIGN.md §15).
 //
 // The package follows the repo's nil-is-inert observability contract: a
 // nil *Windows, *Collector, or *DriftReport is valid everywhere and

@@ -78,6 +78,18 @@ func randomConstraints(n int, seed uint64) Constraints {
 	return cons
 }
 
+// cloneEstimates deep-copies estimates, var flows included, so each
+// planner under comparison starts from its own unshared copy.
+func cloneEstimates(in []LineEstimate) []LineEstimate {
+	out := make([]LineEstimate, len(in))
+	copy(out, in)
+	for i := range out {
+		out[i].Reads = append([]VarFlow(nil), in[i].Reads...)
+		out[i].Writes = append([]VarFlow(nil), in[i].Writes...)
+	}
+	return out
+}
+
 // requireOptimalPlan fails unless branch-and-bound, under the default
 // budget, returns exactly the brute-force oracle's plan: the same
 // partition (ties included) and bit-identical TCSD and THost.

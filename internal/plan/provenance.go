@@ -2,7 +2,7 @@
 // moment it chose a partition. The executor's observed costs drift away
 // from these estimates over time (internal/obs scores that drift);
 // provenance is the frozen half of the comparison, rendered by
-// `activego explain` and `csdsim -explain`.
+// `activego explain`.
 package plan
 
 import "sort"

@@ -1,7 +1,7 @@
 // Package platform assembles a complete simulated machine — simulator,
-// interconnect topology, host, CSD, and the shared host/CSD address space
-// — matching the experimental platform of §IV-A. Every experiment and
-// example starts from platform.New.
+// interconnect topology, host, and CSD — matching the experimental
+// platform of §IV-A. Every experiment and example starts from
+// platform.New.
 package platform
 
 import (
@@ -13,7 +13,6 @@ import (
 	"activego/internal/interconnect"
 	"activego/internal/metrics"
 	"activego/internal/nvme"
-	"activego/internal/shmem"
 	"activego/internal/sim"
 	"activego/internal/trace"
 )
@@ -36,12 +35,11 @@ func DefaultConfig() Config {
 
 // Platform is one assembled machine.
 type Platform struct {
-	Sim   *sim.Sim
-	Topo  *interconnect.Topology
-	Host  *host.Host
-	Dev   *csd.Device
-	Shmem *shmem.Space
-	Cfg   Config
+	Sim  *sim.Sim
+	Topo *interconnect.Topology
+	Host *host.Host
+	Dev  *csd.Device
+	Cfg  Config
 
 	faults *fault.Plan // last plan armed via InstallFaults
 }
@@ -51,12 +49,11 @@ func New(cfg Config) *Platform {
 	s := sim.New()
 	topo := interconnect.New(s, cfg.Inter)
 	return &Platform{
-		Sim:   s,
-		Topo:  topo,
-		Host:  host.New(s, topo, cfg.Host),
-		Dev:   csd.New(s, topo, cfg.CSD),
-		Shmem: shmem.NewSpace(s, topo.D2H),
-		Cfg:   cfg,
+		Sim:  s,
+		Topo: topo,
+		Host: host.New(s, topo, cfg.Host),
+		Dev:  csd.New(s, topo, cfg.CSD),
+		Cfg:  cfg,
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 func TestDefaultPlatformWiring(t *testing.T) {
 	p := Default()
-	if p.Host == nil || p.Dev == nil || p.Topo == nil || p.Shmem == nil {
+	if p.Host == nil || p.Dev == nil || p.Topo == nil {
 		t.Fatal("incomplete platform")
 	}
 	// The defining asymmetry of §IV-A: internal array bandwidth exceeds
@@ -79,8 +79,7 @@ func TestDefaultPlatformAllocation(t *testing.T) {
 }
 
 // BenchmarkPlatformDefault measures building one default platform:
-// simulator, interconnect, host, CSD with its flash array and FTL, and
-// the shared address space.
+// simulator, interconnect, host, and CSD with its flash array and FTL.
 func BenchmarkPlatformDefault(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
