@@ -17,10 +17,24 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with current
 //
 //	go test ./internal/cliutil -run TestExplainGolden -update
 func TestExplainGolden(t *testing.T) {
-	const golden = "testdata/explain_tpch6.golden"
+	checkExplainGolden(t, "testdata/explain_tpch6.golden",
+		ExplainOptions{Workload: "tpch-6", ScaleDiv: 2048, Seed: 42})
+}
+
+// TestExplainRunGolden pins `activego explain -workload tpch-6
+// -scalediv 2048 -seed 42 -run` byte for byte: the plan columns and the
+// drift cross-links of the windowed run, with the window derived from
+// the plan's projected runtime. Regenerate with -run TestExplainRunGolden
+// -update.
+func TestExplainRunGolden(t *testing.T) {
+	checkExplainGolden(t, "testdata/explain_tpch6_run.golden",
+		ExplainOptions{Workload: "tpch-6", ScaleDiv: 2048, Seed: 42, Run: true})
+}
+
+func checkExplainGolden(t *testing.T, golden string, o ExplainOptions) {
+	t.Helper()
 	var buf bytes.Buffer
-	err := Explain(&buf, ExplainOptions{Workload: "tpch-6", ScaleDiv: 2048, Seed: 42})
-	if err != nil {
+	if err := Explain(&buf, o); err != nil {
 		t.Fatal(err)
 	}
 	if *updateGolden {
