@@ -33,10 +33,11 @@ func benchParams() workloads.Params {
 
 // BenchmarkExperiments regenerates the registry at the configuration
 // the committed manifests and CI's gate use (-scalediv 2048 -seed 42):
-// one sub-benchmark per experiment, then all of them the way benchsuite
-// -exp all runs them — entries fanned out on one pool that also threads
-// into each harness's own fan-outs — serial (all/j1) and on every core
-// (all/jN).
+// one sub-benchmark per experiment (each preparing its own programs),
+// then all of them the way benchsuite -exp all runs them —
+// experiments.RunSuite preparing the union once and fanning the entries
+// out on one pool that also threads into each harness's own fan-outs —
+// serial (all/j1) and on every core (all/jN).
 func BenchmarkExperiments(b *testing.B) {
 	params := workloads.Params{ScaleDiv: 2048, Seed: 42}
 	suite := experiments.All()
@@ -56,10 +57,7 @@ func BenchmarkExperiments(b *testing.B) {
 		}{{"j1", nil}, {"jN", par.New(0)}} {
 			b.Run(bc.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					_, err := par.Map(bc.pool, len(suite), func(j int) (*experiments.Output, error) {
-						return suite[j].Run(params, experiments.WithPool(bc.pool))
-					})
-					if err != nil {
+					if _, err := experiments.RunSuite(suite, params, experiments.WithPool(bc.pool)); err != nil {
 						b.Fatal(err)
 					}
 				}

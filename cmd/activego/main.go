@@ -29,7 +29,6 @@ import (
 	"activego/internal/core"
 	"activego/internal/driver"
 	"activego/internal/exec"
-	"activego/internal/inputs"
 	"activego/internal/platform"
 	"activego/internal/profile"
 	"activego/internal/resilience"
@@ -187,10 +186,7 @@ func runServe(name string, params workloads.Params, obs *cliutil.Flags,
 		fmt.Fprintln(os.Stderr, "activego:", err)
 		return 1
 	}
-	solo, err := exec.Run(platform.Default(), sc.Trace, exec.Options{
-		Backend: sc.Backend, Partition: sc.Partition, Estimates: sc.Estimates,
-		OverheadScale: sc.OverheadScale, UseCallQueue: true, Warm: true,
-	})
+	solo, err := exec.Run(platform.Default(), sc.Trace, sc.ReplayOptions())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "activego:", err)
 		return 1
@@ -322,21 +318,17 @@ func runVet(args []string) int {
 	var targets []target
 	var vetDynamic func(src string, name string) ([]analysis.Diagnostic, error)
 	if *overWorkloads {
-		p := workloads.TestParams()
-		for _, spec := range workloads.All() {
-			targets = append(targets, target{name: "workload:" + spec.Name, src: spec.Build(p).Source})
-		}
 		// Workload programs come with their inputs, so the sampling-phase
 		// advisories are computable: vet them through the real pipeline.
-		insts := map[string]*inputs.Registry{}
+		insts := map[string]*workloads.Instance{}
 		for _, spec := range workloads.All() {
-			insts["workload:"+spec.Name] = spec.Build(p).Registry
+			inst := spec.Build(workloads.TestParams())
+			name := "workload:" + spec.Name
+			targets = append(targets, target{name: name, src: inst.Source})
+			insts[name] = inst
 		}
 		vetDynamic = func(src, name string) ([]analysis.Diagnostic, error) {
-			rt := core.New(platform.Default())
-			rt.SampleScales = profile.ScaledScales
-			rt.PreloadInputs(insts[name])
-			return rt.Vet(src, insts[name])
+			return core.ForWorkload(insts[name]).Vet(src, insts[name].Registry)
 		}
 	} else {
 		if fs.NArg() == 0 {

@@ -39,8 +39,6 @@ import (
 	"activego/internal/bench"
 	"activego/internal/cliutil"
 	"activego/internal/experiments"
-	"activego/internal/metrics"
-	"activego/internal/par"
 	"activego/internal/trace"
 	"activego/internal/workloads"
 )
@@ -98,39 +96,14 @@ func main() {
 		Duration: serving.Duration,
 	})
 
-	// Independent experiments fan out on the -j pool. Each one prints
-	// into its own Output and records into sub, its private registry
-	// (nil when metrics are off); outputs, sub-registries, and manifests
-	// are folded back in suite order, so stdout, the cumulative metrics
+	// The suite prepares every program its experiments read once, then
+	// fans the experiments out on the -j pool against that read-only
+	// set (experiments.RunSuite). Outputs, registries, and manifests
+	// come back in suite order, so stdout, the cumulative metrics
 	// snapshots attached to manifests, and the BENCH_*.json files are
 	// bit-identical at any -j.
 	pool := obs.Pool()
-	type expOut struct {
-		*experiments.Output
-		sub *metrics.Registry
-	}
-	outs, err := par.Map(pool, len(suite), func(i int) (expOut, error) {
-		var sub *metrics.Registry
-		if reg != nil {
-			sub = metrics.New()
-		}
-		out, err := suite[i].Run(params, withServing, experiments.WithMetrics(sub), experiments.WithPool(pool))
-		if err != nil {
-			return expOut{}, err
-		}
-		// The trace flags apply to the utilization study's steady-state
-		// recording — the run worth a timeline — not a top-level one.
-		if suite[i].Name == "utilization" {
-			var buf strings.Builder
-			buf.WriteString(out.Text)
-			if err := exportTrace(&buf, obs, out.Rec); err != nil {
-				return expOut{}, err
-			}
-			out.Text = buf.String()
-		}
-		out.Rec.Fold(sub)
-		return expOut{Output: out, sub: sub}, nil
-	})
+	outs, err := experiments.RunSuite(suite, params, withServing, experiments.WithMetrics(reg), experiments.WithPool(pool))
 	if err != nil {
 		fail(err)
 	}
@@ -140,13 +113,15 @@ func main() {
 			fmt.Printf("==== %s ====\n", name)
 		}
 		fmt.Print(out.Text)
-		reg.Merge(out.sub)
+		// The trace flags apply to the utilization study's steady-state
+		// recording — the run worth a timeline — not a top-level one.
+		if name == "utilization" {
+			if err := exportTrace(os.Stdout, obs, out.Rec); err != nil {
+				fail(err)
+			}
+		}
 		if *outDir != "" {
 			m := out.Manifest
-			if reg != nil {
-				snap := reg.Snapshot()
-				m.Metrics = &snap
-			}
 			m.CaptureRuntime()
 			path := filepath.Join(*outDir, "BENCH_"+name+".json")
 			if err := m.WriteFile(path); err != nil {

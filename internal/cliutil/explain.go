@@ -6,8 +6,6 @@ import (
 
 	"activego/internal/core"
 	"activego/internal/obs"
-	"activego/internal/platform"
-	"activego/internal/profile"
 	"activego/internal/workloads"
 )
 
@@ -24,7 +22,7 @@ type ExplainOptions struct {
 	Run    bool
 	Window float64
 	// Planner forces the planning algorithm (core.PlannerChoices; ""
-	// = auto).
+	// = bnb).
 	Planner string
 }
 
@@ -39,29 +37,24 @@ func Explain(out io.Writer, o ExplainOptions) error {
 	}
 	params := workloads.Params{ScaleDiv: o.ScaleDiv, Seed: o.Seed}
 	inst := spec.Build(params)
-	rt := core.New(platform.Default())
-	rt.SampleScales = profile.ScaledScales
+	rt := core.ForWorkload(inst)
 	rt.Planner = o.Planner
-	rt.PreloadInputs(inst.Registry)
-
-	_, _, planRes, err := rt.Analyze(inst.Source, inst.Registry)
+	pr, err := rt.Prepare(inst)
 	if err != nil {
 		return err
 	}
-	ex := obs.Explain{Provenance: planRes.Provenance}
+	ex := obs.Explain{Provenance: pr.Plan.Provenance}
 	if o.Run {
-		w := o.Window
-		if w <= 0 {
-			w = planRes.TCSD / 16
-		}
 		cfg := core.DefaultConfig()
 		cfg.OverheadScale = params.OverheadScale()
-		cfg.ObsWindow = w
-		res, err := rt.Run(inst.Source, inst.Registry, cfg)
+		cfg.ObsWindow = o.Window
+		if cfg.ObsWindow <= 0 {
+			cfg.ObsWindow = pr.Plan.TCSD / 16
+		}
+		res, err := pr.Run(rt.Plat, cfg, nil)
 		if err != nil {
 			return err
 		}
-		ex.Provenance = res.Plan.Provenance
 		ex.Drift = res.Drift
 	}
 	if o.JSON {

@@ -1,7 +1,8 @@
 // Package core is the ActivePy runtime — the paper's primary
 // contribution, assembled from the substrates.
 //
-// Given plain mini-language source with no ISP hints whatsoever, Run:
+// Given plain mini-language source with no ISP hints whatsoever, the
+// runtime:
 //
 //  1. parses the program,
 //  2. executes the sampling phase on four scaled-down inputs and fits
@@ -14,13 +15,19 @@
 //     runtime monitoring, and dynamic task migration (§III-D,
 //     internal/exec).
 //
-// The same entry points also run the comparison configurations the
-// paper's evaluation needs (interpreted/Cython/no-ISP/no-migration), so
-// every figure harness goes through this package.
+// Prepare runs steps 1–3 and the full-scale trace once and returns a
+// read-only Prepared program; Prepared.Run executes steps 4–5 on any
+// platform, as often as a caller likes. Run is the two back to back.
+// Every figure harness prepares its programs here (the experiments'
+// Workbench embeds a Prepared) and runs ActivePy through Prepared.Run;
+// the comparison configurations (no-ISP, static C ISP,
+// interpreted/Cython) replay the same prepared trace through
+// internal/baseline and internal/exec.
 package core
 
 import (
 	"fmt"
+	"slices"
 
 	"activego/internal/analysis"
 	"activego/internal/codegen"
@@ -37,6 +44,7 @@ import (
 	"activego/internal/platform"
 	"activego/internal/profile"
 	"activego/internal/resilience"
+	"activego/internal/workloads"
 )
 
 // SamplingOverhead is the one-time latency of the sampling phase; with
@@ -72,23 +80,42 @@ func DefaultConfig() Config {
 	return Config{Migration: true, UseCallQueue: true}
 }
 
-// Outcome bundles everything one ActivePy execution produced.
-type Outcome struct {
+// Prepared is one program taken once through the front half of the
+// pipeline: parsed, analyzed, sampled and fitted, planned with
+// provenance, and traced at full scale. It is read-only once Prepare
+// returns, so any number of runs — on any number of platforms, from any
+// number of goroutines — may share it.
+type Prepared struct {
 	Program  *ast.Program
 	Analysis *analysis.Report
 	Profile  *profile.Report
 	Plan     *plan.Result
-	Trace    *interp.Trace
-	Env      *interp.Env
-	Outputs  map[string]value.Value
-	Exec     *exec.Result
+	// Estimates is Plan.ByLine(), built once: every run's migration
+	// monitor and every warm replay reads it.
+	Estimates map[int]*plan.LineEstimate
+	// Machine is the platform model the plan was priced on.
+	Machine plan.Machine
 
 	// Advisories are the dynamic-input static-analysis findings: AV009
-	// (fitted execution counts contradicting the proved static bounds),
-	// AV011 (offloads pruned because they provably cannot win), and — on
-	// windowed runs — AV012 (observed costs persistently diverging from
-	// the fitted model). Purely informational — the plan above already
-	// reflects them.
+	// (fitted execution counts contradicting the proved static bounds)
+	// and AV011 (offloads pruned because they provably cannot win).
+	// Purely informational — the plan above already reflects them.
+	Advisories []analysis.Diagnostic
+
+	Trace   *interp.Trace
+	Env     *interp.Env
+	Outputs map[string]value.Value
+}
+
+// Outcome bundles everything one ActivePy execution produced: the
+// prepared program it ran and the run itself.
+type Outcome struct {
+	*Prepared
+	Exec *exec.Result
+
+	// Advisories are the prepared program's advisories plus, on windowed
+	// runs, AV012 (observed costs persistently diverging from the fitted
+	// model).
 	Advisories []analysis.Diagnostic
 
 	// Obs is the windowed cost collector, populated only when
@@ -136,6 +163,16 @@ func New(p *platform.Platform) *Runtime {
 	return &Runtime{Plat: p, Machine: plan.MachineFromPlatform(p)}
 }
 
+// ForWorkload builds the runtime every harness prepares an embedded
+// workload with: a fresh default platform holding inst's inputs, and
+// sampling at profile.ScaledScales because instances are pre-scaled.
+func ForWorkload(inst *workloads.Instance) *Runtime {
+	rt := New(platform.Default())
+	rt.SampleScales = profile.ScaledScales
+	rt.PreloadInputs(inst.Registry)
+	return rt
+}
+
 // PreloadInputs places every registry object into the CSD's object store
 // (datasets exist on the device before the experiment, as in §IV-B).
 func (rt *Runtime) PreloadInputs(reg *inputs.Registry) {
@@ -146,27 +183,45 @@ func (rt *Runtime) PreloadInputs(reg *inputs.Registry) {
 }
 
 // Analyze runs steps 1–3: parse, sample, and plan, without executing at
-// full scale. Examples and the accuracy experiment use it directly.
+// full scale. The autodetect example uses it directly.
 func (rt *Runtime) Analyze(src string, reg *inputs.Registry) (*ast.Program, *profile.Report, *plan.Result, error) {
-	a, err := rt.analyzeAll(src, reg)
+	pr, err := rt.plan(src, reg)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return a.prog, a.report, a.plan, nil
+	return pr.Program, pr.Profile, pr.Plan, nil
 }
 
-// analyzed bundles everything the front half of the pipeline produced.
-type analyzed struct {
-	prog       *ast.Program
-	static     *analysis.Report
-	report     *profile.Report
-	plan       *plan.Result
-	advisories []analysis.Diagnostic
+// Prepare takes inst through the front half of the pipeline once:
+// parse, static analysis, sampling and curve fits, planning with illegal
+// and never-win lines masked, the full-scale trace, and — when inst has
+// one — the workload's reference check against the trace's final
+// environment.
+func (rt *Runtime) Prepare(inst *workloads.Instance) (*Prepared, error) {
+	pr, err := rt.plan(inst.Source, inst.Registry)
+	if err != nil {
+		return nil, err
+	}
+	stop := rt.Metrics.Phase(metrics.PhaseTrace)
+	ctx := inst.Registry.Context(1)
+	pr.Trace, pr.Env, err = interp.Run(pr.Program, ctx)
+	stop()
+	if err != nil {
+		return nil, fmt.Errorf("core: full-scale run: %w", err)
+	}
+	pr.Outputs = ctx.Outputs
+	if inst.Check != nil {
+		if err := inst.Check(pr.Env); err != nil {
+			return nil, fmt.Errorf("core: correctness: %w", err)
+		}
+	}
+	return pr, nil
 }
 
-// analyzeAll is Analyze plus the static-analysis report: parse, analyze,
-// sample, and plan with illegal lines masked from the planner.
-func (rt *Runtime) analyzeAll(src string, reg *inputs.Registry) (*analyzed, error) {
+// plan runs steps 1–3 — parse, analyze, sample, and plan with illegal
+// lines masked from the planner — and returns the prepared program
+// without its trace.
+func (rt *Runtime) plan(src string, reg *inputs.Registry) (*Prepared, error) {
 	stop := rt.Metrics.Phase(metrics.PhaseParse)
 	prog, err := parser.Parse(src)
 	stop()
@@ -213,7 +268,15 @@ func (rt *Runtime) analyzeAll(src string, reg *inputs.Registry) (*analyzed, erro
 	if n := prunedCount(advisories); n > 0 {
 		rt.Metrics.Counter(metrics.MetricPlanPrunedLines).Add(float64(n))
 	}
-	return &analyzed{prog: prog, static: static, report: report, plan: planRes, advisories: advisories}, nil
+	return &Prepared{
+		Program:    prog,
+		Analysis:   static,
+		Profile:    report,
+		Plan:       planRes,
+		Estimates:  planRes.ByLine(),
+		Machine:    rt.Machine,
+		Advisories: slices.Clip(advisories),
+	}, nil
 }
 
 // runPlanner dispatches to the configured planning algorithm. The
@@ -288,130 +351,73 @@ func prunedCount(advisories []analysis.Diagnostic) int {
 // never-win offloads). `activego vet -workloads` uses it so workload
 // linting sees everything the real pipeline would.
 func (rt *Runtime) Vet(src string, reg *inputs.Registry) ([]analysis.Diagnostic, error) {
-	a, err := rt.analyzeAll(src, reg)
+	pr, err := rt.plan(src, reg)
 	if err != nil {
 		return nil, err
 	}
-	diags := a.static.Lint()
-	diags = append(diags, a.advisories...)
+	diags := pr.Analysis.Lint()
+	diags = append(diags, pr.Advisories...)
 	analysis.Sort(diags)
 	return diags, nil
 }
 
-// Run executes src over reg with the full ActivePy pipeline.
+// Run executes src over reg with the full ActivePy pipeline: Prepare,
+// then Prepared.Run on the runtime's platform.
 func (rt *Runtime) Run(src string, reg *inputs.Registry, cfg Config) (*Outcome, error) {
-	a, err := rt.analyzeAll(src, reg)
-	if err != nil {
-		return nil, err
-	}
-	out, err := rt.execute(a.prog, a.static, a.report, a.plan, reg, cfg)
-	if err != nil {
-		return nil, err
-	}
-	out.Advisories = append(a.advisories, out.Drift.Advisories()...)
-	return out, nil
-}
-
-// RunWithPartition executes src with an externally chosen partition (the
-// programmer-directed configurations) under the given backend; no
-// sampling phase is charged, matching a statically compiled program.
-// overheadScale scales the backend's compile overhead (pass 1 at paper
-// scale, 1/N for 1/N-scale datasets; 0 means 1).
-func (rt *Runtime) RunWithPartition(src string, reg *inputs.Registry, part codegen.Partition, backend codegen.Backend, overheadScale float64) (*Outcome, error) {
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("core: parse: %w", err)
-	}
-	// Programmer-directed partitions get the same legality gate as the
-	// planner's: the analysis report travels into exec, which refuses
-	// illegal offloads before any simulated work happens.
-	static, err := analysis.Analyze(prog)
-	if err != nil {
-		return nil, fmt.Errorf("core: static analysis: %w", err)
-	}
-	trace, env, err := rt.traceRun(prog, reg)
+	pr, err := rt.Prepare(&workloads.Instance{Source: src, Registry: reg})
 	if err != nil {
 		return nil, err
 	}
 	stop := rt.Metrics.Phase(metrics.PhaseExecute)
-	res, err := exec.Run(rt.Plat, trace.trace, exec.Options{
-		Backend:       backend,
-		Partition:     part,
-		OverheadScale: overheadScale,
-		UseCallQueue:  !part.Empty(),
-		Analysis:      static,
-		Metrics:       rt.Metrics,
-	})
-	stop()
-	if err != nil {
-		return nil, err
-	}
-	return &Outcome{Program: prog, Analysis: static, Trace: trace.trace, Env: env, Outputs: trace.outputs, Exec: res}, nil
-}
-
-type traced struct {
-	trace   *interp.Trace
-	outputs map[string]value.Value
-}
-
-func (rt *Runtime) traceRun(prog *ast.Program, reg *inputs.Registry) (*traced, *interp.Env, error) {
-	stop := rt.Metrics.Phase(metrics.PhaseTrace)
 	defer stop()
-	ctx := reg.Context(1)
-	trace, env, err := interp.Run(prog, ctx)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: full-scale run: %w", err)
-	}
-	return &traced{trace: trace, outputs: ctx.Outputs}, env, nil
+	return pr.Run(rt.Plat, cfg, rt.Metrics)
 }
 
-func (rt *Runtime) execute(prog *ast.Program, static *analysis.Report, report *profile.Report, planRes *plan.Result, reg *inputs.Registry, cfg Config) (*Outcome, error) {
-	trace, env, err := rt.traceRun(prog, reg)
+// Run executes the prepared program on p under cfg, with reg observing
+// the run (nil records nothing). On windowed runs (cfg.ObsWindow > 0)
+// the observed costs are scored against the plan's fitted costs after
+// the run, and a stale line becomes an AV012 advisory on the outcome.
+// All of that happens after the simulated run finished: obs observes,
+// it never feeds a decision.
+func (pr *Prepared) Run(p *platform.Platform, cfg Config, reg *metrics.Registry) (*Outcome, error) {
+	opts := pr.options(cfg)
+	opts.Metrics = reg
+	col := obs.NewCollector(cfg.ObsWindow, 0)
+	opts.Obs = col
+	res, err := exec.Run(p, pr.Trace, opts)
 	if err != nil {
 		return nil, err
 	}
+	out := &Outcome{Prepared: pr, Exec: res, Advisories: pr.Advisories}
+	if col != nil {
+		out.Obs = col
+		out.Drift = obs.ScoreDrift(col, obs.PlannedCosts(pr.Plan, pr.Machine), obs.DefaultDriftConfig())
+		col.Windows().Fold(reg)
+		out.Drift.Fold(reg)
+		out.Advisories = append(out.Advisories, out.Drift.Advisories()...)
+	}
+	return out, nil
+}
+
+// options are the executor options of a cold ActivePy run of pr under
+// cfg: the plan's partition under the native backend, the stored
+// estimate map for the migration monitor, the one-time sampling and
+// compile overheads, and the legality gate. Every cold run of a
+// prepared program builds its options here.
+func (pr *Prepared) options(cfg Config) exec.Options {
 	mig := exec.MigrationPolicy{}
 	if cfg.Migration {
 		mig = exec.DefaultMigration()
 	}
-	col := obs.NewCollector(cfg.ObsWindow, 0)
-	stop := rt.Metrics.Phase(metrics.PhaseExecute)
-	res, err := exec.Run(rt.Plat, trace.trace, exec.Options{
+	return exec.Options{
 		Backend:          codegen.Native,
-		Partition:        planRes.Partition,
-		Estimates:        planRes.ByLine(),
+		Partition:        pr.Plan.Partition,
+		Estimates:        pr.Estimates,
 		Migration:        mig,
 		SamplingOverhead: SamplingOverhead,
 		OverheadScale:    cfg.OverheadScale,
 		UseCallQueue:     cfg.UseCallQueue,
-		Analysis:         static,
 		Resilience:       cfg.Resilience,
-		Metrics:          rt.Metrics,
-		Obs:              col,
-	})
-	stop()
-	if err != nil {
-		return nil, err
+		Analysis:         pr.Analysis,
 	}
-	out := &Outcome{
-		Program:  prog,
-		Analysis: static,
-		Profile:  report,
-		Plan:     planRes,
-		Trace:    trace.trace,
-		Env:      env,
-		Outputs:  trace.outputs,
-		Exec:     res,
-	}
-	if col != nil {
-		// Score the windowed observations against the plan's fitted costs
-		// and bill both layers; a stale line becomes an AV012 advisory in
-		// Run. All of this happens after the simulated run finished — obs
-		// observes, it never feeds a decision.
-		out.Obs = col
-		out.Drift = obs.ScoreDrift(col, obs.PlannedCosts(planRes, rt.Machine), obs.DefaultDriftConfig())
-		col.Windows().Fold(rt.Metrics)
-		out.Drift.Fold(rt.Metrics)
-	}
-	return out, nil
 }

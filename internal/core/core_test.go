@@ -2,15 +2,19 @@ package core_test
 
 import (
 	"strings"
-
 	"testing"
 
+	"activego/internal/analysis"
+	"activego/internal/baseline"
 	"activego/internal/codegen"
 	"activego/internal/core"
+	"activego/internal/exec"
 	"activego/internal/inputs"
+	"activego/internal/lang/parser"
 	"activego/internal/lang/value"
 	"activego/internal/platform"
 	"activego/internal/profile"
+	"activego/internal/workloads"
 )
 
 const scanProgram = `v = load("sensors")
@@ -94,17 +98,31 @@ func TestRunComputesCorrectValues(t *testing.T) {
 	}
 }
 
+// TestRunWithPartitionForcesPlacement runs a prepared program under a
+// programmer-directed partition, as a statically compiled C program
+// runs: the partition, not the plan, decides placement.
 func TestRunWithPartitionForcesPlacement(t *testing.T) {
-	reg := scanRegistry(1 << 16)
-	rt := newRuntime()
-	rt.PreloadInputs(reg)
-	out, err := rt.RunWithPartition(scanProgram, reg, codegen.NewPartition(1, 2), codegen.C, 1e-4)
+	pr := prepare(t, scanProgram)
+	res, err := baseline.RunStatic(platform.Default(), pr.Trace, codegen.NewPartition(1, 2), codegen.C)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Exec.RecordsOnCSD != 2 || out.Exec.RecordsOnHost != 2 {
-		t.Errorf("records %d/%d, want 2/2", out.Exec.RecordsOnCSD, out.Exec.RecordsOnHost)
+	if res.RecordsOnCSD != 2 || res.RecordsOnHost != 2 {
+		t.Errorf("records %d/%d, want 2/2", res.RecordsOnCSD, res.RecordsOnHost)
 	}
+}
+
+// prepare takes src over a small scan registry through Prepare.
+func prepare(t *testing.T, src string) *core.Prepared {
+	t.Helper()
+	reg := scanRegistry(1 << 16)
+	rt := newRuntime()
+	rt.PreloadInputs(reg)
+	pr, err := rt.Prepare(&workloads.Instance{Source: src, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pr
 }
 
 func TestParseErrorsSurface(t *testing.T) {
@@ -165,29 +183,65 @@ func TestPlannerNeverSelectsHostOnlyLine(t *testing.T) {
 	}
 }
 
+// TestIllegalPartitionRejectedBeforeExecution: a programmer-directed
+// partition gets the same legality gate as the planner's — the prepared
+// program's analysis report travels into exec, which refuses an illegal
+// offload before any simulated work happens.
 func TestIllegalPartitionRejectedBeforeExecution(t *testing.T) {
-	reg := scanRegistry(1 << 16)
-	rt := newRuntime()
-	rt.PreloadInputs(reg)
+	pr := prepare(t, printProgram)
 	// Deliberately offload the print-bearing line: the exec gate must
 	// refuse it with a diagnostic naming the line and the builtin.
-	_, err := rt.RunWithPartition(printProgram, reg, codegen.NewPartition(1, 2, 4), codegen.C, 1e-4)
+	p := platform.Default()
+	_, err := exec.Run(p, pr.Trace, exec.Options{
+		Backend:      codegen.C,
+		Partition:    codegen.NewPartition(1, 2, 4),
+		UseCallQueue: true,
+		Analysis:     pr.Analysis,
+	})
 	if err == nil {
 		t.Fatal("illegal partition executed")
 	}
 	if !strings.Contains(err.Error(), "line 4") || !strings.Contains(err.Error(), "print") {
 		t.Errorf("error %q must name line 4 and print", err)
 	}
+	if p.Sim.EventsFired() != 0 {
+		t.Errorf("rejected run fired %d events", p.Sim.EventsFired())
+	}
 }
 
+// TestUseBeforeDefRejectedBeforeExecution: a program with a use before
+// any definition cannot be prepared (its sampling runs fail on it), and
+// its analysis report makes exec refuse any trace it is handed before
+// the trace replays.
 func TestUseBeforeDefRejectedBeforeExecution(t *testing.T) {
+	const ghostProgram = "v = load(\"sensors\")\ns = vsum(ghost)\n"
 	reg := scanRegistry(1 << 16)
 	rt := newRuntime()
 	rt.PreloadInputs(reg)
+	if _, err := rt.Prepare(&workloads.Instance{Source: ghostProgram, Registry: reg}); err == nil {
+		t.Fatal("use-before-def prepared")
+	}
+	prog, err := parser.Parse(ghostProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	static, err := analysis.Analyze(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// ghost has no definition anywhere; verification rejects the program
-	// before the trace run would fail on it.
-	_, err := rt.RunWithPartition("v = load(\"sensors\")\ns = vsum(ghost)\n", reg, codegen.NewPartition(1), codegen.C, 1e-4)
-	if err == nil {
-		t.Fatal("use-before-def executed")
+	// whatever the trace and partition.
+	p := platform.Default()
+	_, err = exec.Run(p, prepare(t, scanProgram).Trace, exec.Options{
+		Backend:      codegen.C,
+		Partition:    codegen.NewPartition(1),
+		UseCallQueue: true,
+		Analysis:     static,
+	})
+	if err == nil || !strings.Contains(err.Error(), "ghost") {
+		t.Fatalf("use-before-def executed: err = %v", err)
+	}
+	if p.Sim.EventsFired() != 0 {
+		t.Errorf("rejected run fired %d events", p.Sim.EventsFired())
 	}
 }

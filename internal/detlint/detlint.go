@@ -129,6 +129,9 @@ func DefaultConfig() Config {
 			"sim", "plan", "par", "fault", "chaos", "resilience", "experiments", "driver", "obs",
 			// The device and host models and the executor that drives them.
 			"nvme", "csd", "exec", "flash", "host", "storage", "interconnect", "platform",
+			// The front half that builds the prepared programs concurrent
+			// studies share read-only.
+			"core", "baseline", "profile",
 		},
 		NilInert: []string{"trace.Recorder", "par.Pool", "metrics.Registry", "obs.Windows", "obs.Collector", "obs.DriftReport"},
 		OrderedSinks: []string{

@@ -376,17 +376,11 @@ func (e *engine) dispatch(req *request) {
 	ts.admitted++
 	ts.reg.Counter(metrics.MetricDriverAdmitted).Add(1)
 	ts.reg.Histogram(metrics.MetricDriverWait).Observe(now - req.arrived)
-	_, err := exec.Launch(e.p, req.sc.Trace, exec.Options{
-		Backend:       req.sc.Backend,
-		Partition:     req.sc.Partition,
-		Estimates:     req.sc.Estimates,
-		OverheadScale: req.sc.OverheadScale,
-		UseCallQueue:  true,
-		Warm:          true,
-		Resilience:    e.cfg.Resilience,
-		Metrics:       ts.reg,
-		Obs:           e.cfg.Obs,
-	}, func(res *exec.Result, rerr error) { e.finish(req, rerr) })
+	opts := req.sc.ReplayOptions()
+	opts.Resilience = e.cfg.Resilience
+	opts.Metrics = ts.reg
+	opts.Obs = e.cfg.Obs
+	_, err := exec.Launch(e.p, req.sc.Trace, opts, func(res *exec.Result, rerr error) { e.finish(req, rerr) })
 	if err != nil && e.fatal == nil {
 		e.fatal = fmt.Errorf("driver: %s request %d: %w", ts.name, req.seq, err)
 	}

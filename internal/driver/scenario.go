@@ -6,21 +6,20 @@ import (
 
 	"activego/internal/codegen"
 	"activego/internal/core"
+	"activego/internal/exec"
 	"activego/internal/lang/interp"
 	"activego/internal/lang/value"
 	"activego/internal/plan"
-	"activego/internal/platform"
-	"activego/internal/profile"
 	"activego/internal/workloads"
 )
 
-// Scenario is one servable unit of work: a fully prepared program — the
-// full-scale value trace, the planner's partition, and its per-line
-// estimates — ready to replay against a platform as one request. The
-// expensive pipeline (sampling, curve fits, planning, tracing) ran once
-// at construction; requests replay warm (exec.Options.Warm), paying
-// storage, compute, and link time but not the cold setup the scenario
-// already paid.
+// Scenario is one servable unit of work: a view of a prepared program
+// (core.Prepared) — the full-scale value trace, the planner's partition,
+// and its per-line estimates — ready to replay against a platform as one
+// request. The expensive pipeline (sampling, curve fits, planning,
+// tracing) ran once when the program was prepared; requests replay warm
+// (ReplayOptions), paying storage, compute, and link time but not the
+// cold setup the program already paid.
 type Scenario struct {
 	Name      string
 	Trace     *interp.Trace
@@ -40,37 +39,51 @@ type Scenario struct {
 
 // Build constructs the named workload as a scenario at the given scale:
 // the real ActivePy pipeline (sampling on a scratch platform, planning,
-// full-scale trace, correctness check) runs once, and the scenario
-// keeps the artifacts a request replays.
+// full-scale trace, correctness check) runs once through core.Prepare,
+// and the scenario views the artifacts a request replays.
 func Build(name string, params workloads.Params) (*Scenario, error) {
 	spec, ok := workloads.ByName(name)
 	if !ok {
 		return nil, fmt.Errorf("driver: no workload %q", name)
 	}
 	inst := spec.Build(params)
-	rt := core.New(platform.Default())
-	rt.SampleScales = profile.ScaledScales
-	rt.PreloadInputs(inst.Registry)
-	prog, _, planRes, err := rt.Analyze(inst.Source, inst.Registry)
+	pr, err := core.ForWorkload(inst).Prepare(inst)
 	if err != nil {
-		return nil, fmt.Errorf("driver: %s: analyze: %w", spec.Name, err)
+		return nil, fmt.Errorf("driver: %s: %w", spec.Name, err)
 	}
-	tr, env, err := interp.Run(prog, inst.Registry.Context(1))
-	if err != nil {
-		return nil, fmt.Errorf("driver: %s: trace: %w", spec.Name, err)
-	}
-	if err := inst.Check(env); err != nil {
-		return nil, fmt.Errorf("driver: %s: correctness: %w", spec.Name, err)
-	}
+	return NewScenario(spec.Name, pr, params.OverheadScale()), nil
+}
+
+// NewScenario views the prepared program pr as a scenario called name,
+// replayed at overheadScale. The scenario shares pr's trace and estimate
+// map; neither is written by a replay.
+func NewScenario(name string, pr *core.Prepared, overheadScale float64) *Scenario {
 	return &Scenario{
-		Name:          spec.Name,
-		Trace:         tr,
-		Partition:     planRes.Partition,
-		Estimates:     planRes.ByLine(),
+		Name:          name,
+		Trace:         pr.Trace,
+		Partition:     pr.Plan.Partition,
+		Estimates:     pr.Estimates,
 		Backend:       codegen.Native,
-		OverheadScale: params.OverheadScale(),
-		Provenance:    planRes.Provenance,
-	}, nil
+		OverheadScale: overheadScale,
+		Provenance:    pr.Plan.Provenance,
+	}
+}
+
+// ReplayOptions are the executor options of one warm replay of sc: its
+// partition, backend, stored estimate map, and overhead scale, through
+// the call queue, with the one-time overheads skipped. Every warm replay
+// — each served request and each solo calibration run — builds its
+// options here; the caller adds the per-run observers and policy
+// (Metrics, Obs, Resilience).
+func (sc *Scenario) ReplayOptions() exec.Options {
+	return exec.Options{
+		Backend:       sc.Backend,
+		Partition:     sc.Partition,
+		Estimates:     sc.Estimates,
+		OverheadScale: sc.OverheadScale,
+		UseCallQueue:  true,
+		Warm:          true,
+	}
 }
 
 // SetPlanCache does nothing: a scenario is built once and replayed, so

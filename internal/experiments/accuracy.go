@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"activego/internal/metrics"
 	"activego/internal/report"
 	"activego/internal/workloads"
 )
@@ -44,10 +45,14 @@ const minActualBytes = 4096
 // is invisible in prefix samples).
 func Accuracy(params workloads.Params, opts ...Option) (*AccuracyResult, *report.Table, error) {
 	o := buildOptions(opts)
+	set, err := o.programs(params, allPrograms)
+	if err != nil {
+		return nil, nil, err
+	}
 	specs := workloads.All()
-	perSpec, err := overSpecs(o, len(specs), func(i int, sopts []Option) ([]AccuracyLine, error) {
+	perSpec, err := overSpecs(o, len(specs), func(i int, reg *metrics.Registry) ([]AccuracyLine, error) {
 		spec := specs[i]
-		wb, err := Prepare(spec, params, sopts...)
+		wb, err := set.workbench(spec.Name, reg)
 		if err != nil {
 			return nil, err
 		}

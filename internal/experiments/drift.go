@@ -5,6 +5,7 @@ import (
 
 	"activego/internal/driver"
 	"activego/internal/exec"
+	"activego/internal/metrics"
 	"activego/internal/obs"
 	"activego/internal/plan"
 	"activego/internal/platform"
@@ -29,6 +30,8 @@ const DriftSeed uint64 = 29
 // offload case the utilization study and Figure 5 stress, so the stale
 // set can be cross-checked against the lines migration actually moves.
 const DriftWorkload = UtilizationWorkload
+
+var driftPrograms = Programs{Names: []string{DriftWorkload}}
 
 // DriftAvailability is the burst's CSE availability — Figure 5's
 // harsher contention level, where offloaded compute inflates ~10x.
@@ -92,15 +95,7 @@ func (r *DriftResult) StaleOffloadedOverlap() int {
 // driftSolo measures the scenario's solo warm service time on a fresh
 // platform, exactly as a serving request replays it.
 func driftSolo(sc *driver.Scenario) (float64, error) {
-	p := platform.Default()
-	res, err := exec.Run(p, sc.Trace, exec.Options{
-		Backend:       sc.Backend,
-		Partition:     sc.Partition,
-		Estimates:     sc.Estimates,
-		OverheadScale: sc.OverheadScale,
-		UseCallQueue:  true,
-		Warm:          true,
-	})
+	res, err := exec.Run(platform.Default(), sc.Trace, sc.ReplayOptions())
 	if err != nil {
 		return 0, err
 	}
@@ -113,10 +108,15 @@ func driftSolo(sc *driver.Scenario) (float64, error) {
 // order, so -j 1 and -j N outputs are bit-identical.
 func Drift(params workloads.Params, opts ...Option) (*DriftResult, *report.Table, error) {
 	o := buildOptions(opts)
-	sc, err := driver.Build(DriftWorkload, params)
+	set, err := o.programs(params, driftPrograms)
 	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: drift: %w", err)
+		return nil, nil, err
 	}
+	wb, err := set.workbench(DriftWorkload, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	sc := driver.NewScenario(DriftWorkload, wb.Prepared, params.OverheadScale())
 	if sc.Provenance == nil {
 		return nil, nil, fmt.Errorf("experiments: drift: scenario %s carries no provenance", sc.Name)
 	}
@@ -149,8 +149,7 @@ func Drift(params workloads.Params, opts ...Option) (*DriftResult, *report.Table
 		name  string
 		burst bool
 	}{{"control", false}, {"burst", true}}
-	per, err := overSpecs(o, len(arms), func(i int, sopts []Option) (DriftArm, error) {
-		so := buildOptions(sopts)
+	per, err := overSpecs(o, len(arms), func(i int, reg *metrics.Registry) (DriftArm, error) {
 		mix, err := driver.NewMix(driver.MixEntry{Scenario: sc, Weight: 1})
 		if err != nil {
 			return DriftArm{}, fmt.Errorf("experiments: drift: %s: %w", arms[i].name, err)
@@ -170,17 +169,17 @@ func Drift(params workloads.Params, opts ...Option) (*DriftResult, *report.Table
 			// model never saw.
 			MaxInFlight: 1,
 			MaxQueue:    4,
-			Metrics:     so.metrics,
+			Metrics:     reg,
 			ObsWindow:   window,
 			Obs:         col,
 		})
 		if err != nil {
 			return DriftArm{}, fmt.Errorf("experiments: drift: %s: %w", arms[i].name, err)
 		}
-		p.FoldMetrics(so.metrics)
+		p.FoldMetrics(reg)
 		rep := obs.ScoreDrift(col, planned, obs.DefaultDriftConfig())
-		col.Windows().Fold(so.metrics)
-		rep.Fold(so.metrics)
+		col.Windows().Fold(reg)
+		rep.Fold(reg)
 		return DriftArm{Name: arms[i].name, Burst: arms[i].burst,
 			Res: dres, Report: rep, Stale: rep.StaleLines()}, nil
 	})

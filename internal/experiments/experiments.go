@@ -21,17 +21,15 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"activego/internal/baseline"
 	"activego/internal/codegen"
 	"activego/internal/core"
 	"activego/internal/exec"
-	"activego/internal/lang/interp"
 	"activego/internal/metrics"
 	"activego/internal/par"
-	"activego/internal/plan"
 	"activego/internal/platform"
-	"activego/internal/profile"
 	"activego/internal/workloads"
 )
 
@@ -43,6 +41,9 @@ type options struct {
 	metrics *metrics.Registry
 	pool    *par.Pool
 	serving ServingOverrides
+	// set is the suite's shared set of prepared programs; only RunSuite
+	// passes one (nil: the study prepares its own declared programs).
+	set *Set
 }
 
 // WithMetrics instruments the harness with the registry: pipeline phase
@@ -56,10 +57,10 @@ func WithMetrics(reg *metrics.Registry) Option {
 
 // WithPool fans the harness out on p: independent workload configs run
 // concurrently (each simulation stays single-goroutine on its own
-// kernel), and the pool threads through Prepare into the pipeline's own
-// fan-outs (sampling scales, Optimal enumeration shards). Results,
-// tables, and metrics are assembled in input order, so every output is
-// bit-identical to the serial run — TestParallelInvariance pins it.
+// kernel), and the pool threads through preparation into the sampling
+// runs, the pipeline's only fan-out. Results, tables, and metrics are
+// assembled in input order, so every output is bit-identical to the
+// serial run — TestParallelInvariance pins it.
 func WithPool(p *par.Pool) Option {
 	return func(o *options) { o.pool = p }
 }
@@ -73,27 +74,21 @@ func buildOptions(opts []Option) options {
 }
 
 // overSpecs runs body once per input index, fanned out on o's pool, and
-// returns the bodies' results indexed by input position. Each body gets
-// the option slice to forward to Prepare: the shared pool, plus — when
-// the harness was given a metrics registry — a private sub-registry, so
-// concurrent bodies never interleave their recordings. The sub-registries
-// merge back into the shared registry in input order after every body
-// finishes (see metrics.Merge), which makes the final registry state a
-// pure function of the inputs, not of goroutine scheduling. The serial
-// path uses the same sub-registry structure, so -j 1 and -j N snapshots
-// are bit-identical.
-func overSpecs[T any](o options, n int, body func(i int, opts []Option) (T, error)) ([]T, error) {
+// returns the bodies' results indexed by input position. When the
+// harness was given a metrics registry, each body gets a private
+// sub-registry (nil otherwise), so concurrent bodies never interleave
+// their recordings. The sub-registries merge back into the shared
+// registry in input order after every body finishes (see metrics.Merge),
+// which makes the final registry state a pure function of the inputs,
+// not of goroutine scheduling. The serial path uses the same
+// sub-registry structure, so -j 1 and -j N snapshots are bit-identical.
+func overSpecs[T any](o options, n int, body func(i int, reg *metrics.Registry) (T, error)) ([]T, error) {
 	subs := make([]*metrics.Registry, n)
 	out, err := par.Map(o.pool, n, func(i int) (T, error) {
-		var sopts []Option
 		if o.metrics != nil {
 			subs[i] = metrics.New()
-			sopts = append(sopts, WithMetrics(subs[i]))
 		}
-		if o.pool != nil {
-			sopts = append(sopts, WithPool(o.pool))
-		}
-		return body(i, sopts)
+		return body(i, subs[i])
 	})
 	if err != nil {
 		return nil, err
@@ -104,74 +99,184 @@ func overSpecs[T any](o options, n int, body func(i int, opts []Option) (T, erro
 	return out, nil
 }
 
-// Workbench holds everything computed once per workload and shared by
-// the experiments: the instance, its full-scale trace (real values), the
-// measured baseline, the exhaustively tuned static partition, and the
-// ActivePy analysis.
+// Workbench is one prepared program plus what only the experiments
+// need: the instance, the measured no-ISP C baseline and, for the
+// studies that read it, the exhaustively tuned static partition.
 type Workbench struct {
+	*core.Prepared
 	Spec     workloads.Spec
 	Inst     *workloads.Instance
 	Params   workloads.Params
-	Trace    *interp.Trace
-	Env      *interp.Env
-	Profile  *profile.Report
-	Plan     *plan.Result
-	Machine  plan.Machine
 	Baseline float64 // no-ISP C baseline duration, seconds
 
-	StaticPart codegen.Partition // exhaustive programmer-directed optimum
+	// StaticPart and StaticTime are the exhaustive programmer-directed
+	// optimum (baseline.Search). Only a workbench prepared with the
+	// static bar has them; StaticTime is 0 otherwise.
+	StaticPart codegen.Partition
 	StaticTime float64
 
-	// Metrics, when non-nil, receives phase timers from preparation and
-	// run counters / platform gauges from every Run* call.
+	// Metrics, when non-nil, receives run counters and platform gauges
+	// from every Run* call.
 	Metrics *metrics.Registry
 }
 
-// Prepare builds the workbench for one workload.
+// Prepare builds the workbench for one workload, static bar included.
+// Preparation's phase timers and planner counters land in WithMetrics'
+// registry, which the workbench's runs then record into too.
 func Prepare(spec workloads.Spec, params workloads.Params, opts ...Option) (*Workbench, error) {
 	o := buildOptions(opts)
+	wb, err := prepare(spec, params, true, o.metrics, o.pool)
+	if err != nil {
+		return nil, err
+	}
+	wb.Metrics = o.metrics
+	return wb, nil
+}
+
+// prepare takes one workload through core's front half and measures its
+// no-ISP C baseline, plus its static bar when static is set.
+func prepare(spec workloads.Spec, params workloads.Params, static bool, reg *metrics.Registry, pool *par.Pool) (*Workbench, error) {
 	inst := spec.Build(params)
-	rt := core.New(platform.Default())
-	rt.SampleScales = profile.ScaledScales // instances are pre-scaled; see profile.ScaledScales
-	rt.Metrics = o.metrics
-	rt.Pool = o.pool
-	rt.PreloadInputs(inst.Registry)
-
-	prog, rep, planRes, err := rt.Analyze(inst.Source, inst.Registry)
+	rt := core.ForWorkload(inst)
+	rt.Metrics = reg
+	rt.Pool = pool
+	pr, err := rt.Prepare(inst)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: analyze: %w", spec.Name, err)
+		return nil, fmt.Errorf("experiments: %s: %w", spec.Name, err)
 	}
-	ctx := inst.Registry.Context(1)
-	trace, env, err := interp.Run(prog, ctx)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: trace: %w", spec.Name, err)
-	}
-	if err := inst.Check(env); err != nil {
-		return nil, fmt.Errorf("experiments: %s: correctness: %w", spec.Name, err)
-	}
-
-	base, err := baseline.RunHostOnly(platform.Default(), trace, codegen.C)
+	base, err := baseline.RunHostOnly(platform.Default(), pr.Trace, codegen.C)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: baseline: %w", spec.Name, err)
 	}
-	part, bestT, err := baseline.Search(platform.DefaultConfig(), trace)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: search: %w", spec.Name, err)
+	wb := &Workbench{Prepared: pr, Spec: spec, Inst: inst, Params: params, Baseline: base.Duration}
+	if static {
+		wb.StaticPart, wb.StaticTime, err = baseline.Search(platform.DefaultConfig(), pr.Trace)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: search: %w", spec.Name, err)
+		}
 	}
-	return &Workbench{
-		Spec:       spec,
-		Inst:       inst,
-		Params:     params,
-		Trace:      trace,
-		Env:        env,
-		Profile:    rep,
-		Plan:       planRes,
-		Machine:    rt.Machine,
-		Baseline:   base.Duration,
-		StaticPart: part,
-		StaticTime: bestT,
-		Metrics:    o.metrics,
-	}, nil
+	return wb, nil
+}
+
+// Programs declares what a study reads from the prepared set: the
+// workloads it runs, and whether it reads their programmer-directed
+// static bar (baseline.Search), which only fig2 and fig4 plot.
+type Programs struct {
+	Names  []string
+	Static bool
+}
+
+// allPrograms and tableIPrograms are the catalogue-wide declarations:
+// every workload (fig5, accuracy) and Table I's nine (runtimeopt).
+var (
+	allPrograms    = Programs{Names: specNames(workloads.All())}
+	tableIPrograms = Programs{Names: specNames(workloads.TableI())}
+)
+
+func specNames(specs []workloads.Spec) []string {
+	names := make([]string, len(specs))
+	for i, spec := range specs {
+		names[i] = spec.Name
+	}
+	return names
+}
+
+// Set is a read-only set of prepared workbenches, one per distinct
+// program, shared by the studies of one suite run. Nothing writes a
+// member after PrepareSet returns: a study reads its programs through
+// workbench, which hands out private copies.
+type Set struct {
+	wbs map[string]*Workbench
+	// decl is the reading study's declaration: a view answers only for
+	// the programs it names.
+	decl Programs
+}
+
+// prepareSet prepares the union of decls' programs once each — in
+// catalogue order, fanned out on pool — with the static bar for those a
+// declaration with Static lists. Each program records into its own
+// sub-registry; they merge into reg in catalogue order.
+func prepareSet(params workloads.Params, decls []Programs, reg *metrics.Registry, pool *par.Pool) (*Set, error) {
+	want := map[string]bool{}
+	static := map[string]bool{}
+	for _, d := range decls {
+		for _, name := range d.Names {
+			if _, ok := workloads.ByName(name); !ok {
+				return nil, fmt.Errorf("experiments: no workload %q", name)
+			}
+			want[name] = true
+			static[name] = static[name] || d.Static
+		}
+	}
+	var specs []workloads.Spec
+	for _, spec := range workloads.All() {
+		if want[spec.Name] {
+			specs = append(specs, spec)
+		}
+	}
+	wbs, err := overSpecs(options{metrics: reg, pool: pool}, len(specs), func(i int, sub *metrics.Registry) (*Workbench, error) {
+		return prepare(specs[i], params, static[specs[i].Name], sub, pool)
+	})
+	if err != nil {
+		return nil, err
+	}
+	s := &Set{wbs: map[string]*Workbench{}}
+	for _, wb := range wbs {
+		s.wbs[wb.Spec.Name] = wb
+	}
+	return s, nil
+}
+
+// programs returns the set a study reads, restricted to decl: the
+// suite's shared set when RunSuite passed one, else decl's programs
+// prepared now into the study's own registry — so a study run alone
+// prepares exactly its own list.
+func (o options) programs(params workloads.Params, decl Programs) (*Set, error) {
+	s := o.set
+	if s == nil {
+		var err error
+		if s, err = prepareSet(params, []Programs{decl}, o.metrics, o.pool); err != nil {
+			return nil, err
+		}
+	}
+	return &Set{wbs: s.wbs, decl: decl}, nil
+}
+
+// workbench returns a private copy of the named program's workbench
+// whose runs record into reg. Reading a program the study did not
+// declare is an error, never a quiet preparation, and a study that did
+// not declare the static bar does not see one.
+func (s *Set) workbench(name string, reg *metrics.Registry) (*Workbench, error) {
+	if !slices.Contains(s.decl.Names, name) {
+		return nil, fmt.Errorf("experiments: %s is not among the study's declared programs %v", name, s.decl.Names)
+	}
+	shared, ok := s.wbs[name]
+	if !ok {
+		return nil, fmt.Errorf("experiments: %s was not prepared", name)
+	}
+	wb := *shared
+	wb.Metrics = reg
+	if !s.decl.Static {
+		wb.StaticPart, wb.StaticTime = codegen.Partition{}, 0
+	}
+	return &wb, nil
+}
+
+// config is the ActivePy configuration every Workbench run starts from:
+// the call queue on, migration off, overheads at the workload's scale.
+func (wb *Workbench) config() core.Config {
+	return core.Config{UseCallQueue: true, OverheadScale: wb.Params.OverheadScale()}
+}
+
+// runActivePy executes the prepared program under cfg on p and folds
+// p's gauges into the workbench's registry.
+func (wb *Workbench) runActivePy(p *platform.Platform, cfg core.Config) (*exec.Result, error) {
+	out, err := wb.Run(p, cfg, wb.Metrics)
+	p.FoldMetrics(wb.Metrics)
+	if err != nil {
+		return nil, err
+	}
+	return out.Exec, nil
 }
 
 // RunActivePy executes the workbench's trace under the full ActivePy
@@ -182,27 +287,17 @@ func (wb *Workbench) RunActivePy(migration bool, prepare func(p *platform.Platfo
 	if prepare != nil {
 		prepare(p)
 	}
-	mig := exec.MigrationPolicy{}
-	if migration {
-		mig = exec.DefaultMigration()
-	}
-	res, err := exec.Run(p, wb.Trace, exec.Options{
-		Backend:          codegen.Native,
-		Partition:        wb.Plan.Partition,
-		Estimates:        wb.Plan.ByLine(),
-		Migration:        mig,
-		SamplingOverhead: core.SamplingOverhead,
-		OverheadScale:    wb.Params.OverheadScale(),
-		UseCallQueue:     true,
-		Metrics:          wb.Metrics,
-	})
-	p.FoldMetrics(wb.Metrics)
-	return res, err
+	cfg := wb.config()
+	cfg.Migration = migration
+	return wb.runActivePy(p, cfg)
 }
 
 // RunStatic executes the programmer-directed static partition under
 // backend C (no migration, no sampling) on a fresh prepared platform.
 func (wb *Workbench) RunStatic(prepare func(p *platform.Platform)) (*exec.Result, error) {
+	if wb.StaticTime == 0 {
+		return nil, fmt.Errorf("experiments: %s: prepared without the static bar", wb.Spec.Name)
+	}
 	p := platform.Default()
 	if prepare != nil {
 		prepare(p)
@@ -224,17 +319,4 @@ func (wb *Workbench) RunBackend(b codegen.Backend) (*exec.Result, error) {
 	})
 	p.FoldMetrics(wb.Metrics)
 	return res, err
-}
-
-// PrepareAll prepares workbenches for the given specs.
-func PrepareAll(specs []workloads.Spec, params workloads.Params, opts ...Option) ([]*Workbench, error) {
-	out := make([]*Workbench, 0, len(specs))
-	for _, s := range specs {
-		wb, err := Prepare(s, params, opts...)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, wb)
-	}
-	return out, nil
 }

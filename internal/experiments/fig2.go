@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"activego/internal/metrics"
 	"activego/internal/platform"
 	"activego/internal/report"
 	"activego/internal/workloads"
@@ -15,6 +16,10 @@ var Fig2Availabilities = []float64{1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 
 // Fig2Workloads are the three TPC-H queries Figure 2 uses (the workloads
 // Summarizer evaluated).
 var Fig2Workloads = []string{"tpch-1", "tpch-6", "tpch-14"}
+
+// fig2Programs are what Figure 2 reads: its three queries and their
+// static bars.
+var fig2Programs = Programs{Names: Fig2Workloads, Static: true}
 
 // Fig2Point is one (workload, availability) measurement.
 type Fig2Point struct {
@@ -59,17 +64,17 @@ func (r *Fig2Result) SpeedupAt(workload string, avail float64) float64 {
 // cannot move the work back.
 func Fig2(params workloads.Params, opts ...Option) (*Fig2Result, *report.Table, error) {
 	o := buildOptions(opts)
+	set, err := o.programs(params, fig2Programs)
+	if err != nil {
+		return nil, nil, err
+	}
 	type perWorkload struct {
 		points []Fig2Point
 		cells  []string
 	}
-	outs, err := overSpecs(o, len(Fig2Workloads), func(wi int, sopts []Option) (perWorkload, error) {
+	outs, err := overSpecs(o, len(Fig2Workloads), func(wi int, reg *metrics.Registry) (perWorkload, error) {
 		name := Fig2Workloads[wi]
-		spec, ok := workloads.ByName(name)
-		if !ok {
-			return perWorkload{}, fmt.Errorf("experiments: fig2: no workload %q", name)
-		}
-		wb, err := Prepare(spec, params, sopts...)
+		wb, err := set.workbench(name, reg)
 		if err != nil {
 			return perWorkload{}, err
 		}

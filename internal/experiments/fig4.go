@@ -2,11 +2,15 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
+	"activego/internal/metrics"
 	"activego/internal/report"
 	"activego/internal/workloads"
 )
+
+// fig4Programs are what Figure 4 reads: every Table I application and
+// its static bar.
+var fig4Programs = Programs{Names: specNames(workloads.TableI()), Static: true}
 
 // Fig4Row is one application's bar pair in Figure 4.
 type Fig4Row struct {
@@ -36,10 +40,14 @@ type Fig4Result struct {
 // bars track each other within a few percent on every application.
 func Fig4(params workloads.Params, opts ...Option) (*Fig4Result, *report.Table, error) {
 	o := buildOptions(opts)
+	set, err := o.programs(params, fig4Programs)
+	if err != nil {
+		return nil, nil, err
+	}
 	specs := workloads.TableI()
-	rows, err := overSpecs(o, len(specs), func(i int, sopts []Option) (Fig4Row, error) {
+	rows, err := overSpecs(o, len(specs), func(i int, reg *metrics.Registry) (Fig4Row, error) {
 		spec := specs[i]
-		wb, err := Prepare(spec, params, sopts...)
+		wb, err := set.workbench(spec.Name, reg)
 		if err != nil {
 			return Fig4Row{}, err
 		}
@@ -88,16 +96,4 @@ func Fig4(params workloads.Params, opts ...Option) (*Fig4Result, *report.Table, 
 		fmt.Sprintf("%d/%d", res.Matches, len(res.Rows)),
 		fmt.Sprintf("%.1f%%", 100*(res.MeanStatic-res.MeanActivePy)/res.MeanStatic))
 	return res, tbl, nil
-}
-
-// GeoMean is a helper for harnesses that prefer geometric means.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }

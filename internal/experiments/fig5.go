@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"activego/internal/exec"
+	"activego/internal/metrics"
 	"activego/internal/platform"
 	"activego/internal/report"
 	"activego/internal/workloads"
@@ -112,10 +113,14 @@ func progressTime(start float64, progress []exec.Progress, frac float64) float64
 // rest of the run.
 func Fig5(params workloads.Params, opts ...Option) (*Fig5Result, *report.Table, error) {
 	o := buildOptions(opts)
+	set, err := o.programs(params, allPrograms)
+	if err != nil {
+		return nil, nil, err
+	}
 	specs := workloads.All()
-	perSpec, err := overSpecs(o, len(specs), func(i int, sopts []Option) ([]Fig5Row, error) {
+	perSpec, err := overSpecs(o, len(specs), func(i int, reg *metrics.Registry) ([]Fig5Row, error) {
 		spec := specs[i]
-		wb, err := Prepare(spec, params, sopts...)
+		wb, err := set.workbench(spec.Name, reg)
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"activego/internal/fault"
+	"activego/internal/metrics"
 	"activego/internal/plan"
 	"activego/internal/platform"
 	"activego/internal/report"
@@ -141,7 +142,7 @@ func Planner(_ workloads.Params, opts ...Option) (*PlannerResult, *report.Table,
 	m := plan.MachineFromPlatform(platform.Default())
 	res := &PlannerResult{Machine: m, Budget: plan.DefaultBnBNodeBudget}
 
-	points, err := overSpecs(o, len(PlannerPoints), func(i int, _ []Option) (PlannerPoint, error) {
+	points, err := overSpecs(o, len(PlannerPoints), func(i int, _ *metrics.Registry) (PlannerPoint, error) {
 		return plannerPoint(PlannerPoints[i], m), nil
 	})
 	if err != nil {

@@ -3,9 +3,12 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"activego/internal/bench"
+	"activego/internal/metrics"
+	"activego/internal/par"
 	"activego/internal/report"
 	"activego/internal/trace"
 	"activego/internal/workloads"
@@ -14,10 +17,13 @@ import (
 // Experiment is one entry of the suite. Name is the study's one
 // identifier: benchsuite's -exp value, the manifest's experiment field,
 // the BENCH_<name>.json file name, and the BenchmarkExperiments
-// sub-benchmark. Run regenerates the study at params.
+// sub-benchmark. Programs declares what the study reads from the
+// prepared set. Run regenerates the study at params; run alone, it
+// prepares exactly its declared programs.
 type Experiment struct {
-	Name string
-	Run  func(params workloads.Params, opts ...Option) (*Output, error)
+	Name     string
+	Programs Programs
+	Run      func(params workloads.Params, opts ...Option) (*Output, error)
 }
 
 // Output is everything one experiment run yields.
@@ -38,35 +44,35 @@ type Output struct {
 // iterate this list.
 func All() []Experiment {
 	return []Experiment{
-		study("table1", Table1, nil),
-		study("fig2", Fig2, nil),
-		study("fig4", Fig4, nil),
-		study("fig5", Fig5, nil),
-		study("accuracy", Accuracy, nil),
-		study("runtimeopt", RuntimeOpt, nil),
-		study("robustness", Robustness, nil),
-		study("resilience", Resilience, func(r *ResilienceResult, out io.Writer) *trace.Recorder {
+		study("table1", Programs{}, Table1, nil),
+		study("fig2", fig2Programs, Fig2, nil),
+		study("fig4", fig4Programs, Fig4, nil),
+		study("fig5", allPrograms, Fig5, nil),
+		study("accuracy", allPrograms, Accuracy, nil),
+		study("runtimeopt", tableIPrograms, RuntimeOpt, nil),
+		study("robustness", robustnessPrograms, Robustness, nil),
+		study("resilience", resiliencePrograms, Resilience, func(r *ResilienceResult, out io.Writer) *trace.Recorder {
 			if r.Chaos != nil {
 				fmt.Fprintln(out, r.Chaos.Summary())
 			}
 			return r.Rec
 		}),
-		study("utilization", Utilization, func(u *UtilizationResult, out io.Writer) *trace.Recorder {
+		study("utilization", utilizationPrograms, Utilization, func(u *UtilizationResult, out io.Writer) *trace.Recorder {
 			fmt.Fprintln(out)
 			fmt.Fprint(out, u.MigrationTimeline().String())
 			return u.Rec
 		}),
-		study("serving", Serving, func(r *ServingResult, out io.Writer) *trace.Recorder {
+		study("serving", servingPrograms, Serving, func(r *ServingResult, out io.Writer) *trace.Recorder {
 			fmt.Fprintf(out, "capacity: %.1f req/s (mix-weighted solo service %.4fs)\n",
 				r.CapacityQPS, r.MeanService)
 			return r.Rec
 		}),
-		study("drift", Drift, func(r *DriftResult, out io.Writer) *trace.Recorder {
+		study("drift", driftPrograms, Drift, func(r *DriftResult, out io.Writer) *trace.Recorder {
 			fmt.Fprintf(out, "stale: control %v, burst %v of offloaded %v (overlap %d)\n",
 				r.Control.Stale, r.Burst.Stale, r.Offloaded, r.StaleOffloadedOverlap())
 			return nil
 		}),
-		study("planner", Planner, nil),
+		study("planner", Programs{}, Planner, nil),
 	}
 }
 
@@ -89,9 +95,9 @@ type result interface {
 // study adapts a harness to the registry's shape: its table, then the
 // footer lines footer writes (nil = none), and its manifest. footer
 // returns the study's recording.
-func study[R result](name string, run func(workloads.Params, ...Option) (R, *report.Table, error),
+func study[R result](name string, decl Programs, run func(workloads.Params, ...Option) (R, *report.Table, error),
 	footer func(res R, out io.Writer) *trace.Recorder) Experiment {
-	return Experiment{Name: name, Run: func(params workloads.Params, opts ...Option) (*Output, error) {
+	return Experiment{Name: name, Programs: decl, Run: func(params workloads.Params, opts ...Option) (*Output, error) {
 		res, tbl, err := run(params, opts...)
 		if err != nil {
 			return nil, err
@@ -104,4 +110,56 @@ func study[R result](name string, run func(workloads.Params, ...Option) (R, *rep
 		}
 		return &Output{Text: out.String(), Manifest: res.Bench(params), Rec: rec}, nil
 	}}
+}
+
+// RunSuite runs exps at params against one shared, read-only set of
+// prepared programs. The union of the programs they declare is prepared
+// once — eagerly, in catalogue order, on WithPool's pool — before any
+// study starts; then every experiment runs on the pool against its
+// declared view of the set. Outputs come back in exps' order. With
+// WithMetrics, the preparation's registry merges into the registry
+// first and each experiment's (its recording folded in) after it in
+// suite order, and each manifest carries the registry's cumulative
+// snapshot as of its own merge — so every output is bit-identical at
+// any pool size. cmd/benchsuite and BenchmarkExperiments run the suite
+// through it.
+func RunSuite(exps []Experiment, params workloads.Params, opts ...Option) ([]*Output, error) {
+	o := buildOptions(opts)
+	decls := make([]Programs, len(exps))
+	for i, e := range exps {
+		decls[i] = e.Programs
+	}
+	prep := subRegistry(o.metrics)
+	set, err := prepareSet(params, decls, prep, o.pool)
+	if err != nil {
+		return nil, err
+	}
+	subs := make([]*metrics.Registry, len(exps))
+	outs, err := par.Map(o.pool, len(exps), func(i int) (*Output, error) {
+		subs[i] = subRegistry(o.metrics)
+		run := append(slices.Clip(opts), WithMetrics(subs[i]), func(eo *options) { eo.set = set })
+		return exps[i].Run(params, run...)
+	})
+	if err != nil {
+		return nil, err
+	}
+	o.metrics.Merge(prep)
+	for i, out := range outs {
+		out.Rec.Fold(subs[i])
+		o.metrics.Merge(subs[i])
+		if o.metrics != nil {
+			snap := o.metrics.Snapshot()
+			out.Manifest.Metrics = &snap
+		}
+	}
+	return outs, nil
+}
+
+// subRegistry is a private registry for one part of a run when reg
+// records at all, nil otherwise.
+func subRegistry(reg *metrics.Registry) *metrics.Registry {
+	if reg == nil {
+		return nil
+	}
+	return metrics.New()
 }

@@ -5,9 +5,9 @@ import (
 
 	"activego/internal/chaos"
 	"activego/internal/codegen"
-	"activego/internal/core"
 	"activego/internal/exec"
 	"activego/internal/fault"
+	"activego/internal/metrics"
 	"activego/internal/nvme"
 	"activego/internal/platform"
 	"activego/internal/report"
@@ -44,6 +44,8 @@ import (
 // inside one execution. (The ladder is workload-agnostic; what the
 // burst axis needs is line count.)
 var ResilienceWorkloads = []string{"blackscholes", "tpch-6", "mixedgemm"}
+
+var resiliencePrograms = Programs{Names: ResilienceWorkloads}
 
 // ResilienceRates is the within-burst fault intensity axis: 0 is the
 // armed-but-idle control (no bursts, no injections — must reproduce the
@@ -126,7 +128,7 @@ func (r *ResilienceResult) RowAt(workload string, rate float64) (ResilienceRow, 
 // any -scalediv.
 func (wb *Workbench) worstLine() float64 {
 	worst := 0.0
-	for _, est := range wb.Plan.ByLine() {
+	for _, est := range wb.Estimates {
 		if est.Execs <= 0 {
 			continue
 		}
@@ -211,7 +213,7 @@ func (b resilienceBursts) install(p *platform.Platform, rate float64) []fault.Ru
 // runResilienceArm executes one arm of one cell on a fresh platform
 // with the bursts scheduled and the plan installed.
 func (wb *Workbench) runResilienceArm(seed uint64, bursts resilienceBursts, rate float64,
-	retry nvme.RetryPolicy, opts exec.Options, rec *trace.Recorder) (*exec.Result, error) {
+	retry nvme.RetryPolicy, pol *resilience.Policy, rec *trace.Recorder) (*exec.Result, error) {
 	p := platform.Default()
 	if rec != nil {
 		p.SetRecorder(rec)
@@ -222,16 +224,9 @@ func (wb *Workbench) runResilienceArm(seed uint64, bursts resilienceBursts, rate
 		return nil, err
 	}
 	p.InstallFaults(plan, retry)
-	opts.Backend = codegen.Native
-	opts.Partition = wb.Plan.Partition
-	opts.Estimates = wb.Plan.ByLine()
-	opts.SamplingOverhead = core.SamplingOverhead
-	opts.OverheadScale = wb.Params.OverheadScale()
-	opts.UseCallQueue = true
-	opts.Metrics = wb.Metrics
-	res, rerr := exec.Run(p, wb.Trace, opts)
-	p.FoldMetrics(wb.Metrics)
-	return res, rerr
+	cfg := wb.config()
+	cfg.Resilience = pol
+	return wb.runActivePy(p, cfg)
 }
 
 // ChaosSweep runs a standalone chaos sweep: n randomized seeded fault
@@ -240,11 +235,11 @@ func (wb *Workbench) runResilienceArm(seed uint64, bursts resilienceBursts, rate
 // and CI's chaos job call this.
 func ChaosSweep(params workloads.Params, seed uint64, n int, opts ...Option) (*chaos.Report, error) {
 	o := buildOptions(opts)
-	spec, ok := workloads.ByName(ResilienceTraceWorkload)
-	if !ok {
-		return nil, fmt.Errorf("experiments: chaos: no workload %q", ResilienceTraceWorkload)
+	set, err := o.programs(params, Programs{Names: []string{ResilienceTraceWorkload}})
+	if err != nil {
+		return nil, err
 	}
-	wb, err := Prepare(spec, params, opts...)
+	wb, err := set.workbench(ResilienceTraceWorkload, o.metrics)
 	if err != nil {
 		return nil, err
 	}
@@ -276,13 +271,13 @@ func Resilience(params workloads.Params, opts ...Option) (*ResilienceResult, *re
 		chaos *chaos.Report
 		rec   *trace.Recorder
 	}
-	per, err := overSpecs(o, len(ResilienceWorkloads), func(i int, sopts []Option) (perSpec, error) {
+	set, err := o.programs(params, resiliencePrograms)
+	if err != nil {
+		return nil, nil, err
+	}
+	per, err := overSpecs(o, len(ResilienceWorkloads), func(i int, reg *metrics.Registry) (perSpec, error) {
 		name := ResilienceWorkloads[i]
-		spec, ok := workloads.ByName(name)
-		if !ok {
-			return perSpec{}, fmt.Errorf("experiments: resilience: no workload %q", name)
-		}
-		wb, err := Prepare(spec, params, sopts...)
+		wb, err := set.workbench(name, reg)
 		if err != nil {
 			return perSpec{}, err
 		}
@@ -291,8 +286,7 @@ func Resilience(params workloads.Params, opts ...Option) (*ResilienceResult, *re
 		// Armed-but-idle breaker run: the control duration that also
 		// calibrates the burst timeline and the breaker cooldown.
 		pol := resiliencePolicy(ResilienceSeed, retry, 0)
-		clean, err := wb.runResilienceArm(ResilienceSeed, resilienceBursts{}, 0, retry,
-			exec.Options{Resilience: &pol}, nil)
+		clean, err := wb.runResilienceArm(ResilienceSeed, resilienceBursts{}, 0, retry, &pol, nil)
 		if err != nil {
 			return perSpec{}, fmt.Errorf("experiments: resilience: %s control: %w", name, err)
 		}
@@ -303,20 +297,14 @@ func Resilience(params workloads.Params, opts ...Option) (*ResilienceResult, *re
 		out := perSpec{}
 		for _, rate := range ResilienceRates {
 			row := ResilienceRow{Workload: name, Rate: rate}
-			static, serr := wb.runResilienceArm(ResilienceSeed, bursts, rate, retry, exec.Options{
-				Resilience: &perLine,
-			}, nil)
-			oneshot, oerr := wb.runResilienceArm(ResilienceSeed, bursts, rate, retry, exec.Options{
-				Resilience: &oneShot,
-			}, nil)
+			static, serr := wb.runResilienceArm(ResilienceSeed, bursts, rate, retry, &perLine, nil)
+			oneshot, oerr := wb.runResilienceArm(ResilienceSeed, bursts, rate, retry, &oneShot, nil)
 			var rec *trace.Recorder
 			if name == ResilienceTraceWorkload && rate == maxRate {
 				rec = trace.New()
 				out.rec = rec
 			}
-			breaker, berr := wb.runResilienceArm(ResilienceSeed, bursts, rate, retry, exec.Options{
-				Resilience: &pol,
-			}, rec)
+			breaker, berr := wb.runResilienceArm(ResilienceSeed, bursts, rate, retry, &pol, rec)
 			if rate == 0 && (serr != nil || oerr != nil || berr != nil) {
 				return perSpec{}, fmt.Errorf("experiments: resilience: %s control arm failed: %v %v %v",
 					name, serr, oerr, berr)
@@ -353,7 +341,7 @@ func Resilience(params workloads.Params, opts ...Option) (*ResilienceResult, *re
 				Retry:         retry,
 				OverheadScale: wb.Params.OverheadScale(),
 				Params:        chaos.ScheduleParams{MaxRate: 1.0},
-				Pool:          buildOptions(sopts).pool,
+				Pool:          o.pool,
 			})
 			if err != nil {
 				return perSpec{}, fmt.Errorf("experiments: resilience: %s chaos: %w", name, err)

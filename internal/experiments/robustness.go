@@ -3,10 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"activego/internal/codegen"
-	"activego/internal/core"
 	"activego/internal/exec"
 	"activego/internal/fault"
+	"activego/internal/metrics"
 	"activego/internal/nvme"
 	"activego/internal/platform"
 	"activego/internal/report"
@@ -26,6 +25,8 @@ var RobustnessRates = []float64{0, 0.1, 0.3}
 // queue), so the fault axis, not the application axis, carries the
 // information.
 var RobustnessWorkloads = []string{"tpch-1", "tpch-6", "tpch-14"}
+
+var robustnessPrograms = Programs{Names: RobustnessWorkloads}
 
 // RobustnessSeed seeds every fault plan in the sweep; with the rules
 // fixed, one seed makes the whole table bit-reproducible.
@@ -109,18 +110,9 @@ func (wb *Workbench) RunRobust(plan *fault.Plan) (*exec.Result, error) {
 	p := platform.Default()
 	p.InstallFaults(plan, wb.adaptiveRetry())
 	pol := resilience.OneShot()
-	res, err := exec.Run(p, wb.Trace, exec.Options{
-		Backend:          codegen.Native,
-		Partition:        wb.Plan.Partition,
-		Estimates:        wb.Plan.ByLine(),
-		SamplingOverhead: core.SamplingOverhead,
-		OverheadScale:    wb.Params.OverheadScale(),
-		UseCallQueue:     true,
-		Resilience:       &pol,
-		Metrics:          wb.Metrics,
-	})
-	p.FoldMetrics(wb.Metrics)
-	return res, err
+	cfg := wb.config()
+	cfg.Resilience = &pol
+	return wb.runActivePy(p, cfg)
 }
 
 // Robustness sweeps fault intensity against the TPC-H workloads: each
@@ -130,13 +122,13 @@ func (wb *Workbench) RunRobust(plan *fault.Plan) (*exec.Result, error) {
 // check: its durations must equal the clean runs bit-for-bit.
 func Robustness(params workloads.Params, opts ...Option) (*RobustnessResult, *report.Table, error) {
 	o := buildOptions(opts)
-	perSpec, err := overSpecs(o, len(RobustnessWorkloads), func(i int, sopts []Option) ([]RobustnessRow, error) {
+	set, err := o.programs(params, robustnessPrograms)
+	if err != nil {
+		return nil, nil, err
+	}
+	perSpec, err := overSpecs(o, len(RobustnessWorkloads), func(i int, reg *metrics.Registry) ([]RobustnessRow, error) {
 		name := RobustnessWorkloads[i]
-		spec, ok := workloads.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("experiments: robustness: no workload %q", name)
-		}
-		wb, err := Prepare(spec, params, sopts...)
+		wb, err := set.workbench(name, reg)
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"activego/internal/codegen"
+	"activego/internal/metrics"
 	"activego/internal/report"
 	"activego/internal/workloads"
 )
@@ -32,10 +33,14 @@ type RuntimeOptResult struct {
 // target is that ordering and rough spacing.
 func RuntimeOpt(params workloads.Params, opts ...Option) (*RuntimeOptResult, *report.Table, error) {
 	o := buildOptions(opts)
+	set, err := o.programs(params, tableIPrograms)
+	if err != nil {
+		return nil, nil, err
+	}
 	specs := workloads.TableI()
-	rows, err := overSpecs(o, len(specs), func(i int, sopts []Option) (RuntimeOptRow, error) {
+	rows, err := overSpecs(o, len(specs), func(i int, reg *metrics.Registry) (RuntimeOptRow, error) {
 		spec := specs[i]
-		wb, err := Prepare(spec, params, sopts...)
+		wb, err := set.workbench(spec.Name, reg)
 		if err != nil {
 			return RuntimeOptRow{}, err
 		}

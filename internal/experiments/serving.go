@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"activego/internal/driver"
 	"activego/internal/exec"
+	"activego/internal/metrics"
 	"activego/internal/platform"
 	"activego/internal/report"
 	"activego/internal/trace"
@@ -70,6 +72,23 @@ var ServingTenants = []ServingTenantSpec{
 		Weights: []driver.Weighted{{Name: "blackscholes", Weight: 4}, {Name: "kmeans", Weight: 1}}},
 }
 
+// servingPrograms are the workloads the tenant templates mix, in order
+// of first mention; -tenants only cycles the templates, so no override
+// adds one.
+var servingPrograms = Programs{Names: servingNames()}
+
+func servingNames() []string {
+	var names []string
+	for _, spec := range ServingTenants {
+		for _, w := range spec.Weights {
+			if !slices.Contains(names, w.Name) {
+				names = append(names, w.Name)
+			}
+		}
+	}
+	return names
+}
+
 // ServingOverrides are the CLI-facing knobs (-tenants, -arrival, -qps,
 // -duration). Zero values mean "use the study's documented defaults",
 // so the committed baselines and CI runs are unaffected by the flags
@@ -116,16 +135,6 @@ type ServingResult struct {
 	// Rec is the structured trace of the highest-load run — the
 	// timeline that shows queue depth and in-flight saturating.
 	Rec *trace.Recorder
-}
-
-// CellAt returns the cell for one load fraction.
-func (r *ServingResult) CellAt(load float64) (ServingCell, bool) {
-	for _, c := range r.Cells {
-		if c.Load == load {
-			return c, true
-		}
-	}
-	return ServingCell{}, false
 }
 
 // servingTenantConfigs instantiates the tenant population for one load
@@ -180,15 +189,7 @@ func servingSpecs(ov ServingOverrides) []ServingTenantSpec {
 func servingCalibrate(specs []ServingTenantSpec, scenarios map[string]*driver.Scenario) (float64, error) {
 	solo := map[string]float64{}
 	for name, sc := range scenarios {
-		p := platform.Default()
-		res, err := exec.Run(p, sc.Trace, exec.Options{
-			Backend:       sc.Backend,
-			Partition:     sc.Partition,
-			Estimates:     sc.Estimates,
-			OverheadScale: sc.OverheadScale,
-			UseCallQueue:  true,
-			Warm:          true,
-		})
+		res, err := exec.Run(platform.Default(), sc.Trace, sc.ReplayOptions())
 		if err != nil {
 			return 0, fmt.Errorf("experiments: serving: calibrate %s: %w", name, err)
 		}
@@ -217,21 +218,20 @@ func Serving(params workloads.Params, opts ...Option) (*ServingResult, *report.T
 	ov := o.serving
 	specs := servingSpecs(ov)
 
-	// Build every scenario the tenant templates reference once; the
-	// load points share them read-only (a Scenario is immutable after
+	// View every program the tenant templates mix as a scenario once;
+	// the load points share them read-only (a Scenario is immutable after
 	// construction — the executor never writes through it).
+	set, err := o.programs(params, servingPrograms)
+	if err != nil {
+		return nil, nil, err
+	}
 	scenarios := map[string]*driver.Scenario{}
-	for _, spec := range specs {
-		for _, w := range spec.Weights {
-			if scenarios[w.Name] != nil {
-				continue
-			}
-			sc, err := driver.Build(w.Name, params)
-			if err != nil {
-				return nil, nil, fmt.Errorf("experiments: serving: %w", err)
-			}
-			scenarios[w.Name] = sc
+	for _, name := range servingPrograms.Names {
+		wb, err := set.workbench(name, nil)
+		if err != nil {
+			return nil, nil, err
 		}
+		scenarios[name] = driver.NewScenario(name, wb.Prepared, params.OverheadScale())
 	}
 	mixes := make([]*driver.Mix, len(specs))
 	for i, spec := range specs {
@@ -260,9 +260,8 @@ func Serving(params workloads.Params, opts ...Option) (*ServingResult, *report.T
 		cell ServingCell
 		rec  *trace.Recorder
 	}
-	per, err := overSpecs(o, len(ServingLoads), func(i int, sopts []Option) (perLoad, error) {
+	per, err := overSpecs(o, len(ServingLoads), func(i int, reg *metrics.Registry) (perLoad, error) {
 		load := ServingLoads[i]
-		so := buildOptions(sopts)
 		totalQPS := load * capacity
 		horizon := ServingRequestTarget / totalQPS
 		if ov.Duration > 0 {
@@ -280,12 +279,12 @@ func Serving(params workloads.Params, opts ...Option) (*ServingResult, *report.T
 			Tenants:     servingTenantConfigs(specs, mixes, totalQPS/float64(len(specs)), horizon, meanService),
 			MaxInFlight: ServingMaxInFlight,
 			MaxQueue:    ServingMaxQueue,
-			Metrics:     so.metrics,
+			Metrics:     reg,
 		})
 		if err != nil {
 			return perLoad{}, fmt.Errorf("experiments: serving: load %.2f: %w", load, err)
 		}
-		p.FoldMetrics(so.metrics)
+		p.FoldMetrics(reg)
 		return perLoad{
 			cell: ServingCell{Load: load, TotalQPS: totalQPS, Horizon: horizon, Res: res},
 			rec:  rec,

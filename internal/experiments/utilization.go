@@ -15,6 +15,8 @@ import (
 // timeline shows every lane of the stack doing real work.
 const UtilizationWorkload = "tpch-6"
 
+var utilizationPrograms = Programs{Names: []string{UtilizationWorkload}}
+
 // UtilizationStressAvail is the CSE availability the stressed timeline
 // drops to — Figure 5's harsher contention level, where the §III-D
 // monitor reliably migrates.
@@ -67,11 +69,12 @@ func (u *UtilizationResult) MigrationTimeline() *report.Table {
 // table is the steady-state per-component occupancy; the recorders in
 // the result carry the full timelines for Chrome export or summaries.
 func Utilization(params workloads.Params, opts ...Option) (*UtilizationResult, *report.Table, error) {
-	spec, ok := workloads.ByName(UtilizationWorkload)
-	if !ok {
-		return nil, nil, fmt.Errorf("experiments: utilization: unknown workload %q", UtilizationWorkload)
+	o := buildOptions(opts)
+	set, err := o.programs(params, utilizationPrograms)
+	if err != nil {
+		return nil, nil, err
 	}
-	wb, err := Prepare(spec, params, opts...)
+	wb, err := set.workbench(UtilizationWorkload, o.metrics)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -79,7 +82,7 @@ func Utilization(params workloads.Params, opts ...Option) (*UtilizationResult, *
 	rec := trace.New()
 	res, err := wb.RunActivePy(false, func(p *platform.Platform) { p.SetRecorder(rec) })
 	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: utilization: %s steady: %w", spec.Name, err)
+		return nil, nil, fmt.Errorf("experiments: utilization: %s steady: %w", UtilizationWorkload, err)
 	}
 
 	// Stress arrives when the offloaded task hits 50% progress, per the
@@ -91,11 +94,11 @@ func Utilization(params workloads.Params, opts ...Option) (*UtilizationResult, *
 		p.Dev.ScheduleStress(t50, UtilizationStressAvail, 0)
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: utilization: %s stressed: %w", spec.Name, err)
+		return nil, nil, fmt.Errorf("experiments: utilization: %s stressed: %w", UtilizationWorkload, err)
 	}
 
 	u := &UtilizationResult{
-		Workload:  spec.Name,
+		Workload:  UtilizationWorkload,
 		Rec:       rec,
 		Res:       res,
 		StressRec: stressRec,
@@ -103,6 +106,6 @@ func Utilization(params workloads.Params, opts ...Option) (*UtilizationResult, *
 		StressAt:  t50,
 	}
 	tbl := rec.UtilizationTable(fmt.Sprintf(
-		"Utilization & timelines (ours, no paper counterpart): %s, full ActivePy pipeline", spec.Name))
+		"Utilization & timelines (ours, no paper counterpart): %s, full ActivePy pipeline", UtilizationWorkload))
 	return u, tbl, nil
 }

@@ -50,9 +50,3 @@ func New(s *sim.Sim, cfg Config) *Topology {
 		DevMem:  sim.NewLink(s, "devmem", cfg.DevMemBW, cfg.DevMemLatency),
 	}
 }
-
-// Links returns every link of the topology, external first; utilization
-// reporting iterates these.
-func (t *Topology) Links() []*sim.Link {
-	return []*sim.Link{t.D2H, t.HostMem, t.DevMem}
-}

@@ -64,15 +64,6 @@ type Trace struct {
 	Records []LineRecord
 }
 
-// TotalCost sums all record costs.
-func (t *Trace) TotalCost() value.Cost {
-	var c value.Cost
-	for i := range t.Records {
-		c.Add(t.Records[i].Cost)
-	}
-	return c
-}
-
 // Lines returns the distinct source lines present in the trace, ascending.
 func (t *Trace) Lines() []int {
 	seen := map[int]bool{}

@@ -35,8 +35,3 @@ func (c *Cost) Add(o Cost) {
 	c.StorageBytes += o.StorageBytes
 	c.Elements += o.Elements
 }
-
-// IsZero reports whether the cost is empty.
-func (c Cost) IsZero() bool {
-	return c.KernelWork == 0 && c.GlueWork == 0 && c.CopyBytes == 0 && c.StorageBytes == 0 && c.Elements == 0
-}

@@ -231,9 +231,6 @@ func (q *QueuePair) SetRetryPolicy(rp RetryPolicy) { q.retry = rp }
 // RetryPolicy returns the installed supervision policy.
 func (q *QueuePair) RetryPolicy() RetryPolicy { return q.retry }
 
-// Depth returns the hardware queue depth.
-func (q *QueuePair) Depth() int { return q.depth }
-
 // InFlight returns commands currently owned by the device.
 func (q *QueuePair) InFlight() int { return q.inFlight }
 

@@ -75,9 +75,6 @@ func (l *Link) Name() string { return l.name }
 // Bandwidth returns the link bandwidth in bytes per second.
 func (l *Link) Bandwidth() float64 { return l.bandwidth }
 
-// Latency returns the per-message latency in seconds.
-func (l *Link) Latency() float64 { return l.latency }
-
 // Transfer schedules `bytes` to move across the link; done fires when the
 // last byte (plus propagation latency) lands. Zero-byte transfers still
 // pay latency: a doorbell write or a completion entry is a real message.
