@@ -15,9 +15,8 @@ import (
 	"activego/internal/core"
 	"activego/internal/inputs"
 	"activego/internal/lang/value"
-	"activego/internal/platform"
-	"activego/internal/profile"
 	"activego/internal/report"
+	"activego/internal/workloads"
 )
 
 // Three lines with genuinely different complexity classes: a linear
@@ -48,15 +47,13 @@ func main() {
 	reg := inputs.NewRegistry()
 	reg.Add("matrix", m, inputs.ModeSquare)
 
-	rt := core.New(platform.Default())
-	rt.SampleScales = profile.ScaledScales
-	rt.PreloadInputs(reg)
-
-	prog, rep, planRes, err := rt.Analyze(program, reg)
+	inst := &workloads.Instance{Name: "autodetect", Source: program, Registry: reg}
+	rt := core.ForWorkload(inst)
+	pr, err := rt.Prepare(inst)
 	if err != nil {
 		log.Fatal(err)
 	}
-	_ = prog
+	rep, planRes := pr.Profile, pr.Plan
 	fmt.Println("program:")
 	fmt.Print(program)
 

@@ -182,16 +182,6 @@ func (rt *Runtime) PreloadInputs(reg *inputs.Registry) {
 	}
 }
 
-// Analyze runs steps 1–3: parse, sample, and plan, without executing at
-// full scale. The autodetect example uses it directly.
-func (rt *Runtime) Analyze(src string, reg *inputs.Registry) (*ast.Program, *profile.Report, *plan.Result, error) {
-	pr, err := rt.plan(src, reg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return pr.Program, pr.Profile, pr.Plan, nil
-}
-
 // Prepare takes inst through the front half of the pipeline once:
 // parse, static analysis, sampling and curve fits, planning with illegal
 // and never-win lines masked, the full-scale trace, and — when inst has

@@ -56,10 +56,11 @@ func TestAnalyzeProducesPlanAndProfile(t *testing.T) {
 	reg := scanRegistry(1 << 18)
 	rt := newRuntime()
 	rt.PreloadInputs(reg)
-	prog, rep, planRes, err := rt.Analyze(scanProgram, reg)
+	pr, err := rt.Prepare(&workloads.Instance{Source: scanProgram, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	prog, rep, planRes := pr.Program, pr.Profile, pr.Plan
 	if prog.MaxLine() != 4 {
 		t.Errorf("program lines %d", prog.MaxLine())
 	}
@@ -127,7 +128,7 @@ func prepare(t *testing.T, src string) *core.Prepared {
 
 func TestParseErrorsSurface(t *testing.T) {
 	rt := newRuntime()
-	if _, _, _, err := rt.Analyze("x = (\n", scanRegistry(10)); err == nil {
+	if _, err := rt.Prepare(&workloads.Instance{Source: "x = (\n", Registry: scanRegistry(10)}); err == nil {
 		t.Error("parse error swallowed")
 	}
 	if _, err := rt.Run("y = load(\"nope\")\n", scanRegistry(10), core.DefaultConfig()); err == nil {

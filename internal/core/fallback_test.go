@@ -5,9 +5,21 @@ import (
 	"strings"
 	"testing"
 
+	"activego/internal/core"
+	"activego/internal/inputs"
 	"activego/internal/metrics"
 	"activego/internal/plan"
+	"activego/internal/workloads"
 )
+
+// planOf prepares src over reg on rt and returns its plan.
+func planOf(rt *core.Runtime, src string, reg *inputs.Registry) (*plan.Result, error) {
+	pr, err := rt.Prepare(&workloads.Instance{Source: src, Registry: reg})
+	if err != nil {
+		return nil, err
+	}
+	return pr.Plan, nil
+}
 
 // wideScan builds a program of n coupled reduction lines over one loaded
 // vector — a single variable-sharing component of n+1 offload candidates.
@@ -32,7 +44,7 @@ func TestOptimalFallbackCounter(t *testing.T) {
 	rt := newRuntime()
 	rt.Metrics = metrics.New()
 	rt.PreloadInputs(reg)
-	_, _, planRes, err := rt.Analyze(src, reg)
+	planRes, err := planOf(rt, src, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +67,7 @@ func TestOptimalFallbackCounter(t *testing.T) {
 	starvedReg := scanRegistry(1 << 14)
 	starved.PreloadInputs(starvedReg)
 	starved.PlanBudget = 1
-	_, _, planRes, err = starved.Analyze(src, starvedReg)
+	planRes, err = planOf(starved, src, starvedReg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +82,7 @@ func TestOptimalFallbackCounter(t *testing.T) {
 	small.Metrics = metrics.New()
 	smallReg := scanRegistry(1 << 14)
 	small.PreloadInputs(smallReg)
-	if _, _, _, err := small.Analyze(scanProgram, smallReg); err != nil {
+	if _, err := planOf(small, scanProgram, smallReg); err != nil {
 		t.Fatal(err)
 	}
 	if got := small.Metrics.Counter(metrics.MetricPlanOptimalFallback).Value(); got != 0 {
@@ -86,7 +98,7 @@ func TestPlannerRequestedGreedy(t *testing.T) {
 	rt.Planner = plan.PlannerAlgorithm1
 	reg := scanRegistry(1 << 14)
 	rt.PreloadInputs(reg)
-	_, _, planRes, err := rt.Analyze(scanProgram, reg)
+	planRes, err := planOf(rt, scanProgram, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +119,7 @@ func TestPlannerUnknown(t *testing.T) {
 		rt.Planner = name
 		reg := scanRegistry(1 << 14)
 		rt.PreloadInputs(reg)
-		_, _, _, err := rt.Analyze(scanProgram, reg)
+		_, err := planOf(rt, scanProgram, reg)
 		if err == nil {
 			t.Fatalf("no error for planner %q", name)
 		}

@@ -118,13 +118,13 @@ func TestRunFlagsDriftOnSlowedUnit(t *testing.T) {
 	}
 }
 
-// TestProvenanceAttached pins that every Analyze carries the frozen
+// TestProvenanceAttached pins that every prepared plan carries the frozen
 // provenance record the explain renderer and drift scorer consume.
 func TestProvenanceAttached(t *testing.T) {
 	reg := scanRegistry(1 << 18)
 	rt := newRuntime()
 	rt.PreloadInputs(reg)
-	_, _, planRes, err := rt.Analyze(scanProgram, reg)
+	planRes, err := planOf(rt, scanProgram, reg)
 	if err != nil {
 		t.Fatal(err)
 	}

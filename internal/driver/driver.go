@@ -3,10 +3,10 @@
 // mix of prepared scenarios at one long-lived machine and accounts the
 // resulting tail latency per tenant (DESIGN.md §14).
 //
-// A scenario is a fully prepared program (trace, partition, estimates)
-// that Build makes from a workload name; a tenant owns a weighted Mix of
-// scenarios, an arrival process, and a splitmix64 stream derived from
-// the driver seed. Arrivals pass admission control — an in-flight
+// A scenario is a view of a prepared program (core.Prepared: trace,
+// partition, estimates) that Build prepares from a workload name or
+// NewScenario views; a tenant owns a weighted Mix of scenarios, an
+// arrival process, and a splitmix64 stream derived from the driver seed. Arrivals pass admission control — an in-flight
 // budget backed by a bounded wait queue, with typed
 // *resilience.AdmitError sheds — and admitted requests replay warm
 // through exec.Launch, so every tenant's requests contend for the same
@@ -365,8 +365,9 @@ func (e *engine) arrive(ts *tenantState, sc *Scenario, closedLoop bool) {
 }
 
 // dispatch launches one admitted request's executor on the shared
-// calendar. The scenario replays warm: its cold pipeline cost was paid
-// at construction, so a request pays only storage, compute, and link.
+// calendar. The scenario replays warm (Scenario.ReplayOptions): its
+// cold pipeline cost was paid at preparation, so a request pays only
+// storage, compute, and link.
 func (e *engine) dispatch(req *request) {
 	now := e.p.Sim.Now()
 	ts := req.t

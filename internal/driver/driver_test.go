@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"activego/internal/chaos"
+	"activego/internal/core"
 	"activego/internal/driver"
 	"activego/internal/fault"
 	"activego/internal/metrics"
@@ -97,6 +99,39 @@ func TestBuildWorkloadScenario(t *testing.T) {
 	}
 	if sc.OverheadScale != workloads.TestParams().OverheadScale() {
 		t.Fatalf("OverheadScale %v, want %v", sc.OverheadScale, workloads.TestParams().OverheadScale())
+	}
+}
+
+// TestScenarioViewsPreparedProgram: a scenario is a view of the
+// prepared program — Build's and NewScenario's share the prepared trace
+// and estimate map rather than copying them — and its warm replay
+// options carry them straight through, with no allocation on the
+// per-request path.
+func TestScenarioViewsPreparedProgram(t *testing.T) {
+	spec, _ := workloads.ByName("tpch-6")
+	inst := spec.Build(workloads.TestParams())
+	pr, err := core.ForWorkload(inst).Prepare(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := driver.NewScenario(spec.Name, pr, workloads.TestParams().OverheadScale())
+	built, err := driver.Build(spec.Name, workloads.TestParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sc, built) {
+		t.Error("NewScenario over a prepared program differs from Build")
+	}
+	if sc.Trace != pr.Trace || reflect.ValueOf(sc.Estimates).Pointer() != reflect.ValueOf(pr.Estimates).Pointer() {
+		t.Error("scenario copied the prepared trace or estimate map")
+	}
+	opts := sc.ReplayOptions()
+	if !opts.Warm || !opts.UseCallQueue || !opts.Partition.Equal(pr.Plan.Partition) ||
+		reflect.ValueOf(opts.Estimates).Pointer() != reflect.ValueOf(pr.Estimates).Pointer() {
+		t.Errorf("replay options %+v do not replay the prepared plan warm", opts)
+	}
+	if n := testing.AllocsPerRun(100, func() { opts = sc.ReplayOptions() }); n != 0 {
+		t.Errorf("ReplayOptions allocates %v times per call", n)
 	}
 }
 

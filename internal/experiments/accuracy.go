@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 
-	"activego/internal/metrics"
 	"activego/internal/report"
 	"activego/internal/workloads"
 )
@@ -44,18 +43,8 @@ const minActualBytes = 4096
 // ISP gains come from; CSR construction is the known-hard case (sparsity
 // is invisible in prefix samples).
 func Accuracy(params workloads.Params, opts ...Option) (*AccuracyResult, *report.Table, error) {
-	o := buildOptions(opts)
-	set, err := o.programs(params, allPrograms)
-	if err != nil {
-		return nil, nil, err
-	}
-	specs := workloads.All()
-	perSpec, err := overSpecs(o, len(specs), func(i int, reg *metrics.Registry) ([]AccuracyLine, error) {
-		spec := specs[i]
-		wb, err := set.workbench(spec.Name, reg)
-		if err != nil {
-			return nil, err
-		}
+	perSpec, err := overPrograms(params, buildOptions(opts), allPrograms, func(wb *Workbench) ([]AccuracyLine, error) {
+		spec := wb.Spec
 		// Actual per-line output volumes from the full-scale trace.
 		actual := map[int]float64{}
 		for j := range wb.Trace.Records {

@@ -92,27 +92,13 @@ func (r *DriftResult) StaleOffloadedOverlap() int {
 	return n
 }
 
-// driftSolo measures the scenario's solo warm service time on a fresh
-// platform, exactly as a serving request replays it.
-func driftSolo(sc *driver.Scenario) (float64, error) {
-	res, err := exec.Run(platform.Default(), sc.Trace, sc.ReplayOptions())
-	if err != nil {
-		return 0, err
-	}
-	return res.Duration, nil
-}
-
 // Drift runs the two-arm drift study: identical Poisson serving load on
 // fresh platforms, one arm with a mid-horizon availability burst. Arms
 // are independent runs fanned out on the pool and assembled in input
 // order, so -j 1 and -j N outputs are bit-identical.
 func Drift(params workloads.Params, opts ...Option) (*DriftResult, *report.Table, error) {
 	o := buildOptions(opts)
-	set, err := o.programs(params, driftPrograms)
-	if err != nil {
-		return nil, nil, err
-	}
-	wb, err := set.workbench(DriftWorkload, nil)
+	wb, err := o.only(params, driftPrograms)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -120,10 +106,13 @@ func Drift(params workloads.Params, opts ...Option) (*DriftResult, *report.Table
 	if sc.Provenance == nil {
 		return nil, nil, fmt.Errorf("experiments: drift: scenario %s carries no provenance", sc.Name)
 	}
-	solo, err := driftSolo(sc)
+	// The solo warm service time, on a fresh platform, exactly as a
+	// serving request replays the scenario.
+	soloRun, err := exec.Run(platform.Default(), sc.Trace, sc.ReplayOptions())
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: drift: calibrate: %w", err)
 	}
+	solo := soloRun.Duration
 	qps := DriftLoad / solo
 	horizon := DriftRequestTarget / qps
 	window := 2 * solo

@@ -9,10 +9,13 @@
 // Each harness returns structured results plus a report.Table with the
 // same rows the paper's figure plots, and each result converts into a
 // bench.Manifest. All() lists every study once, in suite order, as an
-// Experiment whose Run yields the printed text, the manifest, and the
-// study's recording: cmd/benchsuite and bench_test.go's
-// BenchmarkExperiments iterate it, and the committed
-// benchmarks/BENCH_<name>.json manifests are the record of its results.
+// Experiment that declares the programs it reads and whose Run yields
+// the printed text, the manifest, and the study's recording. RunSuite
+// prepares the union of those programs once (core.Runtime.Prepare) and
+// runs every study against that read-only set: cmd/benchsuite and
+// bench_test.go's BenchmarkExperiments run the suite through it, and the
+// committed benchmarks/BENCH_<name>.json manifests are the record of its
+// results.
 // Absolute numbers differ from the paper (its substrate was real
 // silicon; ours is the simulator at 1/ScaleDiv of Table I's input
 // sizes) — the shape is the reproduction target, and EXPERIMENTS.md
@@ -43,7 +46,7 @@ type options struct {
 	serving ServingOverrides
 	// set is the suite's shared set of prepared programs; only RunSuite
 	// passes one (nil: the study prepares its own declared programs).
-	set *Set
+	set *programSet
 }
 
 // WithMetrics instruments the harness with the registry: pipeline phase
@@ -124,13 +127,7 @@ type Workbench struct {
 // Preparation's phase timers and planner counters land in WithMetrics'
 // registry, which the workbench's runs then record into too.
 func Prepare(spec workloads.Spec, params workloads.Params, opts ...Option) (*Workbench, error) {
-	o := buildOptions(opts)
-	wb, err := prepare(spec, params, true, o.metrics, o.pool)
-	if err != nil {
-		return nil, err
-	}
-	wb.Metrics = o.metrics
-	return wb, nil
+	return buildOptions(opts).only(params, Programs{Names: []string{spec.Name}, Static: true})
 }
 
 // prepare takes one workload through core's front half and measures its
@@ -181,11 +178,11 @@ func specNames(specs []workloads.Spec) []string {
 	return names
 }
 
-// Set is a read-only set of prepared workbenches, one per distinct
+// programSet is a read-only set of prepared workbenches, one per distinct
 // program, shared by the studies of one suite run. Nothing writes a
-// member after PrepareSet returns: a study reads its programs through
+// member after prepareSet returns: a study reads its programs through
 // workbench, which hands out private copies.
-type Set struct {
+type programSet struct {
 	wbs map[string]*Workbench
 	// decl is the reading study's declaration: a view answers only for
 	// the programs it names.
@@ -196,21 +193,16 @@ type Set struct {
 // catalogue order, fanned out on pool — with the static bar for those a
 // declaration with Static lists. Each program records into its own
 // sub-registry; they merge into reg in catalogue order.
-func prepareSet(params workloads.Params, decls []Programs, reg *metrics.Registry, pool *par.Pool) (*Set, error) {
-	want := map[string]bool{}
-	static := map[string]bool{}
+func prepareSet(params workloads.Params, decls []Programs, reg *metrics.Registry, pool *par.Pool) (*programSet, error) {
+	static := map[string]bool{} // keyed by every declared program
 	for _, d := range decls {
 		for _, name := range d.Names {
-			if _, ok := workloads.ByName(name); !ok {
-				return nil, fmt.Errorf("experiments: no workload %q", name)
-			}
-			want[name] = true
 			static[name] = static[name] || d.Static
 		}
 	}
 	var specs []workloads.Spec
 	for _, spec := range workloads.All() {
-		if want[spec.Name] {
+		if _, ok := static[spec.Name]; ok {
 			specs = append(specs, spec)
 		}
 	}
@@ -220,7 +212,7 @@ func prepareSet(params workloads.Params, decls []Programs, reg *metrics.Registry
 	if err != nil {
 		return nil, err
 	}
-	s := &Set{wbs: map[string]*Workbench{}}
+	s := &programSet{wbs: map[string]*Workbench{}}
 	for _, wb := range wbs {
 		s.wbs[wb.Spec.Name] = wb
 	}
@@ -231,7 +223,7 @@ func prepareSet(params workloads.Params, decls []Programs, reg *metrics.Registry
 // suite's shared set when RunSuite passed one, else decl's programs
 // prepared now into the study's own registry — so a study run alone
 // prepares exactly its own list.
-func (o options) programs(params workloads.Params, decl Programs) (*Set, error) {
+func (o options) programs(params workloads.Params, decl Programs) (*programSet, error) {
 	s := o.set
 	if s == nil {
 		var err error
@@ -239,14 +231,14 @@ func (o options) programs(params workloads.Params, decl Programs) (*Set, error) 
 			return nil, err
 		}
 	}
-	return &Set{wbs: s.wbs, decl: decl}, nil
+	return &programSet{wbs: s.wbs, decl: decl}, nil
 }
 
 // workbench returns a private copy of the named program's workbench
 // whose runs record into reg. Reading a program the study did not
 // declare is an error, never a quiet preparation, and a study that did
 // not declare the static bar does not see one.
-func (s *Set) workbench(name string, reg *metrics.Registry) (*Workbench, error) {
+func (s *programSet) workbench(name string, reg *metrics.Registry) (*Workbench, error) {
 	if !slices.Contains(s.decl.Names, name) {
 		return nil, fmt.Errorf("experiments: %s is not among the study's declared programs %v", name, s.decl.Names)
 	}
@@ -260,6 +252,34 @@ func (s *Set) workbench(name string, reg *metrics.Registry) (*Workbench, error) 
 		wb.StaticPart, wb.StaticTime = codegen.Partition{}, 0
 	}
 	return &wb, nil
+}
+
+// overPrograms runs body once per program decl names, in that order,
+// fanned out on o's pool (overSpecs), each on a private copy of the
+// program's workbench that records into its own sub-registry.
+func overPrograms[T any](params workloads.Params, o options, decl Programs, body func(wb *Workbench) (T, error)) ([]T, error) {
+	set, err := o.programs(params, decl)
+	if err != nil {
+		return nil, err
+	}
+	return overSpecs(o, len(decl.Names), func(i int, reg *metrics.Registry) (T, error) {
+		wb, err := set.workbench(decl.Names[i], reg)
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		return body(wb)
+	})
+}
+
+// only returns the workbench of a study that declares one program,
+// recording into the study's registry.
+func (o options) only(params workloads.Params, decl Programs) (*Workbench, error) {
+	set, err := o.programs(params, decl)
+	if err != nil {
+		return nil, err
+	}
+	return set.workbench(decl.Names[0], o.metrics)
 }
 
 // config is the ActivePy configuration every Workbench run starts from:

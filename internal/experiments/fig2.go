@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"activego/internal/metrics"
 	"activego/internal/platform"
 	"activego/internal/report"
 	"activego/internal/workloads"
@@ -63,21 +62,12 @@ func (r *Fig2Result) SpeedupAt(workload string, avail float64) float64 {
 // than roughly half the CSE is available, because a static framework
 // cannot move the work back.
 func Fig2(params workloads.Params, opts ...Option) (*Fig2Result, *report.Table, error) {
-	o := buildOptions(opts)
-	set, err := o.programs(params, fig2Programs)
-	if err != nil {
-		return nil, nil, err
-	}
 	type perWorkload struct {
 		points []Fig2Point
 		cells  []string
 	}
-	outs, err := overSpecs(o, len(Fig2Workloads), func(wi int, reg *metrics.Registry) (perWorkload, error) {
-		name := Fig2Workloads[wi]
-		wb, err := set.workbench(name, reg)
-		if err != nil {
-			return perWorkload{}, err
-		}
+	outs, err := overPrograms(params, buildOptions(opts), fig2Programs, func(wb *Workbench) (perWorkload, error) {
+		name := wb.Spec.Name
 		out := perWorkload{cells: []string{name}}
 		for _, avail := range Fig2Availabilities {
 			a := avail

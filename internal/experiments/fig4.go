@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"activego/internal/metrics"
 	"activego/internal/report"
 	"activego/internal/workloads"
 )
@@ -39,18 +38,8 @@ type Fig4Result struct {
 // exactly the optimal line sets; the reproduction target is that the two
 // bars track each other within a few percent on every application.
 func Fig4(params workloads.Params, opts ...Option) (*Fig4Result, *report.Table, error) {
-	o := buildOptions(opts)
-	set, err := o.programs(params, fig4Programs)
-	if err != nil {
-		return nil, nil, err
-	}
-	specs := workloads.TableI()
-	rows, err := overSpecs(o, len(specs), func(i int, reg *metrics.Registry) (Fig4Row, error) {
-		spec := specs[i]
-		wb, err := set.workbench(spec.Name, reg)
-		if err != nil {
-			return Fig4Row{}, err
-		}
+	rows, err := overPrograms(params, buildOptions(opts), fig4Programs, func(wb *Workbench) (Fig4Row, error) {
+		spec := wb.Spec
 		auto, err := wb.RunActivePy(true, nil)
 		if err != nil {
 			return Fig4Row{}, fmt.Errorf("experiments: fig4: %s: %w", spec.Name, err)

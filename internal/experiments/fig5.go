@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"activego/internal/exec"
-	"activego/internal/metrics"
 	"activego/internal/platform"
 	"activego/internal/report"
 	"activego/internal/workloads"
@@ -112,18 +111,8 @@ func progressTime(start float64, progress []exec.Progress, frac float64) float64
 // paper's methodology — leaving 50% or 10% of the CSE available for the
 // rest of the run.
 func Fig5(params workloads.Params, opts ...Option) (*Fig5Result, *report.Table, error) {
-	o := buildOptions(opts)
-	set, err := o.programs(params, allPrograms)
-	if err != nil {
-		return nil, nil, err
-	}
-	specs := workloads.All()
-	perSpec, err := overSpecs(o, len(specs), func(i int, reg *metrics.Registry) ([]Fig5Row, error) {
-		spec := specs[i]
-		wb, err := set.workbench(spec.Name, reg)
-		if err != nil {
-			return nil, err
-		}
+	perSpec, err := overPrograms(params, buildOptions(opts), allPrograms, func(wb *Workbench) ([]Fig5Row, error) {
+		spec := wb.Spec
 		// Reference run at full availability to locate the 50%-progress
 		// instant of the offloaded task.
 		ref, err := wb.RunActivePy(false, nil)

@@ -113,53 +113,42 @@ func study[R result](name string, decl Programs, run func(workloads.Params, ...O
 }
 
 // RunSuite runs exps at params against one shared, read-only set of
-// prepared programs. The union of the programs they declare is prepared
-// once — eagerly, in catalogue order, on WithPool's pool — before any
-// study starts; then every experiment runs on the pool against its
-// declared view of the set. Outputs come back in exps' order. With
-// WithMetrics, the preparation's registry merges into the registry
-// first and each experiment's (its recording folded in) after it in
-// suite order, and each manifest carries the registry's cumulative
-// snapshot as of its own merge — so every output is bit-identical at
-// any pool size. cmd/benchsuite and BenchmarkExperiments run the suite
-// through it.
+// prepared programs: the union of the programs they declare, prepared
+// once each on WithPool's pool before any study starts, its metrics
+// merged into WithMetrics' registry first. The experiments then fan out
+// on the pool, each against its declared view of the set and into its
+// own sub-registry; in suite order, each sub-registry (recording folded
+// in) merges into the registry and the manifest takes the cumulative
+// snapshot — so every output is bit-identical at any pool size.
+// cmd/benchsuite and BenchmarkExperiments run the suite through it.
 func RunSuite(exps []Experiment, params workloads.Params, opts ...Option) ([]*Output, error) {
 	o := buildOptions(opts)
 	decls := make([]Programs, len(exps))
 	for i, e := range exps {
 		decls[i] = e.Programs
 	}
-	prep := subRegistry(o.metrics)
-	set, err := prepareSet(params, decls, prep, o.pool)
+	set, err := prepareSet(params, decls, o.metrics, o.pool)
 	if err != nil {
 		return nil, err
 	}
 	subs := make([]*metrics.Registry, len(exps))
 	outs, err := par.Map(o.pool, len(exps), func(i int) (*Output, error) {
-		subs[i] = subRegistry(o.metrics)
+		if o.metrics != nil {
+			subs[i] = metrics.New()
+		}
 		run := append(slices.Clip(opts), WithMetrics(subs[i]), func(eo *options) { eo.set = set })
 		return exps[i].Run(params, run...)
 	})
 	if err != nil {
 		return nil, err
 	}
-	o.metrics.Merge(prep)
 	for i, out := range outs {
 		out.Rec.Fold(subs[i])
-		o.metrics.Merge(subs[i])
 		if o.metrics != nil {
+			o.metrics.Merge(subs[i])
 			snap := o.metrics.Snapshot()
 			out.Manifest.Metrics = &snap
 		}
 	}
 	return outs, nil
-}
-
-// subRegistry is a private registry for one part of a run when reg
-// records at all, nil otherwise.
-func subRegistry(reg *metrics.Registry) *metrics.Registry {
-	if reg == nil {
-		return nil
-	}
-	return metrics.New()
 }

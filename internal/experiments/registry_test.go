@@ -169,11 +169,17 @@ func TestStudyReadsOnlyDeclaredPrograms(t *testing.T) {
 		t.Errorf("standalone run prepared %d programs, declares 1", n)
 	}
 
-	set, err := buildOptions(nil).programs(testParams(), decl)
+	// The static search runs only for programs a declaration with Static
+	// lists, and a study that did not declare it does not see it.
+	set, err := prepareSet(testParams(), []Programs{decl, {Names: []string{"tpch-1"}, Static: true}}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb, err := set.workbench("tpch-6", nil)
+	if set.wbs["tpch-6"].StaticTime != 0 || set.wbs["tpch-1"].StaticTime == 0 {
+		t.Errorf("static bar: tpch-6 %v (undeclared), tpch-1 %v (declared)",
+			set.wbs["tpch-6"].StaticTime, set.wbs["tpch-1"].StaticTime)
+	}
+	wb, err := (&programSet{wbs: set.wbs, decl: Programs{Names: []string{"tpch-1"}}}).workbench("tpch-1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"activego/internal/codegen"
 	"activego/internal/exec"
 	"activego/internal/fault"
-	"activego/internal/metrics"
 	"activego/internal/nvme"
 	"activego/internal/platform"
 	"activego/internal/report"
@@ -235,11 +234,7 @@ func (wb *Workbench) runResilienceArm(seed uint64, bursts resilienceBursts, rate
 // and CI's chaos job call this.
 func ChaosSweep(params workloads.Params, seed uint64, n int, opts ...Option) (*chaos.Report, error) {
 	o := buildOptions(opts)
-	set, err := o.programs(params, Programs{Names: []string{ResilienceTraceWorkload}})
-	if err != nil {
-		return nil, err
-	}
-	wb, err := set.workbench(ResilienceTraceWorkload, o.metrics)
+	wb, err := o.only(params, Programs{Names: []string{ResilienceTraceWorkload}})
 	if err != nil {
 		return nil, err
 	}
@@ -271,16 +266,8 @@ func Resilience(params workloads.Params, opts ...Option) (*ResilienceResult, *re
 		chaos *chaos.Report
 		rec   *trace.Recorder
 	}
-	set, err := o.programs(params, resiliencePrograms)
-	if err != nil {
-		return nil, nil, err
-	}
-	per, err := overSpecs(o, len(ResilienceWorkloads), func(i int, reg *metrics.Registry) (perSpec, error) {
-		name := ResilienceWorkloads[i]
-		wb, err := set.workbench(name, reg)
-		if err != nil {
-			return perSpec{}, err
-		}
+	per, err := overPrograms(params, o, resiliencePrograms, func(wb *Workbench) (perSpec, error) {
+		name := wb.Spec.Name
 		retry := wb.resilienceRetry()
 
 		// Armed-but-idle breaker run: the control duration that also

@@ -5,7 +5,6 @@ import (
 
 	"activego/internal/exec"
 	"activego/internal/fault"
-	"activego/internal/metrics"
 	"activego/internal/nvme"
 	"activego/internal/platform"
 	"activego/internal/report"
@@ -121,17 +120,8 @@ func (wb *Workbench) RunRobust(plan *fault.Plan) (*exec.Result, error) {
 // still finished. The zero-rate column doubles as the cost-free-when-idle
 // check: its durations must equal the clean runs bit-for-bit.
 func Robustness(params workloads.Params, opts ...Option) (*RobustnessResult, *report.Table, error) {
-	o := buildOptions(opts)
-	set, err := o.programs(params, robustnessPrograms)
-	if err != nil {
-		return nil, nil, err
-	}
-	perSpec, err := overSpecs(o, len(RobustnessWorkloads), func(i int, reg *metrics.Registry) ([]RobustnessRow, error) {
-		name := RobustnessWorkloads[i]
-		wb, err := set.workbench(name, reg)
-		if err != nil {
-			return nil, err
-		}
+	perSpec, err := overPrograms(params, buildOptions(opts), robustnessPrograms, func(wb *Workbench) ([]RobustnessRow, error) {
+		name := wb.Spec.Name
 		var rows []RobustnessRow
 		var clean float64
 		for _, rate := range RobustnessRates {

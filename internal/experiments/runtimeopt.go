@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"activego/internal/codegen"
-	"activego/internal/metrics"
 	"activego/internal/report"
 	"activego/internal/workloads"
 )
@@ -32,18 +31,8 @@ type RuntimeOptResult struct {
 // (+1% compile overhead) slower than hand-written C; the reproduction
 // target is that ordering and rough spacing.
 func RuntimeOpt(params workloads.Params, opts ...Option) (*RuntimeOptResult, *report.Table, error) {
-	o := buildOptions(opts)
-	set, err := o.programs(params, tableIPrograms)
-	if err != nil {
-		return nil, nil, err
-	}
-	specs := workloads.TableI()
-	rows, err := overSpecs(o, len(specs), func(i int, reg *metrics.Registry) (RuntimeOptRow, error) {
-		spec := specs[i]
-		wb, err := set.workbench(spec.Name, reg)
-		if err != nil {
-			return RuntimeOptRow{}, err
-		}
+	rows, err := overPrograms(params, buildOptions(opts), tableIPrograms, func(wb *Workbench) (RuntimeOptRow, error) {
+		spec := wb.Spec
 		slow := func(b codegen.Backend) (float64, error) {
 			run, err := wb.RunBackend(b)
 			if err != nil {

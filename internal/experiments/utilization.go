@@ -69,12 +69,7 @@ func (u *UtilizationResult) MigrationTimeline() *report.Table {
 // table is the steady-state per-component occupancy; the recorders in
 // the result carry the full timelines for Chrome export or summaries.
 func Utilization(params workloads.Params, opts ...Option) (*UtilizationResult, *report.Table, error) {
-	o := buildOptions(opts)
-	set, err := o.programs(params, utilizationPrograms)
-	if err != nil {
-		return nil, nil, err
-	}
-	wb, err := set.workbench(UtilizationWorkload, o.metrics)
+	wb, err := buildOptions(opts).only(params, utilizationPrograms)
 	if err != nil {
 		return nil, nil, err
 	}
