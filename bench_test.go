@@ -164,7 +164,7 @@ func BenchmarkAblationSampling(b *testing.B) {
 	errs := map[string]float64{}
 	for i := 0; i < b.N; i++ {
 		for name, scales := range scaleSets {
-			rep, err := profile.RunScales(parsed, wb.Inst.Registry, scales)
+			rep, err := profile.RunScalesPool(parsed, wb.Inst.Registry, scales, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

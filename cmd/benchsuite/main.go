@@ -50,7 +50,7 @@ func main() {
 		names[i] = e.Name
 	}
 	exp := flag.String("exp", "all", "experiment: all, "+strings.Join(names, ", "))
-	chaosN := flag.Int("chaos", 0, "run N extra randomized chaos fault schedules after the resilience experiment (0 = just the built-in sub-run)")
+	chaosN := flag.Int("chaos", 0, "run N extra randomized chaos fault schedules in the resilience experiment (0 = just the built-in sub-run)")
 	chaosSeed := flag.Uint64("chaos-seed", experiments.ResilienceSeed, "seed for the -chaos schedule sweep")
 	scaleDiv := flag.Int64("scalediv", 512, "divide Table I input sizes by this factor")
 	seed := flag.Int64("seed", 42, "generator seed")
@@ -72,6 +72,9 @@ func main() {
 			fail(fmt.Errorf("unknown experiment %q (want one of %v or all)", *exp, names))
 		}
 		suite = []experiments.Experiment{e}
+	}
+	if *chaosN > 0 && *exp != "all" && *exp != "resilience" {
+		fail(fmt.Errorf("-chaos runs in the resilience experiment; use -exp resilience or all, not %q", *exp))
 	}
 	if err := obs.Start(); err != nil {
 		fail(err)
@@ -103,7 +106,8 @@ func main() {
 	// snapshots attached to manifests, and the BENCH_*.json files are
 	// bit-identical at any -j.
 	pool := obs.Pool()
-	outs, err := experiments.RunSuite(suite, params, withServing, experiments.WithMetrics(reg), experiments.WithPool(pool))
+	outs, err := experiments.RunSuite(suite, params, withServing, experiments.WithChaosSweep(*chaosN, *chaosSeed),
+		experiments.WithMetrics(reg), experiments.WithPool(pool))
 	if err != nil {
 		fail(err)
 	}
@@ -131,16 +135,6 @@ func main() {
 		}
 		if len(suite) > 1 {
 			fmt.Println()
-		}
-	}
-	if *chaosN > 0 {
-		rep, err := experiments.ChaosSweep(params, *chaosSeed, *chaosN, experiments.WithMetrics(reg), experiments.WithPool(pool))
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(rep.Summary())
-		if !rep.Ok() {
-			fail(fmt.Errorf("chaos sweep violated an invariant"))
 		}
 	}
 	if err := obs.Finish(os.Stdout); err != nil {

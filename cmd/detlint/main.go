@@ -1,5 +1,5 @@
 // Command detlint runs the framework-tier determinism linter
-// (internal/detlint, passes DL001–DL006) over this repository's Go
+// (internal/detlint, passes DL001–DL007) over this repository's Go
 // packages. It is the static half of the determinism contract: the
 // runtime tests prove bit-identical replays after the fact, detlint
 // rejects the code patterns that break them before anything runs.
@@ -52,8 +52,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	refs, err := detlint.LoadRefs(wd, cfg.RefModules)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
-	diags := detlint.Run(cfg, pkgs)
+	diags := detlint.Run(cfg, pkgs, refs)
 	if *jsonOut {
 		if err := detlint.WriteJSON(os.Stdout, diags); err != nil {
 			fmt.Fprintln(os.Stderr, "detlint:", err)

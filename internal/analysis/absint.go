@@ -358,27 +358,3 @@ func applyBinOp(op string, l, r absVal) absVal {
 	}
 	return topVal()
 }
-
-// ---- Report surface ----
-
-// ExecBound returns the static execution-count interval for line: the
-// product of the enclosing loops' trip-count bounds, scaled by [0, 1]
-// per enclosing conditional. The second result is false for lines the
-// program does not contain.
-func (r *Report) ExecBound(line int) (Interval, bool) {
-	if r.absint == nil {
-		return Interval{}, false
-	}
-	iv, ok := r.absint.execBounds[line]
-	return iv, ok
-}
-
-// TripBound returns the static trip-count interval of the `for` header
-// at line.
-func (r *Report) TripBound(line int) (Interval, bool) {
-	if r.absint == nil {
-		return Interval{}, false
-	}
-	iv, ok := r.absint.tripBounds[line]
-	return iv, ok
-}

@@ -7,7 +7,7 @@ import (
 
 func wantExec(t *testing.T, r *Report, line int, want Interval) {
 	t.Helper()
-	got, ok := r.ExecBound(line)
+	got, ok := r.absint.execBounds[line]
 	if !ok {
 		t.Fatalf("line %d: no exec bound", line)
 	}
@@ -50,7 +50,7 @@ func TestTripBoundBreakCollapsesLower(t *testing.T) {
     break
 y = 1
 `)
-	trips, ok := r.TripBound(1)
+	trips, ok := r.absint.tripBounds[1]
 	if !ok {
 		t.Fatal("no trip bound for loop header")
 	}
@@ -67,7 +67,7 @@ for i in range(n):
     x = n + i
 y = 1
 `)
-	trips, ok := r.TripBound(3)
+	trips, ok := r.absint.tripBounds[3]
 	if !ok {
 		t.Fatal("no trip bound for loop header")
 	}
@@ -120,7 +120,7 @@ func TestDescendingRangeBound(t *testing.T) {
     x = i
 y = 1
 `)
-	trips, ok := r.TripBound(1)
+	trips, ok := r.absint.tripBounds[1]
 	if !ok {
 		t.Fatal("no trip bound")
 	}

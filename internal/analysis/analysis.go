@@ -145,12 +145,6 @@ type defKey struct {
 	name string
 }
 
-// Fact returns the line's fact, if the line exists in the program.
-func (r *Report) Fact(line int) (*LineFact, bool) {
-	f, ok := r.byLine[line]
-	return f, ok
-}
-
 // node is one CFG node (one statement / one source line).
 type node struct {
 	fact  *LineFact
@@ -534,24 +528,4 @@ func (r *Report) finish(b *builder, exit *node) {
 		}
 		return a.Var < c.Var
 	})
-}
-
-// DataDeps returns the data-dependence edges flowing into line.
-func (r *Report) DataDeps(line int) []DepEdge {
-	var out []DepEdge
-	for _, e := range r.Deps {
-		if e.To == line && e.Kind == EdgeData {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// UndefinedUses returns line→variables used with no reaching definition.
-func (r *Report) UndefinedUses() map[int][]string {
-	out := make(map[int][]string, len(r.undefined))
-	for ln, vs := range r.undefined {
-		out[ln] = append([]string(nil), vs...)
-	}
-	return out
 }

@@ -26,7 +26,7 @@ func TestDefUseSets(t *testing.T) {
 y = x + 2
 z = y * x
 `)
-	f, ok := rep.Fact(3)
+	f, ok := rep.byLine[3]
 	if !ok {
 		t.Fatal("no fact for line 3")
 	}
@@ -42,7 +42,7 @@ func TestAugAssignUsesTarget(t *testing.T) {
 	rep := mustAnalyze(t, `acc = 0
 acc += 5
 `)
-	f, _ := rep.Fact(2)
+	f, _ := rep.byLine[2]
 	if !reflect.DeepEqual(f.Uses, []string{"acc"}) {
 		t.Errorf("aug-assign uses = %v, want [acc]", f.Uses)
 	}
@@ -51,11 +51,22 @@ acc += 5
 	}
 }
 
+// dataDeps returns the data-dependence edges flowing into line.
+func dataDeps(r *Report, line int) []DepEdge {
+	var out []DepEdge
+	for _, e := range r.Deps {
+		if e.To == line && e.Kind == EdgeData {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 func TestStraightLineDataDeps(t *testing.T) {
 	rep := mustAnalyze(t, `x = 1
 y = x + 2
 `)
-	deps := rep.DataDeps(2)
+	deps := dataDeps(rep, 2)
 	if len(deps) != 1 || deps[0].From != 1 || deps[0].Var != "x" {
 		t.Errorf("DataDeps(2) = %v, want one x edge from line 1", deps)
 	}
@@ -69,7 +80,7 @@ func TestLoopCarriedDependence(t *testing.T) {
 for i in range(10):
     acc = acc + i
 `)
-	deps := rep.DataDeps(3)
+	deps := dataDeps(rep, 3)
 	var vars []string
 	for _, e := range deps {
 		vars = append(vars, e.Var)
@@ -124,7 +135,7 @@ z = y
 func TestUndefinedUse(t *testing.T) {
 	rep := mustAnalyze(t, `y = x + 1
 `)
-	und := rep.UndefinedUses()
+	und := rep.undefined
 	if !reflect.DeepEqual(und[1], []string{"x"}) {
 		t.Errorf("undefined at line 1 = %v, want [x]", und[1])
 	}
@@ -139,7 +150,7 @@ if x > 0:
     y = 2
 z = y + w
 `)
-	und := rep.UndefinedUses()
+	und := rep.undefined
 	if !reflect.DeepEqual(und[4], []string{"w"}) {
 		t.Errorf("undefined at line 4 = %v, want [w]", und[4])
 	}
@@ -161,7 +172,7 @@ store("out", s)
 		{4, builtins.EffectHostOnly},
 	}
 	for _, c := range cases {
-		f, _ := rep.Fact(c.line)
+		f, _ := rep.byLine[c.line]
 		if f.Effect != c.want {
 			t.Errorf("line %d effect = %v, want %v", c.line, f.Effect, c.want)
 		}
@@ -171,12 +182,12 @@ store("out", s)
 func TestUnknownBuiltinIsHostOnly(t *testing.T) {
 	rep := mustAnalyze(t, `x = mystery(1)
 `)
-	f, _ := rep.Fact(1)
+	f, _ := rep.byLine[1]
 	if f.Effect != builtins.EffectHostOnly {
 		t.Errorf("unknown builtin effect = %v, want host-only", f.Effect)
 	}
-	if legal, reason := rep.Legal(1); legal || reason == "" {
-		t.Errorf("Legal(1) = %v %q, want illegal with reason", legal, reason)
+	if reason, pinned := rep.HostPinned()[1]; !pinned || reason == "" {
+		t.Errorf("HostPinned()[1] = %q %v, want pinned with reason", reason, pinned)
 	}
 }
 
@@ -185,7 +196,7 @@ func TestLoopDepthAndParents(t *testing.T) {
     for j in range(3):
         x = i + j
 `)
-	f, _ := rep.Fact(3)
+	f, _ := rep.byLine[3]
 	if f.LoopDepth != 2 {
 		t.Errorf("LoopDepth = %d, want 2", f.LoopDepth)
 	}
@@ -200,11 +211,11 @@ func TestBreakMakesFollowersUnreachable(t *testing.T) {
     x = 1
 y = 2
 `)
-	f, _ := rep.Fact(3)
+	f, _ := rep.byLine[3]
 	if !f.Unreachable {
 		t.Error("line 3 should be unreachable after break")
 	}
-	f4, _ := rep.Fact(4)
+	f4, _ := rep.byLine[4]
 	if f4.Unreachable {
 		t.Error("line 4 follows the loop, not the break; should be reachable")
 	}
@@ -224,7 +235,7 @@ func TestBreakInsideIfDoesNotKillLoopTail(t *testing.T) {
     x = i
 y = x
 `)
-	f, _ := rep.Fact(4)
+	f, _ := rep.byLine[4]
 	if f.Unreachable {
 		t.Error("line 4 after a conditional break must stay reachable")
 	}
@@ -258,8 +269,8 @@ func TestAnalyzeAllWorkloadsClean(t *testing.T) {
 	// agree they are well-formed.
 	for _, src := range workloadSources(t) {
 		rep := mustAnalyze(t, src.code)
-		if len(rep.UndefinedUses()) != 0 {
-			t.Errorf("%s: undefined uses %v", src.name, rep.UndefinedUses())
+		if len(rep.undefined) != 0 {
+			t.Errorf("%s: undefined uses %v", src.name, rep.undefined)
 		}
 		if len(rep.breakOutsideLoop) != 0 {
 			t.Errorf("%s: break outside loop at %v", src.name, rep.breakOutsideLoop)

@@ -46,14 +46,6 @@ func (r *Report) HostPinned() map[int]string {
 	return out
 }
 
-// Legal reports whether line may be offloaded, and if not, why.
-func (r *Report) Legal(line int) (bool, string) {
-	if reason, pinned := r.HostPinned()[line]; pinned {
-		return false, reason
-	}
-	return true, ""
-}
-
 // Verify checks a partition against the analysis: illegal offloads
 // (host-only effects on CSD lines), offloads of unknown lines, uses of
 // undefined names anywhere in the program, and host↔CSD residency

@@ -282,13 +282,20 @@ func runOnce(cfg Config, rules []fault.Rule) (*exec.Result, error) {
 	} else {
 		p.InstallFaults(nil, cfg.Retry)
 	}
-	return exec.Run(p, cfg.Trace, exec.Options{
-		Backend:       cfg.Backend,
-		Partition:     cfg.Partition,
+	return exec.Run(p, cfg.Trace, cfg.options(&pol))
+}
+
+// options are the executor options of every run of the sweep: the
+// program under test through the NVMe call queue with pol's ladder
+// armed.
+func (c Config) options(pol *resilience.Policy) exec.Options {
+	return exec.Options{
+		Backend:       c.Backend,
+		Partition:     c.Partition,
 		UseCallQueue:  true,
-		OverheadScale: cfg.OverheadScale,
-		Resilience:    &pol,
-	})
+		OverheadScale: c.OverheadScale,
+		Resilience:    pol,
+	}
 }
 
 // runSchedule generates and executes schedule i, classifying its
@@ -317,13 +324,7 @@ func runSchedule(cfg Config, i int) (sr ScheduleResult) {
 	pol := cfg.Policy
 	pol.Backoff.Seed = seed
 	p.InstallFaults(plan, cfg.Retry)
-	res, err := exec.Run(p, cfg.Trace, exec.Options{
-		Backend:       cfg.Backend,
-		Partition:     cfg.Partition,
-		UseCallQueue:  true,
-		OverheadScale: cfg.OverheadScale,
-		Resilience:    &pol,
-	})
+	res, err := exec.Run(p, cfg.Trace, cfg.options(&pol))
 	if err != nil {
 		var shed *resilience.ShedError
 		if errors.As(err, &shed) {

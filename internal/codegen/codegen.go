@@ -102,10 +102,6 @@ func (p Partition) Equal(q Partition) bool {
 	return true
 }
 
-// StatusUpdateBytes is the size of the per-line status report compiled
-// into CSD code (§III-C-b); the paper notes its overhead is tiny.
-const StatusUpdateBytes = 64
-
 // RegenOverhead is the latency of regenerating host machine code for a
 // migrated task (§III-D): Cython-style compilation of the remaining
 // lines. It is the main component of the ~8% average migration cost the

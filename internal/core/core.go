@@ -56,8 +56,6 @@ type Config struct {
 	// Migration enables the §III-D monitor; the paper's "ActivePy w/o
 	// migration" configuration turns it off.
 	Migration bool
-	// UseCallQueue routes offloaded lines through the NVMe call queue.
-	UseCallQueue bool
 	// OverheadScale multiplies the one-time overheads (sampling, compile,
 	// regeneration); zero means 1. Harnesses running 1/N-scale datasets
 	// pass 1/N so overhead-to-runtime ratios match the paper's.
@@ -77,7 +75,7 @@ type Config struct {
 
 // DefaultConfig is the full-fledged ActivePy runtime.
 func DefaultConfig() Config {
-	return Config{Migration: true, UseCallQueue: true}
+	return Config{Migration: true}
 }
 
 // Prepared is one program taken once through the front half of the
@@ -381,7 +379,7 @@ func (pr *Prepared) Run(p *platform.Platform, cfg Config, reg *metrics.Registry)
 	out := &Outcome{Prepared: pr, Exec: res, Advisories: pr.Advisories}
 	if col != nil {
 		out.Obs = col
-		out.Drift = obs.ScoreDrift(col, obs.PlannedCosts(pr.Plan, pr.Machine), obs.DefaultDriftConfig())
+		out.Drift = obs.ScoreDrift(col, obs.PlannedFromProvenance(pr.Plan.Provenance), obs.DefaultDriftConfig())
 		col.Windows().Fold(reg)
 		out.Drift.Fold(reg)
 		out.Advisories = append(out.Advisories, out.Drift.Advisories()...)
@@ -390,10 +388,10 @@ func (pr *Prepared) Run(p *platform.Platform, cfg Config, reg *metrics.Registry)
 }
 
 // options are the executor options of a cold ActivePy run of pr under
-// cfg: the plan's partition under the native backend, the stored
-// estimate map for the migration monitor, the one-time sampling and
-// compile overheads, and the legality gate. Every cold run of a
-// prepared program builds its options here.
+// cfg: the plan's partition under the native backend, offloaded lines
+// through the NVMe call queue, the stored estimate map for the migration
+// monitor, the one-time sampling and compile overheads, and the legality
+// gate. Every cold run of a prepared program builds its options here.
 func (pr *Prepared) options(cfg Config) exec.Options {
 	mig := exec.MigrationPolicy{}
 	if cfg.Migration {
@@ -406,7 +404,7 @@ func (pr *Prepared) options(cfg Config) exec.Options {
 		Migration:        mig,
 		SamplingOverhead: SamplingOverhead,
 		OverheadScale:    cfg.OverheadScale,
-		UseCallQueue:     cfg.UseCallQueue,
+		UseCallQueue:     true,
 		Resilience:       cfg.Resilience,
 		Analysis:         pr.Analysis,
 	}

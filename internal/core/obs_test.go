@@ -7,6 +7,7 @@ import (
 	"activego/internal/analysis"
 	"activego/internal/core"
 	"activego/internal/lang/value"
+	"activego/internal/plan"
 )
 
 // TestObsWindowDoesNotPerturbRun pins the nil-is-inert contract at the
@@ -135,7 +136,10 @@ func TestProvenanceAttached(t *testing.T) {
 	if p.THost != planRes.THost || p.TCSD != planRes.TCSD {
 		t.Errorf("provenance totals %v/%v vs plan %v/%v", p.THost, p.TCSD, planRes.THost, planRes.TCSD)
 	}
-	byLine := p.ByLine()
+	byLine := map[int]*plan.LineProvenance{}
+	for i := range p.Lines {
+		byLine[p.Lines[i].Line] = &p.Lines[i]
+	}
 	for _, ln := range planRes.Partition.Lines() {
 		lp := byLine[ln]
 		if lp == nil {

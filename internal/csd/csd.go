@@ -65,7 +65,6 @@ type Device struct {
 	Topo  *interconnect.Topology
 	QP    *nvme.QueuePair
 
-	preemptFns       []func()
 	preemptRequested bool
 	calls            uint64
 	statusMsgs       uint64
@@ -100,7 +99,7 @@ func New(s *sim.Sim, topo *interconnect.Topology, cfg Config) *Device {
 // window closes — the firmware's boot-time fetch of the pending queue.
 func (d *Device) handle(cmd nvme.Command, submitted sim.Time, complete func(nvme.Completion)) {
 	if d.Sim.Now() < d.resetUntil {
-		d.Sim.AtNamed(d.resetUntil, "csd-reset-hold", func() { d.dispatch(cmd, submitted, complete) })
+		d.Sim.At(d.resetUntil, func() { d.dispatch(cmd, submitted, complete) })
 		return
 	}
 	d.dispatch(cmd, submitted, complete)
@@ -144,7 +143,7 @@ func (d *Device) dispatch(cmd nvme.Command, submitted sim.Time, complete func(nv
 			if rec := d.Sim.Recorder(); rec != nil {
 				rec.Instant("csd", "fault", "cse-stall", d.Sim.Now(), trace.Arg{Key: "duration", Value: dur})
 			}
-			d.Sim.AfterNamed(dur, "cse-stall", oc.run)
+			d.Sim.After(dur, oc.run)
 			return
 		}
 		oc.begin()
@@ -208,23 +207,13 @@ func (oc *opCall) end(status uint16, value any) {
 }
 
 // preempt is the single §III-D case-1 demand path: it latches the request
-// and fires every registered OnPreempt callback. Both the OpPreempt
-// command handler and DemandAt route through it, so compiled CSD code
+// that compiled CSD code polls at its next line boundary. Both the
+// OpPreempt command handler and DemandAt route through it, so the code
 // learns of the demand regardless of how it arrived.
 func (d *Device) preempt() {
 	d.Sim.Recorder().Instant("csd", "exec", "preempt-demand", d.Sim.Now())
 	d.preemptRequested = true
-	fns := d.preemptFns
-	d.preemptFns = nil
-	for _, fn := range fns {
-		fn()
-	}
 }
-
-// OnPreempt registers fn to run when the host posts an OpPreempt command;
-// compiled CSD code uses this to learn it must stop at the next line
-// boundary (§III-D case 1).
-func (d *Device) OnPreempt(fn func()) { d.preemptFns = append(d.preemptFns, fn) }
 
 // PreemptRequested reports whether a high-priority tenant has demanded
 // the device (§III-D case 1); the offloaded task's status-update code
@@ -268,7 +257,7 @@ func (d *Device) InstallFaults(plan *fault.Plan) {
 	d.Array.SetFaults(plan)
 	for _, r := range plan.Resets() {
 		r := r
-		d.Sim.AtNamed(r.At, "device-reset", func() { d.Reset(r.Duration) })
+		d.Sim.At(r.At, func() { d.Reset(r.Duration) })
 	}
 }
 

@@ -26,7 +26,7 @@ func TestReadCommandStreamsToHost(t *testing.T) {
 		t.Fatalf("status %d", done.Status)
 	}
 	// Must cost at least the array read plus the link crossing.
-	minT := float64(16<<20)/d.Array.Geometry().EffectiveReadBW() + float64(16<<20)/d.Topo.D2H.Bandwidth()
+	minT := float64(16<<20)/d.Array.Geometry().EffectiveReadBW() + float64(16<<20)/interconnect.DefaultConfig().D2HBandwidth
 	wall := done.Completed - done.Submitted
 	if wall < minT*0.95 {
 		t.Errorf("read completed in %v, physical minimum %v", wall, minT)
@@ -81,26 +81,22 @@ func TestBadCallPayloadFails(t *testing.T) {
 
 func TestPreempt(t *testing.T) {
 	s, d := newDevice()
-	preempted := false
-	d.OnPreempt(func() { preempted = true })
 	d.QP.Submit(nvme.Command{Opcode: nvme.OpPreempt}, nil)
 	s.Run()
-	if !preempted {
-		t.Error("preempt hook not fired")
+	if !d.PreemptRequested() {
+		t.Error("OpPreempt did not latch the request")
 	}
 }
 
-// DemandAt must fire registered OnPreempt callbacks, exactly like a
-// host-posted OpPreempt command: both demand paths share one helper.
-func TestDemandAtFiresOnPreemptCallbacks(t *testing.T) {
+// DemandAt must latch the request exactly like a host-posted OpPreempt
+// command: both demand paths share one helper.
+func TestDemandAtLatchesPreempt(t *testing.T) {
 	s, d := newDevice()
-	preempted := false
-	d.OnPreempt(func() { preempted = true })
 	d.DemandAt(1e-3)
-	s.Run()
-	if !preempted {
-		t.Error("DemandAt did not fire OnPreempt callbacks")
+	if d.PreemptRequested() {
+		t.Error("DemandAt latched the request before its time")
 	}
+	s.Run()
 	if !d.PreemptRequested() {
 		t.Error("DemandAt did not latch the request")
 	}
@@ -198,13 +194,15 @@ func TestAvailabilityAffectsPerfCounters(t *testing.T) {
 func TestScheduleStressWindow(t *testing.T) {
 	s, d := newDevice()
 	d.ScheduleStress(1.0, 0.5, 2.0)
-	s.RunUntil(1.5)
-	if d.CSE.Availability() != 0.5 {
-		t.Errorf("availability mid-window %v", d.CSE.Availability())
+	var mid, after float64
+	s.At(1.5, func() { mid = d.CSE.Availability() })
+	s.At(3.5, func() { after = d.CSE.Availability() })
+	s.Run()
+	if mid != 0.5 {
+		t.Errorf("availability mid-window %v", mid)
 	}
-	s.RunUntil(3.5)
-	if d.CSE.Availability() != 1.0 {
-		t.Errorf("availability after window %v", d.CSE.Availability())
+	if after != 1.0 {
+		t.Errorf("availability after window %v", after)
 	}
 }
 

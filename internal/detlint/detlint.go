@@ -9,7 +9,7 @@
 // implemented on the standard library alone (go/ast + go/types, with
 // export data served by `go list -export`), so the linter builds in a
 // hermetic environment with no module downloads. cmd/detlint is the
-// command-line driver; the pass catalogue (DL001–DL006) is documented in
+// command-line driver; the pass catalogue (DL001–DL007) is documented in
 // DESIGN.md §13, and a docs test pins the table to Catalogue below.
 //
 // Rules are scoped by package role rather than annotation:
@@ -26,7 +26,9 @@
 //   - metric and series names must exist in the live catalogue
 //     (DL003), so a typo cannot mint an undocumented series;
 //   - the nil-is-inert observability types must actually be inert when
-//     nil (DL004).
+//     nil (DL004);
+//   - every export under internal/ must have a non-test use somewhere in
+//     the module or perfbench (DL007), a whole-program rule.
 package detlint
 
 import (
@@ -38,33 +40,15 @@ import (
 	"strings"
 )
 
-// Severity ranks a diagnostic. detlint rules guard hard invariants, so
-// every built-in pass reports errors; the level exists so the JSON shape
-// matches the mini-language linter's.
-type Severity int
-
-// Severities.
-const (
-	SevWarning Severity = iota
-	SevError
-)
-
-func (s Severity) String() string {
-	if s == SevError {
-		return "error"
-	}
-	return "warning"
-}
-
-// Diagnostic is one finding, addressable as file:line:col.
+// Diagnostic is one finding, addressable as file:line:col. detlint
+// rules guard hard invariants, so every finding is an error.
 type Diagnostic struct {
-	Pkg      string // import path of the offending package
-	File     string // file path as reported by the loader
-	Line     int
-	Col      int
-	Code     string // DL001…
-	Severity Severity
-	Msg      string
+	Pkg  string // import path of the offending package
+	File string // file path as reported by the loader
+	Line int
+	Col  int
+	Code string // DL001…
+	Msg  string
 }
 
 // Format renders the canonical `file:line:col: CODE: message` shape.
@@ -84,6 +68,7 @@ type Analyzer struct {
 type Pass struct {
 	Cfg   Config
 	Pkg   *Package
+	prog  *program
 	diags *[]Diagnostic
 	an    *Analyzer
 }
@@ -92,13 +77,12 @@ type Pass struct {
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Pkg.Fset.Position(pos)
 	*p.diags = append(*p.diags, Diagnostic{
-		Pkg:      p.Pkg.ImportPath,
-		File:     position.Filename,
-		Line:     position.Line,
-		Col:      position.Column,
-		Code:     p.an.Code,
-		Severity: SevError,
-		Msg:      fmt.Sprintf(format, args...),
+		Pkg:  p.Pkg.ImportPath,
+		File: position.Filename,
+		Line: position.Line,
+		Col:  position.Column,
+		Code: p.an.Code,
+		Msg:  fmt.Sprintf(format, args...),
 	})
 }
 
@@ -120,6 +104,13 @@ type Config struct {
 	// one catalogue (metrics.Catalogued); nil disables DL003's
 	// cross-check.
 	CataloguedName func(name string) bool
+	// RefModules are the modules, as directories relative to the main
+	// module's root, whose non-test code DL007 counts uses in.
+	RefModules []string
+	// Keep maps the exports DL007 lets stand without a non-test use, as
+	// "pkgsegment.Name" or "pkgsegment.Type.Method", to the reason a
+	// test needs them.
+	Keep map[string]string
 }
 
 // DefaultConfig scopes the passes to this repository's layering.
@@ -145,6 +136,20 @@ func DefaultConfig() Config {
 		// injected rather than imported here so the linter package itself
 		// has no dependency edge back into the framework it lints.
 		CataloguedName: nil,
+		RefModules:     []string{".", "perfbench"},
+		Keep: map[string]string{
+			"builtins.NewMapContext":      "fake: the builtin and interpreter tests run programs against an in-memory Context",
+			"csd.Device.DemandAt":         "trigger: the §III-D case-1 demand that exec's preempt tests and BenchmarkAblationPreempt inject",
+			"detlint.Catalogue":           "oracle: the docs test pins DESIGN.md §13's pass table to it",
+			"flash.Array.ReadTime":        "oracle: the unloaded read model TestReadTimeMatchesMeasured and storage's TestReadBillsFlashTime hold simulated reads to",
+			"flash.Array.SetAvailability": "trigger: the flash co-tenant that BenchmarkAblationStorageTenant and the flash availability tests inject",
+			"host.Host.Preempt":           "trigger: TestPreemptReachesDevice posts the §III-D case-1 command from the host side",
+			"nvme.QueuePair.Deadlined":    "observer: TestStaleDeviceRunsGolden and the pooled queue pair's reference test count deadline abandonments",
+			"plan.BnBExactLines":          "oracle: TestBnBExactGuarantee pins it to the node budget, TestBnBConstantsMatchPlanner pins AV008's threshold to it",
+			"sim.Resource.InFlight":       "observer: TestGroupedResourceMatchesReference compares busy servers with the reference resource",
+			"sim.Resource.QueueLen":       "observer: TestGroupedResourceMatchesReference compares queue depth with the reference resource",
+			"storage.Store.Lookup":        "observer: the storage, csd and core tests check that writes and preloads create objects",
+		},
 	}
 }
 
@@ -194,17 +199,19 @@ func namedOf(t types.Type) *types.Named {
 // Analyzers returns the full pass suite in catalogue order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		DL001, DL002, DL003, DL004, DL005, DL006,
+		DL001, DL002, DL003, DL004, DL005, DL006, DL007,
 	}
 }
 
 // Run applies every analyzer to every package and returns the combined
-// findings sorted by file, line, column, code.
-func Run(cfg Config, pkgs []*Package) []Diagnostic {
+// findings sorted by file, line, column, code. refs is the reference
+// set LoadRefs returns; DL007 counts uses in it and in pkgs.
+func Run(cfg Config, pkgs, refs []*Package) []Diagnostic {
 	var diags []Diagnostic
+	prog := newProgram(append(append([]*Package{}, pkgs...), refs...))
 	for _, pkg := range pkgs {
 		for _, an := range Analyzers() {
-			an.Run(&Pass{Cfg: cfg, Pkg: pkg, diags: &diags, an: an})
+			an.Run(&Pass{Cfg: cfg, Pkg: pkg, prog: prog, diags: &diags, an: an})
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
@@ -245,6 +252,7 @@ func Catalogue() []PassInfo {
 		{DL004.Code, DL004.Name, DL004.Doc, "nil-is-inert types"},
 		{DL005.Code, DL005.Name, DL005.Doc, scopeDet},
 		{DL006.Code, DL006.Name, DL006.Doc, scopeDet},
+		{DL007.Code, DL007.Name, DL007.Doc, "internal/ packages, whole program"},
 	}
 	return out
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"activego/internal/detlint"
@@ -32,6 +33,7 @@ var fixturePatterns = []string{
 	"./internal/detlint/testdata/dl004/trace",
 	"./internal/detlint/testdata/dl005/plan",
 	"./internal/detlint/testdata/dl006/driver",
+	"./internal/detlint/testdata/dl007/sim",
 }
 
 // realConfig mirrors cmd/detlint's production configuration: the live
@@ -58,6 +60,30 @@ func loadFixtures(t *testing.T) []*detlint.Package {
 		t.Fatalf("loaded %d packages, want %d", len(pkgs), len(fixturePatterns))
 	}
 	return pkgs
+}
+
+// refs is DL007's reference set, the module and perfbench, loaded once
+// for every test that needs it.
+var refs struct {
+	once sync.Once
+	pkgs []*detlint.Package
+	err  error
+}
+
+func loadRefs(t *testing.T) []*detlint.Package {
+	t.Helper()
+	refs.once.Do(func() {
+		root, err := filepath.Abs(repoRoot)
+		if err != nil {
+			refs.err = err
+			return
+		}
+		refs.pkgs, refs.err = detlint.LoadRefs(root, detlint.DefaultConfig().RefModules)
+	})
+	if refs.err != nil {
+		t.Fatal(refs.err)
+	}
+	return refs.pkgs
 }
 
 // relativize rewrites absolute fixture paths to repo-relative with
@@ -103,7 +129,7 @@ func checkGolden(t *testing.T, goldenPath string, got string) {
 // golden so a regressed pass cannot hide behind -update.
 func TestFixturesGolden(t *testing.T) {
 	pkgs := loadFixtures(t)
-	diags := relativize(t, detlint.Run(realConfig(), pkgs))
+	diags := relativize(t, detlint.Run(realConfig(), pkgs, loadRefs(t)))
 
 	fired := map[string]bool{}
 	var buf bytes.Buffer
@@ -124,7 +150,7 @@ func TestFixturesGolden(t *testing.T) {
 // diagnostics rendered through WriteJSON.
 func TestJSONGolden(t *testing.T) {
 	pkgs := loadFixtures(t)
-	diags := relativize(t, detlint.Run(realConfig(), pkgs))
+	diags := relativize(t, detlint.Run(realConfig(), pkgs, loadRefs(t)))
 	var buf bytes.Buffer
 	if err := detlint.WriteJSON(&buf, diags); err != nil {
 		t.Fatal(err)
@@ -146,8 +172,51 @@ func TestRepoClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range detlint.Run(realConfig(), pkgs) {
+	for _, d := range detlint.Run(realConfig(), pkgs, loadRefs(t)) {
 		t.Errorf("unexpected diagnostic: %s", d.Format())
+	}
+}
+
+// TestDL007CountsPerfbench pins DL007's reference set: perfbench is its
+// own module and reaches the framework only through exports, so exports
+// it alone calls must not be flagged. Without perfbench in the set, the
+// same exports are flagged, which shows the set is really loaded.
+func TestDL007CountsPerfbench(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-repo type-check is not short")
+	}
+	root, err := filepath.Abs(repoRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := detlint.Load(root, "./internal/plan", "./internal/driver", "./internal/platform")
+	if err != nil {
+		t.Fatal(err)
+	}
+	moduleOnly, err := detlint.LoadRefs(root, []string{"."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perfbenchOnly := []string{"plan.AutoPool", "driver.SetPlanCache", "platform.Platform.Fingerprint"}
+	flagged := func(refs []*detlint.Package) map[string]bool {
+		out := map[string]bool{}
+		for _, d := range detlint.Run(realConfig(), pkgs, refs) {
+			if d.Code != "DL007" {
+				continue
+			}
+			for _, name := range perfbenchOnly {
+				if strings.Contains(d.Msg, "exported "+name+" ") {
+					out[name] = true
+				}
+			}
+		}
+		return out
+	}
+	if got := flagged(loadRefs(t)); len(got) != 0 {
+		t.Errorf("DL007 flags exports perfbench calls: %v", got)
+	}
+	if got := flagged(moduleOnly); len(got) != len(perfbenchOnly) {
+		t.Errorf("without perfbench DL007 flags %v, want all of %v", got, perfbenchOnly)
 	}
 }
 

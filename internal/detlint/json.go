@@ -8,7 +8,8 @@ import (
 	"io"
 )
 
-// jsonDiag is the wire shape of one diagnostic.
+// jsonDiag is the wire shape of one diagnostic. Severity is always
+// "error"; the field keeps the mini-language linter's shape.
 type jsonDiag struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`
@@ -28,7 +29,7 @@ func WriteJSON(w io.Writer, diags []Diagnostic) error {
 			Line:     d.Line,
 			Col:      d.Col,
 			Code:     d.Code,
-			Severity: d.Severity.String(),
+			Severity: "error",
 			Message:  d.Msg,
 		})
 	}

@@ -434,3 +434,101 @@ var DL006 = &Analyzer{
 		})
 	},
 }
+
+// ---- DL007: no exported API that only tests reach ----
+
+// internalPkg reports whether an import path lies under an internal/
+// tree, whose exports only this module can import.
+func internalPkg(path string) bool {
+	return strings.Contains(path, "/internal/")
+}
+
+// DL007 reports every exported function, method, type, constant and
+// variable under internal/ that no non-test code references: not the
+// linted packages, the module, or perfbench, which is its own module
+// and sees the framework only through its exports. A test reaching it
+// does not count, because API kept alive only by its tests is a second
+// mechanism nothing runs. A method is exempt when its type satisfies an
+// interface the program uses (it is called through the interface, or
+// by fmt and errors), and so is each Keep entry: a test oracle,
+// observer or fault trigger for behaviour production keeps.
+var DL007 = &Analyzer{
+	Code: "DL007",
+	Name: "test-only-exports",
+	Doc:  "every exported identifier under internal/ has a non-test use in the module or perfbench, or a keep-list reason",
+	Run: func(p *Pass) {
+		if !internalPkg(p.Pkg.ImportPath) {
+			return
+		}
+		info := p.Pkg.Info
+		check := func(id *ast.Ident) {
+			obj := info.Defs[id]
+			k := objKey(obj)
+			if !id.IsExported() || k == "" || p.prog.used[k] {
+				return
+			}
+			// The key without the import path's directory, as
+			// "pkgsegment.Name" or "pkgsegment.Type.Method".
+			seg := k[strings.LastIndexByte(p.Pkg.ImportPath, '/')+1:]
+			if _, kept := p.Cfg.Keep[seg]; kept {
+				return
+			}
+			if f, ok := obj.(*types.Func); ok && p.prog.satisfiesInterface(f) {
+				return
+			}
+			p.Reportf(id.Pos(), "exported %s has no non-test use in the module or perfbench; delete it, or keep it on the DL007 keep list with the reason a test needs it", seg)
+		}
+		p.walkFiles(func(file *ast.File) {
+			for _, decl := range file.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					check(d.Name)
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							check(s.Name)
+						case *ast.ValueSpec:
+							for _, id := range s.Names {
+								check(id)
+							}
+						}
+					}
+				}
+			}
+		})
+	},
+}
+
+// satisfiesInterface reports whether method f belongs to the method
+// set by which its receiver type satisfies an interface the program
+// uses.
+func (prog *program) satisfiesInterface(f *types.Func) bool {
+	sig := f.Type().(*types.Signature)
+	if sig.Recv() == nil {
+		return false
+	}
+	named := namedOf(sig.Recv().Type())
+	if named == nil {
+		return false
+	}
+	have := map[string]string{}
+	mset := types.NewMethodSet(types.NewPointer(named))
+	for i := 0; i < mset.Len(); i++ {
+		m := mset.At(i).Obj()
+		have[m.Name()] = sigString(m.Type())
+	}
+	for _, iface := range prog.ifaces[f.Name()] {
+		ok := true
+		for name, s := range iface {
+			if have[name] != s {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			return true
+		}
+	}
+	return false
+}

@@ -291,7 +291,7 @@ func (e *engine) scheduleTenant(ts *tenantState) {
 			if at >= e.horizon {
 				continue
 			}
-			e.p.Sim.AtNamed(at, "driver.issue", func() { e.issue(ts, true) })
+			e.p.Sim.At(at, func() { e.issue(ts, true) })
 		}
 		return
 	}
@@ -307,7 +307,7 @@ func (e *engine) scheduleTenant(ts *tenantState) {
 }
 
 func (e *engine) bookArrival(ts *tenantState) {
-	e.p.Sim.AtNamed(e.start+ts.arrivals[ts.next], "driver.arrival", ts.fire)
+	e.p.Sim.At(e.start+ts.arrivals[ts.next], ts.fire)
 }
 
 // fireArrival admits the tenant's booked arrival. It books the next one
@@ -428,7 +428,7 @@ func (e *engine) reissueAfterThink(ts *tenantState, now sim.Time) {
 	if at >= e.horizon {
 		return
 	}
-	e.p.Sim.AtNamed(at, "driver.issue", func() { e.issue(ts, true) })
+	e.p.Sim.At(at, func() { e.issue(ts, true) })
 }
 
 func (e *engine) sampleInFlight(now sim.Time) {

@@ -15,7 +15,6 @@ import (
 	"activego/internal/nvme"
 	"activego/internal/platform"
 	"activego/internal/resilience"
-	"activego/internal/sim"
 	"activego/internal/workloads"
 )
 
@@ -447,9 +446,20 @@ func openLoopConfig(t testing.TB, requests int) driver.Config {
 // the ~7,200 arrivals of the whole horizon.
 func TestOpenLoopCalendarDepth(t *testing.T) {
 	p := platform.Default()
+	cfg := openLoopConfig(t, 7200)
+	// A probe reads the calendar's depth 1,000 times across the arrival
+	// horizon. It only reads, so the run's outcome is unchanged.
 	peak := 0
-	p.Sim.SetTracer(func(sim.Time, string) { peak = max(peak, p.Sim.Pending()) })
-	res, err := driver.Run(p, openLoopConfig(t, 7200))
+	step := cfg.Duration / 1000
+	var probe func()
+	probe = func() {
+		peak = max(peak, p.Sim.Pending())
+		if p.Sim.Now()+step < cfg.Duration {
+			p.Sim.After(step, probe)
+		}
+	}
+	p.Sim.At(0, probe)
+	res, err := driver.Run(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

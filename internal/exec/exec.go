@@ -217,9 +217,6 @@ type Handle struct {
 	e *executor
 }
 
-// Done reports whether the execution completed successfully.
-func (h *Handle) Done() bool { return h.e.done }
-
 // Result returns the execution's outcome. A nil error with a nil result
 // means the calendar drained while the program was still in flight — a
 // stuck run — and the returned error describes where it stranded.
@@ -506,7 +503,7 @@ func (e *executor) failLine(rec *interp.LineRecord, unit Unit, cause error) {
 		e.instant("line-retry", rec.Line)
 		e.opts.Obs.Retry(rec.Line, e.p.Sim.Now())
 		delay := pol.Backoff.Delay(uint64(e.idx), e.lineAttempts)
-		e.p.Sim.AfterNamed(delay, "resilience-backoff", func() { e.dispatch(rec, unit) })
+		e.p.Sim.After(delay, func() { e.dispatch(rec, unit) })
 		return
 	}
 	if unit == UnitCSD {

@@ -54,7 +54,7 @@ func TestZeroFaultPlanReproducesBareRun(t *testing.T) {
 				fault.Rule{Point: fault.NVMeCompletionDrop, Rate: 0},
 				fault.Rule{Point: fault.FlashTransient, Rate: 0},
 				fault.Rule{Point: fault.CSEStall, Rate: 0, Duration: 1e-3},
-			), nvme.DefaultRetryPolicy())
+			), nvme.RetryPolicy{Timeout: 50e-3, MaxAttempts: 4, Backoff: 1e-3})
 			armedOpts := opts
 			armedOpts.Resilience = &tc.pol
 			armed, err := Run(p, tr, armedOpts)

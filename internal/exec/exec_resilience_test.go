@@ -244,7 +244,7 @@ func TestExhaustedLadderShedsTypedError(t *testing.T) {
 			p := platform.Default()
 			p.InstallFaults(fault.NewPlan(5,
 				fault.Rule{Point: fault.FlashUncorrectable, Rate: 1},
-			), nvme.DefaultRetryPolicy())
+			), nvme.RetryPolicy{Timeout: 50e-3, MaxAttempts: 4, Backoff: 1e-3})
 			m := metrics.New()
 			_, err := Run(p, tr, Options{
 				Backend: codegen.Native, Partition: codegen.NewPartition(1, 2, 3),

@@ -44,6 +44,10 @@ type options struct {
 	metrics *metrics.Registry
 	pool    *par.Pool
 	serving ServingOverrides
+	sweep   struct {
+		n    int
+		seed uint64
+	}
 	// set is the suite's shared set of prepared programs; only RunSuite
 	// passes one (nil: the study prepares its own declared programs).
 	set *programSet
@@ -66,6 +70,15 @@ func WithMetrics(reg *metrics.Registry) Option {
 // serial run — TestParallelInvariance pins it.
 func WithPool(p *par.Pool) Option {
 	return func(o *options) { o.pool = p }
+}
+
+// WithChaosSweep adds n more randomized chaos fault schedules, seeded by
+// seed, to the resilience study: a sweep over the same prepared trace
+// its built-in sub-run reads, under the ladder with a cooldown of four
+// completion timeouts. The study fails if the sweep breaks an
+// invariant. n = 0 adds none.
+func WithChaosSweep(n int, seed uint64) Option {
+	return func(o *options) { o.sweep.n, o.sweep.seed = n, seed }
 }
 
 func buildOptions(opts []Option) options {
@@ -283,9 +296,9 @@ func (o options) only(params workloads.Params, decl Programs) (*Workbench, error
 }
 
 // config is the ActivePy configuration every Workbench run starts from:
-// the call queue on, migration off, overheads at the workload's scale.
+// migration off, overheads at the workload's scale.
 func (wb *Workbench) config() core.Config {
-	return core.Config{UseCallQueue: true, OverheadScale: wb.Params.OverheadScale()}
+	return core.Config{OverheadScale: wb.Params.OverheadScale()}
 }
 
 // runActivePy executes the prepared program under cfg on p and folds

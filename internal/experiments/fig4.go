@@ -20,6 +20,7 @@ type Fig4Row struct {
 	PlanMatches     bool    // ActivePy picked the same line set
 	GapPercent      float64 // (static - activepy) / static * 100
 	PlanLines       []int   // the offload set ActivePy chose
+	Planner         string  // the planner that chose it
 }
 
 // Fig4Result is the full comparison.
@@ -51,6 +52,7 @@ func Fig4(params workloads.Params, opts ...Option) (*Fig4Result, *report.Table, 
 			ActivePySpeedup: wb.Baseline / auto.Duration,
 			PlanMatches:     wb.Plan.Partition.Equal(wb.StaticPart),
 			PlanLines:       wb.Plan.Partition.Lines(),
+			Planner:         wb.Plan.Planner,
 		}
 		row.GapPercent = 100 * (row.StaticSpeedup - row.ActivePySpeedup) / row.StaticSpeedup
 		return row, nil

@@ -18,7 +18,8 @@ type Fig5Row struct {
 	Availability     float64
 	WithMigration    float64 // speedup vs no-ISP baseline
 	WithoutMigration float64
-	Migrated         bool // did the monitor actually move the task
+	Migrated         bool   // did the monitor actually move the task
+	Planner          string // the planner behind the ActivePy plan
 }
 
 // Fig5Result is the full study.
@@ -138,6 +139,7 @@ func Fig5(params workloads.Params, opts ...Option) (*Fig5Result, *report.Table, 
 				WithMigration:    wb.Baseline / with.Duration,
 				WithoutMigration: wb.Baseline / without.Duration,
 				Migrated:         with.Migrated,
+				Planner:          wb.Plan.Planner,
 			})
 		}
 		return rows, nil

@@ -55,7 +55,7 @@ func (r *Fig2Result) Bench(params workloads.Params) *bench.Manifest {
 func (r *Fig4Result) Bench(params workloads.Params) *bench.Manifest {
 	m := bench.NewManifest("fig4", params.Seed, params.ScaleDiv)
 	for _, row := range r.Rows {
-		w := bench.Workload{Name: row.Workload, Planner: "activepy-optimal", PlanLines: row.PlanLines}
+		w := bench.Workload{Name: row.Workload, Planner: row.Planner, PlanLines: row.PlanLines}
 		w.Add("baseline.seconds", row.BaselineTime, "s", bench.LowerIsBetter)
 		w.Add("static.speedup", row.StaticSpeedup, "x", bench.HigherIsBetter)
 		w.Add("activepy.speedup", row.ActivePySpeedup, "x", bench.HigherIsBetter)
@@ -82,7 +82,7 @@ func (r *Fig5Result) Bench(params workloads.Params) *bench.Manifest {
 	for _, row := range r.Rows {
 		w := byName[row.Workload]
 		if w == nil {
-			w = &bench.Workload{Name: row.Workload, Planner: "activepy-optimal"}
+			w = &bench.Workload{Name: row.Workload, Planner: row.Planner}
 			byName[row.Workload] = w
 			order = append(order, row.Workload)
 		}
@@ -149,7 +149,7 @@ func (r *RobustnessResult) Bench(params workloads.Params) *bench.Manifest {
 	for _, row := range r.Rows {
 		w := byName[row.Workload]
 		if w == nil {
-			w = &bench.Workload{Name: row.Workload, Planner: "activepy-optimal"}
+			w = &bench.Workload{Name: row.Workload, Planner: row.Planner}
 			byName[row.Workload] = w
 			order = append(order, row.Workload)
 		}
@@ -178,7 +178,7 @@ func (r *ResilienceResult) Bench(params workloads.Params) *bench.Manifest {
 	for _, row := range r.Rows {
 		w := byName[row.Workload]
 		if w == nil {
-			w = &bench.Workload{Name: row.Workload, Planner: "activepy-optimal"}
+			w = &bench.Workload{Name: row.Workload, Planner: row.Planner}
 			byName[row.Workload] = w
 			order = append(order, row.Workload)
 		}
@@ -212,7 +212,7 @@ func (r *ResilienceResult) Bench(params workloads.Params) *bench.Manifest {
 // tracked, and the stressed run must keep migrating.
 func (u *UtilizationResult) Bench(params workloads.Params) *bench.Manifest {
 	m := bench.NewManifest("utilization", params.Seed, params.ScaleDiv)
-	w := bench.Workload{Name: u.Workload, Planner: "activepy-optimal"}
+	w := bench.Workload{Name: u.Workload, Planner: u.Planner}
 	w.Add("steady.seconds", u.Res.Duration, "s", bench.LowerIsBetter)
 	w.Add("stressed.seconds", u.StressRes.Duration, "s", bench.LowerIsBetter)
 	w.Add("migrated", boolVal(u.StressRes.Migrated), "", bench.HigherIsBetter)
@@ -269,7 +269,7 @@ func (r *ServingResult) Bench(params workloads.Params) *bench.Manifest {
 func (r *DriftResult) Bench(params workloads.Params) *bench.Manifest {
 	m := bench.NewManifest("drift", params.Seed, params.ScaleDiv)
 	for _, arm := range []*DriftArm{&r.Control, &r.Burst} {
-		w := bench.Workload{Name: arm.Name, Planner: "activepy-optimal"}
+		w := bench.Workload{Name: arm.Name, Planner: r.Provenance.Planner}
 		dir := bench.LowerIsBetter // control: stale lines must stay 0
 		if arm.Burst {
 			dir = bench.HigherIsBetter // burst: the detector must keep firing

@@ -83,7 +83,7 @@ func TestManifestBuilders(t *testing.T) {
 		Rows: []Fig4Row{{
 			Workload: "tpch-6", BaselineTime: 0.01, StaticSpeedup: 1.3,
 			ActivePySpeedup: 1.25, PlanMatches: true, GapPercent: 3.8,
-			PlanLines: []int{2, 3},
+			PlanLines: []int{2, 3}, Planner: "bnb",
 		}},
 		MeanStatic: 1.3, MeanActivePy: 1.25, Matches: 1,
 	}
@@ -95,7 +95,7 @@ func TestManifestBuilders(t *testing.T) {
 		t.Fatalf("%d workloads", len(m.Workloads))
 	}
 	w := m.Workloads[0]
-	if !reflect.DeepEqual(w.PlanLines, []int{2, 3}) || w.Planner == "" {
+	if !reflect.DeepEqual(w.PlanLines, []int{2, 3}) || w.Planner != "bnb" {
 		t.Errorf("planner choices not recorded: %+v", w)
 	}
 	tracked := 0

@@ -55,6 +55,9 @@ func All() []Experiment {
 			if r.Chaos != nil {
 				fmt.Fprintln(out, r.Chaos.Summary())
 			}
+			if r.Sweep != nil {
+				fmt.Fprintln(out, r.Sweep.Summary())
+			}
 			return r.Rec
 		}),
 		study("utilization", utilizationPrograms, Utilization, func(u *UtilizationResult, out io.Writer) *trace.Recorder {

@@ -8,6 +8,7 @@ import (
 	"activego/internal/exec"
 	"activego/internal/fault"
 	"activego/internal/nvme"
+	"activego/internal/par"
 	"activego/internal/platform"
 	"activego/internal/report"
 	"activego/internal/resilience"
@@ -96,28 +97,21 @@ type ResilienceRow struct {
 	Timeouts       uint64
 
 	OneshotFailedOver bool
-	Completed         bool // all three arms finished
+	Completed         bool   // all three arms finished
+	Planner           string // the planner behind the plan under test
 }
 
 // ResilienceResult is the full sweep plus the chaos sub-run.
 type ResilienceResult struct {
 	Rows  []ResilienceRow
 	Chaos *chaos.Report
+	// Sweep is WithChaosSweep's extra sweep; nil without one.
+	Sweep *chaos.Report
 
 	// Rec is the structured trace of ResilienceTraceWorkload's breaker
 	// arm at the highest burst intensity — the timeline that shows the
 	// open/degrade/probe/re-close cadence.
 	Rec *trace.Recorder
-}
-
-// RowAt returns the cell for one workload and rate.
-func (r *ResilienceResult) RowAt(workload string, rate float64) (ResilienceRow, bool) {
-	for _, row := range r.Rows {
-		if row.Workload == workload && row.Rate == rate {
-			return row, true
-		}
-	}
-	return ResilienceRow{}, false
 }
 
 // worstLine is the costliest offloaded line's per-exec device time from
@@ -228,29 +222,23 @@ func (wb *Workbench) runResilienceArm(seed uint64, bursts resilienceBursts, rate
 	return wb.runActivePy(p, cfg)
 }
 
-// ChaosSweep runs a standalone chaos sweep: n randomized seeded fault
-// schedules over ResilienceTraceWorkload's trace with the same derived
-// ladder the resilience experiment arms. cmd/benchsuite's -chaos flag
-// and CI's chaos job call this.
-func ChaosSweep(params workloads.Params, seed uint64, n int, opts ...Option) (*chaos.Report, error) {
-	o := buildOptions(opts)
-	wb, err := o.only(params, Programs{Names: []string{ResilienceTraceWorkload}})
-	if err != nil {
-		return nil, err
-	}
-	retry := wb.resilienceRetry()
-	return chaos.Run(chaos.Config{
+// chaosConfig is a chaos sweep of n schedules seeded by seed over wb's
+// prepared trace and plan, with pol's ladder and retry's supervision
+// armed. The study's built-in sub-run and WithChaosSweep's extra sweep
+// both build theirs here.
+func (wb *Workbench) chaosConfig(seed uint64, n int, pol resilience.Policy, retry nvme.RetryPolicy, pool *par.Pool) chaos.Config {
+	return chaos.Config{
 		Seed:          seed,
 		Schedules:     n,
 		Trace:         wb.Trace,
 		Partition:     wb.Plan.Partition,
 		Backend:       codegen.Native,
-		Policy:        resiliencePolicy(seed, retry, 4*retry.Timeout),
+		Policy:        pol,
 		Retry:         retry,
 		OverheadScale: wb.Params.OverheadScale(),
 		Params:        chaos.ScheduleParams{MaxRate: 1.0},
-		Pool:          o.pool,
-	})
+		Pool:          pool,
+	}
 }
 
 // Resilience sweeps oscillating availability against fault intensity
@@ -262,9 +250,9 @@ func Resilience(params workloads.Params, opts ...Option) (*ResilienceResult, *re
 	o := buildOptions(opts)
 	maxRate := ResilienceRates[len(ResilienceRates)-1]
 	type perSpec struct {
-		rows  []ResilienceRow
-		chaos *chaos.Report
-		rec   *trace.Recorder
+		rows         []ResilienceRow
+		chaos, sweep *chaos.Report
+		rec          *trace.Recorder
 	}
 	per, err := overPrograms(params, o, resiliencePrograms, func(wb *Workbench) (perSpec, error) {
 		name := wb.Spec.Name
@@ -283,7 +271,7 @@ func Resilience(params workloads.Params, opts ...Option) (*ResilienceResult, *re
 
 		out := perSpec{}
 		for _, rate := range ResilienceRates {
-			row := ResilienceRow{Workload: name, Rate: rate}
+			row := ResilienceRow{Workload: name, Rate: rate, Planner: wb.Plan.Planner}
 			static, serr := wb.runResilienceArm(ResilienceSeed, bursts, rate, retry, &perLine, nil)
 			oneshot, oerr := wb.runResilienceArm(ResilienceSeed, bursts, rate, retry, &oneShot, nil)
 			var rec *trace.Recorder
@@ -318,22 +306,22 @@ func Resilience(params workloads.Params, opts ...Option) (*ResilienceResult, *re
 		// Chaos sub-run on the traced workload: randomized schedules over
 		// the same trace and ladder.
 		if name == ResilienceTraceWorkload {
-			rep, err := chaos.Run(chaos.Config{
-				Seed:          ResilienceSeed,
-				Schedules:     ResilienceChaosSchedules,
-				Trace:         wb.Trace,
-				Partition:     wb.Plan.Partition,
-				Backend:       codegen.Native,
-				Policy:        pol,
-				Retry:         retry,
-				OverheadScale: wb.Params.OverheadScale(),
-				Params:        chaos.ScheduleParams{MaxRate: 1.0},
-				Pool:          o.pool,
-			})
+			rep, err := chaos.Run(wb.chaosConfig(ResilienceSeed, ResilienceChaosSchedules, pol, retry, o.pool))
 			if err != nil {
 				return perSpec{}, fmt.Errorf("experiments: resilience: %s chaos: %w", name, err)
 			}
 			out.chaos = rep
+			if o.sweep.n > 0 {
+				seed := o.sweep.seed
+				sweep, err := chaos.Run(wb.chaosConfig(seed, o.sweep.n, resiliencePolicy(seed, retry, 4*retry.Timeout), retry, o.pool))
+				if err != nil {
+					return perSpec{}, fmt.Errorf("experiments: resilience: %s chaos sweep: %w", name, err)
+				}
+				if !sweep.Ok() {
+					return perSpec{}, fmt.Errorf("experiments: resilience: chaos sweep violated an invariant: %s", sweep.Summary())
+				}
+				out.sweep = sweep
+			}
 		}
 		return out, nil
 	})
@@ -347,7 +335,7 @@ func Resilience(params workloads.Params, opts ...Option) (*ResilienceResult, *re
 		"opens", "closes", "probes", "degraded", "completed")
 	for _, ps := range per {
 		if ps.chaos != nil {
-			res.Chaos = ps.chaos
+			res.Chaos, res.Sweep = ps.chaos, ps.sweep
 		}
 		if ps.rec != nil {
 			res.Rec = ps.rec

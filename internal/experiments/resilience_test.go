@@ -22,7 +22,7 @@ func TestResilienceShape(t *testing.T) {
 		t.Fatalf("%d rows, want %d", len(res.Rows), want)
 	}
 	for _, name := range ResilienceWorkloads {
-		ctrl, ok := res.RowAt(name, 0)
+		ctrl, ok := resilienceRowAt(res, name, 0)
 		if !ok || !ctrl.Completed {
 			t.Fatalf("%s: no completed control row", name)
 		}
@@ -37,7 +37,7 @@ func TestResilienceShape(t *testing.T) {
 			t.Errorf("%s: one-shot arm failed over in the control", name)
 		}
 		for _, rate := range ResilienceRates[1:] {
-			row, ok := res.RowAt(name, rate)
+			row, ok := resilienceRowAt(res, name, rate)
 			if !ok {
 				t.Fatalf("%s: no row at rate %v", name, rate)
 			}
@@ -94,4 +94,14 @@ func TestResilienceShape(t *testing.T) {
 			t.Errorf("sweep not reproducible: %+v vs %+v", res.Rows[i], again.Rows[i])
 		}
 	}
+}
+
+// resilienceRowAt returns the cell for one workload and rate.
+func resilienceRowAt(r *ResilienceResult, workload string, rate float64) (ResilienceRow, bool) {
+	for _, row := range r.Rows {
+		if row.Workload == workload && row.Rate == rate {
+			return row, true
+		}
+	}
+	return ResilienceRow{}, false
 }

@@ -40,33 +40,14 @@ type RobustnessRow struct {
 	FailedCalls uint64
 	Retries     uint64
 	Timeouts    uint64
-	FailedOver  bool // recovery moved the remaining partition to the host
-	Completed   bool // the program finished (recovery absorbed every fault)
+	FailedOver  bool   // recovery moved the remaining partition to the host
+	Completed   bool   // the program finished (recovery absorbed every fault)
+	Planner     string // the planner behind the plan under test
 }
 
 // RobustnessResult is the full sweep.
 type RobustnessResult struct {
 	Rows []RobustnessRow
-}
-
-// RowAt returns the cell for one workload and rate.
-func (r *RobustnessResult) RowAt(workload string, rate float64) (RobustnessRow, bool) {
-	for _, row := range r.Rows {
-		if row.Workload == workload && row.Rate == rate {
-			return row, true
-		}
-	}
-	return RobustnessRow{}, false
-}
-
-// CompletedAll reports whether every cell at the given rate finished.
-func (r *RobustnessResult) CompletedAll(rate float64) bool {
-	for _, row := range r.Rows {
-		if row.Rate == rate && !row.Completed {
-			return false
-		}
-	}
-	return true
 }
 
 // robustnessPlan builds the fault plan for one intensity: completion
@@ -125,7 +106,7 @@ func Robustness(params workloads.Params, opts ...Option) (*RobustnessResult, *re
 		var rows []RobustnessRow
 		var clean float64
 		for _, rate := range RobustnessRates {
-			row := RobustnessRow{Workload: name, Rate: rate}
+			row := RobustnessRow{Workload: name, Rate: rate, Planner: wb.Plan.Planner}
 			r, err := wb.RunRobust(robustnessPlan(RobustnessSeed, rate))
 			if err == nil {
 				row.Completed = true

@@ -28,6 +28,7 @@ const UtilizationStressAvail = 0.1
 // not, and because the traces make every other experiment debuggable.
 type UtilizationResult struct {
 	Workload string
+	Planner  string // the planner behind the traced plan
 
 	// Rec/Res are the steady-state run: full availability, no
 	// migration — the clean per-component utilization picture.
@@ -94,6 +95,7 @@ func Utilization(params workloads.Params, opts ...Option) (*UtilizationResult, *
 
 	u := &UtilizationResult{
 		Workload:  UtilizationWorkload,
+		Planner:   wb.Plan.Planner,
 		Rec:       rec,
 		Res:       res,
 		StressRec: stressRec,

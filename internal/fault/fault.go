@@ -104,8 +104,7 @@ type Plan struct {
 	rules []Rule
 	fired []int // per-rule injection count
 
-	seq      [numPoints]uint64
-	injected [numPoints]uint64
+	seq [numPoints]uint64
 
 	rec *trace.Recorder // optional: receives one instant per injection
 }
@@ -215,14 +214,6 @@ func (p *Plan) SetRecorder(r *trace.Recorder) {
 	p.rec = r
 }
 
-// Seed returns the plan's seed.
-func (p *Plan) Seed() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.seed
-}
-
 // Mix64 is the finalizer of the SplitMix64 generator: a cheap,
 // well-mixed 64-bit hash. Each injection decision hashes its inputs
 // independently, so decisions never share stream state. It is exported
@@ -269,7 +260,6 @@ func (p *Plan) decide(pt Point, now sim.Time) (Rule, bool) {
 			continue
 		}
 		p.fired[i]++
-		p.injected[pt]++
 		p.rec.Instant("fault", "fault", pt.String(), now)
 		return r, true
 	}
@@ -303,24 +293,4 @@ func (p *Plan) Resets() []Rule {
 		}
 	}
 	return out
-}
-
-// Injected returns how many faults have been injected at pt so far.
-func (p *Plan) Injected(pt Point) uint64 {
-	if p == nil || pt < 0 || pt >= numPoints {
-		return 0
-	}
-	return p.injected[pt]
-}
-
-// TotalInjected returns the total number of injected faults.
-func (p *Plan) TotalInjected() uint64 {
-	if p == nil {
-		return 0
-	}
-	var t uint64
-	for _, n := range p.injected {
-		t += n
-	}
-	return t
 }

@@ -13,9 +13,6 @@ func TestNilPlanInjectsNothing(t *testing.T) {
 			t.Fatal("nil plan injected")
 		}
 	}
-	if p.TotalInjected() != 0 || p.Injected(NVMeCompletionDrop) != 0 {
-		t.Error("nil plan reports injections")
-	}
 	if p.Resets() != nil {
 		t.Error("nil plan has resets")
 	}
@@ -36,9 +33,6 @@ func TestRateOneAlwaysInjects(t *testing.T) {
 		if !p.Decide(FlashUncorrectable, float64(i)) {
 			t.Fatal("rate-1 rule skipped an opportunity")
 		}
-	}
-	if p.Injected(FlashUncorrectable) != 50 {
-		t.Errorf("injected %d, want 50", p.Injected(FlashUncorrectable))
 	}
 }
 

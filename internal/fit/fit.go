@@ -101,32 +101,12 @@ func Fit(xs, ys []float64) (Model, error) {
 	if len(xs) < 2 {
 		return Model{}, fmt.Errorf("fit: need at least 2 points, got %d", len(xs))
 	}
-	best := Model{RMSE: math.Inf(1)}
-	haveBest := false
-	for _, c := range Curves {
-		a, b, ok := leastSquares(c, xs, ys)
-		if !ok {
-			continue
-		}
-		m := Model{Curve: c, A: a, B: b}
-		m.RMSE = rmse(m, xs, ys)
-		if !haveBest || m.RMSE < best.RMSE*simplicityMargin {
-			best = m
-			haveBest = true
-		}
-	}
-	if !haveBest {
-		return Model{}, fmt.Errorf("fit: no curve fitted")
-	}
-	return best, nil
+	return fitCurves(Curves, xs, ys)
 }
 
-// FitPrefer fits like Fit but restricted to the given curves (used by
-// ablation benches to test the five-curve choice).
-func FitPrefer(curves []Curve, xs, ys []float64) (Model, error) {
-	if len(curves) == 0 {
-		return Model{}, fmt.Errorf("fit: empty curve set")
-	}
+// fitCurves selects the best of curves, in order of simplicity, for the
+// sample points.
+func fitCurves(curves []Curve, xs, ys []float64) (Model, error) {
 	best := Model{RMSE: math.Inf(1)}
 	haveBest := false
 	for _, c := range curves {

@@ -87,14 +87,14 @@ func TestErrors(t *testing.T) {
 	if _, err := Fit([]float64{1, 2}, []float64{1}); err == nil {
 		t.Error("mismatched lengths must error")
 	}
-	if _, err := FitPrefer(nil, sampleXs, genYs(ON, 1, 0)); err == nil {
+	if _, err := fitCurves(nil, sampleXs, genYs(ON, 1, 0)); err == nil {
 		t.Error("empty curve set must error")
 	}
 }
 
 func TestFitPreferRestrictsCurves(t *testing.T) {
 	// Force a linear-only fit on quadratic data: predictable underestimate.
-	m, err := FitPrefer([]Curve{ON}, sampleXs, genYs(ON2, 1e9, 0))
+	m, err := fitCurves([]Curve{ON}, sampleXs, genYs(ON2, 1e9, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

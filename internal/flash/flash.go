@@ -90,11 +90,6 @@ func (g Geometry) EffectiveReadBW() float64 {
 	return g.channelReadRate() * float64(g.Channels)
 }
 
-// EffectiveProgBW returns the array's sustained program bandwidth.
-func (g Geometry) EffectiveProgBW() float64 {
-	return g.channelProgRate() * float64(g.Channels)
-}
-
 // Array is a live flash array bound to a simulator.
 type Array struct {
 	sim  *sim.Sim
@@ -133,9 +128,6 @@ func (a *Array) SetAvailability(frac float64) {
 	}
 	a.availability = frac
 }
-
-// Availability returns the current channel-time fraction.
-func (a *Array) Availability() float64 { return a.availability }
 
 // Geometry returns the array's geometry.
 func (a *Array) Geometry() Geometry { return a.geom }
@@ -182,7 +174,7 @@ func (a *Array) ReadChecked(bytes int64, done func(start, end sim.Time, err erro
 			return
 		}
 		if penalty > 0 {
-			a.sim.AfterNamed(penalty, "flash-reread", func() { done(start, end+penalty, nil) })
+			a.sim.After(penalty, func() { done(start, end+penalty, nil) })
 			return
 		}
 		done(start, end, err)
@@ -276,8 +268,8 @@ func (a *Array) op(name string, bytes int64, rate float64, firstLat float64, don
 	})
 }
 
-// ReadTime returns the unloaded duration of reading `bytes`; planners use
-// it for Equation 1 estimates.
+// ReadTime returns the unloaded duration of reading `bytes`: the model
+// the flash and storage tests hold simulated reads to.
 func (a *Array) ReadTime(bytes int64) float64 {
 	per := float64(bytes) / float64(a.geom.Channels)
 	return a.geom.ReadLatency/float64(a.geom.DiesPerChan) + per/a.geom.channelReadRate()

@@ -152,9 +152,9 @@ func TestReadTimeMatchesMeasured(t *testing.T) {
 
 func TestProgramSlowerThanRead(t *testing.T) {
 	g := DefaultGeometry()
-	if g.EffectiveProgBW() >= g.EffectiveReadBW() {
+	if prog := g.channelProgRate() * float64(g.Channels); prog >= g.EffectiveReadBW() {
 		t.Errorf("program bandwidth %.2f must be below read %.2f (tProg >> tR)",
-			g.EffectiveProgBW()/1e9, g.EffectiveReadBW()/1e9)
+			prog/1e9, g.EffectiveReadBW()/1e9)
 	}
 }
 
@@ -174,24 +174,13 @@ func TestFTLMapsAndRemaps(t *testing.T) {
 	if p1 == p2 {
 		t.Error("overwrite must map to a fresh physical page")
 	}
-	got, ok := f.Lookup(7)
+	got, ok := f.l2p[7]
 	if !ok || got != p2 {
 		t.Errorf("lookup = %d,%v; want %d", got, ok, p2)
 	}
-	if f.MappedPages() != 1 {
-		t.Errorf("mapped pages %d, want 1", f.MappedPages())
+	if len(f.l2p) != 1 {
+		t.Errorf("mapped pages %d, want 1", len(f.l2p))
 	}
-}
-
-func TestFTLTrim(t *testing.T) {
-	s := sim.New()
-	f := NewFTL(s, NewArray(s, smallGeometry()))
-	f.WritePage(1)
-	f.Trim(1)
-	if _, ok := f.Lookup(1); ok {
-		t.Error("trimmed page still mapped")
-	}
-	f.Trim(99) // trimming unmapped pages is a no-op
 }
 
 func TestFTLGarbageCollection(t *testing.T) {
@@ -213,7 +202,7 @@ func TestFTLGarbageCollection(t *testing.T) {
 	t.Logf("gc runs=%d moved=%d free=%d", gcRuns, moved, free)
 	// All 8 logical pages must still resolve.
 	for lp := int64(0); lp < 8; lp++ {
-		if _, ok := f.Lookup(lp); !ok {
+		if _, ok := f.l2p[lp]; !ok {
 			t.Errorf("logical page %d lost across GC", lp)
 		}
 	}
@@ -229,18 +218,13 @@ func TestFTLMappingUnique(t *testing.T) {
 		live := map[int64]bool{}
 		for i := 0; i < 300; i++ {
 			lp := int64(rng.Intn(16))
-			if rng.Intn(5) == 0 {
-				ftl.Trim(lp)
-				delete(live, lp)
-			} else {
-				ftl.WritePage(lp)
-				live[lp] = true
-			}
+			ftl.WritePage(lp)
+			live[lp] = true
 		}
 		s.Run()
 		seen := map[int64]int64{}
 		for lp := range live {
-			pp, ok := ftl.Lookup(lp)
+			pp, ok := ftl.l2p[lp]
 			if !ok {
 				return false
 			}
@@ -347,19 +331,6 @@ func (f *eagerFTL) Lookup(lp int64) (int64, bool) {
 	return pp, ok
 }
 
-// Trim drops the mapping for logical page lp.
-func (f *eagerFTL) Trim(lp int64) {
-	pp, ok := f.l2p[lp]
-	if !ok {
-		return
-	}
-	blk := pp / int64(f.pagesPerBlk)
-	slot := pp % int64(f.pagesPerBlk)
-	f.owner[blk][slot] = -1
-	f.validCount[blk]--
-	delete(f.l2p, lp)
-}
-
 // collect performs one greedy GC pass: relocate the min-valid block's live
 // pages and erase it. Channel time for the copy-back and erase is billed
 // on the array, so a GC burst visibly slows concurrent reads.
@@ -413,33 +384,30 @@ func (f *eagerFTL) Stats() (gcRuns, pagesMoved uint64, freeBlocks int) {
 	return f.gcRuns, f.gcMoved, len(f.freeBlocks)
 }
 
-// MappedPages returns the number of live logical pages.
-func (f *eagerFTL) MappedPages() int { return len(f.l2p) }
-
 // String summarizes the FTL state.
 func (f *eagerFTL) String() string {
 	return fmt.Sprintf("ftl{mapped=%d free=%d gc=%d}", len(f.l2p), len(f.freeBlocks), f.gcRuns)
 }
 
 // ftlOutcome captures everything an FTL exposes, so the lazy FTL and the
-// eager reference can be compared after each step.
+// eager reference can be compared after each step; the summary string
+// carries the mapped-page count.
 type ftlOutcome struct {
 	gcRuns, moved uint64
-	free, mapped  int
+	free          int
 	str           string
 }
 
 func outcomeOf(f interface {
 	Stats() (uint64, uint64, int)
-	MappedPages() int
 	String() string
 }) ftlOutcome {
 	gc, moved, free := f.Stats()
-	return ftlOutcome{gc, moved, free, f.MappedPages(), f.String()}
+	return ftlOutcome{gc, moved, free, f.String()}
 }
 
 // TestLazyFTLMatchesEager is the lazy FTL's equivalence property: on
-// small geometries, seeded write/trim sequences long enough to use up
+// small geometries, seeded overwrite sequences long enough to use up
 // the fresh blocks and cycle erased ones through GC many times must give
 // the same physical page from every write, the same mapping for every
 // logical page, and the same counters and channel time as the eager
@@ -463,10 +431,7 @@ func TestLazyFTLMatchesEager(t *testing.T) {
 			ops := 40 * int(shape.blocks) * shape.pages
 			for i := 0; i < ops; i++ {
 				lp := int64(rng.Intn(logical))
-				if rng.Intn(6) == 0 {
-					lazy.Trim(lp)
-					eager.Trim(lp)
-				} else if lpp, epp := lazy.WritePage(lp), eager.WritePage(lp); lpp != epp {
+				if lpp, epp := lazy.WritePage(lp), eager.WritePage(lp); lpp != epp {
 					t.Fatalf("%s op %d: WritePage(%d) = %d, eager reference %d", name, i, lp, lpp, epp)
 				}
 				if lo, eo := outcomeOf(lazy), outcomeOf(eager); lo != eo {
@@ -474,7 +439,7 @@ func TestLazyFTLMatchesEager(t *testing.T) {
 				}
 			}
 			for lp := int64(0); lp < int64(logical); lp++ {
-				lpp, lok := lazy.Lookup(lp)
+				lpp, lok := lazy.l2p[lp]
 				epp, eok := eager.Lookup(lp)
 				if lpp != epp || lok != eok {
 					t.Fatalf("%s: Lookup(%d) = %d,%t, eager reference %d,%t", name, lp, lpp, lok, epp, eok)

@@ -112,25 +112,6 @@ func (f *FTL) WritePage(lp int64) int64 {
 	return pp
 }
 
-// Lookup returns the physical page for logical page lp.
-func (f *FTL) Lookup(lp int64) (int64, bool) {
-	pp, ok := f.l2p[lp]
-	return pp, ok
-}
-
-// Trim drops the mapping for logical page lp.
-func (f *FTL) Trim(lp int64) {
-	pp, ok := f.l2p[lp]
-	if !ok {
-		return
-	}
-	blk := pp / int64(f.pagesPerBlk)
-	slot := pp % int64(f.pagesPerBlk)
-	f.owner[blk][slot] = -1
-	f.validCount[blk]--
-	delete(f.l2p, lp)
-}
-
 // collect performs one greedy GC pass: relocate the min-valid block's live
 // pages and erase it. Channel time for the copy-back and erase is billed
 // on the array, so a GC burst visibly slows concurrent reads.
@@ -183,9 +164,6 @@ func (f *FTL) collect() {
 func (f *FTL) Stats() (gcRuns, pagesMoved uint64, freeBlocks int) {
 	return f.gcRuns, f.gcMoved, f.freeCount()
 }
-
-// MappedPages returns the number of live logical pages.
-func (f *FTL) MappedPages() int { return len(f.l2p) }
 
 // String summarizes the FTL state.
 func (f *FTL) String() string {

@@ -53,11 +53,9 @@ func TestReadWriteCallRoundTrips(t *testing.T) {
 
 func TestPreemptReachesDevice(t *testing.T) {
 	s, h, d := rig()
-	hit := false
-	d.OnPreempt(func() { hit = true })
 	h.Preempt(d, nil)
 	s.Run()
-	if !hit {
+	if !d.PreemptRequested() {
 		t.Error("preempt lost")
 	}
 }

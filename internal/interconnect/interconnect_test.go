@@ -21,8 +21,11 @@ func TestTopologyConstants(t *testing.T) {
 	if topo.D2H == nil || topo.HostMem == nil || topo.DevMem == nil {
 		t.Fatal("incomplete topology")
 	}
-	if topo.D2H.Bandwidth() != cfg.D2HBandwidth {
-		t.Error("link bandwidth not wired")
+	var end sim.Time
+	topo.D2H.Transfer(1e9, func(_, e sim.Time) { end = e })
+	s.Run()
+	if want := 1e9/cfg.D2HBandwidth + cfg.D2HLatency; end != want {
+		t.Errorf("1 GB crossed the D2H link in %v s, want %v: link bandwidth not wired", end, want)
 	}
 }
 

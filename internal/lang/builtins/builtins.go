@@ -18,7 +18,6 @@ package builtins
 
 import (
 	"fmt"
-	"sort"
 
 	"activego/internal/lang/value"
 )
@@ -108,16 +107,6 @@ func EffectOf(name string) (Effect, bool) {
 func Lookup(name string) (*Builtin, bool) {
 	b, ok := registry[name]
 	return b, ok
-}
-
-// Names returns all builtin names, sorted.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Call validates arity and invokes the builtin.

@@ -29,8 +29,8 @@ func asFloat(t *testing.T, v value.Value) float64 {
 }
 
 func TestRegistryBasics(t *testing.T) {
-	if len(Names()) < 40 {
-		t.Errorf("only %d builtins registered", len(Names()))
+	if len(registry) < 40 {
+		t.Errorf("only %d builtins registered", len(registry))
 	}
 	if _, _, err := Call(NewMapContext(), "nosuch", nil); err == nil {
 		t.Error("unknown builtin must error")

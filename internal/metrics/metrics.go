@@ -48,9 +48,6 @@ func New() *Registry {
 	}
 }
 
-// Enabled reports whether the registry records (i.e. is non-nil).
-func (r *Registry) Enabled() bool { return r != nil }
-
 // Counter returns the named counter, creating it on first use. On a nil
 // registry it returns nil, which is itself a valid no-op counter.
 func (r *Registry) Counter(name string) *Counter {

@@ -15,9 +15,6 @@ import (
 // contract's API half.
 func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
-	if r.Enabled() {
-		t.Error("nil registry claims enabled")
-	}
 	r.Counter("c").Add(1)
 	r.Gauge("g").Set(2)
 	r.Histogram("h").Observe(3)

@@ -124,13 +124,6 @@ type RetryPolicy struct {
 	Backoff float64
 }
 
-// DefaultRetryPolicy is a supervision policy suited to the simulated
-// platform's command service times (line-granularity CSD calls run for
-// milliseconds at experiment scale).
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{Timeout: 50e-3, MaxAttempts: 4, Backoff: 1e-3}
-}
-
 func (rp RetryPolicy) maxAttempts() int {
 	if rp.MaxAttempts < 1 {
 		return 1
@@ -228,9 +221,6 @@ func (q *QueuePair) SetFaults(plan *fault.Plan) { q.faults = plan }
 // SetRetryPolicy installs host-side command supervision; see RetryPolicy.
 func (q *QueuePair) SetRetryPolicy(rp RetryPolicy) { q.retry = rp }
 
-// RetryPolicy returns the installed supervision policy.
-func (q *QueuePair) RetryPolicy() RetryPolicy { return q.retry }
-
 // InFlight returns commands currently owned by the device.
 func (q *QueuePair) InFlight() int { return q.inFlight }
 
@@ -306,7 +296,7 @@ func (q *QueuePair) issue(p pending) {
 		}
 	}
 	if timeout > 0 {
-		is.timer = q.sim.AfterNamed(timeout, "nvme-timeout", is.expired)
+		is.timer = q.sim.After(timeout, is.expired)
 	}
 	// SQE + doorbell crossing to the device.
 	q.link.Transfer(SQESize, is.sqeLanded)
@@ -482,7 +472,7 @@ func (q *QueuePair) fail(is *issued, status uint16) {
 			p.attempt++
 			q.retries++
 			q.sim.Recorder().Instant("nvme", "fault", "nvme-retry", q.sim.Now())
-			q.sim.AfterNamed(backoff, "nvme-retry", func() { q.enqueue(p) })
+			q.sim.After(backoff, func() { q.enqueue(p) })
 			return
 		}
 		// Retry budget remains, but the next attempt would start past the

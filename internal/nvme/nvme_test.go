@@ -12,6 +12,11 @@ import (
 	"activego/internal/trace"
 )
 
+// supervised is a supervision policy suited to the simulated platform's
+// command service times (line-granularity CSD calls run for
+// milliseconds at experiment scale).
+var supervised = RetryPolicy{Timeout: 50e-3, MaxAttempts: 4, Backoff: 1e-3}
+
 func echoHandler(delay float64, s *sim.Sim) Handler {
 	return func(cmd Command, _ sim.Time, complete func(Completion)) {
 		s.After(delay, func() { complete(Completion{Value: cmd.Opcode}) })
@@ -516,7 +521,7 @@ func (q *refQueuePair) issue(p refPending) {
 		}
 	}
 	if timeout > 0 {
-		is.timer = q.sim.AfterNamed(timeout, "nvme-timeout", func() { q.expire(is) })
+		is.timer = q.sim.After(timeout, func() { q.expire(is) })
 	}
 	// SQE + doorbell crossing to the device.
 	q.link.Transfer(SQESize, func(_, arrive sim.Time) {
@@ -625,7 +630,7 @@ func (q *refQueuePair) fail(is *refIssued, status uint16) {
 			p.attempt++
 			q.retries++
 			q.sim.Recorder().Instant("nvme", "fault", "nvme-retry", q.sim.Now())
-			q.sim.AfterNamed(backoff, "nvme-retry", func() { q.enqueue(p) })
+			q.sim.After(backoff, func() { q.enqueue(p) })
 			return
 		}
 		// Retry budget remains, but the next attempt would start past the
@@ -815,7 +820,7 @@ func TestQueuePairSteadyStateAllocFree(t *testing.T) {
 	}{
 		{"sync handler", false, RetryPolicy{}},
 		{"delayed handler", true, RetryPolicy{}},
-		{"delayed handler with completion timer", true, DefaultRetryPolicy()},
+		{"delayed handler with completion timer", true, supervised},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := sim.New()
@@ -851,7 +856,7 @@ func BenchmarkQueuePairCall(b *testing.B) {
 		complete = c
 		s.After(1e-5, fire)
 	})
-	qp.SetRetryPolicy(DefaultRetryPolicy())
+	qp.SetRetryPolicy(supervised)
 	done := func(Completion) {}
 	b.ReportAllocs()
 	b.ResetTimer()

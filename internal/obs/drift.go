@@ -19,33 +19,12 @@ type PlannedLine struct {
 	Total   float64 // Seconds × fitted execution count — the line's share
 }
 
-// PlannedCosts derives per-invocation planned costs from a plan result:
-// an offloaded line is priced at its device total plus queue dispatch,
-// a host line at its host total, both divided by the fitted execution
-// count. Lines the profile says never run are skipped — there is
-// nothing to observe.
-func PlannedCosts(res *plan.Result, m plan.Machine) map[int]PlannedLine {
-	out := make(map[int]PlannedLine, len(res.Estimates))
-	for i := range res.Estimates {
-		e := &res.Estimates[i]
-		if e.Execs <= 0 {
-			continue
-		}
-		pl := PlannedLine{Line: e.Line, Unit: "host", Seconds: e.HostTotal() / e.Execs}
-		if res.Partition.OnCSD(e.Line) {
-			pl.Unit = "csd"
-			pl.Seconds = (e.DevTotal() + e.QueueOverhead(m)) / e.Execs
-		}
-		pl.Total = pl.Seconds * e.Execs
-		out[e.Line] = pl
-	}
-	return out
-}
-
-// PlannedFromProvenance derives the same per-invocation planned costs
-// from a frozen provenance record — the form serving scenarios carry,
-// where the live plan.Result is long gone. Nil provenance yields an
-// empty map.
+// PlannedFromProvenance derives per-invocation planned costs from a
+// plan's frozen provenance record: an offloaded line is priced at its
+// device total plus queue dispatch, a host line at its host total, both
+// divided by the fitted execution count. Lines the profile says never
+// run are skipped — there is nothing to observe. Nil provenance yields
+// an empty map.
 func PlannedFromProvenance(p *plan.Provenance) map[int]PlannedLine {
 	if p == nil {
 		return nil

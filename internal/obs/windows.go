@@ -55,14 +55,6 @@ func NewWindows(interval float64, keep int) *Windows {
 	return &Windows{interval: interval, keep: keep, series: map[string][]windowCell{}}
 }
 
-// Interval returns the window length in simulated seconds (0 on nil).
-func (w *Windows) Interval() float64 {
-	if w == nil {
-		return 0
-	}
-	return w.interval
-}
-
 // Observe records value v for the named series at simulated time t.
 // No-op on a nil receiver.
 func (w *Windows) Observe(name string, t, v float64) {

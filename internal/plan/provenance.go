@@ -49,18 +49,6 @@ type Provenance struct {
 	Lines   []LineProvenance `json:"lines"`
 }
 
-// ByLine indexes the provenance records.
-func (p *Provenance) ByLine() map[int]*LineProvenance {
-	if p == nil {
-		return nil
-	}
-	idx := make(map[int]*LineProvenance, len(p.Lines))
-	for i := range p.Lines {
-		idx[p.Lines[i].Line] = &p.Lines[i]
-	}
-	return idx
-}
-
 // BuildProvenance captures the plan-time record from a planner result,
 // the constraints it ran under, and the never-win prunings (pass nil if
 // none were computed). The result is self-contained: it copies every

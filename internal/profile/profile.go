@@ -114,13 +114,6 @@ type Prediction struct {
 	Writes       []VarBytes // per-variable write volumes, sorted by name
 }
 
-// ExecsFit exposes the fitted execution-count model — the exact curve
-// Predict's Execs field evaluates. The AV009 static-vs-measured
-// cross-check consumes fitted counts; this accessor (and the test
-// pinning Predict to it) guarantees the check and the planner read the
-// same internal/fit curve rather than two drifting copies.
-func (lp *LineProfile) ExecsFit() fit.Model { return lp.Models[mExecs] }
-
 // Predict evaluates the fitted models at the given scale (1 = raw input).
 func (lp *LineProfile) Predict(scale float64) Prediction {
 	p := Prediction{
@@ -147,16 +140,6 @@ type Report struct {
 	Lines []*LineProfile // ascending by source line
 }
 
-// Line returns the profile for a source line.
-func (r *Report) Line(ln int) (*LineProfile, bool) {
-	for _, lp := range r.Lines {
-		if lp.Line == ln {
-			return lp, true
-		}
-	}
-	return nil, false
-}
-
 // Predictions extrapolates every line to full scale.
 func (r *Report) Predictions() []Prediction {
 	out := make([]Prediction, len(r.Lines))
@@ -166,32 +149,15 @@ func (r *Report) Predictions() []Prediction {
 	return out
 }
 
-// Run performs the sampling phase: four scaled interpreter runs of prog
-// over reg, aggregated per line and curve-fitted per metric.
-func Run(prog *ast.Program, reg *inputs.Registry) (*Report, error) {
-	return RunScales(prog, reg, Scales)
-}
-
-// RunScales is Run with a custom scale-factor set (the sampling ablation
-// bench uses 2- and 6-point variants).
-func RunScales(prog *ast.Program, reg *inputs.Registry, scales []float64) (*Report, error) {
-	return RunScalesInstrumented(prog, reg, scales, nil)
-}
-
-// RunScalesInstrumented is RunScales with self-instrumentation: the
-// wall-clock cost of the sampling runs and of curve fitting land in the
-// registry's phase histograms. A nil registry records nothing and reads
-// no clock.
-func RunScalesInstrumented(prog *ast.Program, reg *inputs.Registry, scales []float64, met *metrics.Registry) (*Report, error) {
-	return RunScalesPool(prog, reg, scales, met, nil)
-}
-
-// RunScalesPool is RunScalesInstrumented with the sampling runs fanned
-// out on pool (nil = serial). Each scale already builds its own
-// interpreter context over the read-only input registry, so the runs are
-// independent; per-scale aggregates are merged back in scale order, which
-// makes the report — and everything fitted from it — bit-identical to the
-// serial path.
+// RunScalesPool performs the sampling phase: one scaled interpreter run
+// of prog over reg per scale factor, aggregated per line and
+// curve-fitted per metric. The wall-clock cost of the sampling runs and
+// of curve fitting lands in met's phase histograms; a nil registry
+// records nothing and reads no clock. The runs fan out on pool (nil =
+// serial). Each scale already builds its own interpreter context over
+// the read-only input registry, so the runs are independent; per-scale
+// aggregates are merged back in scale order, which makes the report —
+// and everything fitted from it — bit-identical to the serial path.
 func RunScalesPool(prog *ast.Program, reg *inputs.Registry, scales []float64, met *metrics.Registry, pool *par.Pool) (*Report, error) {
 	if len(scales) < 2 {
 		return nil, fmt.Errorf("profile: need at least 2 scale factors, got %d", len(scales))

@@ -28,7 +28,7 @@ func TestSamplingRunsAllScales(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(prog, buildRegistry(1<<16))
+	rep, err := RunScalesPool(prog, buildRegistry(1<<16), Scales, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,13 +45,13 @@ func TestSamplingRunsAllScales(t *testing.T) {
 func TestLinearExtrapolationIsAccurate(t *testing.T) {
 	prog, _ := parser.Parse(linearProgram)
 	reg := buildRegistry(1 << 16)
-	rep, err := RunScales(prog, reg, ScaledScales)
+	rep, err := RunScalesPool(prog, reg, ScaledScales, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The load line's storage bytes at full scale must extrapolate to the
 	// object's true size within a few percent.
-	lp, ok := rep.Line(1)
+	lp, ok := lineOf(rep, 1)
 	if !ok {
 		t.Fatal("line 1 missing")
 	}
@@ -61,13 +61,13 @@ func TestLinearExtrapolationIsAccurate(t *testing.T) {
 		t.Errorf("storage prediction %v, want ~%v", pred.StorageBytes, want)
 	}
 	// vmul output = same size as input.
-	lp2, _ := rep.Line(2)
+	lp2, _ := lineOf(rep, 2)
 	p2 := lp2.Predict(1)
 	if p2.OutBytes < want*0.97 || p2.OutBytes > want*1.03 {
 		t.Errorf("out-bytes prediction %v, want ~%v", p2.OutBytes, want)
 	}
 	// The reduce line's output is scale-independent.
-	lp3, _ := rep.Line(3)
+	lp3, _ := lineOf(rep, 3)
 	p3 := lp3.Predict(1)
 	if p3.OutBytes < 7 || p3.OutBytes > 9 {
 		t.Errorf("scalar out prediction %v, want 8", p3.OutBytes)
@@ -76,11 +76,11 @@ func TestLinearExtrapolationIsAccurate(t *testing.T) {
 
 func TestPerVariablePredictions(t *testing.T) {
 	prog, _ := parser.Parse(linearProgram)
-	rep, err := RunScales(prog, buildRegistry(1<<16), ScaledScales)
+	rep, err := RunScalesPool(prog, buildRegistry(1<<16), ScaledScales, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lp, _ := rep.Line(2) // w = vmul(v, 2.0): reads v, writes w
+	lp, _ := lineOf(rep, 2) // w = vmul(v, 2.0): reads v, writes w
 	pred := lp.Predict(1)
 	if len(pred.Reads) != 1 || pred.Reads[0].Name != "v" {
 		t.Fatalf("reads: %+v", pred.Reads)
@@ -101,11 +101,11 @@ for i in range(5):
     acc = acc + vsum(v)
 `
 	prog, _ := parser.Parse(src)
-	rep, err := RunScales(prog, buildRegistry(1<<12), ScaledScales)
+	rep, err := RunScalesPool(prog, buildRegistry(1<<12), ScaledScales, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lp, ok := rep.Line(4)
+	lp, ok := lineOf(rep, 4)
 	if !ok {
 		t.Fatal("loop body line missing")
 	}
@@ -117,14 +117,24 @@ for i in range(5):
 
 func TestNeedsTwoScales(t *testing.T) {
 	prog, _ := parser.Parse(linearProgram)
-	if _, err := RunScales(prog, buildRegistry(1<<10), []float64{0.5}); err == nil {
+	if _, err := RunScalesPool(prog, buildRegistry(1<<10), []float64{0.5}, nil, nil); err == nil {
 		t.Error("one scale factor must error")
 	}
 }
 
 func TestSampleRunErrorsPropagate(t *testing.T) {
 	prog, _ := parser.Parse("x = load(\"missing\")\n")
-	if _, err := Run(prog, inputs.NewRegistry()); err == nil {
+	if _, err := RunScalesPool(prog, inputs.NewRegistry(), Scales, nil, nil); err == nil {
 		t.Error("missing input must fail the sampling phase")
 	}
+}
+
+// lineOf returns the profile for a source line.
+func lineOf(r *Report, ln int) (*LineProfile, bool) {
+	for _, lp := range r.Lines {
+		if lp.Line == ln {
+			return lp, true
+		}
+	}
+	return nil, false
 }

@@ -20,13 +20,3 @@ func ExampleTable() {
 	// tpch-6    1.412x
 	// grep      1.173
 }
-
-// ExampleSeries renders values as ASCII bars normalized to the series
-// maximum.
-func ExampleSeries() {
-	fmt.Print(report.Series("utilization", []string{"cse", "link"}, []float64{1.0, 0.5}, 10))
-	// Output:
-	// utilization
-	// cse   ########## 1.00
-	// link  #####      0.50
-}

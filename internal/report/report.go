@@ -1,11 +1,8 @@
 // Package report renders experiment results as fixed-width text tables
-// and simple ASCII bar series — the form every figure/table regeneration
-// harness prints its rows in.
+// — the form every figure/table regeneration harness prints its rows in.
 package report
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -106,96 +103,9 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
-// WriteJSON serializes the table as one JSON object: title, headers, and
-// rows of cells exactly as they would render as text. The encoding is
-// deterministic (struct field order, no map iteration) so committed
-// outputs diff cleanly.
-func (t *Table) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(tableJSON{Title: t.Title, Headers: t.Headers, Rows: t.Rows})
-}
-
-// ReadJSON parses a table previously written with WriteJSON.
-func ReadJSON(r io.Reader) (*Table, error) {
-	var tj tableJSON
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&tj); err != nil {
-		return nil, fmt.Errorf("report: parse table JSON: %w", err)
-	}
-	return &Table{Title: tj.Title, Headers: tj.Headers, Rows: tj.Rows}, nil
-}
-
-// tableJSON is the wire form of a Table. Rows is never omitted so an
-// empty table round-trips to an empty table, not nil-vs-[] mismatches.
-type tableJSON struct {
-	Title   string     `json:"title"`
-	Headers []string   `json:"headers"`
-	Rows    [][]string `json:"rows"`
-}
-
-// WriteCSV serializes the table as RFC 4180 CSV: a header record
-// followed by one record per row. The title is not emitted (CSV has no
-// comment syntax consumers agree on); pair the file name with it.
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Headers); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 func pad(s string, w int) string {
 	if len(s) >= w {
 		return s
 	}
 	return s + strings.Repeat(" ", w-len(s))
-}
-
-// Bar renders a value as an ASCII bar scaled so that `full` maps to
-// `width` characters, annotated with the value.
-func Bar(value, full float64, width int) string {
-	if full <= 0 {
-		full = 1
-	}
-	n := int(value / full * float64(width))
-	if n < 0 {
-		n = 0
-	}
-	if n > width {
-		n = width
-	}
-	return fmt.Sprintf("%-*s %.2f", width, strings.Repeat("#", n), value)
-}
-
-// Series renders (x, y) pairs as "x: bar" lines, one per pair, with bars
-// normalized to the series maximum.
-func Series(title string, xs []string, ys []float64, width int) string {
-	max := 0.0
-	for _, y := range ys {
-		if y > max {
-			max = y
-		}
-	}
-	var sb strings.Builder
-	if title != "" {
-		sb.WriteString(title)
-		sb.WriteByte('\n')
-	}
-	wx := 0
-	for _, x := range xs {
-		if len(x) > wx {
-			wx = len(x)
-		}
-	}
-	for i := range xs {
-		fmt.Fprintf(&sb, "%s  %s\n", pad(xs[i], wx), Bar(ys[i], max, width))
-	}
-	return sb.String()
 }

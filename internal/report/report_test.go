@@ -1,9 +1,6 @@
 package report
 
 import (
-	"bytes"
-	"encoding/csv"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -52,87 +49,5 @@ func TestAddRowPadsAndTruncates(t *testing.T) {
 	out := tbl.String()
 	if strings.Contains(out, "ignored") {
 		t.Error("extra cells must be dropped")
-	}
-}
-
-func TestBar(t *testing.T) {
-	b := Bar(5, 10, 10)
-	if !strings.HasPrefix(b, "#####") || strings.HasPrefix(b, "######") {
-		t.Errorf("bar %q", b)
-	}
-	if Bar(-1, 10, 10)[0] == '#' {
-		t.Error("negative value must render empty")
-	}
-	over := Bar(100, 10, 10)
-	if strings.Count(over, "#") != 10 {
-		t.Errorf("overflow bar %q", over)
-	}
-}
-
-func TestSeries(t *testing.T) {
-	s := Series("spd", []string{"a", "bb"}, []float64{1, 2}, 20)
-	if !strings.Contains(s, "spd") || !strings.Contains(s, "bb") {
-		t.Errorf("series:\n%s", s)
-	}
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Errorf("series lines %d", len(lines))
-	}
-}
-
-func TestTableJSONRoundTrip(t *testing.T) {
-	tbl := NewTable("Fig. 4", "workload", "speedup")
-	tbl.AddRowf("tpch-6", 1.402)
-	tbl.AddRow("grep") // short row pads to the header count
-	var buf bytes.Buffer
-	if err := tbl.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, tbl) {
-		t.Errorf("round trip mismatch:\n%+v\nvs\n%+v", got, tbl)
-	}
-	// The text render is untouched by the serializers.
-	if got.String() != tbl.String() {
-		t.Errorf("text render changed:\n%s\nvs\n%s", got.String(), tbl.String())
-	}
-}
-
-func TestTableJSONDeterministic(t *testing.T) {
-	tbl := NewTable("t", "a", "b")
-	tbl.AddRow("1", "2")
-	var one, two bytes.Buffer
-	if err := tbl.WriteJSON(&one); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.WriteJSON(&two); err != nil {
-		t.Fatal(err)
-	}
-	if one.String() != two.String() {
-		t.Error("JSON encoding not deterministic")
-	}
-	if !strings.Contains(one.String(), `"headers"`) {
-		t.Errorf("unexpected shape:\n%s", one.String())
-	}
-}
-
-func TestTableCSV(t *testing.T) {
-	tbl := NewTable("title ignored", "workload", "note")
-	tbl.AddRow("tpch-6", `says "hi", twice`)
-	var buf bytes.Buffer
-	if err := tbl.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	cr := csv.NewReader(&buf)
-	recs, err := cr.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]string{{"workload", "note"}, {"tpch-6", `says "hi", twice`}}
-	if !reflect.DeepEqual(recs, want) {
-		t.Errorf("csv records %+v, want %+v", recs, want)
 	}
 }

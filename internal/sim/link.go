@@ -22,9 +22,8 @@ type Link struct {
 	ctrInflight   string // counter series name, precomputed
 	bytesInflight float64
 
-	totalBytes     float64
-	totalTransfers uint64
-	busyIntegral   float64
+	totalBytes   float64
+	busyIntegral float64
 
 	free []*transfer // recycled transfer records; see transfer
 }
@@ -69,12 +68,6 @@ func NewLink(s *Sim, name string, bandwidth, latency float64) *Link {
 		ctrInflight: name + ".bytes_inflight"}
 }
 
-// Name returns the link's diagnostic name.
-func (l *Link) Name() string { return l.name }
-
-// Bandwidth returns the link bandwidth in bytes per second.
-func (l *Link) Bandwidth() float64 { return l.bandwidth }
-
 // Transfer schedules `bytes` to move across the link; done fires when the
 // last byte (plus propagation latency) lands. Zero-byte transfers still
 // pay latency: a doorbell write or a completion entry is a real message.
@@ -91,7 +84,6 @@ func (l *Link) Transfer(bytes float64, done func(start, end Time)) {
 	end := start + xmit + l.latency
 	l.wireFree = start + xmit
 	l.totalBytes += bytes
-	l.totalTransfers++
 	l.busyIntegral += xmit
 	tracked := l.sim.rec != nil
 	if tracked {
@@ -110,17 +102,8 @@ func (l *Link) Transfer(bytes float64, done func(start, end Time)) {
 	l.sim.At(end, x.fire)
 }
 
-// TransferTime returns the unloaded duration of moving `bytes`, without
-// queueing. Planners use this for Equation 1 estimates.
-func (l *Link) TransferTime(bytes float64) float64 {
-	return bytes/l.bandwidth + l.latency
-}
-
 // TotalBytes returns the cumulative bytes moved over the link.
 func (l *Link) TotalBytes() float64 { return l.totalBytes }
-
-// TotalTransfers returns the number of Transfer calls.
-func (l *Link) TotalTransfers() uint64 { return l.totalTransfers }
 
 // Utilization returns the fraction of time the wire has been busy from
 // simulation start to now.

@@ -121,9 +121,6 @@ func NewResource(s *Sim, name string, cores int, ratePerCore float64) *Resource 
 	}
 }
 
-// Name returns the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
-
 // Cores returns the number of servers.
 func (r *Resource) Cores() int { return r.cores }
 

@@ -37,23 +37,13 @@ type Time = float64
 type Event struct {
 	at       Time
 	seq      uint64
-	name     string
 	fn       func()
 	canceled bool
 }
 
-// At reports the simulated time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
-// Name returns the event's diagnostic label ("" for unnamed events).
-func (e *Event) Name() string { return e.name }
-
 // Cancel prevents the event from firing. Canceling an already-fired or
 // already-canceled event is a no-op.
 func (e *Event) Cancel() { e.canceled = true }
-
-// Canceled reports whether Cancel has been called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
 
 // eventHeap is a binary min-heap over (at, seq) with typed push/pop —
 // container/heap would route every operation through interface{} values
@@ -118,11 +108,8 @@ type Sim struct {
 	// events but holds only a calendar's worth live, so reuse drops the
 	// kernel's steady-state allocation rate to zero (see the Event
 	// lifetime contract).
-	free []*Event
-	// Tracer, if non-nil, receives a line for every fired event when
-	// tracing is enabled via SetTracer.
-	tracer func(t Time, msg string)
-	fired  uint64
+	free  []*Event
+	fired uint64
 	// rec, if non-nil, receives structured spans/counters from every
 	// model built on this simulator; see SetRecorder.
 	rec *trace.Recorder
@@ -141,10 +128,6 @@ func (s *Sim) Now() Time { return s.now }
 // group of shards that started together from one entry.
 func (s *Sim) EventsFired() uint64 { return s.fired }
 
-// SetTracer installs fn to receive a trace line per fired event. Pass nil
-// to disable tracing.
-func (s *Sim) SetTracer(fn func(t Time, msg string)) { s.tracer = fn }
-
 // SetRecorder attaches a structured trace recorder. Every model holding
 // this simulator (resources, links, the NVMe/flash/CSD/exec stack)
 // records its spans and counters into it. Pass nil to disable — the
@@ -156,20 +139,13 @@ func (s *Sim) SetRecorder(r *trace.Recorder) { s.rec = r }
 // Recorder returns the attached recorder (nil when disabled). A nil
 // *trace.Recorder is valid and inert, so callers may record through the
 // return value unconditionally; they should still guard allocations
-// behind Enabled.
+// behind a nil check.
 func (s *Sim) Recorder() *trace.Recorder { return s.rec }
 
 // At schedules fn to run at absolute simulated time t. Scheduling in the
 // past panics: it indicates a model bug, and silently reordering time
 // would destroy determinism guarantees.
 func (s *Sim) At(t Time, fn func()) *Event {
-	return s.AtNamed(t, "", fn)
-}
-
-// AtNamed is At with a diagnostic label the tracer reports when the event
-// fires; fault-injection machinery labels its timers so deadlocks caused
-// by stranded commands are attributable from a trace.
-func (s *Sim) AtNamed(t Time, name string, fn func()) *Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %.12g before now %.12g", t, s.now))
 	}
@@ -181,9 +157,9 @@ func (s *Sim) AtNamed(t Time, name string, fn func()) *Event {
 		e = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		*e = Event{at: t, seq: s.seq, name: name, fn: fn}
+		*e = Event{at: t, seq: s.seq, fn: fn}
 	} else {
-		e = &Event{at: t, seq: s.seq, name: name, fn: fn}
+		e = &Event{at: t, seq: s.seq, fn: fn}
 	}
 	s.seq++
 	s.events.push(e)
@@ -203,11 +179,6 @@ func (s *Sim) After(d float64, fn func()) *Event {
 	return s.At(s.now+d, fn)
 }
 
-// AfterNamed is After with a diagnostic label; see AtNamed.
-func (s *Sim) AfterNamed(d float64, name string, fn func()) *Event {
-	return s.AtNamed(s.now+d, name, fn)
-}
-
 // Pending returns the number of scheduled (possibly canceled) events.
 func (s *Sim) Pending() int { return len(s.events) }
 
@@ -222,13 +193,6 @@ func (s *Sim) Step() bool {
 		}
 		s.now = e.at
 		s.fired++
-		if s.tracer != nil {
-			msg := e.name
-			if msg == "" {
-				msg = "event"
-			}
-			s.tracer(s.now, msg)
-		}
 		e.fn()
 		s.recycle(e)
 		return true
@@ -239,29 +203,5 @@ func (s *Sim) Step() bool {
 // Run fires events until the calendar is empty.
 func (s *Sim) Run() {
 	for s.Step() {
-	}
-}
-
-// RunUntil fires events with time <= t, then advances the clock to exactly
-// t. Events scheduled after t remain pending.
-func (s *Sim) RunUntil(t Time) {
-	for {
-		// Peek at the earliest live event.
-		idx := -1
-		for len(s.events) > 0 {
-			if s.events[0].canceled {
-				s.recycle(s.events.pop())
-				continue
-			}
-			idx = 0
-			break
-		}
-		if idx == -1 || s.events[0].at > t {
-			break
-		}
-		s.Step()
-	}
-	if t > s.now {
-		s.now = t
 	}
 }

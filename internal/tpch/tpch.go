@@ -34,9 +34,6 @@ const (
 // (8 columns × 8 bytes).
 const LineitemRowBytes = 64
 
-// PartRowBytes is the footprint of one part row (3 columns × 8 bytes).
-const PartRowBytes = 24
-
 // GenLineitem synthesizes a lineitem table with `rows` rows over `parts`
 // distinct part keys, deterministically from seed.
 func GenLineitem(rows int, parts int, seed int64) *value.Table {

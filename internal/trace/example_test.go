@@ -17,7 +17,6 @@ func Example() {
 	rec.Sample(metrics.SeriesCSEBusyCores, 0.000, 1)
 	rec.Sample(metrics.SeriesCSEBusyCores, 0.002, 0)
 
-	fmt.Printf("components: %v\n", rec.Components())
 	min, max, _ := rec.Window()
 	fmt.Printf("window: %.0f..%.0f us\n", min*1e6, max*1e6)
 	for _, st := range rec.ComponentStats() {
@@ -29,7 +28,6 @@ func Example() {
 		fmt.Println("chrome export: ok")
 	}
 	// Output:
-	// components: [cse nvme]
 	// window: 0..2000 us
 	// cse: 100% busy
 	// nvme: 50% busy

@@ -98,7 +98,8 @@ func (r *Recorder) ComponentStats() []ComponentStat {
 // OccupancyWindow is one fixed-width slice of the recording with each
 // component's busy fraction inside it — the time-series twin of
 // ComponentStats, binned the same way the obs.win series are
-// (DESIGN.md §15). Utilization is indexed like Components.
+// (DESIGN.md §15). Utilization is indexed by component, in first-seen
+// order.
 type OccupancyWindow struct {
 	Start, End  float64
 	Utilization []float64
@@ -107,7 +108,7 @@ type OccupancyWindow struct {
 // OccupancyWindows bins the recording window into bins equal slices of
 // simulated time and reports, per slice, each component's busy fraction
 // (span overlap with the slice, overlap-merged, divided by the slice
-// width). Components follow first-seen order, matching Components().
+// width). Components follow first-seen order.
 // It integrates busy intervals across slice boundaries, which
 // obs.Windows cannot: obs bins point observations by their timestamp,
 // so a span straddling two slices would land whole in one of them.

@@ -90,10 +90,6 @@ func New() *Recorder {
 	}
 }
 
-// Enabled reports whether the recorder records (i.e. is non-nil). Hot
-// paths that would allocate to build a record should guard on it.
-func (r *Recorder) Enabled() bool { return r != nil }
-
 func (r *Recorder) component(name string) {
 	if !r.compSeen[name] {
 		r.compSeen[name] = true
@@ -172,14 +168,6 @@ func (r *Recorder) Counters() []*Series {
 		return nil
 	}
 	return r.series
-}
-
-// Components returns every component lane in first-seen order.
-func (r *Recorder) Components() []string {
-	if r == nil {
-		return nil
-	}
-	return r.compOrder
 }
 
 // Window returns the [min, max] simulated-time extent of everything

@@ -28,10 +28,7 @@ func TestNilRecorderIsInert(t *testing.T) {
 	r.Span("a", "b", "c", 0, 1)
 	r.Instant("a", "b", "c", 0)
 	r.Sample("x", 0, 1)
-	if r.Enabled() {
-		t.Error("nil recorder must report disabled")
-	}
-	if r.Spans() != nil || r.Instants() != nil || r.Counters() != nil || r.Components() != nil {
+	if r.Spans() != nil || r.Instants() != nil || r.Counters() != nil {
 		t.Error("nil recorder accessors must return nil")
 	}
 	if _, _, ok := r.Window(); ok {
@@ -170,7 +167,7 @@ func TestOccupancyWindows(t *testing.T) {
 	if len(wins) != 3 {
 		t.Fatalf("%d windows, want 3", len(wins))
 	}
-	comps := r.Components()
+	comps := r.compOrder
 	idx := make(map[string]int, len(comps))
 	for i, c := range comps {
 		idx[c] = i
