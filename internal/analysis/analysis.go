@@ -321,17 +321,12 @@ func (b *builder) newNode(s ast.Stmt, parents []int) *node {
 	sort.Strings(f.Uses)
 	f.Effect = lineEffect(f.Calls)
 
+	// The parser ends every statement at a NEWLINE, so no two share a
+	// source line.
 	n := &node{fact: f}
 	b.nodes = append(b.nodes, n)
-	if prev, dup := b.report.byLine[f.Line]; dup {
-		// Two statements on one source line cannot happen with the
-		// current parser; merge conservatively if it ever does.
-		mergeFacts(prev, f)
-		n.fact = prev
-	} else {
-		b.report.byLine[f.Line] = f
-		b.report.Lines = append(b.report.Lines, f)
-	}
+	b.report.byLine[f.Line] = f
+	b.report.Lines = append(b.report.Lines, f)
 	return n
 }
 
@@ -349,34 +344,6 @@ func lineEffect(calls []CallSite) builtins.Effect {
 		}
 	}
 	return eff
-}
-
-func mergeFacts(dst, src *LineFact) {
-	dst.Defs = mergeSorted(dst.Defs, src.Defs)
-	dst.Uses = mergeSorted(dst.Uses, src.Uses)
-	dst.Calls = append(dst.Calls, src.Calls...)
-	if src.Effect > dst.Effect {
-		dst.Effect = src.Effect
-	}
-	if src.LoopDepth > dst.LoopDepth {
-		dst.LoopDepth = src.LoopDepth
-	}
-}
-
-func mergeSorted(a, b []string) []string {
-	set := map[string]bool{}
-	for _, s := range a {
-		set[s] = true
-	}
-	for _, s := range b {
-		set[s] = true
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // solveReachingDefs runs the classic iterative dataflow:

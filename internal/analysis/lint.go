@@ -10,6 +10,7 @@ import (
 
 	"activego/internal/lang/builtins"
 	"activego/internal/lang/parser"
+	"activego/internal/plan"
 )
 
 // Severity ranks a diagnostic.
@@ -165,12 +166,12 @@ func (r *Report) Lint() []Diagnostic {
 	// the branch-and-bound planner's node budget. The planner searches
 	// each variable-sharing component independently (DESIGN.md §16), so
 	// many small components plan exactly no matter how many lines the
-	// program has; only a single component wider than the budget's
-	// guarantee can force the greedy Algorithm 1 fallback.
-	if worst, biggest := r.bnbWorstCase(); worst > bnbNodeBudget {
+	// program has; only a component wider than the budget's guarantee
+	// can force the greedy Algorithm 1 fallback.
+	if worst, biggest := r.searchSize(); worst > plan.DefaultBnBNodeBudget {
 		diags = append(diags, Diagnostic{
 			Line: 0, Code: CodeOptimalFallback, Severity: SevWarning,
-			Msg: fmt.Sprintf("%d offloadable lines share one dependence component: the exact planner's worst-case search (%d nodes) exceeds its %d-node budget, so planning may fall back to the greedy Algorithm 1 (the plan.optimal.fallback counter records a genuine fallback at run time)", biggest, worst, bnbNodeBudget),
+			Msg: fmt.Sprintf("%d offloadable lines share one dependence component: the exact planner's worst-case search (%d nodes) exceeds its %d-node budget, so planning may fall back to the greedy Algorithm 1 (the plan.optimal.fallback counter records a genuine fallback at run time)", biggest, worst, plan.DefaultBnBNodeBudget),
 		})
 	}
 
@@ -178,16 +179,30 @@ func (r *Report) Lint() []Diagnostic {
 	return diags
 }
 
-// bnbNodeBudget mirrors plan.DefaultBnBNodeBudget and bnbExactLines
-// mirrors plan.BnBExactLines (the largest single component guaranteed
-// exact under that budget: 2^(bnbExactLines+1)−2 ≤ bnbNodeBudget). The
-// linter must not import the planner (the layering is one-way: core
-// adapts analysis facts into plan.Constraints), so the constants are
-// duplicated here and a test pins each pair equal.
-const (
-	bnbNodeBudget = 1 << 22
-	bnbExactLines = 21
-)
+// searchSize is plan.SearchSize over the static def/use sets: one
+// pseudo-estimate per line that reads its uses and writes its defs, with
+// every line the planner may not offload — pinned by legality, or
+// neither an assignment nor an expression — passed as host-only. The
+// def/use sets over-approximate the variable flows the planner sees, so
+// these components are never finer than the planner's.
+func (r *Report) searchSize() (worst, biggest int) {
+	estimates := make([]plan.LineEstimate, len(r.Lines))
+	cons := plan.Constraints{HostOnly: r.HostPinned()}
+	for i, f := range r.Lines {
+		e := plan.LineEstimate{Line: f.Line}
+		for _, v := range f.Uses {
+			e.Reads = append(e.Reads, plan.VarFlow{Name: v})
+		}
+		for _, v := range f.Defs {
+			e.Writes = append(e.Writes, plan.VarFlow{Name: v})
+		}
+		estimates[i] = e
+		if f.Kind != KindAssign && f.Kind != KindExpr {
+			cons.HostOnly[f.Line] = "not an assignment or expression"
+		}
+	}
+	return plan.SearchSize(estimates, cons)
+}
 
 // loopInvariant reports whether f is an assignment inside a `for` whose
 // inputs are all defined outside the innermost loop — i.e. the line

@@ -13,9 +13,9 @@ import (
 )
 
 // Measured is one line's profiler-fitted execution count at planning
-// scale. Callers adapt profile predictions into this form — analysis
-// deliberately does not import the profiler (the layering is one-way:
-// core adapts between the two, exactly as with plan.Constraints).
+// scale. Callers adapt profile predictions into this form (core adapts
+// between the two, as it adapts HostPinned into plan.Constraints), so
+// the check reads nothing of the profiler but the counts.
 type Measured struct {
 	Line  int
 	Execs float64

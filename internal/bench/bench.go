@@ -52,10 +52,8 @@ type Workload struct {
 	// package labels), empty when the experiment has no planning step.
 	Planner string `json:"planner,omitempty"`
 	// PlanLines is the offloaded line set the planner chose.
-	PlanLines []int `json:"plan_lines,omitempty"`
-	// Migrated reports whether the §III-D monitor moved the task.
-	Migrated bool    `json:"migrated,omitempty"`
-	Values   []Value `json:"values"`
+	PlanLines []int   `json:"plan_lines,omitempty"`
+	Values    []Value `json:"values"`
 }
 
 // Add appends a measured value.
@@ -91,9 +89,6 @@ type Manifest struct {
 	Seed     int64 `json:"seed"`
 	ScaleDiv int64 `json:"scalediv"`
 
-	// CreatedUnix is the wall-clock creation time; informational.
-	CreatedUnix int64 `json:"created_unix,omitempty"`
-
 	Workloads []Workload `json:"workloads"`
 
 	// Metrics is the producing process's registry snapshot (phase
@@ -105,8 +100,8 @@ type Manifest struct {
 
 // NewManifest builds a manifest shell for one experiment, stamping the
 // environment (git revision from build info when available) and run
-// parameters. Callers append Workloads and optionally attach Metrics,
-// Runtime, and CreatedUnix.
+// parameters. Callers append Workloads and optionally attach Metrics
+// and Runtime.
 func NewManifest(experiment string, seed, scaleDiv int64) *Manifest {
 	m := &Manifest{
 		Schema:     Schema,

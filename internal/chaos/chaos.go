@@ -70,10 +70,6 @@ type ScheduleParams struct {
 	// Horizon scales windows and reset instants — roughly the simulated
 	// span faults should land in (a clean run's duration is a good value).
 	Horizon float64
-	// StallScale scales CSE stall durations; pick it relative to the
-	// armed retry timeout so stalls straddle the recoverable/terminal
-	// boundary. Zero means Horizon/8.
-	StallScale float64
 }
 
 func (sp ScheduleParams) maxRate() float64 {
@@ -83,61 +79,44 @@ func (sp ScheduleParams) maxRate() float64 {
 	return sp.MaxRate
 }
 
-func (sp ScheduleParams) stallScale() float64 {
-	if sp.StallScale > 0 {
-		return sp.StallScale
-	}
-	return sp.Horizon / 8
-}
-
-// stream is a splitmix64 sequence local to one schedule — the same
-// generator discipline as fault.Plan, so schedules never perturb each
-// other and (seed, index) fully determines the rule set.
-type stream struct{ state uint64 }
-
-func (s *stream) next() uint64 {
-	s.state += 0x9E3779B97F4A7C15
-	return fault.Mix64(s.state)
-}
-
-func (s *stream) uniform() float64 { return float64(s.next()>>11) / (1 << 53) }
-
 // Schedule derives the index-th randomized fault schedule of a seeded
 // sweep. Pure: the same (seed, index, params) always yields the same
 // rules, and every returned schedule passes fault.Validate.
 func Schedule(seed uint64, index int, params ScheduleParams) []fault.Rule {
-	s := &stream{state: fault.Mix64(seed ^ uint64(index)*0xA24BAED4963EE407)}
+	// One stream per schedule, so schedules never perturb each other
+	// and (seed, index) fully determines the rule set.
+	s := fault.NewStream(fault.Mix64(seed ^ uint64(index)*0xA24BAED4963EE407))
 	var rules []fault.Rule
 	points := []fault.Point{
 		fault.NVMeCommandLoss, fault.NVMeCompletionDrop,
 		fault.FlashTransient, fault.FlashUncorrectable, fault.CSEStall,
 	}
 	for _, pt := range points {
-		if s.uniform() >= 0.65 {
+		if s.Uniform() >= 0.65 {
 			continue
 		}
-		r := fault.Rule{Point: pt, Rate: s.uniform() * params.maxRate()}
+		r := fault.Rule{Point: pt, Rate: s.Uniform() * params.maxRate()}
 		if pt == fault.CSEStall {
-			r.Duration = (0.25 + s.uniform()) * params.stallScale()
+			r.Duration = (0.25 + s.Uniform()) * (params.Horizon / 8)
 		}
-		if s.uniform() < 0.5 {
+		if s.Uniform() < 0.5 {
 			// Windowed: the fault burst covers part of the horizon.
-			start := s.uniform() * params.Horizon
+			start := s.Uniform() * params.Horizon
 			r.Start = start
-			r.End = start + (0.1+s.uniform())*params.Horizon
+			r.End = start + (0.1+s.Uniform())*params.Horizon
 		}
-		if s.uniform() < 0.5 {
-			r.MaxCount = 1 + int(s.uniform()*8)
+		if s.Uniform() < 0.5 {
+			r.MaxCount = 1 + int(s.Uniform()*8)
 		}
 		rules = append(rules, r)
 	}
 	// 0-2 scheduled controller resets with positive dark windows.
-	resets := int(s.uniform() * 3)
+	resets := int(s.Uniform() * 3)
 	for i := 0; i < resets; i++ {
 		rules = append(rules, fault.Rule{
 			Point:    fault.DeviceReset,
-			At:       s.uniform() * params.Horizon,
-			Duration: (0.05 + s.uniform()) * params.Horizon / 4,
+			At:       s.Uniform() * params.Horizon,
+			Duration: (0.05 + s.Uniform()) * params.Horizon / 4,
 		})
 	}
 	return rules

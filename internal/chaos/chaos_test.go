@@ -306,10 +306,10 @@ func TestMovesAlternateAndBillOnce(t *testing.T) {
 			rec := trace.New()
 			p.SetRecorder(rec)
 			// 0-3 seeded availability sags, independent of the rules.
-			s := &stream{state: fault.Mix64(seed ^ 0x5A65)}
-			for k := int(s.uniform() * 4); k > 0; k-- {
-				at := s.uniform() * params.Horizon
-				p.Dev.ScheduleStress(at, 0.05+0.75*s.uniform(), (0.1+s.uniform())*params.Horizon/4)
+			s := fault.NewStream(fault.Mix64(seed ^ 0x5A65))
+			for k := int(s.Uniform() * 4); k > 0; k-- {
+				at := s.Uniform() * params.Horizon
+				p.Dev.ScheduleStress(at, 0.05+0.75*s.Uniform(), (0.1+s.Uniform())*params.Horizon/4)
 			}
 			plan, err := fault.NewPlanChecked(seed, rules...)
 			if err != nil {

@@ -150,8 +150,6 @@ func (d *Device) dispatch(cmd nvme.Command, submitted sim.Time, complete func(nv
 	case nvme.OpPreempt:
 		d.preempt()
 		complete(nvme.Completion{})
-	case nvme.OpAdmin:
-		complete(nvme.Completion{Value: d.Cfg})
 	default:
 		complete(nvme.Completion{Status: nvme.StatusInvalidOpcode, Value: fmt.Sprintf("csd: unknown opcode %v", cmd.Opcode)})
 	}

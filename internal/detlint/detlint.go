@@ -145,7 +145,7 @@ func DefaultConfig() Config {
 			"flash.Array.SetAvailability": "trigger: the flash co-tenant that BenchmarkAblationStorageTenant and the flash availability tests inject",
 			"host.Host.Preempt":           "trigger: TestPreemptReachesDevice posts the §III-D case-1 command from the host side",
 			"nvme.QueuePair.Deadlined":    "observer: TestStaleDeviceRunsGolden and the pooled queue pair's reference test count deadline abandonments",
-			"plan.BnBExactLines":          "oracle: TestBnBExactGuarantee pins it to the node budget, TestBnBConstantsMatchPlanner pins AV008's threshold to it",
+			"plan.BnBExactLines":          "oracle: TestBnBExactGuarantee pins it to the node budget through SearchSize, and TestOptimalFallbackLint pins AV008's firing edge to it",
 			"sim.Resource.InFlight":       "observer: TestGroupedResourceMatchesReference compares busy servers with the reference resource",
 			"sim.Resource.QueueLen":       "observer: TestGroupedResourceMatchesReference compares queue depth with the reference resource",
 			"storage.Store.Lookup":        "observer: the storage, csd and core tests check that writes and preloads create objects",

@@ -304,6 +304,7 @@ var seededCtors = map[string]int{
 	"fault.Mix64":          0,
 	"fault.NewPlan":        0,
 	"fault.NewPlanChecked": 0,
+	"fault.NewStream":      0,
 	"chaos.Schedule":       0,
 	"resilience.Default":   0,
 }

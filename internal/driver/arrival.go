@@ -106,23 +106,10 @@ func (a Arrival) workers() int {
 	return a.Workers
 }
 
-// stream is a splitmix64 sequence: the same construction as the chaos
-// and fault packages, so each tenant owns an independent deterministic
-// stream keyed off the driver seed and never shares state with another.
-type stream struct{ state uint64 }
-
-func (s *stream) next() uint64 {
-	s.state += 0x9E3779B97F4A7C15
-	return fault.Mix64(s.state)
-}
-
-// uniform returns the next draw in [0,1).
-func (s *stream) uniform() float64 { return float64(s.next()>>11) / (1 << 53) }
-
 // times generates the open-loop arrival offsets in [0, horizon) for a,
 // consuming draws from rng. Closed-loop arrivals are event-driven and
 // return nil here.
-func (a Arrival) times(rng *stream, horizon float64) []float64 {
+func (a Arrival) times(rng *fault.Stream, horizon float64) []float64 {
 	switch a.Process {
 	case Uniform:
 		var out []float64
@@ -174,7 +161,7 @@ func (a Arrival) times(rng *stream, horizon float64) []float64 {
 			if phase < duty {
 				rate = high
 			}
-			if rng.uniform()*high < rate {
+			if rng.Uniform()*high < rate {
 				out = append(out, t)
 			}
 		}
@@ -184,7 +171,7 @@ func (a Arrival) times(rng *stream, horizon float64) []float64 {
 }
 
 // expDraw returns one exponential interarrival at rate λ.
-func expDraw(rng *stream, lambda float64) float64 {
-	u := rng.uniform()
+func expDraw(rng *fault.Stream, lambda float64) float64 {
+	u := rng.Uniform()
 	return -math.Log1p(-u) / lambda
 }

@@ -26,7 +26,6 @@ import (
 	"activego/internal/exec"
 	"activego/internal/fault"
 	"activego/internal/metrics"
-	"activego/internal/nvme"
 	"activego/internal/obs"
 	"activego/internal/platform"
 	"activego/internal/resilience"
@@ -65,9 +64,6 @@ type Config struct {
 	// Resilience, when set, arms the DESIGN.md §12 degradation ladder
 	// on every request's executor.
 	Resilience *resilience.Policy
-	// Retry, when non-zero, arms the NVMe completion timers and bounded
-	// re-issue on the platform's queue pair before serving starts.
-	Retry nvme.RetryPolicy
 	// Metrics, when set, receives every tenant's sub-registry merged in
 	// tenant order after the run. Observation only; nil changes nothing.
 	Metrics *metrics.Registry
@@ -187,7 +183,7 @@ type tenantState struct {
 	name  string
 	reg   *metrics.Registry // per-tenant sub-registry, always non-nil
 	win   *obs.Windows      // per-window latency series; nil when ObsWindow is off
-	rng   *stream
+	rng   *fault.Stream
 	seq   int          // next tenant-local request number
 	done  []completion // completed requests in completion order
 
@@ -246,9 +242,6 @@ func Run(p *platform.Platform, cfg Config) (*Result, error) {
 	}
 	e := &engine{p: p, cfg: cfg, start: p.Sim.Now()}
 	e.horizon = e.start + cfg.Duration
-	if len(cfg.Tenants) > 0 && cfg.Retry != (nvme.RetryPolicy{}) {
-		p.Dev.QP.SetRetryPolicy(cfg.Retry)
-	}
 	for i, tc := range cfg.Tenants {
 		ts := &tenantState{
 			index: i,
@@ -256,7 +249,7 @@ func Run(p *platform.Platform, cfg Config) (*Result, error) {
 			name:  tc.Name,
 			reg:   metrics.New(),
 			win:   obs.NewWindows(cfg.ObsWindow, 0),
-			rng:   &stream{state: fault.Mix64(cfg.Seed ^ fault.Mix64(uint64(i)+1))},
+			rng:   fault.NewStream(fault.Mix64(cfg.Seed ^ fault.Mix64(uint64(i)+1))),
 		}
 		if ts.name == "" {
 			ts.name = fmt.Sprintf("tenant%d", i)
@@ -298,7 +291,7 @@ func (e *engine) scheduleTenant(ts *tenantState) {
 	ts.arrivals = a.times(ts.rng, e.cfg.Duration)
 	ts.picks = make([]*Scenario, len(ts.arrivals))
 	for i := range ts.picks {
-		ts.picks[i] = ts.cfg.Mix.Pick(ts.rng.uniform())
+		ts.picks[i] = ts.cfg.Mix.Pick(ts.rng.Uniform())
 	}
 	if len(ts.arrivals) > 0 {
 		ts.fire = func() { e.fireArrival(ts) }
@@ -324,7 +317,7 @@ func (e *engine) fireArrival(ts *tenantState) {
 
 // issue is a closed-loop worker generating its next request.
 func (e *engine) issue(ts *tenantState, closedLoop bool) {
-	sc := ts.cfg.Mix.Pick(ts.rng.uniform())
+	sc := ts.cfg.Mix.Pick(ts.rng.Uniform())
 	e.arrive(ts, sc, closedLoop)
 }
 

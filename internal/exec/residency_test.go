@@ -155,7 +155,7 @@ func TestResidencyBillingAgreesWithExecutor(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ev := plan.EvaluatePlacementDetail(ests, part, m)
+				ev := plan.EvaluatePlacement(ests, part, m)
 				want := ev.CrossBytes
 				for i := range recs {
 					if part.OnCSD(recs[i].Line) {

@@ -177,7 +177,7 @@ type Programs struct {
 }
 
 // allPrograms and tableIPrograms are the catalogue-wide declarations:
-// every workload (fig5, accuracy) and Table I's nine (runtimeopt).
+// every workload (fig5, accuracy) and Table I's nine (table1, runtimeopt).
 var (
 	allPrograms    = Programs{Names: specNames(workloads.All())}
 	tableIPrograms = Programs{Names: specNames(workloads.TableI())}

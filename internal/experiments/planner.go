@@ -124,12 +124,12 @@ func plannerPoint(lines int, m plan.Machine) PlannerPoint {
 		NeverWinCuts: stats.NeverWinCuts,
 		Exact:        !stats.Fallback,
 		THost:        res.THost,
-		TCSD:         plan.EvaluatePlacement(estimates, res.Partition, m),
-		GreedyTCSD:   plan.EvaluatePlacement(estimates, greedy.Partition, m),
+		TCSD:         plan.EvaluatePlacement(estimates, res.Partition, m).Time,
+		GreedyTCSD:   plan.EvaluatePlacement(estimates, greedy.Partition, m).Time,
 	}
 	if lines <= plan.MaxOptimalLines {
 		opt := plan.Optimal(estimates, plan.Constraints{HostOnly: map[int]string{}}, m)
-		pt.OptimalMatch = plan.EvaluatePlacement(estimates, opt.Partition, m) == pt.TCSD
+		pt.OptimalMatch = plan.EvaluatePlacement(estimates, opt.Partition, m).Time == pt.TCSD
 	}
 	return pt
 }

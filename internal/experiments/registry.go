@@ -44,7 +44,7 @@ type Output struct {
 // iterate this list.
 func All() []Experiment {
 	return []Experiment{
-		study("table1", Programs{}, Table1, nil),
+		study("table1", tableIPrograms, Table1, nil),
 		study("fig2", fig2Programs, Fig2, nil),
 		study("fig4", fig4Programs, Fig4, nil),
 		study("fig5", allPrograms, Fig5, nil),

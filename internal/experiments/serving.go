@@ -53,10 +53,9 @@ type ServingTenantSpec struct {
 	Name    string
 	Weights []driver.Weighted
 	Process driver.Process
-	// BurstFactor/DutyCycle/Period apply when Process is Bursty.
+	// BurstFactor/DutyCycle apply when Process is Bursty.
 	BurstFactor float64
 	DutyCycle   float64
-	Period      float64
 }
 
 // ServingTenants are the default tenant population: two Poisson
@@ -150,10 +149,7 @@ func servingTenantConfigs(specs []ServingTenantSpec, mixes []*driver.Mix,
 		case driver.Bursty:
 			arr.BurstFactor = spec.BurstFactor
 			arr.DutyCycle = spec.DutyCycle
-			arr.Period = spec.Period
-			if arr.Period == 0 {
-				arr.Period = horizon / 4
-			}
+			arr.Period = horizon / 4
 		case driver.Closed:
 			arr.Workers = ServingMaxInFlight + 2
 			arr.Think = meanService / 2

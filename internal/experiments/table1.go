@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"activego/internal/lang/parser"
 	"activego/internal/report"
 	"activego/internal/workloads"
 )
@@ -24,26 +23,23 @@ type Table1Rows []Table1Row
 // input data sizes and their single-entry-single-exit code regions, plus
 // the scaled sizes this reproduction actually runs.
 func Table1(params workloads.Params, opts ...Option) (Table1Rows, *report.Table, error) {
+	rows, err := overPrograms(params, buildOptions(opts), tableIPrograms, func(wb *Workbench) (Table1Row, error) {
+		return Table1Row{
+			Name:        wb.Spec.Name,
+			PaperBytes:  wb.Spec.PaperBytes,
+			ScaledBytes: wb.Inst.Registry.TotalBytes(),
+			Regions:     wb.Program.MaxLine(),
+			Description: wb.Spec.Description,
+		}, nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
 	tbl := report.NewTable("Table I: applications, input sizes, SESE code regions",
 		"name", "paper size", "scaled size", "regions", "description")
-	var rows Table1Rows
-	for _, spec := range workloads.TableI() {
-		inst := spec.Build(params)
-		prog, err := parser.Parse(inst.Source)
-		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: table1: %s: %w", spec.Name, err)
-		}
-		regions := prog.MaxLine()
-		row := Table1Row{
-			Name:        spec.Name,
-			PaperBytes:  spec.PaperBytes,
-			ScaledBytes: inst.Registry.TotalBytes(),
-			Regions:     regions,
-			Description: spec.Description,
-		}
-		rows = append(rows, row)
-		tbl.AddRow(spec.Name, fmtGB(spec.PaperBytes), fmtMB(row.ScaledBytes),
-			fmt.Sprintf("%d", regions), spec.Description)
+	for _, row := range rows {
+		tbl.AddRow(row.Name, fmtGB(row.PaperBytes), fmtMB(row.ScaledBytes),
+			fmt.Sprintf("%d", row.Regions), row.Description)
 	}
 	return rows, tbl, nil
 }

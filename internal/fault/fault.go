@@ -227,6 +227,20 @@ func Mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// Stream is a splitmix64 sequence owned by one consumer — a chaos
+// schedule, a serving tenant — so no two consumers share generator
+// state and a stream's seed alone fixes its draws.
+type Stream struct{ state uint64 }
+
+// NewStream starts a stream at seed.
+func NewStream(seed uint64) *Stream { return &Stream{state: seed} }
+
+// Uniform returns the stream's next draw in [0,1).
+func (s *Stream) Uniform() float64 {
+	s.state += 0x9E3779B97F4A7C15
+	return float64(Mix64(s.state)>>11) / (1 << 53)
+}
+
 // roll consumes one opportunity at pt and returns a uniform in [0,1)
 // derived from the seed, the point, the point's sequence number, and the
 // current simulated time.

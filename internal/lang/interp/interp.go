@@ -111,9 +111,6 @@ func (e *Env) Names() []string {
 	return out
 }
 
-// breakSignal unwinds a loop.
-type breakSignal struct{}
-
 // Interp runs programs.
 type Interp struct {
 	ctx builtins.Context

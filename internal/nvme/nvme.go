@@ -2,10 +2,11 @@
 //
 // ActivePy reuses the NVMe queue-pair mechanism for CSD function calls
 // (§III-C-b): the host posts an entry to a call queue mapped in device
-// memory, the CSE fetches requests whenever it is free, and status updates
-// flow back through the completion queue. This package provides that
+// memory, the CSE fetches requests whenever it is free, and each call's
+// result returns through the completion queue. This package provides that
 // mechanism for both plain block I/O and ActivePy's function-call and
-// status traffic.
+// preempt commands. Status updates are not commands: the CSE bills each
+// as a device-to-host link message (csd.Device.SendStatus).
 //
 // Timing: posting a submission entry moves one 64-byte SQE plus a doorbell
 // write across the host-device link; a completion moves a 16-byte CQE
@@ -57,15 +58,13 @@ const (
 // Opcode identifies the command type.
 type Opcode uint8
 
-// Command opcodes. Read/Write are classic block I/O; Call, Status and
-// Preempt are ActivePy's function-call protocol on the same mechanism.
+// Command opcodes. Read/Write are classic block I/O; Call and Preempt
+// are ActivePy's function-call protocol on the same mechanism.
 const (
 	OpRead    Opcode = iota // read Bytes from storage object
 	OpWrite                 // write Bytes to storage object
 	OpCall                  // invoke a CSD function
-	OpStatus                // CSD -> host execution-rate report
 	OpPreempt               // host -> CSD: stop at next line boundary
-	OpAdmin                 // identify/configure
 )
 
 func (o Opcode) String() string {
@@ -76,12 +75,8 @@ func (o Opcode) String() string {
 		return "write"
 	case OpCall:
 		return "call"
-	case OpStatus:
-		return "status"
 	case OpPreempt:
 		return "preempt"
-	case OpAdmin:
-		return "admin"
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }

@@ -84,8 +84,7 @@ func TestCompletionOrderFIFOForEqualService(t *testing.T) {
 
 func TestOpcodeStrings(t *testing.T) {
 	names := map[Opcode]string{
-		OpRead: "read", OpWrite: "write", OpCall: "call",
-		OpStatus: "status", OpPreempt: "preempt", OpAdmin: "admin",
+		OpRead: "read", OpWrite: "write", OpCall: "call", OpPreempt: "preempt",
 	}
 	for op, want := range names {
 		if op.String() != want {

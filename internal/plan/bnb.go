@@ -3,14 +3,15 @@
 // free lines — the space Optimal brute-forces in 2^n walks — by
 // searching it as a depth-first tree over per-line host/CSD decisions:
 //
-//   - the program decomposes into variable-sharing components (the
-//     dynamic mirror of the analysis layer's data-dependence DAG:
-//     residency crossings only couple lines that touch a common
+//   - the program decomposes into variable-sharing components
+//     (residency crossings only couple lines that touch a common
 //     variable, so Equation 1's objective separates across components
-//     and each is solved independently);
-//   - within a component, lines are decided in source order so the
-//     residency-billing walk of EvaluatePlacement evaluates
-//     incrementally and exactly along every tree path;
+//     and each is solved independently); SearchSize counts the
+//     worst-case tree over them, which the analysis layer's AV008
+//     advisory compares against the node budget;
+//   - within a component, lines are decided in source order, extending
+//     and rewinding EvaluatePlacement's residency-billing walk, so every
+//     tree path is priced incrementally and exactly;
 //   - an admissible lower bound prunes subtrees: the cost so far plus
 //     the suffix sum of every undecided line's cheaper unit cost
 //     (crossings are nonnegative, so no completion can cost less);
@@ -35,6 +36,8 @@
 package plan
 
 import (
+	"math"
+
 	"activego/internal/codegen"
 	"activego/internal/par"
 )
@@ -50,9 +53,9 @@ const DefaultBnBNodeBudget = 1 << 22
 // BnBExactLines is the largest variable-sharing component of free lines
 // for which branch-and-bound is *guaranteed* exact under the default
 // budget, with no help from pruning: 2^(BnBExactLines+1)−2 ≤
-// DefaultBnBNodeBudget. Programs whose components all fit under it can
-// never hit the Algorithm 1 fallback — the analysis layer's AV008
-// advisory fires only past this guarantee (a test pins the two).
+// DefaultBnBNodeBudget. A program whose only wide component has this
+// many free lines can never hit the Algorithm 1 fallback; one line more
+// and the analysis layer's AV008 advisory fires.
 const BnBExactLines = 21
 
 // BnBStats reports one branch-and-bound run's search effort; pass a
@@ -92,22 +95,23 @@ func BnBBudget(estimates []LineEstimate, cons Constraints, m Machine, budget int
 
 	margins := neverWinMargins(estimates, m)
 	pinned := make([]bool, len(estimates))
+	changes := 0 // home changes on the longest walk: one per flow
 	for i := range estimates {
 		if _, p := cons.Pinned(estimates[i].Line); p {
 			pinned[i] = true
 		} else {
 			stats.FreeLines++
 		}
+		changes += len(estimates[i].Reads) + len(estimates[i].Writes)
 	}
 
 	s := &bnbSearch{
 		est:     estimates,
 		pinned:  pinned,
 		margins: margins,
-		m:       m,
+		w:       walk{m: m, home: map[string]bool{}, undo: make([]homeChange, 0, changes)},
 		budget:  budget,
 		stats:   stats,
-		home:    map[string]bool{},
 	}
 	part := codegen.NewPartition()
 	for _, comp := range varComponents(estimates) {
@@ -125,10 +129,10 @@ func BnBBudget(estimates []LineEstimate, cons Constraints, m Machine, budget int
 	}
 	// Report both totals through the canonical residency walk so the
 	// numbers are bit-consistent with Optimal's for the same partition.
-	tHost := EvaluatePlacement(estimates, codegen.NewPartition(), m)
+	tHost := EvaluatePlacement(estimates, codegen.NewPartition(), m).Time
 	tCSD := tHost
 	if !part.Empty() {
-		tCSD = EvaluatePlacement(estimates, part, m)
+		tCSD = EvaluatePlacement(estimates, part, m).Time
 	}
 	return &Result{Partition: part, Estimates: estimates, THost: tHost, TCSD: tCSD, Planner: PlannerBnB}
 }
@@ -193,19 +197,38 @@ func varComponents(estimates []LineEstimate) [][]int {
 	return out
 }
 
-// homeChange is one residency-map mutation on the DFS path, recorded so
-// backtracking can restore the walk state exactly.
-type homeChange struct {
-	name    string
-	prevDev bool
-	existed bool
+// SearchSize is branch-and-bound's worst-case search over estimates
+// under cons: worst sums 2^(k+1)−2 nodes over each variable-sharing
+// component's k free (unpinned) lines, saturating at math.MaxInt, and
+// biggest is the largest such k. The components of one plan share its
+// node budget, so it is worst that a budget must cover.
+func SearchSize(estimates []LineEstimate, cons Constraints) (worst, biggest int) {
+	for _, comp := range varComponents(estimates) {
+		k := 0
+		for _, idx := range comp {
+			if _, p := cons.Pinned(estimates[idx].Line); !p {
+				k++
+			}
+		}
+		biggest = max(biggest, k)
+		w := math.MaxInt
+		if k < 61 {
+			w = (1 << (k + 1)) - 2
+		}
+		if worst > math.MaxInt-w {
+			worst = math.MaxInt
+		} else {
+			worst += w
+		}
+	}
+	return worst, biggest
 }
 
 type bnbSearch struct {
 	est     []LineEstimate
 	pinned  []bool
 	margins []marginProof
-	m       Machine
+	w       walk // the residency walk along the current tree path
 	budget  int
 	stats   *BnBStats
 
@@ -215,59 +238,18 @@ type bnbSearch struct {
 	incumbent float64
 	best      []bool // assignment achieving the incumbent
 	cur       []bool
-	home      map[string]bool
-	undo      []homeChange
 	nodes     int
-}
-
-// step extends the residency walk by one line on the given side,
-// mirroring EvaluatePlacementDetail's accumulation order exactly
-// (reads, then writes, then the unit cost) so a completed path's cost
-// is the walk's, bit for bit. Mutations land on the undo log.
-func (s *bnbSearch) step(cost float64, e *LineEstimate, onCSD bool) float64 {
-	for _, r := range e.Reads {
-		dev, known := s.home[r.Name]
-		if known && dev != onCSD {
-			cost += r.Bytes/s.m.D2HBW + s.m.D2HLat
-			s.undo = append(s.undo, homeChange{r.Name, dev, true})
-			s.home[r.Name] = onCSD
-		}
-	}
-	for _, w := range e.Writes {
-		dev, known := s.home[w.Name]
-		s.undo = append(s.undo, homeChange{w.Name, dev, known})
-		s.home[w.Name] = onCSD
-	}
-	if onCSD {
-		cost += e.DevTotal() + e.QueueOverhead(s.m)
-	} else {
-		cost += e.HostTotal()
-	}
-	return cost
-}
-
-// unwind rolls the residency map back to a recorded undo-log length.
-func (s *bnbSearch) unwind(n int) {
-	for i := len(s.undo) - 1; i >= n; i-- {
-		ch := s.undo[i]
-		if ch.existed {
-			s.home[ch.name] = ch.prevDev
-		} else {
-			delete(s.home, ch.name)
-		}
-	}
-	s.undo = s.undo[:n]
 }
 
 // walkAssign prices a complete component assignment through the
 // incremental walk (used to seed the incumbent).
 func (s *bnbSearch) walkAssign(assign []bool) float64 {
-	mark := len(s.undo)
+	mark := len(s.w.undo)
 	cost := 0.0
 	for k, idx := range s.comp {
-		cost = s.step(cost, &s.est[idx], assign[k])
+		cost = s.w.step(cost, &s.est[idx], assign[k])
 	}
-	s.unwind(mark)
+	s.w.rewind(mark)
 	return cost
 }
 
@@ -278,7 +260,7 @@ func (s *bnbSearch) unitFloor(k int) float64 {
 	e := &s.est[s.comp[k]]
 	unit := e.HostTotal()
 	if !s.forcedHost(k) {
-		if dev := e.DevTotal() + e.QueueOverhead(s.m); dev < unit {
+		if dev := e.DevTotal() + e.QueueOverhead(s.w.m); dev < unit {
 			unit = dev
 		}
 	}
@@ -333,7 +315,7 @@ func (s *bnbSearch) solveComponent(comp []int) ([]bool, bool) {
 			copy(s.best, assign)
 		}
 	}
-	alg1 := Algorithm1(s.est, Constraints{HostOnly: s.consHostOnly()}, s.m)
+	alg1 := Algorithm1(s.est, Constraints{HostOnly: s.consHostOnly()}, s.w.m)
 	fromAlg1 := make([]bool, n)
 	greedy := make([]bool, n)
 	for k, idx := range comp {
@@ -342,7 +324,7 @@ func (s *bnbSearch) solveComponent(comp []int) ([]bool, bool) {
 		}
 		e := &s.est[idx]
 		fromAlg1[k] = alg1.Partition.OnCSD(e.Line)
-		greedy[k] = e.DevTotal()+e.QueueOverhead(s.m) < e.HostTotal()
+		greedy[k] = e.DevTotal()+e.QueueOverhead(s.w.m) < e.HostTotal()
 	}
 	seed(fromAlg1)
 	seed(greedy)
@@ -389,10 +371,10 @@ func (s *bnbSearch) dfs(k int, cost float64) bool {
 	if s.forcedHost(k) {
 		// Forced sides consume no budget: they never branch, so the
 		// worst-case tree stays 2^(free+1)−2 nodes.
-		mark := len(s.undo)
+		mark := len(s.w.undo)
 		s.cur[k] = false
-		ok := s.dfs(k+1, s.step(cost, e, false))
-		s.unwind(mark)
+		ok := s.dfs(k+1, s.w.step(cost, e, false))
+		s.w.rewind(mark)
 		return ok
 	}
 	// Branch order: the never-win margin says how decisively offloading
@@ -407,12 +389,12 @@ func (s *bnbSearch) dfs(k int, cost float64) bool {
 		if s.nodes > s.budget {
 			return false
 		}
-		mark := len(s.undo)
+		mark := len(s.w.undo)
 		s.cur[k] = onCSD
-		if !s.dfs(k+1, s.step(cost, e, onCSD)) {
+		if !s.dfs(k+1, s.w.step(cost, e, onCSD)) {
 			return false
 		}
-		s.unwind(mark)
+		s.w.rewind(mark)
 	}
 	return true
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -228,23 +229,41 @@ func TestBnBBudgetFallback(t *testing.T) {
 	}
 }
 
-// TestBnBExactGuarantee pins the static exactness constant to the
-// default budget: a single component of BnBExactLines free lines has a
-// worst-case tree of 2^(n+1)−2 nodes, which must fit the budget (the
-// analysis layer's AV008 threshold leans on this).
-func TestBnBExactGuarantee(t *testing.T) {
-	worst := (1 << (BnBExactLines + 1)) - 2
-	if worst > DefaultBnBNodeBudget {
-		t.Fatalf("worst case for %d lines is %d nodes > budget %d", BnBExactLines, worst, DefaultBnBNodeBudget)
+// wideComponent is n free lines that all read one variable: a single
+// variable-sharing component of n.
+func wideComponent(n int) []LineEstimate {
+	out := make([]LineEstimate, n)
+	for i := range out {
+		out[i] = LineEstimate{Line: i + 1, Reads: []VarFlow{{Name: "v"}}}
 	}
-	if next := (1 << (BnBExactLines + 2)) - 2; next <= DefaultBnBNodeBudget {
-		t.Fatalf("BnBExactLines is understated: %d lines also fit (%d ≤ %d)", BnBExactLines+1, next, DefaultBnBNodeBudget)
+	return out
+}
+
+// TestBnBExactGuarantee pins the static exactness constant to the
+// default budget through SearchSize, the count AV008 compares against
+// it: one component of BnBExactLines free lines fits the budget, one of
+// BnBExactLines+1 does not. Pinned lines take no part in the count.
+func TestBnBExactGuarantee(t *testing.T) {
+	worst, biggest := SearchSize(wideComponent(BnBExactLines), Constraints{})
+	if worst > DefaultBnBNodeBudget || biggest != BnBExactLines {
+		t.Fatalf("one %d-line component: worst %d (budget %d), biggest %d", BnBExactLines, worst, DefaultBnBNodeBudget, biggest)
+	}
+	wide := wideComponent(BnBExactLines + 1)
+	if worst, _ := SearchSize(wide, Constraints{}); worst <= DefaultBnBNodeBudget {
+		t.Fatalf("BnBExactLines is understated: %d lines also fit (%d ≤ %d)", BnBExactLines+1, worst, DefaultBnBNodeBudget)
+	}
+	if worst, biggest := SearchSize(wide, Constraints{HostOnly: map[int]string{1: "test pin"}}); worst > DefaultBnBNodeBudget || biggest != BnBExactLines {
+		t.Fatalf("a pinned line still counted: worst %d, biggest %d", worst, biggest)
+	}
+	if worst, _ := SearchSize(wideComponent(64), Constraints{}); worst != math.MaxInt {
+		t.Fatalf("64-line component: worst %d, want saturation at math.MaxInt", worst)
 	}
 }
 
 // TestBnBComponentsDecompose pins the component decomposition: two
 // independent chains must be searched as two components, and the
-// worst-case node count is the sum, not the product.
+// worst-case node count is the sum, not the product — so many small
+// components stay far inside the budget however many lines they hold.
 func TestBnBComponentsDecompose(t *testing.T) {
 	m := bnbTestMachine()
 	var estimates []LineEstimate
@@ -261,6 +280,10 @@ func TestBnBComponentsDecompose(t *testing.T) {
 		}
 		estimates = append(estimates, chain...)
 	}
+	worst, biggest := SearchSize(estimates, Constraints{})
+	if want := 2 * ((1 << 12) - 2); worst != want || biggest != 11 {
+		t.Fatalf("SearchSize = (%d, %d), want (%d, 11)", worst, biggest, want)
+	}
 	var stats BnBStats
 	res := BnBBudget(estimates, Constraints{}, m, 0, &stats)
 	if stats.Fallback {
@@ -269,11 +292,22 @@ func TestBnBComponentsDecompose(t *testing.T) {
 	if stats.Components != 2 {
 		t.Fatalf("components = %d, want 2", stats.Components)
 	}
-	perChainWorst := (1 << 12) - 2
-	if stats.Nodes > 2*perChainWorst {
-		t.Fatalf("nodes = %d exceeds the summed per-component worst case %d", stats.Nodes, 2*perChainWorst)
+	if stats.Nodes > worst {
+		t.Fatalf("nodes = %d exceeds the summed per-component worst case %d", stats.Nodes, worst)
 	}
 	if res.TCSD > res.THost {
 		t.Fatalf("TCSD %.17g worse than all-host %.17g", res.TCSD, res.THost)
+	}
+
+	// 30 disjoint load→reduce pairs: 60 free lines, 30 components of 2.
+	var pairs []LineEstimate
+	for i := 0; i < 30; i++ {
+		v := fmt.Sprintf("v%d", i)
+		pairs = append(pairs,
+			LineEstimate{Line: 2*i + 1, Writes: []VarFlow{{Name: v}}},
+			LineEstimate{Line: 2*i + 2, Reads: []VarFlow{{Name: v}}})
+	}
+	if worst, biggest := SearchSize(pairs, Constraints{}); worst != 30*6 || biggest != 2 {
+		t.Fatalf("30 pairs: SearchSize = (%d, %d), want (180, 2)", worst, biggest)
 	}
 }

@@ -34,6 +34,10 @@ type Machine struct {
 	C float64
 }
 
+// xfer prices moving bytes of one variable across the host-CSD link. A
+// pointer receiver keeps inlined calls from copying the whole Machine.
+func (m *Machine) xfer(bytes float64) float64 { return bytes/m.D2HBW + m.D2HLat }
+
 // MachineFromPlatform extracts the constants from a live platform,
 // measuring C with the calibration microbenchmark.
 func MachineFromPlatform(p *platform.Platform) Machine {
@@ -136,10 +140,10 @@ func BuildEstimates(preds []profile.Prediction, m Machine, b codegen.Backend) []
 }
 
 // Constraints carries the static analysis's placement restrictions into
-// the planners. The zero value means "no restrictions". plan deliberately
-// does not import internal/analysis — the analysis package depends on
-// codegen, and callers (core) adapt analysis.Report.HostPinned() into
-// this lightweight form.
+// the planners. The zero value means "no restrictions". plan cannot
+// import internal/analysis, which imports plan for AV008's search size
+// (SearchSize), so callers (core) adapt analysis.Report.HostPinned()
+// into this lightweight form.
 type Constraints struct {
 	// HostOnly maps a line that must not run on the CSD to the reason
 	// (e.g. `host-only builtin "print"`).
@@ -199,17 +203,16 @@ func (r *Result) ByLine() map[int]*LineEstimate {
 // The second return value is the refund consumed, which the caller
 // deducts from the budget.
 func deltaOnCSD(e *LineEstimate, refundBudget float64, inputNearCSD bool, m Machine) (float64, float64) {
-	xfer := func(bytes float64) float64 { return bytes/m.D2HBW + m.D2HLat }
-	d := e.DevTotal() + e.QueueOverhead(m) - e.HostTotal() + xfer(e.DOut)
+	d := e.DevTotal() + e.QueueOverhead(m) - e.HostTotal() + m.xfer(e.DOut)
 	if inputNearCSD {
 		refund := e.DIn
 		if refund > refundBudget {
 			refund = refundBudget
 		}
-		d -= xfer(refund)
+		d -= m.xfer(refund)
 		return d, refund
 	}
-	d += xfer(e.DIn)
+	d += m.xfer(e.DIn)
 	return d, 0
 }
 
@@ -333,10 +336,10 @@ func Algorithm1Literal(estimates []LineEstimate, cons Constraints, m Machine) *R
 	return &Result{Partition: part, Estimates: estimates, THost: tHost, TCSD: tCSD, Planner: PlannerAlgorithm1Literal}
 }
 
-// PlacementEval is EvaluatePlacement's detailed projection: the total
-// time plus the residency traffic the placement induces, broken out so
-// the billing model can be cross-checked against the executor's measured
-// transfer accounting.
+// PlacementEval is EvaluatePlacement's projection: the total time plus
+// the residency traffic the placement induces, broken out so the billing
+// model can be cross-checked against the executor's measured transfer
+// accounting.
 type PlacementEval struct {
 	Time float64
 	// CrossBytes is the named-variable traffic that crosses the host-CSD
@@ -353,38 +356,89 @@ type PlacementEval struct {
 // other side of the link is transferred (and rehomed) first. Equation 1's
 // quantities are all here — this is the equation evaluated over a whole
 // placement rather than one line.
-func EvaluatePlacement(estimates []LineEstimate, part codegen.Partition, m Machine) float64 {
-	return EvaluatePlacementDetail(estimates, part, m).Time
-}
-
-// EvaluatePlacementDetail is EvaluatePlacement with the residency-billing
-// internals exposed.
-func EvaluatePlacementDetail(estimates []LineEstimate, part codegen.Partition, m Machine) PlacementEval {
-	xfer := func(bytes float64) float64 { return bytes/m.D2HBW + m.D2HLat }
-	home := map[string]bool{} // true = device-resident
+func EvaluatePlacement(estimates []LineEstimate, part codegen.Partition, m Machine) PlacementEval {
+	w := walk{m: m, home: map[string]bool{}}
 	var ev PlacementEval
 	for i := range estimates {
 		e := &estimates[i]
-		onCSD := part.OnCSD(e.Line)
-		for _, r := range e.Reads {
-			dev, known := home[r.Name]
-			if known && dev != onCSD {
-				ev.Time += xfer(r.Bytes)
-				ev.CrossBytes += r.Bytes
-				ev.Crossings++
-				home[r.Name] = onCSD
-			}
-		}
-		for _, w := range e.Writes {
-			home[w.Name] = onCSD
-		}
-		if onCSD {
-			ev.Time += e.DevTotal() + e.QueueOverhead(m)
-		} else {
-			ev.Time += e.HostTotal()
+		ev.Time = w.step(ev.Time, e, part.OnCSD(e.Line))
+	}
+	ev.CrossBytes, ev.Crossings = w.crossBytes, w.crossings
+	return ev
+}
+
+// walk is the residency-billing walk behind EvaluatePlacement, which
+// runs it once over a whole placement, and branch-and-bound, which
+// extends it one line at a time along each tree path and rewinds it on
+// backtrack.
+type walk struct {
+	m    Machine
+	home map[string]bool // true = device-resident
+	// undo, when non-nil, logs every home change so rewind can restore
+	// an earlier state. Its capacity must cover the longest path walked.
+	undo []homeChange
+	// crossBytes and crossings total the variable moves billed so far.
+	crossBytes float64
+	crossings  int
+}
+
+// homeChange is one residency-map mutation, logged so rewind can
+// restore the walk state exactly.
+type homeChange struct {
+	name    string
+	prevDev bool
+	existed bool
+}
+
+// step adds line e, run on the given side, to cost and returns the sum.
+// The accumulation order — each crossing read, then the unit cost — is
+// the walk's definition: every caller gets the same total, bit for bit.
+func (w *walk) step(cost float64, e *LineEstimate, onCSD bool) float64 {
+	for _, r := range e.Reads {
+		dev, known := w.home[r.Name]
+		if known && dev != onCSD {
+			cost += w.m.xfer(r.Bytes)
+			w.crossBytes += r.Bytes
+			w.crossings++
+			w.rehome(r.Name, dev, true, onCSD)
 		}
 	}
-	return ev
+	for _, wr := range e.Writes {
+		dev, known := w.home[wr.Name]
+		w.rehome(wr.Name, dev, known, onCSD)
+	}
+	if onCSD {
+		cost += e.DevTotal() + e.QueueOverhead(w.m)
+	} else {
+		cost += e.HostTotal()
+	}
+	return cost
+}
+
+// rehome moves name to the given side, logging its previous home. The
+// log grows by reslicing within its capacity, not by append: escape
+// analysis does not tell a struct's fields apart, so storing an append's
+// result into w would move home to the heap on every EvaluatePlacement.
+func (w *walk) rehome(name string, prevDev, existed, onCSD bool) {
+	if w.undo != nil {
+		n := len(w.undo)
+		w.undo = w.undo[:n+1]
+		w.undo[n] = homeChange{name, prevDev, existed}
+	}
+	w.home[name] = onCSD
+}
+
+// rewind rolls the residency map back to an earlier undo-log length.
+func (w *walk) rewind(mark int) {
+	for i := len(w.undo) - 1; i >= mark; i-- {
+		ch := w.undo[i]
+		if ch.existed {
+			w.home[ch.name] = ch.prevDev
+		} else {
+			delete(w.home, ch.name)
+		}
+	}
+	w.undo = w.undo[:mark]
 }
 
 // MaxOptimalLines bounds Optimal's exhaustive enumeration: 2^16
@@ -423,10 +477,10 @@ func Optimal(estimates []LineEstimate, cons Constraints, m Machine) *Result {
 		}
 		return part
 	}
-	tHost := EvaluatePlacement(estimates, buildPart(0), m)
+	tHost := EvaluatePlacement(estimates, buildPart(0), m).Time
 	bestMask, bestT := 0, tHost
 	for mask := 1; mask < 1<<n; mask++ {
-		if t := EvaluatePlacement(estimates, buildPart(mask), m); t < bestT {
+		if t := EvaluatePlacement(estimates, buildPart(mask), m).Time; t < bestT {
 			bestMask, bestT = mask, t
 		}
 	}

@@ -55,8 +55,6 @@ type marginProof struct {
 // worst-case transfer terms, no partition can recover the difference:
 // offloading L loses outright.
 func neverWinMargins(estimates []LineEstimate, m Machine) []marginProof {
-	xfer := func(bytes float64) float64 { return bytes/m.D2HBW + m.D2HLat }
-
 	// largestLaterRead[i][v]: the largest xfer() of a read of v at any
 	// line after index i.
 	largestLaterRead := make([]map[string]float64, len(estimates))
@@ -68,7 +66,7 @@ func neverWinMargins(estimates []LineEstimate, m Machine) []marginProof {
 		}
 		largestLaterRead[i] = snapshot
 		for _, r := range estimates[i].Reads {
-			if x := xfer(r.Bytes); x > later[r.Name] {
+			if x := m.xfer(r.Bytes); x > later[r.Name] {
 				later[r.Name] = x
 			}
 		}
@@ -81,7 +79,7 @@ func neverWinMargins(estimates []LineEstimate, m Machine) []marginProof {
 		swing := 0.0
 		touched := map[string]bool{}
 		for _, r := range e.Reads {
-			swing += xfer(r.Bytes)
+			swing += m.xfer(r.Bytes)
 			touched[r.Name] = true
 		}
 		for _, w := range e.Writes {
