@@ -6,7 +6,7 @@
 // Usage:
 //
 //	activego -workload tpch-6 [-scalediv N] [-seed S] [-availability F] [-no-migration]
-//	         [-resilience] [-profile] [-j N] [-planner P] [-obswindow W]
+//	         [-profile] [-j N] [-planner P] [-obswindow W]
 //	         [-trace out.json] [-tracesummary] [-metrics out.json]
 //	         [-pprof cpu.pb] [-memprofile mem.pb]
 //	activego -workload tpch-6 -serve [-tenants N] [-arrival P] [-qps Q] [-duration D]
@@ -31,7 +31,6 @@ import (
 	"activego/internal/exec"
 	"activego/internal/platform"
 	"activego/internal/profile"
-	"activego/internal/resilience"
 	"activego/internal/workloads"
 )
 
@@ -48,7 +47,6 @@ func main() {
 	seed := flag.Int64("seed", 42, "generator seed")
 	avail := flag.Float64("availability", 1.0, "fraction of CSE time available (0,1]")
 	noMigration := flag.Bool("no-migration", false, "disable dynamic task migration")
-	withResilience := flag.Bool("resilience", false, "arm the full degradation ladder (deadlines, backoff, circuit breaker) on the offload path")
 	showProfile := flag.Bool("profile", false, "print the sampling-phase curve fits per line")
 	serve := flag.Bool("serve", false, "drive a multi-tenant serving run of the workload (DESIGN.md §14) instead of one pipeline pass")
 	obs := cliutil.Register(flag.CommandLine)
@@ -74,12 +72,7 @@ func main() {
 	}
 	params := workloads.Params{ScaleDiv: *scaleDiv, Seed: *seed}
 	if *serve {
-		var pol *resilience.Policy
-		if *withResilience {
-			p := resilience.Default(uint64(*seed))
-			pol = &p
-		}
-		os.Exit(runServe(spec.Name, params, obs, srv, uint64(*seed), pol))
+		os.Exit(runServe(spec.Name, params, obs, srv, uint64(*seed)))
 	}
 	inst := spec.Build(params)
 
@@ -104,10 +97,6 @@ func main() {
 	cfg.Migration = !*noMigration
 	cfg.OverheadScale = params.OverheadScale()
 	cfg.ObsWindow = obs.ObsWindow
-	if *withResilience {
-		pol := resilience.Default(uint64(*seed))
-		cfg.Resilience = &pol
-	}
 
 	fmt.Printf("workload %s: %s (%.1f MB input, paper: %.1f GB)\n",
 		spec.Name, spec.Description,
@@ -132,11 +121,6 @@ func main() {
 	}
 	fmt.Printf("activepy: %.4f ms (migrated=%v, %d CSD / %d host line executions)\n",
 		out.Exec.Duration*1e3, out.Exec.Migrated, out.Exec.RecordsOnCSD, out.Exec.RecordsOnHost)
-	if *withResilience {
-		fmt.Printf("resilience: %d breaker opens / %d closes / %d probes, %d degraded lines, %d deadline misses\n",
-			out.Exec.BreakerOpens, out.Exec.BreakerCloses, out.Exec.BreakerProbes,
-			out.Exec.DegradedLines, out.Exec.DeadlineMisses)
-	}
 
 	p.FoldMetrics(obs.Registry())
 	if err := obs.Finish(os.Stdout); err != nil {
@@ -171,7 +155,7 @@ func fail(err error) {
 // serving study: offered rate calibrated from the solo warm service
 // time, horizon sized for ~48 requests.
 func runServe(name string, params workloads.Params, obs *cliutil.Flags,
-	srv *cliutil.ServingFlags, seed uint64, pol *resilience.Policy) int {
+	srv *cliutil.ServingFlags, seed uint64) int {
 	if err := obs.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "activego:", err)
 		return 1
@@ -228,7 +212,7 @@ func runServe(name string, params workloads.Params, obs *cliutil.Flags,
 		name, nTenants, proc, totalQPS, duration, solo.Duration)
 	res, err := driver.Run(p, driver.Config{
 		Seed: seed, Duration: duration, Tenants: tenants,
-		MaxInFlight: maxInFlight, Resilience: pol, Metrics: obs.Registry(),
+		MaxInFlight: maxInFlight, Metrics: obs.Registry(),
 		ObsWindow: obs.ObsWindow,
 	})
 	if err != nil {

@@ -31,7 +31,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -39,7 +38,6 @@ import (
 	"activego/internal/bench"
 	"activego/internal/cliutil"
 	"activego/internal/experiments"
-	"activego/internal/trace"
 	"activego/internal/workloads"
 )
 
@@ -120,7 +118,7 @@ func main() {
 		// The trace flags apply to the utilization study's steady-state
 		// recording — the run worth a timeline — not a top-level one.
 		if name == "utilization" {
-			if err := exportTrace(os.Stdout, obs, out.Rec); err != nil {
+			if err := obs.ExportTrace(os.Stdout, out.Rec); err != nil {
 				fail(err)
 			}
 		}
@@ -140,29 +138,6 @@ func main() {
 	if err := obs.Finish(os.Stdout); err != nil {
 		fail(err)
 	}
-}
-
-// exportTrace writes rec as the -trace Chrome JSON file and prints the
-// -tracesummary summary to out; with neither flag it does nothing.
-func exportTrace(out io.Writer, obs *cliutil.Flags, rec *trace.Recorder) error {
-	if obs.Trace != "" {
-		f, err := os.Create(obs.Trace)
-		if err != nil {
-			return err
-		}
-		err = rec.WriteChrome(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "trace: wrote %s (open in Perfetto or chrome://tracing)\n", obs.Trace)
-	}
-	if obs.TraceSummary {
-		fmt.Fprintf(out, "\n%s", rec.Summary())
-	}
-	return nil
 }
 
 // runCompare implements the CI gate: load two manifests, diff them, and

@@ -94,7 +94,6 @@ func (e absEnv) widenFrom(prev absEnv) {
 // absState is the analysis result attached to a Report.
 type absState struct {
 	execBounds map[int]Interval // line → static execution-count interval
-	tripBounds map[int]Interval // for-header line → trip-count interval
 	stepZero   map[int]bool     // for-header with a provably zero step
 	unbounded  map[int]bool     // for-header with an unbounded, unguaranteed bound
 }
@@ -109,7 +108,6 @@ const maxAbsIters = 4
 func runAbsint(prog *ast.Program) *absState {
 	st := &absState{
 		execBounds: map[int]Interval{},
-		tripBounds: map[int]Interval{},
 		stepZero:   map[int]bool{},
 		unbounded:  map[int]bool{},
 	}
@@ -152,7 +150,6 @@ func (st *absState) walk(stmts []ast.Stmt, env absEnv, exec Interval, record boo
 				trips.Lo = 0
 			}
 			if record {
-				st.tripBounds[stmt.Ln] = trips
 				st.stepZero[stmt.Ln] = stepZero
 				st.unbounded[stmt.Ln] = unbounded
 			}

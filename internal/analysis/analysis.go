@@ -118,7 +118,6 @@ type DepEdge struct {
 
 // Report is the full static-analysis result for one program.
 type Report struct {
-	Prog  *ast.Program
 	Lines []*LineFact // ascending by source line
 	Deps  []DepEdge   // data + control dependence edges, sorted
 
@@ -136,7 +135,7 @@ type Report struct {
 	// breakOutsideLoop lists `break` statements with no enclosing for.
 	breakOutsideLoop []int
 	// absint is the interval abstract-interpretation result: static
-	// per-line execution-count bounds and loop trip-count bounds.
+	// per-line execution-count bounds and the loop-header verdicts.
 	absint *absState
 }
 
@@ -160,7 +159,6 @@ func Analyze(prog *ast.Program) (*Report, error) {
 		return nil, fmt.Errorf("analysis: nil program")
 	}
 	r := &Report{
-		Prog:      prog,
 		byLine:    map[int]*LineFact{},
 		useDefs:   map[int]map[string][]int{},
 		liveOut:   map[defKey]bool{},

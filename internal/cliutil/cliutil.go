@@ -176,14 +176,8 @@ func (f *Flags) Finish(out io.Writer) error {
 		}
 		fmt.Fprintf(out, "memprofile: wrote %s\n", f.MemProfile)
 	}
-	if f.rec != nil && f.Trace != "" {
-		if err := writeFileWith(f.Trace, f.rec.WriteChrome); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "trace: wrote %s (open in Perfetto or chrome://tracing)\n", f.Trace)
-	}
-	if f.rec != nil && f.TraceSummary {
-		fmt.Fprintf(out, "\n%s", f.rec.Summary())
+	if err := f.ExportTrace(out, f.rec); err != nil {
+		return err
 	}
 	if f.reg != nil {
 		f.rec.Fold(f.reg)
@@ -197,6 +191,26 @@ func (f *Flags) Finish(out io.Writer) error {
 			}
 			fmt.Fprintf(out, "metrics: wrote %s\n", f.Metrics)
 		}
+	}
+	return nil
+}
+
+// ExportTrace writes rec as the -trace Chrome JSON file and prints the
+// -tracesummary summary to out. With neither flag, or a nil rec, it
+// does nothing. Finish exports the command's own recorder through it;
+// a command whose trace comes from elsewhere passes that recording.
+func (f *Flags) ExportTrace(out io.Writer, rec *trace.Recorder) error {
+	if rec == nil {
+		return nil
+	}
+	if f.Trace != "" {
+		if err := writeFileWith(f.Trace, rec.WriteChrome); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "trace: wrote %s (open in Perfetto or chrome://tracing)\n", f.Trace)
+	}
+	if f.TraceSummary {
+		fmt.Fprintf(out, "\n%s", rec.Summary())
 	}
 	return nil
 }

@@ -36,7 +36,6 @@ import (
 	"activego/internal/lang/ast"
 	"activego/internal/lang/interp"
 	"activego/internal/lang/parser"
-	"activego/internal/lang/value"
 	"activego/internal/metrics"
 	"activego/internal/obs"
 	"activego/internal/par"
@@ -100,9 +99,8 @@ type Prepared struct {
 	// Purely informational — the plan above already reflects them.
 	Advisories []analysis.Diagnostic
 
-	Trace   *interp.Trace
-	Env     *interp.Env
-	Outputs map[string]value.Value
+	Trace *interp.Trace
+	Env   *interp.Env
 }
 
 // Outcome bundles everything one ActivePy execution produced: the
@@ -197,7 +195,6 @@ func (rt *Runtime) Prepare(inst *workloads.Instance) (*Prepared, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: full-scale run: %w", err)
 	}
-	pr.Outputs = ctx.Outputs
 	if inst.Check != nil {
 		if err := inst.Check(pr.Env); err != nil {
 			return nil, fmt.Errorf("core: correctness: %w", err)

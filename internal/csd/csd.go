@@ -22,11 +22,10 @@ import (
 	"activego/internal/trace"
 )
 
-// Config sets the device's compute and memory constants.
+// Config sets the device's compute, queue and flash constants.
 type Config struct {
 	CSECores    int     // processor cores in the CSE
 	CSERate     float64 // work units/second/core; < host rate by design
-	DRAMBytes   int64   // device DRAM capacity
 	QueueDepth  int     // NVMe queue depth
 	Flash       flash.Geometry
 	StatusBytes int64 // size of one status-update message (§III-C-b)
@@ -42,7 +41,6 @@ func DefaultConfig() Config {
 	return Config{
 		CSECores:    8,
 		CSERate:     2.4e9,
-		DRAMBytes:   8 << 30,
 		QueueDepth:  64,
 		Flash:       flash.DefaultGeometry(),
 		StatusBytes: 64,

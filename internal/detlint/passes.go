@@ -306,7 +306,6 @@ var seededCtors = map[string]int{
 	"fault.NewPlanChecked": 0,
 	"fault.NewStream":      0,
 	"chaos.Schedule":       0,
-	"resilience.Default":   0,
 }
 
 // DL005 enforces seed provenance in deterministic packages: seeds passed

@@ -137,8 +137,6 @@ type TenantResult struct {
 	// completion, in simulated seconds; the quantiles are exact nearest
 	// rank (metrics.Quantile).
 	P50, P95, P99, Mean, Max float64
-	// Throughput is completed requests per simulated second of makespan.
-	Throughput float64
 	// FirstShed is the first admission refusal's typed error, nil if the
 	// tenant was never shed.
 	FirstShed *resilience.AdmitError
@@ -465,9 +463,6 @@ func (e *engine) results() *Result {
 		}
 		if n := h.Count(); n > 0 {
 			tr.Mean = h.Sum() / float64(n)
-		}
-		if r.Makespan > 0 {
-			tr.Throughput = float64(ts.completed) / r.Makespan
 		}
 		r.Tenants = append(r.Tenants, tr)
 		r.Offered += ts.offered

@@ -342,7 +342,11 @@ func TestServingUnderChaos(t *testing.T) {
 		}
 		p := platform.Default()
 		p.InstallFaults(plan, nvme.RetryPolicy{Timeout: 0.5, MaxAttempts: 3, Backoff: 1e-3})
-		pol := resilience.Default(seed + uint64(i))
+		pol := resilience.Policy{
+			LineRetries: 1,
+			Backoff:     resilience.Backoff{Base: 1e-3, Factor: 2, Cap: 50e-3, Jitter: 0.25, Seed: seed + uint64(i)},
+			Breaker:     resilience.BreakerPolicy{Threshold: 3, Cooldown: 100e-3},
+		}
 		res, err := driver.Run(p, driver.Config{
 			Seed:     seed,
 			Duration: 0.2,

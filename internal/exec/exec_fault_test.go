@@ -13,15 +13,26 @@ import (
 	"activego/internal/trace"
 )
 
+// ladderPolicy is the full ladder at fixed test constants: one
+// backoff'd re-post per rung, a breaker that opens after three
+// consecutive faults and probes after 100 ms, and no line deadline.
+func ladderPolicy(seed uint64) resilience.Policy {
+	return resilience.Policy{
+		LineRetries: 1,
+		Backoff:     resilience.Backoff{Base: 1e-3, Factor: 2, Cap: 50e-3, Jitter: 0.25, Seed: seed},
+		Breaker:     resilience.BreakerPolicy{Threshold: 3, Cooldown: 100e-3},
+	}
+}
+
 // postures are the three resilience.Policy values the runtime and its
-// studies arm: the full ladder (its deadline generous enough that timers
-// arm and cancel but never fire on a healthy line), and the static
-// per-line and one-shot failover presets.
+// studies arm: the full ladder (named Default; its deadline generous
+// enough that timers arm and cancel but never fire on a healthy line),
+// and the static per-line and one-shot failover presets.
 func postures() []struct {
 	name string
 	pol  resilience.Policy
 } {
-	ladder := resilience.Default(7)
+	ladder := ladderPolicy(7)
 	ladder.LineDeadline = 10
 	return []struct {
 		name string

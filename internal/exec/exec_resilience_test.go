@@ -54,7 +54,7 @@ func ladderTrace(t *testing.T, n int) *interp.Trace {
 // An invalid policy must be rejected before the simulation starts.
 func TestResilienceInvalidPolicyRejected(t *testing.T) {
 	tr := traceFor(t, scanSrc, 1<<12)
-	pol := resilience.Default(1)
+	pol := ladderPolicy(1)
 	pol.LineDeadline = -1
 	_, err := Run(platform.Default(), tr, Options{
 		Backend: codegen.Native, Partition: codegen.NewPartition(1, 2, 3),

@@ -61,11 +61,10 @@ type DriftArm struct {
 type DriftResult struct {
 	Workload string
 	// Solo is the scenario's calibrated warm service time; Window the
-	// observation window (2x solo); Horizon each arm's arrival window;
-	// BurstAt the stress arrival instant (simulated seconds from start).
+	// observation window (2x solo); BurstAt the stress arrival instant
+	// (simulated seconds from start).
 	Solo    float64
 	Window  float64
-	Horizon float64
 	BurstAt float64
 	// Offloaded is the plan's CSD line set (from provenance), the ground
 	// truth the stale set is checked against.
@@ -123,7 +122,6 @@ func Drift(params workloads.Params, opts ...Option) (*DriftResult, *report.Table
 		Workload:   sc.Name,
 		Solo:       solo,
 		Window:     window,
-		Horizon:    horizon,
 		BurstAt:    burstAt,
 		Provenance: sc.Provenance,
 	}

@@ -3,8 +3,8 @@
 // sweep of static C ISP, Figure 4's ActivePy-vs-programmer-directed
 // comparison, Figure 5's migration study, the §V prediction-accuracy
 // numbers, and the §V language-runtime optimization ladder — plus the
-// studies this reproduction added (robustness, resilience, utilization,
-// serving, drift, planner).
+// studies this reproduction added (resilience, utilization, serving,
+// drift, planner).
 //
 // Each harness returns structured results plus a report.Table with the
 // same rows the paper's figure plots, and each result converts into a

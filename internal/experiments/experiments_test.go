@@ -122,73 +122,6 @@ func TestFig5Shape(t *testing.T) {
 	}
 }
 
-func TestRobustnessShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("harness test")
-	}
-	res, tbl, err := Robustness(testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("\n%s", tbl)
-	if len(res.Rows) != len(RobustnessWorkloads)*len(RobustnessRates) {
-		t.Fatalf("%d rows, want %d", len(res.Rows), len(RobustnessWorkloads)*len(RobustnessRates))
-	}
-	for _, row := range res.Rows {
-		if row.Rate == 0 && !row.Completed {
-			t.Fatal("a zero-fault control run did not complete")
-		}
-	}
-	for _, name := range RobustnessWorkloads {
-		spec, _ := workloads.ByName(name)
-		wb, err := Prepare(spec, testParams())
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Armed-but-idle must reproduce the bare ActivePy run exactly —
-		// the fault machinery is free when nothing fires.
-		bare, err := wb.RunActivePy(false, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctrl, _ := robustnessRowAt(res, name, 0)
-		if ctrl.Duration != bare.Duration {
-			t.Errorf("%s: zero-fault control %.9fs != bare run %.9fs", name, ctrl.Duration, bare.Duration)
-		}
-		if ctrl.Retries != 0 || ctrl.Timeouts != 0 || ctrl.FailedCalls != 0 {
-			t.Errorf("%s: control counted failures: %+v", name, ctrl)
-		}
-		// Injected faults must cost time and show up in the counters, and
-		// recovery must keep every run completing.
-		for _, rate := range RobustnessRates[1:] {
-			row, ok := robustnessRowAt(res, name, rate)
-			if !ok {
-				t.Fatalf("%s: no row at rate %v", name, rate)
-			}
-			if !row.Completed {
-				t.Errorf("%s@%.2f: recovery did not complete the run", name, rate)
-				continue
-			}
-			if row.Retries == 0 && row.Timeouts == 0 {
-				t.Errorf("%s@%.2f: no retries or timeouts at a positive rate", name, rate)
-			}
-			if row.Overhead < 0 {
-				t.Errorf("%s@%.2f: faulted run faster than clean (%+.1f%%)", name, rate, row.Overhead*100)
-			}
-		}
-	}
-	// Determinism of the whole sweep: a second pass must be identical.
-	again, _, err := Robustness(testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res.Rows {
-		if res.Rows[i] != again.Rows[i] {
-			t.Errorf("sweep not reproducible: %+v vs %+v", res.Rows[i], again.Rows[i])
-		}
-	}
-}
-
 func TestAccuracyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness test")
@@ -231,14 +164,4 @@ func TestRuntimeOptShape(t *testing.T) {
 	if res.MeanNative > 0.06 {
 		t.Errorf("native slowdown %.1f%%; paper band ~1%%", res.MeanNative*100)
 	}
-}
-
-// robustnessRowAt returns the cell for one workload and rate.
-func robustnessRowAt(r *RobustnessResult, workload string, rate float64) (RobustnessRow, bool) {
-	for _, row := range r.Rows {
-		if row.Workload == workload && row.Rate == rate {
-			return row, true
-		}
-	}
-	return RobustnessRow{}, false
 }

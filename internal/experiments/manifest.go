@@ -138,38 +138,11 @@ func (r *RuntimeOptResult) Bench(params workloads.Params) *bench.Manifest {
 	return m
 }
 
-// Bench converts the robustness sweep: duration and completion are
-// tracked per (workload, rate) — completion collapsing from 1 to 0 is
-// exactly the kind of regression the gate exists for. Recovery counters
-// ride as info.
-func (r *RobustnessResult) Bench(params workloads.Params) *bench.Manifest {
-	m := bench.NewManifest("robustness", params.Seed, params.ScaleDiv)
-	byName := map[string]*bench.Workload{}
-	var order []string
-	for _, row := range r.Rows {
-		w := byName[row.Workload]
-		if w == nil {
-			w = &bench.Workload{Name: row.Workload, Planner: row.Planner}
-			byName[row.Workload] = w
-			order = append(order, row.Workload)
-		}
-		at := fmt.Sprintf("@%.2f", row.Rate)
-		w.Add("duration.seconds"+at, row.Duration, "s", bench.LowerIsBetter)
-		w.Add("completed"+at, boolVal(row.Completed), "", bench.HigherIsBetter)
-		w.Add("retries"+at, float64(row.Retries), "", "")
-		w.Add("timeouts"+at, float64(row.Timeouts), "", "")
-		w.Add("failed.calls"+at, float64(row.FailedCalls), "", "")
-	}
-	for _, name := range order {
-		m.Workloads = append(m.Workloads, *byName[name])
-	}
-	return m
-}
-
 // Bench converts the resilience sweep: all three arms' durations and
-// the breaker's advantage ratios are tracked per (workload, rate) —
+// the breaker's advantage ratios are tracked per (workload, cell) —
 // deterministic simulated quantities, so the gate catches any posture
-// regression. Ladder counters ride as info; the chaos sub-run gates on
+// regression. A burst cell's values end in @RATE, a steady cell's in
+// @steadyRATE. Ladder counters ride as info; the chaos sub-run gates on
 // violations (must stay 0) and the zero-fault differential match.
 func (r *ResilienceResult) Bench(params workloads.Params) *bench.Manifest {
 	m := bench.NewManifest("resilience", params.Seed, params.ScaleDiv)
@@ -183,6 +156,9 @@ func (r *ResilienceResult) Bench(params workloads.Params) *bench.Manifest {
 			order = append(order, row.Workload)
 		}
 		at := fmt.Sprintf("@%.2f", row.Rate)
+		if row.Steady {
+			at = fmt.Sprintf("@steady%.2f", row.Rate)
+		}
 		w.Add("breaker.seconds"+at, row.BreakerDur, "s", bench.LowerIsBetter)
 		w.Add("static.seconds"+at, row.StaticDur, "s", "")
 		w.Add("oneshot.seconds"+at, row.OneshotDur, "s", "")

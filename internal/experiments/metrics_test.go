@@ -108,19 +108,25 @@ func TestManifestBuilders(t *testing.T) {
 		t.Errorf("fig4 workload tracks %d values, want >= 3 (baseline + both speedups)", tracked)
 	}
 
-	rob := &RobustnessResult{Rows: []RobustnessRow{
-		{Workload: "tpch-6", Rate: 0, Duration: 0.01, Completed: true},
-		{Workload: "tpch-6", Rate: 0.05, Duration: 0.012, Completed: true, Retries: 3},
+	res := &ResilienceResult{Rows: []ResilienceRow{
+		{Workload: "tpch-6", Rate: 0, BreakerDur: 0.01, Completed: true},
+		{Workload: "tpch-6", Rate: 0.5, BreakerDur: 0.012, Completed: true},
+		{Workload: "tpch-6", Steady: true, Rate: 0.1, BreakerDur: 0.013, Completed: true},
 	}}
-	rm := rob.Bench(testParams())
+	rm := res.Bench(testParams())
 	if len(rm.Workloads) != 1 {
-		t.Fatalf("robustness workloads: %d", len(rm.Workloads))
+		t.Fatalf("resilience workloads: %d", len(rm.Workloads))
 	}
 	names := map[string]string{}
 	for _, v := range rm.Workloads[0].Values {
 		names[v.Name] = v.Better
 	}
-	if names["duration.seconds@0.00"] == "" || names["completed@0.05"] == "" {
-		t.Errorf("robustness tracked values missing: %v", names)
+	for _, at := range []string{"@0.00", "@0.50", "@steady0.10"} {
+		if names["breaker.seconds"+at] == "" || names["completed"+at] == "" {
+			t.Errorf("resilience tracked values missing at %s: %v", at, names)
+		}
+	}
+	if len(names) != len(rm.Workloads[0].Values) {
+		t.Errorf("resilience cell names collide: %d distinct of %d values", len(names), len(rm.Workloads[0].Values))
 	}
 }

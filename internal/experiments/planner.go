@@ -104,9 +104,8 @@ type PlannerPoint struct {
 
 // PlannerResult is the full study.
 type PlannerResult struct {
-	Machine plan.Machine
-	Budget  int
-	Points  []PlannerPoint
+	Budget int
+	Points []PlannerPoint
 }
 
 // plannerPoint runs one exactness measurement.
@@ -140,7 +139,7 @@ func plannerPoint(lines int, m plan.Machine) PlannerPoint {
 func Planner(_ workloads.Params, opts ...Option) (*PlannerResult, *report.Table, error) {
 	o := buildOptions(opts)
 	m := plan.MachineFromPlatform(platform.Default())
-	res := &PlannerResult{Machine: m, Budget: plan.DefaultBnBNodeBudget}
+	res := &PlannerResult{Budget: plan.DefaultBnBNodeBudget}
 
 	points, err := overSpecs(o, len(PlannerPoints), func(i int, _ *metrics.Registry) (PlannerPoint, error) {
 		return plannerPoint(PlannerPoints[i], m), nil

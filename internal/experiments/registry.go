@@ -50,7 +50,6 @@ func All() []Experiment {
 		study("fig5", allPrograms, Fig5, nil),
 		study("accuracy", allPrograms, Accuracy, nil),
 		study("runtimeopt", tableIPrograms, RuntimeOpt, nil),
-		study("robustness", robustnessPrograms, Robustness, nil),
 		study("resilience", resiliencePrograms, Resilience, func(r *ResilienceResult, out io.Writer) *trace.Recorder {
 			if r.Chaos != nil {
 				fmt.Fprintln(out, r.Chaos.Summary())

@@ -18,8 +18,10 @@ import (
 
 // The resilience study (ours — no paper counterpart): the paper's §III-D
 // machinery assumes the device either stays healthy or degrades once;
-// this sweep makes availability *oscillate* — fault bursts arrive, pass,
-// and return — and compares three failure-handling postures:
+// this sweep measures recovery under two fault models — availability
+// that *oscillates* (fault bursts arrive, pass, and return) and faults
+// that roll steadily for the whole run — and compares three
+// failure-handling postures:
 //
 //   - static: per-line recovery only (resilience.PerLine). A failed
 //     line retries, falls back to the host once, and the very next line
@@ -34,9 +36,12 @@ import (
 //     the burst lasts, and a half-open probe re-admits offload when the
 //     device recovers.
 //
-// The sweep ends with a chaos sub-run: a seeded randomized fault
-// schedule sweep over the same workload, checking that every schedule
-// terminates with a correct result or a typed clean failure.
+// Every cell runs all three arms under one NVMe supervision sized from
+// the plan (resilienceRetry), and both fault models share one rate-0
+// control row per workload. The sweep ends with a chaos sub-run: a
+// seeded randomized fault schedule sweep over the same workload,
+// checking that every schedule terminates with a correct result or a
+// typed clean failure.
 
 // ResilienceWorkloads are the three applications with the most
 // offloaded dynamic records — the runs long enough, in units of the
@@ -53,6 +58,12 @@ var resiliencePrograms = Programs{Names: ResilienceWorkloads}
 // and stall the CSE hard enough that line failures arrive in runs and
 // the breaker's consecutive-failure threshold actually trips.
 var ResilienceRates = []float64{0, 0.5, 0.9}
+
+// ResilienceSteadyRates is the steady fault intensity axis: each rate
+// arms steadyRules for the whole run, with no availability sags. The
+// rate-0 control is ResilienceRates' — armed-but-idle rules change
+// nothing, whichever model armed them.
+var ResilienceSteadyRates = []float64{0.10, 0.30}
 
 // ResilienceSeed seeds every fault plan and backoff schedule in the
 // sweep; one seed makes the whole table bit-reproducible.
@@ -73,10 +84,11 @@ const ResilienceChaosSchedules = 48
 // is recorded with a full structured trace.
 const ResilienceTraceWorkload = "tpch-6"
 
-// ResilienceRow is one (workload, rate) cell: all three arms' durations
-// and the breaker arm's ladder counters.
+// ResilienceRow is one (workload, fault model, rate) cell: all three
+// arms' durations and the breaker arm's ladder counters.
 type ResilienceRow struct {
 	Workload string
+	Steady   bool // steadyRules at Rate; false: bursts at Rate (0 = the control)
 	Rate     float64
 
 	StaticDur  float64
@@ -133,10 +145,11 @@ func (wb *Workbench) worstLine() float64 {
 }
 
 // resilienceRetry derives the NVMe command supervision from the plan's
-// own estimates, like the robustness sweep's adaptiveRetry — but tight:
-// the completion timer sits at 2.5x the costliest offloaded line, so a
+// own estimates (§III-A), tight: the completion timer sits at 2.5x the
+// costliest offloaded line plus a floor scaled with the workload, so a
 // dropped completion is detected on the same time scale as the work it
-// supervises and a healthy line never trips it.
+// supervises and a healthy line never trips it. It is the study's one
+// completion-timer sizing, for every cell and the chaos runs.
 func (wb *Workbench) resilienceRetry() nvme.RetryPolicy {
 	worst := wb.worstLine()
 	floor := 10e-3 * wb.Params.OverheadScale()
@@ -183,35 +196,62 @@ func burstsFor(cleanDur, timeout float64) resilienceBursts {
 	}
 }
 
-// install schedules the availability sags and returns the windowed
-// fault rules for one intensity; rate 0 means no bursts and an
-// armed-but-idle plan.
-func (b resilienceBursts) install(p *platform.Platform, rate float64) []fault.Rule {
-	if rate <= 0 {
+// resilienceCell is one fault setting of the sweep: a burst intensity
+// (rate 0 is the shared armed-but-idle control) or a steady one.
+type resilienceCell struct {
+	steady bool
+	rate   float64
+}
+
+// install arms p for the cell and returns its fault rules: the control
+// arms idle rules, a burst cell schedules the availability sags and
+// windowed completion drops, and a steady cell rolls steadyRules for
+// the whole run.
+func (c resilienceCell) install(p *platform.Platform, b resilienceBursts) []fault.Rule {
+	switch {
+	case c.rate <= 0:
 		return []fault.Rule{
 			{Point: fault.NVMeCompletionDrop, Rate: 0},
 			{Point: fault.CSEStall, Rate: 0, Duration: 1e-3},
 		}
+	case c.steady:
+		return steadyRules(c.rate)
 	}
 	var rules []fault.Rule
 	for k := 0; k < b.count; k++ {
 		at := b.start + float64(k)*b.period
 		p.Dev.ScheduleStress(at, ResilienceStressAvail, b.dur)
 		rules = append(rules,
-			fault.Rule{Point: fault.NVMeCompletionDrop, Rate: rate, Start: at, End: at + b.dur})
+			fault.Rule{Point: fault.NVMeCompletionDrop, Rate: c.rate, Start: at, End: at + b.dur})
 	}
 	return rules
 }
 
+// steadyRules is the steady fault model at one intensity: completion
+// drops and command losses exercise the NVMe supervision, transient
+// flash errors stretch reads, and a bounded trickle of uncorrectable
+// errors forces real line failures without making the host path — the
+// unit of last resort — permanently unusable.
+func steadyRules(rate float64) []fault.Rule {
+	return []fault.Rule{
+		{Point: fault.NVMeCompletionDrop, Rate: rate},
+		{Point: fault.NVMeCommandLoss, Rate: rate / 2},
+		{Point: fault.FlashTransient, Rate: rate},
+		{Point: fault.FlashUncorrectable, Rate: rate / 10, MaxCount: 2},
+	}
+}
+
 // runResilienceArm executes one arm of one cell on a fresh platform
-// with the bursts scheduled and the plan installed.
-func (wb *Workbench) runResilienceArm(seed uint64, bursts resilienceBursts, rate float64,
+// with the cell's faults, seeded by seed, armed under retry's
+// supervision. Every arm of every cell, the control included, runs
+// through it.
+func (wb *Workbench) runResilienceArm(seed uint64, cell resilienceCell, bursts resilienceBursts,
 	retry nvme.RetryPolicy, pol *resilience.Policy, rec *trace.Recorder) (*exec.Result, error) {
 	p := platform.Default()
 	if rec != nil {
 		p.SetRecorder(rec)
 	}
-	rules := bursts.install(p, rate)
+	rules := cell.install(p, bursts)
 	plan, err := fault.NewPlanChecked(seed, rules...)
 	if err != nil {
 		return nil, err
@@ -241,14 +281,21 @@ func (wb *Workbench) chaosConfig(seed uint64, n int, pol resilience.Policy, retr
 	}
 }
 
-// Resilience sweeps oscillating availability against fault intensity
-// and compares the static, one-shot-failover, and circuit-breaker
-// postures, then runs the chaos sub-run. The zero-rate column doubles
-// as the cost-free-when-idle check: all three arms must produce the
-// same clean duration.
+// Resilience sweeps fault intensity under both fault models and
+// compares the static, one-shot-failover, and circuit-breaker postures,
+// then runs the chaos sub-run. The zero-rate control doubles as the
+// cost-free-when-idle check: all three arms must produce the same clean
+// duration.
 func Resilience(params workloads.Params, opts ...Option) (*ResilienceResult, *report.Table, error) {
 	o := buildOptions(opts)
 	maxRate := ResilienceRates[len(ResilienceRates)-1]
+	var cells []resilienceCell
+	for _, rate := range ResilienceRates {
+		cells = append(cells, resilienceCell{rate: rate})
+	}
+	for _, rate := range ResilienceSteadyRates {
+		cells = append(cells, resilienceCell{steady: true, rate: rate})
+	}
 	type perSpec struct {
 		rows         []ResilienceRow
 		chaos, sweep *chaos.Report
@@ -261,7 +308,7 @@ func Resilience(params workloads.Params, opts ...Option) (*ResilienceResult, *re
 		// Armed-but-idle breaker run: the control duration that also
 		// calibrates the burst timeline and the breaker cooldown.
 		pol := resiliencePolicy(ResilienceSeed, retry, 0)
-		clean, err := wb.runResilienceArm(ResilienceSeed, resilienceBursts{}, 0, retry, &pol, nil)
+		clean, err := wb.runResilienceArm(ResilienceSeed, resilienceCell{}, resilienceBursts{}, retry, &pol, nil)
 		if err != nil {
 			return perSpec{}, fmt.Errorf("experiments: resilience: %s control: %w", name, err)
 		}
@@ -270,17 +317,17 @@ func Resilience(params workloads.Params, opts ...Option) (*ResilienceResult, *re
 		perLine, oneShot := resilience.PerLine(), resilience.OneShot()
 
 		out := perSpec{}
-		for _, rate := range ResilienceRates {
-			row := ResilienceRow{Workload: name, Rate: rate, Planner: wb.Plan.Planner}
-			static, serr := wb.runResilienceArm(ResilienceSeed, bursts, rate, retry, &perLine, nil)
-			oneshot, oerr := wb.runResilienceArm(ResilienceSeed, bursts, rate, retry, &oneShot, nil)
+		for _, cell := range cells {
+			row := ResilienceRow{Workload: name, Steady: cell.steady, Rate: cell.rate, Planner: wb.Plan.Planner}
+			static, serr := wb.runResilienceArm(ResilienceSeed, cell, bursts, retry, &perLine, nil)
+			oneshot, oerr := wb.runResilienceArm(ResilienceSeed, cell, bursts, retry, &oneShot, nil)
 			var rec *trace.Recorder
-			if name == ResilienceTraceWorkload && rate == maxRate {
+			if name == ResilienceTraceWorkload && !cell.steady && cell.rate == maxRate {
 				rec = trace.New()
 				out.rec = rec
 			}
-			breaker, berr := wb.runResilienceArm(ResilienceSeed, bursts, rate, retry, &pol, rec)
-			if rate == 0 && (serr != nil || oerr != nil || berr != nil) {
+			breaker, berr := wb.runResilienceArm(ResilienceSeed, cell, bursts, retry, &pol, rec)
+			if cell.rate == 0 && (serr != nil || oerr != nil || berr != nil) {
 				return perSpec{}, fmt.Errorf("experiments: resilience: %s control arm failed: %v %v %v",
 					name, serr, oerr, berr)
 			}
@@ -330,8 +377,8 @@ func Resilience(params workloads.Params, opts ...Option) (*ResilienceResult, *re
 	}
 
 	res := &ResilienceResult{}
-	tbl := report.NewTable("Resilience: breaker vs static vs one-shot failover under oscillating faults",
-		"workload", "rate", "static", "oneshot", "breaker", "vs static", "vs oneshot",
+	tbl := report.NewTable("Resilience: breaker vs static vs one-shot failover under burst and steady faults",
+		"workload", "faults", "rate", "static", "oneshot", "breaker", "vs static", "vs oneshot",
 		"opens", "closes", "probes", "degraded", "completed")
 	for _, ps := range per {
 		if ps.chaos != nil {
@@ -342,7 +389,7 @@ func Resilience(params workloads.Params, opts ...Option) (*ResilienceResult, *re
 		}
 		for _, row := range ps.rows {
 			res.Rows = append(res.Rows, row)
-			tbl.AddRow(row.Workload, fmt.Sprintf("%.2f", row.Rate),
+			tbl.AddRow(row.Workload, row.faults(), fmt.Sprintf("%.2f", row.Rate),
 				fmt.Sprintf("%.4fs", row.StaticDur),
 				fmt.Sprintf("%.4fs", row.OneshotDur),
 				fmt.Sprintf("%.4fs", row.BreakerDur),
@@ -356,4 +403,16 @@ func Resilience(params workloads.Params, opts ...Option) (*ResilienceResult, *re
 		}
 	}
 	return res, tbl, nil
+}
+
+// faults names the row's fault model: none for the shared control,
+// burst or steady otherwise.
+func (r ResilienceRow) faults() string {
+	switch {
+	case r.Rate <= 0:
+		return "none"
+	case r.Steady:
+		return "steady"
+	}
+	return "burst"
 }

@@ -114,12 +114,8 @@ func WithServing(ov ServingOverrides) Option {
 
 // ServingCell is one load point's outcome.
 type ServingCell struct {
-	// Load is the offered-load fraction of capacity; TotalQPS the
-	// resulting offered rate; Horizon the arrival window.
-	Load     float64
-	TotalQPS float64
-	Horizon  float64
-	Res      *driver.Result
+	Load float64 // the offered-load fraction of capacity
+	Res  *driver.Result
 }
 
 // ServingResult is the full sweep.
@@ -282,7 +278,7 @@ func Serving(params workloads.Params, opts ...Option) (*ServingResult, *report.T
 		}
 		p.FoldMetrics(reg)
 		return perLoad{
-			cell: ServingCell{Load: load, TotalQPS: totalQPS, Horizon: horizon, Res: res},
+			cell: ServingCell{Load: load, Res: res},
 			rec:  rec,
 		}, nil
 	})

@@ -13,7 +13,7 @@ import (
 )
 
 // TestTracingInvariance pins the trace layer's zero-overhead contract the
-// way TestRobustnessShape pins the fault layer's rate-0 invariant: a run
+// way TestResilienceShape pins the fault layer's rate-0 invariant: a run
 // with a recorder attached must be bit-identical — same exec.Result,
 // same event count — to the same run without one.
 func TestTracingInvariance(t *testing.T) {

@@ -15,14 +15,13 @@ import (
 
 // Config sets the host's compute constants.
 type Config struct {
-	Cores     int
-	Rate      float64 // work units/second/core
-	DRAMBytes int64
+	Cores int
+	Rate  float64 // work units/second/core
 }
 
 // DefaultConfig mirrors the Ryzen 7 3700X-class host of §IV-A.
 func DefaultConfig() Config {
-	return Config{Cores: 8, Rate: 3.6e9, DRAMBytes: 32 << 30}
+	return Config{Cores: 8, Rate: 3.6e9}
 }
 
 // Host is the live host model.

@@ -260,7 +260,7 @@ func (s *bnbSearch) unitFloor(k int) float64 {
 	e := &s.est[s.comp[k]]
 	unit := e.HostTotal()
 	if !s.forcedHost(k) {
-		if dev := e.DevTotal() + e.QueueOverhead(s.w.m); dev < unit {
+		if dev := e.DevTotal() + e.QueueOverhead(&s.w.m); dev < unit {
 			unit = dev
 		}
 	}
@@ -324,7 +324,7 @@ func (s *bnbSearch) solveComponent(comp []int) ([]bool, bool) {
 		}
 		e := &s.est[idx]
 		fromAlg1[k] = alg1.Partition.OnCSD(e.Line)
-		greedy[k] = e.DevTotal()+e.QueueOverhead(s.w.m) < e.HostTotal()
+		greedy[k] = e.DevTotal()+e.QueueOverhead(&s.w.m) < e.HostTotal()
 	}
 	seed(fromAlg1)
 	seed(greedy)

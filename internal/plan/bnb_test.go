@@ -15,10 +15,8 @@ import (
 func bnbTestMachine() Machine {
 	return Machine{
 		HostCores: 8, HostRate: 1e9,
-		CSECores: 4, CSERate: 2.5e8,
 		FlashBW: 9e9, D2HBW: 5e9, D2HLat: 1e-5,
-		HostMemBW: 3e10, DevMemBW: 1.5e10,
-		C: 3.2,
+		HostMemBW: 3e10, C: 3.2,
 	}
 }
 
@@ -139,7 +137,7 @@ func TestBnBMatchesOptimalOnTies(t *testing.T) {
 	m := bnbTestMachine()
 	neutral := func(line int) LineEstimate {
 		e := LineEstimate{Line: line, Execs: 3}
-		e.SHost = e.QueueOverhead(m)
+		e.SHost = e.QueueOverhead(&m)
 		return e
 	}
 	never := func(line int) LineEstimate {
@@ -148,8 +146,8 @@ func TestBnBMatchesOptimalOnTies(t *testing.T) {
 	win := func(line int) LineEstimate {
 		return LineEstimate{Line: line, Execs: 1, CTHost: 1e-4, CTDev: 3e-4, SHost: 2e-3, SDev: 1e-3}
 	}
-	if e := neutral(1); e.DevTotal()+e.QueueOverhead(m) != e.HostTotal() {
-		t.Fatalf("neutral line is not an exact tie: device %.17g vs host %.17g", e.DevTotal()+e.QueueOverhead(m), e.HostTotal())
+	if e := neutral(1); e.DevTotal()+e.QueueOverhead(&m) != e.HostTotal() {
+		t.Fatalf("neutral line is not an exact tie: device %.17g vs host %.17g", e.DevTotal()+e.QueueOverhead(&m), e.HostTotal())
 	}
 	shapes := map[string][]func(int) LineEstimate{
 		"neutral":              {neutral},
@@ -182,7 +180,7 @@ func TestBnBMatchesOptimalOnTies(t *testing.T) {
 			switch fault.Mix64(seed*131+uint64(i)) % 4 {
 			case 0: // cost-neutral, as neutral above
 				*e = LineEstimate{Line: e.Line, Execs: e.Execs, Reads: e.Reads, Writes: e.Writes, DIn: e.DIn, DOut: e.DOut}
-				e.SHost = e.QueueOverhead(m)
+				e.SHost = e.QueueOverhead(&m)
 			case 1: // never executed: no queue overhead, equal unit costs
 				e.Execs, e.CTDev, e.SDev = 0, e.CTHost, e.SHost
 			case 2:

@@ -18,24 +18,24 @@ import (
 	"activego/internal/profile"
 )
 
-// Machine carries the platform constants Equation 1 needs.
+// Machine carries the platform constants Equation 1 needs. Device
+// compute is priced as C × CTHost (§III-A), so the CSE's own core count
+// and rate are not among them.
 type Machine struct {
 	HostCores int
 	HostRate  float64 // work units/s/core
-	CSECores  int
-	CSERate   float64
 	FlashBW   float64 // internal array read bandwidth, bytes/s
 	D2HBW     float64 // external link bandwidth, bytes/s
 	D2HLat    float64 // external link latency, s
 	HostMemBW float64
-	DevMemBW  float64
 	// C is the host→CSD compute slowdown constant of §III-A, measured by
 	// perf counters or the calibration microbenchmark.
 	C float64
 }
 
-// xfer prices moving bytes of one variable across the host-CSD link. A
-// pointer receiver keeps inlined calls from copying the whole Machine.
+// xfer prices moving bytes of one variable across the host-CSD link.
+// Machine's methods and helpers take it by pointer, so inlined calls
+// never copy the whole struct.
 func (m *Machine) xfer(bytes float64) float64 { return bytes/m.D2HBW + m.D2HLat }
 
 // MachineFromPlatform extracts the constants from a live platform,
@@ -44,13 +44,10 @@ func MachineFromPlatform(p *platform.Platform) Machine {
 	return Machine{
 		HostCores: p.Cfg.Host.Cores,
 		HostRate:  p.Cfg.Host.Rate,
-		CSECores:  p.Cfg.CSD.CSECores,
-		CSERate:   p.Cfg.CSD.CSERate,
 		FlashBW:   p.Dev.Array.Geometry().EffectiveReadBW(),
 		D2HBW:     p.Cfg.Inter.D2HBandwidth,
 		D2HLat:    p.Cfg.Inter.D2HLatency,
 		HostMemBW: p.Cfg.Inter.HostMemBW,
-		DevMemBW:  p.Cfg.Inter.DevMemBW,
 		C:         p.MeasureSlowdown(),
 	}
 }
@@ -90,7 +87,7 @@ const queueBytes = 64 + 16 + 64
 // instances: each offloaded invocation costs a link round trip plus the
 // queue-entry bytes. Cheap lines feel this; it is why a free-standing
 // scalar line belongs on the host even when its operand is device-side.
-func (e *LineEstimate) QueueOverhead(m Machine) float64 {
+func (e *LineEstimate) QueueOverhead(m *Machine) float64 {
 	return e.Execs * (2*m.D2HLat + queueBytes/m.D2HBW)
 }
 
@@ -202,7 +199,7 @@ func (r *Result) ByLine() map[int]*LineEstimate {
 //
 // The second return value is the refund consumed, which the caller
 // deducts from the budget.
-func deltaOnCSD(e *LineEstimate, refundBudget float64, inputNearCSD bool, m Machine) (float64, float64) {
+func deltaOnCSD(e *LineEstimate, refundBudget float64, inputNearCSD bool, m *Machine) (float64, float64) {
 	d := e.DevTotal() + e.QueueOverhead(m) - e.HostTotal() + m.xfer(e.DOut)
 	if inputNearCSD {
 		refund := e.DIn
@@ -280,7 +277,7 @@ func Algorithm1(estimates []LineEstimate, cons Constraints, m Machine) *Result {
 			if j == i {
 				inputNear = j == 0 || part.OnCSD(estimates[j-1].Line)
 			}
-			d, used := deltaOnCSD(e, budget, inputNear, m)
+			d, used := deltaOnCSD(e, budget, inputNear, &m)
 			budget -= used
 			budget += e.DOut
 			chainDelta += d
@@ -324,7 +321,7 @@ func Algorithm1Literal(estimates []LineEstimate, cons Constraints, m Machine) *R
 			continue
 		}
 		inputNear := i == 0 || part.OnCSD(estimates[i-1].Line)
-		d, used := deltaOnCSD(e, budget, inputNear, m)
+		d, used := deltaOnCSD(e, budget, inputNear, &m)
 		t := tCSD + d
 		if t < tCSD && tCSD <= tHost {
 			part.CSDLines[e.Line] = true
@@ -408,7 +405,7 @@ func (w *walk) step(cost float64, e *LineEstimate, onCSD bool) float64 {
 		w.rehome(wr.Name, dev, known, onCSD)
 	}
 	if onCSD {
-		cost += e.DevTotal() + e.QueueOverhead(w.m)
+		cost += e.DevTotal() + e.QueueOverhead(&w.m)
 	} else {
 		cost += e.HostTotal()
 	}
@@ -468,23 +465,37 @@ func Optimal(estimates []LineEstimate, cons Constraints, m Machine) *Result {
 	if n > MaxOptimalLines {
 		panic(fmt.Sprintf("plan: Optimal over %d free lines, past MaxOptimalLines (%d)", n, MaxOptimalLines))
 	}
-	buildPart := func(mask int) codegen.Partition {
-		part := codegen.NewPartition()
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				part.CSDLines[estimates[free[i]].Line] = true
-			}
+	// Each mask is priced by the residency walk over a reused map and
+	// on-CSD vector, summed in EvaluatePlacement's order, so every total
+	// is bit-identical to EvaluatePlacement's; only the winner becomes a
+	// partition.
+	w := walk{m: m, home: map[string]bool{}}
+	onCSD := make([]bool, len(estimates))
+	price := func(mask int) float64 {
+		for i, idx := range free {
+			onCSD[idx] = mask&(1<<i) != 0
 		}
-		return part
+		clear(w.home)
+		t := 0.0
+		for i := range estimates {
+			t = w.step(t, &estimates[i], onCSD[i])
+		}
+		return t
 	}
-	tHost := EvaluatePlacement(estimates, buildPart(0), m).Time
+	tHost := price(0)
 	bestMask, bestT := 0, tHost
 	for mask := 1; mask < 1<<n; mask++ {
-		if t := EvaluatePlacement(estimates, buildPart(mask), m).Time; t < bestT {
+		if t := price(mask); t < bestT {
 			bestMask, bestT = mask, t
 		}
 	}
-	return &Result{Partition: buildPart(bestMask), Estimates: estimates, THost: tHost, TCSD: bestT, Planner: PlannerOptimal}
+	part := codegen.NewPartition()
+	for i, idx := range free {
+		if bestMask&(1<<i) != 0 {
+			part.CSDLines[estimates[idx].Line] = true
+		}
+	}
+	return &Result{Partition: part, Estimates: estimates, THost: tHost, TCSD: bestT, Planner: PlannerOptimal}
 }
 
 // Describe renders the plan for logs and examples.

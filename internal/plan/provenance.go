@@ -73,7 +73,7 @@ func BuildProvenance(res *Result, cons Constraints, pruned []PrunedLine, m Machi
 			DOut:          e.DOut,
 			HostTotal:     e.HostTotal(),
 			DevTotal:      e.DevTotal(),
-			QueueOverhead: e.QueueOverhead(m),
+			QueueOverhead: e.QueueOverhead(&m),
 			OnCSD:         res.Partition.OnCSD(e.Line),
 		}
 		if reason, ok := cons.Pinned(e.Line); ok {

@@ -93,7 +93,7 @@ func neverWinMargins(estimates []LineEstimate, m Machine) []marginProof {
 		for _, v := range names {
 			swing += largestLaterRead[i][v]
 		}
-		over := e.DevTotal() + e.QueueOverhead(m) - e.HostTotal()
+		over := e.DevTotal() + e.QueueOverhead(&m) - e.HostTotal()
 		out[i] = marginProof{
 			Margin: over - swing,
 			Over:   over,

@@ -10,9 +10,8 @@ import (
 // NeverWin, but keep the full shape realistic.
 var pruneMachine = Machine{
 	HostCores: 4, HostRate: 1e9,
-	CSECores: 4, CSERate: 5e8,
 	FlashBW: 9e9, D2HBW: 5e9, D2HLat: 10e-6,
-	HostMemBW: 2e10, DevMemBW: 4e10, C: 3,
+	HostMemBW: 2e10, C: 3,
 }
 
 // mix is splitmix64 — the test generator's only randomness source, so

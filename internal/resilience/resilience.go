@@ -3,8 +3,9 @@
 // exponential backoff and jitter, per-call deadlines, and a circuit
 // breaker that makes degradation bidirectional — offload is suspended
 // after consecutive faults and re-admitted by a half-open probe once the
-// device recovers. The presets Default, PerLine and OneShot are the
-// three postures the runtime and its studies arm.
+// device recovers. The presets PerLine and OneShot are two of the three
+// postures the studies arm; the third, the full ladder, is sized from
+// each run's plan by its caller.
 //
 // Everything here is policy and bookkeeping: the types never schedule
 // simulation events or consult a clock of their own. The executor feeds
@@ -213,19 +214,6 @@ type Policy struct {
 	Backoff Backoff
 	// Breaker gates the offload path.
 	Breaker BreakerPolicy
-}
-
-// Default returns the policy used by the resilient runtime: one
-// backoff'd re-post per rung, a breaker that opens after three
-// consecutive faults and probes after 100 ms, and no per-line deadline
-// (deadlines depend on workload scale; harnesses derive them from plan
-// estimates).
-func Default(seed uint64) Policy {
-	return Policy{
-		LineRetries: 1,
-		Backoff:     Backoff{Base: 1e-3, Factor: 2, Cap: 50e-3, Jitter: 0.25, Seed: seed},
-		Breaker:     BreakerPolicy{Threshold: 3, Cooldown: 100e-3},
-	}
 }
 
 // PerLine returns the static per-line posture: one immediate re-post per

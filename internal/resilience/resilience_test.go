@@ -164,7 +164,7 @@ func TestBreakerStateStrings(t *testing.T) {
 }
 
 func TestPolicyValidate(t *testing.T) {
-	for name, p := range map[string]Policy{"Default": Default(1), "PerLine": PerLine(), "OneShot": OneShot()} {
+	for name, p := range map[string]Policy{"PerLine": PerLine(), "OneShot": OneShot()} {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("%s policy invalid: %v", name, err)
 		}
