@@ -29,6 +29,7 @@ import (
 	"activego/internal/core"
 	"activego/internal/driver"
 	"activego/internal/exec"
+	"activego/internal/experiments"
 	"activego/internal/platform"
 	"activego/internal/profile"
 	"activego/internal/workloads"
@@ -155,7 +156,7 @@ func fail(err error) {
 // serving study: offered rate calibrated from the solo warm service
 // time, horizon sized for ~48 requests.
 func runServe(name string, params workloads.Params, obs *cliutil.Flags,
-	srv *cliutil.ServingFlags, seed uint64) int {
+	srv *experiments.ServingOverrides, seed uint64) int {
 	if err := obs.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "activego:", err)
 		return 1
@@ -219,14 +220,7 @@ func runServe(name string, params workloads.Params, obs *cliutil.Flags,
 		fmt.Fprintln(os.Stderr, "activego:", err)
 		return 1
 	}
-	fmt.Printf("%-10s %8s %8s %6s %6s %9s %9s %9s\n",
-		"tenant", "offered", "done", "fail", "shed", "p50", "p95", "p99")
-	for _, tr := range res.Tenants {
-		fmt.Printf("%-10s %8d %8d %6d %6d %8.4fs %8.4fs %8.4fs\n",
-			tr.Name, tr.Offered, tr.Completed, tr.Failed, tr.Shed, tr.P50, tr.P95, tr.P99)
-	}
-	fmt.Printf("makespan %.4fs, fairness %.3f (Jain over completed/offered)\n",
-		res.Makespan, res.Fairness)
+	cliutil.PrintServing(os.Stdout, res)
 	p.FoldMetrics(obs.Registry())
 	if err := obs.Finish(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "activego:", err)

@@ -14,7 +14,9 @@
 //	benchsuite -compare old.json new.json [-tolerance 0.10]
 //
 // The experiments are experiments.All(), run and printed in its order;
-// -h lists their names.
+// -h lists their names. -trace and -tracesummary export the recording of
+// the one experiment -exp names; with -exp all, or with an experiment
+// that records nothing, they are an error.
 //
 // Inputs are synthesized at 1/scalediv of Table I's sizes (default 512,
 // ~10-18 MB per application); the shape of every result — who wins, by
@@ -48,8 +50,8 @@ func main() {
 		names[i] = e.Name
 	}
 	exp := flag.String("exp", "all", "experiment: all, "+strings.Join(names, ", "))
-	chaosN := flag.Int("chaos", 0, "run N extra randomized chaos fault schedules in the resilience experiment (0 = just the built-in sub-run)")
-	chaosSeed := flag.Uint64("chaos-seed", experiments.ResilienceSeed, "seed for the -chaos schedule sweep")
+	chaosN := flag.Int("chaos", 0, fmt.Sprintf("run the resilience experiment's chaos sub-run over N randomized fault schedules instead of its built-in %d (0 = the built-in sub-run)", experiments.ResilienceChaosSchedules))
+	chaosSeed := flag.Uint64("chaos-seed", experiments.ResilienceSeed, "seed for the -chaos schedules")
 	scaleDiv := flag.Int64("scalediv", 512, "divide Table I input sizes by this factor")
 	seed := flag.Int64("seed", 42, "generator seed")
 	outDir := flag.String("outdir", "", "write one BENCH_<exp>.json benchmark manifest per experiment into this directory")
@@ -74,6 +76,9 @@ func main() {
 	if *chaosN > 0 && *exp != "all" && *exp != "resilience" {
 		fail(fmt.Errorf("-chaos runs in the resilience experiment; use -exp resilience or all, not %q", *exp))
 	}
+	if obs.WantTrace() && *exp == "all" {
+		fail(fmt.Errorf("-trace and -tracesummary export one experiment's recording; pick one with -exp"))
+	}
 	if err := obs.Start(); err != nil {
 		fail(err)
 	}
@@ -90,12 +95,6 @@ func main() {
 		}
 	}
 	params := workloads.Params{ScaleDiv: *scaleDiv, Seed: *seed}
-	withServing := experiments.WithServing(experiments.ServingOverrides{
-		Tenants:  serving.Tenants,
-		Arrival:  serving.Arrival,
-		QPS:      serving.QPS,
-		Duration: serving.Duration,
-	})
 
 	// The suite prepares every program its experiments read once, then
 	// fans the experiments out on the -j pool against that read-only
@@ -104,10 +103,13 @@ func main() {
 	// snapshots attached to manifests, and the BENCH_*.json files are
 	// bit-identical at any -j.
 	pool := obs.Pool()
-	outs, err := experiments.RunSuite(suite, params, withServing, experiments.WithChaosSweep(*chaosN, *chaosSeed),
-		experiments.WithMetrics(reg), experiments.WithPool(pool))
+	outs, err := experiments.RunSuite(suite, params, experiments.WithServing(*serving),
+		experiments.WithChaosSweep(*chaosN, *chaosSeed), experiments.WithMetrics(reg), experiments.WithPool(pool))
 	if err != nil {
 		fail(err)
+	}
+	if obs.WantTrace() && outs[0].Rec == nil {
+		fail(fmt.Errorf("-exp %s records no trace for -trace or -tracesummary", *exp))
 	}
 	for i, out := range outs {
 		name := suite[i].Name
@@ -115,12 +117,9 @@ func main() {
 			fmt.Printf("==== %s ====\n", name)
 		}
 		fmt.Print(out.Text)
-		// The trace flags apply to the utilization study's steady-state
-		// recording — the run worth a timeline — not a top-level one.
-		if name == "utilization" {
-			if err := obs.ExportTrace(os.Stdout, out.Rec); err != nil {
-				fail(err)
-			}
+		// The trace flags export the one experiment's own recording.
+		if err := obs.ExportTrace(os.Stdout, out.Rec); err != nil {
+			fail(err)
 		}
 		if *outDir != "" {
 			m := out.Manifest

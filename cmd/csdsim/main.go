@@ -26,6 +26,7 @@ import (
 	"activego/internal/cliutil"
 	"activego/internal/csd"
 	"activego/internal/driver"
+	"activego/internal/experiments"
 	"activego/internal/fault"
 	"activego/internal/nvme"
 	"activego/internal/platform"
@@ -212,7 +213,7 @@ func runDeviceChaos(n int, seed uint64, retryTimeout float64) int {
 // tenant, so admission control and fairness can be inspected on the
 // substrate without the language stack on top. -fault-rate arms the
 // same fault plan as the benchmark path underneath the traffic.
-func runDeviceServe(obs *cliutil.Flags, srv *cliutil.ServingFlags,
+func runDeviceServe(obs *cliutil.Flags, srv *experiments.ServingOverrides,
 	seed uint64, faultRate, retryTimeout float64) int {
 	if err := obs.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "csdsim:", err)
@@ -287,14 +288,7 @@ func runDeviceServe(obs *cliutil.Flags, srv *cliutil.ServingFlags,
 		fmt.Fprintln(os.Stderr, "csdsim:", err)
 		return 1
 	}
-	fmt.Printf("%-10s %8s %8s %6s %6s %9s %9s %9s\n",
-		"tenant", "offered", "done", "fail", "shed", "p50", "p95", "p99")
-	for _, tr := range res.Tenants {
-		fmt.Printf("%-10s %8d %8d %6d %6d %8.4fs %8.4fs %8.4fs\n",
-			tr.Name, tr.Offered, tr.Completed, tr.Failed, tr.Shed, tr.P50, tr.P95, tr.P99)
-	}
-	fmt.Printf("makespan %.4fs, fairness %.3f (Jain over completed/offered)\n",
-		res.Makespan, res.Fairness)
+	cliutil.PrintServing(os.Stdout, res)
 	retired, rate := p.Dev.PerfCounters()
 	fmt.Printf("perf counters: retired=%.3g units, effective rate=%.3g units/s/core; events fired: %d\n",
 		retired, rate, p.Sim.EventsFired())

@@ -21,6 +21,8 @@ import (
 	runpprof "runtime/pprof"
 
 	"activego/internal/core"
+	"activego/internal/driver"
+	"activego/internal/experiments"
 	"activego/internal/metrics"
 	"activego/internal/par"
 	"activego/internal/trace"
@@ -89,26 +91,31 @@ func (f *Flags) RegisterMonitor(fs *flag.FlagSet) {
 	fs.StringVar(&f.HTTPMon, "httpmon", "", "serve expvar, net/http/pprof, and a live /metrics snapshot on this address while running (e.g. localhost:8080)")
 }
 
-// ServingFlags is the shared flag surface of the multi-tenant serving
-// driver (DESIGN.md §14): the same -tenants/-arrival/-qps/-duration
-// knobs in every command that can drive traffic. Zero values mean "use
-// the study's documented defaults", so committed baselines are
-// unaffected by the flags' existence.
-type ServingFlags struct {
-	Tenants  int     // -tenants: tenant population size (0 = default population)
-	Arrival  string  // -arrival: force one arrival process on every tenant
-	QPS      float64 // -qps: total offered rate at load 1.0, req/simulated second
-	Duration float64 // -duration: arrival horizon in simulated seconds
-}
-
-// RegisterServing installs the serving-driver flags on fs.
-func RegisterServing(fs *flag.FlagSet) *ServingFlags {
-	s := &ServingFlags{}
+// RegisterServing installs the multi-tenant serving driver's flags
+// (DESIGN.md §14) on fs: the same -tenants/-arrival/-qps/-duration knobs
+// in every command that can drive traffic, parsed into the overrides
+// the serving study reads. Zero values mean "use the defaults", so
+// committed baselines are unaffected by the flags' existence.
+func RegisterServing(fs *flag.FlagSet) *experiments.ServingOverrides {
+	s := &experiments.ServingOverrides{}
 	fs.IntVar(&s.Tenants, "tenants", 0, "serving: number of tenants (0 = the study's default population)")
 	fs.StringVar(&s.Arrival, "arrival", "", "serving: force every tenant's arrival process (poisson, bursty, uniform, closed; empty = per-tenant defaults)")
 	fs.Float64Var(&s.QPS, "qps", 0, "serving: total offered rate at load 1.0 in requests per simulated second (0 = calibrate from solo service times)")
 	fs.Float64Var(&s.Duration, "duration", 0, "serving: arrival horizon in simulated seconds (0 = derive from the request target)")
 	return s
+}
+
+// PrintServing writes a serving run's per-tenant table and its makespan
+// and fairness line to out.
+func PrintServing(out io.Writer, res *driver.Result) {
+	fmt.Fprintf(out, "%-10s %8s %8s %6s %6s %9s %9s %9s\n",
+		"tenant", "offered", "done", "fail", "shed", "p50", "p95", "p99")
+	for _, tr := range res.Tenants {
+		fmt.Fprintf(out, "%-10s %8d %8d %6d %6d %8.4fs %8.4fs %8.4fs\n",
+			tr.Name, tr.Offered, tr.Completed, tr.Failed, tr.Shed, tr.P50, tr.P95, tr.P99)
+	}
+	fmt.Fprintf(out, "makespan %.4fs, fairness %.3f (Jain over completed/offered)\n",
+		res.Makespan, res.Fairness)
 }
 
 // WantTrace reports whether either trace output was requested.

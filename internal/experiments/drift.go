@@ -27,9 +27,9 @@ import (
 const DriftSeed uint64 = 29
 
 // DriftWorkload is the served scenario: TPC-H Q6, the same canonical
-// offload case the utilization study and Figure 5 stress, so the stale
-// set can be cross-checked against the lines migration actually moves.
-const DriftWorkload = UtilizationWorkload
+// offload case Figure 5 stresses and records, so the stale set can be
+// cross-checked against the lines migration actually moves.
+const DriftWorkload = Fig5TraceWorkload
 
 var driftPrograms = Programs{Names: []string{DriftWorkload}}
 

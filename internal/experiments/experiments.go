@@ -3,8 +3,7 @@
 // sweep of static C ISP, Figure 4's ActivePy-vs-programmer-directed
 // comparison, Figure 5's migration study, the §V prediction-accuracy
 // numbers, and the §V language-runtime optimization ladder — plus the
-// studies this reproduction added (resilience, utilization, serving,
-// drift, planner).
+// studies this reproduction added (resilience, serving, drift, planner).
 //
 // Each harness returns structured results plus a report.Table with the
 // same rows the paper's figure plots, and each result converts into a
@@ -72,11 +71,9 @@ func WithPool(p *par.Pool) Option {
 	return func(o *options) { o.pool = p }
 }
 
-// WithChaosSweep adds n more randomized chaos fault schedules, seeded by
-// seed, to the resilience study: a sweep over the same prepared trace
-// its built-in sub-run reads, under the ladder with a cooldown of four
-// completion timeouts. The study fails if the sweep breaks an
-// invariant. n = 0 adds none.
+// WithChaosSweep sizes the resilience study's chaos sub-run: with n > 0
+// it runs n randomized fault schedules seeded by seed instead of
+// ResilienceChaosSchedules at ResilienceSeed. n = 0 keeps the default.
 func WithChaosSweep(n int, seed uint64) Option {
 	return func(o *options) { o.sweep.n, o.sweep.seed = n, seed }
 }

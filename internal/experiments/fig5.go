@@ -6,11 +6,18 @@ import (
 	"activego/internal/exec"
 	"activego/internal/platform"
 	"activego/internal/report"
+	"activego/internal/trace"
 	"activego/internal/workloads"
 )
 
-// Fig5Availabilities are the two contention levels Figure 5 shows.
+// Fig5Availabilities are the two contention levels Figure 5 shows; the
+// last is the harsher one, where the §III-D monitor reliably migrates.
 var Fig5Availabilities = []float64{0.5, 0.1}
+
+// Fig5TraceWorkload is the row Figure 5 records: TPC-H Q6 is the
+// paper's canonical filter-heavy offload case, so its timeline shows
+// every lane of the stack doing real work.
+const Fig5TraceWorkload = "tpch-6"
 
 // Fig5Row is one workload at one availability.
 type Fig5Row struct {
@@ -25,6 +32,35 @@ type Fig5Row struct {
 // Fig5Result is the full study.
 type Fig5Result struct {
 	Rows []Fig5Row
+
+	// Rec is Fig5TraceWorkload's reference run, recorded: full
+	// availability, no migration — the per-component utilization
+	// picture (ours, no paper counterpart).
+	Rec *trace.Recorder
+	// Stressed is the same workload's with-migration run at the harsher
+	// availability, whose co-tenant arrives at StressAt (simulated
+	// seconds): the run MigrationTimeline renders.
+	Stressed *exec.Result
+	StressAt float64
+}
+
+// MigrationTimeline renders the stressed run's key instants as a table:
+// run start, stress arrival, the §III-D migration decision, and run end.
+func (r *Fig5Result) MigrationTimeline() *report.Table {
+	tbl := report.NewTable(
+		fmt.Sprintf("Migration timeline: %s, CSE availability drops to %.0f%% mid-run",
+			Fig5TraceWorkload, Fig5Availabilities[len(Fig5Availabilities)-1]*100),
+		"event", "t ms")
+	row := func(name string, t float64) {
+		tbl.AddRow(name, fmt.Sprintf("%.4f", t*1e3))
+	}
+	row("run start", r.Stressed.Start)
+	row("co-tenant stress arrives", r.StressAt)
+	if r.Stressed.Migrated {
+		row("monitor migrates to host", r.Stressed.MigratedAt)
+	}
+	row("run end", r.Stressed.End)
+	return tbl
 }
 
 // rowsAt filters by availability.
@@ -110,30 +146,43 @@ func progressTime(start float64, progress []exec.Progress, frac float64) float64
 // task migration while a co-tenant stresses the CSE — the stress arrives
 // when the offloaded task reaches 50% of its progress, exactly the
 // paper's methodology — leaving 50% or 10% of the CSE available for the
-// rest of the run.
+// rest of the run. Fig5TraceWorkload's reference run is recorded.
 func Fig5(params workloads.Params, opts ...Option) (*Fig5Result, *report.Table, error) {
-	perSpec, err := overPrograms(params, buildOptions(opts), allPrograms, func(wb *Workbench) ([]Fig5Row, error) {
+	type perSpec struct {
+		rows     []Fig5Row
+		rec      *trace.Recorder // Fig5TraceWorkload's only
+		stressed *exec.Result
+		t50      float64
+	}
+	stressAvail := Fig5Availabilities[len(Fig5Availabilities)-1]
+	per, err := overPrograms(params, buildOptions(opts), allPrograms, func(wb *Workbench) (perSpec, error) {
 		spec := wb.Spec
+		var out perSpec
+		if spec.Name == Fig5TraceWorkload {
+			out.rec = trace.New()
+		}
 		// Reference run at full availability to locate the 50%-progress
 		// instant of the offloaded task.
-		ref, err := wb.RunActivePy(false, nil)
+		ref, err := wb.RunActivePy(false, func(p *platform.Platform) { p.SetRecorder(out.rec) })
 		if err != nil {
-			return nil, fmt.Errorf("experiments: fig5: %s ref: %w", spec.Name, err)
+			return out, fmt.Errorf("experiments: fig5: %s ref: %w", spec.Name, err)
 		}
-		t50 := progressTime(ref.Start, ref.CSDProgress, 0.5)
-		var rows []Fig5Row
+		out.t50 = progressTime(ref.Start, ref.CSDProgress, 0.5)
 		for _, avail := range Fig5Availabilities {
 			a := avail
-			stress := func(p *platform.Platform) { p.Dev.ScheduleStress(t50, a, 0) }
+			stress := func(p *platform.Platform) { p.Dev.ScheduleStress(out.t50, a, 0) }
 			with, err := wb.RunActivePy(true, stress)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: fig5: %s@%.0f%% with: %w", spec.Name, a*100, err)
+				return out, fmt.Errorf("experiments: fig5: %s@%.0f%% with: %w", spec.Name, a*100, err)
 			}
 			without, err := wb.RunActivePy(false, stress)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: fig5: %s@%.0f%% without: %w", spec.Name, a*100, err)
+				return out, fmt.Errorf("experiments: fig5: %s@%.0f%% without: %w", spec.Name, a*100, err)
 			}
-			rows = append(rows, Fig5Row{
+			if a == stressAvail {
+				out.stressed = with
+			}
+			out.rows = append(out.rows, Fig5Row{
 				Workload:         spec.Name,
 				Availability:     a,
 				WithMigration:    wb.Baseline / with.Duration,
@@ -142,7 +191,7 @@ func Fig5(params workloads.Params, opts ...Option) (*Fig5Result, *report.Table, 
 				Planner:          wb.Plan.Planner,
 			})
 		}
-		return rows, nil
+		return out, nil
 	})
 	if err != nil {
 		return nil, nil, err
@@ -150,8 +199,11 @@ func Fig5(params workloads.Params, opts ...Option) (*Fig5Result, *report.Table, 
 	res := &Fig5Result{}
 	tbl := report.NewTable("Figure 5: speedup vs baseline under CSE contention",
 		"workload", "avail", "w/ migration", "w/o migration", "migrated")
-	for _, rows := range perSpec {
-		for _, row := range rows {
+	for _, ps := range per {
+		if ps.rec != nil {
+			res.Rec, res.Stressed, res.StressAt = ps.rec, ps.stressed, ps.t50
+		}
+		for _, row := range ps.rows {
 			res.Rows = append(res.Rows, row)
 			tbl.AddRow(row.Workload, fmt.Sprintf("%.0f%%", row.Availability*100),
 				fmt.Sprintf("%.3fx", row.WithMigration),

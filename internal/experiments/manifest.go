@@ -184,19 +184,6 @@ func (r *ResilienceResult) Bench(params workloads.Params) *bench.Manifest {
 	return m
 }
 
-// Bench converts the utilization study: both traced runs' durations are
-// tracked, and the stressed run must keep migrating.
-func (u *UtilizationResult) Bench(params workloads.Params) *bench.Manifest {
-	m := bench.NewManifest("utilization", params.Seed, params.ScaleDiv)
-	w := bench.Workload{Name: u.Workload, Planner: u.Planner}
-	w.Add("steady.seconds", u.Res.Duration, "s", bench.LowerIsBetter)
-	w.Add("stressed.seconds", u.StressRes.Duration, "s", bench.LowerIsBetter)
-	w.Add("migrated", boolVal(u.StressRes.Migrated), "", bench.HigherIsBetter)
-	w.Add("stress.at.seconds", u.StressAt, "s", "")
-	m.Workloads = append(m.Workloads, w)
-	return m
-}
-
 // Bench converts the serving sweep: per (tenant, load) the tail
 // quantiles and completion counts are tracked — deterministic simulated
 // quantities, so a tail regression or a fairness collapse fails the

@@ -15,9 +15,9 @@ import (
 // while the registry actually fills up. Metrics read wall clocks and
 // completed results, never the simulation.
 func TestMetricsInvariance(t *testing.T) {
-	spec, ok := workloads.ByName(UtilizationWorkload)
+	spec, ok := workloads.ByName(Fig5TraceWorkload)
 	if !ok {
-		t.Fatalf("unknown workload %q", UtilizationWorkload)
+		t.Fatalf("unknown workload %q", Fig5TraceWorkload)
 	}
 	bareWb, err := Prepare(spec, testParams())
 	if err != nil {

@@ -119,24 +119,24 @@ func TestParallelInvariance(t *testing.T) {
 			serialRJSON.Len(), parRJSON.Len())
 	}
 
-	// Trace JSON: the utilization study records full timelines.
-	serialU, _, err := Utilization(testParams())
+	// Trace JSON: Figure 5 records its traced row's full timelines.
+	serialF, _, err := Fig5(testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	parU, _, err := Utilization(testParams(), WithPool(pool))
+	parF, _, err := Fig5(testParams(), WithPool(pool))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var serialJSON, parJSON bytes.Buffer
-	if err := serialU.Rec.WriteChrome(&serialJSON); err != nil {
+	if err := serialF.Rec.WriteChrome(&serialJSON); err != nil {
 		t.Fatal(err)
 	}
-	if err := parU.Rec.WriteChrome(&parJSON); err != nil {
+	if err := parF.Rec.WriteChrome(&parJSON); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(serialJSON.Bytes(), parJSON.Bytes()) {
-		t.Errorf("utilization trace JSON differs under the pool (%d vs %d bytes)",
+		t.Errorf("fig5 trace JSON differs under the pool (%d vs %d bytes)",
 			serialJSON.Len(), parJSON.Len())
 	}
 }

@@ -29,8 +29,8 @@ type Experiment struct {
 // Output is everything one experiment run yields.
 type Output struct {
 	// Text is what benchsuite prints for the study: its table plus any
-	// footer lines (chaos summary, migration timeline, capacity, stale
-	// set).
+	// footer lines (utilization table and migration timeline, chaos
+	// summary, capacity, stale set).
 	Text     string
 	Manifest *bench.Manifest
 	// Rec is the study's recording, folded into the caller's metrics
@@ -47,22 +47,21 @@ func All() []Experiment {
 		study("table1", tableIPrograms, Table1, nil),
 		study("fig2", fig2Programs, Fig2, nil),
 		study("fig4", fig4Programs, Fig4, nil),
-		study("fig5", allPrograms, Fig5, nil),
+		study("fig5", allPrograms, Fig5, func(r *Fig5Result, out io.Writer) *trace.Recorder {
+			fmt.Fprintln(out)
+			fmt.Fprint(out, r.Rec.UtilizationTable(fmt.Sprintf(
+				"Utilization & timelines (ours, no paper counterpart): %s, full ActivePy pipeline", Fig5TraceWorkload)).String())
+			fmt.Fprintln(out)
+			fmt.Fprint(out, r.MigrationTimeline().String())
+			return r.Rec
+		}),
 		study("accuracy", allPrograms, Accuracy, nil),
 		study("runtimeopt", tableIPrograms, RuntimeOpt, nil),
 		study("resilience", resiliencePrograms, Resilience, func(r *ResilienceResult, out io.Writer) *trace.Recorder {
 			if r.Chaos != nil {
 				fmt.Fprintln(out, r.Chaos.Summary())
 			}
-			if r.Sweep != nil {
-				fmt.Fprintln(out, r.Sweep.Summary())
-			}
 			return r.Rec
-		}),
-		study("utilization", utilizationPrograms, Utilization, func(u *UtilizationResult, out io.Writer) *trace.Recorder {
-			fmt.Fprintln(out)
-			fmt.Fprint(out, u.MigrationTimeline().String())
-			return u.Rec
 		}),
 		study("serving", servingPrograms, Serving, func(r *ServingResult, out io.Writer) *trace.Recorder {
 			fmt.Fprintf(out, "capacity: %.1f req/s (mix-weighted solo service %.4fs)\n",

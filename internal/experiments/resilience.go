@@ -76,8 +76,9 @@ const ResilienceSeed uint64 = 11
 const ResilienceStressAvail = 0.05
 
 // ResilienceChaosSchedules sizes the chaos sub-run appended to the
-// sweep (the full 1000-schedule bar lives in internal/chaos's own
-// tests; the sub-run keeps the experiment honest without dominating it).
+// sweep unless WithChaosSweep resizes it (the full 1000-schedule bar
+// lives in internal/chaos's own tests; the sub-run keeps the experiment
+// honest without dominating it).
 const ResilienceChaosSchedules = 48
 
 // ResilienceTraceWorkload is the workload whose worst-burst breaker arm
@@ -117,8 +118,6 @@ type ResilienceRow struct {
 type ResilienceResult struct {
 	Rows  []ResilienceRow
 	Chaos *chaos.Report
-	// Sweep is WithChaosSweep's extra sweep; nil without one.
-	Sweep *chaos.Report
 
 	// Rec is the structured trace of ResilienceTraceWorkload's breaker
 	// arm at the highest burst intensity — the timeline that shows the
@@ -162,9 +161,10 @@ func (wb *Workbench) resilienceRetry() nvme.RetryPolicy {
 // and becomes a bounded typed failure — backoff delays sit under one
 // timeout, and the breaker opens on the first failure: with deep sags,
 // one deadline miss is already a reliable signal, and a cheap half-open
-// probe corrects any false open one cooldown later. The cooldown is
-// chosen against the burst length by the caller.
-func resiliencePolicy(seed uint64, retry nvme.RetryPolicy, cooldown float64) resilience.Policy {
+// probe corrects any false open one cooldown later. The cooldown is one
+// burst's length (burstsFor), so the probe lands once a burst has
+// passed.
+func resiliencePolicy(seed uint64, retry nvme.RetryPolicy) resilience.Policy {
 	return resilience.Policy{
 		LineDeadline: 1.2 * retry.Timeout,
 		LineRetries:  1,
@@ -172,7 +172,7 @@ func resiliencePolicy(seed uint64, retry nvme.RetryPolicy, cooldown float64) res
 			Base: retry.Timeout / 8, Factor: 2, Cap: retry.Timeout / 2,
 			Jitter: 0.25, Seed: seed,
 		},
-		Breaker: resilience.BreakerPolicy{Threshold: 1, Cooldown: cooldown},
+		Breaker: resilience.BreakerPolicy{Threshold: 1, Cooldown: burstTimeouts * retry.Timeout},
 	}
 }
 
@@ -187,11 +187,15 @@ type resilienceBursts struct {
 	count              int
 }
 
+// burstTimeouts is one burst's length in completion timeouts.
+const burstTimeouts = 4
+
+// burstsFor places the bursts against the clean (control) duration.
 func burstsFor(cleanDur, timeout float64) resilienceBursts {
 	return resilienceBursts{
 		start:  cleanDur / 8,
-		dur:    4 * timeout,
-		period: 8 * timeout,
+		dur:    burstTimeouts * timeout,
+		period: 2 * burstTimeouts * timeout,
 		count:  12,
 	}
 }
@@ -262,18 +266,17 @@ func (wb *Workbench) runResilienceArm(seed uint64, cell resilienceCell, bursts r
 	return wb.runActivePy(p, cfg)
 }
 
-// chaosConfig is a chaos sweep of n schedules seeded by seed over wb's
-// prepared trace and plan, with pol's ladder and retry's supervision
-// armed. The study's built-in sub-run and WithChaosSweep's extra sweep
-// both build theirs here.
-func (wb *Workbench) chaosConfig(seed uint64, n int, pol resilience.Policy, retry nvme.RetryPolicy, pool *par.Pool) chaos.Config {
+// chaosConfig is the chaos sub-run: a sweep of n schedules seeded by
+// seed over wb's prepared trace and plan, with the study's ladder
+// (its backoff jitter seeded by seed too) and retry's supervision armed.
+func (wb *Workbench) chaosConfig(seed uint64, n int, retry nvme.RetryPolicy, pool *par.Pool) chaos.Config {
 	return chaos.Config{
 		Seed:          seed,
 		Schedules:     n,
 		Trace:         wb.Trace,
 		Partition:     wb.Plan.Partition,
 		Backend:       codegen.Native,
-		Policy:        pol,
+		Policy:        resiliencePolicy(seed, retry),
 		Retry:         retry,
 		OverheadScale: wb.Params.OverheadScale(),
 		Params:        chaos.ScheduleParams{MaxRate: 1.0},
@@ -296,25 +299,23 @@ func Resilience(params workloads.Params, opts ...Option) (*ResilienceResult, *re
 	for _, rate := range ResilienceSteadyRates {
 		cells = append(cells, resilienceCell{steady: true, rate: rate})
 	}
+	chaosN, chaosSeed := ResilienceChaosSchedules, ResilienceSeed
+	if o.sweep.n > 0 {
+		chaosN, chaosSeed = o.sweep.n, o.sweep.seed
+	}
 	type perSpec struct {
-		rows         []ResilienceRow
-		chaos, sweep *chaos.Report
-		rec          *trace.Recorder
+		rows  []ResilienceRow
+		chaos *chaos.Report
+		rec   *trace.Recorder
 	}
 	per, err := overPrograms(params, o, resiliencePrograms, func(wb *Workbench) (perSpec, error) {
 		name := wb.Spec.Name
 		retry := wb.resilienceRetry()
-
-		// Armed-but-idle breaker run: the control duration that also
-		// calibrates the burst timeline and the breaker cooldown.
-		pol := resiliencePolicy(ResilienceSeed, retry, 0)
-		clean, err := wb.runResilienceArm(ResilienceSeed, resilienceCell{}, resilienceBursts{}, retry, &pol, nil)
-		if err != nil {
-			return perSpec{}, fmt.Errorf("experiments: resilience: %s control: %w", name, err)
-		}
-		bursts := burstsFor(clean.Duration, retry.Timeout)
-		pol = resiliencePolicy(ResilienceSeed, retry, bursts.dur)
+		pol := resiliencePolicy(ResilienceSeed, retry)
 		perLine, oneShot := resilience.PerLine(), resilience.OneShot()
+		// The control cell runs first (cells[0]) and needs no bursts; its
+		// clean duration then places the burst timeline.
+		var bursts resilienceBursts
 
 		out := perSpec{}
 		for _, cell := range cells {
@@ -327,9 +328,12 @@ func Resilience(params workloads.Params, opts ...Option) (*ResilienceResult, *re
 				out.rec = rec
 			}
 			breaker, berr := wb.runResilienceArm(ResilienceSeed, cell, bursts, retry, &pol, rec)
-			if cell.rate == 0 && (serr != nil || oerr != nil || berr != nil) {
-				return perSpec{}, fmt.Errorf("experiments: resilience: %s control arm failed: %v %v %v",
-					name, serr, oerr, berr)
+			if cell.rate == 0 {
+				if serr != nil || oerr != nil || berr != nil {
+					return perSpec{}, fmt.Errorf("experiments: resilience: %s control arm failed: %v %v %v",
+						name, serr, oerr, berr)
+				}
+				bursts = burstsFor(breaker.Duration, retry.Timeout)
 			}
 			if serr == nil && oerr == nil && berr == nil {
 				row.Completed = true
@@ -353,22 +357,14 @@ func Resilience(params workloads.Params, opts ...Option) (*ResilienceResult, *re
 		// Chaos sub-run on the traced workload: randomized schedules over
 		// the same trace and ladder.
 		if name == ResilienceTraceWorkload {
-			rep, err := chaos.Run(wb.chaosConfig(ResilienceSeed, ResilienceChaosSchedules, pol, retry, o.pool))
+			rep, err := chaos.Run(wb.chaosConfig(chaosSeed, chaosN, retry, o.pool))
 			if err != nil {
 				return perSpec{}, fmt.Errorf("experiments: resilience: %s chaos: %w", name, err)
 			}
-			out.chaos = rep
-			if o.sweep.n > 0 {
-				seed := o.sweep.seed
-				sweep, err := chaos.Run(wb.chaosConfig(seed, o.sweep.n, resiliencePolicy(seed, retry, 4*retry.Timeout), retry, o.pool))
-				if err != nil {
-					return perSpec{}, fmt.Errorf("experiments: resilience: %s chaos sweep: %w", name, err)
-				}
-				if !sweep.Ok() {
-					return perSpec{}, fmt.Errorf("experiments: resilience: chaos sweep violated an invariant: %s", sweep.Summary())
-				}
-				out.sweep = sweep
+			if !rep.Ok() {
+				return perSpec{}, fmt.Errorf("experiments: resilience: chaos sub-run violated an invariant: %s", rep.Summary())
 			}
+			out.chaos = rep
 		}
 		return out, nil
 	})
@@ -382,7 +378,7 @@ func Resilience(params workloads.Params, opts ...Option) (*ResilienceResult, *re
 		"opens", "closes", "probes", "degraded", "completed")
 	for _, ps := range per {
 		if ps.chaos != nil {
-			res.Chaos, res.Sweep = ps.chaos, ps.sweep
+			res.Chaos = ps.chaos
 		}
 		if ps.rec != nil {
 			res.Rec = ps.rec

@@ -119,8 +119,10 @@ func TestResilienceShape(t *testing.T) {
 		t.Error("no trace recorded for the breaker arm")
 	}
 
-	// Determinism of the whole sweep: a second pass must be identical.
-	again, _, err := Resilience(testParams())
+	// Determinism of the whole sweep: a second pass must be identical,
+	// with the chaos sub-run resized by WithChaosSweep, which replaces
+	// its count and seed and touches no row.
+	again, _, err := Resilience(testParams(), WithChaosSweep(5, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +130,9 @@ func TestResilienceShape(t *testing.T) {
 		if res.Rows[i] != again.Rows[i] {
 			t.Errorf("sweep not reproducible: %+v vs %+v", res.Rows[i], again.Rows[i])
 		}
+	}
+	if again.Chaos == nil || again.Chaos.Schedules != 5 {
+		t.Errorf("WithChaosSweep(5, 7): chaos sub-run %+v, want 5 schedules", again.Chaos)
 	}
 }
 
@@ -169,7 +174,7 @@ func TestResilienceSupervisionSizedToRun(t *testing.T) {
 				return struct{}{}, err
 			}
 			retry := wb.resilienceRetry()
-			deadline := resiliencePolicy(ResilienceSeed, retry, 4*retry.Timeout).LineDeadline
+			deadline := resiliencePolicy(ResilienceSeed, retry).LineDeadline
 			t.Logf("%s /%d: timer %.3fx, deadline %.3fx of the clean run %.6fs",
 				wb.Spec.Name, scaleDiv, retry.Timeout/clean.Duration, deadline/clean.Duration, clean.Duration)
 			if retry.Timeout >= clean.Duration/2 {

@@ -89,9 +89,9 @@ func servingNames() []string {
 }
 
 // ServingOverrides are the CLI-facing knobs (-tenants, -arrival, -qps,
-// -duration). Zero values mean "use the study's documented defaults",
-// so the committed baselines and CI runs are unaffected by the flags
-// existing.
+// -duration) that cliutil.RegisterServing parses for every command that
+// drives traffic. Zero values mean "use the documented defaults", so the
+// committed baselines and CI runs are unaffected by the flags existing.
 type ServingOverrides struct {
 	// Tenants resizes the population: n tenants cycling through the
 	// ServingTenants templates.

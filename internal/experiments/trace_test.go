@@ -17,9 +17,9 @@ import (
 // with a recorder attached must be bit-identical — same exec.Result,
 // same event count — to the same run without one.
 func TestTracingInvariance(t *testing.T) {
-	spec, ok := workloads.ByName(UtilizationWorkload)
+	spec, ok := workloads.ByName(Fig5TraceWorkload)
 	if !ok {
-		t.Fatalf("unknown workload %q", UtilizationWorkload)
+		t.Fatalf("unknown workload %q", Fig5TraceWorkload)
 	}
 	wb, err := Prepare(spec, testParams())
 	if err != nil {
@@ -56,12 +56,12 @@ func TestTraceByteIdentical(t *testing.T) {
 		t.Skip("harness test")
 	}
 	render := func() []byte {
-		u, _, err := Utilization(testParams())
+		r, _, err := Fig5(testParams())
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := u.Rec.WriteChrome(&buf); err != nil {
+		if err := r.Rec.WriteChrome(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -72,51 +72,40 @@ func TestTraceByteIdentical(t *testing.T) {
 	}
 }
 
-// TestUtilizationCoverage checks the traced pipeline run covers the
-// stack — spans from at least 5 components, at least 4 counter series,
-// every series catalogued — and that the stressed run actually migrates
-// so the timeline has its §III-D instant.
+// TestUtilizationCoverage checks Figure 5's recorded reference run
+// covers the stack — spans from at least 5 components, at least 4
+// counter series, every series catalogued — and that the stressed run
+// actually migrates so the timeline has its §III-D instant.
 func TestUtilizationCoverage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness test")
 	}
-	u, tbl, err := Utilization(testParams())
+	r, _, err := Fig5(testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("\n%s\n%s", tbl, u.MigrationTimeline())
+	t.Logf("\n%s\n%s", r.Rec.UtilizationTable(Fig5TraceWorkload), r.MigrationTimeline())
 
 	spanComps := map[string]bool{}
-	for _, s := range u.Rec.Spans() {
+	for _, s := range r.Rec.Spans() {
 		spanComps[s.Component] = true
 	}
 	if len(spanComps) < 5 {
 		t.Errorf("spans from %d components, want >= 5: %v", len(spanComps), spanComps)
 	}
-	if n := len(u.Rec.Counters()); n < 4 {
+	if n := len(r.Rec.Counters()); n < 4 {
 		t.Errorf("%d counter series, want >= 4", n)
 	}
-	for _, rec := range []*trace.Recorder{u.Rec, u.StressRec} {
-		for _, s := range rec.Counters() {
-			if m, ok := metrics.Lookup(s.Name); !ok || m.Kind != metrics.KindSeries {
-				t.Errorf("recorded series %q is not a catalogued series", s.Name)
-			}
+	for _, s := range r.Rec.Counters() {
+		if m, ok := metrics.Lookup(s.Name); !ok || m.Kind != metrics.KindSeries {
+			t.Errorf("recorded series %q is not a catalogued series", s.Name)
 		}
 	}
 
-	if !u.StressRes.Migrated {
-		t.Error("stressed run did not migrate; the timeline study needs the §III-D instant")
+	if !r.Stressed.Migrated {
+		t.Error("stressed run did not migrate; the timeline needs the §III-D instant")
 	}
-	migrated := false
-	for _, in := range u.StressRec.Instants() {
-		if in.Component == "exec" && in.Name == "migrate" {
-			migrated = true
-		}
-	}
-	if !migrated {
-		t.Error("stressed recorder has no exec/migrate instant")
-	}
-	if !strings.Contains(u.MigrationTimeline().String(), "monitor migrates to host") {
+	if !strings.Contains(r.MigrationTimeline().String(), "monitor migrates to host") {
 		t.Error("migration timeline missing the migration row")
 	}
 }
