@@ -13,6 +13,7 @@ import (
 	"activego/internal/fault"
 	"activego/internal/metrics"
 	"activego/internal/nvme"
+	"activego/internal/obs"
 	"activego/internal/platform"
 	"activego/internal/resilience"
 	"activego/internal/workloads"
@@ -449,10 +450,17 @@ func openLoopConfig(t testing.TB, requests int) driver.Config {
 // the calendar holds the in-flight work plus one event per tenant, not
 // the ~7,200 arrivals of the whole horizon.
 func TestOpenLoopCalendarDepth(t *testing.T) {
-	p := platform.Default()
-	cfg := openLoopConfig(t, 7200)
-	// A probe reads the calendar's depth 1,000 times across the arrival
-	// horizon. It only reads, so the run's outcome is unchanged.
+	if peak := calendarPeak(t, platform.Default(), openLoopConfig(t, 7200)); peak >= 64 {
+		t.Errorf("calendar peaked at %d pending events, want fewer than 64", peak)
+	}
+}
+
+// calendarPeak runs cfg's roughly 7,200 requests on p and returns the
+// deepest calendar a probe saw. The probe reads the calendar's depth
+// 1,000 times across the arrival horizon. It only reads, so the run's
+// outcome is unchanged.
+func calendarPeak(t *testing.T, p *platform.Platform, cfg driver.Config) int {
+	t.Helper()
 	peak := 0
 	step := cfg.Duration / 1000
 	var probe func()
@@ -470,8 +478,43 @@ func TestOpenLoopCalendarDepth(t *testing.T) {
 	if res.Offered < 7000 {
 		t.Fatalf("offered %d requests, want about 7,200", res.Offered)
 	}
-	if peak >= 64 {
-		t.Errorf("calendar peaked at %d pending events, want fewer than 64", peak)
+	return peak
+}
+
+// supervisedOpenLoop is the open-loop config under NVMe supervision:
+// every command books a 20 ms completion timer, far above the 2.6 ms
+// the synthetic mix's largest request takes alone, and every offloaded
+// line carries a 24 ms deadline, with the resilience ladder behind
+// them. The platform comes back with the timers installed.
+func supervisedOpenLoop(t testing.TB, requests int) (*platform.Platform, driver.Config) {
+	const timeout = 20e-3
+	p := platform.Default()
+	p.Dev.QP.SetRetryPolicy(nvme.RetryPolicy{Timeout: timeout, MaxAttempts: 2, Backoff: timeout / 8})
+	cfg := openLoopConfig(t, requests)
+	cfg.Resilience = &resilience.Policy{
+		LineDeadline: 1.2 * timeout,
+		LineRetries:  1,
+		Backoff:      resilience.Backoff{Base: timeout / 8, Factor: 2, Cap: timeout / 2, Jitter: 0.25, Seed: 7},
+		Breaker:      resilience.BreakerPolicy{Threshold: 3, Cooldown: 1e-3},
+	}
+	return p, cfg
+}
+
+// TestSupervisedCalendarDepth pins the calendar's depth when every NVMe
+// command books a completion timer and cancels it microseconds later:
+// a canceled timer leaves the calendar at once, so the calendar holds
+// the in-flight work, one live timer per command in flight and one
+// arrival per tenant (14 events at most on this run). A calendar that
+// kept each canceled timer until its time came would also hold every
+// timer booked in the last 20 ms, and peaks at 130 events here.
+func TestSupervisedCalendarDepth(t *testing.T) {
+	p, cfg := supervisedOpenLoop(t, 7200)
+	peak := calendarPeak(t, p, cfg)
+	if timeouts, _, _, _, _ := p.Dev.QP.FaultStats(); timeouts != 0 {
+		t.Fatalf("%d completion timers expired; the timers must be armed and canceled, not fire", timeouts)
+	}
+	if peak >= 32 {
+		t.Errorf("calendar peaked at %d pending events, want fewer than 32", peak)
 	}
 }
 
@@ -484,6 +527,31 @@ func BenchmarkServeOpenLoop(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := driver.Run(platform.Default(), cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkServeFaultyOpenLoop is BenchmarkServeOpenLoop under the
+// supervised config: completion timers, line deadlines and the
+// resilience ladder, seeded NVMe completion drops and flash transient
+// errors for the ladder to act on, and an obs collector observing every
+// line.
+func BenchmarkServeFaultyOpenLoop(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p, cfg := supervisedOpenLoop(b, 360)
+		plan, err := fault.NewPlanChecked(fault.Mix64(42),
+			fault.Rule{Point: fault.NVMeCompletionDrop, Rate: 0.01},
+			fault.Rule{Point: fault.FlashTransient, Rate: 0.01})
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.Dev.InstallFaults(plan)
+		cfg.Obs = obs.NewCollector(cfg.Duration/32, 0)
+		b.StartTimer()
+		if _, err := driver.Run(p, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -172,6 +172,9 @@ type Result struct {
 	DeadlineMisses uint64 // offloaded calls abandoned at their line deadline
 }
 
+// varState is where one variable resides and its size there. The zero
+// value is a variable not yet written: it holds no bytes, so pulling it
+// across the link bills nothing.
 type varState struct {
 	unit  Unit
 	bytes int64
@@ -183,7 +186,8 @@ type executor struct {
 	opts  Options
 
 	idx      int
-	varHome  map[string]varState
+	slots    *interp.VarSlots // the trace's variable numbering
+	varHome  []varState       // residency by slot
 	migrated bool
 	breaker  *resilience.Breaker // non-nil iff Options.Resilience is set
 	res      *Result
@@ -208,6 +212,10 @@ type executor struct {
 
 	callDone func(nvme.Completion) // onCallDone, bound once
 	runs     []*lineRun            // finished line runs; see lineRun
+	// lineHist holds the per-line latency histogram of each unit,
+	// resolved from Metrics when the unit first completes a line, so a
+	// unit that runs nothing registers no histogram.
+	lineHist [2]*metrics.Histogram
 }
 
 // Handle is an in-flight execution started by Launch. Its accessors are
@@ -260,11 +268,13 @@ func Launch(p *platform.Platform, trace *interp.Trace, opts Options, done func(*
 			return nil, fmt.Errorf("exec: rejected partition: %w", err)
 		}
 	}
+	slots := trace.Slots()
 	e := &executor{
 		p:       p,
 		trace:   trace,
 		opts:    opts,
-		varHome: make(map[string]varState),
+		slots:   slots,
+		varHome: make([]varState, slots.Count),
 		res:     &Result{Start: p.Sim.Now()},
 		notify:  done,
 	}
@@ -393,12 +403,12 @@ func (e *executor) step() {
 			case probe:
 				// Half-open: re-admitting offload is the reverse of the
 				// open move and pays the same §III-D bill.
-				e.relocate(moveBreakerProbe, rec.Line, func() { e.dispatch(rec, UnitCSD) })
+				e.relocate(moveBreakerProbe, rec.Line, func() { e.dispatch(UnitCSD) })
 				return
 			}
 		}
 	}
-	e.dispatch(rec, unit)
+	e.dispatch(unit)
 }
 
 // instant records a resilience-ladder transition on the exec fault lane.
@@ -425,7 +435,7 @@ func (e *executor) sampleBreakerState() {
 
 // dispatch runs the current record on unit, routing CSD lines through the
 // call queue when configured; failures land in failLine.
-func (e *executor) dispatch(rec *interp.LineRecord, unit Unit) {
+func (e *executor) dispatch(unit Unit) {
 	e.lineStart = e.p.Sim.Now()
 	e.lineD2H0 = e.p.Topo.D2H.TotalBytes()
 	if unit == UnitCSD && e.opts.UseCallQueue {
@@ -441,15 +451,16 @@ func (e *executor) dispatch(rec *interp.LineRecord, unit Unit) {
 		// The payload names its own record: the queue pair may run it
 		// again on a re-issue, and a run may start after the host gave
 		// up on this attempt.
+		i := e.idx
 		e.p.Host.CallDeadline(e.p.Dev, csd.Call(func(_ *csd.Device, done func(uint16, any)) {
 			// The CSE has picked the call up: everything since dispatch was
 			// queue traversal. Observation only — a nil collector no-ops.
-			e.opts.Obs.Queue(rec.Line, e.p.Sim.Now(), e.p.Sim.Now()-e.lineStart)
-			e.runRecord(rec, UnitCSD, done)
+			e.opts.Obs.Queue(e.trace.Records[i].Line, e.p.Sim.Now(), e.p.Sim.Now()-e.lineStart)
+			e.runRecord(i, UnitCSD, done)
 		}), deadline, e.callDone)
 		return
 	}
-	e.runRecord(rec, unit, nil)
+	e.runRecord(e.idx, unit, nil)
 }
 
 // onCallDone is the host side of an offloaded line's call: its completion
@@ -494,7 +505,7 @@ func (e *executor) failLine(rec *interp.LineRecord, unit Unit, cause error) {
 	}
 	if unit == UnitCSD && e.breaker.OnFailure(e.p.Sim.Now()) {
 		e.lineAttempts = 0
-		e.relocate(moveBreakerOpen, rec.Line, func() { e.dispatch(rec, UnitHost) })
+		e.relocate(moveBreakerOpen, rec.Line, func() { e.dispatch(UnitHost) })
 		return
 	}
 	if e.lineAttempts < pol.LineRetries {
@@ -503,14 +514,14 @@ func (e *executor) failLine(rec *interp.LineRecord, unit Unit, cause error) {
 		e.instant("line-retry", rec.Line)
 		e.opts.Obs.Retry(rec.Line, e.p.Sim.Now())
 		delay := pol.Backoff.Delay(uint64(e.idx), e.lineAttempts)
-		e.p.Sim.After(delay, func() { e.dispatch(rec, unit) })
+		e.p.Sim.After(delay, func() { e.dispatch(unit) })
 		return
 	}
 	if unit == UnitCSD {
 		// Rung two: per-line host fallback. Data stays put; the host line
 		// pulls device-resident variables lazily, as after a migration.
 		e.lineAttempts = 0
-		e.dispatch(rec, UnitHost)
+		e.dispatch(UnitHost)
 		return
 	}
 	shed := &resilience.ShedError{Record: e.idx, Line: rec.Line, Attempts: e.lineAttempts + 1, Cause: cause}
@@ -521,21 +532,26 @@ func (e *executor) failLine(rec *interp.LineRecord, unit Unit, cause error) {
 	e.abort(shed)
 }
 
-// afterRecord finalizes variable placement, runs the monitor, and
-// advances to the next record.
+// afterRecord finalizes the placement of the current record's writes,
+// runs the monitor, and advances to the next record.
 func (e *executor) afterRecord(rec *interp.LineRecord, unit Unit) {
-	for _, w := range rec.Writes {
-		e.varHome[w.Name] = varState{unit: unit, bytes: w.Bytes}
+	for k, s := range e.slots.Writes(e.idx) {
+		e.varHome[s] = varState{unit: unit, bytes: rec.Writes[k].Bytes}
 	}
 	if r := e.p.Sim.Recorder(); r != nil {
 		r.Span("exec", "exec", fmt.Sprintf("L%d@%s", rec.Line, unit), e.lineStart, e.p.Sim.Now())
 	}
 	if m := e.opts.Metrics; m != nil {
-		name := metrics.MetricExecLineHost
-		if unit == UnitCSD {
-			name = metrics.MetricExecLineCSD
+		h := e.lineHist[unit]
+		if h == nil {
+			name := metrics.MetricExecLineHost
+			if unit == UnitCSD {
+				name = metrics.MetricExecLineCSD
+			}
+			h = m.Histogram(name)
+			e.lineHist[unit] = h
 		}
-		m.Histogram(name).Observe(e.p.Sim.Now() - e.lineStart)
+		h.Observe(e.p.Sim.Now() - e.lineStart)
 	}
 	e.opts.Obs.Line(rec.Line, unit.String(), e.p.Sim.Now(),
 		e.p.Sim.Now()-e.lineStart, e.p.Topo.D2H.TotalBytes()-e.lineD2H0)

@@ -8,6 +8,7 @@ import (
 	"activego/internal/lang/interp"
 	"activego/internal/lang/parser"
 	"activego/internal/lang/value"
+	"activego/internal/metrics"
 	"activego/internal/plan"
 	"activego/internal/platform"
 )
@@ -312,6 +313,29 @@ func loopTrace(n int) *interp.Trace {
 		})
 	}
 	return tr
+}
+
+// TestLineHistogramsRegisterOnUse pins where the per-line latency
+// histograms come from: the executor resolves a unit's histogram when
+// that unit first completes a line, so a host-only run with Metrics set
+// observes every line on the host histogram and registers no empty
+// exec.line.csd.seconds.
+func TestLineHistogramsRegisterOnUse(t *testing.T) {
+	reg := metrics.New()
+	opts := Options{Backend: codegen.Native, Partition: codegen.NewPartition(), Metrics: reg}
+	if _, err := Run(platform.Default(), loopTrace(10), opts); err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]uint64{}
+	for _, h := range reg.Snapshot().Histograms {
+		counts[h.Name] = h.Count
+	}
+	if n, ok := counts[metrics.MetricExecLineCSD]; ok {
+		t.Errorf("host-only run registered %s (%d observations)", metrics.MetricExecLineCSD, n)
+	}
+	if n := counts[metrics.MetricExecLineHost]; n != 10 {
+		t.Errorf("%s observed %d lines, want 10", metrics.MetricExecLineHost, n)
+	}
 }
 
 // TestReplayAllocationsPerRecord pins the executor's allocation

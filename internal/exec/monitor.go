@@ -51,13 +51,12 @@ func (e *executor) monitor() bool {
 
 	// Data moves lazily after migration, so the data-movement term is the
 	// device-resident volume the remaining lines will actually consume.
-	moved := map[string]bool{}
+	moved := make([]bool, len(e.varHome))
 	var lazyBytes float64
 	for j := e.idx + 1; j < len(e.trace.Records); j++ {
-		for _, r := range e.trace.Records[j].Reads {
-			st, ok := e.varHome[r.Name]
-			if ok && st.unit == UnitCSD && !moved[r.Name] {
-				moved[r.Name] = true
+		for _, s := range e.slots.Reads(j) {
+			if st := e.varHome[s]; st.unit == UnitCSD && !moved[s] {
+				moved[s] = true
 				lazyBytes += float64(st.bytes)
 			}
 		}

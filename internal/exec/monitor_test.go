@@ -43,6 +43,18 @@ func monitorFixture(t *testing.T, reads1, reads2 []interp.VarUse) *executor {
 		3: {Line: 3, Execs: 1, CTDev: 0.4, CTHost: 0.05},
 	}
 	linkBytes := int64(p.Cfg.Inter.D2HBandwidth) // 1 second of link time
+	resident := map[string]varState{
+		"x": {unit: UnitCSD, bytes: linkBytes},
+		"y": {unit: UnitCSD, bytes: linkBytes},
+		"h": {unit: UnitHost, bytes: linkBytes},
+	}
+	slots := tr.Slots()
+	varHome := make([]varState, slots.Count)
+	for i := range tr.Records {
+		for k, s := range slots.Reads(i) {
+			varHome[s] = resident[tr.Records[i].Reads[k].Name]
+		}
+	}
 	return &executor{
 		p:     p,
 		trace: tr,
@@ -53,12 +65,9 @@ func monitorFixture(t *testing.T, reads1, reads2 []interp.VarUse) *executor {
 			Migration:     DefaultMigration(),
 			OverheadScale: 1e-9 / codegen.RegenOverhead,
 		},
-		idx: 0,
-		varHome: map[string]varState{
-			"x": {unit: UnitCSD, bytes: linkBytes},
-			"y": {unit: UnitCSD, bytes: linkBytes},
-			"h": {unit: UnitHost, bytes: linkBytes},
-		},
+		idx:          0,
+		slots:        slots,
+		varHome:      varHome,
 		res:          &Result{},
 		lastObserved: p.Dev.CSE.Rate(),
 	}

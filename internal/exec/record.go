@@ -20,7 +20,7 @@ import (
 // executor's current one.
 type lineRun struct {
 	e    *executor
-	rec  *interp.LineRecord
+	i    int // the record the run bills: e.trace.Records[i]
 	unit Unit
 	// device is the csd.Call completion of a call-queue run; nil on the
 	// direct path, where the run's end feeds the executor itself.
@@ -32,13 +32,13 @@ type lineRun struct {
 	read, hostRead                                func(start, end sim.Time, err error)
 }
 
-// runRecord bills one dynamic line on the given unit. The phases run
+// runRecord bills record i on the given unit. The phases run
 // strictly in sequence, the way a single program thread experiences
 // them: pull remote operands, read storage, compute, then (on the CSD)
 // emit the status update. A call-queue run reports to device, the
 // csd.Call completion; a direct run (device nil) hands the line back to
 // the executor, or walks the failure ladder if its data access failed.
-func (e *executor) runRecord(rec *interp.LineRecord, unit Unit, device func(uint16, any)) {
+func (e *executor) runRecord(i int, unit Unit, device func(uint16, any)) {
 	var r *lineRun
 	if n := len(e.runs); n > 0 {
 		r = e.runs[n-1]
@@ -54,9 +54,12 @@ func (e *executor) runRecord(rec *interp.LineRecord, unit Unit, device func(uint
 		r.glueDone = func(_, _ sim.Time) { r.copy() }
 		r.copied = func(_, _ sim.Time) { r.computed() }
 	}
-	r.rec, r.unit, r.device = rec, unit, device
+	r.i, r.unit, r.device = i, unit, device
 	r.pullRemoteReads()
 }
+
+// rec returns the record the run bills.
+func (r *lineRun) rec() *interp.LineRecord { return &r.e.trace.Records[r.i] }
 
 // pullRemoteReads moves any consumed variables that live on the other
 // side of the link. In the shared address space this is a remote access;
@@ -65,15 +68,10 @@ func (e *executor) runRecord(rec *interp.LineRecord, unit Unit, device func(uint
 func (r *lineRun) pullRemoteReads() {
 	e := r.e
 	var bytes int64
-	for _, rd := range r.rec.Reads {
-		st, ok := e.varHome[rd.Name]
-		if !ok {
-			continue
-		}
-		if st.unit != r.unit {
+	for _, s := range e.slots.Reads(r.i) {
+		if st := &e.varHome[s]; st.unit != r.unit {
 			bytes += st.bytes
 			st.unit = r.unit
-			e.varHome[rd.Name] = st
 		}
 	}
 	if bytes == 0 {
@@ -91,7 +89,7 @@ func (r *lineRun) pullRemoteReads() {
 // their sum; both queues are still occupied for contention purposes.
 func (r *lineRun) readStorage() {
 	e := r.e
-	bytes := r.rec.Cost.StorageBytes
+	bytes := r.rec().Cost.StorageBytes
 	if bytes == 0 {
 		r.compute()
 		return
@@ -137,7 +135,7 @@ func (r *lineRun) units() (*sim.Resource, *sim.Link) {
 // compute bills kernel work (data-parallel across the unit's cores),
 // surviving glue (serial), and wrapper copies (memory bus), in sequence.
 func (r *lineRun) compute() {
-	work := r.rec.Cost.KernelWork
+	work := r.rec().Cost.KernelWork
 	if work <= 0 {
 		r.glue()
 		return
@@ -150,7 +148,7 @@ func (r *lineRun) compute() {
 }
 
 func (r *lineRun) glue() {
-	glue := r.e.opts.Backend.GlueFactor * r.rec.Cost.GlueWork
+	glue := r.e.opts.Backend.GlueFactor * r.rec().Cost.GlueWork
 	if glue <= 0 {
 		r.copy()
 		return
@@ -160,9 +158,9 @@ func (r *lineRun) glue() {
 }
 
 func (r *lineRun) copy() {
-	if b := r.e.opts.Backend; !b.CopyElim && r.rec.Cost.CopyBytes > 0 {
+	if b := r.e.opts.Backend; !b.CopyElim && r.rec().Cost.CopyBytes > 0 {
 		_, mem := r.units()
-		mem.Transfer(float64(r.rec.Cost.CopyBytes), r.copied)
+		mem.Transfer(float64(r.rec().Cost.CopyBytes), r.copied)
 		return
 	}
 	r.computed()
@@ -179,8 +177,8 @@ func (r *lineRun) computed() {
 
 // end returns the run to the pool and reports its outcome.
 func (r *lineRun) end(err error) {
-	e, rec, unit, device := r.e, r.rec, r.unit, r.device
-	r.rec, r.device, r.readErr = nil, nil, nil
+	e, rec, unit, device := r.e, r.rec(), r.unit, r.device
+	r.device, r.readErr = nil, nil
 	e.runs = append(e.runs, r)
 	switch {
 	case device != nil && err != nil:

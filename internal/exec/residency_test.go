@@ -7,9 +7,11 @@ import (
 	"testing"
 
 	"activego/internal/codegen"
+	"activego/internal/driver"
 	"activego/internal/exec"
 	"activego/internal/lang/interp"
 	"activego/internal/lang/parser"
+	"activego/internal/lang/value"
 	"activego/internal/nvme"
 	"activego/internal/plan"
 	"activego/internal/platform"
@@ -171,5 +173,98 @@ func TestResidencyBillingAgreesWithExecutor(t *testing.T) {
 				_ = fmt.Sprintf("%v", part)
 			}
 		})
+	}
+}
+
+// refCrossBytes is the executor's residency walk as it stood when
+// residency was a map keyed by variable name, kept as the oracle for
+// the slot-indexed one: a read of a variable resident on the other unit
+// pulls its last-written bytes across the link once, and a write leaves
+// the variable on the writer's unit. It covers static runs, where each
+// record runs on its partition's unit.
+func refCrossBytes(recs []interp.LineRecord, part codegen.Partition) int64 {
+	type state struct {
+		csd   bool
+		bytes int64
+	}
+	home := map[string]state{}
+	var cross int64
+	for _, rec := range recs {
+		csd := part.OnCSD(rec.Line)
+		for _, rd := range rec.Reads {
+			st, ok := home[rd.Name]
+			if !ok {
+				continue
+			}
+			if st.csd != csd {
+				cross += st.bytes
+				st.csd = csd
+				home[rd.Name] = st
+			}
+		}
+		for _, w := range rec.Writes {
+			home[w.Name] = state{csd, w.Bytes}
+		}
+	}
+	return cross
+}
+
+// TestResidencyWithoutInterpreter replays traces that never went through
+// the interpreter, numbered by Trace.Slots on their first replay:
+// driver.Synthetic's scenarios and seeded fixtures whose records reuse
+// one or two variable names, read them twice in one record, read them
+// before any write and overwrite them with new sizes. Under every
+// partition tried, the executor's link bytes must equal the name-keyed
+// residency walk plus the host lines' storage streaming plus the CSD
+// lines' queue traffic, byte for byte.
+func TestResidencyWithoutInterpreter(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	var traces []*interp.Trace
+	for _, sc := range []*driver.Scenario{
+		driver.Synthetic("small", 4, 5e5, 1<<18),
+		driver.Synthetic("large", 8, 2e6, 1<<20),
+	} {
+		traces = append(traces, sc.Trace)
+	}
+	for k := 0; k < 40; k++ {
+		names := []string{"x", "x", "y"}[:1+k%2*2]
+		tr := &interp.Trace{}
+		for i := 0; i < 2+rng.Intn(30); i++ {
+			rec := interp.LineRecord{Line: 1 + rng.Intn(5), Cost: value.Cost{KernelWork: 1e4, StorageBytes: int64(rng.Intn(2) * 4096)}}
+			for r := rng.Intn(3); r > 0; r-- {
+				rec.Reads = append(rec.Reads, interp.VarUse{Name: names[rng.Intn(len(names))], Bytes: 1})
+			}
+			for w := rng.Intn(2); w > 0; w-- {
+				rec.Writes = append(rec.Writes, interp.VarUse{Name: names[rng.Intn(len(names))], Bytes: int64(1 + rng.Intn(1<<16))})
+			}
+			tr.Records = append(tr.Records, rec)
+		}
+		traces = append(traces, tr)
+	}
+	for ti, tr := range traces {
+		for pi := 0; pi < 4; pi++ {
+			part := codegen.NewPartition()
+			for _, ln := range tr.Lines() {
+				if pi == 1 || pi > 1 && rng.Intn(2) == 1 {
+					part.CSDLines[ln] = true
+				}
+			}
+			p := platform.Default()
+			res, err := exec.Run(p, tr, exec.Options{Backend: codegen.C, Partition: part, UseCallQueue: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := float64(refCrossBytes(tr.Records, part))
+			for i := range tr.Records {
+				if part.OnCSD(tr.Records[i].Line) {
+					want += float64(nvme.SQESize + nvme.CQESize + p.Dev.Cfg.StatusBytes)
+				} else {
+					want += float64(tr.Records[i].Cost.StorageBytes)
+				}
+			}
+			if res.D2HBytes != want {
+				t.Errorf("trace %d, partition %v: executor D2H=%v, name-keyed walk=%v", ti, part.Lines(), res.D2HBytes, want)
+			}
+		}
 	}
 }

@@ -19,8 +19,10 @@ import (
 // committed baselines in both directions: every experiment has a
 // benchmarks/BENCH_<name>.json whose experiment field is its name, and
 // every committed manifest names a registered experiment, so CI's
-// compare loop over benchmarks/BENCH_*.json covers every study. It
-// reads JSON only and runs nothing.
+// compare loop over benchmarks/BENCH_*.json covers every study. No
+// committed manifest carries a metrics section: the documented
+// regeneration command (no -metrics) writes none, and -compare ignores
+// one. It reads JSON only and runs nothing.
 func TestRegistryMatchesCommittedManifests(t *testing.T) {
 	dir := filepath.Join("..", "..", "benchmarks")
 	registered := map[string]bool{}
@@ -36,6 +38,9 @@ func TestRegistryMatchesCommittedManifests(t *testing.T) {
 		}
 		if m.Experiment != e.Name {
 			t.Errorf("BENCH_%s.json records experiment %q", e.Name, m.Experiment)
+		}
+		if m.Metrics != nil {
+			t.Errorf("BENCH_%s.json carries a metrics section, which the regeneration command does not write", e.Name)
 		}
 	}
 	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))

@@ -125,8 +125,10 @@ type ResilienceResult struct {
 	Rec *trace.Recorder
 }
 
-// worstLine is the costliest offloaded line's per-exec device time from
-// the plan's own §III-A estimates — the natural time unit for failure
+// worstLine is the largest per-exec device time, from the plan's own
+// §III-A estimates, over every line that executes: host-placed lines
+// count too, priced as if they ran on the device, so an all-host plan
+// still gets a line-sized unit. It is the natural time unit for failure
 // detection: completion timers, line deadlines, backoff delays, and
 // burst geometry all scale with it, so the sweep behaves the same at
 // any -scalediv.
@@ -144,11 +146,13 @@ func (wb *Workbench) worstLine() float64 {
 }
 
 // resilienceRetry derives the NVMe command supervision from the plan's
-// own estimates (§III-A), tight: the completion timer sits at 2.5x the
-// costliest offloaded line plus a floor scaled with the workload, so a
-// dropped completion is detected on the same time scale as the work it
-// supervises and a healthy line never trips it. It is the study's one
-// completion-timer sizing, for every cell and the chaos runs.
+// own estimates (§III-A), tight: the completion timer sits at 2.5x
+// worstLine (the costliest executed line's device time, whether the
+// plan offloads that line or not) plus a floor scaled with the
+// workload, so a dropped completion is detected on the same time scale
+// as the work it supervises and a healthy line never trips it. It is
+// the study's one completion-timer sizing, for every cell and the chaos
+// runs.
 func (wb *Workbench) resilienceRetry() nvme.RetryPolicy {
 	worst := wb.worstLine()
 	floor := 10e-3 * wb.Params.OverheadScale()

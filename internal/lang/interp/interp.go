@@ -17,6 +17,7 @@ package interp
 
 import (
 	"fmt"
+	"sync"
 
 	"activego/internal/lang/ast"
 	"activego/internal/lang/builtins"
@@ -59,9 +60,66 @@ func (r *LineRecord) OutBytes() int64 {
 	return total
 }
 
-// Trace is the ordered dynamic line stream of one program run.
+// Trace is the ordered dynamic line stream of one program run. Its
+// records must not change once Slots has numbered them.
 type Trace struct {
 	Records []LineRecord
+
+	slotsOnce sync.Once
+	slots     *VarSlots
+}
+
+// VarSlots numbers a trace's variables densely, 0 to Count-1 in order of
+// first appearance, so a replay can keep per-variable state in slices
+// indexed by slot rather than in maps keyed by name.
+type VarSlots struct {
+	Count int // distinct variable names
+	// slots holds each record's read slots, then its write slots, in
+	// record order; record i's reads are slots[off[2i]:off[2i+1]] and its
+	// writes slots[off[2i+1]:off[2i+2]].
+	slots []int32
+	off   []int32
+}
+
+// Reads returns the slots of record i's reads, in the order of its Reads.
+func (v *VarSlots) Reads(i int) []int32 { return v.slots[v.off[2*i]:v.off[2*i+1]] }
+
+// Writes returns the slots of record i's writes, in the order of its
+// Writes.
+func (v *VarSlots) Writes(i int) []int32 { return v.slots[v.off[2*i+1]:v.off[2*i+2]] }
+
+// Slots returns the trace's variable numbering, built on the first call
+// and only read after it, so concurrent replays of one trace may share
+// it. It covers any trace, however its records were made.
+func (t *Trace) Slots() *VarSlots {
+	t.slotsOnce.Do(func() { t.slots = numberVars(t.Records) })
+	return t.slots
+}
+
+func numberVars(recs []LineRecord) *VarSlots {
+	uses := 0
+	for i := range recs {
+		uses += len(recs[i].Reads) + len(recs[i].Writes)
+	}
+	v := &VarSlots{slots: make([]int32, 0, uses), off: make([]int32, 1, 2*len(recs)+1)}
+	ids := map[string]int32{}
+	number := func(us []VarUse) {
+		for _, u := range us {
+			id, ok := ids[u.Name]
+			if !ok {
+				id = int32(len(ids))
+				ids[u.Name] = id
+			}
+			v.slots = append(v.slots, id)
+		}
+		v.off = append(v.off, int32(len(v.slots)))
+	}
+	for i := range recs {
+		number(recs[i].Reads)
+		number(recs[i].Writes)
+	}
+	v.Count = len(ids)
+	return v
 }
 
 // Lines returns the distinct source lines present in the trace, ascending.

@@ -9,14 +9,24 @@ import "fmt"
 // (internal/exec, Options.Obs); a nil *Collector makes every hook a
 // no-op, so the unobserved run is bit-identical.
 type Collector struct {
-	win   *Windows
-	names map[seriesKey]string // interned LineSeries names
+	win *Windows
+	// lines holds, by source line, each kind's series handle, resolved
+	// by name on the first observation of that (line, kind) pair.
+	lines [][numKinds]*series
 }
 
-type seriesKey struct {
-	line int
-	kind string
-}
+// The series kinds the executor reports for every line.
+const (
+	kindCSDSeconds = iota
+	kindHostSeconds
+	kindD2HBytes
+	kindQueueSeconds
+	kindRetries
+	numKinds
+)
+
+// kindNames are the series name suffixes of the kinds, by kind.
+var kindNames = [numKinds]string{"csd.seconds", "host.seconds", "d2h.bytes", "queue.seconds", "retries"}
 
 // NewCollector creates a collector over a fresh window set; like
 // NewWindows, a non-positive interval returns nil (inert).
@@ -25,7 +35,7 @@ func NewCollector(interval float64, keep int) *Collector {
 	if w == nil {
 		return nil
 	}
-	return &Collector{win: w, names: map[seriesKey]string{}}
+	return &Collector{win: w}
 }
 
 // Windows exposes the underlying window set (nil on a nil collector).
@@ -43,16 +53,18 @@ func LineSeries(line int, kind string) string {
 	return fmt.Sprintf("line%d.%s", line, kind)
 }
 
-// series returns LineSeries(line, kind), building each name once: the
-// hooks run on every observed line.
-func (c *Collector) series(line int, kind string) string {
-	k := seriesKey{line, kind}
-	name, ok := c.names[k]
-	if !ok {
-		name = LineSeries(line, kind)
-		c.names[k] = name
+// handle returns line's series of the given kind, resolving its name
+// once: the hooks run on every observed line.
+func (c *Collector) handle(line, kind int) *series {
+	if line >= len(c.lines) {
+		c.lines = append(c.lines, make([][numKinds]*series, line+1-len(c.lines))...)
 	}
-	return name
+	s := c.lines[line][kind]
+	if s == nil {
+		s = c.win.lookup(LineSeries(line, kindNames[kind]))
+		c.lines[line][kind] = s
+	}
+	return s
 }
 
 // Line records one completed dynamic line execution: seconds of
@@ -63,22 +75,17 @@ func (c *Collector) Line(line int, unit string, t, seconds, d2hBytes float64) {
 	if c == nil {
 		return
 	}
-	c.win.Observe(c.series(line, secondsKind(unit)), t, seconds)
-	if d2hBytes > 0 {
-		c.win.Observe(c.series(line, "d2h.bytes"), t, d2hBytes)
-	}
-}
-
-// secondsKind is the series kind of a unit's compute seconds, without a
-// concatenation for the two units the executor reports.
-func secondsKind(unit string) string {
 	switch unit {
 	case "csd":
-		return "csd.seconds"
+		c.win.observe(c.handle(line, kindCSDSeconds), t, seconds)
 	case "host":
-		return "host.seconds"
+		c.win.observe(c.handle(line, kindHostSeconds), t, seconds)
+	default:
+		c.win.Observe(LineSeries(line, unit+".seconds"), t, seconds)
 	}
-	return unit + ".seconds"
+	if d2hBytes > 0 {
+		c.win.observe(c.handle(line, kindD2HBytes), t, d2hBytes)
+	}
 }
 
 // Queue records the call-queue wait an offloaded invocation saw between
@@ -87,7 +94,7 @@ func (c *Collector) Queue(line int, t, wait float64) {
 	if c == nil {
 		return
 	}
-	c.win.Observe(c.series(line, "queue.seconds"), t, wait)
+	c.win.observe(c.handle(line, kindQueueSeconds), t, wait)
 }
 
 // Retry records one line re-post (fault recovery or resilience ladder).
@@ -95,5 +102,5 @@ func (c *Collector) Retry(line int, t float64) {
 	if c == nil {
 		return
 	}
-	c.win.Observe(c.series(line, "retries"), t, 1)
+	c.win.observe(c.handle(line, kindRetries), t, 1)
 }

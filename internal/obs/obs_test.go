@@ -3,7 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -164,6 +166,87 @@ func TestCollectorSeries(t *testing.T) {
 	}
 	if s := c.Windows().Stats("line4.retries"); s[0].Count != 2 {
 		t.Errorf("retries count %d, want 2", s[0].Count)
+	}
+}
+
+// TestCollectorHandlesMatchByName feeds one seeded stream through the
+// Collector hooks and, spelled out by name, through Windows.Observe: the
+// two window sets must fold to the same snapshot. The collector's
+// windows are read mid-stream too, so later values land in windows
+// Stats has already sorted in place.
+func TestCollectorHandlesMatchByName(t *testing.T) {
+	c := NewCollector(0.25, 0)
+	w := NewWindows(0.25, 0)
+	rng := rand.New(rand.NewSource(26))
+	tm := 0.0
+	for i := 0; i < 5000; i++ {
+		tm += rng.ExpFloat64() * 1e-3
+		line := 1 + rng.Intn(12)
+		v := rng.ExpFloat64() * 1e-4
+		switch rng.Intn(4) {
+		case 0:
+			unit := []string{"csd", "host"}[rng.Intn(2)]
+			d2h := float64(rng.Intn(3) * 4096)
+			c.Line(line, unit, tm, v, d2h)
+			w.Observe(LineSeries(line, unit+".seconds"), tm, v)
+			if d2h > 0 {
+				w.Observe(LineSeries(line, "d2h.bytes"), tm, d2h)
+			}
+		case 1:
+			c.Queue(line, tm, v)
+			w.Observe(LineSeries(line, "queue.seconds"), tm, v)
+		case 2:
+			c.Retry(line, tm)
+			w.Observe(LineSeries(line, "retries"), tm, 1)
+		case 3:
+			c.Windows().Stats(LineSeries(line, "csd.seconds"))
+		}
+	}
+	var snaps [2]bytes.Buffer
+	for i, win := range []*Windows{c.Windows(), w} {
+		reg := metrics.New()
+		win.Fold(reg)
+		if err := reg.Snapshot().WriteJSON(&snaps[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(snaps[0].Bytes(), snaps[1].Bytes()) {
+		t.Error("the Collector hooks and Windows.Observe by name folded to different snapshots")
+	}
+}
+
+// TestStatsRepeat pins Stats over windows it sorts in place: the first
+// call matches a digest of sorted copies of the raw values, a second
+// call returns the same stats, and the second allocates only its result
+// slice.
+func TestStatsRepeat(t *testing.T) {
+	w := NewWindows(1, 0)
+	rng := rand.New(rand.NewSource(26))
+	raw := make([][]float64, 4)
+	for i := 0; i < 400; i++ {
+		v := rng.ExpFloat64()
+		w.Observe("s", float64(i)/100, v)
+		raw[i/100] = append(raw[i/100], v)
+	}
+	first := w.Stats("s")
+	for i, vals := range raw {
+		sorted := append([]float64(nil), vals...)
+		sort.Float64s(sorted)
+		var sum float64
+		for _, v := range sorted {
+			sum += v
+		}
+		want := WindowStat{Window: i, Count: len(sorted), Sum: sum, Mean: sum / float64(len(sorted)),
+			P50: metrics.Quantile(sorted, 0.5), P95: metrics.Quantile(sorted, 0.95), P99: metrics.Quantile(sorted, 0.99)}
+		if first[i] != want {
+			t.Errorf("window %d: %+v, want %+v", i, first[i], want)
+		}
+	}
+	if second := w.Stats("s"); !reflect.DeepEqual(second, first) {
+		t.Errorf("repeat Stats = %+v, first %+v", second, first)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { w.Stats("s") }); allocs != 1 {
+		t.Errorf("repeat Stats allocates %.1f objects, want 1 (its result slice)", allocs)
 	}
 }
 

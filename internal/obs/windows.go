@@ -26,13 +26,20 @@ import (
 type Windows struct {
 	interval float64
 	keep     int
-	series   map[string][]windowCell // name -> cells, ascending window index
-	last     int                     // highest window index observed
-	seen     bool                    // any observation at all
+	series   map[string]*series // by name; the Collector holds handles too
+	last     int                // highest window index observed
+	seen     bool               // any observation at all
 }
 
-// windowCell is one (series, window) bucket of raw observations, kept in
-// simulated-time order.
+// series is one named series: its kept cells in ascending window order.
+// A *series is the handle the Collector resolves once per (line, kind),
+// so its hooks reach the cells without hashing a name.
+type series struct {
+	cells []windowCell
+}
+
+// windowCell is one (series, window) bucket of raw observations. Stats
+// sorts vals in place; order within a window carries no meaning.
 type windowCell struct {
 	index int
 	vals  []float64
@@ -52,7 +59,7 @@ func NewWindows(interval float64, keep int) *Windows {
 	if keep <= 0 {
 		keep = DefaultKeep
 	}
-	return &Windows{interval: interval, keep: keep, series: map[string][]windowCell{}}
+	return &Windows{interval: interval, keep: keep, series: map[string]*series{}}
 }
 
 // Observe records value v for the named series at simulated time t.
@@ -61,6 +68,21 @@ func (w *Windows) Observe(name string, t, v float64) {
 	if w == nil {
 		return
 	}
+	w.observe(w.lookup(name), t, v)
+}
+
+// lookup returns the named series, opening it on first use.
+func (w *Windows) lookup(name string) *series {
+	s := w.series[name]
+	if s == nil {
+		s = &series{}
+		w.series[name] = s
+	}
+	return s
+}
+
+// observe records value v for series s at simulated time t.
+func (w *Windows) observe(s *series, t, v float64) {
 	idx := int(t / w.interval)
 	if idx < 0 {
 		idx = 0
@@ -68,21 +90,17 @@ func (w *Windows) Observe(name string, t, v float64) {
 	if idx > w.last || !w.seen {
 		w.last, w.seen = idx, true
 	}
-	cells := w.series[name]
-	n := len(cells)
-	if n > 0 && cells[n-1].index == idx {
-		cells[n-1].vals = append(cells[n-1].vals, v)
-		w.series[name] = cells
+	if n := len(s.cells); n > 0 && s.cells[n-1].index == idx {
+		s.cells[n-1].vals = append(s.cells[n-1].vals, v)
 		return
 	}
 	// Observations arrive in nondecreasing simulated time per series, so
 	// a new index always opens at the tail; drop the oldest cell when the
 	// ring is full.
-	cells = append(cells, windowCell{index: idx, vals: []float64{v}})
-	if len(cells) > w.keep {
-		cells = cells[1:]
+	s.cells = append(s.cells, windowCell{index: idx, vals: []float64{v}})
+	if len(s.cells) > w.keep {
+		s.cells = s.cells[1:]
 	}
-	w.series[name] = cells
 }
 
 // Count returns the number of windows spanned so far: highest observed
@@ -122,32 +140,37 @@ type WindowStat struct {
 
 // Stats returns the kept windows of the named series in window order
 // (nil on a nil receiver or an unknown series). Quantiles are exact —
-// computed by sorting a copy of each window's raw values — because a
-// window holds bounded, already-collected observations.
+// computed over each window's raw values, sorted in place — because a
+// window holds bounded, already-collected observations. A repeat call
+// finds the windows sorted and only re-scans them.
 func (w *Windows) Stats(name string) []WindowStat {
 	if w == nil {
 		return nil
 	}
-	cells := w.series[name]
-	out := make([]WindowStat, 0, len(cells))
-	for _, c := range cells {
-		out = append(out, statOf(c))
+	s := w.series[name]
+	if s == nil {
+		return nil
+	}
+	out := make([]WindowStat, 0, len(s.cells))
+	for i := range s.cells {
+		out = append(out, statOf(&s.cells[i]))
 	}
 	return out
 }
 
-func statOf(c windowCell) WindowStat {
+// statOf digests one window. The sum runs over the sorted values, so it
+// does not depend on the order observations arrived in.
+func statOf(c *windowCell) WindowStat {
+	sort.Float64s(c.vals)
 	s := WindowStat{Window: c.index, Count: len(c.vals)}
-	sorted := append([]float64(nil), c.vals...)
-	sort.Float64s(sorted)
-	for _, v := range sorted {
+	for _, v := range c.vals {
 		s.Sum += v
 	}
 	if s.Count > 0 {
 		s.Mean = s.Sum / float64(s.Count)
-		s.P50 = metrics.Quantile(sorted, 0.50)
-		s.P95 = metrics.Quantile(sorted, 0.95)
-		s.P99 = metrics.Quantile(sorted, 0.99)
+		s.P50 = metrics.Quantile(c.vals, 0.50)
+		s.P95 = metrics.Quantile(c.vals, 0.95)
+		s.P99 = metrics.Quantile(c.vals, 0.99)
 	}
 	return s
 }

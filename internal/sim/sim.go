@@ -28,28 +28,42 @@ type Time = float64
 //
 // Lifetime contract: an *Event handle is valid from scheduling until the
 // kernel disposes of the event — immediately after its callback returns,
-// or when a canceled event is discarded from the calendar. The kernel
-// then recycles the Event into a free list, so holding (or Canceling) a
-// handle past that point is a model bug. The two cancellation sites in
-// the tree (resource rescheduling, NVMe completion timers) both cancel
-// only still-pending events or self-cancel inside the event's own
-// callback, which the contract permits.
+// or at once when a pending event is canceled. The kernel then recycles
+// the Event into a free list, so holding (or Canceling) a handle past
+// that point is a model bug. The two cancellation sites in the tree
+// (resource rescheduling, NVMe completion timers) both cancel only
+// still-pending events or self-cancel inside the event's own callback,
+// which the contract permits.
 type Event struct {
-	at       Time
-	seq      uint64
-	fn       func()
-	canceled bool
+	at  Time
+	seq uint64
+	fn  func()
+	sim *Sim
+	// index is the event's position in its calendar, or -1 once it has
+	// left the calendar: while its callback runs, and on the free list.
+	index int
 }
 
-// Cancel prevents the event from firing. Canceling an already-fired or
-// already-canceled event is a no-op.
-func (e *Event) Cancel() { e.canceled = true }
+// Cancel prevents a pending event from firing: the event leaves the
+// calendar and is recycled at once, so the calendar holds only live
+// events. Canceling an event whose callback is running (a self-cancel)
+// is a no-op.
+func (e *Event) Cancel() {
+	if e.index < 0 {
+		return
+	}
+	s := e.sim
+	s.events.remove(e.index)
+	s.recycle(e)
+}
 
-// eventHeap is a binary min-heap over (at, seq) with typed push/pop —
+// eventHeap is a binary min-heap over (at, seq) with typed operations —
 // container/heap would route every operation through interface{} values
 // and indirect method calls, which the schedule/fire path is hot enough
 // to feel. Only the kernel touches it, so the specialized form stays
-// small: sift-up on push, sift-down on pop.
+// small: sift-up on push, sift-down on pop, both on removal from the
+// middle. Every move keeps Event.index current. (at, seq) is a strict
+// total order, so the firing order does not depend on the heap's shape.
 type eventHeap []*Event
 
 func eventLess(a, b *Event) bool {
@@ -61,41 +75,70 @@ func eventLess(a, b *Event) bool {
 
 func (h *eventHeap) push(e *Event) {
 	*h = append(*h, e)
+	e.index = len(*h) - 1
+	h.up(e.index)
+}
+
+// pop removes and returns the earliest event.
+func (h *eventHeap) pop() *Event {
+	top := (*h)[0]
+	h.remove(0)
+	return top
+}
+
+// remove takes the event at position i out of the heap.
+func (h *eventHeap) remove(i int) {
 	s := *h
-	for i := len(s) - 1; i > 0; {
+	n := len(s) - 1
+	e := s[i]
+	if i != n {
+		s[i] = s[n]
+		s[i].index = i
+	}
+	s[n] = nil
+	*h = s[:n]
+	e.index = -1
+	if i != n && !h.down(i) {
+		h.up(i)
+	}
+}
+
+func (h eventHeap) up(i int) {
+	for i > 0 {
 		parent := (i - 1) / 2
-		if !eventLess(s[i], s[parent]) {
+		if !eventLess(h[i], h[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		h.swap(i, parent)
 		i = parent
 	}
 }
 
-func (h *eventHeap) pop() *Event {
-	s := *h
-	n := len(s) - 1
-	top := s[0]
-	s[0] = s[n]
-	s[n] = nil
-	s = s[:n]
-	*h = s
-	for i := 0; ; {
+// down sifts the event at i toward the leaves and reports whether it
+// moved.
+func (h eventHeap) down(i int) bool {
+	start, n := i, len(h)
+	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < n && eventLess(s[l], s[small]) {
+		if l < n && eventLess(h[l], h[small]) {
 			small = l
 		}
-		if r < n && eventLess(s[r], s[small]) {
+		if r < n && eventLess(h[r], h[small]) {
 			small = r
 		}
 		if small == i {
-			break
+			return i != start
 		}
-		s[i], s[small] = s[small], s[i]
+		h.swap(i, small)
 		i = small
 	}
-	return top
+}
+
+func (h eventHeap) swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index = i
+	h[j].index = j
 }
 
 // Sim is a discrete-event simulator instance. The zero value is not ready
@@ -157,9 +200,9 @@ func (s *Sim) At(t Time, fn func()) *Event {
 		e = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		*e = Event{at: t, seq: s.seq, fn: fn}
+		e.at, e.seq, e.fn = t, s.seq, fn
 	} else {
-		e = &Event{at: t, seq: s.seq, fn: fn}
+		e = &Event{at: t, seq: s.seq, fn: fn, sim: s}
 	}
 	s.seq++
 	s.events.push(e)
@@ -179,25 +222,22 @@ func (s *Sim) After(d float64, fn func()) *Event {
 	return s.At(s.now+d, fn)
 }
 
-// Pending returns the number of scheduled (possibly canceled) events.
+// Pending returns the number of scheduled events that have not fired.
+// A canceled event leaves the calendar at once, so it is not counted.
 func (s *Sim) Pending() int { return len(s.events) }
 
-// Step fires the single earliest pending non-canceled event, advancing the
-// clock to its time. It returns false when no events remain.
+// Step fires the single earliest pending event, advancing the clock to
+// its time. It returns false when no events remain.
 func (s *Sim) Step() bool {
-	for len(s.events) > 0 {
-		e := s.events.pop()
-		if e.canceled {
-			s.recycle(e)
-			continue
-		}
-		s.now = e.at
-		s.fired++
-		e.fn()
-		s.recycle(e)
-		return true
+	if len(s.events) == 0 {
+		return false
 	}
-	return false
+	e := s.events.pop()
+	s.now = e.at
+	s.fired++
+	e.fn()
+	s.recycle(e)
+	return true
 }
 
 // Run fires events until the calendar is empty.

@@ -314,9 +314,10 @@ func TestLinkStats(t *testing.T) {
 }
 
 // TestEventRecycling pins the free-list mechanics behind the kernel's
-// zero-alloc steady state: fired and canceled events return to the free
-// list with their callback dropped (so the list never pins closures),
-// and a subsequent schedule reuses the same struct.
+// zero-alloc steady state: a fired event returns to the free list after
+// its callback, a canceled one as soon as it is canceled, both with
+// their callback dropped (so the list never pins closures), and a
+// subsequent schedule reuses the same struct.
 func TestEventRecycling(t *testing.T) {
 	s := New()
 	e1 := s.After(1, func() {})
@@ -333,9 +334,14 @@ func TestEventRecycling(t *testing.T) {
 		t.Error("schedule after recycle allocated a fresh Event instead of reusing the free one")
 	}
 	e2.Cancel()
-	s.Run()
 	if len(s.free) != 1 || s.free[0] != e2 {
-		t.Fatalf("canceled event was not recycled; free list = %v", s.free)
+		t.Fatalf("canceled event was not recycled at Cancel; free list = %v", s.free)
+	}
+	if e2.fn != nil {
+		t.Error("canceled event still holds its callback")
+	}
+	if n := s.Pending(); n != 0 {
+		t.Errorf("%d events pending after the only one was canceled, want 0", n)
 	}
 }
 
@@ -354,6 +360,16 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		{"schedule+fire", func(s *Sim) func() {
 			fn := func() {}
 			return func() { s.After(1, fn); s.Run() }
+		}},
+		{"cancel+rebook", func(s *Sim) func() {
+			fn := func() {}
+			return func() {
+				e := s.After(2, fn)
+				s.After(1, fn)
+				e.Cancel()
+				s.After(3, fn)
+				s.Run()
+			}
 		}},
 		{"Resource.Submit idle", func(s *Sim) func() {
 			r := NewResource(s, "r", 1, 1)
