@@ -91,7 +91,7 @@ func BenchmarkAblationGranularity(b *testing.B) {
 		}
 		whole = w.Duration
 		f, err := exec.Run(platform.Default(), wb.Trace, exec.Options{
-			Backend: codegen.C, Partition: alternating, UseCallQueue: true,
+			Backend: codegen.C, Partition: alternating,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -114,7 +114,7 @@ func BenchmarkAblationPlanner(b *testing.B) {
 	}
 	measure := func(part codegen.Partition) float64 {
 		r, err := exec.Run(platform.Default(), wb.Trace, exec.Options{
-			Backend: codegen.Native, Partition: part, UseCallQueue: true,
+			Backend: codegen.Native, Partition: part,
 			OverheadScale: wb.Params.OverheadScale(),
 		})
 		if err != nil {
@@ -353,19 +353,21 @@ func BenchmarkOptimal16Lines(b *testing.B) {
 	}
 }
 
-// benchmarkBnB times the branch-and-bound planner on a fixture program
-// past the old 16-line enumeration cliff, where the seed planner would
-// have silently degraded to Algorithm 1. The search must stay exact
-// (no node-budget fallback) on every iteration.
+// benchmarkBnB times the runtime's planning entry, never-win pins and
+// branch-and-bound search, on a fixture program past the old 16-line
+// enumeration cliff, where the seed planner would have silently
+// degraded to Algorithm 1. The search must stay exact (no node-budget
+// fallback) on every iteration.
 func benchmarkBnB(b *testing.B, lines int) {
 	m := plan.MachineFromPlatform(platform.Default())
 	estimates := experiments.PlannerFixture(lines)
-	cons := plan.Constraints{HostOnly: map[int]string{}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var stats plan.BnBStats
-		res := plan.BnBBudget(estimates, cons, m, plan.DefaultBnBNodeBudget, &stats)
+		res, stats, _, err := plan.Plan(estimates, plan.Constraints{}, m, plan.PlannerBnB, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if res.Planner != plan.PlannerBnB || stats.Fallback {
 			b.Fatalf("planner %q fallback=%t", res.Planner, stats.Fallback)
 		}
@@ -377,8 +379,8 @@ func benchmarkBnB(b *testing.B, lines int) {
 func BenchmarkBnB24Lines(b *testing.B) { benchmarkBnB(b, 24) }
 
 // BenchmarkBnB32Lines: double the old cliff (2^32 candidate placements
-// under brute force; the bound and never-win cuts reduce the search to a
-// few hundred nodes).
+// under brute force; the never-win pins and the bound cuts reduce the
+// search to a few hundred nodes).
 func BenchmarkBnB32Lines(b *testing.B) { benchmarkBnB(b, 32) }
 
 // BenchmarkSimKernelScheduleFire measures the event kernel's hot loop:

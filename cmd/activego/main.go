@@ -30,6 +30,7 @@ import (
 	"activego/internal/driver"
 	"activego/internal/exec"
 	"activego/internal/experiments"
+	"activego/internal/plan"
 	"activego/internal/platform"
 	"activego/internal/profile"
 	"activego/internal/workloads"
@@ -243,7 +244,7 @@ func runExplain(args []string) int {
 	asJSON := fs.Bool("json", false, "emit the explain record as indented JSON")
 	runIt := fs.Bool("run", false, "also execute the workload under windowed observation and cross-link drift columns")
 	window := fs.Float64("obswindow", 0, "observation window for -run in simulated seconds (0 = 1/16 of the projected runtime)")
-	planner := fs.String("planner", "", "planning algorithm: "+core.PlannerChoices+" (DESIGN.md §16); empty = bnb, the exact planner")
+	planner := fs.String("planner", "", "planning algorithm: "+plan.PlannerChoices+" (DESIGN.md §16); empty = bnb, the exact planner")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: activego explain -workload NAME [-scalediv N] [-seed S] [-json] [-planner P] [-run [-obswindow W]]")
 		fs.PrintDefaults()

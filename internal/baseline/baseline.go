@@ -38,7 +38,7 @@ func RunHostOnly(p *platform.Platform, trace *interp.Trace, b codegen.Backend) (
 // RunStatic executes the trace with a fixed partition under backend b and
 // no migration: the conventional compiled ISP program.
 func RunStatic(p *platform.Platform, trace *interp.Trace, part codegen.Partition, b codegen.Backend) (*exec.Result, error) {
-	return exec.Run(p, trace, exec.Options{Backend: b, Partition: part, UseCallQueue: true})
+	return exec.Run(p, trace, exec.Options{Backend: b, Partition: part})
 }
 
 // Search is the exhaustive programmer-directed tuning pass: measure every

@@ -1,7 +1,7 @@
 // Package bench makes benchmark runs machine-comparable: every
 // benchsuite experiment serializes a schema-versioned run manifest
-// (BENCH_<exp>.json) carrying the environment (git revision, Go
-// version, seed, scale), per-workload measured values with explicit
+// (BENCH_<exp>.json) carrying the environment (Go version, platform,
+// seed, scale), per-workload measured values with explicit
 // better-is directions, the planner's choices, a metrics snapshot, and
 // Go runtime stats — and Compare diffs two manifests benchstat-style
 // with configurable regression thresholds, so CI can gate on "did this
@@ -20,7 +20,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"runtime/debug"
 
 	"activego/internal/metrics"
 )
@@ -75,10 +74,7 @@ type Manifest struct {
 	Schema     int    `json:"schema"`
 	Experiment string `json:"experiment"`
 
-	// Environment. GitRev is best-effort (build info carries it only in
-	// VCS-stamped builds); the rest always populate.
-	GitRev    string `json:"git_rev,omitempty"`
-	GitDirty  bool   `json:"git_dirty,omitempty"`
+	// Environment.
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
@@ -99,11 +95,10 @@ type Manifest struct {
 }
 
 // NewManifest builds a manifest shell for one experiment, stamping the
-// environment (git revision from build info when available) and run
-// parameters. Callers append Workloads and optionally attach Metrics
-// and Runtime.
+// environment and run parameters. Callers append Workloads and
+// optionally attach Metrics and Runtime.
 func NewManifest(experiment string, seed, scaleDiv int64) *Manifest {
-	m := &Manifest{
+	return &Manifest{
 		Schema:     Schema,
 		Experiment: experiment,
 		GoVersion:  runtime.Version(),
@@ -113,17 +108,6 @@ func NewManifest(experiment string, seed, scaleDiv int64) *Manifest {
 		Seed:       seed,
 		ScaleDiv:   scaleDiv,
 	}
-	if info, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range info.Settings {
-			switch s.Key {
-			case "vcs.revision":
-				m.GitRev = s.Value
-			case "vcs.modified":
-				m.GitDirty = s.Value == "true"
-			}
-		}
-	}
-	return m
 }
 
 // CaptureRuntime fills Runtime from the current process.

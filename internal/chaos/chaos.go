@@ -271,7 +271,6 @@ func (c Config) options(pol *resilience.Policy) exec.Options {
 	return exec.Options{
 		Backend:       c.Backend,
 		Partition:     c.Partition,
-		UseCallQueue:  true,
 		OverheadScale: c.OverheadScale,
 		Resilience:    pol,
 	}

@@ -166,7 +166,7 @@ func FuzzFaultSchedule(f *testing.F) {
 		p.InstallFaults(plan, cfg.Retry)
 		res, rerr := exec.Run(p, tr, exec.Options{
 			Backend: cfg.Backend, Partition: cfg.Partition,
-			UseCallQueue: true, OverheadScale: cfg.OverheadScale, Resilience: &pol,
+			OverheadScale: cfg.OverheadScale, Resilience: &pol,
 		})
 		if rerr != nil {
 			var shed *resilience.ShedError
@@ -270,7 +270,7 @@ func TestMovesAlternateAndBillOnce(t *testing.T) {
 	run := func(p *platform.Platform, pol resilience.Policy) (*exec.Result, error) {
 		return exec.Run(p, tr, exec.Options{
 			Backend: codegen.Native, Partition: part, Estimates: ests,
-			Migration: exec.DefaultMigration(), UseCallQueue: true,
+			Migration:     exec.DefaultMigration(),
 			OverheadScale: base.OverheadScale, Resilience: &pol,
 		})
 	}

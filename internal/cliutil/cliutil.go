@@ -20,11 +20,11 @@ import (
 	"os"
 	runpprof "runtime/pprof"
 
-	"activego/internal/core"
 	"activego/internal/driver"
 	"activego/internal/experiments"
 	"activego/internal/metrics"
 	"activego/internal/par"
+	"activego/internal/plan"
 	"activego/internal/trace"
 )
 
@@ -64,7 +64,7 @@ func (f *Flags) RegisterJobs(fs *flag.FlagSet) {
 
 // RegisterPlanner additionally installs -planner.
 func (f *Flags) RegisterPlanner(fs *flag.FlagSet) {
-	fs.StringVar(&f.Planner, "planner", "", "planning algorithm: "+core.PlannerChoices+" (DESIGN.md §16); empty = bnb, the exact planner")
+	fs.StringVar(&f.Planner, "planner", "", "planning algorithm: "+plan.PlannerChoices+" (DESIGN.md §16); empty = bnb, the exact planner")
 }
 
 // RegisterObsWindow additionally installs -obswindow.

@@ -21,7 +21,7 @@ type ExplainOptions struct {
 	// runtime).
 	Run    bool
 	Window float64
-	// Planner forces the planning algorithm (core.PlannerChoices; ""
+	// Planner forces the planning algorithm (plan.PlannerChoices; ""
 	// = bnb).
 	Planner string
 }

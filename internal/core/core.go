@@ -121,11 +121,6 @@ type Outcome struct {
 	Drift *obs.DriftReport
 }
 
-// PlannerChoices is the -planner flag's vocabulary (DESIGN.md §16): the
-// exact branch-and-bound planner (the default) and the paper's
-// Algorithm 1 with its literal-pseudocode ablation.
-const PlannerChoices = "bnb | algorithm1 | algorithm1-literal"
-
 // Runtime is an ActivePy instance bound to one platform.
 type Runtime struct {
 	Plat    *platform.Platform
@@ -144,8 +139,8 @@ type Runtime struct {
 	// flag). Nil runs serially; either way the pipeline's output is
 	// bit-identical — par.Map merges by input position.
 	Pool *par.Pool
-	// Planner selects the planning algorithm (one of PlannerChoices; ""
-	// means bnb): the exact branch-and-bound search of DESIGN.md §16,
+	// Planner selects the planning algorithm (one of plan.PlannerChoices;
+	// "" means bnb): the exact branch-and-bound search of DESIGN.md §16,
 	// which degrades to Algorithm 1 only on a node-budget blowout.
 	Planner string
 	// PlanBudget overrides the branch-and-bound node budget
@@ -230,15 +225,14 @@ func (rt *Runtime) plan(src string, reg *inputs.Registry) (*Prepared, error) {
 	stop = rt.Metrics.Phase(metrics.PhasePlan)
 	estimates := plan.BuildEstimates(report.Predictions(), rt.Machine, codegen.Native)
 	cons := plan.Constraints{HostOnly: static.HostPinned()}
-	advisories, pruned := adviseEstimates(static, report, estimates, rt.Machine, cons.HostOnly)
-	planRes, stats, err := rt.runPlanner(estimates, cons)
+	planRes, stats, pruned, err := plan.Plan(estimates, cons, rt.Machine, rt.Planner, rt.PlanBudget)
 	if err != nil {
 		stop()
-		return nil, err
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	planRes.Provenance = plan.BuildProvenance(planRes, cons, pruned, rt.Machine)
+	advisories, neverWin := advise(static, report, pruned, cons)
 	stop()
-	if planRes.Planner == plan.PlannerAlgorithm1 && !greedyRequested(rt.Planner) {
+	if stats.Fallback {
 		// A genuine fallback: the exact planner was asked for but
 		// branch-and-bound blew its node budget and degraded to the
 		// greedy walk (the static AV008 vet note warns when a program's
@@ -247,11 +241,11 @@ func (rt *Runtime) plan(src string, reg *inputs.Registry) (*Prepared, error) {
 	}
 	if stats.Nodes > 0 {
 		rt.Metrics.Counter(metrics.MetricPlanBnBNodes).Add(float64(stats.Nodes))
-		rt.Metrics.Counter(metrics.MetricPlanBnBCuts).Add(float64(stats.BoundCuts + stats.NeverWinCuts))
+		rt.Metrics.Counter(metrics.MetricPlanBnBCuts).Add(float64(stats.BoundCuts))
 		rt.Metrics.Gauge(metrics.MetricPlanBnBBudget).Set(float64(stats.Budget))
 	}
-	if n := prunedCount(advisories); n > 0 {
-		rt.Metrics.Counter(metrics.MetricPlanPrunedLines).Add(float64(n))
+	if neverWin > 0 {
+		rt.Metrics.Counter(metrics.MetricPlanPrunedLines).Add(float64(neverWin))
 	}
 	return &Prepared{
 		Program:    prog,
@@ -264,70 +258,29 @@ func (rt *Runtime) plan(src string, reg *inputs.Registry) (*Prepared, error) {
 	}, nil
 }
 
-// runPlanner dispatches to the configured planning algorithm. The
-// returned stats are zero-valued unless the branch-and-bound search ran.
-func (rt *Runtime) runPlanner(estimates []plan.LineEstimate, cons plan.Constraints) (*plan.Result, plan.BnBStats, error) {
-	var stats plan.BnBStats
-	budget := rt.PlanBudget
-	if budget <= 0 {
-		budget = plan.DefaultBnBNodeBudget
-	}
-	switch rt.Planner {
-	case "", plan.PlannerBnB:
-		return plan.BnBBudget(estimates, cons, rt.Machine, budget, &stats), stats, nil
-	case plan.PlannerAlgorithm1:
-		return plan.Algorithm1(estimates, cons, rt.Machine), stats, nil
-	case plan.PlannerAlgorithm1Literal:
-		return plan.Algorithm1Literal(estimates, cons, rt.Machine), stats, nil
-	default:
-		return nil, stats, fmt.Errorf("core: unknown planner %q (choices: %s)", rt.Planner, PlannerChoices)
-	}
-}
-
-// greedyRequested reports whether the caller explicitly asked for the
-// greedy walk — in which case an Algorithm 1 plan is the requested
-// behavior, not a fallback.
-func greedyRequested(planner string) bool {
-	return planner == plan.PlannerAlgorithm1 || planner == plan.PlannerAlgorithm1Literal
-}
-
-// adviseEstimates runs the dynamic-input analysis passes over the
-// sampled estimates: the AV009 cross-check of fitted execution counts
-// against the proved static bounds, and the AV011 never-win proof —
-// whose lines it also pins into hostOnly (in place), so the planner
-// never considers offloading them. Pinning a never-win line provably
-// preserves the plan (see plan.NeverWin). The
-// full pruned list is returned alongside the advisories so provenance
-// can record margins even for lines legality had already pinned.
-func adviseEstimates(static *analysis.Report, report *profile.Report, estimates []plan.LineEstimate, m plan.Machine, hostOnly map[int]string) ([]analysis.Diagnostic, []plan.PrunedLine) {
+// advise runs the dynamic-input analysis passes: the AV009 cross-check
+// of fitted execution counts against the proved static bounds, and one
+// AV011 advisory per never-win line that legality (cons) had not already
+// pinned — plan.Plan pinned them all, which provably preserves the plan
+// (see plan.NeverWin). It returns the advisories and the AV011 count.
+func advise(static *analysis.Report, report *profile.Report, pruned []plan.PrunedLine, cons plan.Constraints) ([]analysis.Diagnostic, int) {
 	var ms []analysis.Measured
 	for _, p := range report.Predictions() {
 		ms = append(ms, analysis.Measured{Line: p.Line, Execs: p.Execs})
 	}
 	advisories := static.CheckMeasured(ms)
-	pruned := plan.NeverWin(estimates, m)
+	n := 0
 	for _, pr := range pruned {
-		if _, already := hostOnly[pr.Line]; already {
+		if _, legal := cons.Pinned(pr.Line); legal {
 			continue
 		}
-		hostOnly[pr.Line] = pr.Reason
+		n++
 		advisories = append(advisories, analysis.Diagnostic{
 			Line: pr.Line, Code: analysis.CodeNeverWin, Severity: analysis.SevWarning,
 			Msg: pr.Reason,
 		})
 	}
-	return advisories, pruned
-}
-
-// prunedCount counts the AV011 findings in an advisory set.
-func prunedCount(advisories []analysis.Diagnostic) int {
-	n := 0
-	for _, d := range advisories {
-		if d.Code == analysis.CodeNeverWin {
-			n++
-		}
-	}
-	return n
+	return advisories, n
 }
 
 // Vet runs steps 1–3 and returns the full diagnostic stream: the static
@@ -401,7 +354,6 @@ func (pr *Prepared) options(cfg Config) exec.Options {
 		Migration:        mig,
 		SamplingOverhead: SamplingOverhead,
 		OverheadScale:    cfg.OverheadScale,
-		UseCallQueue:     true,
 		Resilience:       cfg.Resilience,
 		Analysis:         pr.Analysis,
 	}

@@ -194,10 +194,9 @@ func TestIllegalPartitionRejectedBeforeExecution(t *testing.T) {
 	// refuse it with a diagnostic naming the line and the builtin.
 	p := platform.Default()
 	_, err := exec.Run(p, pr.Trace, exec.Options{
-		Backend:      codegen.C,
-		Partition:    codegen.NewPartition(1, 2, 4),
-		UseCallQueue: true,
-		Analysis:     pr.Analysis,
+		Backend:   codegen.C,
+		Partition: codegen.NewPartition(1, 2, 4),
+		Analysis:  pr.Analysis,
 	})
 	if err == nil {
 		t.Fatal("illegal partition executed")
@@ -234,10 +233,9 @@ func TestUseBeforeDefRejectedBeforeExecution(t *testing.T) {
 	// whatever the trace and partition.
 	p := platform.Default()
 	_, err = exec.Run(p, prepare(t, scanProgram).Trace, exec.Options{
-		Backend:      codegen.C,
-		Partition:    codegen.NewPartition(1),
-		UseCallQueue: true,
-		Analysis:     static,
+		Backend:   codegen.C,
+		Partition: codegen.NewPartition(1),
+		Analysis:  static,
 	})
 	if err == nil || !strings.Contains(err.Error(), "ghost") {
 		t.Fatalf("use-before-def executed: err = %v", err)

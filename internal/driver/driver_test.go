@@ -126,7 +126,7 @@ func TestScenarioViewsPreparedProgram(t *testing.T) {
 		t.Error("scenario copied the prepared trace or estimate map")
 	}
 	opts := sc.ReplayOptions()
-	if !opts.Warm || !opts.UseCallQueue || !opts.Partition.Equal(pr.Plan.Partition) ||
+	if !opts.Warm || !opts.Partition.Equal(pr.Plan.Partition) ||
 		reflect.ValueOf(opts.Estimates).Pointer() != reflect.ValueOf(pr.Estimates).Pointer() {
 		t.Errorf("replay options %+v do not replay the prepared plan warm", opts)
 	}

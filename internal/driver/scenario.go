@@ -81,7 +81,6 @@ func (sc *Scenario) ReplayOptions() exec.Options {
 		Partition:     sc.Partition,
 		Estimates:     sc.Estimates,
 		OverheadScale: sc.OverheadScale,
-		UseCallQueue:  true,
 		Warm:          true,
 	}
 }

@@ -90,8 +90,10 @@ type Options struct {
 	// overhead-to-runtime ratios (its ~0.1 s overheads against 11–73 s
 	// applications).
 	OverheadScale float64
-	// UseCallQueue routes CSD lines through the NVMe call queue; off, CSD
-	// lines are invoked directly (used to ablate queue overhead).
+	// UseCallQueue is ignored: every CSD line goes through the NVMe call
+	// queue (§III-C-b).
+	//
+	// Deprecated: the field remains only because perfbench still sets it.
 	UseCallQueue bool
 	// Warm skips the one-time overheads (sampling latency, backend
 	// compile) entirely: the program was prepared earlier and this run
@@ -433,34 +435,34 @@ func (e *executor) sampleBreakerState() {
 	e.p.Sim.Recorder().Sample(metrics.SeriesExecBreakerState, e.p.Sim.Now(), v)
 }
 
-// dispatch runs the current record on unit, routing CSD lines through the
-// call queue when configured; failures land in failLine.
+// dispatch runs the current record on unit: host lines directly, CSD
+// lines through the call queue; failures land in failLine.
 func (e *executor) dispatch(unit Unit) {
 	e.lineStart = e.p.Sim.Now()
 	e.lineD2H0 = e.p.Topo.D2H.TotalBytes()
-	if unit == UnitCSD && e.opts.UseCallQueue {
-		// §III-C-b: the host posts the line invocation to the call queue
-		// mapped in device memory; the CSE picks it up, runs it, and the
-		// completion path carries the result notification back. Under a
-		// resilience policy the call carries a deadline the queue pair's
-		// completion timers enforce.
-		var deadline sim.Time
-		if pol := e.opts.Resilience; pol != nil && pol.LineDeadline > 0 {
-			deadline = e.p.Sim.Now() + pol.LineDeadline
-		}
-		// The payload names its own record: the queue pair may run it
-		// again on a re-issue, and a run may start after the host gave
-		// up on this attempt.
-		i := e.idx
-		e.p.Host.CallDeadline(e.p.Dev, csd.Call(func(_ *csd.Device, done func(uint16, any)) {
-			// The CSE has picked the call up: everything since dispatch was
-			// queue traversal. Observation only — a nil collector no-ops.
-			e.opts.Obs.Queue(e.trace.Records[i].Line, e.p.Sim.Now(), e.p.Sim.Now()-e.lineStart)
-			e.runRecord(i, UnitCSD, done)
-		}), deadline, e.callDone)
+	if unit == UnitHost {
+		e.runRecord(e.idx, UnitHost, nil)
 		return
 	}
-	e.runRecord(e.idx, unit, nil)
+	// §III-C-b: the host posts the line invocation to the call queue
+	// mapped in device memory; the CSE picks it up, runs it, and the
+	// completion path carries the result notification back. Under a
+	// resilience policy the call carries a deadline the queue pair's
+	// completion timers enforce.
+	var deadline sim.Time
+	if pol := e.opts.Resilience; pol != nil && pol.LineDeadline > 0 {
+		deadline = e.p.Sim.Now() + pol.LineDeadline
+	}
+	// The payload names its own record: the queue pair may run it again
+	// on a re-issue, and a run may start after the host gave up on this
+	// attempt.
+	i := e.idx
+	e.p.Host.CallDeadline(e.p.Dev, csd.Call(func(_ *csd.Device, done func(uint16, any)) {
+		// The CSE has picked the call up: everything since dispatch was
+		// queue traversal. Observation only — a nil collector no-ops.
+		e.opts.Obs.Queue(e.trace.Records[i].Line, e.p.Sim.Now(), e.p.Sim.Now()-e.lineStart)
+		e.runRecord(i, UnitCSD, done)
+	}), deadline, e.callDone)
 }
 
 // onCallDone is the host side of an offloaded line's call: its completion

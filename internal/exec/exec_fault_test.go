@@ -51,7 +51,7 @@ func postures() []struct {
 // acceptance bar.
 func TestZeroFaultPlanReproducesBareRun(t *testing.T) {
 	tr := traceFor(t, scanSrc, 1<<16)
-	opts := Options{Backend: codegen.Native, Partition: codegen.NewPartition(1, 2, 3), UseCallQueue: true}
+	opts := Options{Backend: codegen.Native, Partition: codegen.NewPartition(1, 2, 3)}
 
 	bare, err := Run(platform.Default(), tr, opts)
 	if err != nil {
@@ -98,7 +98,7 @@ func TestFaultyRunIsDeterministic(t *testing.T) {
 				pol := tc.pol
 				res, err := Run(p, tr, Options{
 					Backend: codegen.Native, Partition: codegen.NewPartition(1, 2, 3),
-					UseCallQueue: true, OverheadScale: 1e-6, Resilience: &pol,
+					OverheadScale: 1e-6, Resilience: &pol,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -134,7 +134,7 @@ func TestUnrecoverableCSDFailureFailsOverToHost(t *testing.T) {
 	pol := resilience.OneShot()
 	opts := Options{
 		Backend: codegen.Native, Partition: codegen.NewPartition(1, 2, 3),
-		UseCallQueue: true, Resilience: &pol, OverheadScale: 1e-6,
+		Resilience: &pol, OverheadScale: 1e-6,
 	}
 
 	// Clean pass to learn when the first offloaded record completes; the
@@ -202,7 +202,7 @@ func TestNonOKStatusWithoutRecoveryFailsRun(t *testing.T) {
 	p := platform.Default()
 	p.InstallFaults(fault.NewPlan(1, fault.Rule{Point: fault.FlashUncorrectable, Rate: 1}), nvme.RetryPolicy{})
 	_, err := Run(p, trace, Options{
-		Backend: codegen.Native, Partition: codegen.NewPartition(1, 2, 3), UseCallQueue: true,
+		Backend: codegen.Native, Partition: codegen.NewPartition(1, 2, 3),
 	})
 	if err == nil {
 		t.Fatal("uncorrectable flash error surfaced as success")
@@ -220,7 +220,7 @@ func TestDrainedRunNamesStuckRecord(t *testing.T) {
 	// Completions vanish and no retry policy is armed: the run strands.
 	p.InstallFaults(fault.NewPlan(1, fault.Rule{Point: fault.NVMeCompletionDrop, Rate: 1}), nvme.RetryPolicy{})
 	_, err := Run(p, trace, Options{
-		Backend: codegen.Native, Partition: codegen.NewPartition(1, 2, 3), UseCallQueue: true,
+		Backend: codegen.Native, Partition: codegen.NewPartition(1, 2, 3),
 	})
 	if err == nil {
 		t.Fatal("stranded run reported success")

@@ -58,7 +58,7 @@ func TestResilienceInvalidPolicyRejected(t *testing.T) {
 	pol.LineDeadline = -1
 	_, err := Run(platform.Default(), tr, Options{
 		Backend: codegen.Native, Partition: codegen.NewPartition(1, 2, 3),
-		UseCallQueue: true, Resilience: &pol,
+		Resilience: &pol,
 	})
 	if err == nil {
 		t.Fatal("negative LineDeadline accepted")
@@ -77,7 +77,7 @@ func breakerRun(t *testing.T, rec *trace.Recorder, m *metrics.Registry) *Result 
 	part := codegen.NewPartition(1, 2, 3, 4, 5, 6, 7, 8)
 	opts := Options{
 		Backend: codegen.Native, Partition: part,
-		UseCallQueue: true, OverheadScale: 1e-6,
+		OverheadScale: 1e-6,
 	}
 	hostOnly, err := Run(platform.Default(), tr, Options{
 		Backend: codegen.Native, Partition: codegen.NewPartition(), OverheadScale: 1e-6,
@@ -211,7 +211,7 @@ func TestDeadlineMissRecoversViaLadder(t *testing.T) {
 	}
 	res, err := Run(p, tr, Options{
 		Backend: codegen.Native, Partition: codegen.NewPartition(1, 2, 3),
-		UseCallQueue: true, OverheadScale: 1e-6, Resilience: &pol,
+		OverheadScale: 1e-6, Resilience: &pol,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +248,7 @@ func TestExhaustedLadderShedsTypedError(t *testing.T) {
 			m := metrics.New()
 			_, err := Run(p, tr, Options{
 				Backend: codegen.Native, Partition: codegen.NewPartition(1, 2, 3),
-				UseCallQueue: true, OverheadScale: 1e-6, Resilience: &tc.pol, Metrics: m,
+				OverheadScale: 1e-6, Resilience: &tc.pol, Metrics: m,
 			})
 			if err == nil {
 				t.Fatal("uncorrectable storage surfaced as success")

@@ -60,7 +60,7 @@ func TestFullOffloadMovesLessData(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev, err := Run(platform.Default(), trace, Options{
-		Backend: codegen.C, Partition: codegen.NewPartition(1, 2, 3), UseCallQueue: true,
+		Backend: codegen.C, Partition: codegen.NewPartition(1, 2, 3),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestBoundaryCrossingBillsTransfer(t *testing.T) {
 	trace := traceFor(t, scanSrc, 1<<18)
 	// Offload only the load: w=vmul on the host must pull v across.
 	split, err := Run(platform.Default(), trace, Options{
-		Backend: codegen.C, Partition: codegen.NewPartition(1), UseCallQueue: true,
+		Backend: codegen.C, Partition: codegen.NewPartition(1),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,10 +122,10 @@ func TestOverheadChargedOnce(t *testing.T) {
 func TestAvailabilityStretchesOffloadedCompute(t *testing.T) {
 	trace := traceFor(t, scanSrc, 1<<18)
 	part := codegen.NewPartition(1, 2, 3)
-	full, _ := Run(platform.Default(), trace, Options{Backend: codegen.C, Partition: part, UseCallQueue: true})
+	full, _ := Run(platform.Default(), trace, Options{Backend: codegen.C, Partition: part})
 	slowP := platform.Default()
 	slowP.Dev.SetAvailability(0.1)
-	slow, _ := Run(slowP, trace, Options{Backend: codegen.C, Partition: part, UseCallQueue: true})
+	slow, _ := Run(slowP, trace, Options{Backend: codegen.C, Partition: part})
 	if slow.Duration <= full.Duration*1.5 {
 		t.Errorf("10%% CSE availability: %v vs %v; offloaded compute must stretch", slow.Duration, full.Duration)
 	}
@@ -178,7 +178,7 @@ func TestMigrationTriggersUnderStress(t *testing.T) {
 		}
 		res, err := Run(p, trace, Options{
 			Backend: codegen.Native, Partition: part, Estimates: ests,
-			Migration: mig, UseCallQueue: true, OverheadScale: 1e-6,
+			Migration: mig, OverheadScale: 1e-6,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -202,7 +202,7 @@ func TestNoMigrationWhenHealthy(t *testing.T) {
 	trace, part, ests := migrationFixture(t)
 	res, err := Run(platform.Default(), trace, Options{
 		Backend: codegen.Native, Partition: part, Estimates: ests,
-		Migration: DefaultMigration(), UseCallQueue: true, OverheadScale: 1e-6,
+		Migration: DefaultMigration(), OverheadScale: 1e-6,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +225,7 @@ func TestMigrationRequiresEstimates(t *testing.T) {
 func TestProgressTimelineMonotone(t *testing.T) {
 	trace, part, ests := migrationFixture(t)
 	res, err := Run(platform.Default(), trace, Options{
-		Backend: codegen.Native, Partition: part, Estimates: ests, UseCallQueue: true,
+		Backend: codegen.Native, Partition: part, Estimates: ests,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +249,7 @@ func TestDeterminism(t *testing.T) {
 	var prev float64
 	for i := 0; i < 3; i++ {
 		res, err := Run(platform.Default(), trace, Options{
-			Backend: codegen.Native, Partition: part, UseCallQueue: true,
+			Backend: codegen.Native, Partition: part,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -270,7 +270,7 @@ func TestPreemptDemandForcesImmediateMigration(t *testing.T) {
 	p.Dev.DemandAt(1e-6)
 	res, err := Run(p, trace, Options{
 		Backend: codegen.Native, Partition: part, Estimates: ests,
-		Migration: DefaultMigration(), UseCallQueue: true, OverheadScale: 1e-6,
+		Migration: DefaultMigration(), OverheadScale: 1e-6,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +288,7 @@ func TestPreemptIgnoredWithoutMigration(t *testing.T) {
 	p := platform.Default()
 	p.Dev.DemandAt(1e-6)
 	res, err := Run(p, trace, Options{
-		Backend: codegen.Native, Partition: part, UseCallQueue: true, OverheadScale: 1e-6,
+		Backend: codegen.Native, Partition: part, OverheadScale: 1e-6,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -339,31 +339,32 @@ func TestLineHistogramsRegisterOnUse(t *testing.T) {
 }
 
 // TestReplayAllocationsPerRecord pins the executor's allocation
-// discipline: a replayed record allocates nothing on the direct path and
-// only its call payload on the call-queue path. Line 1 runs on the CSD
-// and line 2 on the host, so every record also pulls the variable across
-// the link. Per-run costs (the platform, the executor, its pools) cancel
-// in the difference between traces of n and 2n records.
+// discipline: a replayed host record allocates nothing, and an
+// offloaded one only its call payload. On the call-queue input line 1
+// runs on the CSD and line 2 on the host, so every record also pulls
+// the variable across the link; the host-only input runs both lines on
+// the host. Per-run costs (the platform, the executor, its pools)
+// cancel in the difference between traces of n and 2n records.
 func TestReplayAllocationsPerRecord(t *testing.T) {
 	const n = 200
 	for _, tc := range []struct {
-		name      string
-		callQueue bool
-		want      float64 // allocations per offloaded record
-	}{{"direct", false, 0}, {"call queue", true, 1}} {
+		name string
+		part codegen.Partition
+		want float64 // allocations per line-1 record
+	}{{"host only", codegen.NewPartition(), 0}, {"call queue", codegen.NewPartition(1), 1}} {
 		t.Run(tc.name, func(t *testing.T) {
 			allocs := func(records int) float64 {
 				tr := loopTrace(records)
-				opts := Options{Backend: codegen.Native, Partition: codegen.NewPartition(1), UseCallQueue: tc.callQueue}
+				opts := Options{Backend: codegen.Native, Partition: tc.part}
 				return testing.AllocsPerRun(5, func() {
 					if _, err := Run(platform.Default(), tr, opts); err != nil {
 						t.Fatal(err)
 					}
 				})
 			}
-			offloaded := float64(n / 2)
-			if per := (allocs(2*n) - allocs(n)) / offloaded; per > tc.want {
-				t.Errorf("%.2f allocations per offloaded record, want at most %v", per, tc.want)
+			lineOne := float64(n / 2)
+			if per := (allocs(2*n) - allocs(n)) / lineOne; per > tc.want {
+				t.Errorf("%.2f allocations per line-1 record, want at most %v", per, tc.want)
 			}
 		})
 	}

@@ -213,7 +213,7 @@ func TestMonitorOscillationRunInvariant(t *testing.T) {
 	cal.Dev.ScheduleStress(1e-9, 0.05, 0)
 	ref, err := Run(cal, tr, Options{
 		Backend: codegen.Native, Partition: part, Estimates: ests,
-		Migration: DefaultMigration(), UseCallQueue: true, OverheadScale: 1e-6,
+		Migration: DefaultMigration(), OverheadScale: 1e-6,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +237,7 @@ func TestMonitorOscillationRunInvariant(t *testing.T) {
 		m := metrics.New()
 		res, err := Run(p, tr, Options{
 			Backend: codegen.Native, Partition: part, Estimates: ests,
-			Migration: DefaultMigration(), UseCallQueue: true, OverheadScale: 1e-6,
+			Migration: DefaultMigration(), OverheadScale: 1e-6,
 			Metrics: m,
 		})
 		if err != nil {

@@ -22,8 +22,9 @@ type lineRun struct {
 	e    *executor
 	i    int // the record the run bills: e.trace.Records[i]
 	unit Unit
-	// device is the csd.Call completion of a call-queue run; nil on the
-	// direct path, where the run's end feeds the executor itself.
+	// device is the csd.Call completion of a CSD run, which always goes
+	// through the call queue; nil on the host, where the run's end feeds
+	// the executor itself.
 	device    func(status uint16, value any)
 	remaining int   // host read stages still running: array read, link stream
 	readErr   error // the host array read's error, held for the link stream
@@ -35,9 +36,9 @@ type lineRun struct {
 // runRecord bills record i on the given unit. The phases run
 // strictly in sequence, the way a single program thread experiences
 // them: pull remote operands, read storage, compute, then (on the CSD)
-// emit the status update. A call-queue run reports to device, the
-// csd.Call completion; a direct run (device nil) hands the line back to
-// the executor, or walks the failure ladder if its data access failed.
+// emit the status update. A CSD run reports to device, the csd.Call
+// completion; a host run (device nil) hands the line back to the
+// executor, or walks the failure ladder if its data access failed.
 func (e *executor) runRecord(i int, unit Unit, device func(uint16, any)) {
 	var r *lineRun
 	if n := len(e.runs); n > 0 {

@@ -150,9 +150,8 @@ func TestResidencyBillingAgreesWithExecutor(t *testing.T) {
 				p := platform.Default()
 				m := plan.MachineFromPlatform(p)
 				res, err := exec.Run(p, &interp.Trace{Records: recs}, exec.Options{
-					Backend:      codegen.C,
-					Partition:    part,
-					UseCallQueue: true,
+					Backend:   codegen.C,
+					Partition: part,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -250,7 +249,7 @@ func TestResidencyWithoutInterpreter(t *testing.T) {
 				}
 			}
 			p := platform.Default()
-			res, err := exec.Run(p, tr, exec.Options{Backend: codegen.C, Partition: part, UseCallQueue: true})
+			res, err := exec.Run(p, tr, exec.Options{Backend: codegen.C, Partition: part})
 			if err != nil {
 				t.Fatal(err)
 			}

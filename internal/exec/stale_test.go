@@ -38,13 +38,16 @@ s = vsum(e)
 // still running the line, and the stale run finishes later against a
 // host that has moved on. Every schedule also leaves the run's result
 // well defined, so any change to how a stale run is billed, observed or
-// discarded shows up here. Regenerate after an intentional change with:
+// discarded shows up here. The flash-faults schedule has no stale runs:
+// it pins the host fallback of a storage read that fails on the CSD,
+// and asserts that the fallback happened. Regenerate after an
+// intentional change with:
 //
 //	go test ./internal/exec -run TestStaleDeviceRunsGolden -update
 func TestStaleDeviceRunsGolden(t *testing.T) {
 	tr := traceFor(t, staleSrc, 1<<16)
 	part := codegen.NewPartition(1, 2, 3, 4, 5, 6, 7)
-	base := Options{Backend: codegen.Native, Partition: part, UseCallQueue: true, OverheadScale: 1e-6}
+	base := Options{Backend: codegen.Native, Partition: part, OverheadScale: 1e-6}
 	clean, err := Run(platform.Default(), tr, base)
 	if err != nil {
 		t.Fatal(err)
@@ -61,6 +64,8 @@ func TestStaleDeviceRunsGolden(t *testing.T) {
 	for _, sc := range []struct {
 		name string
 		arm  func(p *platform.Platform, o *Options)
+		// fallback requires a failed CSD call and a line run on the host.
+		fallback bool
 	}{
 		// The CSE runs at a tenth of its rate for the whole run, so a line
 		// misses its deadline twice while the device is still computing
@@ -68,7 +73,7 @@ func TestStaleDeviceRunsGolden(t *testing.T) {
 		{"deadline-mid-compute", func(p *platform.Platform, o *Options) {
 			p.Dev.SetAvailability(0.1)
 			o.Resilience = &resilience.Policy{LineDeadline: 3 * slowest, LineRetries: 1, Backoff: backoff, Breaker: never}
-		}},
+		}, false},
 		// Half the calls stall before they start for longer than the line
 		// deadline, so the stalled run begins after the host re-posted.
 		{"stall-past-deadline", func(p *platform.Platform, o *Options) {
@@ -76,7 +81,7 @@ func TestStaleDeviceRunsGolden(t *testing.T) {
 				fault.Rule{Point: fault.CSEStall, Rate: 0.5, Duration: 4 * slowest},
 			), nvme.RetryPolicy{})
 			o.Resilience = &resilience.Policy{LineDeadline: 2 * slowest, LineRetries: 1, Backoff: backoff, Breaker: never}
-		}},
+		}, false},
 		// A sag stretches lines past the NVMe completion timer, so the
 		// queue pair re-issues commands whose first issue is still running.
 		{"nvme-reissue", func(p *platform.Platform, o *Options) {
@@ -84,25 +89,24 @@ func TestStaleDeviceRunsGolden(t *testing.T) {
 			p.InstallFaults(nil, nvme.RetryPolicy{Timeout: 1.5 * slowest, MaxAttempts: 3, Backoff: pace / 10})
 			pol := resilience.PerLine()
 			o.Resilience = &pol
-		}},
+		}, false},
 		// The first deadline miss opens the breaker while the missed run is
 		// still on the CSE; later lines run on the host until a probe.
 		{"breaker-open-stale", func(p *platform.Platform, o *Options) {
 			p.Dev.ScheduleStress(pace, 0.1, 8*pace)
 			o.Resilience = &resilience.Policy{LineDeadline: 2 * slowest, Backoff: backoff,
 				Breaker: resilience.BreakerPolicy{Threshold: 1, Cooldown: 3 * pace}}
-		}},
-		// The direct path under flash faults: no stale runs, but every
-		// phase continuation and the host fallback of a failed read.
-		{"direct-flash-faults", func(p *platform.Platform, o *Options) {
+		}, false},
+		// The first two flash reads are uncorrectable: the storage line's
+		// call fails on the CSD and again on its re-post, so the line falls
+		// back to the host, whose read succeeds.
+		{"flash-faults", func(p *platform.Platform, o *Options) {
 			p.InstallFaults(fault.NewPlan(8,
-				fault.Rule{Point: fault.FlashTransient, Rate: 0.3},
-				fault.Rule{Point: fault.FlashUncorrectable, Rate: 0.2, MaxCount: 2},
+				fault.Rule{Point: fault.FlashUncorrectable, Rate: 1, MaxCount: 2},
 			), nvme.RetryPolicy{})
-			o.UseCallQueue = false
 			pol := resilience.PerLine()
 			o.Resilience = &pol
-		}},
+		}, true},
 	} {
 		p := platform.Default()
 		opts := base
@@ -111,6 +115,9 @@ func TestStaleDeviceRunsGolden(t *testing.T) {
 		col := obs.NewCollector(pace, 0)
 		opts.Metrics, opts.Obs = reg, col
 		res, err := Run(p, tr, opts)
+		if sc.fallback && (err != nil || res.FailedCalls < 1 || res.RecordsOnHost < 1) {
+			t.Errorf("%s: no host fallback of a failed CSD call: err %v, result %+v", sc.name, err, res)
+		}
 		fmt.Fprintf(&out, "== %s\n", sc.name)
 		if err != nil {
 			fmt.Fprintf(&out, "error: %v\n", err)

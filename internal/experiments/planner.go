@@ -18,9 +18,10 @@ import (
 // line too many. This study measures the replacement past the cliff:
 // branch-and-bound plans fixture programs of 12–32 viable lines, and
 // the manifest tracks that every point stays exact (no node-budget
-// fallback), what the search cost in nodes, how much the bound and
-// never-win cuts pruned, and how far the greedy walk's plan is from the
-// exact optimum.
+// fallback), what the search cost in nodes, how many subtrees the bound
+// cut and how many lines the never-win pins removed before the search,
+// and how far the greedy walk's plan is from the exact optimum. Both
+// planners run through plan.Plan, the entry the runtime plans with.
 
 // PlannerPoints are the exactness ladder's viable-line counts: up to
 // the old enumeration cliff (12, 16) and past it (24, 30, 32).
@@ -91,7 +92,7 @@ type PlannerPoint struct {
 	Components   int
 	Nodes        int
 	BoundCuts    int
-	NeverWinCuts int
+	NeverWinCuts int     // lines plan.Plan pinned as never-win
 	Exact        bool    // search finished inside the node budget
 	THost        float64 // all-host walk cost
 	TCSD         float64 // branch-and-bound plan's walk cost
@@ -109,18 +110,22 @@ type PlannerResult struct {
 }
 
 // plannerPoint runs one exactness measurement.
-func plannerPoint(lines int, m plan.Machine) PlannerPoint {
+func plannerPoint(lines int, m plan.Machine) (PlannerPoint, error) {
 	estimates := PlannerFixture(lines)
-	cons := plan.Constraints{HostOnly: map[int]string{}}
-	var stats plan.BnBStats
-	res := plan.BnBBudget(estimates, cons, m, plan.DefaultBnBNodeBudget, &stats)
-	greedy := plan.Algorithm1(estimates, plan.Constraints{HostOnly: map[int]string{}}, m)
+	res, stats, pruned, err := plan.Plan(estimates, plan.Constraints{}, m, plan.PlannerBnB, plan.DefaultBnBNodeBudget)
+	if err != nil {
+		return PlannerPoint{}, err
+	}
+	greedy, _, _, err := plan.Plan(estimates, plan.Constraints{}, m, plan.PlannerAlgorithm1, 0)
+	if err != nil {
+		return PlannerPoint{}, err
+	}
 	pt := PlannerPoint{
 		Lines:        lines,
 		Components:   stats.Components,
 		Nodes:        stats.Nodes,
 		BoundCuts:    stats.BoundCuts,
-		NeverWinCuts: stats.NeverWinCuts,
+		NeverWinCuts: len(pruned),
 		Exact:        !stats.Fallback,
 		THost:        res.THost,
 		TCSD:         plan.EvaluatePlacement(estimates, res.Partition, m).Time,
@@ -130,7 +135,7 @@ func plannerPoint(lines int, m plan.Machine) PlannerPoint {
 		opt := plan.Optimal(estimates, plan.Constraints{HostOnly: map[int]string{}}, m)
 		pt.OptimalMatch = plan.EvaluatePlacement(estimates, opt.Partition, m).Time == pt.TCSD
 	}
-	return pt
+	return pt, nil
 }
 
 // Planner runs the study: the exactness ladder fanned out on the pool
@@ -142,7 +147,7 @@ func Planner(_ workloads.Params, opts ...Option) (*PlannerResult, *report.Table,
 	res := &PlannerResult{Budget: plan.DefaultBnBNodeBudget}
 
 	points, err := overSpecs(o, len(PlannerPoints), func(i int, _ *metrics.Registry) (PlannerPoint, error) {
-		return plannerPoint(PlannerPoints[i], m), nil
+		return plannerPoint(PlannerPoints[i], m)
 	})
 	if err != nil {
 		return nil, nil, err

@@ -44,7 +44,10 @@ func TestPlannerFixtureShape(t *testing.T) {
 func TestPlannerExactnessLadder(t *testing.T) {
 	m := plan.MachineFromPlatform(platform.Default())
 	for _, lines := range PlannerPoints {
-		pt := plannerPoint(lines, m)
+		pt, err := plannerPoint(lines, m)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !pt.Exact {
 			t.Errorf("%d lines: search fell back to Algorithm 1 (budget %d)",
 				lines, plan.DefaultBnBNodeBudget)
@@ -65,16 +68,17 @@ func TestPlannerExactnessLadder(t *testing.T) {
 func TestPlanner30LinesUnder50ms(t *testing.T) {
 	m := plan.MachineFromPlatform(platform.Default())
 	estimates := PlannerFixture(30)
-	cons := plan.Constraints{HostOnly: map[int]string{}}
-	var stats plan.BnBStats
-	plan.BnBBudget(estimates, cons, m, plan.DefaultBnBNodeBudget, &stats) // warm-up
+	_, stats, _, err := plan.Plan(estimates, plan.Constraints{}, m, plan.PlannerBnB, 0) // warm-up
+	if err != nil {
+		t.Fatal(err)
+	}
 	if stats.Fallback {
 		t.Fatal("30-line fixture fell back to Algorithm 1")
 	}
 	const iters = 20
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		plan.BnBBudget(estimates, cons, m, plan.DefaultBnBNodeBudget, nil)
+		plan.Plan(estimates, plan.Constraints{}, m, plan.PlannerBnB, 0)
 	}
 	perOp := time.Since(start) / iters
 	if perOp >= 50*time.Millisecond {

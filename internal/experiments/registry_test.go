@@ -3,8 +3,11 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -19,19 +22,40 @@ import (
 // committed baselines in both directions: every experiment has a
 // benchmarks/BENCH_<name>.json whose experiment field is its name, and
 // every committed manifest names a registered experiment, so CI's
-// compare loop over benchmarks/BENCH_*.json covers every study. No
-// committed manifest carries a metrics section: the documented
-// regeneration command (no -metrics) writes none, and -compare ignores
-// one. It reads JSON only and runs nothing.
+// compare loop over benchmarks/BENCH_*.json covers every study. Each
+// committed manifest's top-level keys are exactly those the documented
+// regeneration command (benchsuite -outdir, no -metrics) writes: no
+// metrics section and no field the writer has since dropped. It reads
+// JSON only and runs nothing.
 func TestRegistryMatchesCommittedManifests(t *testing.T) {
 	dir := filepath.Join("..", "..", "benchmarks")
+	topKeys := func(data []byte) []string {
+		var top map[string]json.RawMessage
+		if err := json.Unmarshal(data, &top); err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, 0, len(top))
+		for k := range top {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		return keys
+	}
+	written := bench.NewManifest("", 0, 0)
+	written.CaptureRuntime()
+	data, err := json.Marshal(written)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := topKeys(data)
 	registered := map[string]bool{}
 	for _, e := range All() {
 		if registered[e.Name] {
 			t.Errorf("experiment %q registered twice", e.Name)
 		}
 		registered[e.Name] = true
-		m, err := bench.ReadFile(filepath.Join(dir, "BENCH_"+e.Name+".json"))
+		path := filepath.Join(dir, "BENCH_"+e.Name+".json")
+		m, err := bench.ReadFile(path)
 		if err != nil {
 			t.Errorf("experiment %q has no committed manifest: %v", e.Name, err)
 			continue
@@ -39,8 +63,12 @@ func TestRegistryMatchesCommittedManifests(t *testing.T) {
 		if m.Experiment != e.Name {
 			t.Errorf("BENCH_%s.json records experiment %q", e.Name, m.Experiment)
 		}
-		if m.Metrics != nil {
-			t.Errorf("BENCH_%s.json carries a metrics section, which the regeneration command does not write", e.Name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := topKeys(data); !slices.Equal(got, want) {
+			t.Errorf("BENCH_%s.json has top-level keys %v, the regeneration command writes %v", e.Name, got, want)
 		}
 	}
 	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))

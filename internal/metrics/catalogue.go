@@ -154,16 +154,17 @@ const (
 	MetricPlanOptimalFallback = "plan.optimal.fallback"
 
 	// MetricPlanPrunedLines counts lines the AV011 never-win proof
-	// removed from the exact search before it ran.
+	// pinned to the host in plan.Plan, before any planner ran; lines
+	// legality had already pinned are not counted.
 	MetricPlanPrunedLines = "plan.pruned_lines"
 
 	// Branch-and-bound planner statistics (DESIGN.md §16), folded only
 	// when the search actually ran.
 	//
 	// MetricPlanBnBNodes counts side-assignment nodes the search
-	// expanded; MetricPlanBnBCuts counts subtrees pruned (lower-bound
-	// and never-win cuts combined); MetricPlanBnBBudget is the node
-	// budget the search ran under.
+	// expanded; MetricPlanBnBCuts counts subtrees the admissible lower
+	// bound cut; MetricPlanBnBBudget is the node budget the search ran
+	// under.
 	MetricPlanBnBNodes  = "plan.bnb.nodes"
 	MetricPlanBnBCuts   = "plan.bnb.cuts"
 	MetricPlanBnBBudget = "plan.bnb.budget"
@@ -282,9 +283,9 @@ func Catalogue() []MetricInfo {
 		{MetricObsDriftStaleLines, KindCounter, "lines", "obs: lines model-stale for K consecutive windows"},
 		{MetricObsDriftMaxRatio, KindGauge, "ratio", "obs: worst observed/planned cost ratio"},
 		{MetricPlanOptimalFallback, KindCounter, "plans", "core: exact planning degraded to Algorithm 1"},
-		{MetricPlanPrunedLines, KindCounter, "lines", "core: AV011 never-win lines pruned from the exact search"},
+		{MetricPlanPrunedLines, KindCounter, "lines", "core: AV011 never-win lines plan.Plan pinned to the host"},
 		{MetricPlanBnBNodes, KindCounter, "nodes", "core: branch-and-bound nodes expanded"},
-		{MetricPlanBnBCuts, KindCounter, "subtrees", "core: branch-and-bound subtrees pruned"},
+		{MetricPlanBnBCuts, KindCounter, "subtrees", "core: branch-and-bound subtrees cut by the lower bound"},
 		{MetricPlanBnBBudget, KindGauge, "nodes", "core: branch-and-bound node budget in force"},
 
 		{MetricSimEvents, KindGauge, "events", "platform.FoldMetrics: events fired"},

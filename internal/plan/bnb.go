@@ -15,10 +15,9 @@
 //   - an admissible lower bound prunes subtrees: the cost so far plus
 //     the suffix sum of every undecided line's cheaper unit cost
 //     (crossings are nonnegative, so no completion can cost less);
-//   - the never-win margins of prune.go cut the CSD branch of any line
-//     whose offload provably loses under every partition, and order the
-//     remaining branches device-first when the margin says offload can
-//     win;
+//   - every free line tries the device side first; lines pinned by the
+//     constraints — legality, and the never-win lines Plan pins before
+//     any planner runs — never branch;
 //   - the incumbent is seeded from the all-host walk, Algorithm 1's
 //     placement, and a unit-greedy placement, so pruning bites from the
 //     first node;
@@ -68,9 +67,6 @@ type BnBStats struct {
 	// BoundCuts counts subtrees pruned because the admissible lower
 	// bound already met the incumbent.
 	BoundCuts int
-	// NeverWinCuts counts free lines whose CSD branch was never opened
-	// because the AV011 margin proof shows offloading strictly loses.
-	NeverWinCuts int
 	// Components is the number of variable-sharing components searched.
 	Components int
 	// FreeLines is the number of unpinned lines over all components.
@@ -93,7 +89,6 @@ func BnBBudget(estimates []LineEstimate, cons Constraints, m Machine, budget int
 	}
 	stats.Budget = budget
 
-	margins := neverWinMargins(estimates, m)
 	pinned := make([]bool, len(estimates))
 	changes := 0 // home changes on the longest walk: one per flow
 	for i := range estimates {
@@ -105,13 +100,14 @@ func BnBBudget(estimates []LineEstimate, cons Constraints, m Machine, budget int
 		changes += len(estimates[i].Reads) + len(estimates[i].Writes)
 	}
 
+	alg1 := Algorithm1(estimates, cons, m)
 	s := &bnbSearch{
-		est:     estimates,
-		pinned:  pinned,
-		margins: margins,
-		w:       walk{m: m, home: map[string]bool{}, undo: make([]homeChange, 0, changes)},
-		budget:  budget,
-		stats:   stats,
+		est:    estimates,
+		pinned: pinned,
+		alg1:   alg1.Partition,
+		w:      walk{m: m, home: map[string]bool{}, undo: make([]homeChange, 0, changes)},
+		budget: budget,
+		stats:  stats,
 	}
 	part := codegen.NewPartition()
 	for _, comp := range varComponents(estimates) {
@@ -119,7 +115,7 @@ func BnBBudget(estimates []LineEstimate, cons Constraints, m Machine, budget int
 		assign, ok := s.solveComponent(comp)
 		if !ok {
 			stats.Fallback = true
-			return Algorithm1(estimates, cons, m)
+			return alg1
 		}
 		for k, idx := range comp {
 			if assign[k] {
@@ -225,12 +221,12 @@ func SearchSize(estimates []LineEstimate, cons Constraints) (worst, biggest int)
 }
 
 type bnbSearch struct {
-	est     []LineEstimate
-	pinned  []bool
-	margins []marginProof
-	w       walk // the residency walk along the current tree path
-	budget  int
-	stats   *BnBStats
+	est    []LineEstimate
+	pinned []bool
+	alg1   codegen.Partition // Algorithm 1's plan, an incumbent seed
+	w      walk              // the residency walk along the current tree path
+	budget int
+	stats  *BnBStats
 
 	// Per-component search state.
 	comp      []int     // member indices, ascending
@@ -254,28 +250,17 @@ func (s *bnbSearch) walkAssign(assign []bool) float64 {
 }
 
 // unitFloor is the cheapest unit cost of the component member at
-// position k: HostTotal if it is forced to the host, else the cheaper of
+// position k: HostTotal if it is pinned to the host, else the cheaper of
 // its host and device units.
 func (s *bnbSearch) unitFloor(k int) float64 {
 	e := &s.est[s.comp[k]]
 	unit := e.HostTotal()
-	if !s.forcedHost(k) {
+	if !s.pinned[s.comp[k]] {
 		if dev := e.DevTotal() + e.QueueOverhead(&s.w.m); dev < unit {
 			unit = dev
 		}
 	}
 	return unit
-}
-
-// forcedHost reports whether the component member at position k may
-// only run on the host: pinned by constraints, or proved never-win.
-func (s *bnbSearch) forcedHost(k int) bool {
-	idx := s.comp[k]
-	if s.pinned[idx] {
-		return true
-	}
-	mp := s.margins[idx]
-	return mp.Proved && mp.Margin > 0
 }
 
 // solveComponent finds the component's exact argmin assignment (true =
@@ -285,20 +270,11 @@ func (s *bnbSearch) solveComponent(comp []int) ([]bool, bool) {
 	n := len(comp)
 
 	// Admissible suffix bound: every undecided line costs at least its
-	// cheaper unit (forced-host lines cost at least HostTotal), and any
+	// cheaper unit (pinned lines cost at least HostTotal), and any
 	// crossing only adds. suffix[n] = 0.
 	s.suffix = make([]float64, n+1)
 	for k := n - 1; k >= 0; k-- {
 		s.suffix[k] = s.suffix[k+1] + s.unitFloor(k)
-	}
-	for k := 0; k < n; k++ {
-		idx := comp[k]
-		if !s.pinned[idx] {
-			mp := s.margins[idx]
-			if mp.Proved && mp.Margin > 0 {
-				s.stats.NeverWinCuts++
-			}
-		}
 	}
 
 	// Seed the incumbent: all-host first, then Algorithm 1's placement
@@ -315,15 +291,14 @@ func (s *bnbSearch) solveComponent(comp []int) ([]bool, bool) {
 			copy(s.best, assign)
 		}
 	}
-	alg1 := Algorithm1(s.est, Constraints{HostOnly: s.consHostOnly()}, s.w.m)
 	fromAlg1 := make([]bool, n)
 	greedy := make([]bool, n)
 	for k, idx := range comp {
-		if s.forcedHost(k) {
+		if s.pinned[idx] {
 			continue
 		}
 		e := &s.est[idx]
-		fromAlg1[k] = alg1.Partition.OnCSD(e.Line)
+		fromAlg1[k] = s.alg1.OnCSD(e.Line)
 		greedy[k] = e.DevTotal()+e.QueueOverhead(&s.w.m) < e.HostTotal()
 	}
 	seed(fromAlg1)
@@ -335,19 +310,6 @@ func (s *bnbSearch) solveComponent(comp []int) ([]bool, bool) {
 	out := make([]bool, n)
 	copy(out, s.best)
 	return out, true
-}
-
-// consHostOnly rebuilds the forced-host line set (constraint pins plus
-// never-win proofs) for the Algorithm 1 incumbent seed.
-func (s *bnbSearch) consHostOnly() map[int]string {
-	out := map[int]string{}
-	for i := range s.est {
-		mp := s.margins[i]
-		if s.pinned[i] || (mp.Proved && mp.Margin > 0) {
-			out[s.est[i].Line] = "bnb: forced host"
-		}
-	}
-	return out
 }
 
 // dfs decides the side of component member k with cost already
@@ -368,8 +330,8 @@ func (s *bnbSearch) dfs(k int, cost float64) bool {
 		return true
 	}
 	e := &s.est[s.comp[k]]
-	if s.forcedHost(k) {
-		// Forced sides consume no budget: they never branch, so the
+	if s.pinned[s.comp[k]] {
+		// Pinned sides consume no budget: they never branch, so the
 		// worst-case tree stays 2^(free+1)−2 nodes.
 		mark := len(s.w.undo)
 		s.cur[k] = false
@@ -377,13 +339,7 @@ func (s *bnbSearch) dfs(k int, cost float64) bool {
 		s.w.rewind(mark)
 		return ok
 	}
-	// Branch order: the never-win margin says how decisively offloading
-	// can still win; try the device side first when it can.
-	sides := [2]bool{false, true}
-	if s.margins[s.comp[k]].Margin < 0 {
-		sides = [2]bool{true, false}
-	}
-	for _, onCSD := range sides {
+	for _, onCSD := range [2]bool{true, false} {
 		s.nodes++
 		s.stats.Nodes = s.nodes
 		if s.nodes > s.budget {
@@ -401,8 +357,8 @@ func (s *bnbSearch) dfs(k int, cost float64) bool {
 
 // AutoPool is BnBBudget; pool is ignored.
 //
-// Deprecated: call BnBBudget. AutoPool remains only because
-// perfbench/pipeline.go still calls it.
+// Deprecated: call Plan, which also pins the never-win lines. AutoPool
+// remains only because perfbench/pipeline.go still calls it.
 func AutoPool(estimates []LineEstimate, cons Constraints, m Machine, _ *par.Pool, budget int, stats *BnBStats) *Result {
 	return BnBBudget(estimates, cons, m, budget, stats)
 }

@@ -2,7 +2,9 @@
 // Equation 1 net-profit model (§II-A), the exact branch-and-bound
 // argmin the runtime plans with (BnBBudget, checked against the
 // brute-force Optimal), and Algorithm 1, the greedy per-line CSD code
-// assignment (§III-B).
+// assignment (§III-B). Plan is the one entry every caller plans through:
+// it pins the never-win lines, runs the chosen planner, and records the
+// plan's provenance.
 //
 // Inputs are the sampling phase's extrapolated per-line predictions;
 // outputs are a codegen.Partition plus the per-line estimates the runtime
@@ -11,6 +13,7 @@ package plan
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"activego/internal/codegen"
@@ -172,10 +175,47 @@ type Result struct {
 	// the caller really got the exact argmin.
 	Planner string
 	// Provenance is the frozen plan-time decision record (per-line
-	// Equation 1 terms, pin/prune verdicts), attached by core after
-	// planning; nil when no caller asked for it. Planners themselves
-	// leave it nil.
+	// Equation 1 terms, pin/prune verdicts), attached by Plan; the
+	// planners themselves leave it nil.
 	Provenance *Provenance
+}
+
+// PlannerChoices is the -planner flag's vocabulary (DESIGN.md §16): the
+// exact branch-and-bound planner (the default) and the paper's
+// Algorithm 1 with its literal-pseudocode ablation.
+const PlannerChoices = "bnb | algorithm1 | algorithm1-literal"
+
+// Plan is the one planning entry (DESIGN.md §16). It pins every
+// NeverWin line into a copy of cons (a line cons already pins keeps its
+// reason), runs planner — one of PlannerChoices, "" meaning bnb — with
+// budget as branch-and-bound's node budget (0 = DefaultBnBNodeBudget),
+// and attaches the provenance of the pinned constraints. It returns the
+// plan, the branch-and-bound effort (zero unless bnb ran; Fallback
+// records a node-budget blowout to Algorithm 1), and the never-win
+// lines, those cons already pinned included.
+func Plan(estimates []LineEstimate, cons Constraints, m Machine, planner string, budget int) (*Result, BnBStats, []PrunedLine, error) {
+	var stats BnBStats
+	pruned := NeverWin(estimates, m)
+	pinned := Constraints{HostOnly: make(map[int]string, len(cons.HostOnly)+len(pruned))}
+	maps.Copy(pinned.HostOnly, cons.HostOnly)
+	for _, pl := range pruned {
+		if _, ok := pinned.HostOnly[pl.Line]; !ok {
+			pinned.HostOnly[pl.Line] = pl.Reason
+		}
+	}
+	var res *Result
+	switch planner {
+	case "", PlannerBnB:
+		res = BnBBudget(estimates, pinned, m, budget, &stats)
+	case PlannerAlgorithm1:
+		res = Algorithm1(estimates, pinned, m)
+	case PlannerAlgorithm1Literal:
+		res = Algorithm1Literal(estimates, pinned, m)
+	default:
+		return nil, stats, nil, fmt.Errorf("unknown planner %q (choices: %s)", planner, PlannerChoices)
+	}
+	res.Provenance = BuildProvenance(res, pinned, pruned, m)
+	return res, stats, pruned, nil
 }
 
 // ByLine indexes the estimates.

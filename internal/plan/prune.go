@@ -1,8 +1,7 @@
 // Offload pruning: lines whose offload provably cannot win under
-// Equation 1, pinned to the host before planning. This is the
-// planner-side half of the AV011 advisory — the analysis layer reports
-// the finding, this file proves it. The same margin machinery orders
-// and prunes the branch-and-bound search (bnb.go).
+// Equation 1. This is the planner-side half of the AV011 advisory — the
+// analysis layer reports the finding, this file proves it — and Plan
+// pins every such line to the host before any planner runs.
 package plan
 
 import (
@@ -19,29 +18,19 @@ type PrunedLine struct {
 	Reason string
 }
 
-// marginProof is one line's never-win accounting: the device-vs-host
-// unit overrun and the worst-case transfer swing any partition could
-// recover by offloading the line. Proved means the overrun strictly
-// exceeds the swing under Equation 1 — offloading the line loses under
-// every partition of the remaining lines.
-type marginProof struct {
-	// Margin = Over − Swing; positive means the offload can never win.
-	Margin float64
-	// Over is DevTotal + QueueOverhead − HostTotal.
-	Over float64
-	// Swing is the worst-case transfer saving any partition could credit
-	// the offload with.
-	Swing float64
-	// Proved is false for lines that never execute (Execs ≤ 0): there is
-	// nothing to prove, and the margin must not prune them.
-	Proved bool
-}
-
-// neverWinMargins computes the per-line never-win proof terms against
-// the residency-billing walk (EvaluatePlacement). Index i of the result
-// corresponds to estimates[i].
+// NeverWin returns the lines whose assignment to the CSD strictly
+// increases EvaluatePlacement's total under *every* partition of the
+// remaining lines, sorted by line. Pinning them into Constraints
+// preserves the plan of BnBBudget and Optimal exactly, including the
+// tie-break they share (of two equally cheap plans, the one that runs
+// the last line where they differ on the host), because any partition
+// that offloads such a line is strictly beaten by the same partition
+// with the line flipped to the host. The inequality is strict, so no
+// tied plan is lost and committed plans never change shape except by
+// getting cheaper to find.
 //
-// The proof obligation per line L: flipping L from CSD to host changes
+// The proof obligation per line L, against the residency-billing walk:
+// flipping L from CSD to host changes
 //
 //   - L's own unit cost: −(DevTotal + QueueOverhead) + HostTotal;
 //   - crossings at L's own reads: each read can at worst begin to
@@ -52,9 +41,11 @@ type marginProof struct {
 //     worst case is one extra crossing of the largest later read.
 //
 // If DevTotal + QueueOverhead − HostTotal exceeds the sum of those
-// worst-case transfer terms, no partition can recover the difference:
-// offloading L loses outright.
-func neverWinMargins(estimates []LineEstimate, m Machine) []marginProof {
+// worst-case transfer terms (the swing), no partition can recover the
+// difference: offloading L loses outright, by Margin = overrun − swing.
+// A line that never executes (Execs ≤ 0) has nothing to prove and is
+// never returned.
+func NeverWin(estimates []LineEstimate, m Machine) []PrunedLine {
 	// largestLaterRead[i][v]: the largest xfer() of a read of v at any
 	// line after index i.
 	largestLaterRead := make([]map[string]float64, len(estimates))
@@ -72,9 +63,12 @@ func neverWinMargins(estimates []LineEstimate, m Machine) []marginProof {
 		}
 	}
 
-	out := make([]marginProof, len(estimates))
+	var out []PrunedLine
 	for i := range estimates {
 		e := &estimates[i]
+		if e.Execs <= 0 {
+			continue
+		}
 		// Worst-case transfer swing from flipping L to the host.
 		swing := 0.0
 		touched := map[string]bool{}
@@ -94,40 +88,13 @@ func neverWinMargins(estimates []LineEstimate, m Machine) []marginProof {
 			swing += largestLaterRead[i][v]
 		}
 		over := e.DevTotal() + e.QueueOverhead(&m) - e.HostTotal()
-		out[i] = marginProof{
-			Margin: over - swing,
-			Over:   over,
-			Swing:  swing,
-			Proved: e.Execs > 0,
+		if margin := over - swing; margin > 0 {
+			out = append(out, PrunedLine{
+				Line:   e.Line,
+				Margin: margin,
+				Reason: fmt.Sprintf("offload can never win: device run + queue dispatch costs %.3gs more than the host run, beyond the %.3gs any transfer saving could recover", over, swing),
+			})
 		}
-	}
-	return out
-}
-
-// NeverWin returns the lines whose assignment to the CSD strictly
-// increases EvaluatePlacement's total under *every* partition of the
-// remaining lines, sorted by line. Pinning them into Constraints
-// preserves the plan of BnBBudget and Optimal exactly, including the
-// tie-break they share (of two equally cheap plans, the one that runs
-// the last line where they differ on the host), because any partition
-// that offloads such a line is strictly beaten by the same partition
-// with the line flipped to the host. The inequality is strict, so no
-// tied plan is lost and committed plans never change shape except by
-// getting cheaper to find.
-func NeverWin(estimates []LineEstimate, m Machine) []PrunedLine {
-	margins := neverWinMargins(estimates, m)
-	var out []PrunedLine
-	for i := range estimates {
-		e := &estimates[i]
-		mp := margins[i]
-		if !mp.Proved || mp.Margin <= 0 {
-			continue
-		}
-		out = append(out, PrunedLine{
-			Line:   e.Line,
-			Margin: mp.Margin,
-			Reason: fmt.Sprintf("offload can never win: device run + queue dispatch costs %.3gs more than the host run, beyond the %.3gs any transfer saving could recover", mp.Over, mp.Swing),
-		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Line < out[j].Line })
 	return out

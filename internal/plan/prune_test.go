@@ -59,8 +59,8 @@ func genEstimates(seed uint64, n int) []LineEstimate {
 	return out
 }
 
-// TestNeverWinPreservesArgmin is the soundness property the core wiring
-// relies on: pinning every NeverWin line into the constraints must leave
+// TestNeverWinPreservesArgmin is the soundness property Plan relies on:
+// pinning every NeverWin line into the constraints must leave
 // the partition — including the lowest-mask tie-break — and the
 // projected time bit-identical, for the Optimal oracle and the runtime's
 // BnBBudget alike, while shrinking the search.
@@ -97,6 +97,62 @@ func TestNeverWinPreservesArgmin(t *testing.T) {
 	}
 	if totalPruned == 0 {
 		t.Fatal("generator never produced a prunable line; the property test is vacuous")
+	}
+}
+
+// TestPlanPinsNeverWinLines pins the planning entry: Plan leaves the
+// caller's constraints alone, pins every NeverWin line in its own copy
+// (a line legality pinned keeps its reason) and records both in the
+// provenance, and its bnb plan is the oracle's over the caller's
+// constraints, while the greedy choices run on the pinned copy.
+func TestPlanPinsNeverWinLines(t *testing.T) {
+	for trial := 0; trial < 30; trial++ {
+		es := genEstimates(uint64(trial)*0x9e3779b9+7, 10)
+		cons := Constraints{HostOnly: map[int]string{3: "legality"}}
+		pinned := Constraints{HostOnly: map[int]string{3: "legality"}}
+		want := NeverWin(es, pruneMachine)
+		for _, pl := range want {
+			if _, ok := pinned.HostOnly[pl.Line]; !ok {
+				pinned.HostOnly[pl.Line] = pl.Reason
+			}
+		}
+		for _, planner := range []string{"", PlannerBnB, PlannerAlgorithm1, PlannerAlgorithm1Literal} {
+			res, stats, pruned, err := Plan(es, cons, pruneMachine, planner, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("trial %d, planner %q", trial, planner)
+			if len(cons.HostOnly) != 1 {
+				t.Fatalf("%s: Plan changed the caller's constraints: %v", name, cons.HostOnly)
+			}
+			if fmt.Sprint(pruned) != fmt.Sprint(want) {
+				t.Errorf("%s: pruned %v, NeverWin says %v", name, pruned, want)
+			}
+			for _, lp := range res.Provenance.Lines {
+				reason, isPinned := pinned.Pinned(lp.Line)
+				if lp.Pinned != isPinned || lp.PinReason != reason {
+					t.Errorf("%s: line %d provenance pin (%t, %q), want (%t, %q)", name, lp.Line, lp.Pinned, lp.PinReason, isPinned, reason)
+				}
+			}
+			var ref *Result
+			switch planner {
+			case "", PlannerBnB:
+				ref = Optimal(es, cons, pruneMachine)
+				if stats.Budget != DefaultBnBNodeBudget || stats.Fallback {
+					t.Errorf("%s: branch-and-bound statistics %+v", name, stats)
+				}
+			case PlannerAlgorithm1:
+				ref = Algorithm1(es, pinned, pruneMachine)
+			case PlannerAlgorithm1Literal:
+				ref = Algorithm1Literal(es, pinned, pruneMachine)
+			}
+			if planner != "" && planner != PlannerBnB && stats != (BnBStats{}) {
+				t.Errorf("%s: greedy plan carries search statistics %+v", name, stats)
+			}
+			if !res.Partition.Equal(ref.Partition) || res.TCSD != ref.TCSD || res.THost != ref.THost {
+				t.Errorf("%s: plan %v (T_CSD %.17g), want %v (T_CSD %.17g)", name, res.Partition.Lines(), res.TCSD, ref.Partition.Lines(), ref.TCSD)
+			}
+		}
 	}
 }
 
