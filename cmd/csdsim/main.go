@@ -106,9 +106,9 @@ func main() {
 	done := 0
 	start = p.Sim.Now()
 	for i := 0; i < *calls; i++ {
-		p.Host.Call(p.Dev, csd.Call(func(d *csd.Device, finish func(uint16, any)) {
+		p.Host.Call(p.Dev, csd.Call(func(d *csd.Device, _ int64, finish func(uint16, any)) {
 			d.CSE.Submit(callWork, func(_, _ sim.Time) { finish(0, nil) })
-		}), func(c nvme.Completion) {
+		}), 0, func(c nvme.Completion) {
 			totalLat += c.Completed - c.Submitted
 			done++
 		})
@@ -179,9 +179,9 @@ func runDeviceChaos(n int, seed uint64, retryTimeout float64) int {
 		}
 		p.Host.ReadObject(p.Dev, obj, 0, readMB<<20, note)
 		for k := 0; k < nCalls; k++ {
-			p.Host.Call(p.Dev, csd.Call(func(d *csd.Device, finish func(uint16, any)) {
+			p.Host.Call(p.Dev, csd.Call(func(d *csd.Device, _ int64, finish func(uint16, any)) {
 				d.CSE.Submit(1e6, func(_, _ sim.Time) { finish(0, nil) })
-			}), note)
+			}), 0, note)
 		}
 		p.Sim.Run()
 		resets, stalls := p.Dev.FaultStats()

@@ -48,9 +48,11 @@ func DefaultConfig() Config {
 }
 
 // Call is a device-side function invocation carried in an OpCall command.
-// The function runs "on" the device: it is responsible for scheduling its
-// own CSE work and array reads, then calling done exactly once.
-type Call func(dev *Device, done func(status uint16, value any))
+// The function runs "on" the device with the command's Arg: it is
+// responsible for scheduling its own CSE work and array reads, then
+// calling done exactly once. The argument travels by value in the
+// command, so one Call value serves every invocation of a function.
+type Call func(dev *Device, arg int64, done func(status uint16, value any))
 
 // Device is the live CSD.
 type Device struct {
@@ -132,7 +134,7 @@ func (d *Device) dispatch(cmd nvme.Command, submitted sim.Time, complete func(nv
 			return
 		}
 		d.calls++
-		oc := d.acquireCall(call, complete)
+		oc := d.acquireCall(call, cmd.Arg, complete)
 		// Injected CSE stall: firmware hogs the engine before the call
 		// starts (the command stays in flight, so a host completion timer
 		// can fire against it).
@@ -161,13 +163,14 @@ func (d *Device) dispatch(cmd nvme.Command, submitted sim.Time, complete func(nv
 type opCall struct {
 	d        *Device
 	call     Call
+	arg      int64
 	complete func(nvme.Completion)
 	start    sim.Time
 	run      func()
 	finish   func(status uint16, value any)
 }
 
-func (d *Device) acquireCall(call Call, complete func(nvme.Completion)) *opCall {
+func (d *Device) acquireCall(call Call, arg int64, complete func(nvme.Completion)) *opCall {
 	var oc *opCall
 	if n := len(d.freeCalls); n > 0 {
 		oc = d.freeCalls[n-1]
@@ -178,13 +181,13 @@ func (d *Device) acquireCall(call Call, complete func(nvme.Completion)) *opCall 
 		oc.run = oc.begin
 		oc.finish = oc.end
 	}
-	oc.call, oc.complete = call, complete
+	oc.call, oc.arg, oc.complete = call, arg, complete
 	return oc
 }
 
 func (oc *opCall) begin() {
 	oc.start = oc.d.Sim.Now()
-	oc.call(oc.d, oc.finish)
+	oc.call(oc.d, oc.arg, oc.finish)
 }
 
 func (oc *opCall) end(status uint16, value any) {

@@ -50,18 +50,24 @@ func TestWriteCommandPrograms(t *testing.T) {
 func TestCallRunsOnCSE(t *testing.T) {
 	s, d := newDevice()
 	ran := false
+	var got int64
 	d.QP.Submit(nvme.Command{
 		Opcode: nvme.OpCall,
-		Payload: csd.Call(func(dev *csd.Device, done func(uint16, any)) {
+		Payload: csd.Call(func(dev *csd.Device, arg int64, done func(uint16, any)) {
+			got = arg
 			dev.CSE.Submit(1e6, func(_, _ sim.Time) {
 				ran = true
 				done(0, "ok")
 			})
 		}),
+		Arg: 7,
 	}, nil)
 	s.Run()
 	if !ran {
 		t.Error("call payload never ran")
+	}
+	if got != 7 {
+		t.Errorf("call received argument %d, want the command's 7", got)
 	}
 	calls, _ := d.Stats()
 	if calls != 1 {
@@ -126,7 +132,7 @@ func TestCSEStallDelaysCall(t *testing.T) {
 		var end sim.Time
 		d.QP.Submit(nvme.Command{
 			Opcode: nvme.OpCall,
-			Payload: csd.Call(func(dev *csd.Device, done func(uint16, any)) {
+			Payload: csd.Call(func(dev *csd.Device, _ int64, done func(uint16, any)) {
 				dev.CSE.Submit(1e6, func(_, _ sim.Time) { done(0, nil) })
 			}),
 		}, func(c nvme.Completion) { end = c.Completed })
@@ -154,7 +160,7 @@ func TestDeviceResetAbortsAndRecovers(t *testing.T) {
 	var done nvme.Completion
 	d.QP.Submit(nvme.Command{
 		Opcode: nvme.OpCall,
-		Payload: csd.Call(func(dev *csd.Device, complete func(uint16, any)) {
+		Payload: csd.Call(func(dev *csd.Device, _ int64, complete func(uint16, any)) {
 			runs++
 			// Long enough to straddle the reset on the first attempt.
 			dev.CSE.Submit(2.4e9*2e-3*8, func(_, _ sim.Time) { complete(0, nil) })
@@ -238,7 +244,7 @@ func TestCallSteadyStateAllocFree(t *testing.T) {
 			}
 			var finish func(uint16, any)
 			computed := func(_, _ sim.Time) { finish(0, nil) }
-			call := csd.Call(func(dev *csd.Device, done func(uint16, any)) {
+			call := csd.Call(func(dev *csd.Device, _ int64, done func(uint16, any)) {
 				finish = done
 				dev.CSE.Submit(1e5, computed)
 			})

@@ -212,6 +212,7 @@ type executor struct {
 	done          bool
 	notify        func(*Result, error) // invoked exactly once; nil after it fires
 
+	callRun  csd.Call              // onCallRun, bound once
 	callDone func(nvme.Completion) // onCallDone, bound once
 	runs     []*lineRun            // finished line runs; see lineRun
 	// lineHist holds the per-line latency histogram of each unit,
@@ -286,7 +287,7 @@ func Launch(p *platform.Platform, trace *interp.Trace, opts Options, done func(*
 		}
 		e.breaker = resilience.NewBreaker(pol.Breaker)
 	}
-	e.callDone = e.onCallDone
+	e.callRun, e.callDone = e.onCallRun, e.onCallDone
 	for i := range trace.Records {
 		if opts.Partition.OnCSD(trace.Records[i].Line) {
 			e.totalCSDWork += recordWork(&trace.Records[i])
@@ -453,16 +454,20 @@ func (e *executor) dispatch(unit Unit) {
 	if pol := e.opts.Resilience; pol != nil && pol.LineDeadline > 0 {
 		deadline = e.p.Sim.Now() + pol.LineDeadline
 	}
-	// The payload names its own record: the queue pair may run it again
-	// on a re-issue, and a run may start after the host gave up on this
-	// attempt.
-	i := e.idx
-	e.p.Host.CallDeadline(e.p.Dev, csd.Call(func(_ *csd.Device, done func(uint16, any)) {
-		// The CSE has picked the call up: everything since dispatch was
-		// queue traversal. Observation only — a nil collector no-ops.
-		e.opts.Obs.Queue(e.trace.Records[i].Line, e.p.Sim.Now(), e.p.Sim.Now()-e.lineStart)
-		e.runRecord(i, UnitCSD, done)
-	}), deadline, e.callDone)
+	// The call carries its record index by value: the queue pair may run
+	// it again on a re-issue, and a run may start after the host gave up
+	// on this attempt.
+	e.p.Host.CallDeadline(e.p.Dev, e.callRun, int64(e.idx), deadline, e.callDone)
+}
+
+// onCallRun is the device side of an offloaded line's call: the CSE has
+// picked it up and runs record i, the index the call carried. It is
+// bound once per request as callRun.
+func (e *executor) onCallRun(_ *csd.Device, i int64, done func(uint16, any)) {
+	// Everything since dispatch was queue traversal. Observation only —
+	// a nil collector no-ops.
+	e.opts.Obs.Queue(e.trace.Records[i].Line, e.p.Sim.Now(), e.p.Sim.Now()-e.lineStart)
+	e.runRecord(int(i), UnitCSD, done)
 }
 
 // onCallDone is the host side of an offloaded line's call: its completion

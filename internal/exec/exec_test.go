@@ -299,15 +299,14 @@ func TestPreemptIgnoredWithoutMigration(t *testing.T) {
 }
 
 // loopTrace fabricates n dynamic records alternating between two lines
-// that hand one variable back and forth, with kernel, glue and copy work.
-// It has no storage reads: flash.Array's read callbacks allocate, and
-// they are not the executor's.
+// that hand one variable back and forth, with a storage read and kernel,
+// glue and copy work.
 func loopTrace(n int) *interp.Trace {
 	tr := &interp.Trace{}
 	for i := 0; i < n; i++ {
 		tr.Records = append(tr.Records, interp.LineRecord{
 			Line:   1 + i%2,
-			Cost:   value.Cost{KernelWork: 1e6, GlueWork: 1e4, CopyBytes: 4096},
+			Cost:   value.Cost{StorageBytes: 1 << 16, KernelWork: 1e6, GlueWork: 1e4, CopyBytes: 4096},
 			Reads:  []interp.VarUse{{Name: "x", Bytes: 4096}},
 			Writes: []interp.VarUse{{Name: "x", Bytes: 4096}},
 		})
@@ -339,19 +338,20 @@ func TestLineHistogramsRegisterOnUse(t *testing.T) {
 }
 
 // TestReplayAllocationsPerRecord pins the executor's allocation
-// discipline: a replayed host record allocates nothing, and an
-// offloaded one only its call payload. On the call-queue input line 1
-// runs on the CSD and line 2 on the host, so every record also pulls
-// the variable across the link; the host-only input runs both lines on
-// the host. Per-run costs (the platform, the executor, its pools)
-// cancel in the difference between traces of n and 2n records.
+// discipline: a replayed record allocates nothing, on the host or
+// offloaded through the call queue, flash read included. On the
+// call-queue input line 1 runs on the CSD and line 2 on the host, so
+// every record also pulls the variable across the link; the host-only
+// input runs both lines on the host. Per-run costs (the platform, the
+// executor, its pools) cancel in the difference between traces of n and
+// 2n records.
 func TestReplayAllocationsPerRecord(t *testing.T) {
 	const n = 200
 	for _, tc := range []struct {
 		name string
 		part codegen.Partition
 		want float64 // allocations per line-1 record
-	}{{"host only", codegen.NewPartition(), 0}, {"call queue", codegen.NewPartition(1), 1}} {
+	}{{"host only", codegen.NewPartition(), 0}, {"call queue", codegen.NewPartition(1), 0}} {
 		t.Run(tc.name, func(t *testing.T) {
 			allocs := func(records int) float64 {
 				tr := loopTrace(records)

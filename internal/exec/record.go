@@ -16,8 +16,8 @@ import (
 // A device run can outlive the attempt that posted it: the host gives up
 // at a deadline or a timeout, or the queue pair re-issues the command
 // while the first issue still runs. Such a run keeps its own lineRun,
-// and its record is the one the call payload named, never the
-// executor's current one.
+// and its record is the index the call carried, never the executor's
+// current one.
 type lineRun struct {
 	e    *executor
 	i    int // the record the run bills: e.trace.Records[i]

@@ -107,6 +107,45 @@ type Array struct {
 	erases    uint64
 	corrected uint64 // ECC-corrected (transient) read errors
 	uecc      uint64 // uncorrectable read errors
+
+	freeReads []*read // finished read records; see read
+}
+
+// read is one ReadChecked in flight. Records are pooled on their Array
+// the way transfers are on a sim.Link: a finished read returns to the
+// pool before its done callback runs, so done receives values, never the
+// record. land, the extent's completion, and resensed, the end of a
+// transient error's re-sense, are bound once when the record is first
+// allocated, so a read allocates nothing in steady state.
+type read struct {
+	a              *Array
+	bytes          int64
+	start, end     sim.Time
+	penalty        float64 // the re-sense delay of a transient error
+	err            error
+	done           func(start, end sim.Time, err error)
+	land, resensed func()
+}
+
+func (r *read) landed() {
+	a := r.a
+	a.traceOp("read", r.bytes, r.start, r.end)
+	if r.done != nil && r.penalty > 0 {
+		a.sim.After(r.penalty, r.resensed)
+		return
+	}
+	r.finish(r.end, r.err)
+}
+
+func (r *read) resense() { r.finish(r.end+r.penalty, nil) }
+
+func (r *read) finish(end sim.Time, err error) {
+	done, start := r.done, r.start
+	r.done, r.err = nil, nil
+	r.a.freeReads = append(r.a.freeReads, r)
+	if done != nil {
+		done(start, end, err)
+	}
 }
 
 // NewArray builds an array over geometry g.
@@ -158,34 +197,41 @@ func (a *Array) Read(bytes int64, done func(start, end sim.Time)) {
 func (a *Array) ReadChecked(bytes int64, done func(start, end sim.Time, err error)) {
 	a.reads++
 	a.readBytes += float64(bytes)
-	var err error
-	var penalty float64
+	var r *read
+	if n := len(a.freeReads); n > 0 {
+		r = a.freeReads[n-1]
+		a.freeReads[n-1] = nil
+		a.freeReads = a.freeReads[:n-1]
+	} else {
+		r = &read{a: a}
+		r.land = r.landed
+		r.resensed = r.resense
+	}
+	r.bytes, r.penalty, r.done = bytes, 0, done
 	if a.faults.Decide(fault.FlashUncorrectable, a.sim.Now()) {
 		a.uecc++
-		err = ErrUncorrectable
+		r.err = ErrUncorrectable
 		a.sim.Recorder().Instant("flash", "fault", "flash-uecc", a.sim.Now())
 	} else if a.faults.Decide(fault.FlashTransient, a.sim.Now()) {
 		a.corrected++
-		penalty = a.geom.ReadLatency
+		r.penalty = a.geom.ReadLatency
 		a.sim.Recorder().Instant("flash", "fault", "flash-corrected", a.sim.Now())
 	}
-	a.op("read", bytes, a.geom.channelReadRate(), a.geom.ReadLatency, func(start, end sim.Time) {
-		if done == nil {
-			return
-		}
-		if penalty > 0 {
-			a.sim.After(penalty, func() { done(start, end+penalty, nil) })
-			return
-		}
-		done(start, end, err)
-	})
+	r.start, r.end = a.book(bytes, a.geom.channelReadRate(), a.geom.ReadLatency)
+	a.sim.At(r.end, r.land)
 }
 
 // Program schedules a write of `bytes` striped across all channels.
 func (a *Array) Program(bytes int64, done func(start, end sim.Time)) {
 	a.programs++
 	a.progBytes += float64(bytes)
-	a.op("program", bytes, a.geom.channelProgRate(), a.geom.ProgLatency, done)
+	start, end := a.book(bytes, a.geom.channelProgRate(), a.geom.ProgLatency)
+	a.sim.At(end, func() {
+		a.traceOp("program", bytes, start, end)
+		if done != nil {
+			done(start, end)
+		}
+	})
 }
 
 // Erase schedules a block erase; it occupies one channel for tBERS.
@@ -227,7 +273,11 @@ func (a *Array) sampleBusy(t sim.Time) {
 	rec.Sample(metrics.SeriesFlashBusyChannels, t, float64(busy))
 }
 
-func (a *Array) op(name string, bytes int64, rate float64, firstLat float64, done func(start, end sim.Time)) {
+// book reserves every channel for its stripe of a `bytes` operation at
+// the given per-channel rate and first-page latency, and returns the
+// operation's span: from its earliest channel start to its latest
+// channel end.
+func (a *Array) book(bytes int64, rate float64, firstLat float64) (opStart, opEnd sim.Time) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("flash: negative op size %d", bytes))
 	}
@@ -238,8 +288,7 @@ func (a *Array) op(name string, bytes int64, rate float64, firstLat float64, don
 	// Setup latency: the first page sense, pipelined across the channel's
 	// dies; subsequent pages stream at the channel rate.
 	setup := firstLat / float64(a.geom.DiesPerChan)
-	opStart := sim.Time(math.Inf(1))
-	opEnd := sim.Time(0)
+	opStart = sim.Time(math.Inf(1))
 	for i := 0; i < n; i++ {
 		c := (a.next + i) % n
 		start := now
@@ -257,15 +306,16 @@ func (a *Array) op(name string, bytes int64, rate float64, firstLat float64, don
 	}
 	a.next = (a.next + 1) % n
 	a.sampleBusy(now)
-	a.sim.At(opEnd, func() {
-		if rec := a.sim.Recorder(); rec != nil {
-			rec.Span("flash", "flash", name, opStart, opEnd, trace.Arg{Key: "bytes", Value: bytes})
-			a.sampleBusy(opEnd)
-		}
-		if done != nil {
-			done(opStart, opEnd)
-		}
-	})
+	return opStart, opEnd
+}
+
+// traceOp records a landed striped operation's span and the channels
+// still busy after it.
+func (a *Array) traceOp(name string, bytes int64, start, end sim.Time) {
+	if rec := a.sim.Recorder(); rec != nil {
+		rec.Span("flash", "flash", name, start, end, trace.Arg{Key: "bytes", Value: bytes})
+		a.sampleBusy(end)
+	}
 }
 
 // ReadTime returns the unloaded duration of reading `bytes`: the model

@@ -80,6 +80,59 @@ func TestPlainReadIgnoresFaultsButCompletes(t *testing.T) {
 	}
 }
 
+// TestReadSteadyStateAllocFree pins the pooled read records: once the
+// pool is primed, a ReadChecked from issue to its completion allocates
+// nothing, whether the read is clean, pays a transient error's re-sense,
+// or fails uncorrectable. done is built once, so what is measured is the
+// array's own bookkeeping.
+func TestReadSteadyStateAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		rules   []fault.Rule
+		wantErr error
+	}{
+		{"clean", nil, nil},
+		{"transient", []fault.Rule{{Point: fault.FlashTransient, Rate: 1}}, nil},
+		{"uncorrectable", []fault.Rule{{Point: fault.FlashUncorrectable, Rate: 1}}, ErrUncorrectable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New()
+			a := NewArray(s, DefaultGeometry())
+			if tc.rules != nil {
+				a.SetFaults(fault.NewPlan(1, tc.rules...))
+			}
+			var err error
+			var reads uint64
+			done := func(_, _ sim.Time, e error) { err = e; reads++ }
+			op := func() { a.ReadChecked(1<<20, done); s.Run() }
+			op() // prime the pools
+			if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+				t.Errorf("steady state allocates %.1f objects/op, want 0", allocs)
+			}
+			if err != tc.wantErr {
+				t.Errorf("read completed with %v, want %v", err, tc.wantErr)
+			}
+			if corrected, uecc := a.FaultStats(); tc.rules != nil && corrected+uecc != reads {
+				t.Errorf("%d of %d reads hit the armed error", corrected+uecc, reads)
+			}
+		})
+	}
+}
+
+// BenchmarkArrayReadChecked measures one clean ReadChecked from issue to
+// its completion. allocs/op should be zero.
+func BenchmarkArrayReadChecked(b *testing.B) {
+	s := sim.New()
+	a := NewArray(s, DefaultGeometry())
+	done := func(_, _ sim.Time, _ error) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.ReadChecked(1<<20, done)
+		s.Run()
+	}
+}
+
 func TestDefaultGeometryMatchesPaper(t *testing.T) {
 	g := DefaultGeometry()
 	// §IV-A: 2 TB flash, ~9 GB/s effective internal read bandwidth.

@@ -72,17 +72,18 @@ func (h *Host) WriteObject(dev *csd.Device, object string, offset, bytes int64, 
 	dev.QP.Submit(nvme.Command{Opcode: nvme.OpWrite, Object: object, Offset: offset, Bytes: bytes}, h.traced("write-object", done))
 }
 
-// Call invokes a CSD function through the call queue (§III-C-b).
-func (h *Host) Call(dev *csd.Device, fn csd.Call, done func(nvme.Completion)) {
-	h.CallDeadline(dev, fn, 0, done)
+// Call invokes a CSD function with argument arg through the call queue
+// (§III-C-b).
+func (h *Host) Call(dev *csd.Device, fn csd.Call, arg int64, done func(nvme.Completion)) {
+	h.CallDeadline(dev, fn, arg, 0, done)
 }
 
 // CallDeadline is Call with an absolute completion deadline enforced by
 // the queue pair's host-side supervision (see nvme.SubmitDeadline); a
 // zero deadline is plain Call. The executor threads per-line deadlines
 // from its resilience policy through here to the NVMe completion timers.
-func (h *Host) CallDeadline(dev *csd.Device, fn csd.Call, deadline sim.Time, done func(nvme.Completion)) {
-	dev.QP.SubmitDeadline(nvme.Command{Opcode: nvme.OpCall, Payload: fn}, deadline, h.traced("call", done))
+func (h *Host) CallDeadline(dev *csd.Device, fn csd.Call, arg int64, deadline sim.Time, done func(nvme.Completion)) {
+	dev.QP.SubmitDeadline(nvme.Command{Opcode: nvme.OpCall, Payload: fn, Arg: arg}, deadline, h.traced("call", done))
 }
 
 // Preempt asks the device to stop offloaded work at the next line

@@ -38,9 +38,11 @@ func TestReadWriteCallRoundTrips(t *testing.T) {
 			writes++
 		}
 	})
-	h.Call(d, func(dev *csd.Device, done func(uint16, any)) {
-		dev.CSE.Submit(1000, func(_, _ sim.Time) { done(0, nil) })
-	}, func(c nvme.Completion) {
+	var work int64
+	h.Call(d, func(dev *csd.Device, arg int64, done func(uint16, any)) {
+		work = arg
+		dev.CSE.Submit(float64(arg), func(_, _ sim.Time) { done(0, nil) })
+	}, 1000, func(c nvme.Completion) {
 		if c.Status == 0 {
 			calls++
 		}
@@ -48,6 +50,9 @@ func TestReadWriteCallRoundTrips(t *testing.T) {
 	s.Run()
 	if reads != 1 || writes != 1 || calls != 1 {
 		t.Errorf("r/w/c = %d/%d/%d", reads, writes, calls)
+	}
+	if work != 1000 {
+		t.Errorf("call received argument %d, want 1000", work)
 	}
 }
 

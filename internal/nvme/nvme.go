@@ -87,7 +87,8 @@ type Command struct {
 	Object  string // storage object name for I/O
 	Offset  int64
 	Bytes   int64
-	Payload any // function-call descriptor for OpCall
+	Payload any   // function-call descriptor for OpCall
+	Arg     int64 // OpCall: the argument the function receives, by value
 }
 
 // Completion is one completion queue entry.
@@ -136,10 +137,11 @@ type QueuePair struct {
 	retry   RetryPolicy
 
 	inFlight   int
-	soft       []pending // host-side software queue when SQ is full
-	live       []*issued // device-owned commands, issue order
-	cqInFlight int       // completion entries crossing back over the link
-	free       []*issued // released command records; see issued
+	soft       []pending  // host-side software queue when SQ is full
+	live       []*issued  // device-owned commands, issue order
+	cqInFlight int        // completion entries crossing back over the link
+	free       []*issued  // released command records; see issued
+	reissues   []*reissue // finished backoff records; see reissue
 
 	submitted uint64
 	completed uint64
@@ -185,6 +187,24 @@ type issued struct {
 	expired              func()
 	sqeLanded, cqeLanded func(start, end sim.Time)
 	complete             func(Completion)
+}
+
+// reissue is one command waiting out its backoff before its next issue.
+// Records are pooled on their QueuePair: a record returns to the pool
+// before its command is enqueued again, and fire, its continuation, is
+// bound once when the record is first allocated, so a retry allocates
+// nothing in steady state.
+type reissue struct {
+	q    *QueuePair
+	p    pending
+	fire func()
+}
+
+func (r *reissue) run() {
+	q, p := r.q, r.p
+	r.p = pending{}
+	q.reissues = append(q.reissues, r)
+	q.enqueue(p)
 }
 
 // stage is where the device side of an issued command is.
@@ -467,7 +487,17 @@ func (q *QueuePair) fail(is *issued, status uint16) {
 			p.attempt++
 			q.retries++
 			q.sim.Recorder().Instant("nvme", "fault", "nvme-retry", q.sim.Now())
-			q.sim.After(backoff, func() { q.enqueue(p) })
+			var r *reissue
+			if n := len(q.reissues); n > 0 {
+				r = q.reissues[n-1]
+				q.reissues[n-1] = nil
+				q.reissues = q.reissues[:n-1]
+			} else {
+				r = &reissue{q: q}
+				r.fire = r.run
+			}
+			r.p = p
+			q.sim.After(backoff, r.fire)
 			return
 		}
 		// Retry budget remains, but the next attempt would start past the

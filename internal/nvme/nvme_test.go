@@ -808,37 +808,57 @@ func TestPooledQueuePairMatchesReference(t *testing.T) {
 
 // TestQueuePairSteadyStateAllocFree pins the pooled records: once the
 // pool is primed, a command from Submit to its completion allocates
-// nothing, whether the handler completes at once or after a delay, and
-// with or without a completion timer. The handler and done are built
-// once, so what is measured is the queue pair's own bookkeeping.
+// nothing, whether the handler completes at once or after a delay, with
+// or without a completion timer, and when the timer expires and the
+// command is re-issued after its backoff (the first issue's completion
+// lands late and is discarded). The handler and done are built once, so
+// what is measured is the queue pair's own bookkeeping.
 func TestQueuePairSteadyStateAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		delayed bool
 		retry   RetryPolicy
+		timeout bool // every first issue outlives its completion timer
 	}{
-		{"sync handler", false, RetryPolicy{}},
-		{"delayed handler", true, RetryPolicy{}},
-		{"delayed handler with completion timer", true, supervised},
+		{"sync handler", false, RetryPolicy{}, false},
+		{"delayed handler", true, RetryPolicy{}, false},
+		{"delayed handler with completion timer", true, supervised, false},
+		{"timeout, then re-issue", true, supervised, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := sim.New()
-			var complete func(Completion)
+			var complete, late func(Completion)
 			fire := func() { complete(Completion{}) }
+			fireLate := func() { late(Completion{}) }
+			issues := 0
 			qp := NewQueuePair(s, sim.NewLink(s, "l", 1e9, 1e-6), 4, func(_ Command, _ sim.Time, c func(Completion)) {
 				if !tc.delayed {
 					c(Completion{})
+					return
+				}
+				issues++
+				if tc.timeout && issues%2 == 1 {
+					late = c
+					s.After(2*tc.retry.Timeout, fireLate)
 					return
 				}
 				complete = c
 				s.After(1e-5, fire)
 			})
 			qp.SetRetryPolicy(tc.retry)
-			done := func(Completion) {}
+			var status uint16
+			done := func(c Completion) { status = c.Status }
 			op := func() { qp.Submit(Command{Opcode: OpCall}, done); s.Run() }
 			op() // prime the pools
 			if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
 				t.Errorf("steady state allocates %.1f objects/op, want 0", allocs)
+			}
+			if status != StatusOK {
+				t.Errorf("last command completed with status %#x", status)
+			}
+			sub, _ := qp.Stats()
+			if timeouts, retries, _, _, _ := qp.FaultStats(); tc.timeout && (timeouts != sub || retries != sub) {
+				t.Errorf("%d timeouts and %d retries over %d commands, want one each per command", timeouts, retries, sub)
 			}
 		})
 	}

@@ -31,11 +31,15 @@ type Windows struct {
 	seen     bool               // any observation at all
 }
 
-// series is one named series: its kept cells in ascending window order.
-// A *series is the handle the Collector resolves once per (line, kind),
-// so its hooks reach the cells without hashing a name.
+// series is one named series: the digests of its kept closed windows,
+// oldest first, and the raw values of its open window. A window closes
+// when the series opens a later one, and is digested then, so a series
+// holds at most keep-1 digests and one window's values. A *series is
+// the handle the Collector resolves once per (line, kind), so its hooks
+// reach the series without hashing a name.
 type series struct {
-	cells []windowCell
+	closed []WindowStat
+	open   windowCell // no observation yet while vals is empty
 }
 
 // windowCell is one (series, window) bucket of raw observations. Stats
@@ -90,17 +94,27 @@ func (w *Windows) observe(s *series, t, v float64) {
 	if idx > w.last || !w.seen {
 		w.last, w.seen = idx, true
 	}
-	if n := len(s.cells); n > 0 && s.cells[n-1].index == idx {
-		s.cells[n-1].vals = append(s.cells[n-1].vals, v)
-		return
+	c := &s.open
+	if len(c.vals) > 0 && c.index != idx {
+		// Observations arrive in nondecreasing simulated time per series,
+		// so a new index closes the open window for good: digest it into
+		// the ring, dropping the oldest digest when the ring is full, and
+		// reuse its buffer for the new window.
+		if w.keep > 1 {
+			st := statOf(c)
+			if n := len(s.closed); n < w.keep-1 {
+				s.closed = append(s.closed, st)
+			} else {
+				copy(s.closed, s.closed[1:])
+				s.closed[n-1] = st
+			}
+		}
+		c.vals = c.vals[:0]
 	}
-	// Observations arrive in nondecreasing simulated time per series, so
-	// a new index always opens at the tail; drop the oldest cell when the
-	// ring is full.
-	s.cells = append(s.cells, windowCell{index: idx, vals: []float64{v}})
-	if len(s.cells) > w.keep {
-		s.cells = s.cells[1:]
+	if len(c.vals) == 0 {
+		c.index = idx
 	}
+	c.vals = append(c.vals, v)
 }
 
 // Count returns the number of windows spanned so far: highest observed
@@ -141,8 +155,9 @@ type WindowStat struct {
 // Stats returns the kept windows of the named series in window order
 // (nil on a nil receiver or an unknown series). Quantiles are exact —
 // computed over each window's raw values, sorted in place — because a
-// window holds bounded, already-collected observations. A repeat call
-// finds the windows sorted and only re-scans them.
+// window holds bounded, already-collected observations. Closed windows
+// return the digests taken when they closed; only the open window is
+// digested here, and a repeat call finds it sorted and only re-scans it.
 func (w *Windows) Stats(name string) []WindowStat {
 	if w == nil {
 		return nil
@@ -151,9 +166,10 @@ func (w *Windows) Stats(name string) []WindowStat {
 	if s == nil {
 		return nil
 	}
-	out := make([]WindowStat, 0, len(s.cells))
-	for i := range s.cells {
-		out = append(out, statOf(&s.cells[i]))
+	out := make([]WindowStat, 0, len(s.closed)+1)
+	out = append(out, s.closed...)
+	if len(s.open.vals) > 0 {
+		out = append(out, statOf(&s.open))
 	}
 	return out
 }
