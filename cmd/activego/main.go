@@ -28,7 +28,6 @@ import (
 	"activego/internal/codegen"
 	"activego/internal/core"
 	"activego/internal/driver"
-	"activego/internal/exec"
 	"activego/internal/experiments"
 	"activego/internal/plan"
 	"activego/internal/platform"
@@ -74,7 +73,10 @@ func main() {
 	}
 	params := workloads.Params{ScaleDiv: *scaleDiv, Seed: *seed}
 	if *serve {
-		os.Exit(runServe(spec.Name, params, obs, srv, uint64(*seed)))
+		if err := runServe(spec.Name, params, obs, *srv, uint64(*seed)); err != nil {
+			fail(err)
+		}
+		return
 	}
 	inst := spec.Build(params)
 
@@ -151,83 +153,53 @@ func fail(err error) {
 }
 
 // runServe is the -serve mode: build the workload once as a serving
-// scenario, split the offered load across -tenants request streams, and
-// drive them all at one long-lived platform through the serving driver.
-// Unset serving flags fall back to the same conventions as the -exp
-// serving study: offered rate calibrated from the solo warm service
-// time, horizon sized for ~48 requests.
+// scenario and serve it to two Poisson tenants, tenant0 and tenant1, at
+// one long-lived platform. The serving study's calibration and builder
+// resolve the rest, so the serving flags mean what they mean on every
+// command: the offered rate is the calibrated capacity and the horizon
+// is sized for ServingRequestTarget requests.
 func runServe(name string, params workloads.Params, obs *cliutil.Flags,
-	srv *experiments.ServingOverrides, seed uint64) int {
+	srv experiments.ServingOverrides, seed uint64) error {
 	if err := obs.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "activego:", err)
-		return 1
+		return err
 	}
 	sc, err := driver.Build(name, params)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "activego:", err)
-		return 1
+		return err
 	}
-	mix, err := driver.NewMix(driver.MixEntry{Scenario: sc, Weight: 1})
+	scenarios := map[string]*driver.Scenario{name: sc}
+	mix := []driver.Weighted{{Name: name, Weight: 1}}
+	poisson := driver.Arrival{Process: driver.Poisson}
+	templates := []experiments.ServingTenantSpec{
+		{Name: "tenant0", Weights: mix, Arrival: poisson},
+		{Name: "tenant1", Weights: mix, Arrival: poisson},
+	}
+	solo, err := experiments.ServingCalibrate(templates, scenarios, srv)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "activego:", err)
-		return 1
+		return err
 	}
-	solo, err := exec.Run(platform.Default(), sc.Trace, sc.ReplayOptions())
+	qps := srv.Capacity(solo)
+	tenants, horizon, err := experiments.ServingTraffic(templates, scenarios, srv, qps, solo)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "activego:", err)
-		return 1
-	}
-	const maxInFlight = 4
-	totalQPS := srv.QPS
-	if totalQPS <= 0 {
-		totalQPS = maxInFlight / solo.Duration
-	}
-	duration := srv.Duration
-	if duration <= 0 {
-		duration = 48 / totalQPS
-	}
-	nTenants := srv.Tenants
-	if nTenants <= 0 {
-		nTenants = 2
-	}
-	proc := driver.Process(srv.Arrival)
-	if proc == "" {
-		proc = driver.Poisson
-	}
-	tenants := make([]driver.TenantConfig, nTenants)
-	for i := range tenants {
-		tenants[i] = driver.TenantConfig{
-			Name: fmt.Sprintf("tenant%d", i),
-			Mix:  mix,
-			Arrival: driver.Arrival{
-				Process: proc, QPS: totalQPS / float64(nTenants),
-				BurstFactor: 4, DutyCycle: 0.25, Period: duration / 4,
-				Workers: maxInFlight, Think: solo.Duration / 2,
-			},
-		}
+		return err
 	}
 	p := platform.Default()
 	if rec := obs.Recorder(); rec != nil {
 		p.SetRecorder(rec)
 	}
 	fmt.Printf("serving %s: %d tenants, %s arrivals, %.1f req/s offered over %.4fs (solo service %.4fs)\n",
-		name, nTenants, proc, totalQPS, duration, solo.Duration)
+		name, len(tenants), tenants[0].Arrival.Process, qps, horizon, solo)
 	res, err := driver.Run(p, driver.Config{
-		Seed: seed, Duration: duration, Tenants: tenants,
-		MaxInFlight: maxInFlight, Metrics: obs.Registry(),
-		ObsWindow: obs.ObsWindow,
+		Seed: seed, Duration: horizon, Tenants: tenants,
+		MaxInFlight: experiments.ServingMaxInFlight, MaxQueue: experiments.ServingMaxQueue,
+		Metrics: obs.Registry(), ObsWindow: obs.ObsWindow,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "activego:", err)
-		return 1
+		return err
 	}
 	cliutil.PrintServing(os.Stdout, res)
 	p.FoldMetrics(obs.Registry())
-	if err := obs.Finish(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "activego:", err)
-		return 1
-	}
-	return 0
+	return obs.Finish(os.Stdout)
 }
 
 // runExplain implements `activego explain`: render a workload's plan

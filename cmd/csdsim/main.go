@@ -52,12 +52,14 @@ func main() {
 		os.Exit(runDeviceChaos(*chaosN, *chaosSeed, *retryTimeout))
 	}
 	if *serve {
-		os.Exit(runDeviceServe(obs, srv, *faultSeed, *faultRate, *retryTimeout))
+		if err := runDeviceServe(obs, *srv, *faultSeed, *faultRate, *retryTimeout); err != nil {
+			fail(err)
+		}
+		return
 	}
 
 	if err := obs.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "csdsim:", err)
-		os.Exit(1)
+		fail(err)
 	}
 	p := platform.Default()
 	if *avail < 1 {
@@ -66,13 +68,7 @@ func main() {
 	if rec := obs.Recorder(); rec != nil {
 		p.SetRecorder(rec)
 	}
-	if *faultRate > 0 {
-		p.InstallFaults(fault.NewPlan(*faultSeed,
-			fault.Rule{Point: fault.NVMeCompletionDrop, Rate: *faultRate},
-			fault.Rule{Point: fault.NVMeCommandLoss, Rate: *faultRate / 2},
-			fault.Rule{Point: fault.FlashTransient, Rate: *faultRate},
-		), nvme.RetryPolicy{Timeout: *retryTimeout, MaxAttempts: 4, Backoff: 1e-3})
-	}
+	installFaults(p, *faultSeed, *faultRate, *retryTimeout)
 	g := p.Dev.Array.Geometry()
 	fmt.Printf("CSD: %d CSE cores @%.2fe9 units/s, %.1f TB flash (%d ch x %d dies), array %.2f GB/s, link %.2f GB/s\n",
 		p.Cfg.CSD.CSECores, p.Cfg.CSD.CSERate/1e9,
@@ -140,9 +136,28 @@ func main() {
 
 	p.FoldMetrics(obs.Registry())
 	if err := obs.Finish(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "csdsim:", err)
-		os.Exit(1)
+		fail(err)
 	}
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "csdsim:", err)
+	os.Exit(1)
+}
+
+// installFaults arms the device fault plan behind -fault-rate on p:
+// NVMe completion drops and transient flash errors at rate, lost
+// commands at half of it, and the host's completion timer to recover
+// them. Rate 0 arms nothing.
+func installFaults(p *platform.Platform, seed uint64, rate, retryTimeout float64) {
+	if rate <= 0 {
+		return
+	}
+	p.InstallFaults(fault.NewPlan(seed,
+		fault.Rule{Point: fault.NVMeCompletionDrop, Rate: rate},
+		fault.Rule{Point: fault.NVMeCommandLoss, Rate: rate / 2},
+		fault.Rule{Point: fault.FlashTransient, Rate: rate},
+	), nvme.RetryPolicy{Timeout: retryTimeout, MaxAttempts: 4, Backoff: 1e-3})
 }
 
 // runDeviceChaos is the -chaos mode: N randomized seeded fault
@@ -209,93 +224,54 @@ func runDeviceChaos(n int, seed uint64, retryTimeout float64) int {
 
 // runDeviceServe is the -serve mode: the multi-tenant serving driver
 // pointed at the bare device, with driver.Synthetic request shapes
-// instead of compiled workloads — a point-read-heavy mix plus a scan
-// tenant, so admission control and fairness can be inspected on the
-// substrate without the language stack on top. -fault-rate arms the
-// same fault plan as the benchmark path underneath the traffic.
-func runDeviceServe(obs *cliutil.Flags, srv *experiments.ServingOverrides,
-	seed uint64, faultRate, retryTimeout float64) int {
+// instead of compiled workloads — a point-read-heavy tenant, points0,
+// plus a scan tenant, scans — so admission control and fairness can be
+// inspected on the substrate without the language stack on top. The
+// serving study's calibration and builder resolve the rest, so the
+// offered rate is the shapes' calibrated capacity and the serving flags
+// mean what they mean on every command. -fault-rate arms the same fault
+// plan as the benchmark path underneath the traffic.
+func runDeviceServe(obs *cliutil.Flags, srv experiments.ServingOverrides,
+	seed uint64, faultRate, retryTimeout float64) error {
 	if err := obs.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "csdsim:", err)
-		return 1
+		return err
 	}
 	point := driver.Synthetic("point-read", 4, 5e5, 1<<18)
 	scan := driver.Synthetic("scan", 8, 4e6, 1<<22)
-	mixed, err := driver.NewMix(
-		driver.MixEntry{Scenario: point, Weight: 4},
-		driver.MixEntry{Scenario: scan, Weight: 1},
-	)
+	scenarios := map[string]*driver.Scenario{point.Name: point, scan.Name: scan}
+	poisson := driver.Arrival{Process: driver.Poisson}
+	templates := []experiments.ServingTenantSpec{
+		{Name: "points0", Weights: []driver.Weighted{{Name: point.Name, Weight: 4}, {Name: scan.Name, Weight: 1}}, Arrival: poisson},
+		{Name: "scans", Weights: []driver.Weighted{{Name: scan.Name, Weight: 1}}, Arrival: poisson},
+	}
+	solo, err := experiments.ServingCalibrate(templates, scenarios, srv)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "csdsim:", err)
-		return 1
+		return err
 	}
-	scans, err := driver.NewMix(driver.MixEntry{Scenario: scan, Weight: 1})
+	qps := srv.Capacity(solo)
+	tenants, horizon, err := experiments.ServingTraffic(templates, scenarios, srv, qps, solo)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "csdsim:", err)
-		return 1
-	}
-	totalQPS := srv.QPS
-	if totalQPS <= 0 {
-		totalQPS = 400
-	}
-	duration := srv.Duration
-	if duration <= 0 {
-		duration = 48 / totalQPS
-	}
-	nTenants := srv.Tenants
-	if nTenants <= 0 {
-		nTenants = 2
-	}
-	proc := driver.Process(srv.Arrival)
-	if proc == "" {
-		proc = driver.Poisson
-	}
-	tenants := make([]driver.TenantConfig, nTenants)
-	for i := range tenants {
-		mix := mixed
-		name := fmt.Sprintf("points%d", i)
-		if i == nTenants-1 && nTenants > 1 {
-			mix, name = scans, "scans"
-		}
-		tenants[i] = driver.TenantConfig{
-			Name: name,
-			Mix:  mix,
-			Arrival: driver.Arrival{
-				Process: proc, QPS: totalQPS / float64(nTenants),
-				BurstFactor: 4, DutyCycle: 0.25, Period: duration / 4,
-				Workers: 4, Think: 1 / totalQPS,
-			},
-		}
+		return err
 	}
 	p := platform.Default()
 	if rec := obs.Recorder(); rec != nil {
 		p.SetRecorder(rec)
 	}
-	if faultRate > 0 {
-		p.InstallFaults(fault.NewPlan(seed,
-			fault.Rule{Point: fault.NVMeCompletionDrop, Rate: faultRate},
-			fault.Rule{Point: fault.NVMeCommandLoss, Rate: faultRate / 2},
-			fault.Rule{Point: fault.FlashTransient, Rate: faultRate},
-		), nvme.RetryPolicy{Timeout: retryTimeout, MaxAttempts: 4, Backoff: 1e-3})
-	}
+	installFaults(p, seed, faultRate, retryTimeout)
 	fmt.Printf("serving synthetic device traffic: %d tenants, %s arrivals, %.1f req/s offered over %.4fs\n",
-		nTenants, proc, totalQPS, duration)
+		len(tenants), tenants[0].Arrival.Process, qps, horizon)
 	res, err := driver.Run(p, driver.Config{
-		Seed: seed, Duration: duration, Tenants: tenants,
-		MaxInFlight: 4, Metrics: obs.Registry(),
+		Seed: seed, Duration: horizon, Tenants: tenants,
+		MaxInFlight: experiments.ServingMaxInFlight, MaxQueue: experiments.ServingMaxQueue,
+		Metrics: obs.Registry(),
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "csdsim:", err)
-		return 1
+		return err
 	}
 	cliutil.PrintServing(os.Stdout, res)
 	retired, rate := p.Dev.PerfCounters()
 	fmt.Printf("perf counters: retired=%.3g units, effective rate=%.3g units/s/core; events fired: %d\n",
 		retired, rate, p.Sim.EventsFired())
 	p.FoldMetrics(obs.Registry())
-	if err := obs.Finish(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "csdsim:", err)
-		return 1
-	}
-	return 0
+	return obs.Finish(os.Stdout)
 }

@@ -69,7 +69,7 @@ func (f *Flags) RegisterPlanner(fs *flag.FlagSet) {
 
 // RegisterObsWindow additionally installs -obswindow.
 func (f *Flags) RegisterObsWindow(fs *flag.FlagSet) {
-	fs.Float64Var(&f.ObsWindow, "obswindow", 0, "bin observed costs into simulated-time windows of this many seconds and fold them into the metrics snapshot as obs.win.* series (DESIGN.md §15); 0 = off")
+	fs.Float64Var(&f.ObsWindow, "obswindow", 0, "bin observed per-line costs (under -serve, each tenant's request latencies) into simulated-time windows of this many seconds and fold them into the metrics snapshot as obs.win.* series (DESIGN.md §15); 0 = off")
 }
 
 // Pool returns the par.Pool the -j flag asked for: nil when -j 1 (the
@@ -94,11 +94,12 @@ func (f *Flags) RegisterMonitor(fs *flag.FlagSet) {
 // RegisterServing installs the multi-tenant serving driver's flags
 // (DESIGN.md §14) on fs: the same -tenants/-arrival/-qps/-duration knobs
 // in every command that can drive traffic, parsed into the overrides
-// the serving study reads. Zero values mean "use the defaults", so
-// committed baselines are unaffected by the flags' existence.
+// that experiments.ServingTraffic applies to the command's own tenant
+// templates. Zero values mean "use the defaults", so committed
+// baselines are unaffected by the flags' existence.
 func RegisterServing(fs *flag.FlagSet) *experiments.ServingOverrides {
 	s := &experiments.ServingOverrides{}
-	fs.IntVar(&s.Tenants, "tenants", 0, "serving: number of tenants (0 = the study's default population)")
+	fs.IntVar(&s.Tenants, "tenants", 0, "serving: number of tenants, cycling the command's tenant templates (0 = the command's default population)")
 	fs.StringVar(&s.Arrival, "arrival", "", "serving: force every tenant's arrival process (poisson, bursty, uniform, closed; empty = per-tenant defaults)")
 	fs.Float64Var(&s.QPS, "qps", 0, "serving: total offered rate at load 1.0 in requests per simulated second (0 = calibrate from solo service times)")
 	fs.Float64Var(&s.Duration, "duration", 0, "serving: arrival horizon in simulated seconds (0 = derive from the request target)")

@@ -230,7 +230,8 @@ type engine struct {
 // event calendar for the duration (one Sim.Run drives every executor).
 // Request failures that are typed clean (*resilience.ShedError) are
 // accounted and absorbed; any untyped executor failure aborts the run
-// with that error after the calendar drains.
+// with that error after the calendar drains, and so does a calendar that
+// drains while admitted requests are still in flight (stranded).
 func Run(p *platform.Platform, cfg Config) (*Result, error) {
 	if p == nil {
 		return nil, errors.New("driver: nil platform")
@@ -258,6 +259,11 @@ func Run(p *platform.Platform, cfg Config) (*Result, error) {
 	p.Sim.Run()
 	if e.fatal != nil {
 		return nil, e.fatal
+	}
+	if e.inflight > 0 {
+		return nil, fmt.Errorf("driver: the calendar drained with %d admitted requests still in flight and %d queued behind them; "+
+			"a lost command with no completion timer strands a request — arm nvme.RetryPolicy completion timers or a resilience.Policy.LineDeadline",
+			e.inflight, len(e.queue))
 	}
 	return e.results(), nil
 }

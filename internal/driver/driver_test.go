@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"activego/internal/chaos"
@@ -364,6 +365,38 @@ func TestServingUnderChaos(t *testing.T) {
 		}
 		if err := p.Drained(); err != nil {
 			t.Fatalf("schedule %d: %v", i, err)
+		}
+	}
+}
+
+// TestStrandedRequestsAreAnError pins that a run whose admitted requests
+// never complete fails instead of returning an unbalanced account: every
+// NVMe command is lost and no completion timer recovers it, so both
+// arrivals are admitted and neither completes nor fails.
+func TestStrandedRequestsAreAnError(t *testing.T) {
+	p := platform.Default()
+	plan, err := fault.NewPlanChecked(1, fault.Rule{Point: fault.NVMeCommandLoss, Rate: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Dev.InstallFaults(plan)
+	mix, err := driver.NewMix(driver.MixEntry{Scenario: driver.Synthetic("lost", 4, 5e5, 1<<18), Weight: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := driver.Run(p, driver.Config{
+		Seed:     42,
+		Duration: 0.02,
+		Tenants: []driver.TenantConfig{
+			{Name: "stranded", Mix: mix, Arrival: driver.Arrival{Process: driver.Uniform, QPS: 100}},
+		},
+	})
+	if err == nil {
+		t.Fatalf("stranded run returned no error: %+v", res)
+	}
+	for _, want := range []string{"2 admitted requests still in flight", "nvme.RetryPolicy"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
 		}
 	}
 }

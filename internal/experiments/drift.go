@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"activego/internal/driver"
-	"activego/internal/exec"
 	"activego/internal/metrics"
 	"activego/internal/obs"
 	"activego/internal/plan"
@@ -42,10 +41,6 @@ const DriftAvailability = 0.1
 // fill windows, low enough that the control arm never queues its way
 // into false staleness.
 const DriftLoad = 0.8
-
-// DriftRequestTarget sizes the arrival horizon: roughly this many
-// requests are offered per arm.
-const DriftRequestTarget = 48
 
 // DriftArm is one arm's outcome: the serving accounting, the scored
 // drift report, and its stale-line set.
@@ -105,15 +100,27 @@ func Drift(params workloads.Params, opts ...Option) (*DriftResult, *report.Table
 	if sc.Provenance == nil {
 		return nil, nil, fmt.Errorf("experiments: drift: scenario %s carries no provenance", sc.Name)
 	}
-	// The solo warm service time, on a fresh platform, exactly as a
-	// serving request replays the scenario.
-	soloRun, err := exec.Run(platform.Default(), sc.Trace, sc.ReplayOptions())
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: drift: calibrate: %w", err)
+	scenarios := map[string]*driver.Scenario{sc.Name: sc}
+	// Each arm serves one Poisson tenant named after it. The serving
+	// flags do not apply: the arms are defined by this one load.
+	arms := []DriftArm{{Name: "control"}, {Name: "burst", Burst: true}}
+	templates := make([][]ServingTenantSpec, len(arms))
+	for i, arm := range arms {
+		templates[i] = []ServingTenantSpec{{Name: arm.Name,
+			Weights: []driver.Weighted{{Name: sc.Name, Weight: 1}},
+			Arrival: driver.Arrival{Process: driver.Poisson}}}
 	}
-	solo := soloRun.Duration
-	qps := DriftLoad / solo
-	horizon := DriftRequestTarget / qps
+	solo, err := ServingCalibrate(templates[0], scenarios, ServingOverrides{})
+	if err != nil {
+		return nil, nil, fmt.Errorf("experiments: drift: %w", err)
+	}
+	tenants := make([][]driver.TenantConfig, len(arms))
+	var horizon float64
+	for i := range arms {
+		if tenants[i], horizon, err = ServingTraffic(templates[i], scenarios, ServingOverrides{}, DriftLoad/solo, solo); err != nil {
+			return nil, nil, fmt.Errorf("experiments: drift: %w", err)
+		}
+	}
 	window := 2 * solo
 	burstAt := horizon / 2
 	planned := obs.PlannedFromProvenance(sc.Provenance)
@@ -132,25 +139,17 @@ func Drift(params workloads.Params, opts ...Option) (*DriftResult, *report.Table
 		}
 	}
 
-	arms := []struct {
-		name  string
-		burst bool
-	}{{"control", false}, {"burst", true}}
 	per, err := overSpecs(o, len(arms), func(i int, reg *metrics.Registry) (DriftArm, error) {
-		mix, err := driver.NewMix(driver.MixEntry{Scenario: sc, Weight: 1})
-		if err != nil {
-			return DriftArm{}, fmt.Errorf("experiments: drift: %s: %w", arms[i].name, err)
-		}
+		arm := arms[i]
 		p := platform.Default()
-		if arms[i].burst {
+		if arm.Burst {
 			p.Dev.ScheduleStress(p.Sim.Now()+burstAt, DriftAvailability, 0)
 		}
 		col := obs.NewCollector(window, 0)
 		dres, err := driver.Run(p, driver.Config{
 			Seed:     DriftSeed,
 			Duration: horizon,
-			Tenants: []driver.TenantConfig{{Name: arms[i].name, Mix: mix,
-				Arrival: driver.Arrival{Process: driver.Poisson, QPS: qps}}},
+			Tenants:  tenants[i],
 			// One service slot: requests serialize, so the control arm's
 			// per-line costs carry no cross-request contention the fitted
 			// model never saw.
@@ -161,14 +160,14 @@ func Drift(params workloads.Params, opts ...Option) (*DriftResult, *report.Table
 			Obs:         col,
 		})
 		if err != nil {
-			return DriftArm{}, fmt.Errorf("experiments: drift: %s: %w", arms[i].name, err)
+			return DriftArm{}, fmt.Errorf("experiments: drift: %s: %w", arm.Name, err)
 		}
 		p.FoldMetrics(reg)
 		rep := obs.ScoreDrift(col, planned, obs.DefaultDriftConfig())
 		col.Windows().Fold(reg)
 		rep.Fold(reg)
-		return DriftArm{Name: arms[i].name, Burst: arms[i].burst,
-			Res: dres, Report: rep, Stale: rep.StaleLines()}, nil
+		arm.Res, arm.Report, arm.Stale = dres, rep, rep.StaleLines()
+		return arm, nil
 	})
 	if err != nil {
 		return nil, nil, err

@@ -42,34 +42,39 @@ const (
 	ServingMaxQueue    = 8
 )
 
-// ServingRequestTarget sizes each load point's horizon: the arrival
-// horizon is chosen so roughly this many requests are offered in total,
-// keeping the study's cost flat across the load axis.
+// ServingRequestTarget sizes every serving run's horizon: unless
+// -duration fixes it, the arrival horizon is chosen so roughly this many
+// requests are offered in total, keeping a run's cost flat across
+// offered rates.
 const ServingRequestTarget = 48
 
-// ServingTenantSpec is one default tenant template: a weighted scenario
-// mix and an arrival discipline.
+// ServingTenantSpec is one tenant template: a weighted scenario mix and
+// an arrival discipline. ServingTraffic fills in the arrival's rate,
+// modulation period and closed-loop population; a bursty template may
+// name its own BurstFactor and DutyCycle.
 type ServingTenantSpec struct {
 	Name    string
 	Weights []driver.Weighted
-	Process driver.Process
-	// BurstFactor/DutyCycle apply when Process is Bursty.
-	BurstFactor float64
-	DutyCycle   float64
+	Arrival driver.Arrival
 }
 
-// ServingTenants are the default tenant population: two Poisson
-// streams with opposite mix skews and one bursty stream, so the sweep
-// exercises contention between smooth and spiky traffic over distinct
-// workload blends.
+// ServingTenants are the study's tenant templates: two Poisson streams
+// with opposite mix skews and one bursty stream, so the sweep exercises
+// contention between smooth and spiky traffic over distinct workload
+// blends.
 var ServingTenants = []ServingTenantSpec{
-	{Name: "interactive", Process: driver.Poisson,
+	{Name: "interactive", Arrival: driver.Arrival{Process: driver.Poisson},
 		Weights: []driver.Weighted{{Name: "tpch-6", Weight: 4}, {Name: "blackscholes", Weight: 1}}},
-	{Name: "batch", Process: driver.Poisson,
+	{Name: "batch", Arrival: driver.Arrival{Process: driver.Poisson},
 		Weights: []driver.Weighted{{Name: "kmeans", Weight: 4}, {Name: "tpch-6", Weight: 1}}},
-	{Name: "spiky", Process: driver.Bursty, BurstFactor: 6, DutyCycle: 0.2,
+	{Name: "spiky", Arrival: driver.Arrival{Process: driver.Bursty, BurstFactor: 6, DutyCycle: 0.2},
 		Weights: []driver.Weighted{{Name: "blackscholes", Weight: 4}, {Name: "kmeans", Weight: 1}}},
 }
+
+// servingBurst is the burst shape a bursty tenant takes for any
+// parameter its template leaves zero: a 4x peak for a quarter of each
+// period. It is what -arrival bursty gives a Poisson template.
+var servingBurst = driver.Arrival{BurstFactor: 4, DutyCycle: 0.25}
 
 // servingPrograms are the workloads the tenant templates mix, in order
 // of first mention; -tenants only cycles the templates, so no override
@@ -90,11 +95,13 @@ func servingNames() []string {
 
 // ServingOverrides are the CLI-facing knobs (-tenants, -arrival, -qps,
 // -duration) that cliutil.RegisterServing parses for every command that
-// drives traffic. Zero values mean "use the documented defaults", so the
-// committed baselines and CI runs are unaffected by the flags existing.
+// drives traffic. They mean the same on every command, because every
+// command builds its traffic through ServingCalibrate and ServingTraffic.
+// Zero values mean "use the documented defaults", so the committed
+// baselines and CI runs are unaffected by the flags existing.
 type ServingOverrides struct {
 	// Tenants resizes the population: n tenants cycling through the
-	// ServingTenants templates.
+	// command's templates.
 	Tenants int
 	// Arrival forces every tenant onto one arrival process
 	// ("poisson", "bursty", "uniform", "closed").
@@ -102,9 +109,19 @@ type ServingOverrides struct {
 	// QPS overrides the calibrated capacity as the load-1.0 total
 	// offered rate, in requests per simulated second.
 	QPS float64
-	// Duration fixes every load point's arrival horizon in simulated
-	// seconds instead of deriving it from ServingRequestTarget.
+	// Duration fixes every run's arrival horizon in simulated seconds
+	// instead of deriving it from ServingRequestTarget.
 	Duration float64
+}
+
+// Capacity is the load-1.0 total offered rate of a population whose
+// calibrated solo service time is solo: QPS when set, else
+// ServingMaxInFlight / solo.
+func (ov ServingOverrides) Capacity(solo float64) float64 {
+	if ov.QPS > 0 {
+		return ov.QPS
+	}
+	return ServingMaxInFlight / solo
 }
 
 // WithServing applies CLI overrides to the serving study.
@@ -132,71 +149,105 @@ type ServingResult struct {
 	Rec *trace.Recorder
 }
 
-// servingTenantConfigs instantiates the tenant population for one load
-// point: per-tenant QPS splits the total evenly, and the bursty
-// template's modulation period is sized to the horizon so several
-// on/off cycles land inside the window.
-func servingTenantConfigs(specs []ServingTenantSpec, mixes []*driver.Mix,
-	perTenantQPS, horizon, meanService float64) []driver.TenantConfig {
-	out := make([]driver.TenantConfig, 0, len(specs))
-	for i, spec := range specs {
-		arr := driver.Arrival{Process: spec.Process, QPS: perTenantQPS}
-		switch spec.Process {
-		case driver.Bursty:
-			arr.BurstFactor = spec.BurstFactor
-			arr.DutyCycle = spec.DutyCycle
-			arr.Period = horizon / 4
-		case driver.Closed:
-			arr.Workers = ServingMaxInFlight + 2
-			arr.Think = meanService / 2
-		}
-		out = append(out, driver.TenantConfig{Name: spec.Name, Mix: mixes[i], Arrival: arr})
-	}
-	return out
-}
-
-// servingSpecs resolves the tenant templates under the overrides.
-func servingSpecs(ov ServingOverrides) []ServingTenantSpec {
-	specs := ServingTenants
+// servingSpecs resolves templates under ov into a fresh slice: -tenants
+// n cycles them into n tenants, the first pass keeping the template
+// names and later passes appending the pass number ("batch-2"), and
+// -arrival forces every tenant's process.
+func servingSpecs(templates []ServingTenantSpec, ov ServingOverrides) []ServingTenantSpec {
+	n := len(templates)
 	if ov.Tenants > 0 {
-		specs = make([]ServingTenantSpec, ov.Tenants)
-		for i := range specs {
-			specs[i] = ServingTenants[i%len(ServingTenants)]
-			specs[i].Name = fmt.Sprintf("%s%d", specs[i].Name, i/len(ServingTenants)+1)
-			if ov.Tenants <= len(ServingTenants) {
-				specs[i].Name = ServingTenants[i].Name
-			}
-		}
+		n = ov.Tenants
 	}
-	if ov.Arrival != "" {
-		for i := range specs {
-			specs[i].Process = driver.Process(ov.Arrival)
+	specs := make([]ServingTenantSpec, n)
+	for i := range specs {
+		specs[i] = templates[i%len(templates)]
+		if pass := i / len(templates); pass > 0 {
+			specs[i].Name = fmt.Sprintf("%s-%d", specs[i].Name, pass+1)
+		}
+		if ov.Arrival != "" {
+			specs[i].Arrival.Process = driver.Process(ov.Arrival)
 		}
 	}
 	return specs
 }
 
-// servingCalibrate measures each scenario's solo warm service time on a
-// fresh platform and folds them into the tenant-mix-weighted mean.
-func servingCalibrate(specs []ServingTenantSpec, scenarios map[string]*driver.Scenario) (float64, error) {
+// ServingCalibrate is the one serving calibration: each scenario the
+// population (templates under ov) mixes replays warm and alone on a
+// fresh platform, and the solo times fold into the mean over tenants of
+// each tenant's mix-weighted solo service time.
+func ServingCalibrate(templates []ServingTenantSpec, scenarios map[string]*driver.Scenario, ov ServingOverrides) (float64, error) {
+	specs := servingSpecs(templates, ov)
 	solo := map[string]float64{}
-	for name, sc := range scenarios {
-		res, err := exec.Run(platform.Default(), sc.Trace, sc.ReplayOptions())
-		if err != nil {
-			return 0, fmt.Errorf("experiments: serving: calibrate %s: %w", name, err)
-		}
-		solo[name] = res.Duration
-	}
 	var mean float64
 	for _, spec := range specs {
 		var wsum, acc float64
 		for _, w := range spec.Weights {
-			acc += w.Weight * solo[w.Name]
+			d, ok := solo[w.Name]
+			if !ok {
+				sc := scenarios[w.Name]
+				if sc == nil {
+					return 0, fmt.Errorf("experiments: tenant %s mixes unknown scenario %q", spec.Name, w.Name)
+				}
+				res, err := exec.Run(platform.Default(), sc.Trace, sc.ReplayOptions())
+				if err != nil {
+					return 0, fmt.Errorf("experiments: calibrate %s: %w", w.Name, err)
+				}
+				d = res.Duration
+				solo[w.Name] = d
+			}
+			acc += w.Weight * d
 			wsum += w.Weight
 		}
 		mean += acc / wsum
 	}
 	return mean / float64(len(specs)), nil
+}
+
+// ServingTraffic is the one serving tenant builder: the serving and
+// drift studies, `activego -serve` and `csdsim -serve` all turn their
+// templates into tenants here. The population is templates under ov
+// (servingSpecs), and its tenants split totalQPS evenly. A bursty tenant
+// takes servingBurst for any parameter its template leaves zero and a
+// modulation period of a quarter horizon, so several on/off cycles land
+// inside the window; every closed-loop tenant runs ServingMaxInFlight+2
+// workers that think solo/2 seconds. It returns the tenants and the
+// arrival horizon: ServingRequestTarget / totalQPS unless ov.Duration
+// fixes it.
+func ServingTraffic(templates []ServingTenantSpec, scenarios map[string]*driver.Scenario,
+	ov ServingOverrides, totalQPS, solo float64) ([]driver.TenantConfig, float64, error) {
+	horizon := ServingRequestTarget / totalQPS
+	if ov.Duration > 0 {
+		horizon = ov.Duration
+	}
+	specs := servingSpecs(templates, ov)
+	out := make([]driver.TenantConfig, len(specs))
+	for i, spec := range specs {
+		entries := make([]driver.MixEntry, len(spec.Weights))
+		for k, w := range spec.Weights {
+			entries[k] = driver.MixEntry{Scenario: scenarios[w.Name], Weight: w.Weight}
+		}
+		mix, err := driver.NewMix(entries...)
+		if err != nil {
+			return nil, 0, fmt.Errorf("experiments: tenant %s: %w", spec.Name, err)
+		}
+		arr := spec.Arrival
+		arr.QPS = totalQPS / float64(len(specs))
+		switch arr.Process {
+		case driver.Bursty:
+			if arr.BurstFactor == 0 {
+				arr.BurstFactor = servingBurst.BurstFactor
+			}
+			if arr.DutyCycle == 0 {
+				arr.DutyCycle = servingBurst.DutyCycle
+			}
+			arr.Period = horizon / 4
+		case driver.Closed:
+			arr.Workers = ServingMaxInFlight + 2
+			arr.Think = solo / 2
+		}
+		out[i] = driver.TenantConfig{Name: spec.Name, Mix: mix, Arrival: arr}
+	}
+	return out, horizon, nil
 }
 
 // Serving runs the multi-tenant serving sweep: calibrate capacity from
@@ -208,7 +259,6 @@ func servingCalibrate(specs []ServingTenantSpec, scenarios map[string]*driver.Sc
 func Serving(params workloads.Params, opts ...Option) (*ServingResult, *report.Table, error) {
 	o := buildOptions(opts)
 	ov := o.serving
-	specs := servingSpecs(ov)
 
 	// View every program the tenant templates mix as a scenario once;
 	// the load points share them read-only (a Scenario is immutable after
@@ -225,27 +275,11 @@ func Serving(params workloads.Params, opts ...Option) (*ServingResult, *report.T
 		}
 		scenarios[name] = driver.NewScenario(name, wb.Prepared, params.OverheadScale())
 	}
-	mixes := make([]*driver.Mix, len(specs))
-	for i, spec := range specs {
-		entries := make([]driver.MixEntry, 0, len(spec.Weights))
-		for _, w := range spec.Weights {
-			entries = append(entries, driver.MixEntry{Scenario: scenarios[w.Name], Weight: w.Weight})
-		}
-		m, err := driver.NewMix(entries...)
-		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: serving: %s: %w", spec.Name, err)
-		}
-		mixes[i] = m
-	}
-
-	meanService, err := servingCalibrate(specs, scenarios)
+	meanService, err := ServingCalibrate(ServingTenants, scenarios, ov)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("experiments: serving: %w", err)
 	}
-	capacity := ServingMaxInFlight / meanService
-	if ov.QPS > 0 {
-		capacity = ov.QPS
-	}
+	capacity := ov.Capacity(meanService)
 	maxLoad := ServingLoads[len(ServingLoads)-1]
 
 	type perLoad struct {
@@ -254,10 +288,9 @@ func Serving(params workloads.Params, opts ...Option) (*ServingResult, *report.T
 	}
 	per, err := overSpecs(o, len(ServingLoads), func(i int, reg *metrics.Registry) (perLoad, error) {
 		load := ServingLoads[i]
-		totalQPS := load * capacity
-		horizon := ServingRequestTarget / totalQPS
-		if ov.Duration > 0 {
-			horizon = ov.Duration
+		tenants, horizon, err := ServingTraffic(ServingTenants, scenarios, ov, load*capacity, meanService)
+		if err != nil {
+			return perLoad{}, fmt.Errorf("experiments: serving: %w", err)
 		}
 		p := platform.Default()
 		var rec *trace.Recorder
@@ -268,7 +301,7 @@ func Serving(params workloads.Params, opts ...Option) (*ServingResult, *report.T
 		res, err := driver.Run(p, driver.Config{
 			Seed:        ServingSeed,
 			Duration:    horizon,
-			Tenants:     servingTenantConfigs(specs, mixes, totalQPS/float64(len(specs)), horizon, meanService),
+			Tenants:     tenants,
 			MaxInFlight: ServingMaxInFlight,
 			MaxQueue:    ServingMaxQueue,
 			Metrics:     reg,

@@ -69,8 +69,6 @@ type BnBStats struct {
 	BoundCuts int
 	// Components is the number of variable-sharing components searched.
 	Components int
-	// FreeLines is the number of unpinned lines over all components.
-	FreeLines int
 	// Fallback reports that the budget blew and the returned plan is
 	// Algorithm 1's, not the exact argmin.
 	Fallback bool
@@ -92,11 +90,7 @@ func BnBBudget(estimates []LineEstimate, cons Constraints, m Machine, budget int
 	pinned := make([]bool, len(estimates))
 	changes := 0 // home changes on the longest walk: one per flow
 	for i := range estimates {
-		if _, p := cons.Pinned(estimates[i].Line); p {
-			pinned[i] = true
-		} else {
-			stats.FreeLines++
-		}
+		_, pinned[i] = cons.Pinned(estimates[i].Line)
 		changes += len(estimates[i].Reads) + len(estimates[i].Writes)
 	}
 
