@@ -303,26 +303,30 @@ func BenchmarkInterpreterScan(b *testing.B) {
 // BenchmarkSamplingPhase measures the §III-A sampling phase — four
 // scaled interpreter runs plus curve fitting — serial and fanned out
 // over the scale factors on a pool. Output is bit-identical either way
-// (TestParallelInvariance); only wall clock moves.
+// (TestParallelInvariance); only wall clock moves. tpch-6 samples
+// tables; kmeans, lightgbm and mixedgemm sample row-mode matrices, whose
+// samples and row blocks are views of the input rather than copies.
 func BenchmarkSamplingPhase(b *testing.B) {
-	spec, _ := workloads.ByName("tpch-6")
-	inst := spec.Build(benchParams())
-	prog, err := parser.Parse(inst.Source)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, bc := range []struct {
-		name string
-		pool *par.Pool
-	}{{"j1", nil}, {"jN", par.New(0)}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := profile.RunScalesPool(prog, inst.Registry, profile.ScaledScales, nil, bc.pool); err != nil {
-					b.Fatal(err)
+	for _, name := range []string{"tpch-6", "kmeans", "lightgbm", "mixedgemm"} {
+		spec, _ := workloads.ByName(name)
+		inst := spec.Build(benchParams())
+		prog, err := parser.Parse(inst.Source)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, bc := range []struct {
+			name string
+			pool *par.Pool
+		}{{"j1", nil}, {"jN", par.New(0)}} {
+			b.Run(name+"/"+bc.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := profile.RunScalesPool(prog, inst.Registry, profile.ScaledScales, nil, bc.pool); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

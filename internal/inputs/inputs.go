@@ -120,18 +120,14 @@ func (c *Ctx) Store(name string, v value.Value) (int64, error) {
 }
 
 // Sample shrinks v to the given scale under mode. Scale 1 returns v
-// unchanged (no copy).
+// unchanged (no copy). A row sample is a prefix view sharing v's storage
+// (value.RowView); only a square sample of a matrix, whose rows are not
+// contiguous, copies.
 func Sample(v value.Value, mode SampleMode, scale float64) value.Value {
 	if scale >= 1 || mode == ModeWhole {
 		return v
 	}
 	switch x := v.(type) {
-	case *value.Vec:
-		n := clampCount(float64(x.Len()) * scale)
-		return value.NewVec(x.Data[:min(n, x.Len())])
-	case *value.IVec:
-		n := clampCount(float64(x.Len()) * scale)
-		return value.NewIVec(x.Data[:min(n, x.Len())])
 	case *value.Mat:
 		if mode == ModeSquare {
 			f := math.Sqrt(scale)
@@ -139,23 +135,6 @@ func Sample(v value.Value, mode SampleMode, scale float64) value.Value {
 			cols := clampCount(float64(x.Cols) * f)
 			return prefixBlock(x, min(rows, x.Rows), min(cols, x.Cols))
 		}
-		rows := clampCount(float64(x.Rows) * scale)
-		return prefixBlock(x, min(rows, x.Rows), x.Cols)
-	case *value.Table:
-		n := clampCount(float64(x.NRows) * scale)
-		if n >= x.NRows {
-			return x
-		}
-		cols := make([]value.Value, len(x.Cols))
-		for i, c := range x.Cols {
-			switch cv := c.(type) {
-			case *value.Vec:
-				cols[i] = value.NewVec(cv.Data[:n])
-			case *value.IVec:
-				cols[i] = value.NewIVec(cv.Data[:n])
-			}
-		}
-		return value.NewTable(append([]string(nil), x.Names...), cols)
 	case *value.CSR:
 		rows := clampCount(float64(x.Rows) * scale)
 		if rows >= x.Rows {
@@ -169,6 +148,10 @@ func Sample(v value.Value, mode SampleMode, scale float64) value.Value {
 			ColIdx: x.ColIdx[:end],
 			Val:    x.Val[:end],
 		}
+	}
+	prefix := func(rows int) (int, int) { return 0, min(clampCount(float64(rows)*scale), rows) }
+	if view, ok := value.RowView(v, prefix); ok {
+		return view
 	}
 	return v
 }

@@ -3,9 +3,11 @@ package inputs
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"activego/internal/lang/builtins"
 	"activego/internal/lang/value"
 )
 
@@ -161,5 +163,87 @@ func TestSquareSampleAreaProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// checkView fails unless view is src[lo:lo+len(view)] itself: the same
+// backing array, with its capacity capped at its length so that an append
+// to it reallocates instead of writing into src.
+func checkView[T int64 | float64](t *testing.T, what string, view, src []T, lo int) {
+	t.Helper()
+	if len(view) == 0 || &view[0] != &src[lo] {
+		t.Errorf("%s: does not share its source's storage at element %d", what, lo)
+	}
+	if cap(view) != len(view) {
+		t.Errorf("%s: cap %d != len %d", what, cap(view), len(view))
+	}
+	before := slices.Clone(src)
+	sink = append(view, -1)
+	if !slices.Equal(src, before) {
+		t.Errorf("%s: appending to the view wrote into its source", what)
+	}
+}
+
+var sink any
+
+// TestRowViewsShareStorage pins both row views, the ModeRows sample and
+// load_block's row block, to zero-copy slices of their source whose
+// capacity stops at their own end.
+func TestRowViewsShareStorage(t *testing.T) {
+	const rows = 64
+	vec := value.NewVec(make([]float64, rows))
+	ivec := value.NewIVec(make([]int64, rows))
+	mat := value.NewMat(rows, 3)
+	for i := range vec.Data {
+		vec.Data[i], ivec.Data[i] = float64(i), int64(i)
+	}
+	for i := range mat.Data {
+		mat.Data[i] = float64(i)
+	}
+	tab := value.NewTable([]string{"f", "i"}, []value.Value{vec, ivec})
+	r := NewRegistry()
+	for _, in := range []struct {
+		name string
+		src  value.Value
+	}{{"vec", vec}, {"ivec", ivec}, {"mat", mat}, {"tab", tab}} {
+		r.Add(in.name, in.src, ModeRows)
+		sample := Sample(in.src, ModeRows, 1.0/4) // rows [0, 16)
+		block, _, err := builtins.Call(r.Context(1), "load_block",
+			[]value.Value{value.Str(in.name), value.Int(1), value.Int(4)}) // rows [16, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []struct {
+			what string
+			view value.Value
+			lo   int
+		}{{in.name + " sample", sample, 0}, {in.name + " block", block, rows / 4}} {
+			switch x := v.view.(type) {
+			case *value.Vec:
+				checkView(t, v.what, x.Data, vec.Data, v.lo)
+			case *value.IVec:
+				checkView(t, v.what, x.Data, ivec.Data, v.lo)
+			case *value.Mat:
+				checkView(t, v.what, x.Data, mat.Data, v.lo*mat.Cols)
+			case *value.Table:
+				if x.NRows != rows/4 {
+					t.Errorf("%s: %d rows, want %d", v.what, x.NRows, rows/4)
+				}
+				checkView(t, v.what+" f", x.FloatCol("f").Data, vec.Data, v.lo)
+				checkView(t, v.what+" i", x.IntCol("i").Data, ivec.Data, v.lo)
+			default:
+				t.Errorf("%s: got %v", v.what, v.view.Kind())
+			}
+		}
+	}
+}
+
+// TestRowSampleAllocatesOnlyItsHeader: a ModeRows matrix sample is a
+// view, so sampling allocates the *Mat header and no data.
+func TestRowSampleAllocatesOnlyItsHeader(t *testing.T) {
+	m := value.NewMat(1024, 8)
+	allocs := testing.AllocsPerRun(100, func() { sink = Sample(m, ModeRows, 1.0/8) })
+	if allocs != 1 {
+		t.Errorf("a ModeRows matrix sample made %v allocations, want 1 (its header)", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package builtins
 
 import (
 	"fmt"
+	"math"
 
 	"activego/internal/lang/value"
 )
@@ -22,16 +23,25 @@ func init() {
 		if err != nil {
 			return nil, value.Cost{}, err
 		}
-		out := &value.CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int32, a.Rows+1)}
+		// Count, then fill ColIdx and Val at exact size. |v| > thr is
+		// v > thr || v < -thr for any thr, and counts without a branch.
+		nnz := 0
+		for _, v := range a.Data {
+			if math.Abs(v) > thr {
+				nnz++
+			}
+		}
+		out := &value.CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int32, a.Rows+1),
+			ColIdx: make([]int32, nnz), Val: make([]float64, nnz)}
+		k := 0
 		for i := 0; i < a.Rows; i++ {
-			for j := 0; j < a.Cols; j++ {
-				v := a.At(i, j)
-				if v > thr || v < -thr {
-					out.ColIdx = append(out.ColIdx, int32(j))
-					out.Val = append(out.Val, v)
+			for j, v := range a.Data[i*a.Cols : (i+1)*a.Cols] {
+				if math.Abs(v) > thr {
+					out.ColIdx[k], out.Val[k] = int32(j), v
+					k++
 				}
 			}
-			out.RowPtr[i+1] = int32(len(out.Val))
+			out.RowPtr[i+1] = int32(k)
 		}
 		n := int64(a.Rows) * int64(a.Cols)
 		return out, value.Cost{

@@ -19,28 +19,7 @@ func init() {
 		if err != nil {
 			return nil, value.Cost{}, err
 		}
-		var elems int64
-		switch x := v.(type) {
-		case *value.Table:
-			elems = int64(x.NRows)
-		case *value.Vec:
-			elems = int64(x.Len())
-		case *value.IVec:
-			elems = int64(x.Len())
-		case *value.Mat:
-			elems = int64(x.Rows)
-		}
-		// Decoding is a real kernel: raw storage bytes parse into columnar
-		// arrays at about one work unit per byte. It is the compute the
-		// CSE performs during an offloaded scan, and the term that makes
-		// offloaded work sensitive to CSE availability (Figures 2 and 5).
-		return v, value.Cost{
-			KernelWork:   float64(bytes),
-			GlueWork:     GlueVector * float64(elems),
-			CopyBytes:    copyBytes(bytes),
-			StorageBytes: bytes,
-			Elements:     elems,
-		}, nil
+		return v, loadCost(v, bytes), nil
 	})
 
 	// load_block(name, i, n) pulls the i-th of n row-blocks of a named
@@ -67,29 +46,15 @@ func init() {
 		if err != nil {
 			return nil, value.Cost{}, err
 		}
-		v, err := rowBlock(whole, int(idx), int(n))
-		if err != nil {
-			return nil, value.Cost{}, fmt.Errorf("builtins: load_block(%q): %v", name, err)
+		// Block idx covers rows [idx*rows/n, (idx+1)*rows/n), so the
+		// blocks partition the rows exactly; each is a view of the input.
+		v, ok := value.RowView(whole, func(rows int) (int, int) {
+			return int(idx) * rows / int(n), int(idx+1) * rows / int(n)
+		})
+		if !ok {
+			return nil, value.Cost{}, fmt.Errorf("builtins: load_block(%q): cannot take a row block of %v", name, whole.Kind())
 		}
-		bytes := v.SizeBytes()
-		var elems int64
-		switch x := v.(type) {
-		case *value.Table:
-			elems = int64(x.NRows)
-		case *value.Vec:
-			elems = int64(x.Len())
-		case *value.IVec:
-			elems = int64(x.Len())
-		case *value.Mat:
-			elems = int64(x.Rows)
-		}
-		return v, value.Cost{
-			KernelWork:   float64(bytes),
-			GlueWork:     GlueVector * float64(elems),
-			CopyBytes:    copyBytes(bytes),
-			StorageBytes: bytes,
-			Elements:     elems,
-		}, nil
+		return v, loadCost(v, v.SizeBytes()), nil
 	})
 
 	// store(name, v) persists a result object. Host-only: the stored
@@ -136,4 +101,30 @@ func init() {
 	registerVariadicEffect("print", 0, EffectHostOnly, func(_ Context, args []value.Value) (value.Value, value.Cost, error) {
 		return value.None{}, value.Cost{}, nil
 	})
+}
+
+// loadCost prices reading v, bytes of it, from storage. Decoding is a
+// real kernel: raw storage bytes parse into columnar arrays at about one
+// work unit per byte. It is the compute the CSE performs during an
+// offloaded scan, and the term that makes offloaded work sensitive to CSE
+// availability (Figures 2 and 5).
+func loadCost(v value.Value, bytes int64) value.Cost {
+	var elems int64
+	switch x := v.(type) {
+	case *value.Table:
+		elems = int64(x.NRows)
+	case *value.Vec:
+		elems = int64(x.Len())
+	case *value.IVec:
+		elems = int64(x.Len())
+	case *value.Mat:
+		elems = int64(x.Rows)
+	}
+	return value.Cost{
+		KernelWork:   float64(bytes),
+		GlueWork:     GlueVector * float64(elems),
+		CopyBytes:    copyBytes(bytes),
+		StorageBytes: bytes,
+		Elements:     elems,
+	}
 }

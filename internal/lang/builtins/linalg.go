@@ -34,7 +34,19 @@ func init() {
 					continue
 				}
 				brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-				for j := range brow {
+				// Four columns a step, sliced so bounds are checked once a
+				// step: a one-column loop's speed swings by a fifth with where
+				// the linker places it. Each element still gets the same
+				// additions in the same order.
+				j := 0
+				for ; j+4 <= len(brow); j += 4 {
+					o, b4 := orow[j:j+4:j+4], brow[j:j+4:j+4]
+					o[0] += aik * b4[0]
+					o[1] += aik * b4[1]
+					o[2] += aik * b4[2]
+					o[3] += aik * b4[3]
+				}
+				for ; j < len(brow); j++ {
 					orow[j] += aik * brow[j]
 				}
 			}

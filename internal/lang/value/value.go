@@ -6,10 +6,16 @@
 // dense vectors and matrices, CSR sparse matrices, and columnar tables
 // (for TPC-H). Every value knows its byte size — the D_in/D_out terms of
 // the paper's Equation 1 are sums of these.
+//
+// A value is never written after it is built: kernels read their
+// arguments and allocate their results. That is what lets sampled inputs
+// and row blocks be views (RowView) that share storage with their source
+// rather than copies of it.
 package value
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -306,6 +312,35 @@ func (t *Table) IntCol(name string) *IVec {
 
 func (t *Table) String() string {
 	return fmt.Sprintf("table(%d rows, cols=%s)", t.NRows, strings.Join(t.Names, ","))
+}
+
+// RowView returns a run of v's rows as a view sharing v's storage. span
+// is given v's row count and picks the half-open range [lo, hi). A row is
+// an element of a Vec or IVec, a row of a Mat, and a row of every column
+// of a Table. Every slice in the view is capacity-capped, so an append to
+// it reallocates instead of writing into v. ok is false, and span is not
+// called, for any other kind.
+func RowView(v Value, span func(rows int) (lo, hi int)) (view Value, ok bool) {
+	switch x := v.(type) {
+	case *Vec:
+		lo, hi := span(len(x.Data))
+		return &Vec{Data: x.Data[lo:hi:hi]}, true
+	case *IVec:
+		lo, hi := span(len(x.Data))
+		return &IVec{Data: x.Data[lo:hi:hi]}, true
+	case *Mat:
+		lo, hi := span(x.Rows)
+		return &Mat{Rows: hi - lo, Cols: x.Cols, Data: x.Data[lo*x.Cols : hi*x.Cols : hi*x.Cols]}, true
+	case *Table:
+		lo, hi := span(x.NRows)
+		cols := make([]Value, len(x.Cols))
+		same := func(int) (int, int) { return lo, hi }
+		for i, c := range x.Cols {
+			cols[i], _ = RowView(c, same)
+		}
+		return &Table{Names: slices.Clip(x.Names), Cols: cols, NRows: hi - lo}, true
+	}
+	return nil, false
 }
 
 // TreeNode is one node of a decision tree in a Model.
