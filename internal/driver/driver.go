@@ -378,7 +378,7 @@ func (e *engine) dispatch(req *request) {
 	opts.Resilience = e.cfg.Resilience
 	opts.Metrics = ts.reg
 	opts.Obs = e.cfg.Obs
-	_, err := exec.Launch(e.p, req.sc.Trace, opts, func(res *exec.Result, rerr error) { e.finish(req, rerr) })
+	err := exec.Launch(e.p, req.sc.Trace, opts, func(err error) { e.finish(req, err) })
 	if err != nil && e.fatal == nil {
 		e.fatal = fmt.Errorf("driver: %s request %d: %w", ts.name, req.seq, err)
 	}

@@ -196,7 +196,7 @@ type executor struct {
 	err      error
 
 	totalCSDWork float64 // kernel+glue work across CSD-assigned records
-	csdRecords   int     // CSD-assigned records: the most progress points a run appends
+	csdRecords   int     // CSD-assigned records: the most progress points Run returns
 	doneCSDWork  float64
 	lastObserved float64
 
@@ -210,7 +210,7 @@ type executor struct {
 	nvmeTimeouts0 uint64
 	nvmeRetries0  uint64
 	done          bool
-	notify        func(*Result, error) // invoked exactly once; nil after it fires
+	notify        func(error) // invoked exactly once; nil after it fires
 
 	callRun  csd.Call              // onCallRun, bound once
 	callDone func(nvme.Completion) // onCallDone, bound once
@@ -221,46 +221,59 @@ type executor struct {
 	lineHist [2]*metrics.Histogram
 }
 
-// Handle is an in-flight execution started by Launch. Its accessors are
-// only meaningful once the caller has driven the platform's calendar
-// (p.Sim.Run or equivalent) past the program's completion.
-type Handle struct {
-	e *executor
-}
-
-// Result returns the execution's outcome. A nil error with a nil result
-// means the calendar drained while the program was still in flight — a
-// stuck run — and the returned error describes where it stranded.
-func (h *Handle) Result() (*Result, error) {
-	e := h.e
-	if e.err != nil {
-		return nil, e.err
-	}
-	if !e.done {
-		if e.idx < len(e.trace.Records) {
-			return nil, fmt.Errorf(
-				"exec: simulation drained before the program finished: stuck at record %d/%d (source line %d); "+
-					"a lost command with no completion timer strands the run — arm nvme.RetryPolicy completion timers or a resilience.Policy.LineDeadline",
-				e.idx, len(e.trace.Records), e.trace.Records[e.idx].Line)
-		}
-		return nil, fmt.Errorf("exec: simulation drained before the program finished (deadlock in the event chain)")
-	}
-	return e.res, nil
-}
-
 // Launch schedules the replay of trace on p's calendar without driving
 // it. The first step lands after the run's one-time overheads; the
 // caller owns the calendar and decides when (and with what else
 // interleaved) it runs — this is how a workload driver keeps many
 // requests in flight on one platform, contending for the same host
 // cores, CSEs, flash channels, and link. done, when non-nil, fires
-// exactly once from inside the event loop: with the Result on success,
-// or with the terminal error (typed *resilience.ShedError included) on
-// failure. A run the calendar strands (drained while incomplete) never
-// fires done; the caller detects it through Handle.Result after the
-// calendar drains. Validation errors surface immediately and schedule
-// nothing.
-func Launch(p *platform.Platform, trace *interp.Trace, opts Options, done func(*Result, error)) (*Handle, error) {
+// exactly once from inside the event loop: with nil on success, or with
+// the terminal error (typed *resilience.ShedError included) on failure.
+// A run the calendar strands (drained while incomplete) never fires
+// done. Validation errors surface immediately and schedule nothing.
+//
+// A launched run reports only its outcome. Its counters still reach
+// Options.Metrics, its lines Options.Obs and its progress samples the
+// recorder, but no Result leaves it, so it builds no progress timeline:
+// Run is the one producer of Result.CSDProgress.
+func Launch(p *platform.Platform, trace *interp.Trace, opts Options, done func(error)) error {
+	_, err := launch(p, trace, opts, done)
+	return err
+}
+
+// Run replays trace on p under opts and returns when the simulated
+// program completes. The platform's simulator is advanced in place, so
+// sequential runs on one platform accumulate simulated time; Result
+// reports the run's own duration. A run the calendar strands returns an
+// error naming where it stuck.
+func Run(p *platform.Platform, trace *interp.Trace, opts Options) (*Result, error) {
+	e, err := launch(p, trace, opts, nil)
+	if err != nil {
+		return nil, err
+	}
+	// Sized before the first step: afterRecord appends a progress point
+	// only while the timeline has room, and a launched run's has none.
+	if e.csdRecords > 0 {
+		e.res.CSDProgress = make([]Progress, 0, e.csdRecords)
+	}
+	p.Sim.Run()
+	switch {
+	case e.err != nil:
+		return nil, e.err
+	case e.done:
+		return e.res, nil
+	case e.idx < len(trace.Records):
+		return nil, fmt.Errorf(
+			"exec: simulation drained before the program finished: stuck at record %d/%d (source line %d); "+
+				"a lost command with no completion timer strands the run — arm nvme.RetryPolicy completion timers or a resilience.Policy.LineDeadline",
+			e.idx, len(trace.Records), trace.Records[e.idx].Line)
+	}
+	return nil, fmt.Errorf("exec: simulation drained before the program finished (deadlock in the event chain)")
+}
+
+// launch validates opts, builds the run's executor and schedules its
+// first step.
+func launch(p *platform.Platform, trace *interp.Trace, opts Options, done func(error)) (*executor, error) {
 	if opts.Migration.Enabled && opts.Estimates == nil {
 		return nil, fmt.Errorf("exec: migration enabled without line estimates")
 	}
@@ -304,20 +317,7 @@ func Launch(p *platform.Platform, trace *interp.Trace, opts Options, done func(*
 		overhead = 0
 	}
 	p.Sim.After(overhead, e.step)
-	return &Handle{e: e}, nil
-}
-
-// Run replays trace on p under opts and returns when the simulated
-// program completes. The platform's simulator is advanced in place, so
-// sequential runs on one platform accumulate simulated time; Result
-// reports the run's own duration.
-func Run(p *platform.Platform, trace *interp.Trace, opts Options) (*Result, error) {
-	h, err := Launch(p, trace, opts, nil)
-	if err != nil {
-		return nil, err
-	}
-	p.Sim.Run()
-	return h.Result()
+	return e, nil
 }
 
 func effectiveRate(p *platform.Platform) float64 {
@@ -344,7 +344,7 @@ func (e *executor) finish() {
 	e.foldMetrics()
 	if fn := e.notify; fn != nil {
 		e.notify = nil
-		fn(e.res, nil)
+		fn(nil)
 	}
 }
 
@@ -355,7 +355,7 @@ func (e *executor) abort(err error) {
 	e.err = err
 	if fn := e.notify; fn != nil {
 		e.notify = nil
-		fn(nil, err)
+		fn(err)
 	}
 }
 
@@ -481,9 +481,7 @@ func (e *executor) onCallDone(c nvme.Completion) {
 		if c.Status == nvme.StatusDeadline {
 			e.res.DeadlineMisses++
 		}
-		e.failLine(rec, UnitCSD, fmt.Errorf(
-			"exec: record %d (line %d): CSD call failed with NVMe status %#x (%v)",
-			e.idx, rec.Line, c.Status, c.Value))
+		e.failLine(lineFailure{record: e.idx, line: rec.Line, unit: UnitCSD, status: c.Status, value: c.Value})
 		return
 	}
 	e.afterRecord(rec, UnitCSD)
@@ -501,25 +499,26 @@ func (e *executor) onCallDone(c nvme.Completion) {
 // to the host (later lines return to the CSD) with no regeneration
 // billed. Rung three: the host rung's budget is spent too — the run
 // ends with a typed *resilience.ShedError, never a silent wrong answer.
-func (e *executor) failLine(rec *interp.LineRecord, unit Unit, cause error) {
+func (e *executor) failLine(f lineFailure) {
+	unit := f.unit
 	if unit == UnitCSD {
 		e.res.FailedCalls++
 	}
 	pol := e.opts.Resilience
 	if pol == nil {
-		e.abort(cause)
+		e.abort(f.err())
 		return
 	}
 	if unit == UnitCSD && e.breaker.OnFailure(e.p.Sim.Now()) {
 		e.lineAttempts = 0
-		e.relocate(moveBreakerOpen, rec.Line, func() { e.dispatch(UnitHost) })
+		e.relocate(moveBreakerOpen, f.line, func() { e.dispatch(UnitHost) })
 		return
 	}
 	if e.lineAttempts < pol.LineRetries {
 		e.lineAttempts++
 		e.lineRetries++
-		e.instant("line-retry", rec.Line)
-		e.opts.Obs.Retry(rec.Line, e.p.Sim.Now())
+		e.instant("line-retry", f.line)
+		e.opts.Obs.Retry(f.line, e.p.Sim.Now())
 		delay := pol.Backoff.Delay(uint64(e.idx), e.lineAttempts)
 		e.p.Sim.After(delay, func() { e.dispatch(unit) })
 		return
@@ -531,12 +530,32 @@ func (e *executor) failLine(rec *interp.LineRecord, unit Unit, cause error) {
 		e.dispatch(UnitHost)
 		return
 	}
-	shed := &resilience.ShedError{Record: e.idx, Line: rec.Line, Attempts: e.lineAttempts + 1, Cause: cause}
-	e.instant("shed", rec.Line)
+	shed := &resilience.ShedError{Record: f.record, Line: f.line, Attempts: e.lineAttempts + 1, Cause: f.err()}
+	e.instant("shed", f.line)
 	if m := e.opts.Metrics; m != nil {
 		m.Counter(metrics.MetricExecSheds).Add(1)
 	}
 	e.abort(shed)
+}
+
+// lineFailure is why one attempt of a line failed, carried by value. A
+// failure is usually retried, falls back or moves the breaker, and then
+// nothing reads its text, so only a run that ends on it builds its error.
+type lineFailure struct {
+	record, line int
+	unit         Unit
+	status       uint16 // a failed CSD call's NVMe status
+	value        any    // a failed CSD call's completion value
+	read         error  // a host run's failed data access
+}
+
+// err is the error a run that ends on f reports.
+func (f *lineFailure) err() error {
+	if f.unit == UnitCSD {
+		return fmt.Errorf("exec: record %d (line %d): CSD call failed with NVMe status %#x (%v)",
+			f.record, f.line, f.status, f.value)
+	}
+	return fmt.Errorf("exec: record %d (line %d) on %s: %w", f.record, f.line, f.unit, f.read)
 }
 
 // afterRecord finalizes the placement of the current record's writes,
@@ -576,13 +595,9 @@ func (e *executor) afterRecord(rec *interp.LineRecord, unit Unit) {
 		if e.totalCSDWork > 0 {
 			frac = e.doneCSDWork / e.totalCSDWork
 		}
-		if e.res.CSDProgress == nil {
-			e.res.CSDProgress = make([]Progress, 0, e.csdRecords)
+		if pr := e.res.CSDProgress; len(pr) < cap(pr) {
+			e.res.CSDProgress = append(pr, Progress{Time: e.p.Sim.Now(), Frac: frac})
 		}
-		e.res.CSDProgress = append(e.res.CSDProgress, Progress{
-			Time: e.p.Sim.Now(),
-			Frac: frac,
-		})
 		e.p.Sim.Recorder().Sample(metrics.SeriesExecProgress, e.p.Sim.Now(), frac)
 		if e.monitor() {
 			// The monitor migrated; it owns the continuation.

@@ -1,12 +1,14 @@
 package exec
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"activego/internal/codegen"
 	"activego/internal/fault"
+	"activego/internal/flash"
 	"activego/internal/nvme"
 	"activego/internal/platform"
 	"activego/internal/resilience"
@@ -232,5 +234,61 @@ func TestDrainedRunNamesStuckRecord(t *testing.T) {
 	// that completes the lost command, or a deadline that abandons it.
 	if !strings.Contains(err.Error(), "nvme.RetryPolicy") || !strings.Contains(err.Error(), "resilience.Policy.LineDeadline") {
 		t.Errorf("drained error does not name the remedies: %v", err)
+	}
+}
+
+// TestFailureErrorText pins the text of the errors a run ends on. A
+// line failure is carried as a value and formatted only when the run
+// aborts on it (no policy armed) or sheds it, so this is the one place
+// its wording shows. The host read's error stays wrapped, so a caller
+// can still match the flash fault under it.
+func TestFailureErrorText(t *testing.T) {
+	tr := traceFor(t, scanSrc, 1<<14)
+	offload := codegen.NewPartition(1, 2, 3)
+	uecc := fault.Rule{Point: fault.FlashUncorrectable, Rate: 1}
+	perLine := resilience.PerLine()
+	for _, tc := range []struct {
+		name  string
+		rule  fault.Rule
+		retry nvme.RetryPolicy
+		part  codegen.Partition
+		pol   *resilience.Policy
+		want  string // the run's error; for a shed, its Cause
+	}{
+		{"csd status", uecc, nvme.RetryPolicy{}, offload, nil,
+			"exec: record 0 (line 1): CSD call failed with NVMe status 0x281 (flash: uncorrectable read error (UECC))"},
+		{"csd timeout", fault.Rule{Point: fault.NVMeCompletionDrop, Rate: 1}, nvme.RetryPolicy{Timeout: 1e-3, MaxAttempts: 1}, offload, nil,
+			"exec: record 0 (line 1): CSD call failed with NVMe status 0x5 (<nil>)"},
+		{"host read", uecc, nvme.RetryPolicy{}, codegen.NewPartition(), nil,
+			"exec: record 0 (line 1) on host: flash: uncorrectable read error (UECC)"},
+		{"shed cause", uecc, nvme.RetryPolicy{}, offload, &perLine,
+			"exec: record 0 (line 1) on host: flash: uncorrectable read error (UECC)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := platform.Default()
+			p.InstallFaults(fault.NewPlan(1, tc.rule), tc.retry)
+			_, err := Run(p, tr, Options{Backend: codegen.Native, Partition: tc.part, OverheadScale: 1e-6, Resilience: tc.pol})
+			if err == nil {
+				t.Fatal("run succeeded")
+			}
+			got := err
+			var shed *resilience.ShedError
+			if tc.pol != nil {
+				if !errors.As(err, &shed) {
+					t.Fatalf("error is not a *resilience.ShedError: %v", err)
+				}
+				const wantShed = "resilience: shed record 0 (line 1) after 2 host attempts: "
+				if err.Error() != wantShed+tc.want {
+					t.Errorf("shed error\n got %q\nwant %q", err.Error(), wantShed+tc.want)
+				}
+				got = shed.Cause
+			}
+			if got.Error() != tc.want {
+				t.Errorf("error\n got %q\nwant %q", got.Error(), tc.want)
+			}
+			if strings.Contains(tc.want, "on host") && !errors.Is(err, flash.ErrUncorrectable) {
+				t.Errorf("host read error does not wrap flash.ErrUncorrectable: %v", err)
+			}
+		})
 	}
 }

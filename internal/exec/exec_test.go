@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"activego/internal/codegen"
@@ -230,6 +232,16 @@ func TestProgressTimelineMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	offloaded := 0
+	for _, rec := range trace.Records {
+		if part.OnCSD(rec.Line) {
+			offloaded++
+		}
+	}
+	if len(res.CSDProgress) != offloaded || res.RecordsOnCSD != offloaded {
+		t.Fatalf("%d progress points over %d CSD records, want one per offloaded record (%d)",
+			len(res.CSDProgress), res.RecordsOnCSD, offloaded)
+	}
 	prevT, prevF := res.Start, 0.0
 	for _, pr := range res.CSDProgress {
 		if pr.Time < prevT || pr.Frac < prevF {
@@ -367,5 +379,52 @@ func TestReplayAllocationsPerRecord(t *testing.T) {
 				t.Errorf("%.2f allocations per line-1 record, want at most %v", per, tc.want)
 			}
 		})
+	}
+}
+
+// TestLaunchBytesPerRequest pins that a launched request allocates
+// nothing that grows with its trace: warm requests of n and of 2n
+// records, line 1 offloaded, allocate the same bytes. Only Run returns
+// a progress timeline, so only Run builds one; a launched request that
+// built it would allocate 16 B more per offloaded record.
+func TestLaunchBytesPerRequest(t *testing.T) {
+	const n, requests = 200, 20
+	bytesPerRequest := func(records int) uint64 {
+		tr := loopTrace(records)
+		opts := Options{Backend: codegen.Native, Partition: codegen.NewPartition(1), Warm: true}
+		p := platform.Default()
+		var failed error
+		done := func(err error) {
+			if err != nil {
+				failed = err
+			}
+		}
+		serve := func(k int) {
+			for range k {
+				if err := Launch(p, tr, opts, done); err != nil {
+					t.Fatal(err)
+				}
+				p.Sim.Run()
+			}
+		}
+		serve(3) // fill the platform's pools
+		// Anything else the process allocates meanwhile only adds, so
+		// keep the least of three measurements.
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			serve(requests)
+			runtime.ReadMemStats(&after)
+			least = min(least, (after.TotalAlloc-before.TotalAlloc)/requests)
+		}
+		if failed != nil {
+			t.Fatal(failed)
+		}
+		return least
+	}
+	if short, long := bytesPerRequest(n), bytesPerRequest(2*n); short != long {
+		t.Errorf("a request of %d records allocates %d B, of %d records %d B: want equal",
+			n, short, 2*n, long)
 	}
 }

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"fmt"
-
 	"activego/internal/lang/interp"
 	"activego/internal/nvme"
 	"activego/internal/sim"
@@ -183,11 +181,11 @@ func (r *lineRun) end(err error) {
 	e.runs = append(e.runs, r)
 	switch {
 	case device != nil && err != nil:
-		device(nvme.StatusMediaError, err.Error())
+		device(nvme.StatusMediaError, err)
 	case device != nil:
 		device(0, nil)
 	case err != nil:
-		e.failLine(rec, unit, fmt.Errorf("exec: record %d (line %d) on %s: %w", e.idx, rec.Line, unit, err))
+		e.failLine(lineFailure{record: e.idx, line: rec.Line, unit: unit, read: err})
 	default:
 		e.afterRecord(rec, unit)
 	}

@@ -14,8 +14,8 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 
 	"activego/internal/metrics"
 )
@@ -205,15 +205,32 @@ func (w *Windows) Fold(reg *metrics.Registry) {
 	if w == nil || reg == nil {
 		return
 	}
+	var buf []byte // every gauge name is built here; only its string allocates
 	for _, name := range w.Names() {
 		for _, s := range w.Stats(name) {
-			base := fmt.Sprintf("%s%04d.%s.", metrics.ObsWindowPrefix, s.Window, name)
-			reg.Gauge(base + "count").Set(float64(s.Count))
-			reg.Gauge(base + "sum").Set(s.Sum)
-			reg.Gauge(base + "p50").Set(s.P50)
-			reg.Gauge(base + "p95").Set(s.P95)
-			reg.Gauge(base + "p99").Set(s.P99)
+			buf = append(buf[:0], metrics.ObsWindowPrefix...)
+			buf = appendWindow(buf, s.Window)
+			buf = append(buf, '.')
+			buf = append(buf, name...)
+			buf = append(buf, '.')
+			base := len(buf)
+			for _, g := range [...]struct {
+				field string
+				v     float64
+			}{{"count", float64(s.Count)}, {"sum", s.Sum}, {"p50", s.P50}, {"p95", s.P95}, {"p99", s.P99}} {
+				buf = append(buf[:base], g.field...)
+				reg.Gauge(string(buf)).Set(g.v)
+			}
 		}
 	}
 	reg.Gauge(metrics.MetricObsWindows).Set(float64(w.Count()))
+}
+
+// appendWindow appends window index i zero-padded to four digits, as
+// fmt's %04d prints it. Window indices are never negative.
+func appendWindow(b []byte, i int) []byte {
+	for p := 1000; p > 1 && i < p; p /= 10 {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(i), 10)
 }

@@ -266,3 +266,13 @@ func TestObserveSteadyStateAllocFree(t *testing.T) {
 		})
 	}
 }
+
+// TestAppendWindowMatchesPrintf pins Fold's window-index padding to the
+// reference's %04d, past four digits included.
+func TestAppendWindowMatchesPrintf(t *testing.T) {
+	for _, i := range []int{0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10000, 123456} {
+		if got, want := string(appendWindow([]byte("x"), i)), fmt.Sprintf("x%04d", i); got != want {
+			t.Errorf("appendWindow(%d) = %q, want %q", i, got, want)
+		}
+	}
+}

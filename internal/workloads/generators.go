@@ -258,18 +258,37 @@ func randMat(rng *rand.Rand, rows, cols int) *value.Mat {
 	return m
 }
 
-// refMatMul computes A·B with a jik loop (different order from the
-// builtin's ikj, same result up to float associativity on zero-free
-// rows; tolerances absorb the difference).
+// refMatMul computes A·B for the reference checks. It reads raw slices,
+// transposes B once so each dot product walks two contiguous rows, and
+// sums each dot product in four interleaved partial sums: an order the
+// matmul builtin (ikj, one running sum per output) never uses, so the
+// check stays independent of the kernel it checks; tolerances absorb the
+// rounding difference.
 func refMatMul(a, b *value.Mat) *value.Mat {
-	out := value.NewMat(a.Rows, b.Cols)
-	for j := 0; j < b.Cols; j++ {
-		for i := 0; i < a.Rows; i++ {
-			var s float64
-			for k := 0; k < a.Cols; k++ {
-				s += a.At(i, k) * b.At(k, j)
+	n, k, m := a.Rows, a.Cols, b.Cols
+	bt := make([]float64, m*k) // column j of B is bt[j*k : (j+1)*k]
+	for p := 0; p < k; p++ {
+		for j, x := range b.Data[p*m : (p+1)*m] {
+			bt[j*k+p] = x
+		}
+	}
+	out := value.NewMat(n, m)
+	for i := 0; i < n; i++ {
+		ar := a.Data[i*k : (i+1)*k]
+		for j := 0; j < m; j++ {
+			bc := bt[j*k : (j+1)*k]
+			var s0, s1, s2, s3 float64
+			p := 0
+			for ; p+4 <= k; p += 4 {
+				s0 += ar[p] * bc[p]
+				s1 += ar[p+1] * bc[p+1]
+				s2 += ar[p+2] * bc[p+2]
+				s3 += ar[p+3] * bc[p+3]
 			}
-			out.Set(i, j, s)
+			for ; p < k; p++ {
+				s0 += ar[p] * bc[p]
+			}
+			out.Data[i*m+j] = (s0 + s1) + (s2 + s3)
 		}
 	}
 	return out
