@@ -9,7 +9,7 @@
 // arrival process, and a splitmix64 stream derived from the driver seed. Arrivals pass admission control — an in-flight
 // budget backed by a bounded wait queue, with typed
 // *resilience.AdmitError sheds — and admitted requests replay warm
-// through exec.Launch, so every tenant's requests contend for the same
+// through one exec.Launcher, so every tenant's requests contend for the same
 // host CPU, CSE, flash, and link. All scheduling happens on the
 // platform's single event calendar: a run under a fixed seed is
 // bit-reproducible, and a run with no tenants schedules nothing at all,
@@ -201,7 +201,9 @@ type tenantState struct {
 // run start and its arrival-to-completion latency.
 type completion struct{ at, latency float64 }
 
-// request is one arrival moving through admission and service.
+// request is one arrival moving through admission and service. Records
+// are reused once their request finishes, and done, which finishes the
+// request, is bound once when a record is first built.
 type request struct {
 	t          *tenantState
 	seq        int
@@ -209,6 +211,7 @@ type request struct {
 	arrived    sim.Time
 	dispatched sim.Time
 	closedLoop bool
+	done       func(error)
 }
 
 // engine wires the tenants to the platform's event calendar.
@@ -222,6 +225,9 @@ type engine struct {
 	inflight int
 	queue    []*request
 	fatal    error // first untyped executor failure, reported after drain
+
+	launcher exec.Launcher // reuses finished requests' executors
+	free     []*request    // finished request records
 }
 
 // Run serves cfg's tenants against p until the arrival horizon passes
@@ -293,6 +299,7 @@ func (e *engine) scheduleTenant(ts *tenantState) {
 		return
 	}
 	ts.arrivals = a.times(ts.rng, e.cfg.Duration)
+	ts.done = make([]completion, 0, len(ts.arrivals))
 	ts.picks = make([]*Scenario, len(ts.arrivals))
 	for i := range ts.picks {
 		ts.picks[i] = ts.cfg.Mix.Pick(ts.rng.Uniform())
@@ -328,22 +335,22 @@ func (e *engine) issue(ts *tenantState, closedLoop bool) {
 // arrive runs admission control for one generated request.
 func (e *engine) arrive(ts *tenantState, sc *Scenario, closedLoop bool) {
 	now := e.p.Sim.Now()
-	req := &request{t: ts, seq: ts.seq, sc: sc, arrived: now, closedLoop: closedLoop}
+	seq := ts.seq
 	ts.seq++
 	ts.offered++
 	ts.reg.Counter(metrics.MetricDriverOffered).Add(1)
 	switch {
 	case e.inflight < e.cfg.maxInFlight():
-		e.dispatch(req)
+		e.dispatch(e.request(ts, seq, sc, now, closedLoop))
 	case len(e.queue) < e.cfg.maxQueue():
 		ts.queued++
 		ts.reg.Counter(metrics.MetricDriverQueued).Add(1)
-		e.queue = append(e.queue, req)
+		e.queue = append(e.queue, e.request(ts, seq, sc, now, closedLoop))
 		e.sampleQueue(now)
 	default:
 		shed := &resilience.AdmitError{
 			Tenant:   ts.name,
-			Request:  req.seq,
+			Request:  seq,
 			InFlight: e.inflight,
 			Queued:   len(e.queue),
 		}
@@ -359,6 +366,22 @@ func (e *engine) arrive(ts *tenantState, sc *Scenario, closedLoop bool) {
 			e.reissueAfterThink(ts, now)
 		}
 	}
+}
+
+// request fills a finished request record, or a new one, for an
+// admitted or queued arrival.
+func (e *engine) request(ts *tenantState, seq int, sc *Scenario, arrived sim.Time, closedLoop bool) *request {
+	var req *request
+	if n := len(e.free); n > 0 {
+		req = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+	} else {
+		req = &request{}
+		req.done = func(err error) { e.finish(req, err) }
+	}
+	*req = request{t: ts, seq: seq, sc: sc, arrived: arrived, closedLoop: closedLoop, done: req.done}
+	return req
 }
 
 // dispatch launches one admitted request's executor on the shared
@@ -378,7 +401,7 @@ func (e *engine) dispatch(req *request) {
 	opts.Resilience = e.cfg.Resilience
 	opts.Metrics = ts.reg
 	opts.Obs = e.cfg.Obs
-	err := exec.Launch(e.p, req.sc.Trace, opts, func(err error) { e.finish(req, err) })
+	err := e.launcher.Launch(e.p, req.sc.Trace, opts, req.done)
 	if err != nil && e.fatal == nil {
 		e.fatal = fmt.Errorf("driver: %s request %d: %w", ts.name, req.seq, err)
 	}
@@ -410,6 +433,7 @@ func (e *engine) finish(req *request, rerr error) {
 	if req.closedLoop {
 		e.reissueAfterThink(ts, now)
 	}
+	e.free = append(e.free, req)
 	if len(e.queue) > 0 && e.inflight < e.cfg.maxInFlight() {
 		next := e.queue[0]
 		e.queue = e.queue[1:]

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -548,6 +549,44 @@ func TestSupervisedCalendarDepth(t *testing.T) {
 	}
 	if peak >= 32 {
 		t.Errorf("calendar peaked at %d pending events, want fewer than 32", peak)
+	}
+}
+
+// TestServeBytesPerRequest pins what a served request allocates once
+// the run is under way: the open-loop config at 360 and at 1,440
+// requests, each the least of three runs on a fresh platform, must
+// differ by at most 128 B per extra completed request. The driver reuses
+// finished request records and, through its exec.Launcher, finished
+// executors, so what remains per request is its arrival, its scenario
+// pick and its completion record. A request that built its executor
+// afresh would cost over 800 B here.
+func TestServeBytesPerRequest(t *testing.T) {
+	const limit = 128
+	measure := func(requests int) (bytes uint64, completed int) {
+		cfg := openLoopConfig(t, requests)
+		bytes = math.MaxUint64
+		for range 3 {
+			p := platform.Default()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := driver.Run(p, cfg)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bytes, completed = min(bytes, after.TotalAlloc-before.TotalAlloc), res.Completed
+		}
+		return bytes, completed
+	}
+	shortBytes, shortDone := measure(360)
+	longBytes, longDone := measure(1440)
+	if longDone <= shortDone {
+		t.Fatalf("%d requests completed in the long run and %d in the short one", longDone, shortDone)
+	}
+	per := (float64(longBytes) - float64(shortBytes)) / float64(longDone-shortDone)
+	if per > limit {
+		t.Errorf("a served request allocates %.1f B (%d B for %d requests, %d B for %d), want at most %d",
+			per, longBytes, longDone, shortBytes, shortDone, limit)
 	}
 }
 

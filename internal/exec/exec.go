@@ -210,15 +210,38 @@ type executor struct {
 	nvmeTimeouts0 uint64
 	nvmeRetries0  uint64
 	done          bool
-	notify        func(error) // invoked exactly once; nil after it fires
+	// live is set once a call the run posted completes non-OK or after a
+	// re-issue: a device run of it may outlast the run, so the executor
+	// never goes back to its launcher.
+	live   bool
+	notify func(error) // invoked exactly once; nil after it fires
 
-	callRun  csd.Call              // onCallRun, bound once
-	callDone func(nvme.Completion) // onCallDone, bound once
-	runs     []*lineRun            // finished line runs; see lineRun
+	l         *Launcher             // where the executor goes when the run ends; nil under Run
+	firstStep func()                // step, bound once
+	callRun   csd.Call              // onCallRun, bound once
+	callDone  func(nvme.Completion) // onCallDone, bound once
+	runs      []*lineRun            // finished line runs; see lineRun
 	// lineHist holds the per-line latency histogram of each unit,
 	// resolved from Metrics when the unit first completes a line, so a
 	// unit that runs nothing registers no histogram.
 	lineHist [2]*metrics.Histogram
+}
+
+// Launcher launches runs and keeps the executors of finished ones for
+// the next launch. Its zero value is ready to use. It is used from the
+// goroutine that drives the calendar, like everything a run touches.
+//
+// A finished run's executor returns to the launcher after its done
+// callback returns, with its Result, its residency table's storage, its
+// line-run pool and its bound continuations, and every per-run field
+// zeroed. It keeps nothing a caller handed in. The one exception is an
+// executor that may still have a call live on the device: one of its
+// calls completed non-OK, or OK only after the queue pair re-issued it.
+// Such a call can leave a device run behind that calls back into the
+// executor (DESIGN.md §11), so that executor is left to the garbage
+// collector.
+type Launcher struct {
+	free []*executor
 }
 
 // Launch schedules the replay of trace on p's calendar without driving
@@ -230,14 +253,15 @@ type executor struct {
 // exactly once from inside the event loop: with nil on success, or with
 // the terminal error (typed *resilience.ShedError included) on failure.
 // A run the calendar strands (drained while incomplete) never fires
-// done. Validation errors surface immediately and schedule nothing.
+// done. Validation errors surface immediately, schedule nothing and
+// take no executor from l.
 //
 // A launched run reports only its outcome. Its counters still reach
 // Options.Metrics, its lines Options.Obs and its progress samples the
 // recorder, but no Result leaves it, so it builds no progress timeline:
 // Run is the one producer of Result.CSDProgress.
-func Launch(p *platform.Platform, trace *interp.Trace, opts Options, done func(error)) error {
-	_, err := launch(p, trace, opts, done)
+func (l *Launcher) Launch(p *platform.Platform, trace *interp.Trace, opts Options, done func(error)) error {
+	_, err := launch(l, p, trace, opts, done)
 	return err
 }
 
@@ -247,7 +271,9 @@ func Launch(p *platform.Platform, trace *interp.Trace, opts Options, done func(e
 // reports the run's own duration. A run the calendar strands returns an
 // error naming where it stuck.
 func Run(p *platform.Platform, trace *interp.Trace, opts Options) (*Result, error) {
-	e, err := launch(p, trace, opts, nil)
+	// No launcher: the Result escapes to the caller, so the executor is
+	// never reused.
+	e, err := launch(nil, p, trace, opts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -271,9 +297,9 @@ func Run(p *platform.Platform, trace *interp.Trace, opts Options) (*Result, erro
 	return nil, fmt.Errorf("exec: simulation drained before the program finished (deadlock in the event chain)")
 }
 
-// launch validates opts, builds the run's executor and schedules its
-// first step.
-func launch(p *platform.Platform, trace *interp.Trace, opts Options, done func(error)) (*executor, error) {
+// launch validates opts, takes an executor from l and schedules the
+// run's first step.
+func launch(l *Launcher, p *platform.Platform, trace *interp.Trace, opts Options, done func(error)) (*executor, error) {
 	if opts.Migration.Enabled && opts.Estimates == nil {
 		return nil, fmt.Errorf("exec: migration enabled without line estimates")
 	}
@@ -284,23 +310,26 @@ func launch(p *platform.Platform, trace *interp.Trace, opts Options, done func(e
 			return nil, fmt.Errorf("exec: rejected partition: %w", err)
 		}
 	}
-	slots := trace.Slots()
-	e := &executor{
-		p:       p,
-		trace:   trace,
-		opts:    opts,
-		slots:   slots,
-		varHome: make([]varState, slots.Count),
-		res:     &Result{Start: p.Sim.Now()},
-		notify:  done,
-	}
 	if pol := opts.Resilience; pol != nil {
 		if err := pol.Validate(); err != nil {
 			return nil, fmt.Errorf("exec: %w", err)
 		}
+	}
+	e := l.get()
+	slots := trace.Slots()
+	e.p, e.trace, e.opts, e.slots, e.notify = p, trace, opts, slots, done
+	// A reused table must start as a fresh one does: every variable
+	// unwritten, on the host with no bytes.
+	if cap(e.varHome) < slots.Count {
+		e.varHome = make([]varState, slots.Count)
+	} else {
+		e.varHome = e.varHome[:slots.Count]
+		clear(e.varHome)
+	}
+	e.res.Start = p.Sim.Now()
+	if pol := opts.Resilience; pol != nil {
 		e.breaker = resilience.NewBreaker(pol.Breaker)
 	}
-	e.callRun, e.callDone = e.onCallRun, e.onCallDone
 	for i := range trace.Records {
 		if opts.Partition.OnCSD(trace.Records[i].Line) {
 			e.totalCSDWork += recordWork(&trace.Records[i])
@@ -316,8 +345,42 @@ func launch(p *platform.Platform, trace *interp.Trace, opts Options, done func(e
 	if opts.Warm {
 		overhead = 0
 	}
-	p.Sim.After(overhead, e.step)
+	p.Sim.After(overhead, e.firstStep)
 	return e, nil
+}
+
+// get takes a finished executor from the free list, or builds one and
+// binds its continuations. A nil l, Run's, always builds one.
+func (l *Launcher) get() *executor {
+	if l != nil {
+		if n := len(l.free); n > 0 {
+			e := l.free[n-1]
+			l.free[n-1] = nil
+			l.free = l.free[:n-1]
+			return e
+		}
+	}
+	e := &executor{l: l, res: new(Result)}
+	e.firstStep, e.callRun, e.callDone = e.step, e.onCallRun, e.onCallDone
+	return e
+}
+
+// release returns a launched run's executor to its launcher once the run
+// has reported, unless the run is live. What the executor owns survives:
+// its Result (zeroed in place), the residency table's storage, the
+// line-run pool and the bound continuations. Every other field is
+// zeroed, which drops the trace, options and done callback.
+func (e *executor) release() {
+	l := e.l
+	if l == nil || e.live {
+		return
+	}
+	*e.res = Result{}
+	*e = executor{
+		l: l, res: e.res, varHome: e.varHome[:0], runs: e.runs,
+		firstStep: e.firstStep, callRun: e.callRun, callDone: e.callDone,
+	}
+	l.free = append(l.free, e)
 }
 
 func effectiveRate(p *platform.Platform) float64 {
@@ -342,10 +405,7 @@ func (e *executor) finish() {
 	e.res.Timeouts = timeouts - e.nvmeTimeouts0
 	e.res.Retries = (retries - e.nvmeRetries0) + e.lineRetries
 	e.foldMetrics()
-	if fn := e.notify; fn != nil {
-		e.notify = nil
-		fn(nil)
-	}
+	e.report(nil)
 }
 
 // abort terminates the execution with err: no further events are
@@ -353,10 +413,17 @@ func (e *executor) finish() {
 // with the error.
 func (e *executor) abort(err error) {
 	e.err = err
+	e.report(err)
+}
+
+// report fires the completion callback, if any, with the run's outcome,
+// and then releases the executor.
+func (e *executor) report(err error) {
 	if fn := e.notify; fn != nil {
 		e.notify = nil
 		fn(err)
 	}
+	e.release()
 }
 
 // foldMetrics folds the completed run's Result into the registry. Pure
@@ -462,7 +529,7 @@ func (e *executor) dispatch(unit Unit) {
 
 // onCallRun is the device side of an offloaded line's call: the CSE has
 // picked it up and runs record i, the index the call carried. It is
-// bound once per request as callRun.
+// bound once per executor as callRun.
 func (e *executor) onCallRun(_ *csd.Device, i int64, done func(uint16, any)) {
 	// Everything since dispatch was queue traversal. Observation only —
 	// a nil collector no-ops.
@@ -472,10 +539,16 @@ func (e *executor) onCallRun(_ *csd.Device, i int64, done func(uint16, any)) {
 
 // onCallDone is the host side of an offloaded line's call: its completion
 // from the queue pair, or the failure the queue pair synthesized. It is
-// bound once per request as callDone. The executor has one call
+// bound once per executor as callDone. The executor has one call
 // outstanding at a time and stays on its record until the call settles,
 // so the call is always the current record's.
 func (e *executor) onCallDone(c nvme.Completion) {
+	if c.Status != nvme.StatusOK || c.Reissues > 0 {
+		// Only an OK first issue proves no run of the call is left on the
+		// device: the host may have given up on a run still in progress,
+		// and a re-issue can finish while the first issue still waits.
+		e.live = true
+	}
 	rec := &e.trace.Records[e.idx]
 	if c.Status != nvme.StatusOK {
 		if c.Status == nvme.StatusDeadline {

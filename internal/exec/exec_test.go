@@ -384,12 +384,14 @@ func TestReplayAllocationsPerRecord(t *testing.T) {
 
 // TestLaunchBytesPerRequest pins that a launched request allocates
 // nothing that grows with its trace: warm requests of n and of 2n
-// records, line 1 offloaded, allocate the same bytes. Only Run returns
-// a progress timeline, so only Run builds one; a launched request that
-// built it would allocate 16 B more per offloaded record.
+// records, line 1 offloaded, allocate the same bytes when each has a
+// fresh Launcher. Only Run returns a progress timeline, so only Run
+// builds one; a launched request that built it would allocate 16 B more
+// per offloaded record. Through one Launcher, a warm request reuses the
+// previous request's executor and allocates nothing at all.
 func TestLaunchBytesPerRequest(t *testing.T) {
 	const n, requests = 200, 20
-	bytesPerRequest := func(records int) uint64 {
+	bytesPerRequest := func(records int, reuse bool) uint64 {
 		tr := loopTrace(records)
 		opts := Options{Backend: codegen.Native, Partition: codegen.NewPartition(1), Warm: true}
 		p := platform.Default()
@@ -399,9 +401,13 @@ func TestLaunchBytesPerRequest(t *testing.T) {
 				failed = err
 			}
 		}
+		l := new(Launcher)
 		serve := func(k int) {
 			for range k {
-				if err := Launch(p, tr, opts, done); err != nil {
+				if !reuse {
+					l = new(Launcher)
+				}
+				if err := l.Launch(p, tr, opts, done); err != nil {
 					t.Fatal(err)
 				}
 				p.Sim.Run()
@@ -423,8 +429,13 @@ func TestLaunchBytesPerRequest(t *testing.T) {
 		}
 		return least
 	}
-	if short, long := bytesPerRequest(n), bytesPerRequest(2*n); short != long {
-		t.Errorf("a request of %d records allocates %d B, of %d records %d B: want equal",
+	if short, long := bytesPerRequest(n, false), bytesPerRequest(2*n, false); short != long {
+		t.Errorf("fresh launchers: a request of %d records allocates %d B, of %d records %d B: want equal",
 			n, short, 2*n, long)
+	}
+	for _, records := range []int{n, 2 * n} {
+		if b := bytesPerRequest(records, true); b != 0 {
+			t.Errorf("one launcher: a warm request of %d records allocates %d B, want 0", records, b)
+		}
 	}
 }

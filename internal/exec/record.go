@@ -9,7 +9,8 @@ import (
 // lineRun is one run of one dynamic line on one unit: the fan-in state
 // its phases share, and its phase continuations, bound once when the
 // record is first allocated. Runs are pooled on their executor, and a
-// finished run returns to the pool before its continuation runs.
+// finished run returns to the pool before its continuation runs; the
+// pool goes with the executor when a Launcher reuses it.
 //
 // A device run can outlive the attempt that posted it: the host gives up
 // at a deadline or a timeout, or the queue pair re-issues the command

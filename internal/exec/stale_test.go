@@ -10,6 +10,7 @@ import (
 
 	"activego/internal/codegen"
 	"activego/internal/fault"
+	"activego/internal/lang/interp"
 	"activego/internal/metrics"
 	"activego/internal/nvme"
 	"activego/internal/obs"
@@ -31,42 +32,35 @@ e = vmul(d, d)
 s = vsum(e)
 `
 
-// TestStaleDeviceRunsGolden pins exec.Result, the machine's counters and
-// the per-line observations of schedules in which a device-side run
-// outlives the attempt that posted it: the host gives up at a line
-// deadline or an NVMe timeout, or re-issues the command, while the CSE is
-// still running the line, and the stale run finishes later against a
-// host that has moved on. Every schedule also leaves the run's result
-// well defined, so any change to how a stale run is billed, observed or
-// discarded shows up here. The flash-faults schedule has no stale runs:
-// it pins the host fallback of a storage read that fails on the CSD,
-// and asserts that the fallback happened. Regenerate after an
-// intentional change with:
-//
-//	go test ./internal/exec -run TestStaleDeviceRunsGolden -update
-func TestStaleDeviceRunsGolden(t *testing.T) {
-	tr := traceFor(t, staleSrc, 1<<16)
+// staleSchedule arms a platform and a run's options for one schedule of
+// TestStaleDeviceRunsGolden.
+type staleSchedule struct {
+	name string
+	arm  func(p *platform.Platform, o *Options)
+	// fallback requires a failed CSD call and a line run on the host.
+	fallback bool
+}
+
+// staleFixture returns staleSrc's trace, the options every schedule
+// starts from, the clean run's mean offloaded line (pace) and its longest
+// (slowest), and TestStaleDeviceRunsGolden's schedules.
+func staleFixture(t *testing.T) (tr *interp.Trace, base Options, pace, slowest float64, schedules []staleSchedule) {
+	t.Helper()
+	tr = traceFor(t, staleSrc, 1<<16)
 	part := codegen.NewPartition(1, 2, 3, 4, 5, 6, 7)
-	base := Options{Backend: codegen.Native, Partition: part, OverheadScale: 1e-6}
+	base = Options{Backend: codegen.Native, Partition: part, OverheadScale: 1e-6}
 	clean, err := Run(platform.Default(), tr, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// pace is the clean run's mean offloaded line; slowest its longest.
-	pace := clean.Duration / float64(len(tr.Records))
-	slowest := clean.CSDProgress[0].Time - clean.Start
+	pace = clean.Duration / float64(len(tr.Records))
+	slowest = clean.CSDProgress[0].Time - clean.Start
 	for i := 1; i < len(clean.CSDProgress); i++ {
 		slowest = math.Max(slowest, clean.CSDProgress[i].Time-clean.CSDProgress[i-1].Time)
 	}
 	backoff := resilience.Backoff{Base: pace / 8, Factor: 2, Cap: pace, Jitter: 0.25, Seed: 5}
 	never := resilience.BreakerPolicy{Threshold: math.MaxInt}
-	var out bytes.Buffer
-	for _, sc := range []struct {
-		name string
-		arm  func(p *platform.Platform, o *Options)
-		// fallback requires a failed CSD call and a line run on the host.
-		fallback bool
-	}{
+	schedules = []staleSchedule{
 		// The CSE runs at a tenth of its rate for the whole run, so a line
 		// misses its deadline twice while the device is still computing
 		// it, then falls back to the host.
@@ -107,7 +101,27 @@ func TestStaleDeviceRunsGolden(t *testing.T) {
 			pol := resilience.PerLine()
 			o.Resilience = &pol
 		}, true},
-	} {
+	}
+	return tr, base, pace, slowest, schedules
+}
+
+// TestStaleDeviceRunsGolden pins exec.Result, the machine's counters and
+// the per-line observations of schedules in which a device-side run
+// outlives the attempt that posted it: the host gives up at a line
+// deadline or an NVMe timeout, or re-issues the command, while the CSE is
+// still running the line, and the stale run finishes later against a
+// host that has moved on. Every schedule also leaves the run's result
+// well defined, so any change to how a stale run is billed, observed or
+// discarded shows up here. The flash-faults schedule has no stale runs:
+// it pins the host fallback of a storage read that fails on the CSD,
+// and asserts that the fallback happened. Regenerate after an
+// intentional change with:
+//
+//	go test ./internal/exec -run TestStaleDeviceRunsGolden -update
+func TestStaleDeviceRunsGolden(t *testing.T) {
+	tr, base, pace, _, schedules := staleFixture(t)
+	var out bytes.Buffer
+	for _, sc := range schedules {
 		p := platform.Default()
 		opts := base
 		sc.arm(p, &opts)

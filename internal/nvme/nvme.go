@@ -93,7 +93,12 @@ type Command struct {
 
 // Completion is one completion queue entry.
 type Completion struct {
-	Status    uint16 // 0 = success
+	Status uint16 // 0 = success
+	// Reissues counts the times the queue pair re-issued the command
+	// before this completion: 0 for a command settled on its first issue.
+	// The queue pair sets it on every completion it delivers, whether the
+	// CQE landed or the host synthesized a failure.
+	Reissues  int
 	Value     any
 	Submitted sim.Time
 	Started   sim.Time
@@ -296,7 +301,7 @@ func (q *QueuePair) issue(p pending) {
 		// hardware slot.
 		q.deadlined++
 		if p.done != nil {
-			p.done(Completion{Status: StatusDeadline, Submitted: p.when, Completed: q.sim.Now()})
+			p.done(Completion{Status: StatusDeadline, Reissues: p.attempt, Submitted: p.when, Completed: q.sim.Now()})
 		}
 		return
 	}
@@ -419,6 +424,7 @@ func (is *issued) onCQE(_, landed sim.Time) {
 			trace.Arg{Key: "attempt", Value: p.attempt + 1})
 	}
 	c.Completed = landed
+	c.Reissues = p.attempt
 	q.completed++
 	if p.done != nil {
 		p.done(c)
@@ -510,7 +516,7 @@ func (q *QueuePair) fail(is *issued, status uint16) {
 		q.deadlined++
 	}
 	if p.done != nil {
-		p.done(Completion{Status: status, Submitted: p.when, Completed: q.sim.Now()})
+		p.done(Completion{Status: status, Reissues: p.attempt, Submitted: p.when, Completed: q.sim.Now()})
 	}
 }
 
