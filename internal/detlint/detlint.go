@@ -140,6 +140,7 @@ func DefaultConfig() Config {
 		Keep: map[string]string{
 			"builtins.NewMapContext":      "fake: the builtin and interpreter tests run programs against an in-memory Context",
 			"csd.Device.DemandAt":         "trigger: the §III-D case-1 demand that exec's preempt tests and BenchmarkAblationPreempt inject",
+			"csd.Device.Stats":            "observer: TestStaleRunTrafficIdentity and TestServedTrafficIsCountedOnce hold the runs' status messages to the device's",
 			"detlint.Catalogue":           "oracle: the docs test pins DESIGN.md §13's pass table to it",
 			"flash.Array.ReadTime":        "oracle: the unloaded read model TestReadTimeMatchesMeasured and storage's TestReadBillsFlashTime hold simulated reads to",
 			"flash.Array.SetAvailability": "trigger: the flash co-tenant that BenchmarkAblationStorageTenant and the flash availability tests inject",
@@ -147,6 +148,7 @@ func DefaultConfig() Config {
 			"nvme.QueuePair.Deadlined":    "observer: TestStaleDeviceRunsGolden and the pooled queue pair's reference test count deadline abandonments",
 			"plan.BnBExactLines":          "oracle: TestBnBExactGuarantee pins it to the node budget through SearchSize, and TestOptimalFallbackLint pins AV008's firing edge to it",
 			"sim.Resource.InFlight":       "observer: TestGroupedResourceMatchesReference compares busy servers with the reference resource",
+			"sim.Link.TotalBytes":         "observer: TestStaleRunTrafficIdentity and TestServedTrafficIsCountedOnce hold the runs' link bytes to the link's",
 			"sim.Resource.QueueLen":       "observer: TestGroupedResourceMatchesReference compares queue depth with the reference resource",
 			"storage.Store.Lookup":        "observer: the storage, csd and core tests check that writes and preloads create objects",
 		},

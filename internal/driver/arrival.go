@@ -108,17 +108,22 @@ func (a Arrival) workers() int {
 
 // times generates the open-loop arrival offsets in [0, horizon) for a,
 // consuming draws from rng. Closed-loop arrivals are event-driven and
-// return nil here.
+// return nil here. The list is allocated once, at the count a is
+// expected to generate, however long the horizon.
 func (a Arrival) times(rng *fault.Stream, horizon float64) []float64 {
+	if a.Process == Bursty && a.BurstFactor <= 1 {
+		// No amplification requested: plain Poisson at QPS.
+		a.Process = Poisson
+	}
 	switch a.Process {
 	case Uniform:
-		var out []float64
+		out := make([]float64, 0, a.capacity(horizon))
 		for t := 0.0; t < horizon; t += 1 / a.QPS {
 			out = append(out, t)
 		}
 		return out
 	case Poisson:
-		var out []float64
+		out := make([]float64, 0, a.capacity(horizon))
 		t := 0.0
 		for {
 			t += expDraw(rng, a.QPS)
@@ -128,28 +133,13 @@ func (a Arrival) times(rng *fault.Stream, horizon float64) []float64 {
 			out = append(out, t)
 		}
 	case Bursty:
-		factor := a.BurstFactor
-		if factor <= 1 {
-			// No amplification requested: plain Poisson at QPS.
-			b := a
-			b.Process = Poisson
-			return b.times(rng, horizon)
-		}
-		duty := a.dutyCycle()
-		period := a.period()
-		high := a.QPS * factor
-		// The off-window rate compensates so the long-run average is
-		// exactly QPS; a burst too tall to compensate clamps at zero
-		// (pure on/off traffic).
-		low := a.QPS * (1 - duty*factor) / (1 - duty)
-		if low < 0 {
-			low = 0
-		}
+		out := make([]float64, 0, a.capacity(horizon))
+		duty, period := a.dutyCycle(), a.period()
+		high, low := a.burstRates()
 		// Thinning against the peak rate: candidate arrivals at rate
 		// high, each kept with probability rate(t)/high. One uniform
 		// draw per candidate keeps the draw count — and therefore the
 		// stream — independent of accept/reject outcomes.
-		var out []float64
 		t := 0.0
 		for {
 			t += expDraw(rng, high)
@@ -168,6 +158,39 @@ func (a Arrival) times(rng *fault.Stream, horizon float64) []float64 {
 	default:
 		return nil
 	}
+}
+
+// burstRates returns a bursty process's rate inside its burst window and
+// outside it. The off-window rate compensates so the long-run average is
+// exactly QPS; a burst too tall to compensate clamps it at zero (pure
+// on/off traffic).
+func (a Arrival) burstRates() (high, low float64) {
+	duty := a.dutyCycle()
+	high = a.QPS * a.BurstFactor
+	low = max(0, a.QPS*(1-duty*a.BurstFactor)/(1-duty))
+	return high, low
+}
+
+// capacity sizes an open-loop arrival list over horizon: the ticker's
+// count for Uniform, which the spacing fixes, and for the random
+// processes the expected count plus four standard deviations, so a
+// list rarely outgrows it.
+func (a Arrival) capacity(horizon float64) int {
+	mean := a.QPS * horizon
+	if a.Process == Uniform {
+		return int(mean) + 2 // ceil(mean) ticks, and one for rounding in the accumulated spacing
+	}
+	if a.Process == Bursty {
+		// The rate integrated over [0, horizon): whole periods, then the
+		// last period's share of its burst window and of the rest.
+		duty, period := a.dutyCycle(), a.period()
+		high, low := a.burstRates()
+		whole := math.Floor(horizon / period)
+		rest := horizon - whole*period
+		on := min(rest, duty*period)
+		mean = whole*period*(duty*high+(1-duty)*low) + on*high + (rest-on)*low
+	}
+	return int(mean+4*math.Sqrt(mean)) + 1
 }
 
 // expDraw returns one exponential interarrival at rate λ.

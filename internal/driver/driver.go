@@ -74,8 +74,8 @@ type Config struct {
 	// tenant-order merge never collides. Zero records no windows.
 	ObsWindow float64
 	// Obs, when set, is handed to every admitted request's executor so
-	// per-line costs (compute seconds, D2H bytes, retries, queue wait)
-	// accumulate across requests on one shared collector — the drift
+	// each request's line attempts (compute seconds, own D2H bytes,
+	// retries, call-queue wait) accumulate on one shared collector — the drift
 	// study scores it against the scenario's plan provenance. Line
 	// numbers are per-program, so this is meaningful when the traffic is
 	// a single scenario (or scenarios sharing a line map). Nil is inert.
@@ -348,16 +348,16 @@ func (e *engine) arrive(ts *tenantState, sc *Scenario, closedLoop bool) {
 		e.queue = append(e.queue, e.request(ts, seq, sc, now, closedLoop))
 		e.sampleQueue(now)
 	default:
-		shed := &resilience.AdmitError{
-			Tenant:   ts.name,
-			Request:  seq,
-			InFlight: e.inflight,
-			Queued:   len(e.queue),
-		}
 		ts.shed++
 		ts.reg.Counter(metrics.MetricDriverShed).Add(1)
+		// Only the tenant's first refusal is kept, so only it is built.
 		if ts.firstShed == nil {
-			ts.firstShed = shed
+			ts.firstShed = &resilience.AdmitError{
+				Tenant:   ts.name,
+				Request:  seq,
+				InFlight: e.inflight,
+				Queued:   len(e.queue),
+			}
 		}
 		// A shed closed-loop worker thinks and tries again — a fixed
 		// user population doesn't vanish because the front door was
@@ -435,8 +435,13 @@ func (e *engine) finish(req *request, rerr error) {
 	}
 	e.free = append(e.free, req)
 	if len(e.queue) > 0 && e.inflight < e.cfg.maxInFlight() {
+		// Shift the queue down in place: it holds at most MaxQueue
+		// entries, and a popped front would make arrive's append
+		// reallocate each time the window reached the array's end.
 		next := e.queue[0]
-		e.queue = e.queue[1:]
+		n := copy(e.queue, e.queue[1:])
+		e.queue[n] = nil
+		e.queue = e.queue[:n]
 		e.sampleQueue(now)
 		e.dispatch(next)
 	}

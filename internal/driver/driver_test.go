@@ -336,27 +336,15 @@ func TestAdmissionShedsTyped(t *testing.T) {
 // completed or refused/failed typed-clean — never an untyped error,
 // never stranded live state.
 func TestServingUnderChaos(t *testing.T) {
-	const seed = 42
-	for i := 0; i < 4; i++ {
-		rules := chaos.Schedule(seed, i, chaos.ScheduleParams{MaxRate: 0.08, Horizon: 0.3})
-		plan, err := fault.NewPlanChecked(fault.Mix64(seed^uint64(i)), rules...)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i := 0; i < chaosSchedules; i++ {
 		p := platform.Default()
-		p.InstallFaults(plan, nvme.RetryPolicy{Timeout: 0.5, MaxAttempts: 3, Backoff: 1e-3})
-		pol := resilience.Policy{
-			LineRetries: 1,
-			Backoff:     resilience.Backoff{Base: 1e-3, Factor: 2, Cap: 50e-3, Jitter: 0.25, Seed: seed + uint64(i)},
-			Breaker:     resilience.BreakerPolicy{Threshold: 3, Cooldown: 100e-3},
-		}
 		res, err := driver.Run(p, driver.Config{
-			Seed:     seed,
+			Seed:     chaosSeed,
 			Duration: 0.2,
 			Tenants: []driver.TenantConfig{
 				{Name: "chaotic", Mix: testMix(t), Arrival: driver.Arrival{Process: driver.Poisson, QPS: 50}},
 			},
-			Resilience: &pol,
+			Resilience: armChaos(t, p, i),
 		})
 		if err != nil {
 			t.Fatalf("schedule %d: untyped failure: %v", i, err)
@@ -367,6 +355,30 @@ func TestServingUnderChaos(t *testing.T) {
 		if err := p.Drained(); err != nil {
 			t.Fatalf("schedule %d: %v", i, err)
 		}
+	}
+}
+
+// The driver's chaos leg: chaosSchedules generated fault schedules at
+// chaosSeed.
+const (
+	chaosSeed      = 42
+	chaosSchedules = 4
+)
+
+// armChaos installs chaos schedule i on p, with NVMe completion timers
+// behind it, and returns the resilience policy its requests run under.
+func armChaos(t testing.TB, p *platform.Platform, i int) *resilience.Policy {
+	t.Helper()
+	rules := chaos.Schedule(chaosSeed, i, chaos.ScheduleParams{MaxRate: 0.08, Horizon: 0.3})
+	plan, err := fault.NewPlanChecked(fault.Mix64(chaosSeed^uint64(i)), rules...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.InstallFaults(plan, nvme.RetryPolicy{Timeout: 0.5, MaxAttempts: 3, Backoff: 1e-3})
+	return &resilience.Policy{
+		LineRetries: 1,
+		Backoff:     resilience.Backoff{Base: 1e-3, Factor: 2, Cap: 50e-3, Jitter: 0.25, Seed: chaosSeed + uint64(i)},
+		Breaker:     resilience.BreakerPolicy{Threshold: 3, Cooldown: 100e-3},
 	}
 }
 

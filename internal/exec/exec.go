@@ -119,13 +119,17 @@ type Options struct {
 	Analysis *analysis.Report
 	// Metrics, when set, receives per-line simulated latency
 	// distributions and the run's counters (lines by unit, migrations,
-	// retries, link bytes). Observation only — a nil registry leaves the
-	// run bit-identical, and a non-nil one never feeds a decision.
+	// retries, link bytes), and the traffic of device runs that outlived
+	// their attempt (exec.abandoned.*). Observation only — a nil registry
+	// leaves the run bit-identical, and a non-nil one never feeds a
+	// decision.
 	Metrics *metrics.Registry
-	// Obs, when set, attributes observed per-line costs to sim-time
-	// windows (DESIGN.md §15): compute seconds per unit, per-attempt D2H
-	// bytes, call-queue wait, and retries. Same contract as Metrics: a
-	// nil collector is inert and a live one never feeds a decision.
+	// Obs, when set, receives every line attempt once, when the host
+	// settles it, and attributes it to sim-time windows (DESIGN.md §15):
+	// compute seconds per unit, the attempt's own D2H bytes, call-queue
+	// wait, and retries, all at the settle instant. Same contract as
+	// Metrics: a nil collector is inert and a live one never feeds a
+	// decision.
 	Obs *obs.Collector
 }
 
@@ -157,14 +161,18 @@ type Result struct {
 	MigratedAt    sim.Time // instant of monitor migration
 	RecordsOnCSD  int
 	RecordsOnHost int
-	D2HBytes      float64 // external-link bytes moved during the run
-	StatusMsgs    uint64
-	CSDProgress   []Progress
+	// D2HBytes and StatusMsgs sum the run's closed line attempts: the
+	// external-link bytes and §III-C-b status updates each attempt
+	// issued. A device run that outlived its attempt bills neither; its
+	// traffic goes to Options.Metrics' abandoned counters.
+	D2HBytes    float64
+	StatusMsgs  uint64
+	CSDProgress []Progress
 
 	// Failure-path accounting (all zero on a fault-free run).
 	FailedCalls uint64 // offloaded line invocations that returned a non-OK status
-	Retries     uint64 // NVMe command re-issues plus exec-level line re-posts
-	Timeouts    uint64 // NVMe completion-timer expiries observed during the run
+	Retries     uint64 // the run's NVMe command re-issues plus its line re-posts
+	Timeouts    uint64 // the run's own NVMe completion-timer expiries
 
 	// Resilience-ladder accounting (all zero unless Options.Resilience).
 	BreakerOpens   uint64 // breaker transitions to open (offload suspended)
@@ -200,16 +208,10 @@ type executor struct {
 	doneCSDWork  float64
 	lastObserved float64
 
-	lineAttempts int      // failed attempts of the current record
-	lineRetries  uint64   // total exec-level line re-posts
-	lineStart    sim.Time // dispatch time of the current attempt, for spans
-	lineD2H0     float64  // link-bytes baseline at dispatch, for per-attempt attribution
+	lineAttempts int     // failed attempts of the current record
+	att          attempt // the current record's open attempt, or its last one
 
-	d2hBytes0     float64
-	statusMsgs0   uint64
-	nvmeTimeouts0 uint64
-	nvmeRetries0  uint64
-	done          bool
+	done bool
 	// live is set once a call the run posted completes non-OK or after a
 	// re-issue: a device run of it may outlast the run, so the executor
 	// never goes back to its launcher.
@@ -336,9 +338,6 @@ func launch(l *Launcher, p *platform.Platform, trace *interp.Trace, opts Options
 			e.csdRecords++
 		}
 	}
-	e.d2hBytes0 = p.Topo.D2H.TotalBytes()
-	_, e.statusMsgs0 = p.Dev.Stats()
-	e.nvmeTimeouts0, e.nvmeRetries0, _, _, _ = p.Dev.QP.FaultStats()
 	e.lastObserved = effectiveRate(p)
 
 	overhead := (opts.SamplingOverhead + opts.Backend.CompileOverhead) * opts.overheadScale()
@@ -398,13 +397,6 @@ func (e *executor) finish() {
 	e.done = true
 	e.res.End = e.p.Sim.Now()
 	e.res.Duration = e.res.End - e.res.Start
-	e.res.D2HBytes = e.p.Topo.D2H.TotalBytes() - e.d2hBytes0
-	_, msgs := e.p.Dev.Stats()
-	e.res.StatusMsgs = msgs - e.statusMsgs0
-	timeouts, retries, _, _, _ := e.p.Dev.QP.FaultStats()
-	e.res.Timeouts = timeouts - e.nvmeTimeouts0
-	e.res.Retries = (retries - e.nvmeRetries0) + e.lineRetries
-	e.foldMetrics()
 	e.report(nil)
 }
 
@@ -416,9 +408,11 @@ func (e *executor) abort(err error) {
 	e.report(err)
 }
 
-// report fires the completion callback, if any, with the run's outcome,
-// and then releases the executor.
+// report folds the run's Result into the registry, fires the completion
+// callback, if any, with the run's outcome, and then releases the
+// executor.
 func (e *executor) report(err error) {
+	e.foldMetrics()
 	if fn := e.notify; fn != nil {
 		e.notify = nil
 		fn(err)
@@ -426,8 +420,9 @@ func (e *executor) report(err error) {
 	e.release()
 }
 
-// foldMetrics folds the completed run's Result into the registry. Pure
-// observation after the simulation settled; with a nil registry every
+// foldMetrics folds the ended run's Result into the registry, whether the
+// run completed or ended in an error: a failed request's traffic was on
+// the link all the same. Pure observation; with a nil registry every
 // call below is a no-op.
 func (e *executor) foldMetrics() {
 	m := e.opts.Metrics
@@ -506,10 +501,9 @@ func (e *executor) sampleBreakerState() {
 // dispatch runs the current record on unit: host lines directly, CSD
 // lines through the call queue; failures land in failLine.
 func (e *executor) dispatch(unit Unit) {
-	e.lineStart = e.p.Sim.Now()
-	e.lineD2H0 = e.p.Topo.D2H.TotalBytes()
+	e.att = attempt{tag: e.att.tag + 1, open: true, unit: unit, dispatch: e.p.Sim.Now()}
 	if unit == UnitHost {
-		e.runRecord(e.idx, UnitHost, nil)
+		e.runRecord(e.idx, e.att.tag, UnitHost, nil)
 		return
 	}
 	// §III-C-b: the host posts the line invocation to the call queue
@@ -521,20 +515,22 @@ func (e *executor) dispatch(unit Unit) {
 	if pol := e.opts.Resilience; pol != nil && pol.LineDeadline > 0 {
 		deadline = e.p.Sim.Now() + pol.LineDeadline
 	}
-	// The call carries its record index by value: the queue pair may run
-	// it again on a re-issue, and a run may start after the host gave up
-	// on this attempt.
-	e.p.Host.CallDeadline(e.p.Dev, e.callRun, int64(e.idx), deadline, e.callDone)
+	// The call carries its record index and attempt by value: the queue
+	// pair may run it again on a re-issue, and a run may start after the
+	// host gave up on this attempt.
+	e.p.Host.CallDeadline(e.p.Dev, e.callRun, callArg(e.idx, e.att.tag), deadline, e.callDone)
 }
 
 // onCallRun is the device side of an offloaded line's call: the CSE has
-// picked it up and runs record i, the index the call carried. It is
-// bound once per executor as callRun.
-func (e *executor) onCallRun(_ *csd.Device, i int64, done func(uint16, any)) {
-	// Everything since dispatch was queue traversal. Observation only —
-	// a nil collector no-ops.
-	e.opts.Obs.Queue(e.trace.Records[i].Line, e.p.Sim.Now(), e.p.Sim.Now()-e.lineStart)
-	e.runRecord(int(i), UnitCSD, done)
+// picked it up and runs the record the call carried, for the attempt it
+// carried. It is bound once per executor as callRun.
+func (e *executor) onCallRun(_ *csd.Device, arg int64, done func(uint16, any)) {
+	i, tag := splitCallArg(arg)
+	// Everything since dispatch was queue traversal.
+	if a := &e.att; a.owns(tag) && !a.picked {
+		a.picked, a.pickup = true, e.p.Sim.Now()
+	}
+	e.runRecord(i, tag, UnitCSD, done)
 }
 
 // onCallDone is the host side of an offloaded line's call: its completion
@@ -549,6 +545,9 @@ func (e *executor) onCallDone(c nvme.Completion) {
 		// and a re-issue can finish while the first issue still waits.
 		e.live = true
 	}
+	e.att.d2hBytes += int64(c.EntryBytes)
+	e.res.Timeouts += uint64(c.Timeouts)
+	e.res.Retries += uint64(c.Reissues)
 	rec := &e.trace.Records[e.idx]
 	if c.Status != nvme.StatusOK {
 		if c.Status == nvme.StatusDeadline {
@@ -572,43 +571,40 @@ func (e *executor) onCallDone(c nvme.Completion) {
 // to the host (later lines return to the CSD) with no regeneration
 // billed. Rung three: the host rung's budget is spent too — the run
 // ends with a typed *resilience.ShedError, never a silent wrong answer.
+// The rung is chosen first, so the failed attempt closes knowing whether
+// it is re-posted, before any rung acts.
 func (e *executor) failLine(f lineFailure) {
 	unit := f.unit
 	if unit == UnitCSD {
 		e.res.FailedCalls++
 	}
 	pol := e.opts.Resilience
-	if pol == nil {
+	tripped := pol != nil && unit == UnitCSD && e.breaker.OnFailure(e.p.Sim.Now())
+	repost := pol != nil && !tripped && e.lineAttempts < pol.LineRetries
+	e.close(false, repost)
+	switch {
+	case pol == nil:
 		e.abort(f.err())
-		return
-	}
-	if unit == UnitCSD && e.breaker.OnFailure(e.p.Sim.Now()) {
+	case tripped:
 		e.lineAttempts = 0
 		e.relocate(moveBreakerOpen, f.line, func() { e.dispatch(UnitHost) })
-		return
-	}
-	if e.lineAttempts < pol.LineRetries {
+	case repost:
 		e.lineAttempts++
-		e.lineRetries++
-		e.instant("line-retry", f.line)
-		e.opts.Obs.Retry(f.line, e.p.Sim.Now())
 		delay := pol.Backoff.Delay(uint64(e.idx), e.lineAttempts)
 		e.p.Sim.After(delay, func() { e.dispatch(unit) })
-		return
-	}
-	if unit == UnitCSD {
+	case unit == UnitCSD:
 		// Rung two: per-line host fallback. Data stays put; the host line
 		// pulls device-resident variables lazily, as after a migration.
 		e.lineAttempts = 0
 		e.dispatch(UnitHost)
-		return
+	default:
+		shed := &resilience.ShedError{Record: f.record, Line: f.line, Attempts: e.lineAttempts + 1, Cause: f.err()}
+		e.instant("shed", f.line)
+		if m := e.opts.Metrics; m != nil {
+			m.Counter(metrics.MetricExecSheds).Add(1)
+		}
+		e.abort(shed)
 	}
-	shed := &resilience.ShedError{Record: f.record, Line: f.line, Attempts: e.lineAttempts + 1, Cause: f.err()}
-	e.instant("shed", f.line)
-	if m := e.opts.Metrics; m != nil {
-		m.Counter(metrics.MetricExecSheds).Add(1)
-	}
-	e.abort(shed)
 }
 
 // lineFailure is why one attempt of a line failed, carried by value. A
@@ -632,28 +628,13 @@ func (f *lineFailure) err() error {
 }
 
 // afterRecord finalizes the placement of the current record's writes,
-// runs the monitor, and advances to the next record.
+// closes its completed attempt, runs the monitor, and advances to the
+// next record.
 func (e *executor) afterRecord(rec *interp.LineRecord, unit Unit) {
 	for k, s := range e.slots.Writes(e.idx) {
 		e.varHome[s] = varState{unit: unit, bytes: rec.Writes[k].Bytes}
 	}
-	if r := e.p.Sim.Recorder(); r != nil {
-		r.Span("exec", "exec", fmt.Sprintf("L%d@%s", rec.Line, unit), e.lineStart, e.p.Sim.Now())
-	}
-	if m := e.opts.Metrics; m != nil {
-		h := e.lineHist[unit]
-		if h == nil {
-			name := metrics.MetricExecLineHost
-			if unit == UnitCSD {
-				name = metrics.MetricExecLineCSD
-			}
-			h = m.Histogram(name)
-			e.lineHist[unit] = h
-		}
-		h.Observe(e.p.Sim.Now() - e.lineStart)
-	}
-	e.opts.Obs.Line(rec.Line, unit.String(), e.p.Sim.Now(),
-		e.p.Sim.Now()-e.lineStart, e.p.Topo.D2H.TotalBytes()-e.lineD2H0)
+	e.close(true, false)
 	if unit == UnitCSD {
 		if e.breaker != nil && e.breaker.OnSuccess(e.p.Sim.Now()) {
 			// The half-open probe succeeded: offload is re-admitted and

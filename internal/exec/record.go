@@ -15,8 +15,8 @@ import (
 // A device run can outlive the attempt that posted it: the host gives up
 // at a deadline or a timeout, or the queue pair re-issues the command
 // while the first issue still runs. Such a run keeps its own lineRun,
-// and its record is the index the call carried, never the executor's
-// current one.
+// and its record and attempt are the ones the call carried, never the
+// executor's current ones.
 type lineRun struct {
 	e    *executor
 	i    int // the record the run bills: e.trace.Records[i]
@@ -25,20 +25,21 @@ type lineRun struct {
 	// through the call queue; nil on the host, where the run's end feeds
 	// the executor itself.
 	device    func(status uint16, value any)
-	remaining int   // host read stages still running: array read, link stream
-	readErr   error // the host array read's error, held for the link stream
+	remaining int32  // host read stages still running: array read, link stream
+	tag       uint32 // the attempt the run issues its traffic for
+	readErr   error  // the host array read's error, held for the link stream
 
 	pulled, streamed, shardDone, glueDone, copied func(start, end sim.Time)
 	read, hostRead                                func(start, end sim.Time, err error)
 }
 
-// runRecord bills record i on the given unit. The phases run
-// strictly in sequence, the way a single program thread experiences
-// them: pull remote operands, read storage, compute, then (on the CSD)
-// emit the status update. A CSD run reports to device, the csd.Call
+// runRecord bills record i on the given unit, for the attempt tagged
+// tag. The phases run strictly in sequence, the way a single program
+// thread experiences them: pull remote operands, read storage, compute,
+// then (on the CSD) emit the status update. A CSD run reports to device, the csd.Call
 // completion; a host run (device nil) hands the line back to the
 // executor, or walks the failure ladder if its data access failed.
-func (e *executor) runRecord(i int, unit Unit, device func(uint16, any)) {
+func (e *executor) runRecord(i int, tag uint32, unit Unit, device func(uint16, any)) {
 	var r *lineRun
 	if n := len(e.runs); n > 0 {
 		r = e.runs[n-1]
@@ -54,7 +55,7 @@ func (e *executor) runRecord(i int, unit Unit, device func(uint16, any)) {
 		r.glueDone = func(_, _ sim.Time) { r.copy() }
 		r.copied = func(_, _ sim.Time) { r.computed() }
 	}
-	r.i, r.unit, r.device = i, unit, device
+	r.i, r.tag, r.unit, r.device = i, tag, unit, device
 	r.pullRemoteReads()
 }
 
@@ -78,6 +79,7 @@ func (r *lineRun) pullRemoteReads() {
 		r.readStorage()
 		return
 	}
+	r.bill(bytes, 0)
 	e.p.Topo.D2H.Transfer(float64(bytes), r.pulled)
 }
 
@@ -97,6 +99,7 @@ func (r *lineRun) readStorage() {
 	if r.unit == UnitHost {
 		r.remaining, r.readErr = 2, nil
 		e.p.Dev.Array.ReadChecked(bytes, r.hostRead)
+		r.bill(bytes, 0)
 		e.p.Topo.D2H.Transfer(float64(bytes), r.streamed)
 		return
 	}
@@ -171,6 +174,7 @@ func (r *lineRun) computed() {
 		// Status updates are fire-and-forget (§III-C-b): the line does
 		// not stall on the report landing.
 		r.e.p.Dev.SendStatus(nil)
+		r.bill(r.e.p.Dev.Cfg.StatusBytes, 1)
 	}
 	r.end(nil)
 }

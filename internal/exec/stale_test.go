@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strings"
 	"testing"
 
 	"activego/internal/codegen"
@@ -103,6 +104,57 @@ func staleFixture(t *testing.T) (tr *interp.Trace, base Options, pace, slowest f
 		}, true},
 	}
 	return tr, base, pace, slowest, schedules
+}
+
+// TestStaleRunTrafficIdentity holds a run's traffic counts to the
+// machine's over TestStaleDeviceRunsGolden's schedules. A run counts
+// what its own line attempts issued; a device run that outlived its
+// attempt bills the abandoned counters instead. So the Result's link
+// bytes and status messages plus the abandoned ones equal everything the
+// link and the device counted once the calendar drains, and its timeouts
+// and NVMe re-issues (its retries less its line re-posts) equal the
+// queue pair's.
+func TestStaleRunTrafficIdentity(t *testing.T) {
+	tr, base, pace, _, schedules := staleFixture(t)
+	var abandoned float64
+	for _, sc := range schedules {
+		p := platform.Default()
+		opts := base
+		sc.arm(p, &opts)
+		reg := metrics.New()
+		col := obs.NewCollector(pace, 0)
+		opts.Metrics, opts.Obs = reg, col
+		res, err := Run(p, tr, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", sc.name, err)
+		}
+		var reposts float64
+		for _, name := range col.Windows().Names() {
+			if strings.HasSuffix(name, ".retries") {
+				for _, w := range col.Windows().Stats(name) {
+					reposts += w.Sum
+				}
+			}
+		}
+		lostBytes := reg.Counter(metrics.MetricExecAbandonedD2HBytes).Value()
+		lostMsgs := reg.Counter(metrics.MetricExecAbandonedStatusMsgs).Value()
+		_, status := p.Dev.Stats()
+		timeouts, reissues, _, _, _ := p.Dev.QP.FaultStats()
+		if got, want := res.D2HBytes+lostBytes, p.Topo.D2H.TotalBytes(); got != want {
+			t.Errorf("%s: %v run bytes + %v abandoned = %v, the link carried %v", sc.name, res.D2HBytes, lostBytes, got, want)
+		}
+		if got := float64(res.StatusMsgs) + lostMsgs; got != float64(status) {
+			t.Errorf("%s: %d run status messages + %v abandoned = %v, the device sent %d", sc.name, res.StatusMsgs, lostMsgs, got, status)
+		}
+		if res.Timeouts != timeouts || float64(res.Retries)-reposts != float64(reissues) {
+			t.Errorf("%s: the run counts %d timeouts and %v re-issues, the queue pair %d and %d",
+				sc.name, res.Timeouts, float64(res.Retries)-reposts, timeouts, reissues)
+		}
+		abandoned += lostBytes
+	}
+	if abandoned == 0 {
+		t.Error("no schedule abandoned traffic; the identity is not exercised")
+	}
 }
 
 // TestStaleDeviceRunsGolden pins exec.Result, the machine's counters and

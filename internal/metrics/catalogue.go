@@ -55,8 +55,8 @@ const (
 // from the non-series rows of Catalogue below — a docs test enforces
 // that the two never drift.
 const (
-	// MetricExecRuns counts completed executor runs folded into the
-	// registry.
+	// MetricExecRuns counts executor runs folded into the registry when
+	// they end, completed or failed.
 	MetricExecRuns = "exec.runs"
 	// MetricExecLinesCSD / MetricExecLinesHost count dynamic line
 	// executions by unit.
@@ -64,18 +64,28 @@ const (
 	MetricExecLinesHost = "exec.lines.host"
 	// MetricExecMigrations counts §III-D monitor migrations.
 	MetricExecMigrations = "exec.migrations"
-	// MetricExecRetries counts NVMe command re-issues plus exec-level
-	// line re-posts.
+	// MetricExecRetries counts a run's NVMe command re-issues plus its
+	// exec-level line re-posts.
 	MetricExecRetries = "exec.retries"
 	// MetricExecFailedCalls counts offloaded invocations that returned a
 	// non-OK status.
 	MetricExecFailedCalls = "exec.failed_calls"
-	// MetricExecTimeouts counts NVMe completion-timer expiries.
+	// MetricExecTimeouts counts a run's own NVMe completion-timer
+	// expiries.
 	MetricExecTimeouts = "exec.timeouts"
-	// MetricExecStatusMsgs counts §III-C-b status updates.
+	// MetricExecStatusMsgs counts the §III-C-b status updates of a run's
+	// line attempts.
 	MetricExecStatusMsgs = "exec.status_msgs"
-	// MetricExecD2HBytes accumulates external-link bytes moved.
+	// MetricExecD2HBytes accumulates the external-link bytes a run's line
+	// attempts issued.
 	MetricExecD2HBytes = "exec.d2h.bytes"
+	// MetricExecAbandonedD2HBytes / MetricExecAbandonedStatusMsgs count
+	// the link bytes and status updates of device runs that outlived
+	// their attempt: the host had already settled it, so the traffic is
+	// no run's own. With them the link's bytes and the device's status
+	// messages equal the runs' totals exactly.
+	MetricExecAbandonedD2HBytes   = "exec.abandoned.d2h.bytes"
+	MetricExecAbandonedStatusMsgs = "exec.abandoned.status_msgs"
 	// MetricExecLineCSD / MetricExecLineHost are per-line simulated
 	// latency distributions by unit.
 	MetricExecLineCSD  = "exec.line.csd.seconds"
@@ -252,15 +262,17 @@ func Catalogue() []MetricInfo {
 		{PhaseTrace, KindHistogram, "seconds", "wall clock of the full-scale value trace"},
 		{PhaseExecute, KindHistogram, "seconds", "wall clock of the simulated replay"},
 
-		{MetricExecRuns, KindCounter, "runs", "exec.Run completion"},
+		{MetricExecRuns, KindCounter, "runs", "a run's end, completed or failed"},
 		{MetricExecLinesCSD, KindCounter, "lines", "completed CSD line executions"},
 		{MetricExecLinesHost, KindCounter, "lines", "completed host line executions"},
 		{MetricExecMigrations, KindCounter, "migrations", "§III-D monitor migration"},
-		{MetricExecRetries, KindCounter, "retries", "NVMe re-issues + line re-posts"},
+		{MetricExecRetries, KindCounter, "retries", "the run's NVMe re-issues + line re-posts"},
 		{MetricExecFailedCalls, KindCounter, "calls", "non-OK offloaded completions"},
-		{MetricExecTimeouts, KindCounter, "timeouts", "NVMe completion-timer expiries"},
-		{MetricExecStatusMsgs, KindCounter, "messages", "§III-C-b status updates"},
-		{MetricExecD2HBytes, KindCounter, "bytes", "external-link traffic per run"},
+		{MetricExecTimeouts, KindCounter, "timeouts", "the run's NVMe completion-timer expiries"},
+		{MetricExecStatusMsgs, KindCounter, "messages", "§III-C-b status updates of the run's attempts"},
+		{MetricExecD2HBytes, KindCounter, "bytes", "external-link bytes the run's attempts issued"},
+		{MetricExecAbandonedD2HBytes, KindCounter, "bytes", "link bytes of device runs past their settled attempt"},
+		{MetricExecAbandonedStatusMsgs, KindCounter, "messages", "status updates of device runs past their settled attempt"},
 		{MetricExecLineCSD, KindHistogram, "seconds", "simulated per-line latency on the CSD"},
 		{MetricExecLineHost, KindHistogram, "seconds", "simulated per-line latency on the host"},
 		{MetricExecBreakerOpens, KindCounter, "transitions", "circuit breaker opened (offload suspended)"},

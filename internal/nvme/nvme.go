@@ -96,13 +96,19 @@ type Completion struct {
 	Status uint16 // 0 = success
 	// Reissues counts the times the queue pair re-issued the command
 	// before this completion: 0 for a command settled on its first issue.
-	// The queue pair sets it on every completion it delivers, whether the
-	// CQE landed or the host synthesized a failure.
-	Reissues  int
-	Value     any
-	Submitted sim.Time
-	Started   sim.Time
-	Completed sim.Time
+	// Timeouts counts the command's own completion-timer expiries.
+	// EntryBytes is the queue entries the command put on the link: the
+	// SQE of every issue, and every CQE that started back before the host
+	// settled that issue, one still crossing when its timer fired
+	// included. The queue pair sets all three on every completion it
+	// delivers, whether the CQE landed or the host synthesized a failure.
+	Reissues   int
+	Timeouts   int
+	EntryBytes int
+	Value      any
+	Submitted  sim.Time
+	Started    sim.Time
+	Completed  sim.Time
 }
 
 // Handler executes a command on the device side and must call complete
@@ -164,6 +170,9 @@ type pending struct {
 	deadline sim.Time // absolute give-up instant; 0 = none
 	done     func(Completion)
 	attempt  int // issue attempts already consumed
+	// timeouts and entryBytes accumulate the command's Completion fields
+	// across its issues.
+	timeouts, entryBytes int
 }
 
 // issued is one issue of a command, owned by two sides. The host owns it
@@ -301,12 +310,13 @@ func (q *QueuePair) issue(p pending) {
 		// hardware slot.
 		q.deadlined++
 		if p.done != nil {
-			p.done(Completion{Status: StatusDeadline, Reissues: p.attempt, Submitted: p.when, Completed: q.sim.Now()})
+			p.done(p.synthesized(StatusDeadline, q.sim.Now()))
 		}
 		return
 	}
 	q.inFlight++
 	q.sim.Recorder().Sample(metrics.SeriesNVMeSQDepth, q.sim.Now(), float64(q.inFlight))
+	p.entryBytes += SQESize
 	is := q.acquire(p)
 	q.live = append(q.live, is)
 	timeout := q.retry.Timeout
@@ -402,6 +412,7 @@ func (is *issued) onComplete(c Completion) {
 	q.sim.Recorder().Sample(metrics.SeriesNVMeCQInFlight, q.sim.Now(), float64(q.cqInFlight))
 	is.c = c
 	is.stage = stageCQE
+	is.p.entryBytes += CQESize
 	q.link.Transfer(CQESize, is.cqeLanded)
 }
 
@@ -424,7 +435,7 @@ func (is *issued) onCQE(_, landed sim.Time) {
 			trace.Arg{Key: "attempt", Value: p.attempt + 1})
 	}
 	c.Completed = landed
-	c.Reissues = p.attempt
+	c.Reissues, c.Timeouts, c.EntryBytes = p.attempt, p.timeouts, p.entryBytes
 	q.completed++
 	if p.done != nil {
 		p.done(c)
@@ -469,6 +480,7 @@ func (q *QueuePair) expire(is *issued) {
 		return
 	}
 	q.timeouts++
+	is.p.timeouts++
 	q.sim.Recorder().Instant("nvme", "fault", "nvme-timeout", q.sim.Now())
 	status := StatusTimeout
 	if d := is.p.deadline; d > 0 && q.sim.Now() >= d {
@@ -516,8 +528,14 @@ func (q *QueuePair) fail(is *issued, status uint16) {
 		q.deadlined++
 	}
 	if p.done != nil {
-		p.done(Completion{Status: status, Reissues: p.attempt, Submitted: p.when, Completed: q.sim.Now()})
+		p.done(p.synthesized(status, q.sim.Now()))
 	}
+}
+
+// synthesized is the failure completion the host delivers for p at now.
+func (p *pending) synthesized(status uint16, now sim.Time) Completion {
+	return Completion{Status: status, Reissues: p.attempt, Timeouts: p.timeouts, EntryBytes: p.entryBytes,
+		Submitted: p.when, Completed: now}
 }
 
 // AbortAll fails every device-owned command with the given status — the

@@ -144,41 +144,56 @@ func TestBoundedAttemptsSurfaceTimeout(t *testing.T) {
 	}
 }
 
-// TestCompletionCountsReissues pins Completion.Reissues: how many times
-// the queue pair re-issued a command before the completion it delivers,
-// whether the CQE landed or the host synthesized a failure. The queue
-// pair has one slot, and the device completes a command delay seconds
-// after its SQE lands.
+// TestCompletionCountsReissues pins a completion's own counts: how many
+// times the queue pair re-issued the command (Reissues), how many of its
+// completion timers fired (Timeouts) and the queue entries it put on the
+// link (EntryBytes), whether the CQE landed or the host synthesized a
+// failure. The queue pair has one slot, and the device completes a
+// command delay seconds after its SQE lands.
 func TestCompletionCountsReissues(t *testing.T) {
 	retry := RetryPolicy{Timeout: 1e-3, MaxAttempts: 3, Backoff: 1e-4}
 	for _, tc := range []struct {
-		name      string
-		delay     float64
-		run       func(s *sim.Sim, qp *QueuePair, done func(Completion))
-		status    uint16
-		reissues  int
-		timeouts  uint64 // completion timers that fired
-		deadlined uint64
+		name       string
+		delay      float64
+		run        func(s *sim.Sim, qp *QueuePair, done func(Completion))
+		status     uint16
+		reissues   int
+		timeouts   int // completion timers that fired
+		deadlined  uint64
+		entryBytes int
 	}{
 		{"clean", 1e-4, func(s *sim.Sim, qp *QueuePair, done func(Completion)) {
 			qp.Submit(Command{Opcode: OpCall}, done)
-		}, StatusOK, 0, 0, 0},
+		}, StatusOK, 0, 0, 0, SQESize + CQESize},
 		{"dropped, then re-issued", 1e-4, func(s *sim.Sim, qp *QueuePair, done func(Completion)) {
 			qp.SetRetryPolicy(retry)
 			qp.SetFaults(fault.NewPlan(1, fault.Rule{Point: fault.NVMeCompletionDrop, Rate: 1, MaxCount: 1}))
 			qp.Submit(Command{Opcode: OpCall}, done)
-		}, StatusOK, 1, 1, 0},
+		}, StatusOK, 1, 1, 0, 2*SQESize + CQESize},
+		{"lost, then re-issued", 1e-4, func(s *sim.Sim, qp *QueuePair, done func(Completion)) {
+			qp.SetRetryPolicy(retry)
+			qp.SetFaults(fault.NewPlan(1, fault.Rule{Point: fault.NVMeCommandLoss, Rate: 1, MaxCount: 1}))
+			qp.Submit(Command{Opcode: OpCall}, done)
+		}, StatusOK, 1, 1, 0, 2*SQESize + CQESize},
 		{"timeout", 1e-4, func(s *sim.Sim, qp *QueuePair, done func(Completion)) {
 			qp.SetRetryPolicy(retry)
 			qp.SetFaults(fault.NewPlan(1, fault.Rule{Point: fault.NVMeCommandLoss, Rate: 1}))
 			qp.Submit(Command{Opcode: OpCall}, done)
-		}, StatusTimeout, retry.MaxAttempts - 1, uint64(retry.MaxAttempts), 0},
+		}, StatusTimeout, retry.MaxAttempts - 1, retry.MaxAttempts, 0, retry.MaxAttempts * SQESize},
+		// A 2 ms transfer takes the link just before the device completes,
+		// so the CQE is still queued on the wire when the 1 ms timer
+		// fires: the command settles with its CQE counted.
+		{"timeout with the CQE on the wire", 1e-4, func(s *sim.Sim, qp *QueuePair, done func(Completion)) {
+			qp.SetRetryPolicy(RetryPolicy{Timeout: 1e-3, MaxAttempts: 1})
+			qp.Submit(Command{Opcode: OpCall}, done)
+			s.At(5e-5, func() { qp.link.Transfer(2e9, nil) })
+		}, StatusTimeout, 0, 1, 0, SQESize + CQESize},
 		// Queued behind a 1 ms command with 0.5 ms to live: declined
 		// before its first issue.
 		{"deadline in the software queue", 1e-3, func(s *sim.Sim, qp *QueuePair, done func(Completion)) {
 			qp.Submit(Command{Opcode: OpCall}, nil)
 			qp.SubmitDeadline(Command{Opcode: OpCall}, 5e-4, done)
-		}, StatusDeadline, 0, 0, 1},
+		}, StatusDeadline, 0, 0, 1, 0},
 		// The first issue is lost and its timer fires at 3 ms. The
 		// re-issue, due at 4 ms, waits behind a command that holds the
 		// slot from 3.5 ms to 6 ms, past the 5 ms deadline, so no second
@@ -188,14 +203,14 @@ func TestCompletionCountsReissues(t *testing.T) {
 			qp.SetFaults(fault.NewPlan(1, fault.Rule{Point: fault.NVMeCommandLoss, Rate: 1, MaxCount: 1}))
 			qp.SubmitDeadline(Command{Opcode: OpCall}, 5e-3, done)
 			s.At(3.5e-3, func() { qp.Submit(Command{Opcode: OpCall}, nil) })
-		}, StatusDeadline, 1, 1, 1},
+		}, StatusDeadline, 1, 1, 1, SQESize},
 		// A reset at 0.5 ms aborts the 1 ms command mid-service, and the
 		// host re-drives it.
 		{"AbortAll, then re-driven", 1e-3, func(s *sim.Sim, qp *QueuePair, done func(Completion)) {
 			qp.SetRetryPolicy(RetryPolicy{Timeout: 1e-2, MaxAttempts: 2, Backoff: 1e-4})
 			qp.Submit(Command{Opcode: OpCall}, done)
 			s.At(5e-4, func() { qp.AbortAll(StatusAborted) })
-		}, StatusOK, 1, 0, 0},
+		}, StatusOK, 1, 0, 0, 2*SQESize + CQESize},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := sim.New()
@@ -206,14 +221,14 @@ func TestCompletionCountsReissues(t *testing.T) {
 			if len(got) != 1 {
 				t.Fatalf("submitter saw %d completions, want exactly 1", len(got))
 			}
-			if c := got[0]; c.Status != tc.status || c.Reissues != tc.reissues {
-				t.Errorf("completion status %#x after %d re-issues, want %#x after %d",
-					c.Status, c.Reissues, tc.status, tc.reissues)
+			if c := got[0]; c.Status != tc.status || c.Reissues != tc.reissues || c.Timeouts != tc.timeouts || c.EntryBytes != tc.entryBytes {
+				t.Errorf("completion status %#x after %d re-issues, %d timeouts and %d entry bytes, want %#x after %d, %d and %d",
+					c.Status, c.Reissues, c.Timeouts, c.EntryBytes, tc.status, tc.reissues, tc.timeouts, tc.entryBytes)
 			}
 			// The queue pair's own counters agree: this command was the
-			// only one re-issued.
+			// only one re-issued or timed out.
 			timeouts, retries, _, _, _ := qp.FaultStats()
-			if retries != uint64(tc.reissues) || timeouts != tc.timeouts || qp.Deadlined() != tc.deadlined {
+			if retries != uint64(tc.reissues) || timeouts != uint64(tc.timeouts) || qp.Deadlined() != tc.deadlined {
 				t.Errorf("queue pair counted %d retries, %d timeouts and %d deadline misses, want %d, %d and %d",
 					retries, timeouts, qp.Deadlined(), tc.reissues, tc.timeouts, tc.deadlined)
 			}

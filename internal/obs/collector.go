@@ -3,11 +3,11 @@ package obs
 import "fmt"
 
 // Collector attributes observed per-line executor costs to windowed
-// series: actual compute seconds per unit, D2H bytes, admission-queue
-// wait, and retries, each under a line<N>.* series name. The executor
-// calls these hooks from inside its existing completion callbacks
-// (internal/exec, Options.Obs); a nil *Collector makes every hook a
-// no-op, so the unobserved run is bit-identical.
+// series: actual compute seconds per unit, D2H bytes, call-queue wait,
+// and retries, each under a line<N>.* series name. The executor reports
+// each line attempt once, when the host settles it (internal/exec,
+// Options.Obs); a nil *Collector makes the hook a no-op, so the
+// unobserved run is bit-identical.
 type Collector struct {
 	win *Windows
 	// lines holds, by source line, each kind's series handle, resolved
@@ -67,40 +67,47 @@ func (c *Collector) handle(line, kind int) *series {
 	return s
 }
 
-// Line records one completed dynamic line execution: seconds of
-// simulated latency on the named unit ("csd" or "host") and the D2H
-// bytes the attempt moved (skipped when zero — most host lines move
-// nothing).
-func (c *Collector) Line(line int, unit string, t, seconds, d2hBytes float64) {
-	if c == nil {
-		return
-	}
-	switch unit {
-	case "csd":
-		c.win.observe(c.handle(line, kindCSDSeconds), t, seconds)
-	case "host":
-		c.win.observe(c.handle(line, kindHostSeconds), t, seconds)
-	default:
-		c.win.Observe(LineSeries(line, unit+".seconds"), t, seconds)
-	}
-	if d2hBytes > 0 {
-		c.win.observe(c.handle(line, kindD2HBytes), t, d2hBytes)
-	}
+// Attempt is one line attempt as the executor closes it: everything the
+// line's series read, observed at the instant the host settled it.
+type Attempt struct {
+	Line  int
+	OnCSD bool // the attempt ran on the CSD, otherwise on the host
+	// Done reports that the line completed; Seconds, dispatch to close,
+	// is observed only then.
+	Done    bool
+	Seconds float64
+	// Picked reports that the device picked the attempt's call up; Queue,
+	// pickup minus dispatch, is observed only then.
+	Picked bool
+	Queue  float64
+	// D2HBytes is the link traffic the attempt issued, observed when
+	// positive (most host lines move nothing).
+	D2HBytes float64
+	Retried  bool // the line is re-posted: one retry
 }
 
-// Queue records the call-queue wait an offloaded invocation saw between
-// dispatch and its device-side start.
-func (c *Collector) Queue(line int, t, wait float64) {
+// Attempt records one closed line attempt at t, the instant the host
+// settled it. Every series of the attempt is observed at t, so each
+// series sees the nondecreasing times Windows requires however many
+// runs share the collector.
+func (c *Collector) Attempt(t float64, a Attempt) {
 	if c == nil {
 		return
 	}
-	c.win.observe(c.handle(line, kindQueueSeconds), t, wait)
-}
-
-// Retry records one line re-post (fault recovery or resilience ladder).
-func (c *Collector) Retry(line int, t float64) {
-	if c == nil {
-		return
+	if a.Done {
+		kind := kindHostSeconds
+		if a.OnCSD {
+			kind = kindCSDSeconds
+		}
+		c.win.observe(c.handle(a.Line, kind), t, a.Seconds)
 	}
-	c.win.observe(c.handle(line, kindRetries), t, 1)
+	if a.D2HBytes > 0 {
+		c.win.observe(c.handle(a.Line, kindD2HBytes), t, a.D2HBytes)
+	}
+	if a.Picked {
+		c.win.observe(c.handle(a.Line, kindQueueSeconds), t, a.Queue)
+	}
+	if a.Retried {
+		c.win.observe(c.handle(a.Line, kindRetries), t, 1)
+	}
 }

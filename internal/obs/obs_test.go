@@ -23,9 +23,7 @@ func TestNilIsInert(t *testing.T) {
 	w.Fold(metrics.New()) // must not panic
 
 	var c *Collector
-	c.Line(1, "csd", 0, 1, 2)
-	c.Queue(1, 0, 1)
-	c.Retry(1, 0)
+	c.Attempt(0, Attempt{Line: 1, OnCSD: true, Done: true, Seconds: 1, Picked: true, Queue: 1, D2HBytes: 2, Retried: true})
 	if c.Windows() != nil {
 		t.Error("nil Collector.Windows must be nil")
 	}
@@ -147,33 +145,42 @@ func TestFoldDeterminism(t *testing.T) {
 
 func TestCollectorSeries(t *testing.T) {
 	c := NewCollector(1.0, 0)
-	c.Line(4, "csd", 0.2, 3e-5, 4096)
-	c.Line(4, "csd", 0.4, 5e-5, 0) // zero D2H must not open a bytes cell
-	c.Line(9, "host", 0.3, 1e-6, 0)
-	c.Line(2, "gpu", 0.3, 1e-6, 0) // a unit outside the executor's two
-	c.Queue(4, 0.2, 2e-6)
-	c.Retry(4, 0.5)
-	c.Retry(4, 0.6) // the interned name must land in the same series
-	want := []string{"line2.gpu.seconds", "line4.csd.seconds", "line4.d2h.bytes", "line4.queue.seconds", "line4.retries", "line9.host.seconds"}
+	c.Attempt(0.2, Attempt{Line: 4, OnCSD: true, Done: true, Seconds: 3e-5, Picked: true, Queue: 2e-6, D2HBytes: 4096})
+	c.Attempt(0.3, Attempt{Line: 9, Done: true, Seconds: 1e-6})
+	c.Attempt(0.4, Attempt{Line: 4, OnCSD: true, Done: true, Seconds: 5e-5}) // zero D2H must not open a bytes cell
+	// Failed attempts observe no seconds: one the device picked up and
+	// whose call put bytes on the link, re-posted, and one lost before
+	// pickup, re-posted too.
+	c.Attempt(0.5, Attempt{Line: 4, OnCSD: true, Seconds: 9, Picked: true, Queue: 1e-6, D2HBytes: 64, Retried: true})
+	c.Attempt(0.6, Attempt{Line: 4, OnCSD: true, Seconds: 9, Retried: true})
+	c.Attempt(0.7, Attempt{Line: 2, Seconds: 9}) // a failed host attempt that moved nothing
+	want := []string{"line4.csd.seconds", "line4.d2h.bytes", "line4.queue.seconds", "line4.retries", "line9.host.seconds"}
 	if got := c.Windows().Names(); !reflect.DeepEqual(got, want) {
 		t.Errorf("series = %v, want %v", got, want)
 	}
-	if s := c.Windows().Stats("line4.d2h.bytes"); len(s) != 1 || s[0].Count != 1 || s[0].Sum != 4096 {
-		t.Errorf("d2h series %+v", s)
-	}
-	if s := c.Windows().Stats("line4.csd.seconds"); s[0].Count != 2 {
-		t.Errorf("csd seconds count %d, want 2", s[0].Count)
-	}
-	if s := c.Windows().Stats("line4.retries"); s[0].Count != 2 {
-		t.Errorf("retries count %d, want 2", s[0].Count)
+	for _, tc := range []struct {
+		series string
+		count  int
+		sum    float64
+	}{
+		{"line4.csd.seconds", 2, 8e-5},
+		{"line4.d2h.bytes", 2, 4160},
+		{"line4.queue.seconds", 2, 3e-6},
+		{"line4.retries", 2, 2},
+		{"line9.host.seconds", 1, 1e-6},
+	} {
+		s := c.Windows().Stats(tc.series)
+		if len(s) != 1 || s[0].Count != tc.count || s[0].Sum != tc.sum {
+			t.Errorf("%s: %+v, want one window of %d values summing to %v", tc.series, s, tc.count, tc.sum)
+		}
 	}
 }
 
-// TestCollectorHandlesMatchByName feeds one seeded stream through the
-// Collector hooks and, spelled out by name, through Windows.Observe: the
-// two window sets must fold to the same snapshot. The collector's
-// windows are read mid-stream too, so later values land in windows
-// Stats has already sorted in place.
+// TestCollectorHandlesMatchByName feeds one seeded stream of attempts
+// through the Collector hook and, spelled out by name, through
+// Windows.Observe: the two window sets must fold to the same snapshot.
+// The collector's windows are read mid-stream too, so later values land
+// in windows Stats has already sorted in place.
 func TestCollectorHandlesMatchByName(t *testing.T) {
 	c := NewCollector(0.25, 0)
 	w := NewWindows(0.25, 0)
@@ -182,24 +189,32 @@ func TestCollectorHandlesMatchByName(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		tm += rng.ExpFloat64() * 1e-3
 		line := 1 + rng.Intn(12)
-		v := rng.ExpFloat64() * 1e-4
-		switch rng.Intn(4) {
-		case 0:
-			unit := []string{"csd", "host"}[rng.Intn(2)]
-			d2h := float64(rng.Intn(3) * 4096)
-			c.Line(line, unit, tm, v, d2h)
-			w.Observe(LineSeries(line, unit+".seconds"), tm, v)
-			if d2h > 0 {
-				w.Observe(LineSeries(line, "d2h.bytes"), tm, d2h)
-			}
-		case 1:
-			c.Queue(line, tm, v)
-			w.Observe(LineSeries(line, "queue.seconds"), tm, v)
-		case 2:
-			c.Retry(line, tm)
-			w.Observe(LineSeries(line, "retries"), tm, 1)
-		case 3:
+		if rng.Intn(5) == 0 {
 			c.Windows().Stats(LineSeries(line, "csd.seconds"))
+			continue
+		}
+		a := Attempt{
+			Line: line, OnCSD: rng.Intn(2) == 0,
+			Done: rng.Intn(4) != 0, Seconds: rng.ExpFloat64() * 1e-4,
+			Picked: rng.Intn(2) == 0, Queue: rng.ExpFloat64() * 1e-5,
+			D2HBytes: float64(rng.Intn(3) * 4096), Retried: rng.Intn(4) == 0,
+		}
+		c.Attempt(tm, a)
+		unit := "host"
+		if a.OnCSD {
+			unit = "csd"
+		}
+		if a.Done {
+			w.Observe(LineSeries(line, unit+".seconds"), tm, a.Seconds)
+		}
+		if a.D2HBytes > 0 {
+			w.Observe(LineSeries(line, "d2h.bytes"), tm, a.D2HBytes)
+		}
+		if a.Picked {
+			w.Observe(LineSeries(line, "queue.seconds"), tm, a.Queue)
+		}
+		if a.Retried {
+			w.Observe(LineSeries(line, "retries"), tm, 1)
 		}
 	}
 	var snaps [2]bytes.Buffer
@@ -211,7 +226,7 @@ func TestCollectorHandlesMatchByName(t *testing.T) {
 		}
 	}
 	if !bytes.Equal(snaps[0].Bytes(), snaps[1].Bytes()) {
-		t.Error("the Collector hooks and Windows.Observe by name folded to different snapshots")
+		t.Error("the Collector hook and Windows.Observe by name folded to different snapshots")
 	}
 }
 
@@ -258,12 +273,12 @@ func fillDrift() *Collector {
 	for win := 0; win < 8; win++ {
 		for i := 0; i < 100; i++ {
 			tm := float64(win) + float64(i)/128
-			c.Line(1, "csd", tm, 1e-4, 0)
+			c.Attempt(tm, Attempt{Line: 1, OnCSD: true, Done: true, Seconds: 1e-4})
 			v := 1e-4
 			if win >= 2 {
 				v = 5e-4
 			}
-			c.Line(2, "csd", tm, v, 0)
+			c.Attempt(tm, Attempt{Line: 2, OnCSD: true, Done: true, Seconds: v})
 		}
 	}
 	return c
@@ -328,8 +343,8 @@ func TestScoreDriftMinShare(t *testing.T) {
 	// observed ratio must not be scored.
 	c := NewCollector(1.0, 0)
 	for win := 0; win < 4; win++ {
-		c.Line(1, "csd", float64(win), 1e-3, 0)
-		c.Line(2, "host", float64(win), 1e-6, 0) // 100x over plan
+		c.Attempt(float64(win), Attempt{Line: 1, OnCSD: true, Done: true, Seconds: 1e-3})
+		c.Attempt(float64(win), Attempt{Line: 2, Done: true, Seconds: 1e-6}) // 100x over plan
 	}
 	planned := map[int]PlannedLine{
 		1: {Line: 1, Unit: "csd", Seconds: 1e-3, Total: 1.0},
@@ -359,7 +374,7 @@ func TestScoreDriftStreakResets(t *testing.T) {
 			v = 1e-3
 		}
 		for i := 0; i < 50; i++ {
-			c.Line(1, "csd", float64(win)+float64(i)/64, v, 0)
+			c.Attempt(float64(win)+float64(i)/64, Attempt{Line: 1, OnCSD: true, Done: true, Seconds: v})
 		}
 	}
 	planned := map[int]PlannedLine{1: {Line: 1, Unit: "csd", Seconds: 1e-4, Total: 1}}
