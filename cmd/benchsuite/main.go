@@ -9,7 +9,7 @@
 //	benchsuite [-exp all|NAME] [-scalediv N] [-seed S] [-j N] [-outdir DIR] [-metrics out.json]
 //	           [-chaos N] [-chaos-seed S]
 //	           [-tenants N] [-arrival poisson|bursty|uniform|closed] [-qps Q] [-duration D]
-//	           [-httpmon addr] [-pprof cpu.pb] [-memprofile mem.pb]
+//	           [-pprof cpu.pb] [-memprofile mem.pb]
 //	           [-trace out.json] [-tracesummary]
 //	benchsuite -compare old.json new.json [-tolerance 0.10]
 //
@@ -25,9 +25,10 @@
 //
 // With -outdir, every experiment additionally writes BENCH_<exp>.json: a
 // schema-versioned manifest of its simulated results, planner choices,
-// metrics snapshot, and Go runtime stats (see internal/bench and
-// DESIGN.md §10). -compare diffs two manifests benchstat-style and exits
-// nonzero when a tracked value worsened past the tolerance — the CI gate.
+// and Go runtime stats (see internal/bench and DESIGN.md §10). -metrics
+// writes the whole suite's registry once, at the end. -compare diffs
+// two manifests benchstat-style and exits nonzero when a tracked value
+// worsened past the tolerance — the CI gate.
 package main
 
 import (
@@ -59,7 +60,6 @@ func main() {
 	tolerance := flag.Float64("tolerance", bench.DefaultTolerance, "with -compare: allowed fractional worsening per tracked value")
 	obs := cliutil.Register(flag.CommandLine)
 	obs.RegisterJobs(flag.CommandLine)
-	obs.RegisterMonitor(flag.CommandLine)
 	serving := cliutil.RegisterServing(flag.CommandLine)
 	flag.Parse()
 
@@ -82,11 +82,6 @@ func main() {
 	if err := obs.Start(); err != nil {
 		fail(err)
 	}
-	if addr, err := obs.StartMonitor(); err != nil {
-		fail(err)
-	} else if addr != "" {
-		fmt.Printf("httpmon: serving expvar, pprof, and /metrics on http://%s\n", addr)
-	}
 	reg := obs.Registry()
 
 	if *outDir != "" {
@@ -99,8 +94,8 @@ func main() {
 	// The suite prepares every program its experiments read once, then
 	// fans the experiments out on the -j pool against that read-only
 	// set (experiments.RunSuite). Outputs, registries, and manifests
-	// come back in suite order, so stdout, the cumulative metrics
-	// snapshots attached to manifests, and the BENCH_*.json files are
+	// come back in suite order, so stdout, the BENCH_*.json files and
+	// the -metrics snapshot (up to its wall-clock phase timers) are
 	// bit-identical at any -j.
 	pool := obs.Pool()
 	outs, err := experiments.RunSuite(suite, params, experiments.WithServing(*serving),

@@ -2,16 +2,17 @@
 // benchsuite experiment serializes a schema-versioned run manifest
 // (BENCH_<exp>.json) carrying the environment (Go version, platform,
 // seed, scale), per-workload measured values with explicit
-// better-is directions, the planner's choices, a metrics snapshot, and
-// Go runtime stats — and Compare diffs two manifests benchstat-style
-// with configurable regression thresholds, so CI can gate on "did this
-// PR make anything slower".
+// better-is directions, the planner's choices, and Go runtime stats —
+// and Compare diffs two manifests benchstat-style with configurable
+// regression thresholds, so CI can gate on "did this PR make anything
+// slower".
 //
 // Only simulated quantities are gated: the simulator is deterministic,
 // so a tracked value that moves between two revisions moved because the
 // code changed, not because the machine was noisy. Wall-clock material
-// (the metrics snapshot's phase timers, runtime stats, creation time)
-// rides along as context and is never compared.
+// (runtime stats) rides along as context and is never compared. The
+// metrics registry is not copied in: the producing command's -metrics
+// file holds it.
 package bench
 
 import (
@@ -20,8 +21,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-
-	"activego/internal/metrics"
 )
 
 // Schema is the manifest schema version; bump on incompatible layout
@@ -87,16 +86,13 @@ type Manifest struct {
 
 	Workloads []Workload `json:"workloads"`
 
-	// Metrics is the producing process's registry snapshot (phase
-	// timers, executor counters, trace-derived gauges); informational.
-	Metrics *metrics.Snapshot `json:"metrics,omitempty"`
 	// Runtime is the producing process's Go runtime stats; informational.
 	Runtime *RuntimeStats `json:"runtime,omitempty"`
 }
 
 // NewManifest builds a manifest shell for one experiment, stamping the
 // environment and run parameters. Callers append Workloads and
-// optionally attach Metrics and Runtime.
+// optionally attach Runtime.
 func NewManifest(experiment string, seed, scaleDiv int64) *Manifest {
 	return &Manifest{
 		Schema:     Schema,

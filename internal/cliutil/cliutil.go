@@ -4,19 +4,16 @@
 // cmd/activego, cmd/csdsim, and cmd/benchsuite get identical flag names,
 // help text, and output behavior for them. The flags only some commands
 // read are opt-in, one call each: RegisterJobs (-j), RegisterPlanner
-// (-planner), RegisterObsWindow (-obswindow), RegisterMonitor (-httpmon),
-// and RegisterServing (-tenants/-arrival/-qps/-duration). A command
-// therefore accepts exactly the flags it reads.
+// (-planner), RegisterObsWindow (-obswindow), and RegisterServing
+// (-tenants/-arrival/-qps/-duration). A command therefore accepts
+// exactly the flags it reads. Each sink is written once, after the
+// command's work is done; nothing is served while it runs.
 package cliutil
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	runpprof "runtime/pprof"
 
@@ -35,7 +32,6 @@ type Flags struct {
 	CPUProfile   string  // -pprof: CPU profile path
 	MemProfile   string  // -memprofile: heap profile path, written on Finish
 	Metrics      string  // -metrics: registry snapshot JSON path ("-" = stdout)
-	HTTPMon      string  // -httpmon: live monitoring listen address (RegisterMonitor)
 	Jobs         int     // -j: worker count for deterministic fan-outs (RegisterJobs)
 	ObsWindow    float64 // -obswindow: sim-time observation window (RegisterObsWindow); 0 = off
 	Planner      string  // -planner: planning algorithm (RegisterPlanner); "" = bnb
@@ -85,12 +81,6 @@ func (f *Flags) Pool() *par.Pool {
 	return par.New(f.Jobs)
 }
 
-// RegisterMonitor additionally installs -httpmon (only benchsuite keeps
-// a process alive long enough for a live endpoint to be useful).
-func (f *Flags) RegisterMonitor(fs *flag.FlagSet) {
-	fs.StringVar(&f.HTTPMon, "httpmon", "", "serve expvar, net/http/pprof, and a live /metrics snapshot on this address while running (e.g. localhost:8080)")
-}
-
 // RegisterServing installs the multi-tenant serving driver's flags
 // (DESIGN.md §14) on fs: the same -tenants/-arrival/-qps/-duration knobs
 // in every command that can drive traffic, parsed into the overrides
@@ -123,7 +113,7 @@ func PrintServing(out io.Writer, res *driver.Result) {
 func (f *Flags) WantTrace() bool { return f.Trace != "" || f.TraceSummary }
 
 // WantMetrics reports whether a metrics registry is needed.
-func (f *Flags) WantMetrics() bool { return f.Metrics != "" || f.HTTPMon != "" }
+func (f *Flags) WantMetrics() bool { return f.Metrics != "" }
 
 // Recorder returns the command's trace recorder, created on first call.
 // It is non-nil when tracing was requested, and also when metrics were:
@@ -138,8 +128,8 @@ func (f *Flags) Recorder() *trace.Recorder {
 }
 
 // Registry returns the command's metrics registry, created on first
-// call when -metrics or -httpmon asked for one; nil otherwise, which
-// every instrumented layer treats as "record nothing".
+// call when -metrics asked for one; nil otherwise, which every
+// instrumented layer treats as "record nothing".
 func (f *Flags) Registry() *metrics.Registry {
 	if f.reg == nil && f.WantMetrics() {
 		f.reg = metrics.New()
@@ -221,36 +211,6 @@ func (f *Flags) ExportTrace(out io.Writer, rec *trace.Recorder) error {
 		fmt.Fprintf(out, "\n%s", rec.Summary())
 	}
 	return nil
-}
-
-// StartMonitor serves the live monitoring endpoint when -httpmon was
-// given: expvar under /debug/vars, the net/http/pprof suite under
-// /debug/pprof/, and the registry's current snapshot as JSON under
-// /metrics (safe to poll mid-run; the registry is mutex-guarded). It
-// returns the bound address ("" when -httpmon is off) and never blocks.
-func (f *Flags) StartMonitor() (string, error) {
-	if f.HTTPMon == "" {
-		return "", nil
-	}
-	reg := f.Registry()
-	ln, err := net.Listen("tcp", f.HTTPMon)
-	if err != nil {
-		return "", fmt.Errorf("cliutil: -httpmon %s: %w", f.HTTPMon, err)
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		snap := reg.Snapshot()
-		_ = snap.WriteJSON(w)
-	})
-	go func() { _ = http.Serve(ln, mux) }()
-	return ln.Addr().String(), nil
 }
 
 func writeHeapProfile(path string) error {

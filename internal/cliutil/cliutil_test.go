@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -24,7 +22,6 @@ func parse(t *testing.T, args ...string) *Flags {
 	f.RegisterJobs(fs)
 	f.RegisterPlanner(fs)
 	f.RegisterObsWindow(fs)
-	f.RegisterMonitor(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +34,7 @@ func TestDefaultsAreInert(t *testing.T) {
 		t.Error("recorder without -trace/-tracesummary/-metrics")
 	}
 	if f.Registry() != nil {
-		t.Error("registry without -metrics/-httpmon")
+		t.Error("registry without -metrics")
 	}
 	if err := f.Start(); err != nil {
 		t.Fatal(err)
@@ -87,7 +84,6 @@ func TestFlagNamesStayStable(t *testing.T) {
 		{"RegisterJobs", (*Flags).RegisterJobs, []string{"j"}, []string{"activego", "benchsuite"}},
 		{"RegisterPlanner", (*Flags).RegisterPlanner, []string{"planner"}, []string{"activego"}},
 		{"RegisterObsWindow", (*Flags).RegisterObsWindow, []string{"obswindow"}, []string{"activego"}},
-		{"RegisterMonitor", (*Flags).RegisterMonitor, []string{"httpmon"}, []string{"benchsuite"}},
 		{"RegisterServing", func(_ *Flags, fs *flag.FlagSet) { RegisterServing(fs) }, []string{"arrival", "duration", "qps", "tenants"}, commands},
 	} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -185,46 +181,5 @@ func TestTraceOutputs(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "trace: wrote") {
 		t.Errorf("no trace progress line:\n%s", buf.String())
-	}
-}
-
-func TestStartMonitorServes(t *testing.T) {
-	f := parse(t, "-httpmon", "127.0.0.1:0")
-	addr, err := f.StartMonitor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if addr == "" {
-		t.Fatal("no bound address")
-	}
-	f.Registry().Counter("exec.runs").Add(1)
-	get := func(path string) string {
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		return string(body)
-	}
-	if body := get("/metrics"); !strings.Contains(body, "exec.runs") {
-		t.Errorf("/metrics missing live counter:\n%s", body)
-	}
-	if body := get("/debug/vars"); !strings.Contains(body, "memstats") {
-		t.Errorf("/debug/vars not expvar output:\n%s", body)
-	}
-	if body := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
-		t.Errorf("/debug/pprof/ not the pprof index:\n%s", body)
-	}
-}
-
-func TestStartMonitorOffByDefault(t *testing.T) {
-	f := parse(t)
-	addr, err := f.StartMonitor()
-	if err != nil || addr != "" {
-		t.Errorf("monitor started without -httpmon: %q, %v", addr, err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"activego/internal/fault"
-	"activego/internal/metrics"
 	"activego/internal/platform"
 )
 
@@ -14,7 +13,7 @@ import (
 // typed *resilience.AdmitError, which FirstShed keeps.
 func TestShedArrivalAllocatesNothing(t *testing.T) {
 	e := &engine{p: platform.Default(), cfg: Config{MaxInFlight: 1, MaxQueue: -1}, inflight: 1}
-	ts := &tenantState{name: "t", reg: metrics.New()}
+	ts := &tenantState{name: "t"}
 	e.arrive(ts, nil, false)
 	first := ts.firstShed
 	if first == nil || first.Tenant != "t" || first.Request != 0 || first.InFlight != 1 || first.Queued != 0 {

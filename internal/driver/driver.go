@@ -64,14 +64,16 @@ type Config struct {
 	// Resilience, when set, arms the DESIGN.md §12 degradation ladder
 	// on every request's executor.
 	Resilience *resilience.Policy
-	// Metrics, when set, receives every tenant's sub-registry merged in
-	// tenant order after the run. Observation only; nil changes nothing.
+	// Metrics, when set, receives every request's executor counters and
+	// the driver.request.*.seconds histograms as the run goes, and each
+	// tenant's driver.requests.* counts after it. Observation only; nil
+	// changes nothing and records nothing.
 	Metrics *metrics.Registry
 	// ObsWindow, when positive, bins each tenant's completed-request
 	// latencies into ObsWindow-second sim-time windows (internal/obs,
-	// DESIGN.md §15) and folds them into the tenant's sub-registry as
-	// obs.win.* gauges — series names carry a t<index>. prefix so the
-	// tenant-order merge never collides. Zero records no windows.
+	// DESIGN.md §15) and folds them into Metrics as obs.win.* gauges —
+	// series names carry a t<index>. prefix, so tenants never collide.
+	// Zero records no windows.
 	ObsWindow float64
 	// Obs, when set, is handed to every admitted request's executor so
 	// each request's line attempts (compute seconds, own D2H bytes,
@@ -179,8 +181,7 @@ type tenantState struct {
 	index int
 	cfg   TenantConfig
 	name  string
-	reg   *metrics.Registry // per-tenant sub-registry, always non-nil
-	win   *obs.Windows      // per-window latency series; nil when ObsWindow is off
+	win   *obs.Windows // per-window latency series; nil when ObsWindow is off
 	rng   *fault.Stream
 	seq   int          // next tenant-local request number
 	done  []completion // completed requests in completion order
@@ -228,6 +229,11 @@ type engine struct {
 
 	launcher exec.Launcher // reuses finished requests' executors
 	free     []*request    // finished request records
+
+	// wait, service and latency are cfg.Metrics' request histograms,
+	// each resolved at its first observation, so a run registers only
+	// the histograms it feeds. Nil without a registry.
+	wait, service, latency *metrics.Histogram
 }
 
 // Run serves cfg's tenants against p until the arrival horizon passes
@@ -252,7 +258,6 @@ func Run(p *platform.Platform, cfg Config) (*Result, error) {
 			index: i,
 			cfg:   tc,
 			name:  tc.Name,
-			reg:   metrics.New(),
 			win:   obs.NewWindows(cfg.ObsWindow, 0),
 			rng:   fault.NewStream(fault.Mix64(cfg.Seed ^ fault.Mix64(uint64(i)+1))),
 		}
@@ -338,18 +343,15 @@ func (e *engine) arrive(ts *tenantState, sc *Scenario, closedLoop bool) {
 	seq := ts.seq
 	ts.seq++
 	ts.offered++
-	ts.reg.Counter(metrics.MetricDriverOffered).Add(1)
 	switch {
 	case e.inflight < e.cfg.maxInFlight():
 		e.dispatch(e.request(ts, seq, sc, now, closedLoop))
 	case len(e.queue) < e.cfg.maxQueue():
 		ts.queued++
-		ts.reg.Counter(metrics.MetricDriverQueued).Add(1)
 		e.queue = append(e.queue, e.request(ts, seq, sc, now, closedLoop))
 		e.sampleQueue(now)
 	default:
 		ts.shed++
-		ts.reg.Counter(metrics.MetricDriverShed).Add(1)
 		// Only the tenant's first refusal is kept, so only it is built.
 		if ts.firstShed == nil {
 			ts.firstShed = &resilience.AdmitError{
@@ -395,11 +397,10 @@ func (e *engine) dispatch(req *request) {
 	e.inflight++
 	e.sampleInFlight(now)
 	ts.admitted++
-	ts.reg.Counter(metrics.MetricDriverAdmitted).Add(1)
-	ts.reg.Histogram(metrics.MetricDriverWait).Observe(now - req.arrived)
+	e.observe(&e.wait, metrics.MetricDriverWait, now-req.arrived)
 	opts := req.sc.ReplayOptions()
 	opts.Resilience = e.cfg.Resilience
-	opts.Metrics = ts.reg
+	opts.Metrics = e.cfg.Metrics
 	opts.Obs = e.cfg.Obs
 	err := e.launcher.Launch(e.p, req.sc.Trace, opts, req.done)
 	if err != nil && e.fatal == nil {
@@ -418,14 +419,13 @@ func (e *engine) finish(req *request, rerr error) {
 		var shed *resilience.ShedError
 		if errors.As(rerr, &shed) {
 			ts.failed++
-			ts.reg.Counter(metrics.MetricDriverFailed).Add(1)
 		} else if e.fatal == nil {
 			e.fatal = fmt.Errorf("driver: %s request %d: %w", ts.name, req.seq, rerr)
 		}
 	} else {
 		ts.completed++
-		ts.reg.Counter(metrics.MetricDriverCompleted).Add(1)
-		ts.reg.Histogram(metrics.MetricDriverService).Observe(now - req.dispatched)
+		e.observe(&e.service, metrics.MetricDriverService, now-req.dispatched)
+		e.observe(&e.latency, metrics.MetricDriverLatency, now-req.arrived)
 		// Completion times count from the run start, so tenant windows
 		// line up no matter how warm the platform's clock was at entry.
 		ts.done = append(ts.done, completion{at: now - e.start, latency: now - req.arrived})
@@ -457,6 +457,15 @@ func (e *engine) reissueAfterThink(ts *tenantState, now sim.Time) {
 	e.p.Sim.At(at, func() { e.issue(ts, true) })
 }
 
+// observe records v in *h, first resolving *h as cfg.Metrics' named
+// histogram.
+func (e *engine) observe(h **metrics.Histogram, name string, v float64) {
+	if *h == nil {
+		*h = e.cfg.Metrics.Histogram(name)
+	}
+	(*h).Observe(v)
+}
+
 func (e *engine) sampleInFlight(now sim.Time) {
 	e.p.Sim.Recorder().Sample(metrics.SeriesDriverInFlight, now, float64(e.inflight))
 }
@@ -465,19 +474,19 @@ func (e *engine) sampleQueue(now sim.Time) {
 	e.p.Sim.Recorder().Sample(metrics.SeriesDriverQueueDepth, now, float64(len(e.queue)))
 }
 
-// results folds the tenant states into the run summary and merges the
-// sub-registries into cfg.Metrics in tenant order. Each tenant's
-// completions, in completion order, fill its latency histogram and its
-// latency window, and give its exact quantiles.
+// results folds the tenant states into the run summary and cfg.Metrics.
+// Each tenant's completions, in completion order, give its mean, fill
+// its latency window and give its exact quantiles; its counts become
+// the driver.requests.* counters.
 func (e *engine) results() *Result {
 	r := &Result{Makespan: e.p.Sim.Now() - e.start}
 	shares := make([]float64, 0, len(e.tenants))
 	for _, ts := range e.tenants {
-		h := ts.reg.Histogram(metrics.MetricDriverLatency)
 		series := fmt.Sprintf("t%d.latency.seconds", ts.index)
 		sorted := make([]float64, len(ts.done))
+		var sum float64
 		for i, c := range ts.done {
-			h.Observe(c.latency)
+			sum += c.latency
 			ts.win.Observe(series, c.at, c.latency)
 			sorted[i] = c.latency
 		}
@@ -496,8 +505,8 @@ func (e *engine) results() *Result {
 			P99:       metrics.Quantile(sorted, 0.99),
 			Max:       metrics.Quantile(sorted, 1),
 		}
-		if n := h.Count(); n > 0 {
-			tr.Mean = h.Sum() / float64(n)
+		if n := len(ts.done); n > 0 {
+			tr.Mean = sum / float64(n)
 		}
 		r.Tenants = append(r.Tenants, tr)
 		r.Offered += ts.offered
@@ -506,9 +515,30 @@ func (e *engine) results() *Result {
 		r.Completed += ts.completed
 		r.Failed += ts.failed
 		shares = append(shares, float64(ts.completed)/math.Max(1, float64(ts.offered)))
-		ts.win.Fold(ts.reg)
-		e.cfg.Metrics.Merge(ts.reg)
+		e.count(ts)
+		ts.win.Fold(e.cfg.Metrics)
 	}
 	r.Fairness = Jain(shares)
 	return r
+}
+
+// count adds a tenant's counts to cfg.Metrics' driver.requests.*
+// counters. A zero count registers nothing, so the registry names only
+// the counters some request moved.
+func (e *engine) count(ts *tenantState) {
+	for _, c := range [...]struct {
+		name string
+		n    int
+	}{
+		{metrics.MetricDriverOffered, ts.offered},
+		{metrics.MetricDriverAdmitted, ts.admitted},
+		{metrics.MetricDriverQueued, ts.queued},
+		{metrics.MetricDriverShed, ts.shed},
+		{metrics.MetricDriverCompleted, ts.completed},
+		{metrics.MetricDriverFailed, ts.failed},
+	} {
+		if c.n > 0 {
+			e.cfg.Metrics.Counter(c.name).Add(float64(c.n))
+		}
+	}
 }

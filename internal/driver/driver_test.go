@@ -176,9 +176,48 @@ func TestServingAccountingBalances(t *testing.T) {
 			if err := p.Drained(); err != nil {
 				t.Fatal(err)
 			}
-			// The merged registry carries both tenants' counters.
-			if got := reg.Counter(metrics.MetricDriverOffered).Value(); got != float64(res.Offered) {
-				t.Fatalf("merged offered counter %v, want %d", got, res.Offered)
+			// The registry carries both tenants' counts, each counter only
+			// when some request moved it, and the request histograms see
+			// every admitted request's wait and every completed one's
+			// service and latency.
+			snap := reg.Snapshot()
+			counters, hists := map[string]float64{}, map[string]uint64{}
+			for _, c := range snap.Counters {
+				counters[c.Name] = c.Value
+			}
+			for _, h := range snap.Histograms {
+				hists[h.Name] = h.Count
+			}
+			queued := 0
+			for _, tr := range res.Tenants {
+				queued += tr.Queued
+			}
+			for _, c := range []struct {
+				name string
+				want int
+			}{
+				{metrics.MetricDriverOffered, res.Offered},
+				{metrics.MetricDriverAdmitted, res.Admitted},
+				{metrics.MetricDriverQueued, queued},
+				{metrics.MetricDriverShed, res.Shed},
+				{metrics.MetricDriverCompleted, res.Completed},
+				{metrics.MetricDriverFailed, res.Failed},
+			} {
+				if got, ok := counters[c.name]; got != float64(c.want) || ok != (c.want > 0) {
+					t.Errorf("counter %s = %v (registered %v), want %d", c.name, got, ok, c.want)
+				}
+			}
+			for _, h := range []struct {
+				name string
+				want int
+			}{
+				{metrics.MetricDriverWait, res.Admitted},
+				{metrics.MetricDriverService, res.Completed},
+				{metrics.MetricDriverLatency, res.Completed},
+			} {
+				if got, ok := hists[h.name]; got != uint64(h.want) || ok != (h.want > 0) {
+					t.Errorf("histogram %s counts %d (registered %v), want %d", h.name, got, ok, h.want)
+				}
 			}
 		})
 	}

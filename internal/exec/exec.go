@@ -199,7 +199,7 @@ type executor struct {
 	slots    *interp.VarSlots // the trace's variable numbering
 	varHome  []varState       // residency by slot
 	migrated bool
-	breaker  *resilience.Breaker // non-nil iff Options.Resilience is set
+	breaker  resilience.Breaker // armed iff Options.Resilience is set
 	res      *Result
 	err      error
 
@@ -457,7 +457,7 @@ func (e *executor) step() {
 	unit := UnitHost
 	if !e.migrated && e.opts.Partition.OnCSD(rec.Line) {
 		unit = UnitCSD
-		if e.breaker != nil {
+		if e.opts.Resilience != nil {
 			admit, probe := e.breaker.Allow(e.p.Sim.Now())
 			switch {
 			case !admit:
@@ -636,7 +636,7 @@ func (e *executor) afterRecord(rec *interp.LineRecord, unit Unit) {
 	}
 	e.close(true, false)
 	if unit == UnitCSD {
-		if e.breaker != nil && e.breaker.OnSuccess(e.p.Sim.Now()) {
+		if e.opts.Resilience != nil && e.breaker.OnSuccess(e.p.Sim.Now()) {
 			// The half-open probe succeeded: offload is re-admitted and
 			// the run returns to the CSD now that the device is healthy.
 			e.res.BreakerCloses++

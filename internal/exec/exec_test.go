@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"activego/internal/codegen"
 	"activego/internal/inputs"
@@ -13,6 +14,7 @@ import (
 	"activego/internal/metrics"
 	"activego/internal/plan"
 	"activego/internal/platform"
+	"activego/internal/resilience"
 )
 
 // traceFor runs a small program and returns its trace.
@@ -388,12 +390,13 @@ func TestReplayAllocationsPerRecord(t *testing.T) {
 // fresh Launcher. Only Run returns a progress timeline, so only Run
 // builds one; a launched request that built it would allocate 16 B more
 // per offloaded record. Through one Launcher, a warm request reuses the
-// previous request's executor and allocates nothing at all.
+// previous request's executor and allocates nothing at all, also with a
+// resilience policy armed, whose breaker the executor keeps in place.
 func TestLaunchBytesPerRequest(t *testing.T) {
 	const n, requests = 200, 20
-	bytesPerRequest := func(records int, reuse bool) uint64 {
+	bytesPerRequest := func(records int, reuse bool, pol *resilience.Policy) uint64 {
 		tr := loopTrace(records)
-		opts := Options{Backend: codegen.Native, Partition: codegen.NewPartition(1), Warm: true}
+		opts := Options{Backend: codegen.Native, Partition: codegen.NewPartition(1), Warm: true, Resilience: pol}
 		p := platform.Default()
 		var failed error
 		done := func(err error) {
@@ -429,13 +432,22 @@ func TestLaunchBytesPerRequest(t *testing.T) {
 		}
 		return least
 	}
-	if short, long := bytesPerRequest(n, false), bytesPerRequest(2*n, false); short != long {
+	if short, long := bytesPerRequest(n, false, nil), bytesPerRequest(2*n, false, nil); short != long {
 		t.Errorf("fresh launchers: a request of %d records allocates %d B, of %d records %d B: want equal",
 			n, short, 2*n, long)
 	}
 	for _, records := range []int{n, 2 * n} {
-		if b := bytesPerRequest(records, true); b != 0 {
+		if b := bytesPerRequest(records, true, nil); b != 0 {
 			t.Errorf("one launcher: a warm request of %d records allocates %d B, want 0", records, b)
 		}
+	}
+	perLine := resilience.PerLine()
+	if b := bytesPerRequest(n, true, &perLine); b != 0 {
+		t.Errorf("one launcher, resilience.PerLine armed: a warm request allocates %d B, want 0", b)
+	}
+	// The breaker lives inside the executor, which still fits the 416 B
+	// size class.
+	if size := unsafe.Sizeof(executor{}); size > 416 {
+		t.Errorf("an executor takes %d B, want at most 416", size)
 	}
 }

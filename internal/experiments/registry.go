@@ -119,8 +119,8 @@ func study[R result](name string, decl Programs, run func(workloads.Params, ...O
 // merged into WithMetrics' registry first. The experiments then fan out
 // on the pool, each against its declared view of the set and into its
 // own sub-registry; in suite order, each sub-registry (recording folded
-// in) merges into the registry and the manifest takes the cumulative
-// snapshot — so every output is bit-identical at any pool size.
+// in) merges into the registry — so every output is bit-identical at
+// any pool size.
 // cmd/benchsuite and BenchmarkExperiments run the suite through it.
 func RunSuite(exps []Experiment, params workloads.Params, opts ...Option) ([]*Output, error) {
 	o := buildOptions(opts)
@@ -145,11 +145,7 @@ func RunSuite(exps []Experiment, params workloads.Params, opts ...Option) ([]*Ou
 	}
 	for i, out := range outs {
 		out.Rec.Fold(subs[i])
-		if o.metrics != nil {
-			o.metrics.Merge(subs[i])
-			snap := o.metrics.Snapshot()
-			out.Manifest.Metrics = &snap
-		}
+		o.metrics.Merge(subs[i])
 	}
 	return outs, nil
 }

@@ -109,9 +109,9 @@ const (
 	// degradation ladder's final rung.
 	MetricExecSheds = "exec.sheds"
 
-	// Serving-driver counters, folded per tenant into the driver's
-	// sub-registries and merged into the caller's registry in tenant
-	// order (internal/driver, DESIGN.md §14).
+	// Serving-driver counters, added once per tenant to the caller's
+	// registry after the run, in tenant order (internal/driver,
+	// DESIGN.md §14).
 	//
 	// MetricDriverOffered counts requests the arrival processes
 	// generated (admitted or not).

@@ -8,17 +8,18 @@
 // wall-clock phases (sampling, curve fitting, planning, execution), the
 // executor folds per-line simulated latencies and run counters in, and
 // trace.Recorder.Fold condenses a recording's series and span latencies
-// into registry entries. Snapshots serialize deterministically (names
-// sorted) so they can ride in benchmark manifests (internal/bench) and
-// be diffed by CI.
+// into registry entries. A command reads its registry once, at the end,
+// as a snapshot that serializes deterministically (names sorted), so
+// two runs' -metrics files diff cleanly.
 //
 // The registry inherits the trace layer's zero-overhead contract: a nil
 // *Registry is valid everywhere, every method on it (and on the nil
 // instruments it hands out) is a no-op, and observing never feeds back
 // into any model decision — a run with a registry attached is
-// bit-identical to the same run without one. Unlike the single-threaded
-// trace recorder, a non-nil registry is safe for concurrent use, because
-// the -httpmon endpoint snapshots it while a sweep is running.
+// bit-identical to the same run without one. Like the trace recorder,
+// a registry is used from one goroutine and takes no lock: a fan-out
+// gives each worker its own registry and merges them in input order
+// once the workers have joined (DESIGN.md §11).
 package metrics
 
 import (
@@ -26,14 +27,12 @@ import (
 	"io"
 	"math"
 	"sort"
-	"sync"
 )
 
 // Registry holds named instruments. Construct with New; a nil *Registry
 // is the disabled state: it hands out nil instruments whose methods all
 // no-op.
 type Registry struct {
-	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
@@ -54,8 +53,6 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	c := r.counters[name]
 	if c == nil {
 		c = &Counter{}
@@ -70,8 +67,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	g := r.gauges[name]
 	if g == nil {
 		g = &Gauge{}
@@ -86,8 +81,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	h := r.hists[name]
 	if h == nil {
 		h = &Histogram{buckets: make(map[int]uint64)}
@@ -98,8 +91,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // Counter is a monotonically accumulating sum.
 type Counter struct {
-	mu sync.Mutex
-	v  float64
+	v float64
 }
 
 // Add accumulates delta. No-op on a nil counter.
@@ -107,9 +99,7 @@ func (c *Counter) Add(delta float64) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
 	c.v += delta
-	c.mu.Unlock()
 }
 
 // Value returns the accumulated sum (0 on nil).
@@ -117,14 +107,11 @@ func (c *Counter) Value() float64 {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.v
 }
 
 // Gauge is a last-value-wins measurement.
 type Gauge struct {
-	mu  sync.Mutex
 	v   float64
 	set bool
 }
@@ -134,9 +121,7 @@ func (g *Gauge) Set(v float64) {
 	if g == nil {
 		return
 	}
-	g.mu.Lock()
 	g.v, g.set = v, true
-	g.mu.Unlock()
 }
 
 // Value returns the last set value (0 on nil or never-set).
@@ -144,8 +129,6 @@ func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return g.v
 }
 
@@ -156,7 +139,6 @@ func (g *Gauge) Value() float64 {
 // are a shape for snapshots, not a quantile source — tails come from
 // Quantile over the raw values.
 type Histogram struct {
-	mu      sync.Mutex
 	count   uint64
 	sum     float64
 	min     float64
@@ -189,8 +171,6 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.count == 0 || v < h.min {
 		h.min = v
 	}
@@ -207,8 +187,6 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.count
 }
 
@@ -217,8 +195,6 @@ func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.sum
 }
 
@@ -264,8 +240,8 @@ type ScalarSnap struct {
 	Value float64 `json:"value"`
 }
 
-// Snapshot is a point-in-time, deterministic (name-sorted) view of a
-// registry, the form that rides in bench manifests and over -httpmon.
+// Snapshot is a deterministic (name-sorted) view of a registry, the
+// form -metrics writes.
 type Snapshot struct {
 	Counters   []ScalarSnap    `json:"counters,omitempty"`
 	Gauges     []ScalarSnap    `json:"gauges,omitempty"`
@@ -279,30 +255,14 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
-	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
+	for _, name := range sortedKeys(r.counters) {
+		s.Counters = append(s.Counters, ScalarSnap{Name: name, Value: r.counters[name].v})
 	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
+	for _, name := range sortedKeys(r.gauges) {
+		s.Gauges = append(s.Gauges, ScalarSnap{Name: name, Value: r.gauges[name].v})
 	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	r.mu.Unlock()
-
-	for _, name := range sortedKeys(counters) {
-		s.Counters = append(s.Counters, ScalarSnap{Name: name, Value: counters[name].Value()})
-	}
-	for _, name := range sortedKeys(gauges) {
-		s.Gauges = append(s.Gauges, ScalarSnap{Name: name, Value: gauges[name].Value()})
-	}
-	for _, name := range sortedKeys(hists) {
-		h := hists[name]
-		h.mu.Lock()
+	for _, name := range sortedKeys(r.hists) {
+		h := r.hists[name]
 		snap := HistogramSnap{Name: name, Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
 		exps := make([]int, 0, len(h.buckets))
 		for e := range h.buckets {
@@ -312,7 +272,6 @@ func (r *Registry) Snapshot() Snapshot {
 		for _, e := range exps {
 			snap.Buckets = append(snap.Buckets, Bucket{UpperBound: upperBound(e), Count: h.buckets[e]})
 		}
-		h.mu.Unlock()
 		s.Histograms = append(s.Histograms, snap)
 	}
 	return s
@@ -330,59 +289,31 @@ func (r *Registry) Merge(src *Registry) {
 	if r == nil || src == nil {
 		return
 	}
-	src.mu.Lock()
-	counters := make(map[string]*Counter, len(src.counters))
-	for k, v := range src.counters {
-		counters[k] = v
+	for _, name := range sortedKeys(src.counters) {
+		r.Counter(name).Add(src.counters[name].v)
 	}
-	gauges := make(map[string]*Gauge, len(src.gauges))
-	for k, v := range src.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(src.hists))
-	for k, v := range src.hists {
-		hists[k] = v
-	}
-	src.mu.Unlock()
-
-	for _, name := range sortedKeys(counters) {
-		r.Counter(name).Add(counters[name].Value())
-	}
-	for _, name := range sortedKeys(gauges) {
-		g := gauges[name]
-		g.mu.Lock()
-		v, set := g.v, g.set
-		g.mu.Unlock()
-		if set {
-			r.Gauge(name).Set(v)
+	for _, name := range sortedKeys(src.gauges) {
+		if g := src.gauges[name]; g.set {
+			r.Gauge(name).Set(g.v)
 		}
 	}
-	for _, name := range sortedKeys(hists) {
-		h := hists[name]
-		h.mu.Lock()
-		count, sum, min, max := h.count, h.sum, h.min, h.max
-		buckets := make(map[int]uint64, len(h.buckets))
-		for e, c := range h.buckets {
-			buckets[e] = c
-		}
-		h.mu.Unlock()
-		if count == 0 {
+	for _, name := range sortedKeys(src.hists) {
+		h := src.hists[name]
+		if h.count == 0 {
 			continue
 		}
 		dst := r.Histogram(name)
-		dst.mu.Lock()
-		if dst.count == 0 || min < dst.min {
-			dst.min = min
+		if dst.count == 0 || h.min < dst.min {
+			dst.min = h.min
 		}
-		if dst.count == 0 || max > dst.max {
-			dst.max = max
+		if dst.count == 0 || h.max > dst.max {
+			dst.max = h.max
 		}
-		dst.count += count
-		dst.sum += sum
-		for e, c := range buckets {
+		dst.count += h.count
+		dst.sum += h.sum
+		for e, c := range h.buckets {
 			dst.buckets[e] += c
 		}
-		dst.mu.Unlock()
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"math"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 )
 
@@ -153,29 +152,6 @@ func TestSnapshotRoundTripsJSON(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, r.Snapshot()) {
 		t.Errorf("round trip mismatch:\n%+v\nvs\n%+v", got, r.Snapshot())
-	}
-}
-
-// TestConcurrentUse: a registry is snapshotted by -httpmon while the
-// sweep records into it; the race detector patrols this test.
-func TestConcurrentUse(t *testing.T) {
-	r := New()
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 200; j++ {
-				r.Counter("c").Add(1)
-				r.Gauge("g").Set(float64(j))
-				r.Histogram("h").Observe(float64(j))
-				_ = r.Snapshot()
-			}
-		}()
-	}
-	wg.Wait()
-	if v := r.Counter("c").Value(); v != 800 {
-		t.Errorf("counter %v, want 800", v)
 	}
 }
 

@@ -45,11 +45,12 @@ func TestQuantileNearestRank(t *testing.T) {
 	}
 }
 
-// TestMergeWindowedSeriesTenantOrder pins the serving driver's window
-// fold-and-merge protocol: per-tenant sub-registries carrying
-// tenant-prefixed obs.win.* gauges, merged in tenant order, must
-// snapshot byte-identically to the serial recording — the -j1 ≡ -j8
-// contract for windowed series.
+// TestMergeWindowedSeriesTenantOrder pins the experiments' fan-out
+// protocol for windowed series: workers that fold prefixed obs.win.*
+// gauges (here one per tenant) into their own registries, in any
+// order, and merge them in input order, must snapshot byte-identically
+// to the serial recording — the -j1 ≡ -j8 contract for windowed
+// series.
 func TestMergeWindowedSeriesTenantOrder(t *testing.T) {
 	fold := func(reg *Registry, tenant, window int, p50 float64) {
 		base := fmt.Sprintf("%s%04d.t%d.latency.seconds.", ObsWindowPrefix, window, tenant)
@@ -67,8 +68,8 @@ func TestMergeWindowedSeriesTenantOrder(t *testing.T) {
 		}
 	}
 
-	// The parallel shape: each tenant folds into a private registry
-	// (any completion order), merged back in tenant order.
+	// The parallel shape: each worker folds into its own registry (any
+	// completion order), merged back in input order.
 	subs := make([]*Registry, 4)
 	for tenant := 3; tenant >= 0; tenant-- { // record out of order
 		subs[tenant] = New()

@@ -106,8 +106,8 @@ func (p *Platform) SetRecorder(r *trace.Recorder) {
 // the registry: simulator events fired, CSE performance counters, flash
 // array and FTL activity, and NVMe queue-pair totals. Reading these
 // stats never advances the simulation, so folding is observation-only;
-// a nil registry is a no-op. Called after a run (or from the -httpmon
-// snapshot path while a sweep is idle between events).
+// a nil registry is a no-op. Called after a run, from the goroutine that
+// drove it.
 func (p *Platform) FoldMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return

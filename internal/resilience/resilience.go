@@ -73,7 +73,7 @@ func (b Backoff) Delay(key uint64, attempt int) float64 {
 }
 
 // BreakerState is the circuit breaker's position.
-type BreakerState int
+type BreakerState uint8
 
 // Breaker states. Closed admits offload; Open redirects everything to
 // the host; HalfOpen has admitted a single probe line whose outcome
@@ -124,17 +124,20 @@ func (bp BreakerPolicy) threshold() int {
 // The machine is driven entirely by its caller: Allow gates each offload
 // opportunity, OnSuccess/OnFailure report outcomes. It never schedules
 // anything, so it adds no events to a simulation and costs nothing when
-// no faults occur.
+// no faults occur. It is a 32-byte value that its owner keeps in place,
+// so arming one allocates nothing.
 type Breaker struct {
 	pol      BreakerPolicy
-	state    BreakerState
-	failures int // consecutive failures while closed
 	openedAt sim.Time
+	// failures counts consecutive failures while closed. A Threshold
+	// above math.MaxInt32 is never reached.
+	failures int32
+	state    BreakerState
 }
 
 // NewBreaker returns a closed breaker under pol.
-func NewBreaker(pol BreakerPolicy) *Breaker {
-	return &Breaker{pol: pol}
+func NewBreaker(pol BreakerPolicy) Breaker {
+	return Breaker{pol: pol}
 }
 
 // State returns the current state.
@@ -184,7 +187,7 @@ func (b *Breaker) OnFailure(now sim.Time) (opened bool) {
 		return true
 	case BreakerClosed:
 		b.failures++
-		if b.failures >= b.pol.threshold() {
+		if int(b.failures) >= b.pol.threshold() {
 			b.state = BreakerOpen
 			b.openedAt = now
 			b.failures = 0
