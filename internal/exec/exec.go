@@ -204,25 +204,30 @@ type executor struct {
 	err      error
 
 	totalCSDWork float64 // kernel+glue work across CSD-assigned records
-	csdRecords   int     // CSD-assigned records: the most progress points Run returns
 	doneCSDWork  float64
 	lastObserved float64
+	csdRecords   int32 // CSD-assigned records: the most progress points Run returns
+	lineAttempts int32 // failed attempts of the current record
 
-	lineAttempts int     // failed attempts of the current record
-	att          attempt // the current record's open attempt, or its last one
+	att attempt // the current record's open attempt, or its last one
 
-	done bool
-	// live is set once a call the run posted completes non-OK or after a
-	// re-issue: a device run of it may outlast the run, so the executor
-	// never goes back to its launcher.
-	live   bool
-	notify func(error) // invoked exactly once; nil after it fires
+	done    bool
+	redoCSD bool // redispatch runs the current record on the CSD, else on the host
+	// devRuns counts the device runs of the run's calls still pending:
+	// onCallDone adds the issues its call handed to the device, and every
+	// device run subtracts one when it ends. Before the run reports it
+	// can dip below zero, since a run usually ends before its call's
+	// completion lands; once the run has reported every call has settled,
+	// so it is exact.
+	devRuns int32
+	notify  func(error) // invoked exactly once; nil after it fires
 
-	l         *Launcher             // where the executor goes when the run ends; nil under Run
-	firstStep func()                // step, bound once
-	callRun   csd.Call              // onCallRun, bound once
-	callDone  func(nvme.Completion) // onCallDone, bound once
-	runs      []*lineRun            // finished line runs; see lineRun
+	l          *Launcher             // where the executor goes when the run ends; nil under Run
+	firstStep  func()                // step, bound once
+	redispatch func()                // onRedispatch, bound once
+	callRun    csd.Call              // onCallRun, bound once
+	callDone   func(nvme.Completion) // onCallDone, bound once
+	runs       []*lineRun            // finished line runs; see lineRun
 	// lineHist holds the per-line latency histogram of each unit,
 	// resolved from Metrics when the unit first completes a line, so a
 	// unit that runs nothing registers no histogram.
@@ -233,15 +238,13 @@ type executor struct {
 // the next launch. Its zero value is ready to use. It is used from the
 // goroutine that drives the calendar, like everything a run touches.
 //
-// A finished run's executor returns to the launcher after its done
-// callback returns, with its Result, its residency table's storage, its
-// line-run pool and its bound continuations, and every per-run field
-// zeroed. It keeps nothing a caller handed in. The one exception is an
-// executor that may still have a call live on the device: one of its
-// calls completed non-OK, or OK only after the queue pair re-issued it.
-// Such a call can leave a device run behind that calls back into the
-// executor (DESIGN.md §11), so that executor is left to the garbage
-// collector.
+// A finished run's executor returns to the launcher with its Result,
+// its residency table's storage, its line-run pool and its bound
+// continuations, and every per-run field zeroed. It keeps nothing a
+// caller handed in. It returns once its run has reported and no device
+// run of its calls is pending, since such a run calls back into the
+// executor (DESIGN.md §11): after the done callback returns, or when
+// the last of those device runs ends.
 type Launcher struct {
 	free []*executor
 }
@@ -360,24 +363,25 @@ func (l *Launcher) get() *executor {
 		}
 	}
 	e := &executor{l: l, res: new(Result)}
-	e.firstStep, e.callRun, e.callDone = e.step, e.onCallRun, e.onCallDone
+	e.firstStep, e.redispatch, e.callRun, e.callDone = e.step, e.onRedispatch, e.onCallRun, e.onCallDone
 	return e
 }
 
 // release returns a launched run's executor to its launcher once the run
-// has reported, unless the run is live. What the executor owns survives:
-// its Result (zeroed in place), the residency table's storage, the
-// line-run pool and the bound continuations. Every other field is
-// zeroed, which drops the trace, options and done callback.
+// has reported and no device run of its calls is pending. What the
+// executor owns survives: its Result (zeroed in place), the residency
+// table's storage, the line-run pool and the bound continuations. Every
+// other field is zeroed, which drops the trace, options and done
+// callback.
 func (e *executor) release() {
 	l := e.l
-	if l == nil || e.live {
+	if l == nil || e.devRuns != 0 {
 		return
 	}
 	*e.res = Result{}
 	*e = executor{
 		l: l, res: e.res, varHome: e.varHome[:0], runs: e.runs,
-		firstStep: e.firstStep, callRun: e.callRun, callDone: e.callDone,
+		firstStep: e.firstStep, redispatch: e.redispatch, callRun: e.callRun, callDone: e.callDone,
 	}
 	l.free = append(l.free, e)
 }
@@ -468,7 +472,8 @@ func (e *executor) step() {
 			case probe:
 				// Half-open: re-admitting offload is the reverse of the
 				// open move and pays the same §III-D bill.
-				e.relocate(moveBreakerProbe, rec.Line, func() { e.dispatch(UnitCSD) })
+				e.redoCSD = true
+				e.relocate(moveBreakerProbe, rec.Line, e.redispatch)
 				return
 			}
 		}
@@ -496,6 +501,17 @@ func (e *executor) sampleBreakerState() {
 		v = 0.5
 	}
 	e.p.Sim.Recorder().Sample(metrics.SeriesExecBreakerState, e.p.Sim.Now(), v)
+}
+
+// onRedispatch dispatches the current record on the unit redoCSD names.
+// It is bound once per executor as redispatch, the continuation of every
+// failure-ladder move that dispatches the record again after a delay.
+func (e *executor) onRedispatch() {
+	unit := UnitHost
+	if e.redoCSD {
+		unit = UnitCSD
+	}
+	e.dispatch(unit)
 }
 
 // dispatch runs the current record on unit: host lines directly, CSD
@@ -539,12 +555,7 @@ func (e *executor) onCallRun(_ *csd.Device, arg int64, done func(uint16, any)) {
 // outstanding at a time and stays on its record until the call settles,
 // so the call is always the current record's.
 func (e *executor) onCallDone(c nvme.Completion) {
-	if c.Status != nvme.StatusOK || c.Reissues > 0 {
-		// Only an OK first issue proves no run of the call is left on the
-		// device: the host may have given up on a run still in progress,
-		// and a re-issue can finish while the first issue still waits.
-		e.live = true
-	}
+	e.devRuns += int32(c.Landed)
 	e.att.d2hBytes += int64(c.EntryBytes)
 	e.res.Timeouts += uint64(c.Timeouts)
 	e.res.Retries += uint64(c.Reissues)
@@ -580,25 +591,27 @@ func (e *executor) failLine(f lineFailure) {
 	}
 	pol := e.opts.Resilience
 	tripped := pol != nil && unit == UnitCSD && e.breaker.OnFailure(e.p.Sim.Now())
-	repost := pol != nil && !tripped && e.lineAttempts < pol.LineRetries
+	repost := pol != nil && !tripped && int(e.lineAttempts) < pol.LineRetries
 	e.close(false, repost)
 	switch {
 	case pol == nil:
 		e.abort(f.err())
 	case tripped:
 		e.lineAttempts = 0
-		e.relocate(moveBreakerOpen, f.line, func() { e.dispatch(UnitHost) })
+		e.redoCSD = false
+		e.relocate(moveBreakerOpen, f.line, e.redispatch)
 	case repost:
 		e.lineAttempts++
-		delay := pol.Backoff.Delay(uint64(e.idx), e.lineAttempts)
-		e.p.Sim.After(delay, func() { e.dispatch(unit) })
+		delay := pol.Backoff.Delay(uint64(e.idx), int(e.lineAttempts))
+		e.redoCSD = unit == UnitCSD
+		e.p.Sim.After(delay, e.redispatch)
 	case unit == UnitCSD:
 		// Rung two: per-line host fallback. Data stays put; the host line
 		// pulls device-resident variables lazily, as after a migration.
 		e.lineAttempts = 0
 		e.dispatch(UnitHost)
 	default:
-		shed := &resilience.ShedError{Record: f.record, Line: f.line, Attempts: e.lineAttempts + 1, Cause: f.err()}
+		shed := &resilience.ShedError{Record: f.record, Line: f.line, Attempts: int(e.lineAttempts) + 1, Cause: f.err()}
 		e.instant("shed", f.line)
 		if m := e.opts.Metrics; m != nil {
 			m.Counter(metrics.MetricExecSheds).Add(1)

@@ -7,11 +7,13 @@ import (
 	"unsafe"
 
 	"activego/internal/codegen"
+	"activego/internal/fault"
 	"activego/internal/inputs"
 	"activego/internal/lang/interp"
 	"activego/internal/lang/parser"
 	"activego/internal/lang/value"
 	"activego/internal/metrics"
+	"activego/internal/nvme"
 	"activego/internal/plan"
 	"activego/internal/platform"
 	"activego/internal/resilience"
@@ -391,13 +393,20 @@ func TestReplayAllocationsPerRecord(t *testing.T) {
 // builds one; a launched request that built it would allocate 16 B more
 // per offloaded record. Through one Launcher, a warm request reuses the
 // previous request's executor and allocates nothing at all, also with a
-// resilience policy armed, whose breaker the executor keeps in place.
+// resilience policy armed, whose breaker the executor keeps in place, and
+// also when its calls are re-issued and device runs outlive their
+// attempts: such an executor goes back to the launcher when the last of
+// those runs ends, and each request drains the calendar.
 func TestLaunchBytesPerRequest(t *testing.T) {
 	const n, requests = 200, 20
-	bytesPerRequest := func(records int, reuse bool, pol *resilience.Policy) uint64 {
+	// arm, when set, arms the platform before the first request.
+	bytesPerRequest := func(records int, reuse bool, pol *resilience.Policy, arm func(*platform.Platform)) uint64 {
 		tr := loopTrace(records)
 		opts := Options{Backend: codegen.Native, Partition: codegen.NewPartition(1), Warm: true, Resilience: pol}
 		p := platform.Default()
+		if arm != nil {
+			arm(p)
+		}
 		var failed error
 		done := func(err error) {
 			if err != nil {
@@ -432,18 +441,42 @@ func TestLaunchBytesPerRequest(t *testing.T) {
 		}
 		return least
 	}
-	if short, long := bytesPerRequest(n, false, nil), bytesPerRequest(2*n, false, nil); short != long {
+	if short, long := bytesPerRequest(n, false, nil, nil), bytesPerRequest(2*n, false, nil, nil); short != long {
 		t.Errorf("fresh launchers: a request of %d records allocates %d B, of %d records %d B: want equal",
 			n, short, 2*n, long)
 	}
 	for _, records := range []int{n, 2 * n} {
-		if b := bytesPerRequest(records, true, nil); b != 0 {
+		if b := bytesPerRequest(records, true, nil, nil); b != 0 {
 			t.Errorf("one launcher: a warm request of %d records allocates %d B, want 0", records, b)
 		}
 	}
 	perLine := resilience.PerLine()
-	if b := bytesPerRequest(n, true, &perLine); b != 0 {
+	if b := bytesPerRequest(n, true, &perLine, nil); b != 0 {
 		t.Errorf("one launcher, resilience.PerLine armed: a warm request allocates %d B, want 0", b)
+	}
+	// Faulty requests: completions dropped and recovered by re-issue, and
+	// CSE stalls that outlast the 5 ms completion timer, so a re-issue can
+	// complete while the first issue's run still waits on the CSE.
+	retry := nvme.RetryPolicy{Timeout: 5e-3, MaxAttempts: 8, Backoff: 1e-4}
+	for _, tc := range []struct {
+		name string
+		rule fault.Rule
+	}{
+		{"completions dropped", fault.Rule{Point: fault.NVMeCompletionDrop, Rate: 0.2}},
+		{"CSE stalls past the completion timer", fault.Rule{Point: fault.CSEStall, Rate: 0.2, Duration: 10e-3}},
+	} {
+		var p *platform.Platform
+		b := bytesPerRequest(20, true, nil, func(pl *platform.Platform) {
+			p = pl
+			p.InstallFaults(fault.NewPlan(3, tc.rule), retry)
+		})
+		if b != 0 {
+			t.Errorf("one launcher, %s: a warm request allocates %d B, want 0", tc.name, b)
+		}
+		// A schedule that re-issues no call exercises nothing.
+		if _, retries, _, _, _ := p.Dev.QP.FaultStats(); retries == 0 {
+			t.Errorf("%s: no call was re-issued", tc.name)
+		}
 	}
 	// The breaker lives inside the executor, which still fits the 416 B
 	// size class.

@@ -87,7 +87,12 @@ func TestLauncherReuseMatchesFresh(t *testing.T) {
 // every request's outcome and registry, and the obs fold must equal
 // those of the same requests on new executors. An executor that went
 // back to the launcher while a device run of its own was pending would
-// let that run bill a later request, or find no trace at all.
+// let that run bill a later request, or find no trace at all. The
+// schedules must exercise both sides of the reuse rule: some request
+// reports while a device run of its own is still pending, and once the
+// calendar drains every executor the launcher built is back on its free
+// list, so an executor held back at its report returned when its last
+// device run ended.
 func TestLauncherStaleDeviceRuns(t *testing.T) {
 	tr, base, pace, slowest, schedules := staleFixture(t)
 	for seed := uint64(1); seed <= 100; seed++ {
@@ -103,9 +108,11 @@ func TestLauncherStaleDeviceRuns(t *testing.T) {
 		})
 	}
 	const requests = 4
-	// serve returns the run's record, and how many requests took an
-	// executor from the free list and how many executors stayed live.
-	serve := func(sc staleSchedule, reuse bool) (record string, reused, live int) {
+	// serve returns the run's record, how many requests took an executor
+	// from the free list, how many reported with a device run of their
+	// own pending, and how many executors the launcher built that are not
+	// on its free list once the calendar drains.
+	serve := func(sc staleSchedule, reuse bool) (record string, reused, pending, held int) {
 		p := platform.Default()
 		opts := base
 		sc.arm(p, &opts)
@@ -114,8 +121,8 @@ func TestLauncherStaleDeviceRuns(t *testing.T) {
 		regs := make([]*metrics.Registry, requests)
 		var out bytes.Buffer
 		l := new(Launcher)
-		var launch func(k int)
-		launch = func(k int) {
+		var request func(k int)
+		request = func(k int) {
 			if !reuse {
 				l = new(Launcher)
 			}
@@ -123,10 +130,14 @@ func TestLauncherStaleDeviceRuns(t *testing.T) {
 			o.Metrics = metrics.New()
 			regs[k] = o.Metrics
 			free := len(l.free)
-			err := l.Launch(p, tr, o, func(err error) {
+			var e *executor // the request's own: launch returns it before done can fire
+			e, err := launch(l, p, tr, o, func(err error) {
 				fmt.Fprintf(&out, "request %d done at %v: %v\n", k, p.Sim.Now(), err)
+				if e.devRuns > 0 {
+					pending++
+				}
 				if k+1 < requests {
-					launch(k + 1)
+					request(k + 1)
 				}
 			})
 			if err != nil {
@@ -136,7 +147,7 @@ func TestLauncherStaleDeviceRuns(t *testing.T) {
 				reused++
 			}
 		}
-		launch(0)
+		request(0)
 		p.Sim.Run()
 		fmt.Fprintln(&out, p.Fingerprint())
 		for _, reg := range regs {
@@ -147,21 +158,24 @@ func TestLauncherStaleDeviceRuns(t *testing.T) {
 		folded := metrics.New()
 		col.Windows().Fold(folded)
 		writeRegistry(t, &out, folded)
-		return out.String(), reused, requests - reused - len(l.free)
+		return out.String(), reused, pending, requests - reused - len(l.free)
 	}
-	var reused, live int
+	var reused, pending int
 	for _, sc := range schedules {
-		got, r, n := serve(sc, true)
-		want, _, _ := serve(sc, false)
+		got, r, n, held := serve(sc, true)
+		want, _, _, _ := serve(sc, false)
 		if got != want {
 			t.Fatalf("%s: requests through one launcher ran differently from requests on new executors:\nreused:\n%s\nnew:\n%s",
 				sc.name, got, want)
 		}
+		if held != 0 {
+			t.Errorf("%s: %d executors the launcher built are not back on its free list once the calendar drained", sc.name, held)
+		}
 		reused += r
-		live += n
+		pending += n
 	}
-	// The schedules must exercise both sides of the reuse rule.
-	if reused == 0 || live == 0 {
-		t.Errorf("%d requests reused an executor and %d executors stayed live; want some of each", reused, live)
+	t.Logf("%d requests reused an executor and %d reported with a device run pending", reused, pending)
+	if reused == 0 || pending == 0 {
+		t.Errorf("%d requests reused an executor and %d reported with a device run pending; want some of each", reused, pending)
 	}
 }

@@ -179,16 +179,24 @@ func (r *lineRun) computed() {
 	r.end(nil)
 }
 
-// end returns the run to the pool and reports its outcome.
+// end returns the run to the pool and reports its outcome. A device run
+// that ends after its executor's run reported may be the last thing the
+// executor waits on, so it tries to release the executor.
 func (r *lineRun) end(err error) {
 	e, rec, unit, device := r.e, r.rec(), r.unit, r.device
 	r.device, r.readErr = nil, nil
 	e.runs = append(e.runs, r)
 	switch {
-	case device != nil && err != nil:
-		device(nvme.StatusMediaError, err)
 	case device != nil:
-		device(0, nil)
+		e.devRuns--
+		if err != nil {
+			device(nvme.StatusMediaError, err)
+		} else {
+			device(0, nil)
+		}
+		if e.done || e.err != nil {
+			e.release()
+		}
 	case err != nil:
 		e.failLine(lineFailure{record: e.idx, line: rec.Line, unit: unit, read: err})
 	default:

@@ -100,11 +100,15 @@ type Completion struct {
 	// EntryBytes is the queue entries the command put on the link: the
 	// SQE of every issue, and every CQE that started back before the host
 	// settled that issue, one still crossing when its timer fired
-	// included. The queue pair sets all three on every completion it
-	// delivers, whether the CQE landed or the host synthesized a failure.
+	// included. Landed counts the issues the queue pair handed to the
+	// device handler; each runs the command once, possibly after the
+	// host stopped waiting on it. The queue pair sets all four on every
+	// completion it delivers, whether the CQE landed or the host
+	// synthesized a failure.
 	Reissues   int
 	Timeouts   int
 	EntryBytes int
+	Landed     int
 	Value      any
 	Submitted  sim.Time
 	Started    sim.Time
@@ -169,10 +173,10 @@ type pending struct {
 	when     sim.Time
 	deadline sim.Time // absolute give-up instant; 0 = none
 	done     func(Completion)
-	attempt  int // issue attempts already consumed
-	// timeouts and entryBytes accumulate the command's Completion fields
-	// across its issues.
-	timeouts, entryBytes int
+	attempt  int32 // issue attempts already consumed
+	// timeouts, entryBytes and landed accumulate the command's Completion
+	// fields across its issues.
+	timeouts, entryBytes, landed int32
 }
 
 // issued is one issue of a command, owned by two sides. The host owns it
@@ -386,6 +390,7 @@ func (is *issued) onSQE(_, arrive sim.Time) {
 	}
 	is.arrive = arrive
 	is.stage = stageDevice
+	is.p.landed++
 	q.handler(is.p.cmd, is.p.when, is.complete)
 }
 
@@ -432,10 +437,10 @@ func (is *issued) onCQE(_, landed sim.Time) {
 	if rec := q.sim.Recorder(); rec != nil {
 		rec.Span("nvme", "nvme", p.cmd.Opcode.String(), p.when, landed,
 			trace.Arg{Key: "status", Value: c.Status},
-			trace.Arg{Key: "attempt", Value: p.attempt + 1})
+			trace.Arg{Key: "attempt", Value: int(p.attempt) + 1})
 	}
 	c.Completed = landed
-	c.Reissues, c.Timeouts, c.EntryBytes = p.attempt, p.timeouts, p.entryBytes
+	c.Reissues, c.Timeouts, c.EntryBytes, c.Landed = int(p.attempt), int(p.timeouts), int(p.entryBytes), int(p.landed)
 	q.completed++
 	if p.done != nil {
 		p.done(c)
@@ -499,7 +504,7 @@ func (q *QueuePair) fail(is *issued, status uint16) {
 	}
 	p := is.p // settle may hand the record to the next command
 	q.settle(is)
-	if p.attempt+1 < q.retry.maxAttempts() {
+	if int(p.attempt)+1 < q.retry.maxAttempts() {
 		backoff := q.retry.Backoff * float64(uint64(1)<<uint(p.attempt))
 		if p.deadline == 0 || q.sim.Now()+backoff < p.deadline {
 			p.attempt++
@@ -534,8 +539,8 @@ func (q *QueuePair) fail(is *issued, status uint16) {
 
 // synthesized is the failure completion the host delivers for p at now.
 func (p *pending) synthesized(status uint16, now sim.Time) Completion {
-	return Completion{Status: status, Reissues: p.attempt, Timeouts: p.timeouts, EntryBytes: p.entryBytes,
-		Submitted: p.when, Completed: now}
+	return Completion{Status: status, Reissues: int(p.attempt), Timeouts: int(p.timeouts), EntryBytes: int(p.entryBytes),
+		Landed: int(p.landed), Submitted: p.when, Completed: now}
 }
 
 // AbortAll fails every device-owned command with the given status — the

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"activego/internal/fault"
 	"activego/internal/metrics"
@@ -146,8 +147,9 @@ func TestBoundedAttemptsSurfaceTimeout(t *testing.T) {
 
 // TestCompletionCountsReissues pins a completion's own counts: how many
 // times the queue pair re-issued the command (Reissues), how many of its
-// completion timers fired (Timeouts) and the queue entries it put on the
-// link (EntryBytes), whether the CQE landed or the host synthesized a
+// completion timers fired (Timeouts), the queue entries it put on the
+// link (EntryBytes) and how many of its issues reached the device
+// handler (Landed), whether the CQE landed or the host synthesized a
 // failure. The queue pair has one slot, and the device completes a
 // command delay seconds after its SQE lands.
 func TestCompletionCountsReissues(t *testing.T) {
@@ -161,25 +163,27 @@ func TestCompletionCountsReissues(t *testing.T) {
 		timeouts   int // completion timers that fired
 		deadlined  uint64
 		entryBytes int
+		landed     int // issues the handler ran
 	}{
 		{"clean", 1e-4, func(s *sim.Sim, qp *QueuePair, done func(Completion)) {
 			qp.Submit(Command{Opcode: OpCall}, done)
-		}, StatusOK, 0, 0, 0, SQESize + CQESize},
+		}, StatusOK, 0, 0, 0, SQESize + CQESize, 1},
+		// The first issue ran on the device; only its completion was lost.
 		{"dropped, then re-issued", 1e-4, func(s *sim.Sim, qp *QueuePair, done func(Completion)) {
 			qp.SetRetryPolicy(retry)
 			qp.SetFaults(fault.NewPlan(1, fault.Rule{Point: fault.NVMeCompletionDrop, Rate: 1, MaxCount: 1}))
 			qp.Submit(Command{Opcode: OpCall}, done)
-		}, StatusOK, 1, 1, 0, 2*SQESize + CQESize},
+		}, StatusOK, 1, 1, 0, 2*SQESize + CQESize, 2},
 		{"lost, then re-issued", 1e-4, func(s *sim.Sim, qp *QueuePair, done func(Completion)) {
 			qp.SetRetryPolicy(retry)
 			qp.SetFaults(fault.NewPlan(1, fault.Rule{Point: fault.NVMeCommandLoss, Rate: 1, MaxCount: 1}))
 			qp.Submit(Command{Opcode: OpCall}, done)
-		}, StatusOK, 1, 1, 0, 2*SQESize + CQESize},
+		}, StatusOK, 1, 1, 0, 2*SQESize + CQESize, 1},
 		{"timeout", 1e-4, func(s *sim.Sim, qp *QueuePair, done func(Completion)) {
 			qp.SetRetryPolicy(retry)
 			qp.SetFaults(fault.NewPlan(1, fault.Rule{Point: fault.NVMeCommandLoss, Rate: 1}))
 			qp.Submit(Command{Opcode: OpCall}, done)
-		}, StatusTimeout, retry.MaxAttempts - 1, retry.MaxAttempts, 0, retry.MaxAttempts * SQESize},
+		}, StatusTimeout, retry.MaxAttempts - 1, retry.MaxAttempts, 0, retry.MaxAttempts * SQESize, 0},
 		// A 2 ms transfer takes the link just before the device completes,
 		// so the CQE is still queued on the wire when the 1 ms timer
 		// fires: the command settles with its CQE counted.
@@ -187,13 +191,13 @@ func TestCompletionCountsReissues(t *testing.T) {
 			qp.SetRetryPolicy(RetryPolicy{Timeout: 1e-3, MaxAttempts: 1})
 			qp.Submit(Command{Opcode: OpCall}, done)
 			s.At(5e-5, func() { qp.link.Transfer(2e9, nil) })
-		}, StatusTimeout, 0, 1, 0, SQESize + CQESize},
+		}, StatusTimeout, 0, 1, 0, SQESize + CQESize, 1},
 		// Queued behind a 1 ms command with 0.5 ms to live: declined
 		// before its first issue.
 		{"deadline in the software queue", 1e-3, func(s *sim.Sim, qp *QueuePair, done func(Completion)) {
 			qp.Submit(Command{Opcode: OpCall}, nil)
 			qp.SubmitDeadline(Command{Opcode: OpCall}, 5e-4, done)
-		}, StatusDeadline, 0, 0, 1, 0},
+		}, StatusDeadline, 0, 0, 1, 0, 0},
 		// The first issue is lost and its timer fires at 3 ms. The
 		// re-issue, due at 4 ms, waits behind a command that holds the
 		// slot from 3.5 ms to 6 ms, past the 5 ms deadline, so no second
@@ -203,14 +207,14 @@ func TestCompletionCountsReissues(t *testing.T) {
 			qp.SetFaults(fault.NewPlan(1, fault.Rule{Point: fault.NVMeCommandLoss, Rate: 1, MaxCount: 1}))
 			qp.SubmitDeadline(Command{Opcode: OpCall}, 5e-3, done)
 			s.At(3.5e-3, func() { qp.Submit(Command{Opcode: OpCall}, nil) })
-		}, StatusDeadline, 1, 1, 1, SQESize},
+		}, StatusDeadline, 1, 1, 1, SQESize, 0},
 		// A reset at 0.5 ms aborts the 1 ms command mid-service, and the
-		// host re-drives it.
+		// host re-drives it: both issues ran on the device.
 		{"AbortAll, then re-driven", 1e-3, func(s *sim.Sim, qp *QueuePair, done func(Completion)) {
 			qp.SetRetryPolicy(RetryPolicy{Timeout: 1e-2, MaxAttempts: 2, Backoff: 1e-4})
 			qp.Submit(Command{Opcode: OpCall}, done)
 			s.At(5e-4, func() { qp.AbortAll(StatusAborted) })
-		}, StatusOK, 1, 0, 0, 2*SQESize + CQESize},
+		}, StatusOK, 1, 0, 0, 2*SQESize + CQESize, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := sim.New()
@@ -221,9 +225,10 @@ func TestCompletionCountsReissues(t *testing.T) {
 			if len(got) != 1 {
 				t.Fatalf("submitter saw %d completions, want exactly 1", len(got))
 			}
-			if c := got[0]; c.Status != tc.status || c.Reissues != tc.reissues || c.Timeouts != tc.timeouts || c.EntryBytes != tc.entryBytes {
-				t.Errorf("completion status %#x after %d re-issues, %d timeouts and %d entry bytes, want %#x after %d, %d and %d",
-					c.Status, c.Reissues, c.Timeouts, c.EntryBytes, tc.status, tc.reissues, tc.timeouts, tc.entryBytes)
+			if c := got[0]; c.Status != tc.status || c.Reissues != tc.reissues || c.Timeouts != tc.timeouts ||
+				c.EntryBytes != tc.entryBytes || c.Landed != tc.landed {
+				t.Errorf("completion status %#x after %d re-issues, %d timeouts, %d entry bytes and %d issues landed, want %#x after %d, %d, %d and %d",
+					c.Status, c.Reissues, c.Timeouts, c.EntryBytes, c.Landed, tc.status, tc.reissues, tc.timeouts, tc.entryBytes, tc.landed)
 			}
 			// The queue pair's own counters agree: this command was the
 			// only one re-issued or timed out.
@@ -904,8 +909,17 @@ func TestPooledQueuePairMatchesReference(t *testing.T) {
 // or without a completion timer, and when the timer expires and the
 // command is re-issued after its backoff (the first issue's completion
 // lands late and is discarded). The handler and done are built once, so
-// what is measured is the queue pair's own bookkeeping.
+// what is measured is the queue pair's own bookkeeping. The records it
+// pools stay in their size classes: an issued command in 256 B and a
+// backoff record in 128 B, which pending's counters, each an int32, keep
+// them in.
 func TestQueuePairSteadyStateAllocFree(t *testing.T) {
+	if size := unsafe.Sizeof(issued{}); size > 256 {
+		t.Errorf("an issued record takes %d B, want at most 256", size)
+	}
+	if size := unsafe.Sizeof(reissue{}); size > 128 {
+		t.Errorf("a reissue record takes %d B, want at most 128", size)
+	}
 	for _, tc := range []struct {
 		name    string
 		delayed bool

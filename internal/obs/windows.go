@@ -199,31 +199,44 @@ func statOf(c *windowCell) WindowStat {
 // The window index is zero-padded to four digits so the name-sorted
 // snapshot reads in window order, and the total span is recorded in the
 // obs.windows gauge. Series fold in sorted-name order, so two registries
-// fed the same observations snapshot identically. No-op when either side
-// is nil.
+// fed the same observations snapshot identically. It reads the windows
+// Stats returns in place: the closed digests, then the open window,
+// digested as Stats digests it. No-op when either side is nil.
 func (w *Windows) Fold(reg *metrics.Registry) {
 	if w == nil || reg == nil {
 		return
 	}
 	var buf []byte // every gauge name is built here; only its string allocates
 	for _, name := range w.Names() {
-		for _, s := range w.Stats(name) {
-			buf = append(buf[:0], metrics.ObsWindowPrefix...)
-			buf = appendWindow(buf, s.Window)
-			buf = append(buf, '.')
-			buf = append(buf, name...)
-			buf = append(buf, '.')
-			base := len(buf)
-			for _, g := range [...]struct {
-				field string
-				v     float64
-			}{{"count", float64(s.Count)}, {"sum", s.Sum}, {"p50", s.P50}, {"p95", s.P95}, {"p99", s.P99}} {
-				buf = append(buf[:base], g.field...)
-				reg.Gauge(string(buf)).Set(g.v)
-			}
+		s := w.series[name]
+		for i := range s.closed {
+			buf = foldWindow(reg, buf, name, &s.closed[i])
+		}
+		if len(s.open.vals) > 0 {
+			st := statOf(&s.open)
+			buf = foldWindow(reg, buf, name, &st)
 		}
 	}
 	reg.Gauge(metrics.MetricObsWindows).Set(float64(w.Count()))
+}
+
+// foldWindow sets the gauges of one window of the named series, building
+// each gauge name in buf, and returns buf for the next window.
+func foldWindow(reg *metrics.Registry, buf []byte, name string, s *WindowStat) []byte {
+	buf = append(buf[:0], metrics.ObsWindowPrefix...)
+	buf = appendWindow(buf, s.Window)
+	buf = append(buf, '.')
+	buf = append(buf, name...)
+	buf = append(buf, '.')
+	base := len(buf)
+	for _, g := range [...]struct {
+		field string
+		v     float64
+	}{{"count", float64(s.Count)}, {"sum", s.Sum}, {"p50", s.P50}, {"p95", s.P95}, {"p99", s.P99}} {
+		buf = append(buf[:base], g.field...)
+		reg.Gauge(string(buf)).Set(g.v)
+	}
+	return buf
 }
 
 // appendWindow appends window index i zero-padded to four digits, as
